@@ -19,6 +19,7 @@ from .theta import (
     reduce_characteristic,
     riemann_theta,
     theta_gradient,
+    theta_many,
     theta_with_char,
 )
 from .surface import (
@@ -34,6 +35,7 @@ from .surface import (
     genus0_surface,
     laurent_coeffs,
     line_bundle,
+    point_array,
     prime_form,
     torus_surface,
 )
@@ -50,6 +52,7 @@ from .kernels import (
     ConnectionCoefficients,
     collection_residual,
     direct_sum_kernel,
+    evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
     line_connection_form,

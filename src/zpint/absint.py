@@ -37,7 +37,7 @@ from .errors import (
     PoleLocationFailure,
     SingularGamma,
 )
-from .kernels import CauchyKernelOracle, extract_laurent_coeffs
+from .kernels import CauchyKernelOracle, evaluate_many, extract_laurent_coeffs
 from .numutil import (
     EPS_GUARD,
     circle_modes,
@@ -227,32 +227,35 @@ def build_gamma(data: InterpolationDataSet,
     cols = _block_slices([p.count for p in data.poles])
     gamma = np.zeros((data.n_zero_total, data.n_pole_total), dtype=complex)
     coincident = set(data.coincident_pairs())
-    for i, z in enumerate(data.zeros):
-        for j, p in enumerate(data.poles):
-            r0, r1 = rows[i]
-            c0, c1 = cols[j]
-            if (i, j) in coincident:
-                gamma[r0:r1, c0:c1] = -data.couplings[(i, j)]
-            else:
-                kval = oracle_tilde(z.point, p.point)
-                gamma[r0:r1, c0:c1] = -(z.vectors @ kval @ p.vectors.T)
+    pairs = [(i, j) for i in range(len(data.zeros)) for j in range(len(data.poles))
+             if (i, j) not in coincident]
+    kvals = evaluate_many(oracle_tilde, [data.zeros[i].point for i, _ in pairs],
+                          [data.poles[j].point for _, j in pairs])
+    for (i, j), kval in zip(pairs, kvals):
+        r0, r1 = rows[i]
+        c0, c1 = cols[j]
+        gamma[r0:r1, c0:c1] = -(data.zeros[i].vectors @ kval @ data.poles[j].vectors.T)
+    for (i, j) in coincident:
+        r0, r1 = rows[i]
+        c0, c1 = cols[j]
+        gamma[r0:r1, c0:c1] = -data.couplings[(i, j)]
     return GammaMatrix(gamma, rows, cols)
 
 
 def _k_mu_u(data, oracle, p) -> np.ndarray:
     """Row block [K(chi~; p, mu^j) u_j]_j of shape (r, N_pole)."""
-    cols = []
-    for node in data.poles:
-        cols.append(oracle(p, node.point) @ node.vectors.T)
-    return np.hstack(cols) if cols else np.zeros((oracle.rank, 0), dtype=complex)
+    if not data.poles:
+        return np.zeros((oracle.rank, 0), dtype=complex)
+    kvals = evaluate_many(oracle, [p] * len(data.poles), [node.point for node in data.poles])
+    return np.hstack([k @ node.vectors.T for k, node in zip(kvals, data.poles)])
 
 
 def _k_x_lam(data, oracle, q) -> np.ndarray:
     """Column block [x_i K(chi~; lambda^i, q)]_i of shape (N_zero, r)."""
-    rows = []
-    for node in data.zeros:
-        rows.append(node.vectors @ oracle(node.point, q))
-    return np.vstack(rows) if rows else np.zeros((0, oracle.rank), dtype=complex)
+    if not data.zeros:
+        return np.zeros((0, oracle.rank), dtype=complex)
+    kvals = evaluate_many(oracle, [node.point for node in data.zeros], [q] * len(data.zeros))
+    return np.vstack([node.vectors @ k for k, node in zip(kvals, data.zeros)])
 
 
 def _check_base_point(data, q):

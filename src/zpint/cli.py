@@ -132,25 +132,43 @@ class Reporter:
         return 0 if self.report["passed"] else 1
 
 
-def _cmd_theta(args) -> int:
-    rep = Reporter("theta", args)
+def _theta_inputs(args):
+    """Period matrix, argument vector and characteristic (or None) of `theta`."""
     if args.omega_file:
         payload = _load_json(args.omega_file)
-        g = int(payload["genus"])
-        omega = np.array(
-            [[_pair(v) for v in row] for row in payload["omega"]], dtype=complex
-        )
-        pm = PeriodMatrix(g, omega)
+        try:
+            g = int(payload["genus"])
+            rows = [[_pair(v) for v in row] for row in payload["omega"]]
+            pm = PeriodMatrix(g, np.array(rows, dtype=complex))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad omega file: {exc}") from exc
     else:
         pm = period_from_tau(_parse_complex(args.tau))
     z = np.array([_parse_complex(part) for part in args.z.split(",")])
-    tol = 1e-9 * args.tol_scale
-    if args.char:
+    if z.size != pm.genus:
+        raise InputError(f"--z has {z.size} entries, expected genus {pm.genus}")
+    if not np.isfinite(z).all():
+        raise InputError("--z entries must be finite")
+    if not args.char:
+        return pm, z, None
+    try:
         a_text, b_text = args.char.split(":")
         chi = ThetaCharacteristic(
             np.array([float(v) for v in a_text.split(",")]),
             np.array([float(v) for v in b_text.split(",")]),
         )
+    except ValueError as exc:
+        raise InputError(f"--char must be 'a1,..:b1,..' with finite entries: {exc}") from exc
+    if chi.genus != pm.genus:
+        raise InputError(f"--char has genus {chi.genus}, expected {pm.genus}")
+    return pm, z, chi
+
+
+def _cmd_theta(args) -> int:
+    rep = Reporter("theta", args)
+    pm, z, chi = _theta_inputs(args)
+    tol = 1e-9 * args.tol_scale
+    if chi is not None:
         value = theta_with_char(chi, z, pm)
         rep.extra("value", _enc(value))
         if args.grad:

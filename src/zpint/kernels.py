@@ -45,6 +45,7 @@ from .surface import (
     abel_jacobi,
     coord,
     point,
+    point_array,
     points_equal,
     prime_form,
     same_surface,
@@ -54,12 +55,14 @@ from .theta import (
     ThetaCharacteristic,
     ThetaEvalConfig,
     theta_gradient,
+    theta_many,
     theta_with_char,
 )
 
 __all__ = [
     "CauchyKernelOracle",
     "ConnectionCoefficients",
+    "evaluate_many",
     "genus0_kernel",
     "line_kernel",
     "direct_sum_kernel",
@@ -75,8 +78,11 @@ class CauchyKernelOracle:
     """Evaluator contract for an r-by-r Cauchy kernel in the global frame.
 
     Calling the oracle with two point-like arguments returns the (r, r)
-    kernel value.  parts holds the summands of a direct sum; bundle holds
-    the flat line bundle of a rank-1 kernel.
+    kernel value.  evaluator maps two SurfacePoints to that value; many,
+    when given, is the array-native form (two point arrays of length N, as
+    made by surface.point_array -> (N, r, r)), and evaluate_many uses it.
+    parts holds the summands of a direct sum; bundle holds the flat line
+    bundle of a rank-1 kernel.
     """
 
     rank: int
@@ -85,6 +91,7 @@ class CauchyKernelOracle:
     bundle: FlatLineBundle | None = None
     parts: tuple = ()
     name: str = ""
+    many: Callable | None = None
 
     def __call__(self, p, q) -> np.ndarray:
         return self.evaluator(point(p), point(q))
@@ -98,6 +105,34 @@ class CauchyKernelOracle:
         return self  # the trivial kernel is self-dual
 
 
+def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
+    """Kernel values K(P[i], Q[i]) at N point pairs, shape (N, r, r).
+
+    Built-in kernels evaluate the whole batch with array operations, and
+    their single-pair call is the N = 1 case of the same code.  An oracle
+    with only an evaluator is called once per pair.
+    """
+    P = point_array(oracle.surface, P)
+    Q = point_array(oracle.surface, Q)
+    if len(P) != len(Q):
+        raise ValueError("point arrays differ in length")
+    if oracle.many is not None:
+        return oracle.many(P, Q)
+    out = np.empty((len(P), oracle.rank, oracle.rank), dtype=complex)
+    for i in range(len(P)):
+        out[i] = oracle.evaluator(point(P[i]), point(Q[i]))
+    return out
+
+
+def _array_native(rank: int, surface: SurfaceDescriptor, many, **fields) -> CauchyKernelOracle:
+    """Oracle whose single-pair evaluator is the N = 1 case of many."""
+
+    def evaluate(p, q):
+        return many(point_array(surface, (p,)), point_array(surface, (q,)))[0]
+
+    return CauchyKernelOracle(rank, surface, evaluate, many=many, **fields)
+
+
 def genus0_kernel(r: int, surface: SurfaceDescriptor | None = None) -> CauchyKernelOracle:
     """Trivial rank-r kernel I_r / (p - q) on the sphere."""
     if r < 1:
@@ -107,10 +142,10 @@ def genus0_kernel(r: int, surface: SurfaceDescriptor | None = None) -> CauchyKer
     surface = surface or genus0_surface()
     eye = np.eye(r, dtype=complex)
 
-    def evaluate(p, q):
-        return eye / (coord(p) - coord(q))
+    def many(P, Q):
+        return eye / (P - Q)[:, None, None]
 
-    return CauchyKernelOracle(r, surface, evaluate, name=f"trivial({r})")
+    return _array_native(r, surface, many, name=f"trivial({r})")
 
 
 def line_kernel(surface: SurfaceDescriptor, bundle: FlatLineBundle,
@@ -132,13 +167,13 @@ def line_kernel(surface: SurfaceDescriptor, bundle: FlatLineBundle,
     chi = bundle.characteristic
     period = surface.period
 
-    def evaluate(p, q):
-        v = abel_jacobi(surface, q) - abel_jacobi(surface, p)
-        num = theta_with_char(chi, v, period, cfg)
-        e_qp = prime_form(surface, q, p, cfg)
-        return np.array([[num / (theta0 * e_qp)]], dtype=complex)
+    def many(P, Q):
+        v = abel_jacobi(surface, Q) - abel_jacobi(surface, P)
+        num = theta_many(chi, v, period, cfg)
+        e_qp = prime_form(surface, Q, P, cfg)
+        return (num / (theta0 * e_qp))[:, None, None]
 
-    return CauchyKernelOracle(1, surface, evaluate, bundle=bundle, name="line")
+    return _array_native(1, surface, many, bundle=bundle, name="line")
 
 
 def direct_sum_kernel(oracles) -> CauchyKernelOracle:
@@ -154,14 +189,14 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
     total = sum(ranks)
     offsets = np.cumsum([0] + ranks)
 
-    def evaluate(p, q):
-        out = np.zeros((total, total), dtype=complex)
+    def many(P, Q):
+        out = np.zeros((len(P), total, total), dtype=complex)
         for k, oracle in enumerate(oracles):
             sl = slice(offsets[k], offsets[k + 1])
-            out[sl, sl] = oracle(p, q)
+            out[:, sl, sl] = evaluate_many(oracle, P, Q)
         return out
 
-    return CauchyKernelOracle(total, base, evaluate, parts=oracles, name="direct_sum")
+    return _array_native(total, base, many, parts=oracles, name="direct_sum")
 
 
 def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKernelOracle:
@@ -174,11 +209,11 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
     frame = np.asarray(frame, dtype=complex)
     inv = np.linalg.inv(frame)
 
-    def evaluate(p, q):
-        return frame @ oracle(p, q) @ inv
+    def many(P, Q):
+        return frame @ evaluate_many(oracle, P, Q) @ inv
 
-    return CauchyKernelOracle(oracle.rank, oracle.surface, evaluate,
-                              parts=(oracle,), name="conjugated")
+    return _array_native(oracle.rank, oracle.surface, many,
+                         parts=(oracle,), name="conjugated")
 
 
 @dataclass(frozen=True, eq=False)

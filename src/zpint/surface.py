@@ -46,6 +46,7 @@ from .theta import (
     ThetaEvalConfig,
     period_from_tau,
     theta_gradient,
+    theta_many,
     theta_with_char,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "point",
     "coord",
     "points_equal",
+    "point_array",
     "abel_jacobi",
     "prime_form",
     "odd_theta",
@@ -342,19 +344,54 @@ def line_bundle(a, b) -> FlatLineBundle:
 ODD_CHAR = ThetaCharacteristic(np.array([0.5]), np.array([0.5]))
 
 
+def point_array(surface: SurfaceDescriptor, points) -> np.ndarray:
+    """A sequence of point-like values as one 1-D array.
+
+    Labels (dtype object) on a data-bundle surface, complex coordinates
+    otherwise.  An array that is already of that kind is returned as is.
+    """
+    if surface.kind is SurfaceKind.DATA_BUNDLE:
+        if isinstance(points, np.ndarray) and points.dtype == object:
+            return points
+        return np.array([_label(p) for p in points], dtype=object)
+    if isinstance(points, np.ndarray) and points.dtype == complex:
+        return points
+    return np.array([coord(p) for p in points], dtype=complex)
+
+
+def _is_many(p) -> bool:
+    return isinstance(p, (np.ndarray, list, tuple))
+
+
+def _label(p) -> str:
+    label = point(p).label
+    if label is None:
+        raise UnknownPoint("data-bundle points need labels")
+    return label
+
+
+def _coords(surface: SurfaceDescriptor, p):
+    """Coordinate of one point, or the coordinate array of a sequence."""
+    return point_array(surface, p) if _is_many(p) else coord(point(p))
+
+
+def _bundle_rows(bundle: SurfaceDataBundle, p):
+    """Table row of one labelled point, or the row list of a sequence."""
+    if _is_many(p):
+        return [bundle.index(_label(label)) for label in p]
+    return bundle.index(_label(p))
+
+
 def abel_jacobi(surface: SurfaceDescriptor, p) -> np.ndarray:
-    """Abel-Jacobi image of a point, as a g-vector.
+    """Abel-Jacobi image of a point, as a g-vector; (N, g) for a sequence of points.
 
     Genus 1: the identity on torus coordinates.  Data bundles: the stored
     table value.
     """
-    p = point(p)
     if surface.kind is SurfaceKind.GENUS1:
-        return np.array([coord(p)], dtype=complex)
+        return np.asarray(_coords(surface, p), dtype=complex)[..., None]
     if surface.kind is SurfaceKind.DATA_BUNDLE:
-        if p.label is None:
-            raise UnknownPoint("data-bundle points need labels")
-        return surface.bundle.phi[surface.bundle.index(p.label)]
+        return surface.bundle.phi[_bundle_rows(surface.bundle, p)]
     raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
 
 
@@ -365,10 +402,12 @@ def _odd_deriv0(tau: complex, target: float) -> complex:
     return complex(grad[0])
 
 
-def odd_theta(v: complex, tau: complex, cfg: ThetaEvalConfig | None = None) -> complex:
-    """theta[1/2; 1/2](v | tau), the odd genus-1 theta value."""
+def odd_theta(v, period: PeriodMatrix, cfg: ThetaEvalConfig | None = None):
+    """theta[1/2; 1/2](v | tau), the odd genus-1 theta value; elementwise for arrays."""
     cfg = cfg or DEFAULT_CONFIG
-    return theta_with_char(ODD_CHAR, np.array([v]), period_from_tau(tau), cfg)
+    if isinstance(v, np.ndarray):
+        return theta_many(ODD_CHAR, v.reshape(-1, 1), period, cfg).reshape(v.shape)
+    return theta_with_char(ODD_CHAR, np.array([v]), period, cfg)
 
 
 def odd_theta_deriv0(tau: complex, cfg: ThetaEvalConfig | None = None) -> complex:
@@ -377,28 +416,28 @@ def odd_theta_deriv0(tau: complex, cfg: ThetaEvalConfig | None = None) -> comple
     return _odd_deriv0(complex(tau), cfg.target_abs_error)
 
 
-def log_deriv_odd_theta(v: complex, tau: complex,
+def log_deriv_odd_theta(v: complex, period: PeriodMatrix,
                         cfg: ThetaEvalConfig | None = None) -> complex:
     """d/dv log theta[1/2; 1/2](v | tau)."""
     cfg = cfg or DEFAULT_CONFIG
-    pm = period_from_tau(tau)
-    val = theta_with_char(ODD_CHAR, np.array([v]), pm, cfg)
-    grad = theta_gradient(ODD_CHAR, np.array([v]), pm, cfg)
+    val = theta_with_char(ODD_CHAR, np.array([v]), period, cfg)
+    grad = theta_gradient(ODD_CHAR, np.array([v]), period, cfg)
     return complex(grad[0] / val)
 
 
-def prime_form(surface: SurfaceDescriptor, p, q,
-               cfg: ThetaEvalConfig | None = None) -> complex:
-    """Prime form E(p, q) in the global frame; antisymmetric, E(p, p) = 0."""
-    p, q = point(p), point(q)
+def prime_form(surface: SurfaceDescriptor, p, q, cfg: ThetaEvalConfig | None = None):
+    """Prime form E(p, q) in the global frame; antisymmetric, E(p, p) = 0.
+
+    p and q are single points, or two sequences of points of one length,
+    giving the (N,) array of E(p[i], q[i]).
+    """
     if surface.kind is SurfaceKind.GENUS1:
-        tau = surface.tau
-        v = coord(q) - coord(p)
-        return odd_theta(v, tau, cfg) / odd_theta_deriv0(tau, cfg)
+        v = _coords(surface, q) - _coords(surface, p)
+        return odd_theta(v, surface.period, cfg) / odd_theta_deriv0(surface.tau, cfg)
     if surface.kind is SurfaceKind.DATA_BUNDLE:
         bundle = surface.bundle
-        return complex(bundle.prime_form_table[bundle.index(p.label),
-                                               bundle.index(q.label)])
+        value = bundle.prime_form_table[_bundle_rows(bundle, p), _bundle_rows(bundle, q)]
+        return value if _is_many(p) or _is_many(q) else complex(value)
     raise UnsupportedGenus("use 1/(p - q) kernels directly at genus 0")
 
 
@@ -456,7 +495,7 @@ class EmbeddingPair:
         return len(self.pole_points)
 
     def _log_d(self, v: complex) -> complex:
-        return log_deriv_odd_theta(v, self.surface.tau, self.cfg)
+        return log_deriv_odd_theta(v, self.surface.period, self.cfg)
 
     def lambda1(self, z) -> complex:
         z = coord(z)

@@ -14,21 +14,32 @@ and reduces to the plain sum through
     theta[a; b](z) = exp(pi*i a.Omega.a + 2*pi*i a.(z+b)) * theta(z + Omega.a + b).
 
 Evaluation enumerates lattice points in a box around the peak of the
-Gaussian envelope of the summand.  The box radius is grown until an
-analytic tail bound (point counts times a Gaussian shell bound using the
-smallest eigenvalue of pi*Im(Omega)) falls below the requested absolute
-error, so truncation is provable rather than heuristic.  The error target
-governs truncation only; double-precision rounding contributes a further
-few-ulp error relative to the value's magnitude, which matters when the
-Gaussian peak exp(pi y.Im(Omega)^-1 y) is large.  Enumeration order is
-fixed; identical inputs give bit-identical results on one platform.
+Gaussian envelope of the summand.  The box radius is the smallest one at
+which an analytic tail bound (point counts times a Gaussian shell bound
+using the smallest eigenvalue of pi*Im(Omega)) falls below the requested
+absolute error, so truncation is provable rather than heuristic.  The
+error target governs truncation only; double-precision rounding
+contributes a further few-ulp error relative to the value's magnitude,
+which matters when the Gaussian peak exp(pi y.Im(Omega)^-1 y) is large.
+A sum that overflows to a non-finite value raises NonConvergent.
+
+Truncation is planned once per period matrix and configuration: the
+ThetaPlan held by each PeriodMatrix caches the inverse and the smallest
+eigenvalue of Im(Omega) and a table of the tail bound by radius, which is
+additive in the log of the Gaussian peak.  theta_many evaluates a batch
+of arguments, grouping them by radius; every point is summed with the
+same per-element arithmetic whatever batch it arrives in, so its value
+does not depend on its batch and equals the scalar theta_with_char
+value bit for bit.  Enumeration order is fixed; identical inputs give
+bit-identical results on one platform.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +49,20 @@ __all__ = [
     "PeriodMatrix",
     "ThetaCharacteristic",
     "ThetaEvalConfig",
+    "ThetaPlan",
     "DEFAULT_CONFIG",
     "period_from_tau",
     "reduce_characteristic",
     "riemann_theta",
     "theta_with_char",
+    "theta_many",
     "theta_gradient",
 ]
+
+# Largest (points x lattice terms) working array theta_many builds; bigger
+# batches are summed a chunk of points at a time, so memory stays flat in
+# the batch size.
+CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +75,7 @@ class PeriodMatrix:
 
     genus: int
     omega: np.ndarray
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.genus < 0:
@@ -80,6 +99,14 @@ class PeriodMatrix:
         if self.genus != 1:
             raise InvalidPeriodMatrix("tau is only defined at genus 1")
         return complex(self.omega[0, 0])
+
+    def plan(self, cfg: ThetaEvalConfig | None = None) -> ThetaPlan:
+        """The truncation plan for cfg, built on first use (genus >= 1)."""
+        cfg = cfg or DEFAULT_CONFIG
+        plan = self._plans.get(cfg)
+        if plan is None:
+            plan = self._plans[cfg] = ThetaPlan(self, cfg)
+        return plan
 
 
 def period_from_tau(tau: complex) -> PeriodMatrix:
@@ -169,41 +196,132 @@ def _truncation_radius(lam_min: float, log_peak: float, g: int, cfg: ThetaEvalCo
     for radius in range(1, cfg.max_lattice_radius + 1):
         if _log_tail_bound(lam_min, log_peak, g, radius, deriv_shift) < log_target:
             return radius
-    raise NonConvergent(
+    raise _radius_cap(cfg)
+
+
+def _radius_cap(cfg: ThetaEvalConfig) -> NonConvergent:
+    return NonConvergent(
         f"tail bound above {cfg.target_abs_error:g} at radius cap "
         f"{cfg.max_lattice_radius}"
     )
 
 
+class ThetaPlan:
+    """Truncation data of one period matrix under one ThetaEvalConfig.
+
+    Holds the inverse and the smallest eigenvalue of Im(Omega) (symmetrised),
+    and the table T0(r) = _log_tail_bound(lam_min, 0, g, r, None), extended
+    only as far as the largest radius asked for.  The tail bound is
+    additive in log_peak, so the value-path radius of a point is the
+    smallest r with T0(r) < log(target) - log_peak.
+    """
+
+    def __init__(self, pm: PeriodMatrix, cfg: ThetaEvalConfig):
+        self.genus = pm.genus
+        self.omega = pm.omega
+        self.cfg = cfg
+        imag = 0.5 * (pm.omega.imag + pm.omega.imag.T)
+        self.imag_inv = np.linalg.inv(imag)
+        self.lam_min = float(np.linalg.eigvalsh(imag).min())
+        self._log_target = math.log(cfg.target_abs_error)
+        self._neg_tail = np.empty(0)   # -T0(1), -T0(2), ...: increasing
+
+    def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
+
+        Computed element by element, so each row's result is independent of
+        the other rows.
+        """
+        y = Z.imag
+        inv = self.imag_inv
+        y_sol = y[:, :1] * inv[:, 0]
+        for k in range(1, self.genus):
+            y_sol = y_sol + y[:, k:k + 1] * inv[:, k]
+        return math.pi * (y * y_sol).sum(axis=1), y_sol
+
+    def radii(self, log_peak: np.ndarray) -> np.ndarray:
+        """Value-path truncation radius per log_peak.
+
+        Raises
+        ------
+        NonConvergent
+            If some point needs more than cfg.max_lattice_radius.
+        """
+        excess = log_peak - self._log_target   # radius r fits when -T0(r) > excess
+        highest = float(excess.max())
+        table = self._neg_tail
+        cap = self.cfg.max_lattice_radius
+        if table.size < cap and not (table.size and table[-1] > highest):
+            extended = table.tolist()
+            while len(extended) < cap and not (extended and extended[-1] > highest):
+                extended.append(-_log_tail_bound(self.lam_min, 0.0, self.genus,
+                                                 len(extended) + 1, None))
+            # replaced whole, so a concurrent caller sees one complete table
+            table = self._neg_tail = np.array(extended)
+        if not (table.size and table[-1] > highest):
+            raise _radius_cap(self.cfg)
+        return np.searchsorted(table, excess, side="right") + 1
+
+
+@functools.lru_cache(maxsize=128)
+def _offset_columns(radius: int, g: int) -> tuple[np.ndarray, ...]:
+    """Columns of the box lattice offsets of sup-norm at most radius, in a fixed order."""
+    offsets = np.array(list(itertools.product(range(-radius, radius + 1), repeat=g)),
+                       dtype=float)
+    offsets.flags.writeable = False
+    return tuple(offsets.T)
+
+
+def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
+                 y_sol: np.ndarray, radius: int, want_gradient: bool):
+    """Characteristic sums at the rows of Z over one box radius.
+
+    The shared core of the scalar and batched entries.  Every operation
+    is elementwise, and each term sum runs along one row, so a row's value
+    does not depend on the other rows.  Returns (values, gradients or None).
+
+    Raises
+    ------
+    NonConvergent
+        If a summed value is not finite (the Gaussian peak overflowed).
+    """
+    omega = plan.omega
+    base = np.rint(-a - y_sol)
+    m = [base[:, j, None] + col + a[j]
+         for j, col in enumerate(_offset_columns(radius, plan.genus))]
+    zb = Z + b
+    quad = sum(mj * omega[j, k] * mk for j, mj in enumerate(m) for k, mk in enumerate(m))
+    lin = sum(mj * zb[:, j, None] for j, mj in enumerate(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
+        values = terms.sum(axis=1)
+        grad = None
+        if want_gradient:
+            grad = (2j * np.pi) * (np.stack(m, axis=-1) * terms[..., None]).sum(axis=1)
+    if not (np.isfinite(values).all() and (grad is None or np.isfinite(grad).all())):
+        raise NonConvergent(
+            f"theta lattice sum is not finite (log peak up to "
+            f"{float(plan.peaks(Z)[0].max()):.1f})"
+        )
+    return values, grad
+
+
 def _char_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, pm: PeriodMatrix,
               cfg: ThetaEvalConfig, want_gradient: bool):
-    """Truncated characteristic lattice sum; optionally its z-gradient."""
+    """Truncated characteristic lattice sum at one point; optionally its z-gradient."""
     g = pm.genus
     if g == 0:
         return 1.0 + 0.0j, np.zeros(0, dtype=complex)
-    omega = pm.omega
-    imag = 0.5 * (omega.imag + omega.imag.T)
-    y = z.imag
-    y_sol = np.linalg.solve(imag, y)
-    log_peak = math.pi * float(y @ y_sol)
-    lam_min = float(np.linalg.eigvalsh(imag).min())
-    center = -a - y_sol
-    shift = float(np.abs(y_sol).max()) if want_gradient else None
-    radius = _truncation_radius(lam_min, log_peak, g, cfg, shift)
-
-    base = np.rint(center)
-    offsets = np.array(
-        list(itertools.product(range(-radius, radius + 1), repeat=g)), dtype=float
-    )
-    m = base[None, :] + offsets + a[None, :]
-    quad = np.einsum("ij,jk,ik->i", m, omega, m)
-    lin = m @ (z + b)
-    terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
-    value = complex(terms.sum())
-    if not want_gradient:
-        return value, None
-    grad = (2j * np.pi) * (m * terms[:, None]).sum(axis=0)
-    return value, grad
+    plan = pm.plan(cfg)
+    Z = z[None, :]
+    log_peak, y_sol = plan.peaks(Z)
+    if want_gradient:
+        radius = _truncation_radius(plan.lam_min, float(log_peak[0]), g, cfg,
+                                    float(np.abs(y_sol).max()))
+    else:
+        radius = int(plan.radii(log_peak)[0])
+    values, grad = _lattice_sum(plan, a, b, Z, y_sol, radius, want_gradient)
+    return complex(values[0]), None if grad is None else grad[0]
 
 
 def _as_z(z, g: int) -> np.ndarray:
@@ -243,6 +361,42 @@ def theta_with_char(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,
         raise ValueError("characteristic genus does not match period matrix")
     value, _ = _char_sum(chi.a, chi.b, _as_z(lam, omega.genus), omega, cfg, False)
     return value
+
+
+def theta_many(chi: ThetaCharacteristic, Z, omega: PeriodMatrix,
+               cfg: ThetaEvalConfig | None = None) -> np.ndarray:
+    """theta[a; b](Z[i] | Omega) for every row of Z, shape (N, g) -> (N,).
+
+    Points are grouped by truncation radius and summed in chunks of at
+    most CHUNK_ELEMENTS terms; entry i is bit-identical to
+    theta_with_char(chi, Z[i], omega, cfg).
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    g = omega.genus
+    if chi.genus != g:
+        raise ValueError("characteristic genus does not match period matrix")
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[1] != g:
+        raise ValueError(f"arguments have shape {Z.shape}, expected (N, {g})")
+    if not np.isfinite(Z).all():
+        raise ValueError("theta arguments must be finite")
+    if g == 0 or Z.shape[0] == 0:
+        return np.ones(Z.shape[0], dtype=complex)
+    plan = omega.plan(cfg)
+    log_peak, y_sol = plan.peaks(Z)
+    radii = plan.radii(log_peak)
+    lo, hi = int(radii.min()), int(radii.max())
+    if lo == hi and Z.shape[0] * (2 * hi + 1) ** g <= CHUNK_ELEMENTS:
+        return _lattice_sum(plan, chi.a, chi.b, Z, y_sol, hi, False)[0]
+    out = np.empty(Z.shape[0], dtype=complex)
+    for radius in np.unique(radii).tolist():
+        rows = np.flatnonzero(radii == radius)
+        step = max(1, CHUNK_ELEMENTS // (2 * radius + 1) ** g)
+        for start in range(0, rows.size, step):
+            sel = rows[start:start + step]
+            out[sel] = _lattice_sum(plan, chi.a, chi.b, Z[sel], y_sol[sel],
+                                    radius, False)[0]
+    return out
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,

@@ -30,7 +30,7 @@ from zpint.errors import (
     NotSquare,
     SingularGamma,
 )
-from zpint.kernels import direct_sum_kernel, genus0_kernel, line_kernel
+from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
 from zpint.surface import (
     genus0_surface,
     lattice_reduce,
@@ -72,6 +72,34 @@ def torus_points(rng, n, avoid=()):
 
 
 # --- coupling matrix ---
+
+def test_build_gamma_matches_pairwise_loop(rng):
+    surf = torus_surface(TAU)
+    pts = torus_points(rng, 6)
+    shared = pts[0]
+    e0, e1 = np.eye(2)[:1], np.eye(2)[1:]
+    zeros = (ZeroNode(shared, e0), ZeroNode(pts[1], rng.standard_normal((1, 2))),
+             ZeroNode(pts[2], np.eye(2)))
+    poles = (PoleNode(shared, e1), PoleNode(pts[3], rng.standard_normal((1, 2))),
+             PoleNode(pts[4], np.eye(2)), PoleNode(pts[5], e0))
+    data = InterpolationDataSet(surface=surf, rank=2, zeros=zeros, poles=poles,
+                                couplings={(0, 0): [[0.7 - 0.2j]]})
+    kernel = direct_sum_kernel([line_kernel(surf, line_bundle(0.23, 0.41)),
+                                line_kernel(surf, line_bundle(0.62, 0.17))])
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    for oracle in (kernel, conjugated_kernel(kernel, frame)):
+        gamma = build_gamma(data, oracle)
+        ref = np.zeros((4, 5), dtype=complex)
+        for i, z in enumerate(data.zeros):
+            for j, p in enumerate(data.poles):
+                r0, r1 = gamma.row_blocks[i]
+                c0, c1 = gamma.col_blocks[j]
+                if (i, j) == (0, 0):
+                    ref[r0:r1, c0:c1] = -data.couplings[(0, 0)]
+                else:
+                    ref[r0:r1, c0:c1] = -(z.vectors @ oracle(z.point, p.point) @ p.vectors.T)
+        assert np.array_equal(gamma.matrix, ref)
+
 
 def test_gamma_sign_reconciles_with_classical_convention():
     # -x K(2, 3) u = -1/(2-3) = 1 equals x u / (mu - lam)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from zpint.cli import run_command
 
 GENUS0_PROBLEM = {
@@ -44,6 +46,29 @@ def test_theta_with_characteristics_and_gradient(tmp_path):
     )
     assert code == 0
     assert "gradient" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["--char", "0.5"],
+    ["--char", "0.5:x"],
+    ["--char", "0.5,0.1:0.5,0.1"],
+    ["--tau", "1j", "--z", "nan"],
+    ["--z", "0,0"],
+])
+def test_theta_bad_input_exits_2(argv, tmp_path, capsys):
+    code = run_command(["theta", *argv, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "input"
+
+
+def test_theta_overflow_exits_2(tmp_path, capsys):
+    code = run_command(["theta", "--tau", "1j", "--z", "16j",
+                        "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NonConvergent"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_solve_genus0_fixture(tmp_path):

@@ -14,6 +14,7 @@ from zpint.kernels import (
     collection_residual,
     conjugated_kernel,
     direct_sum_kernel,
+    evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
     line_connection_form,
@@ -171,18 +172,11 @@ def test_collection_rejects_pole_points(torus, bundle, embedding):
         collection_residual(k, embedding, x1, 0.4 + 0.4j, (1.0, 0.0))
 
 
-def test_data_bundle_kernel_matches_closed_form(torus, bundle):
-    """The tabulated-geometry kernel path (the genus >= 2 interface)
-    agrees with the torus closed form when fed torus tables."""
-    from zpint.absint import fay_residual
-    from zpint.surface import (
-        SurfaceDataBundle,
-        data_bundle_surface,
-        prime_form,
-    )
+def torus_table_surface(torus, pts):
+    """Data-bundle surface tabulating the torus geometry at pts, labels p0, p1, ..."""
+    from zpint.surface import SurfaceDataBundle, data_bundle_surface, prime_form
 
-    pts = [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j, 0.11 + 0.71j]
-    labels = tuple(f"p{i}" for i in range(4))
+    labels = tuple(f"p{i}" for i in range(len(pts)))
     n = len(pts)
     table = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -192,7 +186,17 @@ def test_data_bundle_kernel_matches_closed_form(torus, bundle):
     data = SurfaceDataBundle(1, torus.period.omega, labels,
                              np.array([[p] for p in pts]), table,
                              np.ones((n, 1), dtype=complex))
-    surf = data_bundle_surface(data)
+    return data_bundle_surface(data), labels
+
+
+def test_data_bundle_kernel_matches_closed_form(torus, bundle):
+    """The tabulated-geometry kernel path (the genus >= 2 interface)
+    agrees with the torus closed form when fed torus tables."""
+    from zpint.absint import fay_residual
+
+    pts = [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j, 0.11 + 0.71j]
+    surf, labels = torus_table_surface(torus, pts)
+    n = len(pts)
     k_closed = line_kernel(torus, bundle)
     k_table = line_kernel(surf, bundle)
     for i in range(n):
@@ -204,3 +208,34 @@ def test_data_bundle_kernel_matches_closed_form(torus, bundle):
             assert abs(a - b) < 1e-12 * abs(a)
     # the trisecant residual runs through the tabulated path as well
     assert fay_residual(surf, 0.1 + 0.2j, "p0", "p1", "p2", "p3") < 1e-12
+
+
+def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
+    def torus_pairs(n):
+        pairs = []
+        while len(pairs) < n:
+            p, q = (rng.uniform(0, 1) + rng.uniform(0, 1) * TAU for _ in range(2))
+            if abs(p - q) > 0.05:
+                pairs.append((p, q))
+        return [p for p, _ in pairs], [q for _, q in pairs]
+
+    line = line_kernel(torus, bundle)
+    dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    evaluator_only = CauchyKernelOracle(
+        rank=1, surface=torus,
+        evaluator=lambda p, q: np.array([[1.0 / (p.coordinate - q.coordinate)]]),
+    )
+    P, Q = torus_pairs(12)
+    cases = [(line, P, Q), (dsum, P, Q), (conjugated_kernel(dsum, frame), P, Q),
+             (evaluator_only, P, Q), (direct_sum_kernel([line, evaluator_only]), P, Q),
+             (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
+    table_surface, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j,
+                                                        0.44 + 0.12j])
+    cases.append((line_kernel(table_surface, bundle), ["p0", "p1", "p2", "p0"],
+                  ["p1", "p2", "p0", "p2"]))
+    for oracle, P, Q in cases:
+        batch = evaluate_many(oracle, P, Q)
+        assert batch.shape == (len(P), oracle.rank, oracle.rank)
+        for i in range(len(P)):
+            assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name

@@ -1,18 +1,24 @@
 """Theta engine tests against independent high-precision oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
+import zpint.theta as theta_module
 from zpint.errors import InvalidPeriodMatrix, NonConvergent
 from zpint.theta import (
+    DEFAULT_CONFIG,
     PeriodMatrix,
     ThetaCharacteristic,
     ThetaEvalConfig,
+    _truncation_radius,
     period_from_tau,
     reduce_characteristic,
     riemann_theta,
     theta_gradient,
+    theta_many,
     theta_with_char,
 )
 
@@ -222,3 +228,65 @@ def test_nonconvergent_when_radius_capped():
     cfg = ThetaEvalConfig(target_abs_error=1e-12, max_lattice_radius=2)
     with pytest.raises(NonConvergent):
         riemann_theta(0.3, pm, cfg)
+
+
+def test_overflow_raises_nonconvergent():
+    # the Gaussian peak exp(pi * 16^2) exceeds the double range
+    pm = period_from_tau(1j)
+    chi = ThetaCharacteristic([0.0], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent):
+            riemann_theta(16j, pm)
+        with pytest.raises(NonConvergent):
+            theta_gradient(chi, 16j, pm)
+        with pytest.raises(NonConvergent):
+            theta_many(chi, np.array([[0.1], [16j]]), pm)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NonConvergent:
+        return "radius cap"
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("lam", [0.15, 0.6, 1.7])
+def test_plan_radius_equals_radius_search(g, lam):
+    omega = 1j * lam * np.array([[1.0, 0.3], [0.3, 2.0]])[:g, :g] + 0.2
+    pm = PeriodMatrix(g, omega)
+    for cfg in (DEFAULT_CONFIG, ThetaEvalConfig(target_abs_error=1e-9, max_lattice_radius=6)):
+        plan = pm.plan(cfg)
+        for log_peak in np.linspace(0.0, 150.0, 76):
+            ours = _outcome(lambda: int(plan.radii(np.array([log_peak]))[0]))
+            ref = _outcome(lambda: _truncation_radius(plan.lam_min, float(log_peak), g,
+                                                      cfg, None))
+            assert ours == ref, (cfg, log_peak)
+
+
+@pytest.mark.parametrize("chunk", [theta_module.CHUNK_ELEMENTS, 64])
+@pytest.mark.parametrize("g", [1, 2])
+def test_theta_many_rows_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
+    monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
+    omega = np.array([[0.3 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 0.9j]])[:g, :g]
+    pm = PeriodMatrix(g, omega)
+    chi = ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g))
+    Z = rng.uniform(-1, 1, (40, g)) + 1j * rng.uniform(-4, 4, (40, g))
+    plan = pm.plan()
+    assert len(set(plan.radii(plan.peaks(Z)[0]).tolist())) >= 3
+    batch = theta_many(chi, Z, pm)
+    for i in range(len(Z)):
+        assert batch[i] == theta_with_char(chi, Z[i], pm)
+
+
+def test_theta_many_validation():
+    pm = period_from_tau(1j)
+    chi = ThetaCharacteristic([0.5], [0.5])
+    assert theta_many(chi, np.zeros((0, 1)), pm).shape == (0,)
+    with pytest.raises(ValueError):
+        theta_many(chi, np.zeros(3), pm)
+    with pytest.raises(ValueError):
+        theta_many(chi, np.array([[np.nan]]), pm)
+    with pytest.raises(ValueError):
+        theta_many(ThetaCharacteristic([0, 0], [0, 0]), np.zeros((2, 1)), pm)
