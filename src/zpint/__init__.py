@@ -25,17 +25,17 @@ from .theta import (
 from .surface import (
     EmbeddingPair,
     FlatLineBundle,
+    Sphere,
+    Surface,
     SurfaceDataBundle,
-    SurfaceDescriptor,
-    SurfaceKind,
     SurfacePoint,
-    abel_jacobi,
+    TabulatedSurface,
+    Torus,
     build_embedding_functions,
     data_bundle_surface,
     genus0_surface,
     laurent_coeffs,
     line_bundle,
-    point_array,
     prime_form,
     torus_surface,
 )
@@ -62,6 +62,7 @@ from .absint import (
     BundleMapEvaluator,
     GammaMatrix,
     InterpolationDataSet,
+    InterpolationNode,
     PoleNode,
     ZeroNode,
     build_gamma,
@@ -90,9 +91,8 @@ from .detrep import (
 from .conint import (
     BlockMatrices,
     ConintDataSet,
-    ConintPole,
+    ConintNode,
     ConintSolution,
-    ConintZero,
     block_matrices,
     build_gamma0,
     check_condition_I3,

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     BasePointCollision,
     DegenerateDenominator,
+    InputError,
     KernelSingular,
     NecessityViolated,
     NotFullRank,
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .kernels import CauchyKernelOracle, evaluate_many, extract_laurent_coeffs
 from .numutil import (
+    COND_LIMIT,
     EPS_GUARD,
     circle_modes,
     principal_angle_gap,
@@ -47,15 +49,13 @@ from .numutil import (
 )
 from .surface import (
     FlatLineBundle,
-    SurfaceDescriptor,
-    SurfaceKind,
-    abel_jacobi,
+    Surface,
+    Torus,
     coord,
     lattice_coords,
     lattice_distance,
     lattice_reduce,
     point,
-    points_equal,
     prime_form,
 )
 from .theta import (
@@ -66,6 +66,7 @@ from .theta import (
 )
 
 __all__ = [
+    "InterpolationNode",
     "ZeroNode",
     "PoleNode",
     "InterpolationDataSet",
@@ -83,15 +84,16 @@ __all__ = [
     "fay_residual",
     "matrix_fay_residual",
     "full_rank_multiplicative",
-    "COND_LIMIT",
 ]
 
-COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True, eq=False)
-class ZeroNode:
-    """Prescribed zero: point and independent null row vectors (t_i, r)."""
+class InterpolationNode:
+    """Prescribed zero or pole: point and independent vectors stored as rows.
+
+    At a zero the rows are the null row vectors x (t_i, r); at a pole they
+    are the pole vectors u (s_j, r).
+    """
 
     point: object
     vectors: np.ndarray
@@ -106,21 +108,7 @@ class ZeroNode:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class PoleNode:
-    """Prescribed pole: point and independent pole vectors, stored as rows."""
-
-    point: object
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", point(self.point))
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
+ZeroNode = PoleNode = InterpolationNode
 
 
 @dataclass(eq=False)
@@ -133,7 +121,7 @@ class InterpolationDataSet:
     vector sets, and the compatibility x u = 0 at every coincidence.
     """
 
-    surface: SurfaceDescriptor
+    surface: Surface
     rank: int
     zeros: tuple
     poles: tuple
@@ -155,10 +143,9 @@ class InterpolationDataSet:
             if s[-1] <= 1e-10 * s[0]:
                 raise ValueError("vector set at a node is numerically dependent")
         for nodes, tag in ((self.zeros, "zeros"), (self.poles, "poles")):
-            for i in range(len(nodes)):
-                for j in range(i + 1, len(nodes)):
-                    if points_equal(self.surface, nodes[i].point, nodes[j].point):
-                        raise ValueError(f"{tag} must be pairwise distinct")
+            pts = [node.point for node in nodes]
+            if any(i != j for i, j in self.surface.coincidences(pts, pts)):
+                raise ValueError(f"{tag} must be pairwise distinct")
         pairs = self.coincident_pairs()
         for (i, j) in pairs:
             x = self.zeros[i].vectors
@@ -178,12 +165,8 @@ class InterpolationDataSet:
         }
 
     def coincident_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i, z in enumerate(self.zeros):
-            for j, p in enumerate(self.poles):
-                if points_equal(self.surface, z.point, p.point):
-                    out.append((i, j))
-        return out
+        return self.surface.coincidences([z.point for z in self.zeros],
+                                         [p.point for p in self.poles])
 
     @property
     def n_zero_total(self) -> int:
@@ -258,12 +241,6 @@ def _k_x_lam(data, oracle, q) -> np.ndarray:
     return np.vstack([node.vectors @ k for k, node in zip(kvals, data.zeros)])
 
 
-def _check_base_point(data, q):
-    for node in (*data.zeros, *data.poles):
-        if points_equal(data.surface, q, node.point):
-            raise BasePointCollision(f"base point {q!r} hits a node")
-
-
 def _kernel_invertible(kmat: np.ndarray, where):
     """Kernel values vanish where the inverse kernel has poles; kernels are
     O(1)-or-larger elsewhere, so a tiny smallest singular value against a
@@ -303,7 +280,8 @@ class BundleMapEvaluator:
 def _prepare(data, q, Q, oracle_chi, oracle_tilde):
     q = point(q)
     Q = np.asarray(Q, dtype=complex).reshape(data.rank, data.rank)
-    _check_base_point(data, q)
+    if np.any(data.surface.equal(q, [node.point for node in (*data.zeros, *data.poles)])):
+        raise BasePointCollision(f"base point {q!r} hits a node")
     if svd_cond(Q) > COND_LIMIT:
         raise SingularGamma("base value Q is numerically singular")
     gamma = build_gamma(data, oracle_tilde)
@@ -335,7 +313,7 @@ def build_solution(data: InterpolationDataSet, q, Q,
         return val
 
     def fn(p):
-        if points_equal(data.surface, p, q):
+        if data.surface.equal(p, q):
             return Q.copy()
         return _solve_right(numerator(p) @ Q, oracle_chi(p, q), coord(p))
 
@@ -365,7 +343,7 @@ def build_inverse(data: InterpolationDataSet, q, Q,
         head = np.zeros((data.rank, 0), dtype=complex)
 
     def fn(p):
-        if points_equal(data.surface, p, q):
+        if data.surface.equal(p, q):
             return Qinv.copy()
         tail = oracle_tilde(q, p)
         if n:
@@ -384,16 +362,17 @@ def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q, cfg=None):
     numerator theta[a; b](phi(q) - phi(p)) vanishes, i.e. at
     p = q + z - (1 + tau)/2 mod the lattice (the odd half-period shift is
     the genus-1 vector of Riemann constants).  The trivial genus-0 kernel
-    contributes no poles.
+    contributes no poles, and a constant frame moves none.
     """
     cfg = cfg or DEFAULT_CONFIG
     surface = oracle_chi.surface
-    if surface.kind is SurfaceKind.GENUS0:
+    if surface.genus == 0:
         return []
-    if surface.kind is not SurfaceKind.GENUS1:
+    if not isinstance(surface, Torus):
         raise PoleLocationFailure("pole location needs the torus closed form")
     tau = surface.tau
-    blocks = oracle_chi.parts or (oracle_chi,)
+    kernel = oracle_chi.inner or oracle_chi
+    blocks = kernel.parts or (kernel,)
     out = []
     for block in blocks:
         if block.bundle is None:
@@ -457,17 +436,10 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
 
 def _min_node_gap(data, extra=()):
     """Smallest nonzero pairwise distance among node points (and extras)."""
-    pts = [coord(z.point) for z in data.zeros] + [coord(p.point) for p in data.poles]
-    pts += [coord(e) for e in extra]
-    tau = data.surface.tau if data.surface.kind is SurfaceKind.GENUS1 else None
-    best = np.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = (lattice_distance(pts[i] - pts[j], tau) if tau is not None
-                 else abs(pts[i] - pts[j]))
-            if d > 1e-9:
-                best = min(best, d)
-    return best if np.isfinite(best) else 0.1
+    pts = data.surface.points([n.point for n in (*data.zeros, *data.poles)] + list(extra))
+    dist = data.surface.distance(pts[:, None], pts[None, :])
+    best = dist.min(initial=np.inf, where=dist > 1e-9)
+    return float(best) if np.isfinite(best) else 0.1
 
 
 def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q,
@@ -503,20 +475,18 @@ def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q,
     return out
 
 
-def forward_couplings(T, data_like, oracle_chi, oracle_tilde, q) -> dict:
+def forward_couplings(T, surface: Surface, zeros, poles,
+                      oracle_chi, oracle_tilde, q) -> dict:
     """Coupling numbers of a known map T at every coincident pair.
 
-    data_like needs zeros, poles and coincident_pairs() in the
-    InterpolationDataSet shape (couplings not required); the returned
-    dict rho[(i, j)] = -x grad(t u) completes it into a consistent data
-    set for the map T.
+    zeros and poles are the nodes of an InterpolationDataSet on surface;
+    the returned dict rho[(i, j)] = -x grad(t u) over the pairs where they
+    coincide completes them into a consistent data set for the map T.
     """
     out = {}
-    for (i, j) in data_like.coincident_pairs():
-        xs = data_like.zeros[i].vectors
-        us = data_like.poles[j].vectors
+    for (i, j) in surface.coincidences([z.point for z in zeros], [p.point for p in poles]):
         pairing = _coupling_pairing(
-            T, xs, us, data_like.zeros[i].point, oracle_chi, oracle_tilde, q
+            T, zeros[i].vectors, poles[j].vectors, zeros[i].point, oracle_chi, oracle_tilde, q
         )
         out[(i, j)] = -pairing
     return out
@@ -556,15 +526,11 @@ def verify_solution(T, data: InterpolationDataSet,
 
     if data.coincident_pairs() and (oracle_chi is None or oracle_tilde is None or q is None):
         raise ValueError("coincidence checks need the kernel oracles and base point")
-    for (i, j) in data.coincident_pairs():
-        xs = data.zeros[i].vectors
-        us = data.poles[j].vectors
-        pairing = _coupling_pairing(
-            T, xs, us, data.zeros[i].point, oracle_chi, oracle_tilde, q
-        )
-        rho = data.couplings[(i, j)]
-        scale = float(np.abs(pairing).max() + np.abs(rho).max()) + 1.0
-        report["coupling_residuals"].append(float(np.abs(pairing + rho).max()) / scale)
+    found = forward_couplings(T, data.surface, data.zeros, data.poles, oracle_chi, oracle_tilde, q)
+    for key, rho_found in found.items():
+        rho = data.couplings[key]
+        scale = float(np.abs(rho_found).max() + np.abs(rho).max()) + 1.0
+        report["coupling_residuals"].append(float(np.abs(rho - rho_found).max()) / scale)
     return report
 
 
@@ -576,7 +542,7 @@ def _col_span(mat: np.ndarray, dim: int) -> np.ndarray:
 
 # --- scalar (line bundle) solutions in closed form ---
 
-def divisor_characteristic(surface: SurfaceDescriptor, zeros, poles):
+def divisor_characteristic(surface: Surface, zeros, poles):
     """Real decomposition (a, b) with Omega a + b = phi(zeros) - phi(poles).
 
     Uses the concrete coordinate representatives of the divisor points;
@@ -596,7 +562,17 @@ def _necessity_defect(surface, zeros, poles, chi, chi_tilde):
     return lattice_distance((z_out - z_in) - w, surface.tau)
 
 
-def scalar_multiplicative(surface: SurfaceDescriptor, zeros, poles,
+def _check_scalar_nodes(surface, zeros, poles, q):
+    """Reject a repeated zero or pole, a zero on a pole, and a base point on a node."""
+    nodes = [*zeros, *poles]
+    for i, j in surface.coincidences(nodes, [*nodes, q]):
+        if j == len(nodes):
+            raise BasePointCollision(f"base point {q!r} hits a node")
+        if i != j:
+            raise InputError(f"nodes {nodes[i]!r} and {nodes[j]!r} coincide")
+
+
+def scalar_multiplicative(surface: Surface, zeros, poles,
                           chi: FlatLineBundle, chi_tilde: FlatLineBundle,
                           q, Q: complex, cfg: ThetaEvalConfig | None = None):
     """Multiplicative scalar interpolant on the torus.
@@ -606,11 +582,13 @@ def scalar_multiplicative(surface: SurfaceDescriptor, zeros, poles,
 
     with a read off from Omega a + b = phi(zeros) - phi(poles).  Requires
     the solvability condition: equal counts and bundle difference equal to
-    the divisor class mod the lattice (to 1e-9).
+    the divisor class mod the lattice (to 1e-9), and distinct nodes apart
+    from the base point.
     """
     cfg = cfg or DEFAULT_CONFIG
     zeros = [point(z) for z in zeros]
     poles = [point(p) for p in poles]
+    _check_scalar_nodes(surface, zeros, poles, q)
     if len(zeros) != len(poles):
         raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
     defect = _necessity_defect(surface, zeros, poles, chi, chi_tilde)
@@ -623,7 +601,7 @@ def scalar_multiplicative(surface: SurfaceDescriptor, zeros, poles,
 
     def T(p):
         pc = coord(p)
-        if points_equal(surface, pc, qc):
+        if surface.equal(pc, qc):
             return Q
         val = 1.0 + 0.0j
         for z in zeros:
@@ -635,7 +613,7 @@ def scalar_multiplicative(surface: SurfaceDescriptor, zeros, poles,
     return T
 
 
-def scalar_partial_fraction(surface: SurfaceDescriptor, zeros, poles,
+def scalar_partial_fraction(surface: Surface, zeros, poles,
                             chi: FlatLineBundle, chi_tilde: FlatLineBundle,
                             q, Q: complex, cfg: ThetaEvalConfig | None = None):
     """Partial-fraction scalar interpolant assembled directly from theta values.
@@ -643,11 +621,13 @@ def scalar_partial_fraction(surface: SurfaceDescriptor, zeros, poles,
     Independent route to the same map as scalar_multiplicative: coupling
     matrix Gamma_ij = -theta[out](phi(mu^j) - phi(lam^i)) /
     (theta[out](0) E(mu^j, lam^i)), then the kernel-sum formula, then the
-    inverse input kernel factor.
+    inverse input kernel factor.  Rejects the same degenerate nodes as
+    scalar_multiplicative.
     """
     cfg = cfg or DEFAULT_CONFIG
     zeros = [point(z) for z in zeros]
     poles = [point(p) for p in poles]
+    _check_scalar_nodes(surface, zeros, poles, q)
     period = surface.period
     ch_out = chi_tilde.characteristic
     ch_in = chi.characteristic
@@ -677,7 +657,7 @@ def scalar_partial_fraction(surface: SurfaceDescriptor, zeros, poles,
 
     def T(p):
         pc = coord(p)
-        if points_equal(surface, pc, qc):
+        if surface.equal(pc, qc):
             return Q
         num = k_out(pc, qc) + sum(
             k_out(pc, coord(mu)) * coef[j] for j, mu in enumerate(poles)
@@ -691,7 +671,7 @@ def scalar_partial_fraction(surface: SurfaceDescriptor, zeros, poles,
     return T
 
 
-def fay_residual(surface: SurfaceDescriptor, z, p, q, lam, mu,
+def fay_residual(surface: Surface, z, p, q, lam, mu,
                  cfg: ThetaEvalConfig | None = None) -> float:
     """Relative residual of the three-term trisecant identity.
 
@@ -702,16 +682,12 @@ def fay_residual(surface: SurfaceDescriptor, z, p, q, lam, mu,
     with L, M, P, Q the Abel-Jacobi images of lam, mu, p, q.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if surface.kind is SurfaceKind.GENUS0:
-        from .errors import UnsupportedGenus
-
-        raise UnsupportedGenus("the trisecant identity needs a prime form")
     period = surface.period
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    phi_p = abel_jacobi(surface, p)
-    phi_q = abel_jacobi(surface, q)
-    phi_l = abel_jacobi(surface, lam)
-    phi_m = abel_jacobi(surface, mu)
+    phi_p = surface.abel_jacobi(p)
+    phi_q = surface.abel_jacobi(q)
+    phi_l = surface.abel_jacobi(lam)
+    phi_m = surface.abel_jacobi(mu)
 
     def th(w):
         return riemann_theta(w, period, cfg)
@@ -801,7 +777,7 @@ def full_rank_multiplicative(data: InterpolationDataSet,
 
     def T(p):
         pc = coord(p)
-        if points_equal(surface, pc, qc):
+        if surface.equal(pc, qc):
             return Qmat.copy()
         return scalar(pc) * Qmat
 

@@ -73,8 +73,11 @@ def _parse_complex(text: str) -> complex:
 
 def _pair(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise InputError(f"expected [re, im] pair, got {value!r}")
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"expected [re, im] pair of numbers, got {value!r}")
 
 
 def _enc(value):
@@ -195,7 +198,7 @@ def _load_genus0_problem(payload) -> Genus0Problem:
         poles = tuple(
             (_pair(p["point"]), [_pair(v) for v in p["u"]]) for p in payload["poles"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad genus-0 problem payload: {exc}") from exc
     try:
         return Genus0Problem(rank=rank, zeros=zeros, poles=poles)
@@ -267,13 +270,13 @@ def _cmd_solve_line(args) -> int:
         chi = line_bundle(payload["chi"]["a"], payload["chi"]["b"])
         q = _pair(payload["base_point"])
         base_value = _pair(payload["base_value"])
-    except (KeyError, TypeError) as exc:
+        if payload.get("chi_tilde") in (None, "auto"):
+            a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
+            chit = line_bundle(chi.a + a_w, chi.b + b_w)
+        else:
+            chit = line_bundle(payload["chi_tilde"]["a"], payload["chi_tilde"]["b"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad line problem payload: {exc}") from exc
-    if payload.get("chi_tilde") in (None, "auto"):
-        a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
-        chit = line_bundle(chi.a + a_w, chi.b + b_w)
-    else:
-        chit = line_bundle(payload["chi_tilde"]["a"], payload["chi_tilde"]["b"])
     t_mult = scalar_multiplicative(surf, zeros, poles, chi, chit, q, base_value)
     t_pf = scalar_partial_fraction(surf, zeros, poles, chi, chit, q, base_value)
     rng = np.random.default_rng(args.seed)
@@ -378,7 +381,7 @@ def load_absint_problem(payload):
         }
         q = _pair(payload["base_point"])
         base = np.array([[_pair(v) for v in row] for row in payload["base_value"]])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"bad interpolation problem payload: {exc}") from exc
     if oracle_chi.rank != rank or oracle_tilde.rank != rank:
         raise InputError("bundle rank does not match the declared rank")

@@ -41,12 +41,11 @@ from .errors import (
     ZPViolated,
 )
 from .kernels import CauchyKernelOracle
-from .numutil import EPS_GUARD, rel_residual, svd_cond
-from .surface import EmbeddingPair, SurfaceDescriptor, coord, point, points_equal
+from .numutil import COND_LIMIT, EPS_GUARD, rel_residual, svd_cond
+from .surface import EmbeddingPair, Surface, coord, point
 
 __all__ = [
-    "ConintZero",
-    "ConintPole",
+    "ConintNode",
     "ConintDataSet",
     "BlockMatrices",
     "ConintSolution",
@@ -61,8 +60,6 @@ __all__ = [
     "SECOND_XI",
 ]
 
-COND_LIMIT = 1e12
-
 _XI_A = np.array([1.0, 0.7 + 0.3j])
 DEFAULT_XI = tuple(_XI_A / np.linalg.norm(_XI_A))
 _XI_B = np.array([0.3 - 0.4j, 1.0])
@@ -70,28 +67,12 @@ SECOND_XI = tuple(_XI_B / np.linalg.norm(_XI_B))
 
 
 @dataclass(frozen=True, eq=False)
-class ConintZero:
-    """Zero node: surface point, affine pair, stacked null rows (t_i, M)."""
+class ConintNode:
+    """Zero or pole node: surface point, affine pair, vectors stored as rows.
 
-    surface_point: object
-    affine: tuple
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "surface_point", point(self.surface_point))
-        object.__setattr__(self, "affine",
-                           (complex(self.affine[0]), complex(self.affine[1])))
-        object.__setattr__(self, "vectors",
-                           np.atleast_2d(np.asarray(self.vectors, dtype=complex)))
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ConintPole:
-    """Pole node: surface point, affine pair, pole vectors as rows (s_j, M)."""
+    At a zero the rows are the stacked null rows (t_i, M); at a pole they
+    are the pole vectors (s_j, M).
+    """
 
     surface_point: object
     affine: tuple
@@ -118,7 +99,7 @@ class ConintDataSet:
     points over one affine point).
     """
 
-    surface: SurfaceDescriptor
+    surface: Surface
     pencil: PencilRep
     zeros: tuple
     poles: tuple
@@ -158,12 +139,8 @@ class ConintDataSet:
                 raise ValueError(f"vector not in the {side} kernel of the pencil")
 
     def coincident_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i, z in enumerate(self.zeros):
-            for j, p in enumerate(self.poles):
-                if points_equal(self.surface, z.surface_point, p.surface_point):
-                    out.append((i, j))
-        return out
+        return self.surface.coincidences([z.surface_point for z in self.zeros],
+                                         [p.surface_point for p in self.poles])
 
     @property
     def n_zero_total(self) -> int:
@@ -374,12 +351,12 @@ def convert_absint_to_conint(data: InterpolationDataSet,
     for zn in data.zeros:
         left = sections.left(zn.point)
         vecs = zn.vectors @ left
-        zeros.append(ConintZero(zn.point, embedding.lambda_values(zn.point), vecs))
+        zeros.append(ConintNode(zn.point, embedding.lambda_values(zn.point), vecs))
     poles = []
     for pn in data.poles:
         right = sections.right(pn.point)
         vecs = (right @ pn.vectors.T).T
-        poles.append(ConintPole(pn.point, embedding.lambda_values(pn.point), vecs))
+        poles.append(ConintNode(pn.point, embedding.lambda_values(pn.point), vecs))
     return ConintDataSet(
         surface=data.surface,
         pencil=pencil_tilde,
@@ -417,9 +394,9 @@ def check_intertwining(solution: ConintSolution, T,
     pc = coord(p)
     if embedding.is_pole(pc):
         raise PointOnExcludedSet("intertwining check excludes the embedding poles")
-    for node in (*solution.data.zeros, *solution.data.poles):
-        if points_equal(solution.data.surface, pc, node.surface_point):
-            raise PointOnExcludedSet("intertwining check excludes the nodes")
+    nodes = [node.surface_point for node in (*solution.data.zeros, *solution.data.poles)]
+    if np.any(solution.data.surface.equal(pc, nodes)):
+        raise PointOnExcludedSet("intertwining check excludes the nodes")
     r = oracle_chi.rank
     u_in = np.vstack([oracle_chi(x, pc) for x in embedding.pole_points])
     beta_inv_blocks = [np.asarray(T(x), dtype=complex) for x in embedding.pole_points]

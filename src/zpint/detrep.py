@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InputError, PointOnPoleSet, SingularBoundaryValue, SurfaceMismatch
 from .kernels import CauchyKernelOracle
-from .numutil import numerical_kernel_dim, rel_residual, svd_cond
-from .surface import EmbeddingPair, coord, point, same_surface
+from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
+from .surface import EmbeddingPair, coord, point
 
 __all__ = [
     "PencilRep",
@@ -114,7 +114,7 @@ class NormalizedSections:
 
 
 def _check_surfaces(oracle, embedding):
-    if not same_surface(oracle.surface, embedding.surface):
+    if not oracle.surface.same_as(embedding.surface):
         raise SurfaceMismatch("kernel and embedding live on different surfaces")
 
 
@@ -218,7 +218,7 @@ def adjust_gamma_by_map(pencil: PencilRep, boundary_values) -> PencilRep:
         raise ValueError("need one boundary value per pole point")
     inverses = []
     for v in values:
-        if svd_cond(v) > 1e12:
+        if svd_cond(v) > COND_LIMIT:
             raise SingularBoundaryValue("boundary value numerically singular")
         inverses.append(np.linalg.inv(v))
     gamma = pencil.gamma.copy()

@@ -25,7 +25,8 @@ from .errors import (
     SingularGamma,
     SingularSylvester,
 )
-from .numutil import svd_cond
+from .numutil import COND_LIMIT, svd_cond
+from .surface import genus0_surface
 
 __all__ = [
     "Genus0Problem",
@@ -34,10 +35,9 @@ __all__ = [
     "solve_genus0",
     "scalar_product_form",
     "sylvester_coefficients",
-    "COND_LIMIT",
 ]
 
-COND_LIMIT = 1e12
+_SPHERE = genus0_surface()
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,14 +65,11 @@ class Genus0Problem:
         object.__setattr__(self, "poles", poles)
         lams = [z for z, _ in zeros]
         mus = [m for m, _ in poles]
-        if len(set(lams)) != len(lams) or _too_close(lams):
-            raise ValueError("zero points must be distinct")
-        if len(set(mus)) != len(mus) or _too_close(mus):
-            raise ValueError("pole points must be distinct")
-        for lam in lams:
-            for mu in mus:
-                if abs(lam - mu) <= 1e-12:
-                    raise ValueError("zeros and poles must be disjoint")
+        for pts, name in ((lams, "zero"), (mus, "pole")):
+            if any(i != j for i, j in _SPHERE.coincidences(pts, pts)):
+                raise ValueError(f"{name} points must be distinct")
+        if _SPHERE.coincidences(lams, mus):
+            raise ValueError("zeros and poles must be disjoint")
         for _, v in (*zeros, *poles):
             if np.linalg.norm(v) == 0.0:
                 raise ValueError("interpolation vectors must be nonzero")
@@ -84,15 +81,6 @@ class Genus0Problem:
     @property
     def n_poles(self) -> int:
         return len(self.poles)
-
-
-def _too_close(points, tol=1e-12):
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= tol:
-                return True
-    return False
 
 
 def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:

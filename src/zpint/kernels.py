@@ -40,15 +40,10 @@ from .numutil import rel_residual
 from .surface import (
     EmbeddingPair,
     FlatLineBundle,
-    SurfaceDescriptor,
-    SurfaceKind,
-    abel_jacobi,
+    Surface,
     coord,
     point,
-    point_array,
-    points_equal,
     prime_form,
-    same_surface,
 )
 from .theta import (
     DEFAULT_CONFIG,
@@ -80,24 +75,29 @@ class CauchyKernelOracle:
     Calling the oracle with two point-like arguments returns the (r, r)
     kernel value.  evaluator maps two SurfacePoints to that value; many,
     when given, is the array-native form (two point arrays of length N, as
-    made by surface.point_array -> (N, r, r)), and evaluate_many uses it.
+    made by surface.points -> (N, r, r)), and evaluate_many uses it.
     parts holds the summands of a direct sum; bundle holds the flat line
-    bundle of a rank-1 kernel.
+    bundle of a rank-1 kernel; inner and frame hold the kernel and the
+    constant frame of a conjugated kernel.
     """
 
     rank: int
-    surface: SurfaceDescriptor
+    surface: Surface
     evaluator: Callable
     bundle: FlatLineBundle | None = None
     parts: tuple = ()
     name: str = ""
     many: Callable | None = None
+    inner: CauchyKernelOracle | None = None
+    frame: np.ndarray | None = None
 
     def __call__(self, p, q) -> np.ndarray:
         return self.evaluator(point(p), point(q))
 
     def dual(self) -> "CauchyKernelOracle":
         """Oracle of the dual bundle; satisfies K(dual; p, q)^T = -K(chi; q, p)."""
+        if self.inner is not None:
+            return conjugated_kernel(self.inner.dual(), np.linalg.inv(self.frame).T)
         if self.parts:
             return direct_sum_kernel([part.dual() for part in self.parts])
         if self.bundle is not None:
@@ -112,8 +112,8 @@ def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     their single-pair call is the N = 1 case of the same code.  An oracle
     with only an evaluator is called once per pair.
     """
-    P = point_array(oracle.surface, P)
-    Q = point_array(oracle.surface, Q)
+    P = oracle.surface.points(P)
+    Q = oracle.surface.points(Q)
     if len(P) != len(Q):
         raise ValueError("point arrays differ in length")
     if oracle.many is not None:
@@ -124,16 +124,16 @@ def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     return out
 
 
-def _array_native(rank: int, surface: SurfaceDescriptor, many, **fields) -> CauchyKernelOracle:
+def _array_native(rank: int, surface: Surface, many, **fields) -> CauchyKernelOracle:
     """Oracle whose single-pair evaluator is the N = 1 case of many."""
 
     def evaluate(p, q):
-        return many(point_array(surface, (p,)), point_array(surface, (q,)))[0]
+        return many(surface.points((p,)), surface.points((q,)))[0]
 
     return CauchyKernelOracle(rank, surface, evaluate, many=many, **fields)
 
 
-def genus0_kernel(r: int, surface: SurfaceDescriptor | None = None) -> CauchyKernelOracle:
+def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
     """Trivial rank-r kernel I_r / (p - q) on the sphere."""
     if r < 1:
         raise ValueError("rank must be at least 1")
@@ -148,7 +148,7 @@ def genus0_kernel(r: int, surface: SurfaceDescriptor | None = None) -> CauchyKer
     return _array_native(r, surface, many, name=f"trivial({r})")
 
 
-def line_kernel(surface: SurfaceDescriptor, bundle: FlatLineBundle,
+def line_kernel(surface: Surface, bundle: FlatLineBundle,
                 cfg: ThetaEvalConfig | None = None) -> CauchyKernelOracle:
     """Rank-1 kernel of a flat line bundle on the torus or a data bundle.
 
@@ -159,16 +159,17 @@ def line_kernel(surface: SurfaceDescriptor, bundle: FlatLineBundle,
         global section and no Cauchy kernel exists.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if surface.kind is SurfaceKind.GENUS0:
-        raise UnsupportedGenus("use genus0_kernel on the sphere")
+    chi = bundle.characteristic
+    if chi.genus != surface.genus:
+        raise UnsupportedGenus(f"genus-{chi.genus} bundle on a genus-{surface.genus} surface"
+                               " (use genus0_kernel on the sphere)")
     theta0 = bundle.theta_at_zero(surface.period, cfg)
     if abs(theta0) <= 1e-10:
         raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}")
-    chi = bundle.characteristic
     period = surface.period
 
     def many(P, Q):
-        v = abel_jacobi(surface, Q) - abel_jacobi(surface, P)
+        v = surface.abel_jacobi(Q) - surface.abel_jacobi(P)
         num = theta_many(chi, v, period, cfg)
         e_qp = prime_form(surface, Q, P, cfg)
         return (num / (theta0 * e_qp))[:, None, None]
@@ -183,7 +184,7 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
         raise ValueError("need at least one summand")
     base = oracles[0].surface
     for oracle in oracles[1:]:
-        if not same_surface(base, oracle.surface):
+        if not base.same_as(oracle.surface):
             raise SurfaceMismatch("direct sum needs a common surface")
     ranks = [oracle.rank for oracle in oracles]
     total = sum(ranks)
@@ -213,7 +214,7 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
         return frame @ evaluate_many(oracle, P, Q) @ inv
 
     return _array_native(oracle.rank, oracle.surface, many,
-                         parts=(oracle,), name="conjugated")
+                         inner=oracle, frame=frame, name="conjugated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +264,7 @@ def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0,
     return ConnectionCoefficients(z0, a, a_ell)
 
 
-def line_connection_form(surface: SurfaceDescriptor, bundle: FlatLineBundle,
+def line_connection_form(surface: Surface, bundle: FlatLineBundle,
                          cfg: ThetaEvalConfig | None = None) -> complex:
     """Closed-form connection value A/dz = 2*pi*i*a + theta'(z)/theta(z).
 
@@ -300,7 +301,7 @@ def collection_residual(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
     lhs = np.zeros((oracle.rank, oracle.rank), dtype=complex)
     for w, x in zip(weights, embedding.pole_points):
         lhs += w * (oracle(pc, coord(x)) @ oracle(coord(x), qc))
-    if points_equal(surface, pc, qc):
+    if surface.equal(pc, qc):
         d1, d2 = embedding.lambda_derivs(pc, order=1)
         rhs = -(xi1 * d1 + xi2 * d2) * np.eye(oracle.rank, dtype=complex)
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "COND_LIMIT",
     "circle_modes",
     "rel_residual",
     "svd_cond",
@@ -18,6 +19,9 @@ __all__ = [
 ]
 
 EPS_GUARD = 1e-300
+
+# Condition number above which a matrix to be solved counts as singular.
+COND_LIMIT = 1e12
 
 
 def circle_modes(f, center: complex, radius: float, orders, samples: int = 16):

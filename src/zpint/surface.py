@@ -1,16 +1,22 @@
 """Concrete surface geometry.
 
-Three surface kinds are supported:
+One small frozen type per kind of surface, each on the ``Surface`` base:
 
-* ``GENUS0``: the Riemann sphere with its global coordinate.
-* ``GENUS1``: the torus C / (Z + tau Z).  The Abel-Jacobi map is the
-  identity on coordinates, the holomorphic differential is dz, and the
-  half-order differential frame sqrt(dz) is constant, so every
+* ``Sphere``: the Riemann sphere with its global coordinate.  It has no
+  Abel-Jacobi map and no prime form; its kernels are 1/(p - q).
+* ``Torus``: C / (Z + tau Z).  The Abel-Jacobi map is the identity on
+  coordinates, the holomorphic differential is dz, and the half-order
+  differential frame sqrt(dz) is constant, so every
   half-differential-valued object in this package is represented by its
   plain scalar value in this global frame.
-* ``DATA_BUNDLE``: user-supplied higher-genus geometry (Abel-Jacobi
+* ``TabulatedSurface``: user-supplied higher-genus geometry (Abel-Jacobi
   values, pairwise prime-form values and differentials at labelled
   points), loaded from JSON.
+
+The surface alone decides when two points are equal: ``distance`` is the
+lattice distance on the torus, |p - q| on the sphere, and 0 or infinity
+by label on a tabulated surface, and ``equal`` and ``coincidences`` read
+it.  Every method takes one point or a sequence of points.
 
 The genus-1 prime form is
 
@@ -24,7 +30,6 @@ never leak into kernel values.
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 from dataclasses import dataclass
@@ -51,8 +56,10 @@ from .theta import (
 )
 
 __all__ = [
-    "SurfaceKind",
-    "SurfaceDescriptor",
+    "Surface",
+    "Sphere",
+    "Torus",
+    "TabulatedSurface",
     "SurfacePoint",
     "FlatLineBundle",
     "SurfaceDataBundle",
@@ -60,17 +67,12 @@ __all__ = [
     "genus0_surface",
     "torus_surface",
     "data_bundle_surface",
-    "same_surface",
     "line_bundle",
     "lattice_coords",
     "lattice_reduce",
     "lattice_distance",
-    "lattice_equal",
     "point",
     "coord",
-    "points_equal",
-    "point_array",
-    "abel_jacobi",
     "prime_form",
     "odd_theta",
     "odd_theta_deriv0",
@@ -80,12 +82,6 @@ __all__ = [
 ]
 
 POINT_TOL = 1e-12
-
-
-class SurfaceKind(enum.Enum):
-    GENUS0 = "genus0"
-    GENUS1 = "genus1"
-    DATA_BUNDLE = "data_bundle"
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,20 +202,18 @@ def _complex_matrix(rows, g: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SurfaceDescriptor:
-    """Which surface, with its period matrix and optional data bundle."""
+class Surface:
+    """A compact Riemann surface: its period matrix and its point rules.
 
-    kind: SurfaceKind
+    Each kind defines distance(p, q), which equal and coincidences read;
+    same_as(other); abel_jacobi(p), the g-vector image ((N, g) for a
+    sequence); and prime_form(p, q, cfg), E(p, q) (the (N,) array of
+    E(p[i], q[i]) for two sequences).  Every method takes one point or a
+    sequence of points; a sequence gives an array, and distance broadcasts
+    like numpy.
+    """
+
     period: PeriodMatrix
-    bundle: SurfaceDataBundle | None = None
-
-    def __post_init__(self):
-        if self.kind is SurfaceKind.GENUS0 and self.period.genus != 0:
-            raise InputError("genus-0 surface needs an empty period matrix")
-        if self.kind is SurfaceKind.GENUS1 and self.period.genus != 1:
-            raise InputError("torus surface needs a 1x1 period matrix")
-        if self.kind is SurfaceKind.DATA_BUNDLE and self.bundle is None:
-            raise InputError("data-bundle surface needs bundle data")
 
     @property
     def genus(self) -> int:
@@ -229,31 +223,123 @@ class SurfaceDescriptor:
     def tau(self) -> complex:
         return self.period.tau
 
+    def points(self, p):
+        """Coordinate of one point, or the coordinate array of a sequence
+        (returned as is when it already is one)."""
+        if isinstance(p, np.ndarray) and p.dtype == complex:
+            return p
+        if _is_many(p):
+            return np.array([coord(x) for x in p], dtype=complex)
+        return coord(point(p))
 
-def genus0_surface() -> SurfaceDescriptor:
-    return SurfaceDescriptor(SurfaceKind.GENUS0, PeriodMatrix(0, np.zeros((0, 0))))
+    def equal(self, p, q, tol: float = POINT_TOL):
+        return self.distance(p, q) <= tol
+
+    def coincidences(self, P, Q) -> list[tuple[int, int]]:
+        """Row-major list of the index pairs (i, j) with P[i] equal to Q[j]."""
+        P, Q = self.points(P), self.points(Q)
+        hits = self.distance(P[:, None], Q[None, :]) <= POINT_TOL
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(hits))]
 
 
-def torus_surface(tau: complex) -> SurfaceDescriptor:
-    return SurfaceDescriptor(SurfaceKind.GENUS1, period_from_tau(tau))
+@dataclass(frozen=True, eq=False)
+class Sphere(Surface):
+    """The Riemann sphere with its global coordinate."""
+
+    def __post_init__(self):
+        if self.genus != 0:
+            raise InputError("genus-0 surface needs an empty period matrix")
+
+    def distance(self, p, q):
+        return _modulus(self.points(p) - self.points(q))
+
+    def same_as(self, other) -> bool:
+        return isinstance(other, Sphere)
+
+    def abel_jacobi(self, p):
+        raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
+
+    def prime_form(self, p, q, cfg=None):
+        raise UnsupportedGenus("use 1/(p - q) kernels directly at genus 0")
 
 
-def data_bundle_surface(bundle: SurfaceDataBundle) -> SurfaceDescriptor:
-    return SurfaceDescriptor(
-        SurfaceKind.DATA_BUNDLE, PeriodMatrix(bundle.genus, bundle.omega), bundle
-    )
+@dataclass(frozen=True, eq=False)
+class Torus(Surface):
+    """C / (Z + tau Z); the Abel-Jacobi map is the identity on coordinates."""
+
+    def __post_init__(self):
+        if self.genus != 1:
+            raise InputError("torus surface needs a 1x1 period matrix")
+
+    def distance(self, p, q):
+        return lattice_distance(self.points(p) - self.points(q), self.tau)
+
+    def same_as(self, other) -> bool:
+        return isinstance(other, Torus) and abs(self.tau - other.tau) <= POINT_TOL
+
+    def abel_jacobi(self, p) -> np.ndarray:
+        return np.asarray(self.points(p), dtype=complex)[..., None]
+
+    def prime_form(self, p, q, cfg=None):
+        v = self.points(q) - self.points(p)
+        return odd_theta(v, self.period, cfg) / odd_theta_deriv0(self.tau, cfg)
 
 
-def same_surface(s1: SurfaceDescriptor, s2: SurfaceDescriptor) -> bool:
-    if s1 is s2:
-        return True
-    if s1.kind is not s2.kind:
-        return False
-    if s1.kind is SurfaceKind.GENUS0:
-        return True
-    if s1.kind is SurfaceKind.GENUS1:
-        return abs(s1.tau - s2.tau) <= POINT_TOL
-    return s1.bundle is s2.bundle
+@dataclass(frozen=True, eq=False)
+class TabulatedSurface(Surface):
+    """A surface known through a data bundle; its points are the bundle's labels."""
+
+    bundle: SurfaceDataBundle
+
+    def points(self, p):
+        """Table row of one labelled point, or the row array of a sequence."""
+        if isinstance(p, np.ndarray) and p.dtype.kind == "i":
+            return p
+        if _is_many(p):
+            return np.array([self.bundle.index(_label(x)) for x in p], dtype=int)
+        return self.bundle.index(_label(p))
+
+    def distance(self, p, q):
+        return np.where(self.points(p) == self.points(q), 0.0, np.inf)[()]
+
+    def same_as(self, other) -> bool:
+        return isinstance(other, TabulatedSurface) and other.bundle is self.bundle
+
+    def abel_jacobi(self, p) -> np.ndarray:
+        return self.bundle.phi[self.points(p)]
+
+    def prime_form(self, p, q, cfg=None):
+        value = self.bundle.prime_form_table[self.points(p), self.points(q)]
+        return value if _is_many(p) or _is_many(q) else complex(value)
+
+
+def genus0_surface() -> Sphere:
+    return Sphere(PeriodMatrix(0, np.zeros((0, 0))))
+
+
+def torus_surface(tau: complex) -> Torus:
+    return Torus(period_from_tau(tau))
+
+
+def data_bundle_surface(bundle: SurfaceDataBundle) -> TabulatedSurface:
+    return TabulatedSurface(PeriodMatrix(bundle.genus, bundle.omega), bundle)
+
+
+def _modulus(w):
+    """|w| by hypot, so that one value and arrays round alike (np.abs of a
+    complex array can differ from the scalar abs in the last bit)."""
+    return abs(w) if isinstance(w, complex) else np.hypot(w.real, w.imag)
+
+
+def _is_many(p) -> bool:
+    return isinstance(p, (np.ndarray, list, tuple))
+
+
+def _label(p) -> str:
+    label = point(p).label
+    if label is None:
+        raise UnknownPoint("data-bundle points need labels")
+    return label
 
 
 # --- torus lattice arithmetic ---
@@ -271,28 +357,12 @@ def lattice_reduce(v: complex, tau: complex) -> complex:
     return (alpha - np.floor(alpha)) + (beta - np.floor(beta)) * tau
 
 
-def lattice_distance(v: complex, tau: complex) -> float:
-    """Distance from v to the nearest lattice point of Z + tau*Z."""
-    alpha, beta = lattice_coords(complex(v), tau)
+def lattice_distance(v, tau: complex):
+    """Distance from v to the nearest lattice point of Z + tau*Z; elementwise for arrays."""
+    alpha, beta = lattice_coords(v, tau)
     da = alpha - np.rint(alpha)
     db = beta - np.rint(beta)
-    return abs(da + db * tau)
-
-
-def lattice_equal(u: complex, w: complex, tau: complex, tol: float = POINT_TOL) -> bool:
-    return lattice_distance(complex(u) - complex(w), tau) <= tol
-
-
-def points_equal(surface: SurfaceDescriptor, p, q, tol: float = POINT_TOL) -> bool:
-    """Point equality on the surface: lattice quotient at genus 1."""
-    p, q = point(p), point(q)
-    if surface.kind is SurfaceKind.GENUS1:
-        return lattice_equal(coord(p), coord(q), surface.tau, tol)
-    if surface.kind is SurfaceKind.GENUS0:
-        return abs(coord(p) - coord(q)) <= tol
-    if p.label is None or q.label is None:
-        raise UnknownPoint("data-bundle points need labels")
-    return p.label == q.label
+    return _modulus(da + db * tau)
 
 
 # --- flat line bundles ---
@@ -344,57 +414,6 @@ def line_bundle(a, b) -> FlatLineBundle:
 ODD_CHAR = ThetaCharacteristic(np.array([0.5]), np.array([0.5]))
 
 
-def point_array(surface: SurfaceDescriptor, points) -> np.ndarray:
-    """A sequence of point-like values as one 1-D array.
-
-    Labels (dtype object) on a data-bundle surface, complex coordinates
-    otherwise.  An array that is already of that kind is returned as is.
-    """
-    if surface.kind is SurfaceKind.DATA_BUNDLE:
-        if isinstance(points, np.ndarray) and points.dtype == object:
-            return points
-        return np.array([_label(p) for p in points], dtype=object)
-    if isinstance(points, np.ndarray) and points.dtype == complex:
-        return points
-    return np.array([coord(p) for p in points], dtype=complex)
-
-
-def _is_many(p) -> bool:
-    return isinstance(p, (np.ndarray, list, tuple))
-
-
-def _label(p) -> str:
-    label = point(p).label
-    if label is None:
-        raise UnknownPoint("data-bundle points need labels")
-    return label
-
-
-def _coords(surface: SurfaceDescriptor, p):
-    """Coordinate of one point, or the coordinate array of a sequence."""
-    return point_array(surface, p) if _is_many(p) else coord(point(p))
-
-
-def _bundle_rows(bundle: SurfaceDataBundle, p):
-    """Table row of one labelled point, or the row list of a sequence."""
-    if _is_many(p):
-        return [bundle.index(_label(label)) for label in p]
-    return bundle.index(_label(p))
-
-
-def abel_jacobi(surface: SurfaceDescriptor, p) -> np.ndarray:
-    """Abel-Jacobi image of a point, as a g-vector; (N, g) for a sequence of points.
-
-    Genus 1: the identity on torus coordinates.  Data bundles: the stored
-    table value.
-    """
-    if surface.kind is SurfaceKind.GENUS1:
-        return np.asarray(_coords(surface, p), dtype=complex)[..., None]
-    if surface.kind is SurfaceKind.DATA_BUNDLE:
-        return surface.bundle.phi[_bundle_rows(surface.bundle, p)]
-    raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
-
-
 @functools.lru_cache(maxsize=256)
 def _odd_deriv0(tau: complex, target: float) -> complex:
     cfg = ThetaEvalConfig(target_abs_error=target)
@@ -425,20 +444,13 @@ def log_deriv_odd_theta(v: complex, period: PeriodMatrix,
     return complex(grad[0] / val)
 
 
-def prime_form(surface: SurfaceDescriptor, p, q, cfg: ThetaEvalConfig | None = None):
+def prime_form(surface: Surface, p, q, cfg: ThetaEvalConfig | None = None):
     """Prime form E(p, q) in the global frame; antisymmetric, E(p, p) = 0.
 
     p and q are single points, or two sequences of points of one length,
     giving the (N,) array of E(p[i], q[i]).
     """
-    if surface.kind is SurfaceKind.GENUS1:
-        v = _coords(surface, q) - _coords(surface, p)
-        return odd_theta(v, surface.period, cfg) / odd_theta_deriv0(surface.tau, cfg)
-    if surface.kind is SurfaceKind.DATA_BUNDLE:
-        bundle = surface.bundle
-        value = bundle.prime_form_table[_bundle_rows(bundle, p), _bundle_rows(bundle, q)]
-        return value if _is_many(p) or _is_many(q) else complex(value)
-    raise UnsupportedGenus("use 1/(p - q) kernels directly at genus 0")
+    return surface.prime_form(p, q, cfg)
 
 
 # --- Laurent coefficients at a simple pole ---
@@ -484,7 +496,7 @@ class EmbeddingPair:
     coefficients d[i][k], so lambda_k = -c/t - d + O(t) at each pole.
     """
 
-    surface: SurfaceDescriptor
+    surface: Torus
     pole_points: tuple[SurfacePoint, ...]
     residues: np.ndarray   # (m, 2), c[i][k]
     consts: np.ndarray     # (m, 2), d[i][k]
@@ -527,10 +539,10 @@ class EmbeddingPair:
         return tuple(out)
 
     def is_pole(self, z, tol: float = POINT_TOL) -> bool:
-        return any(points_equal(self.surface, z, x, tol) for x in self.pole_points)
+        return bool(np.any(self.surface.equal(z, self.pole_points, tol)))
 
 
-def build_embedding_functions(surface: SurfaceDescriptor, x1, x2, x3,
+def build_embedding_functions(surface: Torus, x1, x2, x3,
                               cfg: ThetaEvalConfig | None = None,
                               degeneracy_samples: int = 24) -> EmbeddingPair:
     """Construct the coordinate pair for pole points (x1, x2, x3).
@@ -541,13 +553,11 @@ def build_embedding_functions(surface: SurfaceDescriptor, x1, x2, x3,
     degenerate (non-injective) coordinate map.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if surface.kind is not SurfaceKind.GENUS1:
+    if not isinstance(surface, Torus):
         raise UnsupportedGenus("embedding functions are built on the torus")
     xs = tuple(point(x) for x in (x1, x2, x3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if points_equal(surface, xs[i], xs[j]):
-                raise DegenerateEmbedding("pole points must be distinct mod lattice")
+    if any(i != j for i, j in surface.coincidences(xs, xs)):
+        raise DegenerateEmbedding("pole points must be distinct mod lattice")
 
     residues = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
     pair = EmbeddingPair(surface, xs, residues, np.zeros((3, 2), dtype=complex), cfg)
@@ -570,17 +580,15 @@ def build_embedding_functions(surface: SurfaceDescriptor, x1, x2, x3,
         beta = (k * 0.5698402909980532) % 1.0
         k += 1
         z = alpha + beta * tau
-        if any(lattice_equal(z, coord(x), tau, 1e-3) for x in xs):
+        if np.any(surface.equal(z, xs, 1e-3)):
             continue
         samples.append(z)
-    values = [pair.lambda_values(z) for z in samples]
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            if lattice_equal(samples[i], samples[j], tau, 1e-6):
-                continue
-            dist = abs(values[i][0] - values[j][0]) + abs(values[i][1] - values[j][1])
-            if dist < 1e-8:
-                raise DegenerateEmbedding(
-                    f"coordinate map collides at {samples[i]} and {samples[j]}"
-                )
+    values = np.array([pair.lambda_values(z) for z in samples])
+    gaps = np.abs(values[:, None] - values[None, :]).sum(axis=2)
+    grid = np.array(samples)
+    distinct = ~surface.equal(grid[:, None], grid[None, :], 1e-6)
+    hits = np.argwhere(np.triu(distinct & (gaps < 1e-8), 1))
+    if hits.size:
+        i, j = hits[0]
+        raise DegenerateEmbedding(f"coordinate map collides at {samples[i]} and {samples[j]}")
     return pair

@@ -562,11 +562,7 @@ def _triangular_fixture(tau, q):
     mu_g_red = lattice_reduce(mu_g, tau)
     zeros = (ZeroNode(xi_c, e1), ZeroNode(lam_star, e2), ZeroNode(mu_g_red, e2))
     poles = (PoleNode(mu_star, e1), PoleNode(xi_c, e2), PoleNode(mu_g_red, e1))
-    shim = type("NodeShim", (), {
-        "zeros": zeros, "poles": poles,
-        "coincident_pairs": lambda self: [(0, 1), (2, 2)],
-    })()
-    rho = forward_couplings(t_known, shim, oracle_chi, oracle_tilde, q)
+    rho = forward_couplings(t_known, surf, zeros, poles, oracle_chi, oracle_tilde, q)
     data = InterpolationDataSet(surface=surf, rank=2, zeros=zeros, poles=poles,
                                 couplings=rho)
     T = build_solution(data, q, t_known(q), oracle_chi, oracle_tilde)
@@ -735,7 +731,7 @@ def checks_negative(seed=9, tol_scale=1.0):
         bad = conint.ConintDataSet(
             surface=conv2.surface, pencil=conv2.pencil,
             zeros=tuple(
-                conint.ConintZero(z.surface_point, z.affine,
+                conint.ConintNode(z.surface_point, z.affine,
                                   z.vectors + 0.05 * np.roll(z.vectors, 1, axis=1))
                 for z in conv2.zeros
             ),

@@ -396,11 +396,7 @@ def diag_coincidence():
              ZeroNode(lam2, np.array([[0.0, 1.0]])))
     poles = (PoleNode(mu1, np.array([[1.0, 0.0]])),
              PoleNode(xi_c, np.array([[0.0, 1.0]])))
-    shim = type("NodeShim", (), {
-        "zeros": zeros, "poles": poles,
-        "coincident_pairs": lambda self: [(0, 1)],
-    })()
-    rho = forward_couplings(t_known, shim, ko, kt, Q_POINT)
+    rho = forward_couplings(t_known, surf, zeros, poles, ko, kt, Q_POINT)
     data = InterpolationDataSet(surface=surf, rank=2, zeros=zeros, poles=poles,
                                 couplings=rho)
     return surf, data, ko, kt, t_known, rho
@@ -449,11 +445,7 @@ def triangular_coincidence():
     mu_g_red = lattice_reduce(mu_g, tau)
     zeros = (ZeroNode(xi_c, e1), ZeroNode(lam_star, e2), ZeroNode(mu_g_red, e2))
     poles = (PoleNode(mu_star, e1), PoleNode(xi_c, e2), PoleNode(mu_g_red, e1))
-    shim = type("NodeShim", (), {
-        "zeros": zeros, "poles": poles,
-        "coincident_pairs": lambda self: [(0, 1), (2, 2)],
-    })()
-    rho = forward_couplings(t_known, shim, ko, kt, Q_POINT)
+    rho = forward_couplings(t_known, surf, zeros, poles, ko, kt, Q_POINT)
     data = InterpolationDataSet(surface=surf, rank=2, zeros=zeros, poles=poles,
                                 couplings=rho)
     return surf, data, ko, kt, t_known, rho, f2, g, xi_c

@@ -165,6 +165,26 @@ def test_conint_problem_file(tmp_path):
     assert "gamma" in report
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("solve-line", {**LINE_PROBLEM, "chi": {"a": ["x"], "b": [0.41]}}),
+    ("solve-genus0", {**GENUS0_PROBLEM, "zeros": [{"point": ["x", 0.0], "x": [[1.0, 0.0]]}]}),
+    ("conint", {**ABSINT_PROBLEM, "chi": {"blocks": [{"a": ["x"], "b": [0.41]}]}}),
+    ("conint", {**ABSINT_PROBLEM, "embedding": [["x", 0.0], [0.55, 0.66], [0.79, 0.16]]}),
+    # a zero equal to a pole, and a base point on a zero, both mod the lattice
+    ("solve-line", {**LINE_PROBLEM, "zeros": [[0.13, 0.27]], "poles": [[1.13, 0.27]]}),
+    ("solve-line", {**LINE_PROBLEM, "base_point": [1.13, 0.27]}),
+], ids=["line-chi", "genus0-point", "conint-block", "conint-embedding", "line-zero-on-pole",
+        "line-base-on-zero"])
+def test_bad_problem_exits_2(command, payload, tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(payload))
+    code = run_command([command, str(problem), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]
+
+
 def test_theta_omega_alias(tmp_path):
     code, report = run_json(["theta", "--omega", "i", "--z", "0"],
                             tmp_path / "r.json")

@@ -18,8 +18,8 @@ from zpint.conint import (
     DEFAULT_XI,
     SECOND_XI,
     ConintDataSet,
+    ConintNode,
     ConintSolution,
-    ConintZero,
     block_matrices,
     build_gamma0,
     check_condition_I3,
@@ -102,11 +102,7 @@ def triangular_case():
     mu_g_red = lattice_reduce(mu_g, TAU)
     zeros = (ZeroNode(xi_c, e1), ZeroNode(lam_star, e2), ZeroNode(mu_g_red, e2))
     poles = (PoleNode(mu_star, e1), PoleNode(xi_c, e2), PoleNode(mu_g_red, e1))
-    shim = type("NodeShim", (), {
-        "zeros": zeros, "poles": poles,
-        "coincident_pairs": lambda self: [(0, 1), (2, 2)],
-    })()
-    rho = forward_couplings(t_known, shim, ko, kt, Q_POINT)
+    rho = forward_couplings(t_known, surf, zeros, poles, ko, kt, Q_POINT)
     data = InterpolationDataSet(surface=surf, rank=2, zeros=zeros, poles=poles,
                                 couplings=rho)
     T = build_solution(data, Q_POINT, t_known(Q_POINT), ko, kt)
@@ -165,7 +161,7 @@ def test_gamma_equality_negative_control(scalar_case):
     tampered = ConintDataSet(
         surface=converted.surface, pencil=converted.pencil,
         zeros=tuple(
-            ConintZero(z.surface_point, z.affine, z.vectors * (1 + 0.01)
+            ConintNode(z.surface_point, z.affine, z.vectors * (1 + 0.01)
                        + 0.01 * np.ones_like(z.vectors))
             for z in converted.zeros
         ),
@@ -320,7 +316,7 @@ def test_zp_violation_rejected(triangular_case):
     bad = ConintDataSet(
         surface=converted.surface, pencil=converted.pencil,
         zeros=tuple(
-            ConintZero(z.surface_point, z.affine,
+            ConintNode(z.surface_point, z.affine,
                        z.vectors + 0.05 * np.roll(z.vectors, 1, axis=1))
             for z in converted.zeros
         ),

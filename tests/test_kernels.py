@@ -138,6 +138,16 @@ def test_conjugated_kernel_preserves_residue(torus, bundle, bundle2):
     assert np.abs(limit - np.eye(2)).max() < 1e-8
 
 
+def test_conjugated_kernel_duality(torus, bundle, bundle2):
+    ksum = direct_sum_kernel([line_kernel(torus, bundle), line_kernel(torus, bundle2)])
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    kc = conjugated_kernel(ksum, frame)
+    kd = kc.dual()
+    for p, q in ((0.11 + 0.52j, 0.67 + 0.23j), (0.83 + 0.41j, 0.25 + 0.74j)):
+        ref = kc(q, p)
+        assert np.abs(kd(p, q).T + ref).max() < 1e-10 * np.abs(ref).max()
+
+
 def test_collection_identity(torus, bundle, embedding, rng):
     k = line_kernel(torus, bundle)
     avoid = [x.coordinate for x in embedding.pole_points]

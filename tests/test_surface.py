@@ -16,13 +16,10 @@ from zpint.errors import (
 from zpint.surface import (
     SurfaceDataBundle,
     SurfacePoint,
-    abel_jacobi,
     build_embedding_functions,
     data_bundle_surface,
     genus0_surface,
-    lattice_equal,
     laurent_coeffs,
-    points_equal,
     prime_form,
     torus_surface,
 )
@@ -32,15 +29,15 @@ TAU = 0.3 + 0.9j
 
 def test_abel_jacobi_is_identity_on_torus(torus):
     p = 0.3 + 0.2j
-    assert abel_jacobi(torus, p)[0] == p
+    assert torus.abel_jacobi(p)[0] == p
 
 
 def test_abel_jacobi_lattice_quotient(torus):
     p = 0.3 + 0.2j
-    shifted = abel_jacobi(torus, p + 1 + TAU)[0]
-    assert lattice_equal(shifted, p, TAU)
-    assert points_equal(torus, p, p + 1 + TAU)
-    assert not points_equal(torus, p, p + 0.1)
+    shifted = torus.abel_jacobi(p + 1 + TAU)[0]
+    assert torus.equal(shifted, p)
+    assert torus.equal(p, p + 1 + TAU)
+    assert not torus.equal(p, p + 0.1)
 
 
 def test_lattice_equality_is_equivalence(rng):
@@ -48,12 +45,12 @@ def test_lattice_equality_is_equivalence(rng):
     shifts = [0, 1, TAU, 1 + TAU, -2 + TAU]
     surf = torus_surface(TAU)
     for p in pts:
-        assert points_equal(surf, p, p)
+        assert surf.equal(p, p)
         for s in shifts:
-            assert points_equal(surf, p, p + s)
+            assert surf.equal(p, p + s)
             for s2 in shifts:
                 # transitivity through a chain of lattice shifts
-                assert points_equal(surf, p + s, p + s2)
+                assert surf.equal(p + s, p + s2)
 
 
 def test_prime_form_diagonal_and_antisymmetry(torus, rng):
@@ -165,14 +162,14 @@ BUNDLE_PAYLOAD = {
 def test_data_bundle_round_trip():
     bundle = SurfaceDataBundle.from_json(json.dumps(BUNDLE_PAYLOAD))
     surf = data_bundle_surface(bundle)
-    phi = abel_jacobi(surf, SurfacePoint(label="p1"))
+    phi = surf.abel_jacobi(SurfacePoint(label="p1"))
     assert phi[0] == 0.1 and phi[1] == 0.2j
     ep = prime_form(surf, SurfacePoint(label="p1"), SurfacePoint(label="p2"))
     assert ep == 0.5 + 0.25j
     assert prime_form(surf, "p2", "p1") == -(0.5 + 0.25j)
     assert prime_form(surf, "p1", "p1") == 0.0
     with pytest.raises(UnknownPoint):
-        abel_jacobi(surf, SurfacePoint(label="nope"))
+        surf.abel_jacobi(SurfacePoint(label="nope"))
 
 
 def test_data_bundle_validation():
@@ -180,3 +177,44 @@ def test_data_bundle_validation():
     bad["prime_form"] = [[0.5, 0.25], [1.0, 0.0]]
     with pytest.raises(InputError):
         SurfaceDataBundle.from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus", "tabulated"])
+def test_point_rules_of_each_kind(kind):
+    bundle = SurfaceDataBundle.from_json(json.dumps(BUNDLE_PAYLOAD))
+    family = {
+        "sphere": [genus0_surface(), genus0_surface()],
+        "torus": [torus_surface(TAU), torus_surface(TAU), torus_surface(TAU + 0.1)],
+        "tabulated": [data_bundle_surface(bundle), data_bundle_surface(bundle),
+                      data_bundle_surface(SurfaceDataBundle.from_json(BUNDLE_PAYLOAD))],
+    }
+    p = 0.31 + 0.42j
+    P, Q = {
+        "sphere": ([p, -1.1j, 2.0, p], [2.0, p + 1e-3, p, 5j]),
+        # lattice-shifted copies are one point of the torus
+        "torus": ([p, p + 1 + TAU, 0.7 + 0.1j, 0.55 + 0.8j],
+                  [0.55 + 0.8j - TAU, p - 2 + TAU, 0.75 + 0.1j, p]),
+        "tabulated": (["p1", "p2", "p1"], [SurfacePoint(label="p2"), "p1", "p1", "p2"]),
+    }[kind]
+    surf = family[kind][0]
+
+    loop = [(i, j) for i in range(len(P)) for j in range(len(Q)) if surf.equal(P[i], Q[j])]
+    assert loop and len(loop) < len(P) * len(Q)
+    assert surf.coincidences(P, Q) == loop
+
+    grid = surf.distance(surf.points(P)[:, None], surf.points(Q)[None, :])
+    assert grid.shape == (len(P), len(Q))
+    n = min(len(P), len(Q))
+    pairwise = surf.distance(P[:n], Q[:n])
+    for i in range(len(P)):
+        for j in range(len(Q)):
+            assert grid[i, j] == surf.distance(P[i], Q[j])
+        if i < n:
+            assert pairwise[i] == surf.distance(P[i], Q[i])
+
+    # same_as holds exactly within a kind and for the same modulus or bundle
+    for other_kind, group in family.items():
+        for k, other in enumerate(group):
+            expected = other_kind == kind and k < 2
+            assert surf.same_as(other) == expected
+            assert other.same_as(surf) == expected
