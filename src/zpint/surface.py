@@ -326,8 +326,8 @@ def data_bundle_surface(bundle: SurfaceDataBundle) -> TabulatedSurface:
 
 
 def _modulus(w):
-    """|w| by hypot, so that one value and arrays round alike (np.abs of a
-    complex array can differ from the scalar abs in the last bit)."""
+    """|w| by hypot for one value and for arrays alike: abs of a complex
+    scalar is hypot, but np.abs of a complex array can differ in the last bit."""
     return abs(w) if isinstance(w, complex) else np.hypot(w.real, w.imag)
 
 
