@@ -562,14 +562,17 @@ def _necessity_defect(surface, zeros, poles, chi, chi_tilde):
     return lattice_distance((z_out - z_in) - w, surface.tau)
 
 
-def _check_scalar_nodes(surface, zeros, poles, q):
-    """Reject a repeated zero or pole, a zero on a pole, and a base point on a node."""
+def _scalar_nodes(surface, zeros, poles, q):
+    """Zeros and poles as points; rejects a repeated zero or pole, a zero on a
+    pole (InputError) and a base point on a node (BasePointCollision)."""
+    zeros, poles = [point(z) for z in zeros], [point(p) for p in poles]
     nodes = [*zeros, *poles]
     for i, j in surface.coincidences(nodes, [*nodes, q]):
         if j == len(nodes):
             raise BasePointCollision(f"base point {q!r} hits a node")
         if i != j:
             raise InputError(f"nodes {nodes[i]!r} and {nodes[j]!r} coincide")
+    return zeros, poles
 
 
 def scalar_multiplicative(surface: Surface, zeros, poles,
@@ -586,9 +589,7 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     from the base point.
     """
     cfg = cfg or DEFAULT_CONFIG
-    zeros = [point(z) for z in zeros]
-    poles = [point(p) for p in poles]
-    _check_scalar_nodes(surface, zeros, poles, q)
+    zeros, poles = _scalar_nodes(surface, zeros, poles, q)
     if len(zeros) != len(poles):
         raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
     defect = _necessity_defect(surface, zeros, poles, chi, chi_tilde)
@@ -625,9 +626,7 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     scalar_multiplicative.
     """
     cfg = cfg or DEFAULT_CONFIG
-    zeros = [point(z) for z in zeros]
-    poles = [point(p) for p in poles]
-    _check_scalar_nodes(surface, zeros, poles, q)
+    zeros, poles = _scalar_nodes(surface, zeros, poles, q)
     period = surface.period
     ch_out = chi_tilde.characteristic
     ch_in = chi.characteristic

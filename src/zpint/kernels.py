@@ -154,15 +154,16 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle,
 
     Raises
     ------
+    UnsupportedGenus
+        On the sphere (use genus0_kernel), or for a bundle of another genus.
     DegenerateBundle
         If |theta[a; b](0)| <= 1e-10, i.e. the twisted bundle has a
         global section and no Cauchy kernel exists.
     """
     cfg = cfg or DEFAULT_CONFIG
     chi = bundle.characteristic
-    if chi.genus != surface.genus:
-        raise UnsupportedGenus(f"genus-{chi.genus} bundle on a genus-{surface.genus} surface"
-                               " (use genus0_kernel on the sphere)")
+    if surface.genus == 0 or chi.genus != surface.genus:
+        raise UnsupportedGenus("line kernels need genus >= 1 and a bundle of that genus")
     theta0 = bundle.theta_at_zero(surface.period, cfg)
     if abs(theta0) <= 1e-10:
         raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}")

@@ -124,6 +124,13 @@ def coord(value) -> complex:
     return complex(value)
 
 
+def _label(p) -> str:
+    label = point(p).label
+    if label is None:
+        raise UnknownPoint("data-bundle points need labels")
+    return label
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceDataBundle:
     """Tabulated geometry for a user-supplied surface of genus >= 1.
@@ -210,10 +217,14 @@ class Surface:
     sequence); and prime_form(p, q, cfg), E(p, q) (the (N,) array of
     E(p[i], q[i]) for two sequences).  Every method takes one point or a
     sequence of points; a sequence gives an array, and distance broadcasts
-    like numpy.
+    like numpy.  points(p) gives values that point() turns back into the
+    same points: complex coordinates, or labels (dtype object) on a
+    tabulated surface.
     """
 
     period: PeriodMatrix
+    _dtype = complex  # dtype and maker of the values points() gives
+    _value = staticmethod(coord)
 
     @property
     def genus(self) -> int:
@@ -224,13 +235,13 @@ class Surface:
         return self.period.tau
 
     def points(self, p):
-        """Coordinate of one point, or the coordinate array of a sequence
-        (returned as is when it already is one)."""
-        if isinstance(p, np.ndarray) and p.dtype == complex:
+        """Value of one point, or the value array of a sequence (as is if it is one)."""
+        if isinstance(p, np.ndarray) and p.dtype == self._dtype:
             return p
         if _is_many(p):
-            return np.array([coord(x) for x in p], dtype=complex)
-        return coord(point(p))
+            value = self._value
+            return np.array([value(x) for x in p], dtype=self._dtype)
+        return self._value(point(p))
 
     def equal(self, p, q, tol: float = POINT_TOL):
         return self.distance(p, q) <= tol
@@ -290,14 +301,8 @@ class TabulatedSurface(Surface):
     """A surface known through a data bundle; its points are the bundle's labels."""
 
     bundle: SurfaceDataBundle
-
-    def points(self, p):
-        """Table row of one labelled point, or the row array of a sequence."""
-        if isinstance(p, np.ndarray) and p.dtype.kind == "i":
-            return p
-        if _is_many(p):
-            return np.array([self.bundle.index(_label(x)) for x in p], dtype=int)
-        return self.bundle.index(_label(p))
+    _dtype = object
+    _value = staticmethod(_label)
 
     def distance(self, p, q):
         return np.where(self.points(p) == self.points(q), 0.0, np.inf)[()]
@@ -306,11 +311,17 @@ class TabulatedSurface(Surface):
         return isinstance(other, TabulatedSurface) and other.bundle is self.bundle
 
     def abel_jacobi(self, p) -> np.ndarray:
-        return self.bundle.phi[self.points(p)]
+        return self.bundle.phi[self._rows(p)]
 
     def prime_form(self, p, q, cfg=None):
-        value = self.bundle.prime_form_table[self.points(p), self.points(q)]
+        value = self.bundle.prime_form_table[self._rows(p), self._rows(q)]
         return value if _is_many(p) or _is_many(q) else complex(value)
+
+    def _rows(self, p):
+        """Table row of one point, or the row list of a sequence."""
+        if _is_many(p):
+            return [self.bundle.index(label) for label in self.points(p)]
+        return self.bundle.index(self.points(p))
 
 
 def genus0_surface() -> Sphere:
@@ -333,13 +344,6 @@ def _modulus(w):
 
 def _is_many(p) -> bool:
     return isinstance(p, (np.ndarray, list, tuple))
-
-
-def _label(p) -> str:
-    label = point(p).label
-    if label is None:
-        raise UnknownPoint("data-bundle points need labels")
-    return label
 
 
 # --- torus lattice arithmetic ---

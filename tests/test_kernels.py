@@ -8,6 +8,7 @@ from zpint.errors import (
     ExtractionUnstable,
     PointOnPoleSet,
     SurfaceMismatch,
+    UnsupportedGenus,
 )
 from zpint.kernels import (
     CauchyKernelOracle,
@@ -20,7 +21,7 @@ from zpint.kernels import (
     line_connection_form,
     line_kernel,
 )
-from zpint.surface import line_bundle, torus_surface
+from zpint.surface import genus0_surface, line_bundle, torus_surface
 
 TAU = 0.3 + 0.9j
 
@@ -77,6 +78,14 @@ def test_line_kernel_duality(torus, bundle, rng):
 def test_degenerate_bundle_rejected(torus):
     with pytest.raises(DegenerateBundle):
         line_kernel(torus, line_bundle(0.5, 0.5))
+
+
+def test_line_kernel_needs_a_matching_genus(torus):
+    for surface, bundle in [(genus0_surface(), line_bundle([], [])),
+                            (genus0_surface(), line_bundle(0.2, 0.3)),
+                            (torus, line_bundle([0.2, 0.1], [0.3, 0.4]))]:
+        with pytest.raises(UnsupportedGenus):
+            line_kernel(surface, bundle)
 
 
 def test_direct_sum_structure(torus, bundle, bundle2):
@@ -242,8 +251,11 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
              (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
     table_surface, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j,
                                                         0.44 + 0.12j])
-    cases.append((line_kernel(table_surface, bundle), ["p0", "p1", "p2", "p0"],
-                  ["p1", "p2", "p0", "p2"]))
+    table_line = line_kernel(table_surface, bundle)
+    table_evaluator_only = CauchyKernelOracle(1, table_surface, table_line.evaluator)
+    table_P, table_Q = ["p0", "p1", "p2", "p0"], ["p1", "p2", "p0", "p2"]
+    cases += [(table_line, table_P, table_Q), (table_evaluator_only, table_P, table_Q),
+              (direct_sum_kernel([table_line, table_evaluator_only]), table_P, table_Q)]
     for oracle, P, Q in cases:
         batch = evaluate_many(oracle, P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
