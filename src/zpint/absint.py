@@ -70,6 +70,7 @@ __all__ = [
     "ZeroNode",
     "PoleNode",
     "InterpolationDataSet",
+    "coupling_table",
     "GammaMatrix",
     "BundleMapEvaluator",
     "build_gamma",
@@ -111,6 +112,21 @@ class InterpolationNode:
 ZeroNode = PoleNode = InterpolationNode
 
 
+def coupling_table(couplings, zeros, poles, pairs) -> dict:
+    """Couplings given exactly at the coincident pairs, each as a (t_i, s_j) array."""
+    if set(map(tuple, couplings)) != set(pairs):
+        raise InputError("couplings must be given exactly at coincident pairs")
+    try:
+        return {
+            (i, j): np.asarray(couplings[(i, j)], dtype=complex).reshape(
+                zeros[i].count, poles[j].count
+            )
+            for (i, j) in pairs
+        }
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a coupling does not match its nodes: {exc}") from exc
+
+
 @dataclass(eq=False)
 class InterpolationDataSet:
     """Zero/pole data with couplings at coincident points.
@@ -136,16 +152,16 @@ class InterpolationDataSet:
         )
         for node in (*self.zeros, *self.poles):
             if node.vectors.shape[1] != self.rank:
-                raise ValueError("vector length does not match rank")
+                raise InputError("vector length does not match rank")
             if np.linalg.norm(node.vectors, axis=1).min() == 0.0:
-                raise ValueError("interpolation vectors must be nonzero")
+                raise InputError("interpolation vectors must be nonzero")
             s = np.linalg.svd(node.vectors, compute_uv=False)
             if s[-1] <= 1e-10 * s[0]:
-                raise ValueError("vector set at a node is numerically dependent")
+                raise InputError("vector set at a node is numerically dependent")
         for nodes, tag in ((self.zeros, "zeros"), (self.poles, "poles")):
             pts = [node.point for node in nodes]
             if any(i != j for i, j in self.surface.coincidences(pts, pts)):
-                raise ValueError(f"{tag} must be pairwise distinct")
+                raise InputError(f"{tag} must be pairwise distinct")
         pairs = self.coincident_pairs()
         for (i, j) in pairs:
             x = self.zeros[i].vectors
@@ -153,16 +169,8 @@ class InterpolationDataSet:
             pairing = x @ u.T
             scale = max(np.abs(x).max() * np.abs(u).max(), 1.0)
             if float(np.abs(pairing).max()) > 1e-12 * scale:
-                raise ValueError("compatibility x.u = 0 fails at a coincidence")
-        given = set(map(tuple, self.couplings))
-        if given != set(pairs):
-            raise ValueError("couplings must be given exactly at coincident pairs")
-        self.couplings = {
-            (i, j): np.asarray(self.couplings[(i, j)], dtype=complex).reshape(
-                self.zeros[i].count, self.poles[j].count
-            )
-            for (i, j) in pairs
-        }
+                raise InputError("compatibility x.u = 0 fails at a coincidence")
+        self.couplings = coupling_table(self.couplings, self.zeros, self.poles, pairs)
 
     def coincident_pairs(self) -> list[tuple[int, int]]:
         return self.surface.coincidences([z.point for z in self.zeros],
@@ -295,22 +303,20 @@ def _prepare(data, q, Q, oracle_chi, oracle_tilde):
     return q, Q, gamma
 
 
+def _numerator(data, q, gamma, oracle_tilde):
+    """p -> K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q): T(p) before K(chi; p, q)^-1."""
+    if not gamma.matrix.shape[0]:
+        return lambda p: oracle_tilde(p, q)
+    coef = np.linalg.solve(gamma.matrix, _k_x_lam(data, oracle_tilde, q))
+    return lambda p: oracle_tilde(p, q) + _k_mu_u(data, oracle_tilde, p) @ coef
+
+
 def build_solution(data: InterpolationDataSet, q, Q,
                    oracle_chi: CauchyKernelOracle,
                    oracle_tilde: CauchyKernelOracle) -> BundleMapEvaluator:
     """Interpolant with value Q at q, in partial-fraction form."""
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    n = gamma.matrix.shape[0]
-    if n:
-        coef = np.linalg.solve(gamma.matrix, _k_x_lam(data, oracle_tilde, q))
-    else:
-        coef = np.zeros((0, data.rank), dtype=complex)
-
-    def numerator(p):
-        val = oracle_tilde(p, q)
-        if n:
-            val = val + _k_mu_u(data, oracle_tilde, p) @ coef
-        return val
+    numerator = _numerator(data, q, gamma, oracle_tilde)
 
     def fn(p):
         if data.surface.equal(p, q):
@@ -399,18 +405,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     below about 1e-7 indicate consistent data for the given input bundle.
     """
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    n = gamma.matrix.shape[0]
-    if n:
-        coef = np.linalg.solve(gamma.matrix, _k_x_lam(data, oracle_tilde, q))
-    else:
-        coef = np.zeros((0, data.rank), dtype=complex)
-
-    def numerator(pc):
-        val = oracle_tilde(pc, q)
-        if n:
-            val = val + _k_mu_u(data, oracle_tilde, pc) @ coef
-        return val
-
+    numerator = _numerator(data, q, gamma, oracle_tilde)
     poles = _inverse_kernel_poles(oracle_chi, q)
     if not poles:
         return []

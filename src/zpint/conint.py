@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .absint import InterpolationDataSet, build_gamma
+from .absint import InterpolationDataSet, build_gamma, coupling_table
 from .detrep import PencilRep, build_pencil, normalized_sections
 from .errors import (
+    InputError,
     NoCoincidence,
     NotSquare,
     PoleCollision,
@@ -110,25 +111,17 @@ class ConintDataSet:
         self.zeros = tuple(self.zeros)
         self.poles = tuple(self.poles)
         for node in self.poles:
-            self._check_membership(node, left=False)
+            self._require_membership(node, left=False)
         for node in self.zeros:
-            self._check_membership(node, left=True)
+            self._require_membership(node, left=True)
         for node in (*self.zeros, *self.poles):
             s = np.linalg.svd(node.vectors, compute_uv=False)
             if s[-1] <= 1e-10 * s[0]:
-                raise ValueError("vector set at a node is numerically dependent")
+                raise InputError("vector set at a node is numerically dependent")
         pairs = self.coincident_pairs()
-        given = set(map(tuple, self.couplings))
-        if given != set(pairs):
-            raise ValueError("couplings must be given exactly at coincident pairs")
-        self.couplings = {
-            (i, j): np.asarray(self.couplings[(i, j)], dtype=complex).reshape(
-                self.zeros[i].count, self.poles[j].count
-            )
-            for (i, j) in pairs
-        }
+        self.couplings = coupling_table(self.couplings, self.zeros, self.poles, pairs)
 
-    def _check_membership(self, node, left: bool):
+    def _require_membership(self, node, left: bool):
         z1, z2 = node.affine
         mat = self.pencil.pencil(z1, z2)
         for vec in node.vectors:
@@ -136,7 +129,7 @@ class ConintDataSet:
             scale = float(np.linalg.norm(mat)) * float(np.linalg.norm(vec)) + EPS_GUARD
             if float(np.linalg.norm(image)) / scale > self.membership_tol:
                 side = "left" if left else "right"
-                raise ValueError(f"vector not in the {side} kernel of the pencil")
+                raise InputError(f"vector not in the {side} kernel of the pencil")
 
     def coincident_pairs(self) -> list[tuple[int, int]]:
         return self.surface.coincidences([z.surface_point for z in self.zeros],

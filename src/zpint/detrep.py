@@ -113,14 +113,14 @@ class NormalizedSections:
         return -np.hstack([self.oracle(p, x) for x in self.embedding.pole_points])
 
 
-def _check_surfaces(oracle, embedding):
+def _require_same_surface(oracle, embedding):
     if not oracle.surface.same_as(embedding.surface):
         raise SurfaceMismatch("kernel and embedding live on different surfaces")
 
 
 def build_pencil(oracle: CauchyKernelOracle, embedding: EmbeddingPair) -> PencilRep:
     """Assemble the pencil matrices from kernel values at the pole points."""
-    _check_surfaces(oracle, embedding)
+    _require_same_surface(oracle, embedding)
     r = oracle.rank
     m = embedding.m
     c = embedding.residues
@@ -147,7 +147,7 @@ def build_pencil(oracle: CauchyKernelOracle, embedding: EmbeddingPair) -> Pencil
 
 def normalized_sections(oracle: CauchyKernelOracle,
                         embedding: EmbeddingPair) -> NormalizedSections:
-    _check_surfaces(oracle, embedding)
+    _require_same_surface(oracle, embedding)
     return NormalizedSections(oracle, embedding)
 
 
@@ -240,7 +240,7 @@ def line_section_condition(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
     is lattice-equivalent to the sum of the x^i), invertibility of this
     matrix reflects h^0 = 0 for the bundle; returns the condition number.
     """
-    _check_surfaces(oracle, embedding)
+    _require_same_surface(oracle, embedding)
     ys = [point(y) for y in y_points]
     if len(ys) != embedding.m:
         raise ValueError("need exactly m section points")

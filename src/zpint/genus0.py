@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CountMismatch,
+    InputError,
     NotSquare,
     SingularGamma,
     SingularSylvester,
@@ -53,26 +54,32 @@ class Genus0Problem:
     poles: tuple
 
     def __post_init__(self):
-        zeros = tuple(
-            (complex(z), np.asarray(x, dtype=complex).reshape(self.rank))
-            for z, x in self.zeros
-        )
-        poles = tuple(
-            (complex(m), np.asarray(u, dtype=complex).reshape(self.rank))
-            for m, u in self.poles
-        )
+        if self.rank < 1:
+            raise InputError("rank must be at least 1")
+        try:
+            zeros = tuple(
+                (complex(z), np.asarray(x, dtype=complex).reshape(self.rank))
+                for z, x in self.zeros
+            )
+            poles = tuple(
+                (complex(m), np.asarray(u, dtype=complex).reshape(self.rank))
+                for m, u in self.poles
+            )
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"a node needs a point and a vector of length {self.rank}: "
+                             f"{exc}") from exc
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "poles", poles)
         lams = [z for z, _ in zeros]
         mus = [m for m, _ in poles]
         for pts, name in ((lams, "zero"), (mus, "pole")):
             if any(i != j for i, j in _SPHERE.coincidences(pts, pts)):
-                raise ValueError(f"{name} points must be distinct")
+                raise InputError(f"{name} points must be distinct")
         if _SPHERE.coincidences(lams, mus):
-            raise ValueError("zeros and poles must be disjoint")
+            raise InputError("zeros and poles must be disjoint")
         for _, v in (*zeros, *poles):
             if np.linalg.norm(v) == 0.0:
-                raise ValueError("interpolation vectors must be nonzero")
+                raise InputError("interpolation vectors must be nonzero")
 
     @property
     def n_zeros(self) -> int:

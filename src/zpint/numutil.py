@@ -57,10 +57,12 @@ def rel_residual(lhs, rhs) -> float:
 
 
 def svd_cond(mat) -> float:
-    """2-norm condition number from singular values; inf when singular."""
+    """2-norm condition number from singular values; inf when singular or non-finite."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return 1.0
+    if not np.isfinite(mat).all():
+        return np.inf
     s = np.linalg.svd(mat, compute_uv=False)
     if s[-1] == 0.0:
         return np.inf
@@ -68,11 +70,17 @@ def svd_cond(mat) -> float:
 
 
 def numerical_kernel_dim(mat, gap_ratio: float = 1e6) -> int:
-    """Kernel dimension by the largest singular-value gap of ratio >= gap_ratio."""
+    """Kernel dimension by the largest singular-value gap of ratio >= gap_ratio.
+
+    Singular values below max(M, N) * eps * s0 are roundoff and count as
+    one cluster at that floor, as in numpy.linalg.matrix_rank (Golub & Van
+    Loan, Matrix Computations, 5.4.1); an exact zero next to a roundoff
+    value therefore cannot outbid the true gap above them.
+    """
     mat = np.asarray(mat, dtype=complex)
     s = np.linalg.svd(mat, compute_uv=False)
     n = s.size
-    floor = s[0] / 1e308 if s[0] > 0 else 0.0
+    floor = max(mat.shape) * np.finfo(float).eps * s[0]
     best_dim = 0
     best_ratio = 1.0
     for k in range(n - 1):

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateEmbedding,
     HigherOrderPole,
     InputError,
+    NonConvergent,
     UnknownPoint,
     UnsupportedGenus,
 )
@@ -422,6 +423,9 @@ ODD_CHAR = ThetaCharacteristic(np.array([0.5]), np.array([0.5]))
 def _odd_deriv0(tau: complex, target: float) -> complex:
     cfg = ThetaEvalConfig(target_abs_error=target)
     grad = theta_gradient(ODD_CHAR, np.zeros(1), period_from_tau(tau), cfg)
+    if grad[0] == 0.0:
+        # |theta_1'(0)| ~ 2 pi exp(-pi Im(tau) / 4) leaves double range
+        raise NonConvergent(f"theta[1/2; 1/2]'(0) underflows to 0 at tau = {tau}")
     return complex(grad[0])
 
 

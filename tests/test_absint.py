@@ -24,6 +24,7 @@ from zpint.absint import (
 from zpint.errors import (
     BasePointCollision,
     DegenerateDenominator,
+    InputError,
     KernelSingular,
     NecessityViolated,
     NotFullRank,
@@ -136,14 +137,14 @@ def test_gamma_line_bundle_entry(scalar_setup):
 
 def test_dataset_validation(scalar_setup):
     surf, zeros, poles, *_ = scalar_setup
-    with pytest.raises(ValueError):   # coincidence without compatibility
+    with pytest.raises(InputError):   # coincidence without compatibility
         InterpolationDataSet(
             surface=surf, rank=1,
             zeros=(ZeroNode(zeros[0], np.array([[1.0]])),),
             poles=(PoleNode(zeros[0], np.array([[1.0]])),),
             couplings={(0, 0): np.array([[0.0]])},
         )
-    with pytest.raises(ValueError):   # duplicate zero points
+    with pytest.raises(InputError):   # duplicate zero points
         InterpolationDataSet(
             surface=surf, rank=1,
             zeros=(ZeroNode(zeros[0], np.array([[1.0]])),

@@ -7,7 +7,7 @@ the same battery.
 
 import pytest
 
-from zpint.verify import CRITERIA, run_all
+from zpint.verify import CRITERIA, checks_detrep, run_all
 
 SEED = 0
 
@@ -39,3 +39,11 @@ def test_criterion(battery, name):
 
 def test_overall(battery):
     assert battery["passed"]
+
+
+@pytest.mark.parametrize("seed", [84, 963])
+def test_on_curve_kernel_dim_at_exact_zero_spectra(seed):
+    # the determinantal-rep draws of battery seeds 77 and 956, where the
+    # pencil has an exact 0.0 singular value under a roundoff-level one
+    checks = {c["name"]: c for c in checks_detrep(seed=seed)}
+    assert checks["detrep.on_curve_kernel_dim"]["passed"]

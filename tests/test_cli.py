@@ -1,8 +1,13 @@
 """Command-line interface: problem files, reports, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpint.cli import run_command
 
@@ -90,7 +95,7 @@ def test_solve_line(tmp_path):
                             tmp_path / "r.json")
     assert code == 0
     checks = {c["name"]: c for c in report["checks"]}
-    assert checks["mult_vs_partial_fraction"]["residual"] < 1e-9
+    assert checks["line.mult_vs_partial_fraction"]["residual"] < 1e-9
 
 
 def test_fay_check(tmp_path):
@@ -123,6 +128,9 @@ def test_exit_code_2_on_bad_input(tmp_path):
     ok_syntax.write_text(json.dumps({"rank": 1, "zeros": []}))
     assert run_command(["solve-genus0", str(ok_syntax)]) == 2
     assert run_command(["theta", "--tau", "huh"]) == 2
+    undecodable = tmp_path / "binary.json"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    assert run_command(["solve-genus0", str(undecodable)]) == 2
 
 
 def test_exit_code_1_on_check_failure(tmp_path):
@@ -160,8 +168,8 @@ def test_conint_problem_file(tmp_path):
                             tmp_path / "r.json")
     assert code == 0
     checks = {c["name"]: c for c in report["checks"]}
-    assert checks["gamma_equality"]["residual"] < 1e-8
-    assert checks["intertwining"]["residual"] < 1e-7
+    assert checks["conint.gamma_equality"]["residual"] < 1e-8
+    assert checks["conint.intertwining"]["residual"] < 1e-7
     assert "gamma" in report
 
 
@@ -170,11 +178,23 @@ def test_conint_problem_file(tmp_path):
     ("solve-genus0", {**GENUS0_PROBLEM, "zeros": [{"point": ["x", 0.0], "x": [[1.0, 0.0]]}]}),
     ("conint", {**ABSINT_PROBLEM, "chi": {"blocks": [{"a": ["x"], "b": [0.41]}]}}),
     ("conint", {**ABSINT_PROBLEM, "embedding": [["x", 0.0], [0.55, 0.66], [0.79, 0.16]]}),
+    ("conint", {**ABSINT_PROBLEM, "embedding": [[0.16, 0.23], [0.55, 0.66]]}),
+    ("conint", {**ABSINT_PROBLEM, "embedding": 5}),
     # a zero equal to a pole, and a base point on a zero, both mod the lattice
     ("solve-line", {**LINE_PROBLEM, "zeros": [[0.13, 0.27]], "poles": [[1.13, 0.27]]}),
     ("solve-line", {**LINE_PROBLEM, "base_point": [1.13, 0.27]}),
-], ids=["line-chi", "genus0-point", "conint-block", "conint-embedding", "line-zero-on-pole",
-        "line-base-on-zero"])
+    # numbers beyond float range, and data that overflows in the solve
+    ("solve-genus0", {**GENUS0_PROBLEM, "rank": float("inf")}),
+    ("solve-line", {**LINE_PROBLEM, "chi": {"a": [10**400], "b": [0.41]}}),
+    ("solve-line", {**LINE_PROBLEM, "tau": [0.3, 3509.0]}),
+    ("conint", {**ABSINT_PROBLEM, "base_value": [[]]}),
+    ("conint", {**ABSINT_PROBLEM, "zeros": [
+        {"point": [0.13, 0.27], "vectors": [[[1.0, 1.7976931348623157e308]]]},
+        ABSINT_PROBLEM["zeros"][1]]}),
+], ids=["line-chi", "genus0-point", "conint-block", "conint-embedding",
+        "conint-embedding-count", "conint-embedding-scalar", "line-zero-on-pole",
+        "line-base-on-zero", "genus0-rank-inf", "line-huge-int", "line-tall-tau",
+        "conint-base-shape", "conint-huge-vector"])
 def test_bad_problem_exits_2(command, payload, tmp_path, capsys):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(payload))
@@ -223,3 +243,70 @@ def test_detrep_export(tmp_path):
 
     pencil = PencilRep.from_json(out.read_text())
     assert pencil.size == 3
+
+
+# --- fuzz: mutated problem files exit 0, 1 or 2, never with a traceback ---
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(tree, path=()):
+    yield path, tree
+    items = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+@st.composite
+def mutated(draw, payload):
+    """The payload with one key dropped, one leaf replaced or one list shortened."""
+    tree = copy.deepcopy(payload)
+    nodes = list(_nodes(tree))[1:]
+    path, node = draw(st.sampled_from(nodes))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    kinds = ["drop"] if isinstance(parent, dict) else []
+    if not isinstance(node, (dict, list)):
+        kinds.append("replace")
+    if isinstance(node, list) and node:
+        kinds.append("shorten")
+    kind = draw(st.sampled_from(kinds or ["replace"]))
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "shorten":
+        del node[draw(st.integers(0, len(node) - 1)):]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return tree
+
+
+@pytest.mark.parametrize("command, payload, examples", [
+    ("solve-genus0", GENUS0_PROBLEM, 200),
+    ("solve-line", LINE_PROBLEM, 150),
+    ("conint", ABSINT_PROBLEM, 100),
+], ids=["solve-genus0", "solve-line", "conint"])
+def test_mutated_problems_exit_cleanly(command, payload, examples, tmp_path):
+    problem = tmp_path / "p.json"
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(mutated(payload))
+    def run(case):
+        problem.write_text(json.dumps(case))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_command([command, str(problem), "--samples", "2",
+                                "--out", str(tmp_path / "r.json")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert json.loads(err.getvalue())["error"]
+
+    run()

@@ -15,6 +15,7 @@ from zpint.detrep import (
 )
 from zpint.errors import PointOnPoleSet, SingularBoundaryValue, SurfaceMismatch
 from zpint.kernels import direct_sum_kernel, line_kernel
+from zpint.numutil import numerical_kernel_dim
 from zpint.surface import lattice_reduce, line_bundle, torus_surface
 
 TAU = 0.3 + 0.9j
@@ -111,6 +112,15 @@ def test_curve_membership_on_and_off(setup, rng):
             z2 = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
             det_rel, _ = pencil_membership(pencil, z1, z2)
             assert det_rel > 1e-3
+
+
+
+def test_kernel_dim_ignores_an_exact_zero_below_roundoff():
+    # the spectrum of an on-curve pencil value at battery seed 77: the exact
+    # 0.0 must join the roundoff value, not outbid the gap above both
+    mat = np.diag([18.4, 16.5, 13.5, 11.9, 4e-16, 0.0])
+    assert numerical_kernel_dim(mat) == 2
+    assert numerical_kernel_dim(np.diag([3.0, 2.0, 1.0])) == 0
 
 
 def test_membership_rejects_pole_points(setup):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zpint.errors import CountMismatch, NotSquare, SingularGamma
+from zpint.errors import CountMismatch, InputError, NotSquare, SingularGamma
 from zpint.genus0 import (
     Genus0Problem,
     build_gamma_genus0,
@@ -164,11 +164,11 @@ def test_scalar_evaluation_at_i():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Genus0Problem(rank=1, zeros=((2.0, [1.0]),), poles=((2.0, [1.0]),))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Genus0Problem(rank=1, zeros=((2.0, [0.0]),), poles=((3.0, [1.0]),))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         Genus0Problem(rank=1, zeros=((2.0, [1.0]), (2.0, [1.0])),
                       poles=((3.0, [1.0]), (4.0, [1.0])))
     with pytest.raises(CountMismatch):
