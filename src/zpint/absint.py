@@ -417,10 +417,9 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     for pole in poles:
 
         def inv_kernel(t):
-            return np.linalg.inv(oracle_chi(t, q))
+            return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
 
         res = circle_modes(inv_kernel, coord(pole), 1e-3, orders=(-1,))[-1]
-        res = np.asarray(res, dtype=complex).reshape(data.rank, data.rank)
         defect = numerator(coord(pole)) @ Q @ res
         residual = float(np.linalg.norm(defect)) / (
             float(np.linalg.norm(Q @ res)) * scale_n + EPS_GUARD
@@ -437,37 +436,26 @@ def _min_node_gap(data, extra=()):
     return float(best) if np.isfinite(best) else 0.1
 
 
-def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q,
-                      h: float = 1e-5) -> np.ndarray:
+def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q) -> np.ndarray:
     """Matrix P with P[alpha, beta] = x_alpha . grad (t u_beta(p)) at xi.
 
     u_beta(p) = T(p) K(chi; p, q) w_beta is a local section whose residue
     at xi equals the pole vector u_beta; grad is the output-bundle
-    connection applied to the analytic continuation of t * u_beta.  The
-    coupling numbers of a known map are rho = -P.
+    connection applied to the analytic continuation of t * u_beta.  With
+    T(t) K(chi; t, q) = res/(t - xi) + const + O(t - xi), t * u_beta has
+    value res w_beta and derivative const w_beta at xi, both modes of one
+    circle.  The coupling numbers of a known map are rho = -P.
     """
     xi_c = coord(xi_point)
 
     def f_matrix(t):
-        return T(t) @ oracle_chi(t, q)
+        return np.array([T(s) for s in t]) @ evaluate_many(oracle_chi, t, [q] * len(t))
 
-    modes = circle_modes(f_matrix, xi_c, 1e-3, orders=(-1,))
-    res = np.asarray(modes[-1], dtype=complex)
+    modes = circle_modes(f_matrix, xi_c, 1e-3, orders=(-1, 0))
+    res, const = modes[-1], modes[0]
     conn = extract_laurent_coeffs(oracle_tilde, xi_c)
-    out = np.zeros((xs.shape[0], us.shape[0]), dtype=complex)
-    for beta in range(us.shape[0]):
-        w, *_ = np.linalg.lstsq(res, us[beta], rcond=None)
-
-        def t_u(t):
-            return (t - xi_c) * (f_matrix(t) @ w)
-
-        val0 = res @ w
-        d1 = (t_u(xi_c + h) - t_u(xi_c - h)) / (2 * h)
-        d2 = (t_u(xi_c + 2 * h) - t_u(xi_c - 2 * h)) / (4 * h)
-        deriv = (4 * d1 - d2) / 3
-        nabla = conn.A @ val0 + deriv
-        out[:, beta] = xs @ nabla
-    return out
+    w, *_ = np.linalg.lstsq(res, us.T, rcond=None)
+    return xs @ (conn.A @ res @ w + const @ w)
 
 
 def forward_couplings(T, surface: Surface, zeros, poles,
@@ -505,17 +493,16 @@ def verify_solution(T, data: InterpolationDataSet,
     report = {"pole_span_gaps": [], "zero_span_gaps": [], "coupling_residuals": []}
 
     for j, node in enumerate(data.poles):
-        modes = circle_modes(T, coord(node.point), radius, orders=(-1,))
-        res = np.asarray(modes[-1], dtype=complex)
+        res = circle_modes(lambda t: [T(s) for s in t], coord(node.point), radius,
+                           orders=(-1,))[-1]
         gap = principal_angle_gap(_col_span(res, node.count), node.vectors.T)
         report["pole_span_gaps"].append(gap)
 
     for i, node in enumerate(data.zeros):
         def inv_t(t):
-            return np.linalg.inv(T(t)).T
+            return np.linalg.inv([T(s) for s in t]).transpose(0, 2, 1)
 
-        modes = circle_modes(inv_t, coord(node.point), radius, orders=(-1,))
-        res = np.asarray(modes[-1], dtype=complex)
+        res = circle_modes(inv_t, coord(node.point), radius, orders=(-1,))[-1]
         gap = principal_angle_gap(_col_span(res, node.count), node.vectors.T)
         report["zero_span_gaps"].append(gap)
 
@@ -590,8 +577,7 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     defect = _necessity_defect(surface, zeros, poles, chi, chi_tilde)
     if defect > 1e-9:
         raise NecessityViolated(f"divisor/bundle lattice defect {defect:.3e}")
-    a_vec, _, _ = divisor_characteristic(surface, zeros, poles)
-    a = float(a_vec[0])
+    ratio = _prime_form_ratio(surface, zeros, poles, q, cfg)
     qc = coord(q)
     Q = complex(Q)
 
@@ -599,14 +585,27 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
         pc = coord(p)
         if surface.equal(pc, qc):
             return Q
+        return ratio(pc) * Q
+
+    return T
+
+
+def _prime_form_ratio(surface: Surface, zeros, poles, q, cfg):
+    """pc -> prod_i E(p, lam^i)/E(q, lam^i) / prod_j E(p, mu^j)/E(q, mu^j)
+    * exp(-2 pi i a (phi(p) - phi(q))), the scalar multiplicative factor."""
+    a_vec, _, _ = divisor_characteristic(surface, zeros, poles)
+    a = float(a_vec[0])
+    qc = coord(q)
+
+    def ratio(pc):
         val = 1.0 + 0.0j
         for z in zeros:
             val *= prime_form(surface, pc, z, cfg) / prime_form(surface, qc, z, cfg)
         for mu in poles:
             val /= prime_form(surface, pc, mu, cfg) / prime_form(surface, qc, mu, cfg)
-        return val * np.exp(-2j * np.pi * a * (pc - qc)) * Q
+        return val * np.exp(-2j * np.pi * a * (pc - qc))
 
-    return T
+    return ratio
 
 
 def scalar_partial_fraction(surface: Surface, zeros, poles,
@@ -756,24 +755,15 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     surface = data.surface
     zeros = [z.point for z in data.zeros]
     poles = [p.point for p in data.poles]
-    a_vec, _, _ = divisor_characteristic(surface, zeros, poles)
-    a = float(a_vec[0])
+    ratio = _prime_form_ratio(surface, zeros, poles, q, cfg)
     qc = coord(q)
     Qmat = np.asarray(Q, dtype=complex).reshape(r, r)
-
-    def scalar(pc):
-        val = 1.0 + 0.0j
-        for z in zeros:
-            val *= prime_form(surface, pc, z, cfg) / prime_form(surface, qc, z, cfg)
-        for mu in poles:
-            val /= prime_form(surface, pc, mu, cfg) / prime_form(surface, qc, mu, cfg)
-        return val * np.exp(-2j * np.pi * a * (pc - qc))
 
     def T(p):
         pc = coord(p)
         if surface.equal(pc, qc):
             return Qmat.copy()
-        return scalar(pc) * Qmat
+        return ratio(pc) * Qmat
 
     n0, ninf = len(zeros), len(poles)
     gamma = np.zeros((n0 * r, ninf * r), dtype=complex)

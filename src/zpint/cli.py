@@ -17,7 +17,9 @@ from the check table in `zpint.verify`, the same functions the battery
 runs, so a command reports the battery's names and tolerances; only
 `theta.deterministic` and `genus0.identity_at_infinity` are CLI-only rows.
 run_command times the command and writes the one JSON report (stdout by
-default, --out otherwise); it exits 0 when all checks pass, 1 on a check
+default, --out otherwise), or one JSON error object on stderr; either
+carries the warnings the command raised as a "warnings" list, and none
+is printed beside it.  It exits 0 when all checks pass, 1 on a check
 failure and 2 on bad input.  Complex numbers are written as [re, im]
 pairs in files and accepted as "a+bi" or "a+bj" strings on the command
 line.  Sweeps are seeded and reproducible.
@@ -30,6 +32,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -170,8 +173,10 @@ def _cmd_solve_genus0(args):
     T = solve_genus0(problem)
     rng = np.random.default_rng(args.seed)
     checks = verify.genus0_checks(problem, T, rng, args.samples, args.tol_scale)
+    # T - I decays like (node scale)/z, so probe far out on the nodes' own scale
+    far = 1e6 * max([1.0, *(abs(z) for z, _ in (*problem.zeros, *problem.poles))])
     checks.append(verify.check("genus0.identity_at_infinity",
-                               float(np.abs(T(1e6) - np.eye(problem.rank)).max()), 1e-5))
+                               float(np.abs(T(far) - np.eye(problem.rank)).max()), 1e-5))
     if problem.rank == 1:
         lams = [lam for lam, _ in problem.zeros]
         mus = [mu for mu, _ in problem.poles]
@@ -361,6 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_texts(caught) -> list[str]:
+    """The distinct warnings a command raised, as "Category: message" lines, in order."""
+    return list(dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught))
+
+
 def run_command(argv) -> int:
     """Run one command and write its report; returns the exit code."""
     parser = build_parser()
@@ -369,15 +379,15 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     start = time.perf_counter()
-    try:
-        checks, extras = args.fn(args)
-    except InputError as exc:
-        print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except ZpintError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            checks, extras = args.fn(args)
+        except ZpintError as exc:
+            kind = "input" if isinstance(exc, InputError) else type(exc).__name__
+            print(json.dumps({"error": kind, "message": str(exc),
+                              "warnings": _warning_texts(caught)}), file=sys.stderr)
+            return 2
     report = {
         "command": args.command,
         "schema_version": 1,
@@ -386,6 +396,7 @@ def run_command(argv) -> int:
         "tol_scale": args.tol_scale,
         "checks": checks,
         **extras,
+        "warnings": _warning_texts(caught),
         "elapsed_s": time.perf_counter() - start,
         "passed": all(c["passed"] for c in checks),
     }

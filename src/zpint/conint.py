@@ -42,7 +42,7 @@ from .errors import (
     ZPViolated,
 )
 from .kernels import CauchyKernelOracle
-from .numutil import COND_LIMIT, EPS_GUARD, rel_residual, svd_cond
+from .numutil import COND_LIMIT, EPS_GUARD, circle_modes, rel_residual, svd_cond
 from .surface import EmbeddingPair, Surface, coord, point
 
 __all__ = [
@@ -419,21 +419,22 @@ def _holomorphic_left_kernel(mat: np.ndarray, probe: np.ndarray) -> np.ndarray:
 
 
 def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
-                       pair: tuple[int, int], xi=None, h: float = 1e-5,
-                       seed: int = 1234) -> np.ndarray:
+                       pair: tuple[int, int], xi=None, seed: int = 1234) -> np.ndarray:
     """Residual matrix of the coupled interpolation condition at a coincidence.
 
-    For each null row psi_ia a local holomorphic section psi(t) of the
-    reference left kernel bundle is continued along the curve so that
-    psi(t) S_left(p(t)) has analytic-continuation value 0 at the node;
-    then
+    For each null row psi_ia a local holomorphic section
+    psi(t) = (c0 + c1 t) R(t) of the reference left kernel bundle (frame
+    R) is continued along the curve so that psi(t) S_left(p(t)) has
+    analytic-continuation value 0 at the node; then
 
         psi'(0) (xi.sigma) phi_jb / (xi.lambda')
           - psi(0) (xi.sigma) phi_jb (xi.lambda'') / (2 (xi.lambda')^2)
 
-    is compared against rho[(i, j)][a, b].  Derivatives of the section and
-    of the coordinate functions use Richardson-extrapolated central
-    differences at step h.
+    is compared against rho[(i, j)][a, b].  R and the pull-back
+    H(t) = transfer(t)^+ new(t), with psi(t) S_left = (c0 + c1 t) H(t), are
+    sampled on one circle of radius 1e-3 around the node: R(0) and R'(0)
+    are its modes 0 and 1, and the value at the node is the mean,
+    c0 H_0 + c1 H_-1.  lambda' and lambda'' come from lambda_derivs.
     """
     xi = tuple(xi) if xi is not None else solution.xi
     data = solution.data
@@ -448,62 +449,32 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
     probe_ref = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
     probe_new = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
 
-    steps = [h, -h, 2 * h, -2 * h]
-    ref_frames = {}
-    new_frames = {}
-    transfer = {}
-    for t in steps:
-        z = embedding.lambda_values(xi_c + t)
-        ref_frames[t] = _holomorphic_left_kernel(data.pencil.pencil(*z), probe_ref)
-        new_frames[t] = _holomorphic_left_kernel(
-            solution.pencil_new.pencil(*z), probe_new
-        )
-        transfer[t] = new_frames[t] @ solution.s_left_inv_matrix(z, xi)
-    z0 = embedding.lambda_values(xi_c)
-    frame0 = _holomorphic_left_kernel(data.pencil.pencil(*z0), probe_ref)
-    frame_deriv = ((8 * (ref_frames[h] - ref_frames[-h])
-                    - (ref_frames[2 * h] - ref_frames[-2 * h])) / (12 * h))
+    def frames(ts):
+        out = []
+        for z in embedding.lambda_values(ts):
+            ref = _holomorphic_left_kernel(data.pencil.pencil(*z), probe_ref)
+            new = _holomorphic_left_kernel(solution.pencil_new.pencil(*z), probe_new)
+            transfer = new @ solution.s_left_inv_matrix(z, xi)
+            pulled, *_ = np.linalg.lstsq(transfer.T, ref.T, rcond=None)
+            out.append((ref, pulled.T @ new))
+        return np.array(out)
 
-    (d11, d21) = embedding.lambda_derivs(xi_c, order=1, h=h)
-    (d12, d22) = embedding.lambda_derivs(xi_c, order=2, h=h)
+    modes = circle_modes(frames, xi_c, 1e-3, orders=(-1, 0, 1))
+    frame0, frame_deriv = modes[0][0], modes[1][0]
+    h0, h_minus1 = modes[0][1], modes[-1][1]
+
+    d1 = embedding.lambda_derivs(xi_c, order=1)
+    d2 = embedding.lambda_derivs(xi_c, order=2)
     xi1, xi2 = complex(xi[0]), complex(xi[1])
-    slope = xi1 * d11 + xi2 * d21
-    curvature = xi1 * d12 + xi2 * d22
+    slope = xi1 * d1[0] + xi2 * d1[1]
+    curvature = xi1 * d2[0] + xi2 * d2[1]
     sig = _sigma_xi(data.pencil, xi)
+
+    c0 = np.linalg.lstsq(frame0.T, zn.vectors.T, rcond=None)[0].T
+    c1 = np.linalg.lstsq(h_minus1.T, -(c0 @ h0).T, rcond=None)[0].T
+    psi_deriv = c1 @ frame0 + c0 @ frame_deriv
+    term1 = psi_deriv @ sig @ pn.vectors.T / slope
+    term2 = (zn.vectors @ sig @ pn.vectors.T) * curvature / (2.0 * slope**2)
+    value = term1 - term2
     rho = data.couplings[(i, j)]
-
-    residuals = np.zeros((zn.count, pn.count))
-    for alpha in range(zn.count):
-        psi0 = zn.vectors[alpha]
-        c0, *_ = np.linalg.lstsq(frame0.T, psi0, rcond=None)
-
-        def limit_value(c1):
-            # value at the node of psi(t) S_left(p(t)), by even extrapolation
-            vals = {}
-            for t in steps:
-                psi_t = (c0 + c1 * t) @ ref_frames[t]
-                d_t, *_ = np.linalg.lstsq(transfer[t].T, psi_t, rcond=None)
-                vals[t] = d_t @ new_frames[t]
-            even_h = 0.5 * (vals[h] + vals[-h])
-            even_2h = 0.5 * (vals[2 * h] + vals[-2 * h])
-            return (4.0 * even_h - even_2h) / 3.0
-
-        base = limit_value(np.zeros(r, dtype=complex))
-        columns = []
-        for k in range(r):
-            unit = np.zeros(r, dtype=complex)
-            unit[k] = 1.0
-            columns.append(limit_value(unit) - base)
-        design = np.stack(columns, axis=1)       # (M, r)
-        c1, *_ = np.linalg.lstsq(design, -base, rcond=None)
-
-        psi_deriv = c1 @ frame0 + c0 @ frame_deriv
-        for beta in range(pn.count):
-            phi = pn.vectors[beta]
-            term1 = (psi_deriv @ sig @ phi) / slope
-            term2 = (psi0 @ sig @ phi) * curvature / (2.0 * slope**2)
-            value = term1 - term2
-            target = rho[alpha, beta]
-            scale = abs(value) + abs(target) + 1.0
-            residuals[alpha, beta] = abs(value - target) / scale
-    return residuals
+    return np.abs(value - rho) / (np.abs(value) + np.abs(rho) + 1.0)

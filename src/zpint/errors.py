@@ -69,8 +69,12 @@ class DegenerateEmbedding(ZpintError):
     """Sampled coordinate map collides; choose different pole points."""
 
 
-class HigherOrderPole(ZpintError):
-    """Laurent fit found a |t|^-2 component above tolerance."""
+class ExtractionUnstable(ZpintError):
+    """A contour read of Laurent modes is not consistent with a simple pole."""
+
+
+class HigherOrderPole(ExtractionUnstable):
+    """Laurent fit found a |t|^-2 component above tolerance on either radius."""
 
 
 # --- genus-0 interpolation ---
@@ -99,10 +103,6 @@ class DegenerateBundle(ZpintError):
 
 class SurfaceMismatch(ZpintError):
     """Operands live on different surfaces."""
-
-
-class ExtractionUnstable(ZpintError):
-    """Richardson stages of a stencil extraction disagree."""
 
 
 class PointOnPoleSet(ZpintError):

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DegenerateBundle,
-    ExtractionUnstable,
     PointOnPoleSet,
     SurfaceMismatch,
     UnsupportedGenus,
@@ -42,6 +41,7 @@ from .surface import (
     FlatLineBundle,
     Surface,
     coord,
+    laurent_coeffs,
     point,
     prime_form,
 )
@@ -234,34 +234,28 @@ class ConnectionCoefficients:
         return float(np.linalg.norm(self.A + self.A_ell))
 
 
-def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0,
-                           coarse: float = 1e-3, fine: float = 1e-4) -> ConnectionCoefficients:
-    """Extract A and A_l at p0 from two-scale central-difference stencils.
+def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> ConnectionCoefficients:
+    """Read A and A_l at p0 from the constant Laurent modes of the kernel.
 
-    With G(s, t) = (s - t) K(p0+s, p0+t), central differences in s and t at
-    step h estimate A_l and A with O(h^2) error; Richardson combination of
-    the two scales removes the quadratic term.
+    K(p0 + t, p0) = I/t + A_l + O(t) and K(p0, p0 + t) = -I/t - A + O(t),
+    so A_l is the constant mode of K(., p0) and A is minus that of
+    K(p0, .), each read by laurent_coeffs over evaluate_many.
 
     Raises
     ------
     ExtractionUnstable
-        When the two scales disagree by more than 1e-4.
+        When either side shows more than a simple pole (HigherOrderPole).
     """
     z0 = coord(p0)
 
-    def stage(h):
-        a_ell = (oracle(z0 + h, z0) + oracle(z0 - h, z0)) / 2.0
-        a = -(oracle(z0, z0 + h) + oracle(z0, z0 - h)) / 2.0
-        return np.asarray(a, complex), np.asarray(a_ell, complex)
+    def column(t):
+        return evaluate_many(oracle, t, np.full(len(t), z0))
 
-    a1, l1 = stage(coarse)
-    a2, l2 = stage(fine)
-    drift = max(float(np.abs(a1 - a2).max()), float(np.abs(l1 - l2).max()))
-    if drift > 1e-4 * (1.0 + float(np.abs(a2).max())):
-        raise ExtractionUnstable(f"stencil stages disagree by {drift:.3e} at {z0}")
-    ratio = (coarse / fine) ** 2
-    a = (ratio * a2 - a1) / (ratio - 1.0)
-    a_ell = (ratio * l2 - l1) / (ratio - 1.0)
+    def row(t):
+        return evaluate_many(oracle, np.full(len(t), z0), t)
+
+    a_ell = laurent_coeffs(column, z0)[1]
+    a = -laurent_coeffs(row, z0)[1]
     return ConnectionCoefficients(z0, a, a_ell)
 
 

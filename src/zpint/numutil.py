@@ -1,7 +1,11 @@
 """Shared numerical helpers: contour mode extraction, rank decisions.
 
-Kept deliberately small; everything here is plain dense numpy on desk-scale
-matrices.
+Every derivative and Laurent coefficient in zpint is read from
+`circle_modes`: the trapezoid rule on a circle around the point, which
+converges geometrically for analytic integrands (Trefethen & Weideman,
+SIAM Rev. 56, 2014) and gives derivatives of analytic functions without
+a difference step (Fornberg, ACM TOMS 7, 1981).  Everything here is plain
+dense numpy on desk-scale matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ EPS_GUARD = 1e-300
 COND_LIMIT = 1e12
 
 
-def circle_modes(f, center: complex, radius: float, orders, samples: int = 16):
+def circle_modes(f, center, radius: float, orders, samples: int = 16):
     """Laurent modes of f around center from equispaced circle samples.
 
     For f(t) = sum_m a_m (t - center)^m analytic in a punctured disk larger
@@ -33,12 +37,16 @@ def circle_modes(f, center: complex, radius: float, orders, samples: int = 16):
     radius small against the distance to the next singularity the aliasing
     error is far below double precision roundoff.
 
-    f may return scalars or ndarrays (constant shape).  Returns a dict
-    order -> coefficient with the shape f returns.
+    center is one point or an array of points.  f is called once, on the
+    array of all circle points, of shape (samples, *center.shape), and
+    returns values of shape (samples, *center.shape, ...) (a list of the
+    per-point values will do).  Returns a dict order -> coefficient of
+    shape (*center.shape, ...), a complex for a scalar one.
     """
-    ks = np.arange(samples)
-    points = center + radius * np.exp(2j * np.pi * ks / samples)
-    values = np.array([np.asarray(f(t), dtype=complex) for t in points])
+    center = np.asarray(center, dtype=complex)
+    rim = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
+    points = center + rim.reshape((samples,) + (1,) * center.ndim)
+    values = np.asarray(f(points), dtype=complex)
     spectrum = np.fft.fft(values, axis=0) / samples
     out = {}
     for m in orders:

@@ -445,7 +445,7 @@ def odd_theta_deriv0(tau: complex, cfg: ThetaEvalConfig | None = None) -> comple
 
 def log_deriv_odd_theta(v: complex, period: PeriodMatrix,
                         cfg: ThetaEvalConfig | None = None) -> complex:
-    """d/dv log theta[1/2; 1/2](v | tau)."""
+    """d/dv log theta[1/2; 1/2](v | tau), from the term-wise gradient."""
     cfg = cfg or DEFAULT_CONFIG
     val = theta_with_char(ODD_CHAR, np.array([v]), period, cfg)
     grad = theta_gradient(ODD_CHAR, np.array([v]), period, cfg)
@@ -463,45 +463,74 @@ def prime_form(surface: Surface, p, q, cfg: ThetaEvalConfig | None = None):
 
 # --- Laurent coefficients at a simple pole ---
 
-def laurent_coeffs(f, center, pole_order: int = 1, radius: float = 1e-2,
+def laurent_coeffs(f, center, radius: float = 1e-2,
                    samples: int = 16) -> tuple[complex, complex]:
     """(residue, constant term) of f at a simple pole.
 
-    Uses equispaced circle sampling at two radii; the finer radius gives
-    the returned values and the |t|^-2 mode is monitored on both.
+    Reads the modes of circle_modes at two radii; the finer radius gives
+    the returned values and the |t|^-2 mode is monitored on both.  f takes
+    the array of circle points and may return scalars or arrays per point.
 
     Raises
     ------
     HigherOrderPole
         If the fitted |t|^-2 component exceeds tolerance.
     """
-    if pole_order != 1:
-        raise ValueError("only simple poles are supported")
     c = coord(center)
-    results = []
-    for h in (radius, radius / 2.0):
-        modes = circle_modes(f, c, h, orders=(-2, -1, 0), samples=samples)
-        results.append(modes)
-    fine = results[1]
-    scale = max(abs(fine[-1]), abs(fine[0]), 1.0)
-    if max(abs(results[0][-2]), abs(fine[-2])) > 1e-6 * scale:
+    coarse, fine = (circle_modes(f, c, h, orders=(-2, -1, 0), samples=samples)
+                    for h in (radius, radius / 2.0))
+    scale = max(np.abs(fine[-1]).max(), np.abs(fine[0]).max(), 1.0)
+    if max(np.abs(coarse[-2]).max(), np.abs(fine[-2]).max()) > 1e-6 * scale:
         raise HigherOrderPole(
-            f"|t|^-2 component {abs(fine[-2]):.3e} exceeds tolerance at {c}"
+            f"|t|^-2 component {np.abs(fine[-2]).max():.3e} exceeds tolerance at {c}"
         )
     return fine[-1], fine[0]
 
 
 # --- meromorphic embedding functions on the torus ---
 
+# Radius of the circle that reads the Taylor modes of theta[1/2; 1/2].
+# theta is entire, so the modes converge on any circle; at 0.1 the third
+# mode is a_3 r^3, well above roundoff, and the aliased a_19 r^19 is not.
+TAYLOR_RADIUS = 0.1
+
+
+def _log_theta_derivs(v, period: PeriodMatrix, cfg: ThetaEvalConfig, order: int):
+    """[L, L', L''][:order + 1] at each entry of the array v, L = theta'/theta.
+
+    v is first moved to its representative nearest 0, where
+    L(v + m + n tau) = L(v) - 2 pi i n and the derivatives are periodic,
+    so the circle sees theta where its Taylor series is tame.  One
+    circle_modes call (one theta_many call) gives the Taylor modes a_k of
+    theta[1/2; 1/2]; with q_k = a_k / a_0, L = q1, L' = 2 q2 - q1^2 and
+    L'' = 6 q3 - 6 q1 q2 + 2 q1^3.
+    """
+    tau = period.tau
+    n = np.rint(v.imag / tau.imag)
+    v = v - n * tau
+    v = v - np.rint(v.real)
+    a = circle_modes(lambda t: odd_theta(t, period, cfg), v, TAYLOR_RADIUS,
+                     orders=range(order + 2))
+    q = [a[k] / a[0] for k in range(1, order + 2)]
+    out = [q[0] - 2j * np.pi * n]
+    if order >= 1:
+        out.append(2 * q[1] - q[0] ** 2)
+    if order >= 2:
+        out.append(6 * q[2] - 6 * q[0] * q[1] + 2 * q[0] ** 3)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingPair:
     """Two elliptic coordinate functions with simple poles at three points.
 
     lambda1 = L(z - x1) - L(z - x2) and lambda2 = L(z - x1) - L(z - x3),
-    where L is the log-derivative of the odd theta function.  Together they
-    embed the torus (birationally) onto a plane cubic.  residues holds
-    c[i][k] = -Res_{x_i} lambda_k and consts holds the next Laurent
-    coefficients d[i][k], so lambda_k = -c/t - d + O(t) at each pole.
+    where L = theta'/theta is the log-derivative of the odd theta
+    function.  Together they embed the torus (birationally) onto a plane
+    cubic.  residues holds c[i][k] = -Res_{x_i} lambda_k and consts holds
+    the next Laurent coefficients d[i][k], so lambda_k = -c/t - d + O(t) at
+    each pole.  L and its derivatives at z - x_j come from the Taylor modes
+    of theta read on one circle (_log_theta_derivs).
     """
 
     surface: Torus
@@ -514,37 +543,29 @@ class EmbeddingPair:
     def m(self) -> int:
         return len(self.pole_points)
 
-    def _log_d(self, v: complex) -> complex:
-        return log_deriv_odd_theta(v, self.surface.period, self.cfg)
+    def _log_derivs(self, z, order: int):
+        """_log_theta_derivs at z - x_j, each of shape (*z.shape, 3)."""
+        z = np.asarray(self.surface.points(z))
+        v = z[..., None] - self.surface.points(self.pole_points)
+        return _log_theta_derivs(v, self.surface.period, self.cfg, order)
 
-    def lambda1(self, z) -> complex:
-        z = coord(z)
-        x1, x2, _ = (coord(x) for x in self.pole_points)
-        return self._log_d(z - x1) - self._log_d(z - x2)
+    def lambda_values(self, z) -> np.ndarray:
+        """(lambda1, lambda2) at z: shape (2,) at one point, (*z.shape, 2) at an array."""
+        L = self._log_derivs(z, 0)[0]
+        return L[..., :1] - L[..., 1:]
 
-    def lambda2(self, z) -> complex:
-        z = coord(z)
-        x1, _, x3 = (coord(x) for x in self.pole_points)
-        return self._log_d(z - x1) - self._log_d(z - x3)
+    def lambda1(self, z):
+        return self.lambda_values(z)[..., 0]
 
-    def lambda_values(self, z) -> tuple[complex, complex]:
-        return self.lambda1(z), self.lambda2(z)
+    def lambda2(self, z):
+        return self.lambda_values(z)[..., 1]
 
-    def lambda_derivs(self, z, order: int = 1, h: float = 1e-5):
-        """Richardson-extrapolated central differences of (lambda1, lambda2)."""
-        z = coord(z)
-        out = []
-        for fn in (self.lambda1, self.lambda2):
-            if order == 1:
-                d1 = (fn(z + h) - fn(z - h)) / (2 * h)
-                d2 = (fn(z + 2 * h) - fn(z - 2 * h)) / (4 * h)
-            elif order == 2:
-                d1 = (fn(z + h) - 2 * fn(z) + fn(z - h)) / h**2
-                d2 = (fn(z + 2 * h) - 2 * fn(z) + fn(z - 2 * h)) / (4 * h**2)
-            else:
-                raise ValueError("order must be 1 or 2")
-            out.append((4 * d1 - d2) / 3)
-        return tuple(out)
+    def lambda_derivs(self, z, order: int = 1) -> np.ndarray:
+        """Derivative of order 1 or 2 of (lambda1, lambda2), shaped as lambda_values."""
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        dL = self._log_derivs(z, order)[order]
+        return dL[..., :1] - dL[..., 1:]
 
     def is_pole(self, z, tol: float = POINT_TOL) -> bool:
         return bool(np.any(self.surface.equal(z, self.pole_points, tol)))
@@ -555,10 +576,11 @@ def build_embedding_functions(surface: Torus, x1, x2, x3,
                               degeneracy_samples: int = 24) -> EmbeddingPair:
     """Construct the coordinate pair for pole points (x1, x2, x3).
 
-    The residue table is fixed by the construction:
-    c[:, 0] = (-1, 1, 0) and c[:, 1] = (-1, 0, 1); constants d[i][k] are
-    extracted numerically.  A deterministic sample sweep guards against a
-    degenerate (non-injective) coordinate map.
+    With lambda_k = sum_j S[k, j] L(z - x_j) and S = [[1, -1, 0],
+    [1, 0, -1]], the Laurent data are closed forms: L is odd, so
+    L(t) = 1/t + O(t), the residues are c = -S^T and the constants are
+    d[i][k] = -sum_{j != i} S[k, j] L(x_i - x_j).  A deterministic sample
+    sweep guards against a degenerate (non-injective) coordinate map.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not isinstance(surface, Torus):
@@ -567,18 +589,13 @@ def build_embedding_functions(surface: Torus, x1, x2, x3,
     if any(i != j for i, j in surface.coincidences(xs, xs)):
         raise DegenerateEmbedding("pole points must be distinct mod lattice")
 
-    residues = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    pair = EmbeddingPair(surface, xs, residues, np.zeros((3, 2), dtype=complex), cfg)
-
-    consts = np.zeros((3, 2), dtype=complex)
-    for i, x in enumerate(xs):
-        for k, fn in enumerate((pair.lambda1, pair.lambda2)):
-            if residues[i, k] == 0:
-                consts[i, k] = -fn(coord(x))
-            else:
-                _, const = laurent_coeffs(fn, x)
-                consts[i, k] = -const
-    pair = EmbeddingPair(surface, xs, residues, consts, cfg)
+    S = np.array([[1, -1, 0], [1, 0, -1]])
+    c = surface.points(xs)
+    upper = np.triu_indices(3, 1)
+    L = np.zeros((3, 3), dtype=complex)   # L[i, j] = L(x_i - x_j), odd
+    L[upper] = _log_theta_derivs(c[upper[0]] - c[upper[1]], surface.period, cfg, 0)[0]
+    L -= L.T
+    pair = EmbeddingPair(surface, xs, (-S.T).astype(complex), -L @ S.T, cfg)
 
     tau = surface.tau
     samples = []
@@ -591,9 +608,9 @@ def build_embedding_functions(surface: Torus, x1, x2, x3,
         if np.any(surface.equal(z, xs, 1e-3)):
             continue
         samples.append(z)
-    values = np.array([pair.lambda_values(z) for z in samples])
-    gaps = np.abs(values[:, None] - values[None, :]).sum(axis=2)
     grid = np.array(samples)
+    values = pair.lambda_values(grid)
+    gaps = np.abs(values[:, None] - values[None, :]).sum(axis=2)
     distinct = ~surface.equal(grid[:, None], grid[None, :], 1e-6)
     hits = np.argwhere(np.triu(distinct & (gaps < 1e-8), 1))
     if hits.size:

@@ -56,11 +56,13 @@ from .genus0 import Genus0Problem, scalar_product_form, solve_genus0, sylvester_
 from .kernels import (
     collection_residual,
     direct_sum_kernel,
+    evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
     line_connection_form,
     line_kernel,
 )
+from .numutil import circle_modes
 from .surface import (
     build_embedding_functions,
     lattice_reduce,
@@ -288,16 +290,13 @@ def checks_genus0(seed=2, tol_scale=1.0):
 
 # --- criterion 3: Cauchy kernels ---
 
-def _residue_defect(oracle, p0, h=1e-3):
-    """Quadratic Richardson extrapolation of (t(p)-t(q)) K toward the diagonal."""
-    def val(step):
-        return step * oracle(p0 + step, p0)
+def _residue_defect(oracle, p0):
+    """Distance from I of the -1 mode of K(., p0) at p0 (the kernel's residue)."""
+    def column(t):
+        return evaluate_many(oracle, t, np.full(len(t), p0))
 
-    v1, v2, v3 = val(h), val(h / 2), val(h / 4)
-    a1 = 2 * v2 - v1
-    a2 = 2 * v3 - v2
-    limit = (4 * a2 - a1) / 3
-    return float(np.abs(limit - np.eye(oracle.rank)).max())
+    residue = circle_modes(column, p0, 1e-3, orders=(-1,))[-1]
+    return float(np.abs(residue - np.eye(oracle.rank)).max())
 
 
 def _torus_kernels():

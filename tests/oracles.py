@@ -86,6 +86,21 @@ def cauchy_determinant(lams, mus):
     return num / den
 
 
+def odd_theta_log_derivs(v, tau):
+    """(L, L', L'') at v for L = theta[1/2; 1/2]'/theta[1/2; 1/2], via mpmath.
+
+    theta[1/2; 1/2](v) = -theta_1(pi v, q) with q = exp(i pi tau); the
+    constant factor cancels in L, and mp.jtheta gives the derivatives of
+    theta_1 in closed form.
+    """
+    q = mp.exp(1j * mp.pi * mp.mpc(complex(tau)))
+    z = mp.pi * mp.mpc(complex(v))
+    t0, t1, t2, t3 = (mp.jtheta(1, z, q, k) for k in range(4))
+    r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
+    return (complex(mp.pi * r1), complex(mp.pi**2 * (r2 - r1**2)),
+            complex(mp.pi**3 * (r3 - 3 * r2 * r1 + 2 * r1**3)))
+
+
 def central_difference(fn, z, h=1e-5, order=1):
     """Richardson-extrapolated central difference, complex step h."""
     if order == 1:

@@ -456,7 +456,7 @@ def test_triangular_coupling_matches_analytic_value(triangular_coincidence):
     *_, rho, f2, g, xi_c = triangular_coincidence
     from zpint.surface import laurent_coeffs
 
-    res_f2, _ = laurent_coeffs(f2, xi_c)
+    res_f2, _ = laurent_coeffs(lambda t: [f2(s) for s in t], xi_c)
     expected = -g(xi_c) / res_f2
     assert abs(rho[(0, 1)][0, 0] - expected) < 1e-8 * (1 + abs(expected))
     assert abs(rho[(0, 1)][0, 0]) > 0.1      # genuinely nonzero coupling

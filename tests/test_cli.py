@@ -4,11 +4,16 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zpint
 from zpint.cli import run_command
 
 GENUS0_PROBLEM = {
@@ -86,6 +91,26 @@ def test_solve_genus0_fixture(tmp_path):
     value = complex(*by_z[(10.0, 0.0)][0][0])
     assert abs(value - 8 / 7) < 1e-12
     assert report["passed"]
+
+
+def test_solve_genus0_far_zero_passes_at_infinity(tmp_path):
+    # T - I ~ (node scale)/z: a probe at a fixed z = 1e6 failed this problem
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(
+        {**GENUS0_PROBLEM, "zeros": [{"point": [2.0, -253.0], "x": [[1.0, 0.0]]}]}))
+    code, report = run_json(["solve-genus0", str(problem)], tmp_path / "r.json")
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["genus0.identity_at_infinity"]["passed"]
+
+
+def test_solve_genus0_without_nodes_is_the_identity(tmp_path):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"rank": 1, "zeros": [], "poles": []}))
+    code, report = run_json(["solve-genus0", str(problem)], tmp_path / "r.json")
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["genus0.identity_at_infinity"]["passed"]
 
 
 def test_solve_line(tmp_path):
@@ -203,6 +228,28 @@ def test_bad_problem_exits_2(command, payload, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("solve-line", {**LINE_PROBLEM, "zeros": [[1e308, 0.27], [0.61, 0.43]]}),
+    ("conint", {**ABSINT_PROBLEM, "zeros": [
+        {"point": [0.13, 0.27], "vectors": [[[1.0, 1.7976931348623157e308]]]},
+        ABSINT_PROBLEM["zeros"][1]]}),
+], ids=["line-huge-zero", "conint-huge-vector"])
+def test_stderr_is_one_json_object(command, payload, tmp_path):
+    # a fresh interpreter, because pytest captures warnings in-process
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(payload))
+    src = str(Path(zpint.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "zpint.cli", command, str(problem)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)
+    assert error["error"] and error["warnings"]
+    assert all(w.startswith("RuntimeWarning: ") for w in error["warnings"])
+    assert len(set(error["warnings"])) == len(error["warnings"])
 
 
 def test_theta_omega_alias(tmp_path):

@@ -13,6 +13,7 @@ from zpint.errors import (
     UnknownPoint,
     UnsupportedGenus,
 )
+from zpint.numutil import circle_modes
 from zpint.surface import (
     SurfaceDataBundle,
     SurfacePoint,
@@ -20,6 +21,7 @@ from zpint.surface import (
     data_bundle_surface,
     genus0_surface,
     laurent_coeffs,
+    log_deriv_odd_theta,
     prime_form,
     torus_surface,
 )
@@ -137,6 +139,65 @@ def test_embedding_derivs_match_oracle(embedding):
     ref2 = oracles.central_difference(embedding.lambda2, z)
     assert abs(d1 - ref1) < 1e-8 * (1 + abs(ref1))
     assert abs(d2 - ref2) < 1e-8 * (1 + abs(ref2))
+
+
+def _lambda_points(embedding):
+    """Generic points, a lattice-shifted one and two 1e-3 from a pole."""
+    x1, x2, _ = (complex(x.coordinate) for x in embedding.pole_points)
+    return [0.27 + 0.33j, 0.91 + 0.05j, 0.44 + 0.71j + 1 + TAU,
+            x1 + 1e-3, x2 - 0.6e-3 + 0.8e-3j]
+
+
+def test_lambda_values_match_log_deriv_and_mpmath(torus, embedding):
+    xs = [complex(x.coordinate) for x in embedding.pole_points]
+    for z in _lambda_points(embedding):
+        got = embedding.lambda_values(z)
+        L = [log_deriv_odd_theta(z - x, torus.period) for x in xs]
+        Lmp = [oracles.odd_theta_log_derivs(z - x, TAU)[0] for x in xs]
+        for k, ref, ref_mp in ((0, L[0] - L[1], Lmp[0] - Lmp[1]),
+                               (1, L[0] - L[2], Lmp[0] - Lmp[2])):
+            assert abs(got[k] - ref) <= 1e-12 * abs(ref)
+            assert abs(got[k] - ref_mp) <= 1e-12 * abs(ref_mp)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lambda_derivs_match_mpmath(embedding, order):
+    xs = [complex(x.coordinate) for x in embedding.pole_points]
+    for z in _lambda_points(embedding):
+        got = embedding.lambda_derivs(z, order=order)
+        dL = [oracles.odd_theta_log_derivs(z - x, TAU)[order] for x in xs]
+        for k, ref in ((0, dL[0] - dL[1]), (1, dL[0] - dL[2])):
+            assert abs(got[k] - ref) <= 1e-12 * abs(ref)
+
+
+def test_lambda_array_rows_match_scalar_calls(embedding):
+    grid = np.array(_lambda_points(embedding)).reshape(1, 5)
+    for values, fn in ((embedding.lambda_values(grid), embedding.lambda_values),
+                       (embedding.lambda_derivs(grid, 2),
+                        lambda z: embedding.lambda_derivs(z, 2))):
+        assert values.shape == (1, 5, 2)
+        for z, row in zip(grid[0], values[0]):
+            one = fn(z)
+            assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+    assert embedding.lambda1(grid).shape == (1, 5)
+
+
+def test_circle_modes_calls_f_once_on_array_center():
+    calls = []
+
+    def f(t):
+        calls.append(t.shape)
+        return np.stack([1.0 / (t - center) + 2.0 + 3.0 * (t - center), t**2], axis=-1)
+
+    center = np.array([[0.1 + 0.2j, -1.0], [2.0j, 3.0 + 0.5j]])
+    modes = circle_modes(f, center, 1e-2, orders=(-1, 0, 1))
+    assert calls == [(16, 2, 2)]
+    assert modes[0].shape == (2, 2, 2)
+    assert np.abs(modes[-1][..., 0] - 1.0).max() < 1e-12
+    assert np.abs(modes[0][..., 0] - 2.0).max() < 1e-12
+    assert np.abs(modes[1][..., 0] - 3.0).max() < 1e-10
+    assert np.abs(modes[0][..., 1] - center**2).max() < 1e-12
+    assert np.abs(modes[1][..., 1] - 2 * center).max() < 1e-10
 
 
 def test_degenerate_embedding_rejected(torus):
