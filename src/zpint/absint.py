@@ -14,6 +14,12 @@ the poles of K(chi; . , q)^{-1} hold, and then
     T(p)      = [K(chi~; p, q) + K_mu_u(p) Gamma^{-1} K_x_lam(q)] Q K(chi; p, q)^{-1},
     T(p)^{-1} = K(chi; q, p)^{-1} Q^{-1} [K(chi~; q, p) + K_mu_u(q) Gamma^{-1} K_x_lam(p)].
 
+Both interpolants evaluate arrays of points (BundleMapEvaluator.many),
+and a call at one point is the N = 1 case.  The terms of the kernel sum
+are folded at build time into one weight matrix, so a batch of points
+costs one kernel batch for the numerator, one for K(chi; p, q) and one
+stacked solve.
+
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
 and equating them for a single zero-pole pair is exactly the trisecant
@@ -60,8 +66,9 @@ from .surface import (
 )
 from .theta import (
     DEFAULT_CONFIG,
+    ThetaCharacteristic,
     ThetaEvalConfig,
-    riemann_theta,
+    theta_many,
     theta_with_char,
 )
 
@@ -233,42 +240,29 @@ def build_gamma(data: InterpolationDataSet,
     return GammaMatrix(gamma, rows, cols)
 
 
-def _k_mu_u(data, oracle, p) -> np.ndarray:
-    """Row block [K(chi~; p, mu^j) u_j]_j of shape (r, N_pole)."""
-    if not data.poles:
-        return np.zeros((oracle.rank, 0), dtype=complex)
-    kvals = evaluate_many(oracle, [p] * len(data.poles), [node.point for node in data.poles])
-    return np.hstack([k @ node.vectors.T for k, node in zip(kvals, data.poles)])
-
-
-def _k_x_lam(data, oracle, q) -> np.ndarray:
-    """Column block [x_i K(chi~; lambda^i, q)]_i of shape (N_zero, r)."""
-    if not data.zeros:
-        return np.zeros((0, oracle.rank), dtype=complex)
-    kvals = evaluate_many(oracle, [node.point for node in data.zeros], [q] * len(data.zeros))
-    return np.vstack([node.vectors @ k for k, node in zip(kvals, data.zeros)])
-
-
-def _kernel_invertible(kmat: np.ndarray, where):
+def _kernel_invertible(kmat: np.ndarray, P):
     """Kernel values vanish where the inverse kernel has poles; kernels are
     O(1)-or-larger elsewhere, so a tiny smallest singular value against a
-    unit scale flags evaluation at (or next to) such a pole."""
+    unit scale flags evaluation at (or next to) such a pole.  kmat holds
+    the values at the points P, shape (N, r, r); the first such point is
+    named."""
     s = np.linalg.svd(kmat, compute_uv=False)
-    if s[-1] <= 1e-10 * max(1.0, s[0]):
-        raise KernelSingular(f"kernel value numerically singular at p = {where}")
-
-
-def _solve_right(numer: np.ndarray, kmat: np.ndarray, where) -> np.ndarray:
-    """numer @ inv(kmat), guarding against singular kernel values."""
-    _kernel_invertible(kmat, where)
-    return np.linalg.solve(kmat.T, numer.T).T
+    singular = s[:, -1] <= 1e-10 * np.maximum(1.0, s[:, 0])
+    if singular.any():
+        where = point(P[int(singular.argmax())])
+        raise KernelSingular(f"kernel value numerically singular at p = {where!r}")
 
 
 class BundleMapEvaluator:
-    """Callable bundle map with a fixed base value T(q) = Q."""
+    """Bundle map with a fixed base value T(q) = Q, over arrays of points.
 
-    def __init__(self, fn, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
-        self._fn = fn
+    many(P) gives the values at a sequence of points, shape (N, r, r); a
+    call T(p) is its N = 1 case.  The value at q is Q for a solution and
+    Q^{-1} for an inverse.
+    """
+
+    def __init__(self, rows, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
+        self._rows = rows   # values at points away from q
         self.data = data
         self.q = q
         self.Q = Q
@@ -276,9 +270,27 @@ class BundleMapEvaluator:
         self.oracle_tilde = oracle_tilde
         self.gamma = gamma
         self.kind = kind
+        self._at_q = Q if kind == "solution" else np.linalg.inv(Q)
+
+    def many(self, P) -> np.ndarray:
+        """Values at the points P, shape (N, r, r).
+
+        Raises
+        ------
+        KernelSingular
+            If a point of P is a pole of the inverse kernel factor.
+        """
+        surface = self.data.surface
+        P = surface.points(P)
+        out = np.empty((len(P), self.rank, self.rank), dtype=complex)
+        at_q = surface.equal(P, self.q)
+        out[at_q] = self._at_q
+        if not at_q.all():
+            out[~at_q] = self._rows(P[~at_q])
+        return out
 
     def __call__(self, p) -> np.ndarray:
-        return self._fn(point(p))
+        return self.many([p])[0]
 
     @property
     def rank(self) -> int:
@@ -304,11 +316,65 @@ def _prepare(data, q, Q, oracle_chi, oracle_tilde):
 
 
 def _numerator(data, q, gamma, oracle_tilde):
-    """p -> K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q): T(p) before K(chi; p, q)^-1."""
-    if not gamma.matrix.shape[0]:
-        return lambda p: oracle_tilde(p, q)
-    coef = np.linalg.solve(gamma.matrix, _k_x_lam(data, oracle_tilde, q))
-    return lambda p: oracle_tilde(p, q) + _k_mu_u(data, oracle_tilde, p) @ coef
+    """P -> K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q) per point, (N, r, r):
+    T(p) before Q K(chi; p, q)^-1.
+
+    With K_mu_u(p) = [K(chi~; p, mu^j) u_j]_j and K_x_lam(q) =
+    [x_i K(chi~; lambda^i, q)]_i, the pole weights fold into one
+    ((n+1) r, r) matrix [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so a batch is
+    one kernel call over the pairs (p, q), (p, mu^1), ..., (p, mu^n) and
+    one matmul.
+    """
+    r = data.rank
+    weight = np.eye(r, dtype=complex)
+    if data.poles:
+        kvals = evaluate_many(oracle_tilde, [node.point for node in data.zeros],
+                              [q] * len(data.zeros))
+        k_x_lam = np.vstack([node.vectors @ k for k, node in zip(kvals, data.zeros)])
+        coef = np.linalg.solve(gamma.matrix, k_x_lam)
+        u = np.vstack([node.vectors for node in data.poles])
+        # block j is u_j^T coef_j, the sum of the outer products of its rows
+        blocks = np.add.reduceat(u[:, :, None] * coef[:, None, :],
+                                 [c0 for c0, _ in gamma.col_blocks])
+        weight = np.vstack([weight, blocks.reshape(-1, r)])
+    ends = data.surface.points([q, *(node.point for node in data.poles)])
+
+    def rows(P):
+        n, m = len(P), len(ends)
+        kvals = evaluate_many(oracle_tilde, np.repeat(P, m), np.tile(ends, n))
+        return kvals.reshape(n, m, r, r).transpose(0, 2, 1, 3).reshape(n, r, m * r) @ weight
+
+    return rows
+
+
+def _tail(data, q, gamma, oracle_tilde):
+    """P -> K(chi~; q, p) + K_mu_u(q) Gamma^-1 K_x_lam(p) per point, (N, r, r):
+    T^{-1}(p) after K(chi; q, p)^-1 Q^-1.
+
+    The mirror of _numerator: the zero weights fold into one (r, (n+1) r)
+    matrix [I, (K_mu_u(q) Gamma^-1)_i x_i], over the pairs (q, p),
+    (lambda^1, p), ..., (lambda^n, p).
+    """
+    r = data.rank
+    weight = np.eye(r, dtype=complex)
+    if data.zeros:
+        kvals = evaluate_many(oracle_tilde, [q] * len(data.poles),
+                              [node.point for node in data.poles])
+        k_mu_u = np.hstack([k @ node.vectors.T for k, node in zip(kvals, data.poles)])
+        coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
+        x = np.vstack([node.vectors for node in data.zeros])
+        # block i is coef_i x_i, the sum of the outer products of its columns and rows
+        blocks = np.add.reduceat(coef.T[:, :, None] * x[:, None, :],
+                                 [r0 for r0, _ in gamma.row_blocks])
+        weight = np.hstack([weight, blocks.transpose(1, 0, 2).reshape(r, -1)])
+    starts = data.surface.points([q, *(node.point for node in data.zeros)])
+
+    def rows(P):
+        n, m = len(P), len(starts)
+        kvals = evaluate_many(oracle_tilde, np.tile(starts, n), np.repeat(P, m))
+        return weight @ kvals.reshape(n, m * r, r)
+
+    return rows
 
 
 def build_solution(data: InterpolationDataSet, q, Q,
@@ -317,15 +383,16 @@ def build_solution(data: InterpolationDataSet, q, Q,
     """Interpolant with value Q at q, in partial-fraction form."""
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
     numerator = _numerator(data, q, gamma, oracle_tilde)
+    base = data.surface.points([q])
 
-    def fn(p):
-        if data.surface.equal(p, q):
-            return Q.copy()
-        return _solve_right(numerator(p) @ Q, oracle_chi(p, q), coord(p))
+    def rows(P):
+        numer = numerator(P) @ Q
+        kmat = evaluate_many(oracle_chi, P, np.repeat(base, len(P)))
+        _kernel_invertible(kmat, P)
+        return np.linalg.solve(kmat.transpose(0, 2, 1),
+                               numer.transpose(0, 2, 1)).transpose(0, 2, 1)
 
-    ev = BundleMapEvaluator(fn, data, q, Q, oracle_chi, oracle_tilde, gamma, "solution")
-    ev.numerator = numerator
-    return ev
+    return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "solution")
 
 
 def build_inverse(data: InterpolationDataSet, q, Q,
@@ -341,24 +408,17 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     kernel duality K(dual; p, q)^T = -K(chi; q, p).
     """
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    n = gamma.matrix.shape[0]
+    tail = _tail(data, q, gamma, oracle_tilde)
     Qinv = np.linalg.inv(Q)
-    if n:
-        head = np.linalg.solve(gamma.matrix.T, _k_mu_u(data, oracle_tilde, q).T).T
-    else:
-        head = np.zeros((data.rank, 0), dtype=complex)
+    base = data.surface.points([q])
 
-    def fn(p):
-        if data.surface.equal(p, q):
-            return Qinv.copy()
-        tail = oracle_tilde(q, p)
-        if n:
-            tail = tail + head @ _k_x_lam(data, oracle_tilde, p)
-        kmat = oracle_chi(q, p)
-        _kernel_invertible(kmat, coord(p))
-        return np.linalg.solve(kmat, Qinv @ tail)
+    def rows(P):
+        after = Qinv @ tail(P)
+        kmat = evaluate_many(oracle_chi, np.repeat(base, len(P)), P)
+        _kernel_invertible(kmat, P)
+        return np.linalg.solve(kmat, after)
 
-    return BundleMapEvaluator(fn, data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse")
+    return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse")
 
 
 def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q, cfg=None):
@@ -411,7 +471,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
         return []
     tau = data.surface.tau
     ref_point = lattice_reduce(coord(q) + 0.2718 + 0.3141j, tau)
-    scale_n = float(np.linalg.norm(numerator(ref_point))) + EPS_GUARD
+    scale_n = float(np.linalg.norm(numerator([ref_point])[0])) + EPS_GUARD
 
     results = []
     for pole in poles:
@@ -420,7 +480,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
             return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
 
         res = circle_modes(inv_kernel, coord(pole), 1e-3, orders=(-1,))[-1]
-        defect = numerator(coord(pole)) @ Q @ res
+        defect = numerator([pole])[0] @ Q @ res
         residual = float(np.linalg.norm(defect)) / (
             float(np.linalg.norm(Q @ res)) * scale_n + EPS_GUARD
         )
@@ -665,25 +725,29 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
 
 
 def fay_residual(surface: Surface, z, p, q, lam, mu,
-                 cfg: ThetaEvalConfig | None = None) -> float:
+                 cfg: ThetaEvalConfig | None = None):
     """Relative residual of the three-term trisecant identity.
 
     theta(z + L - M) theta(z + Q - P) E(p, lam) E(q, mu)
       + theta(z + L - P) theta(z + Q - M) E(lam, mu) E(q, p)
       = theta(z + L - M + Q - P) theta(z) E(p, mu) E(q, lam),
 
-    with L, M, P, Q the Abel-Jacobi images of lam, mu, p, q.
+    with L, M, P, Q the Abel-Jacobi images of lam, mu, p, q.  p, q, lam
+    and mu may each be a sequence of N points, and z one argument or N of
+    them ((N,) at genus 1, or (N, g)); the result is then the (N,) array
+    of residuals, from six theta_many and six prime_form calls.
     """
     cfg = cfg or DEFAULT_CONFIG
     period = surface.period
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    phi_p = surface.abel_jacobi(p)
-    phi_q = surface.abel_jacobi(q)
-    phi_l = surface.abel_jacobi(lam)
-    phi_m = surface.abel_jacobi(mu)
+    many = np.ndim(surface.points(p)) > 0
+    p, q, lam, mu = (surface.points(x if many else [x]) for x in (p, q, lam, mu))
+    phi_p, phi_q, phi_l, phi_m = (surface.abel_jacobi(x) for x in (p, q, lam, mu))
+    g = period.genus
+    z = np.asarray(z, dtype=complex).reshape(-1, g)
+    zero = ThetaCharacteristic(np.zeros(g), np.zeros(g))
 
     def th(w):
-        return riemann_theta(w, period, cfg)
+        return theta_many(zero, np.broadcast_to(w, phi_p.shape), period, cfg)
 
     def E(s, t):
         return prime_form(surface, s, t, cfg)
@@ -691,7 +755,9 @@ def fay_residual(surface: Surface, z, p, q, lam, mu,
     term1 = th(z + phi_l - phi_m) * th(z + phi_q - phi_p) * E(p, lam) * E(q, mu)
     term2 = th(z + phi_l - phi_p) * th(z + phi_q - phi_m) * E(lam, mu) * E(q, p)
     term3 = th(z + phi_l - phi_m + phi_q - phi_p) * th(z) * E(p, mu) * E(q, lam)
-    return abs(term1 + term2 - term3) / (abs(term1) + abs(term2) + abs(term3) + EPS_GUARD)
+    residual = np.abs(term1 + term2 - term3) / (
+        np.abs(term1) + np.abs(term2) + np.abs(term3) + EPS_GUARD)
+    return residual if many else float(residual[0])
 
 
 def matrix_fay_residual(oracle_chi: CauchyKernelOracle,

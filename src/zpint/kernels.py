@@ -20,6 +20,12 @@ surface bundle)
 and block-diagonal direct sums, which satisfy the defining property for
 the direct sum of the factors and are the only rank > 1 kernels built
 internally.
+
+Every built-in kernel evaluates arrays of point pairs (evaluate_many),
+and a single pair is the N = 1 case.  The line kernels of one surface
+share the argument phi(q) - phi(p) and the prime form, so a line kernel
+and the line blocks of a direct sum are evaluated together in one theta
+pass (_line_values).
 """
 
 from __future__ import annotations
@@ -37,11 +43,14 @@ from .errors import (
 )
 from .numutil import rel_residual
 from .surface import (
+    ODD_CHAR,
     EmbeddingPair,
     FlatLineBundle,
     Surface,
+    Torus,
     coord,
     laurent_coeffs,
+    odd_theta_deriv0,
     point,
     prime_form,
 )
@@ -77,8 +86,9 @@ class CauchyKernelOracle:
     when given, is the array-native form (two point arrays of length N, as
     made by surface.points -> (N, r, r)), and evaluate_many uses it.
     parts holds the summands of a direct sum; bundle holds the flat line
-    bundle of a rank-1 kernel; inner and frame hold the kernel and the
-    constant frame of a conjugated kernel.
+    bundle of a line kernel, and a direct sum evaluates such a part from
+    its bundle alone; inner and frame hold the kernel and the constant
+    frame of a conjugated kernel.
     """
 
     rank: int
@@ -148,8 +158,7 @@ def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
     return _array_native(r, surface, many, name=f"trivial({r})")
 
 
-def line_kernel(surface: Surface, bundle: FlatLineBundle,
-                cfg: ThetaEvalConfig | None = None) -> CauchyKernelOracle:
+def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
     """Rank-1 kernel of a flat line bundle on the torus or a data bundle.
 
     Raises
@@ -160,26 +169,65 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle,
         If |theta[a; b](0)| <= 1e-10, i.e. the twisted bundle has a
         global section and no Cauchy kernel exists.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    chi = bundle.characteristic
-    if surface.genus == 0 or chi.genus != surface.genus:
+    if surface.genus == 0 or bundle.characteristic.genus != surface.genus:
         raise UnsupportedGenus("line kernels need genus >= 1 and a bundle of that genus")
-    theta0 = bundle.theta_at_zero(surface.period, cfg)
-    if abs(theta0) <= 1e-10:
-        raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}")
-    period = surface.period
+    values = _line_values(surface, (bundle,))
 
     def many(P, Q):
-        v = surface.abel_jacobi(Q) - surface.abel_jacobi(P)
-        num = theta_many(chi, v, period, cfg)
-        e_qp = prime_form(surface, Q, P, cfg)
-        return (num / (theta0 * e_qp))[:, None, None]
+        return values(P, Q)[:, :, None]
 
     return _array_native(1, surface, many, bundle=bundle, name="line")
 
 
+def _line_values(surface: Surface, bundles) -> Callable:
+    """(P, Q) -> (N, k) values of the line kernels of k bundles, one theta pass.
+
+    Every kernel theta[chi_k](v) / (theta[chi_k](0) E(q, p)) shares the
+    argument v = phi(q) - phi(p) and the prime form, so one theta_many
+    call over the k characteristics at v serves the batch; on the torus
+    it also carries theta[1/2; 1/2] at -v = phi(p) - phi(q), the very
+    numerator of surface.prime_form(Q, P).  Each block is divided by its
+    own scalar theta(0), as a lone line kernel is, so the values do not
+    depend on the company a kernel keeps.
+
+    Raises
+    ------
+    DegenerateBundle
+        If some |theta[a; b](0)| <= 1e-10.
+    """
+    period = surface.period
+    chis = tuple(bundle.characteristic for bundle in bundles)
+    theta0 = [bundle.theta_at_zero(period) for bundle in bundles]
+    for value in theta0:
+        if abs(value) <= 1e-10:
+            raise DegenerateBundle(f"|theta[a;b](0)| = {abs(value):.3e}")
+    torus = isinstance(surface, Torus)
+
+    def values(P, Q):
+        v = surface.abel_jacobi(Q) - surface.abel_jacobi(P)
+        Z = np.empty((len(chis) + torus, *v.shape), dtype=complex)
+        Z[:len(chis)] = v
+        if torus:
+            Z[-1] = -v
+            theta = theta_many(chis + (ODD_CHAR,), Z, period)
+            e_qp = theta[-1] / odd_theta_deriv0(surface.tau)
+        else:
+            theta = theta_many(chis, Z, period)
+            e_qp = prime_form(surface, Q, P)
+        out = np.empty((len(v), len(chis)), dtype=complex)
+        for k, t0 in enumerate(theta0):
+            out[:, k] = theta[k] / (t0 * e_qp)
+        return out
+
+    return values
+
+
 def direct_sum_kernel(oracles) -> CauchyKernelOracle:
-    """Block-diagonal kernel of a direct sum of bundles on one surface."""
+    """Block-diagonal kernel of a direct sum of bundles on one surface.
+
+    The line-kernel parts share one theta pass (_line_values); any other
+    part is evaluated on its own.
+    """
     oracles = tuple(oracles)
     if not oracles:
         raise ValueError("need at least one summand")
@@ -190,12 +238,18 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
     ranks = [oracle.rank for oracle in oracles]
     total = sum(ranks)
     offsets = np.cumsum([0] + ranks)
+    lines = [k for k, oracle in enumerate(oracles) if oracle.bundle is not None]
+    others = [k for k, oracle in enumerate(oracles) if oracle.bundle is None]
+    line_values = _line_values(base, [oracles[k].bundle for k in lines]) if lines else None
 
     def many(P, Q):
         out = np.zeros((len(P), total, total), dtype=complex)
-        for k, oracle in enumerate(oracles):
+        if lines:
+            diagonal = offsets[lines]
+            out[:, diagonal, diagonal] = line_values(P, Q)
+        for k in others:
             sl = slice(offsets[k], offsets[k + 1])
-            out[:, sl, sl] = evaluate_many(oracle, P, Q)
+            out[:, sl, sl] = evaluate_many(oracles[k], P, Q)
         return out
 
     return _array_native(total, base, many, parts=oracles, name="direct_sum")

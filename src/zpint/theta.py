@@ -30,7 +30,9 @@ additive in the log of the Gaussian peak.  theta_many evaluates a batch
 of arguments, grouping them by radius; every point is summed with the
 same per-element arithmetic whatever batch it arrives in, so its value
 does not depend on its batch and equals the scalar theta_with_char
-value bit for bit.  Enumeration order is fixed; identical inputs give
+value bit for bit.  Given a tuple of characteristics, theta_many sums
+one row set per characteristic in the same single pass, each row with
+its own (a, b).  Enumeration order is fixed; identical inputs give
 bit-identical results on one platform.
 """
 
@@ -276,9 +278,11 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
                  y_sol: np.ndarray, radius: int, want_gradient: bool):
     """Characteristic sums at the rows of Z over one box radius.
 
-    The shared core of the scalar and batched entries.  Every operation
-    is elementwise, and each term sum runs along one row, so a row's value
-    does not depend on the other rows.  Returns (values, gradients or None).
+    The shared core of the scalar and batched entries.  a and b are one
+    characteristic (g,) for every row, or one per row (rows, g).  Every
+    operation is elementwise, and each term sum runs along one row, so a
+    row's value does not depend on the other rows.  Returns (values,
+    gradients or None).
 
     Raises
     ------
@@ -287,7 +291,7 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
     """
     omega = plan.omega
     base = np.rint(-a - y_sol)
-    m = [base[:, j, None] + col + a[j]
+    m = [base[:, j, None] + col + a[..., j, None]
          for j, col in enumerate(_offset_columns(radius, plan.genus))]
     zb = Z + b
     quad = sum(mj * omega[j, k] * mk for j, mj in enumerate(m) for k, mk in enumerate(m))
@@ -363,40 +367,50 @@ def theta_with_char(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,
     return value
 
 
-def theta_many(chi: ThetaCharacteristic, Z, omega: PeriodMatrix,
+def theta_many(chi, Z, omega: PeriodMatrix,
                cfg: ThetaEvalConfig | None = None) -> np.ndarray:
     """theta[a; b](Z[i] | Omega) for every row of Z, shape (N, g) -> (N,).
 
-    Points are grouped by truncation radius and summed in chunks of at
-    most CHUNK_ELEMENTS terms; entry i is bit-identical to
-    theta_with_char(chi, Z[i], omega, cfg).
+    chi may also be a tuple of k characteristics; Z then has shape
+    (k, N, g), row set i belonging to chi[i], and the (k, N) result comes
+    from one lattice pass over all k*N rows.  Points are grouped by
+    truncation radius and summed in chunks of at most CHUNK_ELEMENTS
+    terms; entry (i, j) is bit-identical to
+    theta_with_char(chi[i], Z[i, j], omega, cfg).
     """
     cfg = cfg or DEFAULT_CONFIG
     g = omega.genus
-    if chi.genus != g:
+    many = isinstance(chi, tuple)
+    chis = chi if many else (chi,)
+    if any(c.genus != g for c in chis):
         raise ValueError("characteristic genus does not match period matrix")
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 2 or Z.shape[1] != g:
-        raise ValueError(f"arguments have shape {Z.shape}, expected (N, {g})")
+    stacked = Z if many else Z[None]
+    if stacked.ndim != 3 or stacked.shape[0] != len(chis) or stacked.shape[2] != g:
+        expected = f"({len(chis)}, N, {g})" if many else f"(N, {g})"
+        raise ValueError(f"arguments have shape {Z.shape}, expected {expected}")
     if not np.isfinite(Z).all():
         raise ValueError("theta arguments must be finite")
-    if g == 0 or Z.shape[0] == 0:
-        return np.ones(Z.shape[0], dtype=complex)
+    if g == 0 or Z.size == 0:
+        return np.ones(Z.shape[:-1], dtype=complex)
+    rows = Z.reshape(-1, g)
+    a = np.array([c.a for c in chis]).repeat(stacked.shape[1], axis=0)
+    b = np.array([c.b for c in chis]).repeat(stacked.shape[1], axis=0)
     plan = omega.plan(cfg)
-    log_peak, y_sol = plan.peaks(Z)
+    log_peak, y_sol = plan.peaks(rows)
     radii = plan.radii(log_peak)
     lo, hi = int(radii.min()), int(radii.max())
-    if lo == hi and Z.shape[0] * (2 * hi + 1) ** g <= CHUNK_ELEMENTS:
-        return _lattice_sum(plan, chi.a, chi.b, Z, y_sol, hi, False)[0]
-    out = np.empty(Z.shape[0], dtype=complex)
+    if lo == hi and rows.shape[0] * (2 * hi + 1) ** g <= CHUNK_ELEMENTS:
+        return _lattice_sum(plan, a, b, rows, y_sol, hi, False)[0].reshape(Z.shape[:-1])
+    out = np.empty(rows.shape[0], dtype=complex)
     for radius in np.unique(radii).tolist():
-        rows = np.flatnonzero(radii == radius)
+        at = np.flatnonzero(radii == radius)
         step = max(1, CHUNK_ELEMENTS // (2 * radius + 1) ** g)
-        for start in range(0, rows.size, step):
-            sel = rows[start:start + step]
-            out[sel] = _lattice_sum(plan, chi.a, chi.b, Z[sel], y_sol[sel],
+        for start in range(0, at.size, step):
+            sel = at[start:start + step]
+            out[sel] = _lattice_sum(plan, a[sel], b[sel], rows[sel], y_sol[sel],
                                     radius, False)[0]
-    return out
+    return out.reshape(Z.shape[:-1])
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,

@@ -367,23 +367,19 @@ def checks_kernel(seed=3, tol_scale=1.0):
 
 def fay_sweep_check(surf, rng, samples=200, tol_scale=1.0):
     """Trisecant identity at random z and four random torus points."""
-    worst_fay = 0.0
-    for _ in range(samples):
-        z = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.4, 0.4)
-        pts = [sample_point(surf, rng) for _ in range(4)]
-        worst_fay = max(worst_fay, fay_residual(surf, z, *pts))
-    return check("fay.random_sweep", worst_fay, 1e-9 * tol_scale)
+    draws = [(rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.4, 0.4),
+              *(sample_point(surf, rng) for _ in range(4))) for _ in range(samples)]
+    residuals = fay_residual(surf, *np.reshape(draws, (-1, 5)).T)
+    return check("fay.random_sweep", residuals.max(initial=0.0), 1e-9 * tol_scale)
 
 
 def fay_degenerate_check(surf, rng, samples=10, tol_scale=1.0):
     """Trisecant identity where lambda = mu and where p = lambda."""
-    worst_deg = 0.0
-    for _ in range(samples):
-        z = rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.3, 0.3)
-        p, q, lam = (sample_point(surf, rng) for _ in range(3))
-        worst_deg = max(worst_deg, fay_residual(surf, z, p, q, lam, lam))
-        worst_deg = max(worst_deg, fay_residual(surf, z, lam, q, lam, p))
-    return check("fay.degenerate_collapses", worst_deg, 1e-10 * tol_scale)
+    draws = [(rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.3, 0.3),
+              *(sample_point(surf, rng) for _ in range(3))) for _ in range(samples)]
+    z, p, q, lam = np.reshape(draws, (-1, 4)).T
+    residuals = fay_residual(surf, *np.hstack([[z, p, q, lam, lam], [z, lam, q, lam, p]]))
+    return check("fay.degenerate_collapses", residuals.max(initial=0.0), 1e-10 * tol_scale)
 
 
 def checks_fay(seed=4, tol_scale=1.0):

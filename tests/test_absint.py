@@ -36,6 +36,7 @@ from zpint.surface import (
     genus0_surface,
     lattice_reduce,
     line_bundle,
+    point,
     torus_surface,
 )
 
@@ -503,6 +504,24 @@ def test_fay_residual_degenerate(rng):
     assert fay_residual(surf, z, lam, q, lam, p) < 1e-10
 
 
+def test_fay_residual_arrays(rng):
+    """Sequences of points give one residual per row, equal to the scalar
+    call's, on the torus and on a tabulated surface."""
+    from test_kernels import torus_table_surface
+
+    surf = torus_surface(TAU)
+    z = rng.uniform(-0.5, 0.5, 12) + 1j * rng.uniform(-0.4, 0.4, 12)
+    pts = [torus_points(rng, 12) for _ in range(4)]
+    table, labels = torus_table_surface(surf, pts[0][:4])
+    cases = [(surf, z, pts), (table, z[:3], [labels[:3], labels[1:], labels[::-1][:3],
+                                             [labels[3], labels[0], labels[2]]])]
+    for s, zs, P in cases:
+        batch = fay_residual(s, zs, *P)
+        assert batch.shape == (len(zs),) and batch.max() < 1e-9
+        for i in range(len(zs)):
+            assert fay_residual(s, zs[i], *(x[i] for x in P)) == batch[i]
+
+
 def test_matrix_fay_genus0_rank2(rng):
     k = genus0_kernel(2)
     x = np.array([1.0, 0.5 - 0.3j])
@@ -613,3 +632,109 @@ def test_full_rank_rejects_partial_data():
     )
     with pytest.raises(NotFullRank):
         full_rank_multiplicative(bad, kt, Q_POINT, np.eye(2))
+
+
+# --- array evaluation ---
+
+def _rank2_data(surf, rng, zeros, poles):
+    return InterpolationDataSet(
+        surface=surf, rank=2,
+        zeros=tuple(ZeroNode(z, rng.standard_normal((1, 2))) for z in zeros),
+        poles=tuple(PoleNode(p, rng.standard_normal((1, 2))) for p in poles))
+
+
+def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
+    """T.many and T^-1.many agree with scalar calls bit for bit, give the
+    base value in the row at q, and work on every kind of surface and kernel."""
+    from test_kernels import torus_table_surface
+    from zpint.kernels import CauchyKernelOracle
+
+    surf, zeros, poles, chi, chit, data = scalar_setup
+    ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
+    dsum_o = direct_sum_kernel([ko, line_kernel(surf, line_bundle(0.67, 0.19))])
+    dsum_t = direct_sum_kernel([kt, line_kernel(surf, line_bundle(0.58, 0.73))])
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    rank2 = _rank2_data(surf, rng, zeros, poles)
+    sweep = torus_points(rng, 6, avoid=zeros + poles + [Q_POINT])
+    sphere = genus0_surface()
+    k0 = genus0_kernel(2, sphere)
+    table_pts = zeros + poles + [Q_POINT] + sweep[:3]
+    table, labels = torus_table_surface(surf, table_pts)
+    table_data = InterpolationDataSet(table, 1, *scalar_nodes(labels[:2], labels[2:4]))
+    opaque = CauchyKernelOracle(rank=1, surface=surf, evaluator=kt.evaluator)
+    Q2 = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
+    cases = [
+        (rank2, Q_POINT, Q2, dsum_o, dsum_t, sweep),
+        (rank2, Q_POINT, Q2, conjugated_kernel(dsum_o, frame),
+         conjugated_kernel(dsum_t, frame), sweep),
+        (_rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5]), 40.0 + 3j, Q2, k0, k0,
+         [0.1, 1.5 - 2j, -3.0, 7.0j]),
+        (table_data, labels[4], np.array([[1.3 - 0.4j]]),
+         line_kernel(table, chi), line_kernel(table, chit), list(labels[5:])),
+        (data, Q_POINT, np.array([[1.3 - 0.4j]]), opaque, opaque, sweep),
+    ]
+    for case_data, q, Q, oracle_chi, oracle_tilde, P in cases:
+        P = [P[0], q, *P[1:]]
+        for build, base in ((build_solution, Q), (build_inverse, np.linalg.inv(Q))):
+            T = build(case_data, q, Q, oracle_chi, oracle_tilde)
+            batch = T.many(P)
+            assert batch.shape == (len(P), *Q.shape)
+            assert np.array_equal(batch[1], base)
+            for i, p in enumerate(P):
+                assert np.array_equal(batch[i], T(p)), (build.__name__, p)
+
+
+def test_many_raises_at_inverse_kernel_pole(scalar_setup):
+    surf, zeros, poles, chi, chit, data = scalar_setup
+    ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
+    z_chi = complex(chi.jacobian_point(surf.period)[0])
+    shift = z_chi - (1 + TAU) / 2
+    for build, pole in ((build_solution, lattice_reduce(Q_POINT + shift, TAU)),
+                        (build_inverse, lattice_reduce(Q_POINT - shift, TAU))):
+        T = build(data, Q_POINT, np.array([[1.0]]), ko, kt)
+        with pytest.raises(KernelSingular):
+            T(pole)
+        with pytest.raises(KernelSingular) as raised:
+            T.many([0.41 + 0.33j, Q_POINT, pole])
+        assert str(raised.value).endswith(f"p = {point(pole)!r}")
+
+
+def test_torus_solution_call_makes_two_theta_passes(scalar_setup, rng, monkeypatch):
+    import zpint.kernels
+    import zpint.surface
+    import zpint.theta
+
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    dsum_o = direct_sum_kernel([line_kernel(surf, chi),
+                                line_kernel(surf, line_bundle(0.67, 0.19))])
+    dsum_t = direct_sum_kernel([line_kernel(surf, chit),
+                                line_kernel(surf, line_bundle(0.58, 0.73))])
+    data = _rank2_data(surf, rng, zeros, poles)
+    T = build_solution(data, Q_POINT, np.eye(2), dsum_o, dsum_t)
+    calls = []
+    original = zpint.theta.theta_many
+    for module in (zpint.theta, zpint.surface, zpint.kernels):
+        monkeypatch.setattr(module, "theta_many",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    T(0.41 + 0.33j)
+    assert len(calls) == 2
+
+
+def test_tabulated_interpolants_match_multiplicative(scalar_setup, rng):
+    """T and T^-1 on a tabulated copy of the torus agree with the torus's
+    multiplicative scalar solution at the labelled points."""
+    from test_kernels import torus_table_surface
+
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    sweep = torus_points(rng, 5, avoid=zeros + poles + [Q_POINT])
+    table, labels = torus_table_surface(surf, zeros + poles + [Q_POINT] + sweep)
+    data = InterpolationDataSet(table, 1, *scalar_nodes(labels[:2], labels[2:4]))
+    Q = 1.3 - 0.4j
+    T_mult = scalar_multiplicative(surf, zeros, poles, chi, chit, Q_POINT, Q)
+    ko, kt = line_kernel(table, chi), line_kernel(table, chit)
+    T = build_solution(data, labels[4], np.array([[Q]]), ko, kt)
+    Ti = build_inverse(data, labels[4], np.array([[Q]]), ko, kt)
+    for label, p in zip(labels[4:], [Q_POINT] + sweep):
+        a = T_mult(p)
+        assert abs(T(label)[0, 0] - a) <= 1e-12 * abs(a)
+        assert abs(Ti(label)[0, 0] - 1 / a) <= 1e-12 / abs(a)

@@ -131,6 +131,10 @@ def test_fay_check(tmp_path):
     assert code == 0
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["fay.random_sweep"]["residual"] < 1e-9
+    # an empty sweep passes with residual 0
+    code, report = run_json(["fay-check", "--samples", "0"], tmp_path / "empty.json")
+    assert code == 0
+    assert [c["residual"] for c in report["checks"]] == [0.0, 0.0]
 
 
 def test_reports_are_reproducible(tmp_path):

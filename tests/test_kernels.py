@@ -21,7 +21,8 @@ from zpint.kernels import (
     line_connection_form,
     line_kernel,
 )
-from zpint.surface import genus0_surface, line_bundle, torus_surface
+from zpint.surface import genus0_surface, line_bundle, prime_form, torus_surface
+from zpint.theta import theta_with_char
 
 TAU = 0.3 + 0.9j
 
@@ -261,3 +262,29 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
         for i in range(len(P)):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
+
+
+def test_line_blocks_match_theta_formula(torus, bundle, bundle2):
+    """Every block of a line kernel or of a line direct sum is
+    theta[chi](phi(q) - phi(p)) / (theta[chi](0) E(q, p)), bit for bit,
+    on the torus and on a tabulated surface."""
+    pts = [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j]
+    table, labels = torus_table_surface(torus, pts)
+    bundles = (bundle, bundle2, bundle)
+    cases = [(torus, pts + [0.9 + 0.1j], [0.11 + 0.71j, 0.3 + 0.6j, 0.05j, 0.5]),
+             (table, list(labels), [labels[1], labels[2], labels[0]])]
+    for surf, P, Q in cases:
+        dsum = direct_sum_kernel([line_kernel(surf, b) for b in bundles])
+        batch = evaluate_many(dsum, P, Q)
+        assert not batch[:, ~np.eye(3, dtype=bool)].any()
+        for i, (p, q) in enumerate(zip(P, Q)):
+            v = surf.abel_jacobi(q) - surf.abel_jacobi(p)
+            for k, b in enumerate(bundles):
+                chi = b.characteristic
+                # in numpy array arithmetic, as the kernels use: Python or
+                # numpy scalar products can differ from it in the last bit
+                expected = (np.array([theta_with_char(chi, v, surf.period)]) / (
+                    theta_with_char(chi, np.zeros(1), surf.period)
+                    * prime_form(surf, [q], [p])))[0]
+                assert batch[i, k, k] == expected
+                assert line_kernel(surf, b)(p, q)[0, 0] == expected

@@ -278,6 +278,14 @@ def test_theta_many_rows_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
     batch = theta_many(chi, Z, pm)
     for i in range(len(Z)):
         assert batch[i] == theta_with_char(chi, Z[i], pm)
+    # a tuple of characteristics: one row set each, one lattice pass
+    chis = (chi, ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g)), chi)
+    Zs = np.stack([Z, Z[::-1], Z + 0.25])
+    stacked = theta_many(chis, Zs, pm)
+    assert stacked.shape == (3, len(Z))
+    for i, c in enumerate(chis):
+        for j in range(len(Z)):
+            assert stacked[i, j] == theta_with_char(c, Zs[i, j], pm)
 
 
 def test_theta_many_validation():
@@ -290,3 +298,7 @@ def test_theta_many_validation():
         theta_many(chi, np.array([[np.nan]]), pm)
     with pytest.raises(ValueError):
         theta_many(ThetaCharacteristic([0, 0], [0, 0]), np.zeros((2, 1)), pm)
+    assert theta_many((chi, chi), np.zeros((2, 0, 1)), pm).shape == (2, 0)
+    for bad in (np.zeros((3, 1)), np.zeros((3, 2, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            theta_many((chi, chi), bad, pm)
