@@ -315,6 +315,13 @@ def _prepare(data, q, Q, oracle_chi, oracle_tilde):
     return q, Q, gamma
 
 
+def _fold(vectors, coef, blocks) -> np.ndarray:
+    """Per node block (start, stop), the (r, r) sum over its rows k of
+    outer(vectors[k], coef[k]): the node's vectors^T times its rows of coef."""
+    return np.add.reduceat(vectors[:, :, None] * coef[:, None, :],
+                           [start for start, _ in blocks])
+
+
 def _numerator(data, q, gamma, oracle_tilde):
     """P -> K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q) per point, (N, r, r):
     T(p) before Q K(chi; p, q)^-1.
@@ -333,10 +340,7 @@ def _numerator(data, q, gamma, oracle_tilde):
         k_x_lam = np.vstack([node.vectors @ k for k, node in zip(kvals, data.zeros)])
         coef = np.linalg.solve(gamma.matrix, k_x_lam)
         u = np.vstack([node.vectors for node in data.poles])
-        # block j is u_j^T coef_j, the sum of the outer products of its rows
-        blocks = np.add.reduceat(u[:, :, None] * coef[:, None, :],
-                                 [c0 for c0, _ in gamma.col_blocks])
-        weight = np.vstack([weight, blocks.reshape(-1, r)])
+        weight = np.vstack([weight, _fold(u, coef, gamma.col_blocks).reshape(-1, r)])
     ends = data.surface.points([q, *(node.point for node in data.poles)])
 
     def rows(P):
@@ -363,10 +367,9 @@ def _tail(data, q, gamma, oracle_tilde):
         k_mu_u = np.hstack([k @ node.vectors.T for k, node in zip(kvals, data.poles)])
         coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
         x = np.vstack([node.vectors for node in data.zeros])
-        # block i is coef_i x_i, the sum of the outer products of its columns and rows
-        blocks = np.add.reduceat(coef.T[:, :, None] * x[:, None, :],
-                                 [r0 for r0, _ in gamma.row_blocks])
-        weight = np.hstack([weight, blocks.transpose(1, 0, 2).reshape(r, -1)])
+        # block i is coef_i x_i, the transpose of x_i^T (coef^T)_i
+        blocks = _fold(x, coef.T, gamma.row_blocks).transpose(2, 0, 1)
+        weight = np.hstack([weight, blocks.reshape(r, -1)])
     starts = data.surface.points([q, *(node.point for node in data.zeros)])
 
     def rows(P):

@@ -21,11 +21,12 @@ and block-diagonal direct sums, which satisfy the defining property for
 the direct sum of the factors and are the only rank > 1 kernels built
 internally.
 
-Every built-in kernel evaluates arrays of point pairs (evaluate_many),
-and a single pair is the N = 1 case.  The line kernels of one surface
-share the argument phi(q) - phi(p) and the prime form, so a line kernel
-and the line blocks of a direct sum are evaluated together in one theta
-pass (_line_values).
+An oracle called on two point sequences (or evaluate_many) gives the
+values at all their pairs; every built-in kernel evaluates such a batch
+with array operations, and a single pair is the N = 1 case.  The line
+kernels of one surface share the argument phi(q) - phi(p) and the prime
+form, so a line kernel and the line blocks of a direct sum are evaluated
+together in one theta pass (_line_values).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .surface import (
     Surface,
     Torus,
     coord,
+    _is_many,
     laurent_coeffs,
-    odd_theta_deriv0,
     point,
     prime_form,
 )
@@ -82,9 +83,11 @@ class CauchyKernelOracle:
     """Evaluator contract for an r-by-r Cauchy kernel in the global frame.
 
     Calling the oracle with two point-like arguments returns the (r, r)
-    kernel value.  evaluator maps two SurfacePoints to that value; many,
-    when given, is the array-native form (two point arrays of length N, as
-    made by surface.points -> (N, r, r)), and evaluate_many uses it.
+    kernel value; with two point sequences of one length N it returns the
+    (N, r, r) values.  evaluator maps two SurfacePoints to one value;
+    many, when given, is the array-native form (two point arrays of length
+    N, as made by surface.points -> (N, r, r)), and a sequence call uses
+    it, or else calls evaluator once per pair.
     parts holds the summands of a direct sum; bundle holds the flat line
     bundle of a line kernel, and a direct sum evaluates such a part from
     its bundle alone; inner and frame hold the kernel and the constant
@@ -102,7 +105,17 @@ class CauchyKernelOracle:
     frame: np.ndarray | None = None
 
     def __call__(self, p, q) -> np.ndarray:
-        return self.evaluator(point(p), point(q))
+        if not (_is_many(p) or _is_many(q)):
+            return self.evaluator(point(p), point(q))
+        P, Q = self.surface.points(p), self.surface.points(q)
+        if len(P) != len(Q):
+            raise ValueError("point arrays differ in length")
+        if self.many is not None:
+            return self.many(P, Q)
+        out = np.empty((len(P), self.rank, self.rank), dtype=complex)
+        for i in range(len(P)):
+            out[i] = self.evaluator(point(P[i]), point(Q[i]))
+        return out
 
     def dual(self) -> "CauchyKernelOracle":
         """Oracle of the dual bundle; satisfies K(dual; p, q)^T = -K(chi; q, p)."""
@@ -118,20 +131,12 @@ class CauchyKernelOracle:
 def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     """Kernel values K(P[i], Q[i]) at N point pairs, shape (N, r, r).
 
-    Built-in kernels evaluate the whole batch with array operations, and
-    their single-pair call is the N = 1 case of the same code.  An oracle
-    with only an evaluator is called once per pair.
+    This is the oracle called on the two sequences.  Built-in kernels
+    evaluate the whole batch with array operations, and their single-pair
+    call is the N = 1 case of the same code.  An oracle with only an
+    evaluator is called once per pair.
     """
-    P = oracle.surface.points(P)
-    Q = oracle.surface.points(Q)
-    if len(P) != len(Q):
-        raise ValueError("point arrays differ in length")
-    if oracle.many is not None:
-        return oracle.many(P, Q)
-    out = np.empty((len(P), oracle.rank, oracle.rank), dtype=complex)
-    for i in range(len(P)):
-        out[i] = oracle.evaluator(point(P[i]), point(Q[i]))
-    return out
+    return oracle(oracle.surface.points(P), oracle.surface.points(Q))
 
 
 def _array_native(rank: int, surface: Surface, many, **fields) -> CauchyKernelOracle:
@@ -185,10 +190,10 @@ def _line_values(surface: Surface, bundles) -> Callable:
     Every kernel theta[chi_k](v) / (theta[chi_k](0) E(q, p)) shares the
     argument v = phi(q) - phi(p) and the prime form, so one theta_many
     call over the k characteristics at v serves the batch; on the torus
-    it also carries theta[1/2; 1/2] at -v = phi(p) - phi(q), the very
-    numerator of surface.prime_form(Q, P).  Each block is divided by its
-    own scalar theta(0), as a lone line kernel is, so the values do not
-    depend on the company a kernel keeps.
+    it also carries theta[1/2; 1/2] at -v = phi(p) - phi(q), from which
+    Torus.prime_form_from_odd_theta gives E(q, p) as prime_form does.
+    Each block is divided by its own scalar theta(0), as a lone line
+    kernel is, so the values do not depend on the company a kernel keeps.
 
     Raises
     ------
@@ -210,7 +215,7 @@ def _line_values(surface: Surface, bundles) -> Callable:
         if torus:
             Z[-1] = -v
             theta = theta_many(chis + (ODD_CHAR,), Z, period)
-            e_qp = theta[-1] / odd_theta_deriv0(surface.tau)
+            e_qp = surface.prime_form_from_odd_theta(theta[-1])
         else:
             theta = theta_many(chis, Z, period)
             e_qp = prime_form(surface, Q, P)

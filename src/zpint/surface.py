@@ -294,7 +294,11 @@ class Torus(Surface):
 
     def prime_form(self, p, q, cfg=None):
         v = self.points(q) - self.points(p)
-        return odd_theta(v, self.period, cfg) / odd_theta_deriv0(self.tau, cfg)
+        return self.prime_form_from_odd_theta(odd_theta(v, self.period, cfg), cfg)
+
+    def prime_form_from_odd_theta(self, odd, cfg=None):
+        """E(p, q) from odd = theta[1/2; 1/2](q - p), a value or an array."""
+        return odd / odd_theta_deriv0(self.tau, cfg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -684,6 +684,19 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
                 assert np.array_equal(batch[i], T(p)), (build.__name__, p)
 
 
+def test_rank2_inverse_inverts_solution(rng):
+    """At rank 2 the folded zero weights of T^-1 are r x r blocks, not
+    numbers, so a transposed block shows here and not at rank 1."""
+    sphere = genus0_surface()
+    k0 = genus0_kernel(2, sphere)
+    data = _rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5])
+    Q = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
+    T = build_solution(data, 40.0 + 3j, Q, k0, k0)
+    Ti = build_inverse(data, 40.0 + 3j, Q, k0, k0)
+    P = [0.1, 1.5 - 2j, -3.0, 7.0j]
+    assert np.abs(T.many(P) @ Ti.many(P) - np.eye(2)).max() < 1e-12
+
+
 def test_many_raises_at_inverse_kernel_pole(scalar_setup):
     surf, zeros, poles, chi, chit, data = scalar_setup
     ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)

@@ -260,8 +260,12 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
     for oracle, P, Q in cases:
         batch = evaluate_many(oracle, P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
+        # the oracle called on two point sequences is the same batch
+        assert np.array_equal(oracle(P, Q), batch), oracle.name
         for i in range(len(P)):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
+        with pytest.raises(ValueError):
+            oracle(P, Q[:-1])
 
 
 def test_line_blocks_match_theta_formula(torus, bundle, bundle2):
