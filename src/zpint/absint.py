@@ -29,6 +29,7 @@ also evaluates directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,12 +194,55 @@ class InterpolationDataSet:
 
 
 @dataclass(frozen=True, eq=False)
+class _Nodes:
+    """Zero or pole nodes read into arrays, once per Gamma build.
+
+    points are the node point values; blocks the (start, stop) rows of each
+    node's vectors in vectors, the (total count, r) stack of all of them;
+    groups one (node indices, (len, c, r) vector stack, (len, c) row
+    indices) per vector count c.
+    """
+
+    points: np.ndarray
+    blocks: tuple
+    vectors: np.ndarray
+    groups: tuple
+
+
+def _read_nodes(data, nodes) -> _Nodes:
+    counts = [node.count for node in nodes]
+    stops = list(itertools.accumulate(counts))
+    blocks = tuple(zip([0, *stops[:-1]], stops))
+    vectors = np.empty((stops[-1] if stops else 0, data.rank), dtype=complex)
+    groups = []
+    for c in sorted(set(counts)):
+        idx = [k for k, count in enumerate(counts) if count == c]
+        rows = np.array([blocks[k][0] for k in idx])[:, None] + np.arange(c)
+        stack = np.array([nodes[k].vectors for k in idx])
+        vectors[rows] = stack
+        groups.append((np.array(idx), stack, rows))
+    return _Nodes(data.surface.points([node.point for node in nodes]), blocks, vectors,
+                  tuple(groups))
+
+
+@dataclass(frozen=True, eq=False)
 class GammaMatrix:
-    """Block coupling matrix with its index bookkeeping."""
+    """Block coupling matrix with its index bookkeeping: the zero and pole
+    nodes as read for its assembly, whose blocks index its rows and columns."""
 
     matrix: np.ndarray
-    row_blocks: tuple   # (start, stop) per zero node
-    col_blocks: tuple   # (start, stop) per pole node
+    zeros: _Nodes
+    poles: _Nodes
+
+    @property
+    def row_blocks(self) -> tuple:
+        """(start, stop) per zero node."""
+        return self.zeros.blocks
+
+    @property
+    def col_blocks(self) -> tuple:
+        """(start, stop) per pole node."""
+        return self.poles.blocks
 
     @property
     def is_square(self) -> bool:
@@ -208,10 +252,27 @@ class GammaMatrix:
         return svd_cond(self.matrix)
 
 
-def _block_slices(counts):
-    stops = np.cumsum(counts)
-    starts = stops - np.asarray(counts)
-    return tuple((int(a), int(b)) for a, b in zip(starts, stops))
+def _identity_group(r):
+    """The group of one node carrying I_r: a base point's side of a product."""
+    return ((np.zeros(1, dtype=int), None, np.arange(r)[None]),)
+
+
+def _block_products(out, kvals, row_groups, col_groups):
+    """Write (X @ K) @ U^T for every node pair into its block of out.
+
+    kvals holds K per (row node, column node), shape (n, m, r, r); X and U
+    are the vector stacks of the two groups (None for I_r).  Each pair of
+    groups is one stacked product, in the association order of the
+    pairwise x @ k @ u.T, so every block is bit-identical to it.
+    """
+    for idx_i, X, rows in row_groups:
+        for idx_j, U, cols in col_groups:
+            prod = kvals[np.ix_(idx_i, idx_j)]
+            if X is not None:
+                prod = X[:, None] @ prod
+            if U is not None:
+                prod = prod @ U[None].transpose(0, 1, 3, 2)
+            out[rows[:, None, :, None], cols[None, :, None, :]] = prod
 
 
 def build_gamma(data: InterpolationDataSet,
@@ -219,25 +280,27 @@ def build_gamma(data: InterpolationDataSet,
     """Assemble the coupling matrix from the output-bundle kernel.
 
     Entries are -x K(chi~; lambda^i, mu^j) u away from coincidences and
-    -rho at them; squareness and conditioning are judged downstream.
+    -rho at them; squareness and conditioning are judged downstream.  The
+    kernel values of all non-coincident pairs are one kernel batch, and
+    the blocks are one stacked product per node-block shape
+    (count_i, count_j), bit-identical to the pairwise -(x @ K @ u.T).
     """
-    rows = _block_slices([z.count for z in data.zeros])
-    cols = _block_slices([p.count for p in data.poles])
-    gamma = np.zeros((data.n_zero_total, data.n_pole_total), dtype=complex)
-    coincident = set(data.coincident_pairs())
-    pairs = [(i, j) for i in range(len(data.zeros)) for j in range(len(data.poles))
-             if (i, j) not in coincident]
-    kvals = evaluate_many(oracle_tilde, [data.zeros[i].point for i, _ in pairs],
-                          [data.poles[j].point for _, j in pairs])
-    for (i, j), kval in zip(pairs, kvals):
-        r0, r1 = rows[i]
-        c0, c1 = cols[j]
-        gamma[r0:r1, c0:c1] = -(data.zeros[i].vectors @ kval @ data.poles[j].vectors.T)
+    zeros, poles = _read_nodes(data, data.zeros), _read_nodes(data, data.poles)
+    n, m, r = len(data.zeros), len(data.poles), data.rank
+    coincident = data.surface.coincidences(zeros.points, poles.points)
+    apart = np.ones((n, m), dtype=bool)
     for (i, j) in coincident:
-        r0, r1 = rows[i]
-        c0, c1 = cols[j]
-        gamma[r0:r1, c0:c1] = -data.couplings[(i, j)]
-    return GammaMatrix(gamma, rows, cols)
+        apart[i, j] = False
+    kvals = np.zeros((n, m, r, r), dtype=complex)
+    flat = apart.ravel()
+    kvals[apart] = evaluate_many(oracle_tilde, np.repeat(zeros.points, m)[flat],
+                                 np.tile(poles.points, n)[flat])
+    blocks = np.empty((len(zeros.vectors), len(poles.vectors)), dtype=complex)
+    _block_products(blocks, kvals, zeros.groups, poles.groups)
+    for (i, j) in coincident:
+        (r0, r1), (c0, c1) = zeros.blocks[i], poles.blocks[j]
+        blocks[r0:r1, c0:c1] = data.couplings[(i, j)]
+    return GammaMatrix(-blocks, zeros, poles)
 
 
 def _kernel_invertible(kmat: np.ndarray, P):
@@ -315,11 +378,11 @@ def _prepare(data, q, Q, oracle_chi, oracle_tilde):
     return q, Q, gamma
 
 
-def _fold(vectors, coef, blocks) -> np.ndarray:
-    """Per node block (start, stop), the (r, r) sum over its rows k of
+def _fold(nodes, coef) -> np.ndarray:
+    """Per node, the (r, r) sum over its vector rows k of
     outer(vectors[k], coef[k]): the node's vectors^T times its rows of coef."""
-    return np.add.reduceat(vectors[:, :, None] * coef[:, None, :],
-                           [start for start, _ in blocks])
+    return np.add.reduceat(nodes.vectors[:, :, None] * coef[:, None, :],
+                           [start for start, _ in nodes.blocks])
 
 
 def _numerator(data, q, gamma, oracle_tilde):
@@ -333,15 +396,17 @@ def _numerator(data, q, gamma, oracle_tilde):
     one matmul.
     """
     r = data.rank
+    zeros, poles = gamma.zeros, gamma.poles
     weight = np.eye(r, dtype=complex)
+    base = data.surface.points([q])
     if data.poles:
-        kvals = evaluate_many(oracle_tilde, [node.point for node in data.zeros],
-                              [q] * len(data.zeros))
-        k_x_lam = np.vstack([node.vectors @ k for k, node in zip(kvals, data.zeros)])
+        n = len(zeros.points)
+        kvals = evaluate_many(oracle_tilde, zeros.points, np.repeat(base, n))
+        k_x_lam = np.empty((len(zeros.vectors), r), dtype=complex)
+        _block_products(k_x_lam, kvals.reshape(n, 1, r, r), zeros.groups, _identity_group(r))
         coef = np.linalg.solve(gamma.matrix, k_x_lam)
-        u = np.vstack([node.vectors for node in data.poles])
-        weight = np.vstack([weight, _fold(u, coef, gamma.col_blocks).reshape(-1, r)])
-    ends = data.surface.points([q, *(node.point for node in data.poles)])
+        weight = np.vstack([weight, _fold(poles, coef).reshape(-1, r)])
+    ends = np.concatenate([base, poles.points])
 
     def rows(P):
         n, m = len(P), len(ends)
@@ -360,17 +425,19 @@ def _tail(data, q, gamma, oracle_tilde):
     (lambda^1, p), ..., (lambda^n, p).
     """
     r = data.rank
+    zeros, poles = gamma.zeros, gamma.poles
     weight = np.eye(r, dtype=complex)
+    base = data.surface.points([q])
     if data.zeros:
-        kvals = evaluate_many(oracle_tilde, [q] * len(data.poles),
-                              [node.point for node in data.poles])
-        k_mu_u = np.hstack([k @ node.vectors.T for k, node in zip(kvals, data.poles)])
+        m = len(poles.points)
+        kvals = evaluate_many(oracle_tilde, np.repeat(base, m), poles.points)
+        k_mu_u = np.empty((r, len(poles.vectors)), dtype=complex)
+        _block_products(k_mu_u, kvals.reshape(1, m, r, r), _identity_group(r), poles.groups)
         coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
-        x = np.vstack([node.vectors for node in data.zeros])
         # block i is coef_i x_i, the transpose of x_i^T (coef^T)_i
-        blocks = _fold(x, coef.T, gamma.row_blocks).transpose(2, 0, 1)
+        blocks = _fold(zeros, coef.T).transpose(2, 0, 1)
         weight = np.hstack([weight, blocks.reshape(r, -1)])
-    starts = data.surface.points([q, *(node.point for node in data.zeros)])
+    starts = np.concatenate([base, zeros.points])
 
     def rows(P):
         n, m = len(P), len(starts)
@@ -620,6 +687,24 @@ def _scalar_nodes(surface, zeros, poles, q):
     return zeros, poles
 
 
+def _scalar_map(surface, q, Q, values):
+    """T over one point or a sequence of points: Q where the point equals
+    q, values(P) at the coordinates P of the others.  One point is the
+    N = 1 case of a sequence, so it has the same bits alone and in one."""
+    qc = coord(q)
+
+    def T(p):
+        pc = surface.points(p)
+        P = np.atleast_1d(pc)
+        out = np.full(P.shape, Q, dtype=complex)
+        away = ~surface.equal(P, qc)
+        if away.any():
+            out[away] = values(P[away])
+        return out if np.ndim(pc) > 0 else complex(out[0])
+
+    return T
+
+
 def scalar_multiplicative(surface: Surface, zeros, poles,
                           chi: FlatLineBundle, chi_tilde: FlatLineBundle,
                           q, Q: complex, cfg: ThetaEvalConfig | None = None):
@@ -631,7 +716,8 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     with a read off from Omega a + b = phi(zeros) - phi(poles).  Requires
     the solvability condition: equal counts and bundle difference equal to
     the divisor class mod the lattice (to 1e-9), and distinct nodes apart
-    from the base point.
+    from the base point.  T takes one point or a sequence of N points
+    (then an (N,) array).
     """
     cfg = cfg or DEFAULT_CONFIG
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
@@ -641,32 +727,31 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     if defect > 1e-9:
         raise NecessityViolated(f"divisor/bundle lattice defect {defect:.3e}")
     ratio = _prime_form_ratio(surface, zeros, poles, q, cfg)
-    qc = coord(q)
     Q = complex(Q)
-
-    def T(p):
-        pc = coord(p)
-        if surface.equal(pc, qc):
-            return Q
-        return ratio(pc) * Q
-
-    return T
+    return _scalar_map(surface, q, Q, lambda P: ratio(P) * Q)
 
 
 def _prime_form_ratio(surface: Surface, zeros, poles, q, cfg):
-    """pc -> prod_i E(p, lam^i)/E(q, lam^i) / prod_j E(p, mu^j)/E(q, mu^j)
-    * exp(-2 pi i a (phi(p) - phi(q))), the scalar multiplicative factor."""
+    """P -> prod_i E(p, lam^i)/E(q, lam^i) / prod_j E(p, mu^j)/E(q, mu^j)
+    * exp(-2 pi i a (phi(p) - phi(q))), the scalar multiplicative factor,
+    over an (N,) coordinate array P: one prime_form call over all nodes."""
     a_vec, _, _ = divisor_characteristic(surface, zeros, poles)
     a = float(a_vec[0])
     qc = coord(q)
+    nodes = surface.points([*zeros, *poles])
+    n, k = len(zeros), len(nodes)
+    at_q = prime_form(surface, np.full(k, qc), nodes, cfg)
 
-    def ratio(pc):
-        val = 1.0 + 0.0j
-        for z in zeros:
-            val *= prime_form(surface, pc, z, cfg) / prime_form(surface, qc, z, cfg)
-        for mu in poles:
-            val /= prime_form(surface, pc, mu, cfg) / prime_form(surface, qc, mu, cfg)
-        return val * np.exp(-2j * np.pi * a * (pc - qc))
+    def ratio(P):
+        E = prime_form(surface, np.repeat(P, k), np.tile(nodes, len(P)), cfg).reshape(-1, k)
+        # out-of-place products: numpy's in-place complex multiply takes a
+        # vector path whose last bits depend on the array length
+        val = np.ones(len(P), dtype=complex)
+        for i in range(n):
+            val = val * (E[:, i] / at_q[i])
+        for j in range(n, k):
+            val = val / (E[:, j] / at_q[j])
+        return val * np.exp(-2j * np.pi * a * (P - qc))
 
     return ratio
 
@@ -680,7 +765,7 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     matrix Gamma_ij = -theta[out](phi(mu^j) - phi(lam^i)) /
     (theta[out](0) E(mu^j, lam^i)), then the kernel-sum formula, then the
     inverse input kernel factor.  Rejects the same degenerate nodes as
-    scalar_multiplicative.
+    scalar_multiplicative, and T likewise takes one point or a sequence.
     """
     cfg = cfg or DEFAULT_CONFIG
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
@@ -690,41 +775,38 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     th_out0 = theta_with_char(ch_out, np.zeros(1), period, cfg)
     th_in0 = theta_with_char(ch_in, np.zeros(1), period, cfg)
 
-    def k_out(p, s):
-        v = coord(s) - coord(p)
-        return theta_with_char(ch_out, np.array([v]), period, cfg) / (
-            th_out0 * prime_form(surface, s, p, cfg)
+    def k_out(P, S):
+        """Output kernel at the coordinate pairs (P[i], S[i]): one theta_many
+        and one prime_form call."""
+        return theta_many(ch_out, (S - P)[:, None], period, cfg) / (
+            th_out0 * prime_form(surface, S, P, cfg)
         )
 
-    n = len(zeros)
-    gamma = np.zeros((n, len(poles)), dtype=complex)
-    for i, lam in enumerate(zeros):
-        for j, mu in enumerate(poles):
-            gamma[i, j] = -k_out(lam, mu)
+    zc, mc = surface.points(zeros), surface.points(poles)
+    n, m = len(zc), len(mc)
+    qc = coord(q)
+    # Gamma and the right-hand side K_out(lam^i, q) in one batch
+    vals = k_out(np.concatenate([np.repeat(zc, m), zc]),
+                 np.concatenate([np.tile(mc, n), np.full(n, qc)]))
+    gamma = -vals[:n * m].reshape(n, m)
     if gamma.shape[0] != gamma.shape[1]:
         raise NotSquare("zero and pole counts differ")
     cond = svd_cond(gamma)
     if cond > COND_LIMIT:
         raise SingularGamma(f"scalar coupling matrix condition {cond:.3e}")
-    qc = coord(q)
     Q = complex(Q)
-    rhs = np.array([k_out(lam, qc) for lam in zeros])
-    coef = np.linalg.solve(gamma, rhs)
+    coef = np.linalg.solve(gamma, vals[n * m:])
+    ends = np.concatenate([[qc], mc])
 
-    def T(p):
-        pc = coord(p)
-        if surface.equal(pc, qc):
-            return Q
-        num = k_out(pc, qc) + sum(
-            k_out(pc, coord(mu)) * coef[j] for j, mu in enumerate(poles)
-        )
-        v = qc - pc
-        k_in = theta_with_char(ch_in, np.array([v]), period, cfg) / (
-            th_in0 * prime_form(surface, qc, pc, cfg)
+    def values(P):
+        K = k_out(np.repeat(P, m + 1), np.tile(ends, len(P))).reshape(-1, m + 1)
+        num = K[:, 0] + sum(K[:, j + 1] * coef[j] for j in range(m))
+        k_in = theta_many(ch_in, (qc - P)[:, None], period, cfg) / (
+            th_in0 * prime_form(surface, qc, P, cfg)
         )
         return num * Q / k_in
 
-    return T
+    return _scalar_map(surface, q, Q, values)
 
 
 def fay_residual(surface: Surface, z, p, q, lam, mu,
@@ -825,14 +907,11 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     zeros = [z.point for z in data.zeros]
     poles = [p.point for p in data.poles]
     ratio = _prime_form_ratio(surface, zeros, poles, q, cfg)
-    qc = coord(q)
+    scalar = _scalar_map(surface, q, 1.0, ratio)
     Qmat = np.asarray(Q, dtype=complex).reshape(r, r)
 
     def T(p):
-        pc = coord(p)
-        if surface.equal(pc, qc):
-            return Qmat.copy()
-        return ratio(pc) * Qmat
+        return np.multiply.outer(scalar(p), Qmat)
 
     n0, ninf = len(zeros), len(poles)
     gamma = np.zeros((n0 * r, ninf * r), dtype=complex)

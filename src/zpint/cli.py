@@ -50,7 +50,7 @@ from .detrep import build_pencil
 from .errors import InputError, ZpintError
 from .genus0 import Genus0Problem, solve_genus0
 from .kernels import direct_sum_kernel, line_kernel
-from .surface import build_embedding_functions, line_bundle, torus_surface
+from .surface import build_embedding_functions, lattice_reduce, line_bundle, torus_surface
 from .theta import (
     PeriodMatrix,
     ThetaCharacteristic,
@@ -194,20 +194,36 @@ def _cmd_solve_genus0(args):
     return checks, extras
 
 
+def _torus_point(value, tau: complex) -> complex:
+    """A point given by any representative, as the one in the period
+    parallelogram: the same torus point, with its digits kept for the solve."""
+    z = lattice_reduce(_pair(value), tau)
+    if not np.isfinite(z):
+        raise InputError(f"point {value!r} is beyond float range on this lattice")
+    return z
+
+
+def _reduced_bundle(a, b):
+    """The flat line bundle of characteristic (a, b) mod 1: its theta[a; b]
+    kernels and its Jacobian point mod the lattice do not change."""
+    return line_bundle(np.mod(np.asarray(a, float), 1.0), np.mod(np.asarray(b, float), 1.0))
+
+
 def _cmd_solve_line(args):
     payload = _load_json(args.problem)
     try:
-        surf = torus_surface(_pair(payload["tau"]))
-        zeros = [_pair(z) for z in payload["zeros"]]
-        poles = [_pair(p) for p in payload["poles"]]
-        chi = line_bundle(payload["chi"]["a"], payload["chi"]["b"])
-        q = _pair(payload["base_point"])
+        tau = _pair(payload["tau"])
+        surf = torus_surface(tau)
+        zeros = [_torus_point(z, tau) for z in payload["zeros"]]
+        poles = [_torus_point(p, tau) for p in payload["poles"]]
+        chi = _reduced_bundle(payload["chi"]["a"], payload["chi"]["b"])
+        q = _torus_point(payload["base_point"], tau)
         base_value = _pair(payload["base_value"])
         if payload.get("chi_tilde") in (None, "auto"):
             a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
             chit = line_bundle(chi.a + a_w, chi.b + b_w)
         else:
-            chit = line_bundle(payload["chi_tilde"]["a"], payload["chi_tilde"]["b"])
+            chit = _reduced_bundle(payload["chi_tilde"]["a"], payload["chi_tilde"]["b"])
     except _MALFORMED as exc:
         raise InputError(f"bad line problem payload: {exc}") from exc
     problem = (surf, zeros, poles, chi, chit, q, base_value)

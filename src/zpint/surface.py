@@ -293,8 +293,11 @@ class Torus(Surface):
         return np.asarray(self.points(p), dtype=complex)[..., None]
 
     def prime_form(self, p, q, cfg=None):
-        v = self.points(q) - self.points(p)
-        return self.prime_form_from_odd_theta(odd_theta(v, self.period, cfg), cfg)
+        # one pair is the N = 1 case of the array arithmetic, so E of a pair
+        # has the same bits alone and in an array
+        v = np.atleast_1d(self.points(q) - self.points(p))
+        value = self.prime_form_from_odd_theta(odd_theta(v, self.period, cfg), cfg)
+        return value if _is_many(p) or _is_many(q) else complex(value[0])
 
     def prime_form_from_odd_theta(self, odd, cfg=None):
         """E(p, q) from odd = theta[1/2; 1/2](q - p), a value or an array."""

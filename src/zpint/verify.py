@@ -398,11 +398,9 @@ def line_equivalence_check(surf, zeros, poles, chi, chit, q, Q, rng,
     t_mult = scalar_multiplicative(surf, zeros, poles, chi, chit, q, Q)
     t_pf = scalar_partial_fraction(surf, zeros, poles, chi, chit, q, Q)
     avoid = [*zeros, *poles, q]
-    worst_eq = 0.0
-    for _ in range(samples):
-        p = sample_point(surf, rng, avoid=avoid)
-        a, b = t_mult(p), t_pf(p)
-        worst_eq = max(worst_eq, abs(a - b) / (abs(a) + abs(b)))
+    P = [sample_point(surf, rng, avoid=avoid) for _ in range(samples)]
+    a, b = t_mult(P), t_pf(P)
+    worst_eq = (np.abs(a - b) / (np.abs(a) + np.abs(b))).max(initial=0.0)
     return check("line.mult_vs_partial_fraction", worst_eq, 1e-9 * tol_scale)
 
 

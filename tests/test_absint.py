@@ -103,6 +103,119 @@ def test_build_gamma_matches_pairwise_loop(rng):
         assert np.array_equal(gamma.matrix, ref)
 
 
+def mixed_count_data(surf, pts, rng):
+    """Rank 3, node counts 1, 2 and 3 mixed, two coincident pairs (at pts[0]
+    and pts[1]); pts holds 8 distinct points (coordinates or labels)."""
+    e = np.eye(3)
+
+    def vecs(count):
+        return rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+
+    zeros = (ZeroNode(pts[0], e[:1]), ZeroNode(pts[1], e[:2]), ZeroNode(pts[2], vecs(2)),
+             ZeroNode(pts[3], e), ZeroNode(pts[4], vecs(1)))
+    poles = (PoleNode(pts[0], e[1:]), PoleNode(pts[1], e[2:]), PoleNode(pts[5], vecs(3)),
+             PoleNode(pts[6], vecs(1)), PoleNode(pts[7], vecs(2)))
+    couplings = {(0, 0): [[0.7 - 0.2j, 0.3j]], (1, 1): [[0.4], [-1.1 + 0.5j]]}
+    return InterpolationDataSet(surface=surf, rank=3, zeros=zeros, poles=poles,
+                                couplings=couplings)
+
+
+def mixed_count_cases(rng):
+    """(data, oracle, q) over direct-sum, conjugated, evaluator-only, genus-0
+    and tabulated rank-3 kernels; q is a ninth point, off the nodes."""
+    from test_kernels import torus_table_surface
+    from zpint.kernels import CauchyKernelOracle
+
+    torus = torus_surface(TAU)
+    bundles = [line_bundle(0.23, 0.41), line_bundle(0.62, 0.17), line_bundle(0.81, 0.55)]
+    dsum = direct_sum_kernel([line_kernel(torus, b) for b in bundles])
+    frame = np.array([[1.0, 0.4 - 0.2j, 0.1], [0.1j, 0.9, 0.0], [0.2, -0.3j, 1.1]])
+    pts = torus_points(rng, 9)
+    data = mixed_count_data(torus, pts, rng)
+    cases = [(data, dsum, pts[8]), (data, conjugated_kernel(dsum, frame), pts[8]),
+             (data, CauchyKernelOracle(3, torus, dsum.evaluator), pts[8])]
+    sphere = genus0_surface()
+    pts = [complex(v) for v in rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)]
+    cases.append((mixed_count_data(sphere, pts, rng), genus0_kernel(3, sphere), pts[8]))
+    table, labels = torus_table_surface(torus, torus_points(rng, 9))
+    cases.append((mixed_count_data(table, labels, rng),
+                  direct_sum_kernel([line_kernel(table, b) for b in bundles]), labels[8]))
+    return cases
+
+
+def test_build_gamma_matches_pairwise_loop_mixed_counts(rng):
+    for data, oracle, _ in mixed_count_cases(rng):
+        gamma = build_gamma(data, oracle)
+        rows = np.cumsum([0] + [z.count for z in data.zeros])
+        cols = np.cumsum([0] + [p.count for p in data.poles])
+        ref = np.zeros((rows[-1], cols[-1]), dtype=complex)
+        for i, z in enumerate(data.zeros):
+            for j, p in enumerate(data.poles):
+                if (i, j) in data.couplings:
+                    block = -data.couplings[(i, j)]
+                else:
+                    block = -(z.vectors @ oracle(z.point, p.point) @ p.vectors.T)
+                ref[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = block
+        assert len(data.couplings) == 2
+        assert np.array_equal(gamma.matrix, ref), oracle.name
+        assert gamma.row_blocks == tuple(zip(rows[:-1].tolist(), rows[1:].tolist()))
+        assert gamma.col_blocks == tuple(zip(cols[:-1].tolist(), cols[1:].tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_build_gamma_is_one_kernel_call(n, rng, monkeypatch):
+    from zpint.kernels import CauchyKernelOracle
+
+    surf = genus0_surface()
+    pts = rng.uniform(-3, 3, 2 * n) + 1j * rng.uniform(-3, 3, 2 * n)
+    data = InterpolationDataSet(
+        surface=surf, rank=2,
+        zeros=tuple(ZeroNode(z, rng.standard_normal((1, 2))) for z in pts[:n]),
+        poles=tuple(PoleNode(p, rng.standard_normal((1, 2))) for p in pts[n:]))
+    calls = []
+    original = CauchyKernelOracle.__call__
+
+    def counting(self, p, q):
+        calls.append((p, q))
+        return original(self, p, q)
+
+    monkeypatch.setattr(CauchyKernelOracle, "__call__", counting)
+    build_gamma(data, genus0_kernel(2, surf))
+    assert len(calls) == 1
+    assert len(calls[0][0]) == n * n
+
+
+def closure_value(fn, name):
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))[name]
+
+
+def test_numerator_and_tail_weights_match_loop_form(rng):
+    from zpint.absint import _numerator, _prepare, _tail
+    from zpint.kernels import evaluate_many
+
+    def fold(vectors, coef, counts):
+        starts = np.cumsum([0] + counts[:-1])
+        return np.add.reduceat(vectors[:, :, None] * coef[:, None, :], starts)
+
+    for data, oracle, q in mixed_count_cases(rng):
+        r = data.rank
+        x = np.vstack([node.vectors for node in data.zeros])
+        u = np.vstack([node.vectors for node in data.poles])
+        _, _, gamma = _prepare(data, q, np.eye(r), oracle, oracle)
+        # the loop form: one vectors @ k product per node
+        kz = evaluate_many(oracle, [z.point for z in data.zeros], [q] * len(data.zeros))
+        k_x_lam = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
+        coef = np.linalg.solve(gamma.matrix, k_x_lam)
+        numer = np.vstack([np.eye(r), fold(u, coef, [p.count for p in data.poles]).reshape(-1, r)])
+        kp = evaluate_many(oracle, [q] * len(data.poles), [p.point for p in data.poles])
+        k_mu_u = np.hstack([k @ p.vectors.T for k, p in zip(kp, data.poles)])
+        coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
+        blocks = fold(x, coef.T, [z.count for z in data.zeros]).transpose(2, 0, 1)
+        tail = np.hstack([np.eye(r), blocks.reshape(r, -1)])
+        assert np.array_equal(closure_value(_numerator(data, q, gamma, oracle), "weight"), numer)
+        assert np.array_equal(closure_value(_tail(data, q, gamma, oracle), "weight"), tail)
+
+
 def test_gamma_sign_reconciles_with_classical_convention():
     # -x K(2, 3) u = -1/(2-3) = 1 equals x u / (mu - lam)
     surf = genus0_surface()
@@ -220,6 +333,19 @@ def test_scalar_partial_fraction_equivalence(scalar_setup, rng):
     for p in torus_points(rng, 10, avoid=zeros + poles + [Q_POINT]):
         a, b = T_mult(p), T_pf(p)
         assert abs(a - b) / (abs(a) + abs(b)) < 1e-9
+
+
+def test_scalar_forms_take_point_sequences(scalar_setup, rng):
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    Q = 1.3 - 0.4j
+    P = [Q_POINT, *torus_points(rng, 6, avoid=zeros + poles + [Q_POINT]), Q_POINT + 1 + TAU]
+    for form in (scalar_multiplicative, scalar_partial_fraction):
+        T = form(surf, zeros, poles, chi, chit, Q_POINT, Q)
+        values = T(P)
+        assert values.shape == (len(P),)
+        assert values[0] == Q and values[-1] == Q
+        # one point is the N = 1 case: the same bits alone and in the sequence
+        assert np.array_equal(values, [T(p) for p in P])
 
 
 def test_scalar_equivalence_n3_random_divisor(rng):

@@ -123,6 +123,43 @@ def test_solve_line(tmp_path):
     assert checks["line.mult_vs_partial_fraction"]["residual"] < 1e-9
 
 
+@pytest.mark.parametrize("change", [
+    {"zeros": [[-4.86e16, 0.27], [0.61, 0.43]]},
+    {"poles": [[0.37, 0.71], [-5.2e15, 0.11]]},
+    {"chi": {"a": [0.23], "b": [5.0e7]}},
+    {"zeros": [[1e308, 0.27], [0.61, 0.43]]},
+], ids=["far-zero", "far-pole", "large-b", "huge-zero"])
+def test_solve_line_reduces_far_representatives(change, tmp_path):
+    # a point far out is the torus point of its parallelogram representative,
+    # and a characteristic is read mod 1; both are reduced on load
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({**LINE_PROBLEM, **change}))
+    code, report = run_json(["solve-line", str(problem), "--samples", "20"],
+                            tmp_path / "r.json")
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["line.mult_vs_partial_fraction"]["residual"] < 1e-12
+
+
+def test_solve_line_is_invariant_under_lattice_shifts(tmp_path):
+    tau = complex(*LINE_PROBLEM["tau"])
+    shifted = {**LINE_PROBLEM,
+               "zeros": [[0.13 + 2 + tau.real, 0.27 + tau.imag], [0.61, 0.43]],
+               "poles": [[0.37 - 1 - 3 * tau.real, 0.71 - 3 * tau.imag], [0.83, 0.11]],
+               "chi": {"a": [0.23], "b": [3.41]}}
+    values = []
+    for payload in (LINE_PROBLEM, shifted):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(payload))
+        code, report = run_json(["solve-line", str(problem), "--samples", "5"],
+                                tmp_path / "r.json")
+        assert code == 0
+        values.append([complex(*report["evaluation"][form])
+                       for form in ("multiplicative", "partial_fraction")])
+    for a, b in zip(*values):
+        assert abs(a - b) <= 1e-14 * abs(a)
+
+
 def test_fay_check(tmp_path):
     code, report = run_json(
         ["fay-check", "--tau", "0+1i", "--samples", "30", "--seed", "7"],
@@ -235,7 +272,8 @@ def test_bad_problem_exits_2(command, payload, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, payload", [
-    ("solve-line", {**LINE_PROBLEM, "zeros": [[1e308, 0.27], [0.61, 0.43]]}),
+    # Im / Im(tau) overflows, so the zero has no representative on the lattice
+    ("solve-line", {**LINE_PROBLEM, "zeros": [[0.13, 1.7e308], [0.61, 0.43]]}),
     ("conint", {**ABSINT_PROBLEM, "zeros": [
         {"point": [0.13, 0.27], "vectors": [[[1.0, 1.7976931348623157e308]]]},
         ABSINT_PROBLEM["zeros"][1]]}),

@@ -64,6 +64,15 @@ def test_prime_form_diagonal_and_antisymmetry(torus, rng):
         assert abs(prime_form(torus, a, b) + prime_form(torus, b, a)) < 1e-12
 
 
+def test_prime_form_pair_has_its_array_bits(torus, rng):
+    # one pair is the N = 1 case of the array call, with the same bits
+    P = [0.11 + 0.71j, *(rng.uniform(-1.5, 1.5, 60) + 1j * rng.uniform(-1.5, 1.5, 60))]
+    Q = [0.21 + 0.33j, *(rng.uniform(-1.5, 1.5, 60) + 1j * rng.uniform(-1.5, 1.5, 60))]
+    batch = prime_form(torus, P, Q)
+    assert np.array_equal(batch, [prime_form(torus, p, q) for p, q in zip(P, Q)])
+    assert isinstance(prime_form(torus, P[0], Q[0]), complex)
+
+
 def test_prime_form_local_expansion(torus):
     # E(p0, p0 + h)/h = 1 + c h^2 + ...; quadratic extrapolation kills c
     p0 = 0.4 + 0.3j
