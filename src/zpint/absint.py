@@ -29,7 +29,6 @@ also evaluates directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,16 +210,15 @@ class _Nodes:
 
 def _read_nodes(data, nodes) -> _Nodes:
     counts = [node.count for node in nodes]
-    stops = list(itertools.accumulate(counts))
-    blocks = tuple(zip([0, *stops[:-1]], stops))
-    vectors = np.empty((stops[-1] if stops else 0, data.rank), dtype=complex)
+    starts = np.cumsum([0, *counts])
+    blocks = tuple(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    vectors = np.vstack([np.empty((0, data.rank), dtype=complex),
+                         *(node.vectors for node in nodes)])
     groups = []
     for c in sorted(set(counts)):
         idx = [k for k, count in enumerate(counts) if count == c]
-        rows = np.array([blocks[k][0] for k in idx])[:, None] + np.arange(c)
-        stack = np.array([nodes[k].vectors for k in idx])
-        vectors[rows] = stack
-        groups.append((np.array(idx), stack, rows))
+        rows = starts[idx][:, None] + np.arange(c)
+        groups.append((np.array(idx), np.array([nodes[k].vectors for k in idx]), rows))
     return _Nodes(data.surface.points([node.point for node in nodes]), blocks, vectors,
                   tuple(groups))
 
@@ -252,26 +250,17 @@ class GammaMatrix:
         return svd_cond(self.matrix)
 
 
-def _identity_group(r):
-    """The group of one node carrying I_r: a base point's side of a product."""
-    return ((np.zeros(1, dtype=int), None, np.arange(r)[None]),)
-
-
 def _block_products(out, kvals, row_groups, col_groups):
-    """Write (X @ K) @ U^T for every node pair into its block of out.
+    """Write X @ K @ U^T for every node pair into its block of out.
 
     kvals holds K per (row node, column node), shape (n, m, r, r); X and U
-    are the vector stacks of the two groups (None for I_r).  Each pair of
-    groups is one stacked product, in the association order of the
-    pairwise x @ k @ u.T, so every block is bit-identical to it.
+    are the vector stacks of the two groups.  Each pair of groups is one
+    stacked (X @ K) @ U^T, the association order of the pairwise
+    x @ k @ u.T, so every block is bit-identical to it.
     """
     for idx_i, X, rows in row_groups:
         for idx_j, U, cols in col_groups:
-            prod = kvals[np.ix_(idx_i, idx_j)]
-            if X is not None:
-                prod = X[:, None] @ prod
-            if U is not None:
-                prod = prod @ U[None].transpose(0, 1, 3, 2)
+            prod = X[:, None] @ kvals[np.ix_(idx_i, idx_j)] @ U[None].transpose(0, 1, 3, 2)
             out[rows[:, None, :, None], cols[None, :, None, :]] = prod
 
 
@@ -400,10 +389,10 @@ def _numerator(data, q, gamma, oracle_tilde):
     weight = np.eye(r, dtype=complex)
     base = data.surface.points([q])
     if data.poles:
-        n = len(zeros.points)
-        kvals = evaluate_many(oracle_tilde, zeros.points, np.repeat(base, n))
+        kvals = evaluate_many(oracle_tilde, zeros.points, np.repeat(base, len(zeros.points)))
         k_x_lam = np.empty((len(zeros.vectors), r), dtype=complex)
-        _block_products(k_x_lam, kvals.reshape(n, 1, r, r), zeros.groups, _identity_group(r))
+        for idx, X, rows in zeros.groups:
+            k_x_lam[rows] = X @ kvals[idx]
         coef = np.linalg.solve(gamma.matrix, k_x_lam)
         weight = np.vstack([weight, _fold(poles, coef).reshape(-1, r)])
     ends = np.concatenate([base, poles.points])
@@ -429,13 +418,13 @@ def _tail(data, q, gamma, oracle_tilde):
     weight = np.eye(r, dtype=complex)
     base = data.surface.points([q])
     if data.zeros:
-        m = len(poles.points)
-        kvals = evaluate_many(oracle_tilde, np.repeat(base, m), poles.points)
-        k_mu_u = np.empty((r, len(poles.vectors)), dtype=complex)
-        _block_products(k_mu_u, kvals.reshape(1, m, r, r), _identity_group(r), poles.groups)
-        coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
-        # block i is coef_i x_i, the transpose of x_i^T (coef^T)_i
-        blocks = _fold(zeros, coef.T).transpose(2, 0, 1)
+        kvals = evaluate_many(oracle_tilde, np.repeat(base, len(poles.points)), poles.points)
+        k_mu_u = np.empty((len(poles.vectors), r), dtype=complex)   # K_mu_u(q)^T
+        for idx, U, cols in poles.groups:
+            k_mu_u[cols] = (kvals[idx] @ U.transpose(0, 2, 1)).transpose(0, 2, 1)
+        coef = np.linalg.solve(gamma.matrix.T, k_mu_u)   # (K_mu_u(q) Gamma^-1)^T
+        # block i is (K_mu_u(q) Gamma^-1)_i x_i, the transpose of x_i^T coef_i
+        blocks = _fold(zeros, coef).transpose(2, 0, 1)
         weight = np.hstack([weight, blocks.reshape(r, -1)])
     starts = np.concatenate([base, zeros.points])
 

@@ -217,7 +217,9 @@ def _cmd_solve_line(args):
         zeros = [_torus_point(z, tau) for z in payload["zeros"]]
         poles = [_torus_point(p, tau) for p in payload["poles"]]
         chi = _reduced_bundle(payload["chi"]["a"], payload["chi"]["b"])
-        q = _torus_point(payload["base_point"], tau)
+        # T(q) = Q holds at the representative given: a lattice shift of q
+        # multiplies T(q) by a multiplier of Hom(chi, chi~), so q stays as is
+        q = _pair(payload["base_point"])
         base_value = _pair(payload["base_value"])
         if payload.get("chi_tilde") in (None, "auto"):
             a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)

@@ -160,6 +160,38 @@ def test_solve_line_is_invariant_under_lattice_shifts(tmp_path):
         assert abs(a - b) <= 1e-14 * abs(a)
 
 
+@pytest.mark.parametrize("shift", [1, complex(*LINE_PROBLEM["tau"])], ids=["1", "tau"])
+def test_solve_line_keeps_the_base_point_as_given(shift, tmp_path):
+    # T is a section of Hom(chi, chi~): T(q) = Q at q and at q + shift are
+    # different problems, so the base point is not reduced on load
+    from zpint.absint import divisor_characteristic, scalar_multiplicative, scalar_partial_fraction
+    from zpint.surface import line_bundle, torus_surface
+
+    q = complex(*LINE_PROBLEM["base_point"]) + shift
+    reports = []
+    for base in (LINE_PROBLEM["base_point"], [q.real, q.imag]):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({**LINE_PROBLEM, "base_point": base}))
+        code, report = run_json(["solve-line", str(problem), "--samples", "5"],
+                                tmp_path / "r.json")
+        assert code == 0
+        reports.append(report["evaluation"])
+    surf = torus_surface(complex(*LINE_PROBLEM["tau"]))
+    zeros = [complex(*z) for z in LINE_PROBLEM["zeros"]]
+    poles = [complex(*p) for p in LINE_PROBLEM["poles"]]
+    chi = line_bundle(LINE_PROBLEM["chi"]["a"], LINE_PROBLEM["chi"]["b"])
+    a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
+    chit = line_bundle(chi.a + a_w, chi.b + b_w)
+    p = complex(*reports[1]["p"])
+    for name, form in (("multiplicative", scalar_multiplicative),
+                       ("partial_fraction", scalar_partial_fraction)):
+        want = form(surf, zeros, poles, chi, chit, q, complex(*LINE_PROBLEM["base_value"]))(p)
+        got = complex(*reports[1][name])
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # the shifted base point names another problem: the value moves
+        assert abs(got - complex(*reports[0][name])) > 1e-3 * abs(want)
+
+
 def test_fay_check(tmp_path):
     code, report = run_json(
         ["fay-check", "--tau", "0+1i", "--samples", "30", "--seed", "7"],
