@@ -44,7 +44,12 @@ from .errors import (
     PoleLocationFailure,
     SingularGamma,
 )
-from .kernels import CauchyKernelOracle, evaluate_many, extract_laurent_coeffs
+from .kernels import (
+    CauchyKernelOracle,
+    evaluate_many,
+    extract_laurent_coeffs,
+    line_kernel,
+)
 from .numutil import (
     COND_LIMIT,
     EPS_GUARD,
@@ -748,54 +753,31 @@ def _prime_form_ratio(surface: Surface, zeros, poles, q, cfg):
 def scalar_partial_fraction(surface: Surface, zeros, poles,
                             chi: FlatLineBundle, chi_tilde: FlatLineBundle,
                             q, Q: complex, cfg: ThetaEvalConfig | None = None):
-    """Partial-fraction scalar interpolant assembled directly from theta values.
+    """Partial-fraction scalar interpolant: build_solution at rank 1.
 
-    Independent route to the same map as scalar_multiplicative: coupling
-    matrix Gamma_ij = -theta[out](phi(mu^j) - phi(lam^i)) /
-    (theta[out](0) E(mu^j, lam^i)), then the kernel-sum formula, then the
+    Independent route to the same map as scalar_multiplicative: the rank-1
+    data set with the vector [1] at every zero and pole, solved by
+    build_solution with line_kernel(chi) and line_kernel(chi~), that is
+    Gamma_ij = -K(chi~; lam^i, mu^j), the kernel-sum formula and the
     inverse input kernel factor.  Rejects the same degenerate nodes as
     scalar_multiplicative, and T likewise takes one point or a sequence.
+    The line kernels sum theta at DEFAULT_CONFIG, so cfg must be None or
+    equal to it.
+
+    Raises
+    ------
+    NotSquare, SingularGamma
+        As build_solution: unequal counts, or a singular Gamma or Q.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    if cfg not in (None, DEFAULT_CONFIG):
+        raise ValueError("the line kernels of build_solution sum theta at DEFAULT_CONFIG")
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
-    period = surface.period
-    ch_out = chi_tilde.characteristic
-    ch_in = chi.characteristic
-    th_out0 = theta_with_char(ch_out, np.zeros(1), period, cfg)
-    th_in0 = theta_with_char(ch_in, np.zeros(1), period, cfg)
-
-    def k_out(P, S):
-        """Output kernel at the coordinate pairs (P[i], S[i]): one theta_many
-        and one prime_form call."""
-        return theta_many(ch_out, (S - P)[:, None], period, cfg) / (
-            th_out0 * prime_form(surface, S, P, cfg)
-        )
-
-    zc, mc = surface.points(zeros), surface.points(poles)
-    n, m = len(zc), len(mc)
-    qc = coord(q)
-    # Gamma and the right-hand side K_out(lam^i, q) in one batch
-    vals = k_out(np.concatenate([np.repeat(zc, m), zc]),
-                 np.concatenate([np.tile(mc, n), np.full(n, qc)]))
-    gamma = -vals[:n * m].reshape(n, m)
-    if gamma.shape[0] != gamma.shape[1]:
-        raise NotSquare("zero and pole counts differ")
-    cond = svd_cond(gamma)
-    if cond > COND_LIMIT:
-        raise SingularGamma(f"scalar coupling matrix condition {cond:.3e}")
+    one = np.ones((1, 1))
+    data = InterpolationDataSet(surface, 1, tuple((z, one) for z in zeros),
+                                tuple((p, one) for p in poles))
     Q = complex(Q)
-    coef = np.linalg.solve(gamma, vals[n * m:])
-    ends = np.concatenate([[qc], mc])
-
-    def values(P):
-        K = k_out(np.repeat(P, m + 1), np.tile(ends, len(P))).reshape(-1, m + 1)
-        num = K[:, 0] + sum(K[:, j + 1] * coef[j] for j in range(m))
-        k_in = theta_many(ch_in, (qc - P)[:, None], period, cfg) / (
-            th_in0 * prime_form(surface, qc, P, cfg)
-        )
-        return num * Q / k_in
-
-    return _scalar_map(surface, q, Q, values)
+    T = build_solution(data, q, Q, line_kernel(surface, chi), line_kernel(surface, chi_tilde))
+    return _scalar_map(surface, q, Q, lambda P: T.many(P)[:, 0, 0])
 
 
 def fay_residual(surface: Surface, z, p, q, lam, mu,

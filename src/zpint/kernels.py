@@ -21,12 +21,12 @@ and block-diagonal direct sums, which satisfy the defining property for
 the direct sum of the factors and are the only rank > 1 kernels built
 internally.
 
-An oracle called on two point sequences (or evaluate_many) gives the
-values at all their pairs; every built-in kernel evaluates such a batch
-with array operations, and a single pair is the N = 1 case.  The line
-kernels of one surface share the argument phi(q) - phi(p) and the prime
-form, so a line kernel and the line blocks of a direct sum are evaluated
-together in one theta pass (_line_values).
+An oracle has one evaluation path, many: called on two point sequences
+(or through evaluate_many) it gives the values at all their pairs with
+array operations, and a single pair is the N = 1 case of the same call.
+The line kernels of one surface share the argument phi(q) - phi(p) and
+the prime form, so a line kernel and the line blocks of a direct sum are
+evaluated together in one theta pass (_line_values).
 """
 
 from __future__ import annotations
@@ -82,12 +82,10 @@ __all__ = [
 class CauchyKernelOracle:
     """Evaluator contract for an r-by-r Cauchy kernel in the global frame.
 
-    Calling the oracle with two point-like arguments returns the (r, r)
-    kernel value; with two point sequences of one length N it returns the
-    (N, r, r) values.  evaluator maps two SurfacePoints to one value;
-    many, when given, is the array-native form (two point arrays of length
-    N, as made by surface.points -> (N, r, r)), and a sequence call uses
-    it, or else calls evaluator once per pair.
+    many maps two point arrays of one length N, as made by surface.points,
+    to the (N, r, r) values.  Calling the oracle with two point sequences
+    of length N gives many on them; with two point-like arguments it gives
+    the (r, r) value of the N = 1 case.
     parts holds the summands of a direct sum; bundle holds the flat line
     bundle of a line kernel, and a direct sum evaluates such a part from
     its bundle alone; inner and frame hold the kernel and the constant
@@ -96,26 +94,22 @@ class CauchyKernelOracle:
 
     rank: int
     surface: Surface
-    evaluator: Callable
+    many: Callable
     bundle: FlatLineBundle | None = None
     parts: tuple = ()
     name: str = ""
-    many: Callable | None = None
     inner: CauchyKernelOracle | None = None
     frame: np.ndarray | None = None
 
     def __call__(self, p, q) -> np.ndarray:
-        if not (_is_many(p) or _is_many(q)):
-            return self.evaluator(point(p), point(q))
+        single = not (_is_many(p) or _is_many(q))
+        if single:   # point() rejects a non-finite coordinate
+            p, q = (point(p),), (point(q),)
         P, Q = self.surface.points(p), self.surface.points(q)
         if len(P) != len(Q):
             raise ValueError("point arrays differ in length")
-        if self.many is not None:
-            return self.many(P, Q)
-        out = np.empty((len(P), self.rank, self.rank), dtype=complex)
-        for i in range(len(P)):
-            out[i] = self.evaluator(point(P[i]), point(Q[i]))
-        return out
+        values = self.many(P, Q)
+        return values[0] if single else values
 
     def dual(self) -> "CauchyKernelOracle":
         """Oracle of the dual bundle; satisfies K(dual; p, q)^T = -K(chi; q, p)."""
@@ -131,21 +125,10 @@ class CauchyKernelOracle:
 def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     """Kernel values K(P[i], Q[i]) at N point pairs, shape (N, r, r).
 
-    This is the oracle called on the two sequences.  Built-in kernels
-    evaluate the whole batch with array operations, and their single-pair
-    call is the N = 1 case of the same code.  An oracle with only an
-    evaluator is called once per pair.
+    This is the oracle called on the two sequences; a single-pair call is
+    the N = 1 case of the same code.
     """
     return oracle(oracle.surface.points(P), oracle.surface.points(Q))
-
-
-def _array_native(rank: int, surface: Surface, many, **fields) -> CauchyKernelOracle:
-    """Oracle whose single-pair evaluator is the N = 1 case of many."""
-
-    def evaluate(p, q):
-        return many(surface.points((p,)), surface.points((q,)))[0]
-
-    return CauchyKernelOracle(rank, surface, evaluate, many=many, **fields)
 
 
 def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
@@ -160,7 +143,7 @@ def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
     def many(P, Q):
         return eye / (P - Q)[:, None, None]
 
-    return _array_native(r, surface, many, name=f"trivial({r})")
+    return CauchyKernelOracle(r, surface, many, name=f"trivial({r})")
 
 
 def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
@@ -181,7 +164,7 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
     def many(P, Q):
         return values(P, Q)[:, :, None]
 
-    return _array_native(1, surface, many, bundle=bundle, name="line")
+    return CauchyKernelOracle(1, surface, many, bundle=bundle, name="line")
 
 
 def _line_values(surface: Surface, bundles) -> Callable:
@@ -257,7 +240,7 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
             out[:, sl, sl] = evaluate_many(oracles[k], P, Q)
         return out
 
-    return _array_native(total, base, many, parts=oracles, name="direct_sum")
+    return CauchyKernelOracle(total, base, many, parts=oracles, name="direct_sum")
 
 
 def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKernelOracle:
@@ -273,8 +256,8 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
     def many(P, Q):
         return frame @ evaluate_many(oracle, P, Q) @ inv
 
-    return _array_native(oracle.rank, oracle.surface, many,
-                         inner=oracle, frame=frame, name="conjugated")
+    return CauchyKernelOracle(oracle.rank, oracle.surface, many,
+                              inner=oracle, frame=frame, name="conjugated")
 
 
 @dataclass(frozen=True, eq=False)

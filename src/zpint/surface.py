@@ -77,7 +77,6 @@ __all__ = [
     "prime_form",
     "odd_theta",
     "odd_theta_deriv0",
-    "log_deriv_odd_theta",
     "build_embedding_functions",
     "laurent_coeffs",
 ]
@@ -448,15 +447,6 @@ def odd_theta_deriv0(tau: complex, cfg: ThetaEvalConfig | None = None) -> comple
     """theta[1/2; 1/2]'(0 | tau); cached per modulus."""
     cfg = cfg or DEFAULT_CONFIG
     return _odd_deriv0(complex(tau), cfg.target_abs_error)
-
-
-def log_deriv_odd_theta(v: complex, period: PeriodMatrix,
-                        cfg: ThetaEvalConfig | None = None) -> complex:
-    """d/dv log theta[1/2; 1/2](v | tau), from the term-wise gradient."""
-    cfg = cfg or DEFAULT_CONFIG
-    val = theta_with_char(ODD_CHAR, np.array([v]), period, cfg)
-    grad = theta_gradient(ODD_CHAR, np.array([v]), period, cfg)
-    return complex(grad[0] / val)
 
 
 def prime_form(surface: Surface, p, q, cfg: ThetaEvalConfig | None = None):

@@ -25,15 +25,18 @@ A sum that overflows to a non-finite value raises NonConvergent.
 
 Truncation is planned once per period matrix and configuration: the
 ThetaPlan held by each PeriodMatrix caches the inverse and the smallest
-eigenvalue of Im(Omega) and a table of the tail bound by radius, which is
-additive in the log of the Gaussian peak.  theta_many evaluates a batch
-of arguments, grouping them by radius; every point is summed with the
-same per-element arithmetic whatever batch it arrives in, so its value
-does not depend on its batch and equals the scalar theta_with_char
-value bit for bit.  Given a tuple of characteristics, theta_many sums
-one row set per characteristic in the same single pass, each row with
-its own (a, b).  Enumeration order is fixed; identical inputs give
-bit-identical results on one platform.
+eigenvalue of Im(Omega) and two tables of the tail bound by radius, one
+for values and one for gradients, each additive in the log of the
+Gaussian peak.  Every entry runs one pass: theta_many evaluates a batch
+of arguments, grouped by radius and summed in chunks; riemann_theta,
+theta_with_char and theta_gradient are its N = 1 case, the last one
+summing the gradient in the same pass at the gradient radius.  Every
+point is summed with the same per-element arithmetic whatever batch it
+arrives in, so its value does not depend on its batch and equals the
+scalar theta_with_char value bit for bit.  Given a tuple of
+characteristics, theta_many sums one row set per characteristic in the
+same single pass, each row with its own (a, b).  Enumeration order is
+fixed; identical inputs give bit-identical results on one platform.
 """
 
 from __future__ import annotations
@@ -192,15 +195,6 @@ def _log_tail_bound(lam_min: float, log_peak: float, g: int, start: int,
     return float(total)
 
 
-def _truncation_radius(lam_min: float, log_peak: float, g: int, cfg: ThetaEvalConfig,
-                       deriv_shift: float | None) -> int:
-    log_target = math.log(cfg.target_abs_error)
-    for radius in range(1, cfg.max_lattice_radius + 1):
-        if _log_tail_bound(lam_min, log_peak, g, radius, deriv_shift) < log_target:
-            return radius
-    raise _radius_cap(cfg)
-
-
 def _radius_cap(cfg: ThetaEvalConfig) -> NonConvergent:
     return NonConvergent(
         f"tail bound above {cfg.target_abs_error:g} at radius cap "
@@ -212,10 +206,15 @@ class ThetaPlan:
     """Truncation data of one period matrix under one ThetaEvalConfig.
 
     Holds the inverse and the smallest eigenvalue of Im(Omega) (symmetrised),
-    and the table T0(r) = _log_tail_bound(lam_min, 0, g, r, None), extended
-    only as far as the largest radius asked for.  The tail bound is
-    additive in log_peak, so the value-path radius of a point is the
-    smallest r with T0(r) < log(target) - log_peak.
+    and two tables of the tail bound by radius, each extended only as far
+    as the largest radius asked for: the value table
+    T0(r) = _log_tail_bound(lam_min, 0, g, r, None) and the gradient table
+    T1(r) = _log_tail_bound(lam_min, 0, g, r, 0).  The tail bound is
+    additive in log_peak, so the value radius of a point is the smallest
+    r with T0(r) < log(target) - log_peak.  A gradient term at shell k
+    carries the weight 2*pi*(k + 1/2 + s), s = max|Im(Omega)^-1 y|, which
+    is at most 2*pi*(k + 1/2)*(1 + s) for k >= 1, so the gradient radius is
+    the smallest r with T1(r) < log(target) - log_peak - log1p(s).
     """
 
     def __init__(self, pm: PeriodMatrix, cfg: ThetaEvalConfig):
@@ -226,7 +225,8 @@ class ThetaPlan:
         self.imag_inv = np.linalg.inv(imag)
         self.lam_min = float(np.linalg.eigvalsh(imag).min())
         self._log_target = math.log(cfg.target_abs_error)
-        self._neg_tail = np.empty(0)   # -T0(1), -T0(2), ...: increasing
+        # -T(1), -T(2), ...: increasing; keyed by the gradient flag
+        self._neg_tail = {False: np.empty(0), True: np.empty(0)}
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
@@ -249,17 +249,21 @@ class ThetaPlan:
         NonConvergent
             If some point needs more than cfg.max_lattice_radius.
         """
-        excess = log_peak - self._log_target   # radius r fits when -T0(r) > excess
+        return self._radii(log_peak, False)
+
+    def _radii(self, log_peak: np.ndarray, gradient: bool) -> np.ndarray:
+        excess = log_peak - self._log_target   # radius r fits when -T(r) > excess
         highest = float(excess.max())
-        table = self._neg_tail
+        table = self._neg_tail[gradient]
         cap = self.cfg.max_lattice_radius
         if table.size < cap and not (table.size and table[-1] > highest):
+            shift = 0.0 if gradient else None
             extended = table.tolist()
             while len(extended) < cap and not (extended and extended[-1] > highest):
                 extended.append(-_log_tail_bound(self.lam_min, 0.0, self.genus,
-                                                 len(extended) + 1, None))
+                                                 len(extended) + 1, shift))
             # replaced whole, so a concurrent caller sees one complete table
-            table = self._neg_tail = np.array(extended)
+            table = self._neg_tail[gradient] = np.array(extended)
         if not (table.size and table[-1] > highest):
             raise _radius_cap(self.cfg)
         return np.searchsorted(table, excess, side="right") + 1
@@ -278,11 +282,10 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
                  y_sol: np.ndarray, radius: int, want_gradient: bool):
     """Characteristic sums at the rows of Z over one box radius.
 
-    The shared core of the scalar and batched entries.  a and b are one
-    characteristic (g,) for every row, or one per row (rows, g).  Every
-    operation is elementwise, and each term sum runs along one row, so a
-    row's value does not depend on the other rows.  Returns (values,
-    gradients or None).
+    a and b hold one characteristic per row (rows, g).  Every operation is
+    elementwise, and each term sum runs along one row, so a row's value
+    does not depend on the other rows.  Returns (values, gradients or
+    None).
 
     Raises
     ------
@@ -291,7 +294,7 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
     """
     omega = plan.omega
     base = np.rint(-a - y_sol)
-    m = [base[:, j, None] + col + a[..., j, None]
+    m = [base[:, j, None] + col + a[:, j, None]
          for j, col in enumerate(_offset_columns(radius, plan.genus))]
     zb = Z + b
     quad = sum(mj * omega[j, k] * mk for j, mj in enumerate(m) for k, mk in enumerate(m))
@@ -310,21 +313,45 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
     return values, grad
 
 
+def _sums(omega: PeriodMatrix, cfg: ThetaEvalConfig, a: np.ndarray, b: np.ndarray,
+          rows: np.ndarray, want_gradient: bool):
+    """Characteristic sums at the rows of rows (N, g), row i with (a[i], b[i]).
+
+    The one lattice pass behind every entry: rows are grouped by truncation
+    radius (the gradient radius when want_gradient) and summed in chunks of
+    at most CHUNK_ELEMENTS terms.  Returns (values (N,), gradients (N, g)
+    or None).
+    """
+    n, g = rows.shape
+    if g == 0 or n == 0:
+        return np.ones(n, dtype=complex), np.zeros((n, g), dtype=complex)
+    plan = omega.plan(cfg)
+    log_peak, y_sol = plan.peaks(rows)
+    if want_gradient:
+        radii = plan._radii(log_peak + np.log1p(np.abs(y_sol).max(axis=1)), True)
+    else:
+        radii = plan.radii(log_peak)
+    lo, hi = int(radii.min()), int(radii.max())
+    if lo == hi and n * (2 * hi + 1) ** g <= CHUNK_ELEMENTS:
+        return _lattice_sum(plan, a, b, rows, y_sol, hi, want_gradient)
+    values = np.empty(n, dtype=complex)
+    grad = np.empty((n, g), dtype=complex) if want_gradient else None
+    for radius in sorted(set(radii.tolist())):
+        at = np.flatnonzero(radii == radius)
+        step = max(1, CHUNK_ELEMENTS // (2 * radius + 1) ** g)
+        for start in range(0, at.size, step):
+            sel = at[start:start + step]
+            values[sel], part = _lattice_sum(plan, a[sel], b[sel], rows[sel], y_sol[sel],
+                                             radius, want_gradient)
+            if want_gradient:
+                grad[sel] = part
+    return values, grad
+
+
 def _char_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, pm: PeriodMatrix,
               cfg: ThetaEvalConfig, want_gradient: bool):
-    """Truncated characteristic lattice sum at one point; optionally its z-gradient."""
-    g = pm.genus
-    if g == 0:
-        return 1.0 + 0.0j, np.zeros(0, dtype=complex)
-    plan = pm.plan(cfg)
-    Z = z[None, :]
-    log_peak, y_sol = plan.peaks(Z)
-    if want_gradient:
-        radius = _truncation_radius(plan.lam_min, float(log_peak[0]), g, cfg,
-                                    float(np.abs(y_sol).max()))
-    else:
-        radius = int(plan.radii(log_peak)[0])
-    values, grad = _lattice_sum(plan, a, b, Z, y_sol, radius, want_gradient)
+    """The scalar entries' one point: the N = 1 case of _sums."""
+    values, grad = _sums(pm, cfg, a[None], b[None], z[None], want_gradient)
     return complex(values[0]), None if grad is None else grad[0]
 
 
@@ -391,34 +418,18 @@ def theta_many(chi, Z, omega: PeriodMatrix,
         raise ValueError(f"arguments have shape {Z.shape}, expected {expected}")
     if not np.isfinite(Z).all():
         raise ValueError("theta arguments must be finite")
-    if g == 0 or Z.size == 0:
-        return np.ones(Z.shape[:-1], dtype=complex)
-    rows = Z.reshape(-1, g)
+    rows = Z.reshape(len(chis) * stacked.shape[1], g)
     a = np.array([c.a for c in chis]).repeat(stacked.shape[1], axis=0)
     b = np.array([c.b for c in chis]).repeat(stacked.shape[1], axis=0)
-    plan = omega.plan(cfg)
-    log_peak, y_sol = plan.peaks(rows)
-    radii = plan.radii(log_peak)
-    lo, hi = int(radii.min()), int(radii.max())
-    if lo == hi and rows.shape[0] * (2 * hi + 1) ** g <= CHUNK_ELEMENTS:
-        return _lattice_sum(plan, a, b, rows, y_sol, hi, False)[0].reshape(Z.shape[:-1])
-    out = np.empty(rows.shape[0], dtype=complex)
-    for radius in np.unique(radii).tolist():
-        at = np.flatnonzero(radii == radius)
-        step = max(1, CHUNK_ELEMENTS // (2 * radius + 1) ** g)
-        for start in range(0, at.size, step):
-            sel = at[start:start + step]
-            out[sel] = _lattice_sum(plan, a[sel], b[sel], rows[sel], y_sol[sel],
-                                    radius, False)[0]
-    return out.reshape(Z.shape[:-1])
+    return _sums(omega, cfg, a, b, rows, False)[0].reshape(Z.shape[:-1])
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,
                    cfg: ThetaEvalConfig | None = None) -> np.ndarray:
     """Gradient of theta[a; b] in lam, by term-wise differentiation.
 
-    The same tail control applies, with the shell bound enlarged by the
-    linear factor coming from the 2*pi*i*(n+a) weights.
+    The N = 1 case of the batched pass, truncated at the gradient radius
+    of the ThetaPlan, whose tail bound carries the 2*pi*i*(n+a) weights.
     """
     cfg = cfg or DEFAULT_CONFIG
     if chi.genus != omega.genus:

@@ -76,6 +76,7 @@ from .theta import (
     period_from_tau,
     riemann_theta,
     theta_gradient,
+    theta_many,
     theta_with_char,
 )
 
@@ -431,22 +432,22 @@ def checks_scalar_equivalence(seed=5, tol_scale=1.0):
     pm = period_from_tau(tau)
     z_chi = complex(chi.jacobian_point(pm)[0])
     a_exp = float(a1[0])
+    P = np.array([sample_point(surf, rng, avoid=[lam, mu, q]) for _ in range(50)])
+    zero = ThetaCharacteristic(np.zeros(1), np.zeros(1))
 
-    def t_terms(p):
-        th = lambda w: riemann_theta(w, pm)
-        E = lambda s, t: prime_form(surf, s, t)
-        pre = np.exp(-2j * np.pi * a_exp * (p - q))
-        main = th(z_chi + lam - mu + q - p) * th(z_chi) / (
-            th(z_chi + lam - mu) * th(z_chi + q - p))
-        cross = (th(z_chi + lam - p) * th(z_chi + q - mu) * E(mu, lam) * E(q, p)
-                 / (th(z_chi + lam - mu) * th(z_chi + q - p) * E(mu, p) * E(q, lam)))
-        return pre * (main - cross) * Q
+    def th(w):   # one theta_many call per term
+        return theta_many(zero, np.broadcast_to(w, P.shape)[:, None], pm)
 
-    worst_single = 0.0
-    for _ in range(50):
-        p = sample_point(surf, rng, avoid=[lam, mu, q])
-        a, b = t_mult(p), t_terms(p)
-        worst_single = max(worst_single, abs(a - b) / (abs(a) + abs(b)))
+    def E(s, t):   # one array prime_form call per term
+        return prime_form(surf, np.broadcast_to(s, P.shape), np.broadcast_to(t, P.shape))
+
+    pre = np.exp(-2j * np.pi * a_exp * (P - q))
+    main = th(z_chi + lam - mu + q - P) * th(z_chi) / (
+        th(z_chi + lam - mu) * th(z_chi + q - P))
+    cross = (th(z_chi + lam - P) * th(z_chi + q - mu) * E(mu, lam) * E(q, P)
+             / (th(z_chi + lam - mu) * th(z_chi + q - P) * E(mu, P) * E(q, lam)))
+    a, b = t_mult(P), pre * (main - cross) * Q
+    worst_single = (np.abs(a - b) / (np.abs(a) + np.abs(b))).max(initial=0.0)
     out.append(check("line.single_pair_term_assembly", worst_single, 1e-9 * tol_scale))
     return out
 

@@ -6,6 +6,8 @@ formulas, explicit Cauchy determinants and finite differences.  Tests
 compare zpint outputs against these, never against themselves.
 """
 
+import itertools
+
 import mpmath as mp
 import numpy as np
 
@@ -41,6 +43,28 @@ def theta_char_direct(a, b, lam, omega, radius=40):
                 total += mp.e ** (mp.pi * 1j * quad + 2 * mp.pi * 1j * lin)
         return total
     raise ValueError("oracle supports genus 1 and 2 only")
+
+
+def theta_char_gradient_direct(a, b, lam, omega, radius=40):
+    """z-gradient of the direct characteristic lattice sum, in mpmath.
+
+    Term-wise: sum over n in the box of sup-norm radius of
+    2*pi*i (n+a) exp(pi*i (n+a).Omega.(n+a) + 2*pi*i (n+a).(lam+b)).
+    Arguments as for theta_char_direct; returns a list of g mpc values.
+    """
+    g = len(a)
+    a = [mp.mpf(float(v)) for v in a]
+    shift = [mp.mpc(complex(lam[j])) + mp.mpf(float(b[j])) for j in range(g)]
+    omega = [[mp.mpc(complex(omega[i][j])) for j in range(g)] for i in range(g)]
+    pi_i = mp.pi * 1j
+    grad = [mp.mpc(0)] * g
+    for n in itertools.product(range(-radius, radius + 1), repeat=g):
+        m = [n[j] + a[j] for j in range(g)]
+        quad = sum(omega[i][j] * m[i] * m[j] for i in range(g) for j in range(g))
+        lin = sum(m[j] * shift[j] for j in range(g))
+        term = mp.exp(pi_i * (quad + 2 * lin))
+        grad = [grad[j] + m[j] * term for j in range(g)]
+    return [2 * pi_i * v for v in grad]
 
 
 def theta3_zero_value():

@@ -121,7 +121,7 @@ def mixed_count_data(surf, pts, rng):
 
 
 def mixed_count_cases(rng):
-    """(data, oracle, q) over direct-sum, conjugated, evaluator-only, genus-0
+    """(data, oracle, q) over direct-sum, conjugated, opaque (many only), genus-0
     and tabulated rank-3 kernels; q is a ninth point, off the nodes."""
     from test_kernels import torus_table_surface
     from zpint.kernels import CauchyKernelOracle
@@ -133,7 +133,7 @@ def mixed_count_cases(rng):
     pts = torus_points(rng, 9)
     data = mixed_count_data(torus, pts, rng)
     cases = [(data, dsum, pts[8]), (data, conjugated_kernel(dsum, frame), pts[8]),
-             (data, CauchyKernelOracle(3, torus, dsum.evaluator), pts[8])]
+             (data, CauchyKernelOracle(3, torus, dsum.many), pts[8])]
     sphere = genus0_surface()
     pts = [complex(v) for v in rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)]
     cases.append((mixed_count_data(sphere, pts, rng), genus0_kernel(3, sphere), pts[8]))
@@ -335,6 +335,26 @@ def test_scalar_partial_fraction_equivalence(scalar_setup, rng):
         assert abs(a - b) / (abs(a) + abs(b)) < 1e-9
 
 
+def test_scalar_partial_fraction_is_rank1_build_solution(scalar_setup, rng):
+    """The partial-fraction form is build_solution on the rank-1 data set,
+    bit for bit, and it keeps its own rejections."""
+    from zpint.theta import ThetaEvalConfig
+
+    surf, zeros, poles, chi, chit, data = scalar_setup
+    Q = 1.3 - 0.4j
+    P = torus_points(rng, 8, avoid=zeros + poles + [Q_POINT])
+    T = build_solution(data, Q_POINT, np.array([[Q]]),
+                       line_kernel(surf, chi), line_kernel(surf, chit))
+    T_pf = scalar_partial_fraction(surf, zeros, poles, chi, chit, Q_POINT, Q)
+    assert np.array_equal(T_pf(P), T.many(P)[:, 0, 0])
+    with pytest.raises(NotSquare):
+        scalar_partial_fraction(surf, zeros, poles[:1], chi, chit, Q_POINT, Q)
+    # the line kernels sum theta at the default configuration only
+    with pytest.raises(ValueError):
+        scalar_partial_fraction(surf, zeros, poles, chi, chit, Q_POINT, Q,
+                                ThetaEvalConfig(target_abs_error=1e-9))
+
+
 def test_scalar_forms_take_point_sequences(scalar_setup, rng):
     surf, zeros, poles, chi, chit, _ = scalar_setup
     Q = 1.3 - 0.4j
@@ -463,7 +483,7 @@ def test_pole_location_needs_line_bundle_blocks(scalar_setup):
 
     surf, zeros, poles, chi, chit, data = scalar_setup
     kt = line_kernel(surf, chit)
-    opaque = CauchyKernelOracle(rank=1, surface=surf, evaluator=kt.evaluator)
+    opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
     with pytest.raises(PoleLocationFailure):
         residue_condition_check(data, Q_POINT, np.array([[1.0]]), opaque, kt)
 
@@ -787,7 +807,7 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     table_pts = zeros + poles + [Q_POINT] + sweep[:3]
     table, labels = torus_table_surface(surf, table_pts)
     table_data = InterpolationDataSet(table, 1, *scalar_nodes(labels[:2], labels[2:4]))
-    opaque = CauchyKernelOracle(rank=1, surface=surf, evaluator=kt.evaluator)
+    opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
     Q2 = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
     cases = [
         (rank2, Q_POINT, Q2, dsum_o, dsum_t, sweep),
@@ -877,3 +897,50 @@ def test_tabulated_interpolants_match_multiplicative(scalar_setup, rng):
         a = T_mult(p)
         assert abs(T(label)[0, 0] - a) <= 1e-12 * abs(a)
         assert abs(Ti(label)[0, 0] - 1 / a) <= 1e-12 / abs(a)
+
+
+NUMPY_MA_PROBE = """
+import sys
+import numpy as np
+from zpint.absint import InterpolationDataSet, build_solution, divisor_characteristic
+from zpint.kernels import direct_sum_kernel, line_kernel
+from zpint.surface import line_bundle, torus_surface
+
+tau = 0.1 + 1.05j
+surf = torus_surface(tau)
+blocks = [([0.21 + 0.33j, 0.62 + 0.71j], [0.45 + 0.12j, 0.83 + 0.52j], line_bundle(0.23, 0.41)),
+          ([0.12 + 0.82j, 0.71 + 0.25j], [0.33 + 0.55j, 0.91 + 0.93j], line_bundle(0.67, 0.19))]
+zeros, poles, chis, tildes = [], [], [], []
+for k, (zs, ps, chi) in enumerate(blocks):
+    e_k = np.eye(2)[k:k + 1]
+    zeros += [(z, e_k) for z in zs]
+    poles += [(p, e_k) for p in ps]
+    a_w, b_w, _ = divisor_characteristic(surf, zs, ps)
+    chis.append(line_kernel(surf, chi))
+    tildes.append(line_kernel(surf, line_bundle(chi.a + a_w, chi.b + b_w)))
+data = InterpolationDataSet(surf, 2, tuple(zeros), tuple(poles))
+T = build_solution(data, 0.52 + 0.18j, np.diag([1.2 - 0.1j, 0.8 + 0.4j]),
+                   direct_sum_kernel(chis), direct_sum_kernel(tildes))
+grid = np.linspace(0.03, 0.97, 20)
+values = T.many((grid[:, None] + tau * grid[None, :]).ravel())
+assert np.isfinite(values).all()
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_solve_and_sweep_do_not_import_numpy_ma():
+    """numpy.ma costs a fresh process over a megabyte of peak memory; a
+    torus solve and a 400-point sweep, which sums theta in chunks, must not
+    import it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import zpint
+
+    src = str(Path(zpint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -281,6 +281,8 @@ def test_conint_problem_file(tmp_path):
     # a zero equal to a pole, and a base point on a zero, both mod the lattice
     ("solve-line", {**LINE_PROBLEM, "zeros": [[0.13, 0.27]], "poles": [[1.13, 0.27]]}),
     ("solve-line", {**LINE_PROBLEM, "base_point": [1.13, 0.27]}),
+    # a zero base value: no invertible map takes it
+    ("solve-line", {**LINE_PROBLEM, "base_value": [0.0, 0.0]}),
     # numbers beyond float range, and data that overflows in the solve
     ("solve-genus0", {**GENUS0_PROBLEM, "rank": float("inf")}),
     ("solve-line", {**LINE_PROBLEM, "chi": {"a": [10**400], "b": [0.41]}}),
@@ -291,7 +293,7 @@ def test_conint_problem_file(tmp_path):
         ABSINT_PROBLEM["zeros"][1]]}),
 ], ids=["line-chi", "genus0-point", "conint-block", "conint-embedding",
         "conint-embedding-count", "conint-embedding-scalar", "line-zero-on-pole",
-        "line-base-on-zero", "genus0-rank-inf", "line-huge-int", "line-tall-tau",
+        "line-base-on-zero", "line-zero-base-value", "genus0-rank-inf", "line-huge-int", "line-tall-tau",
         "conint-base-shape", "conint-huge-vector"])
 def test_bad_problem_exits_2(command, payload, tmp_path, capsys):
     problem = tmp_path / "p.json"

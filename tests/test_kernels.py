@@ -134,7 +134,7 @@ def test_extraction_unstable_on_double_pole(torus):
     fake = CauchyKernelOracle(
         rank=1,
         surface=torus,
-        evaluator=lambda p, q: np.array([[1.0 / (p.coordinate - q.coordinate) ** 2]]),
+        many=lambda P, Q: (1.0 / (P - Q) ** 2)[:, None, None],
     )
     with pytest.raises(ExtractionUnstable):
         extract_laurent_coeffs(fake, 0.3 + 0.4j)
@@ -242,21 +242,20 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
     line = line_kernel(torus, bundle)
     dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
     frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
-    evaluator_only = CauchyKernelOracle(
-        rank=1, surface=torus,
-        evaluator=lambda p, q: np.array([[1.0 / (p.coordinate - q.coordinate)]]),
+    opaque = CauchyKernelOracle(
+        rank=1, surface=torus, many=lambda P, Q: (1.0 / (P - Q))[:, None, None],
     )
     P, Q = torus_pairs(12)
     cases = [(line, P, Q), (dsum, P, Q), (conjugated_kernel(dsum, frame), P, Q),
-             (evaluator_only, P, Q), (direct_sum_kernel([line, evaluator_only]), P, Q),
+             (opaque, P, Q), (direct_sum_kernel([line, opaque]), P, Q),
              (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
     table_surface, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j,
                                                         0.44 + 0.12j])
     table_line = line_kernel(table_surface, bundle)
-    table_evaluator_only = CauchyKernelOracle(1, table_surface, table_line.evaluator)
+    table_opaque = CauchyKernelOracle(1, table_surface, table_line.many)
     table_P, table_Q = ["p0", "p1", "p2", "p0"], ["p1", "p2", "p0", "p2"]
-    cases += [(table_line, table_P, table_Q), (table_evaluator_only, table_P, table_Q),
-              (direct_sum_kernel([table_line, table_evaluator_only]), table_P, table_Q)]
+    cases += [(table_line, table_P, table_Q), (table_opaque, table_P, table_Q),
+              (direct_sum_kernel([table_line, table_opaque]), table_P, table_Q)]
     for oracle, P, Q in cases:
         batch = evaluate_many(oracle, P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
@@ -266,6 +265,14 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
         with pytest.raises(ValueError):
             oracle(P, Q[:-1])
+
+
+def test_single_pair_rejects_non_finite_point(torus, bundle):
+    """A single pair runs through point(), which rejects a non-finite coordinate."""
+    for oracle in (line_kernel(torus, bundle), genus0_kernel(2)):
+        for p, q in ((complex(np.nan, 0.0), 0.3), (0.3, complex(0.0, np.inf))):
+            with pytest.raises(ValueError):
+                oracle(p, q)
 
 
 def test_line_blocks_match_theta_formula(torus, bundle, bundle2):

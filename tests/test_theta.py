@@ -1,5 +1,6 @@
 """Theta engine tests against independent high-precision oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from zpint.theta import (
     PeriodMatrix,
     ThetaCharacteristic,
     ThetaEvalConfig,
-    _truncation_radius,
+    _log_tail_bound,
     period_from_tau,
     reduce_characteristic,
     riemann_theta,
@@ -145,6 +146,36 @@ def test_gradient_vs_finite_differences(rng):
         assert abs(grad - fd) / abs(fd) < 1e-6
 
 
+@pytest.mark.parametrize("g, count", [(1, 4), (2, 2)])
+def test_gradient_matches_direct_sum_off_the_real_axis(g, count, rng):
+    """theta_gradient against the radius-40 mpmath gradient sum, with
+    |Im z| up to 3 so that s = max|Im(Omega)^-1 y| > 0.  The error allowed is
+    the truncation target plus a few ulps of the Gaussian peak at the
+    gradient weight 2*pi*(1 + s)."""
+    omega = np.array([[0.3 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 0.9j]])[:g, :g]
+    pm = PeriodMatrix(g, omega)
+    plan = pm.plan()
+    for _ in range(count):
+        chi = ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g))
+        z = rng.uniform(-1, 1, g) + 1j * rng.uniform(-3, 3, g)
+        log_peak, y_sol = plan.peaks(z[None])
+        s = float(np.abs(y_sol).max())
+        assert s > 0.2
+        ref = oracles.theta_char_gradient_direct(chi.a, chi.b, z, omega)
+        err = np.abs(theta_gradient(chi, z, pm) - np.array([complex(v) for v in ref])).max()
+        ulps = 64 * np.finfo(float).eps * math.exp(log_peak[0]) * 2 * math.pi * (1 + s)
+        assert err <= DEFAULT_CONFIG.target_abs_error + ulps, (z, err)
+
+
+def test_odd_derivative_at_zero_is_frozen():
+    """theta[1/2; 1/2]'(0), which every prime form divides by, keeps its bits."""
+    chi = ThetaCharacteristic([0.5], [0.5])
+    assert theta_gradient(chi, 0.0, period_from_tau(0.3 + 0.9j))[0] == complex(
+        -3.030194855233179, -0.6956566915304156)
+    assert theta_gradient(chi, 0.0, period_from_tau(0.25 + 1.1j))[0] == complex(
+        -2.5990128340884704, -0.508905370297595)
+
+
 def test_even_characteristic_gradient_vanishes_at_zero():
     pm = period_from_tau(0.3 + 0.8j)
     for a, b in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)):
@@ -251,6 +282,15 @@ def _outcome(fn):
         return "radius cap"
 
 
+def _radius_search(lam_min, log_peak, g, cfg, deriv_shift):
+    """Smallest radius whose tail bound falls below the target, searched directly."""
+    for radius in range(1, cfg.max_lattice_radius + 1):
+        if _log_tail_bound(lam_min, log_peak, g, radius, deriv_shift) < math.log(
+                cfg.target_abs_error):
+            return radius
+    raise NonConvergent("radius cap")
+
+
 @pytest.mark.parametrize("g", [1, 2])
 @pytest.mark.parametrize("lam", [0.15, 0.6, 1.7])
 def test_plan_radius_equals_radius_search(g, lam):
@@ -260,9 +300,26 @@ def test_plan_radius_equals_radius_search(g, lam):
         plan = pm.plan(cfg)
         for log_peak in np.linspace(0.0, 150.0, 76):
             ours = _outcome(lambda: int(plan.radii(np.array([log_peak]))[0]))
-            ref = _outcome(lambda: _truncation_radius(plan.lam_min, float(log_peak), g,
-                                                      cfg, None))
+            ref = _outcome(lambda: _radius_search(plan.lam_min, float(log_peak), g,
+                                                  cfg, None))
             assert ours == ref, (cfg, log_peak)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("lam", [0.15, 0.6, 1.7])
+def test_gradient_radius_covers_shifted_bound(g, lam):
+    """The gradient radius from the plan's shift-free table, with log1p(s)
+    added to the peak, is never below the direct search with shift s, and
+    equals it at s = 0."""
+    omega = 1j * lam * np.array([[1.0, 0.3], [0.3, 2.0]])[:g, :g] + 0.2
+    plan = PeriodMatrix(g, omega).plan()
+    for log_peak in np.linspace(0.0, 60.0, 13):
+        for shift in (0.0, 0.4, 2.5, 9.0):
+            ours = int(plan._radii(np.array([log_peak + math.log1p(shift)]), True)[0])
+            ref = _radius_search(plan.lam_min, float(log_peak), g, DEFAULT_CONFIG, shift)
+            assert ours >= ref, (log_peak, shift)
+            if shift == 0.0:
+                assert ours == ref, log_peak
 
 
 @pytest.mark.parametrize("chunk", [theta_module.CHUNK_ELEMENTS, 64])
