@@ -11,10 +11,8 @@ correspondence; see zpint.verify and the `zpint verify-all` command.
 
 from .errors import ZpintError
 from .theta import (
-    DEFAULT_CONFIG,
     PeriodMatrix,
     ThetaCharacteristic,
-    ThetaEvalConfig,
     period_from_tau,
     reduce_characteristic,
     riemann_theta,

@@ -69,13 +69,7 @@ from .surface import (
     point,
     prime_form,
 )
-from .theta import (
-    DEFAULT_CONFIG,
-    ThetaCharacteristic,
-    ThetaEvalConfig,
-    theta_many,
-    theta_with_char,
-)
+from .theta import ThetaCharacteristic, theta_many, theta_with_char
 
 __all__ = [
     "InterpolationNode",
@@ -485,7 +479,7 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse")
 
 
-def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q, cfg=None):
+def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
     """Closed-form pole locations of K(chi; . , q)^{-1} for split torus kernels.
 
     A line-bundle block with Jacobian point z has 1/K blowing up where the
@@ -494,7 +488,6 @@ def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q, cfg=None):
     the genus-1 vector of Riemann constants).  The trivial genus-0 kernel
     contributes no poles, and a constant frame moves none.
     """
-    cfg = cfg or DEFAULT_CONFIG
     surface = oracle_chi.surface
     if surface.genus == 0:
         return []
@@ -510,8 +503,8 @@ def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q, cfg=None):
         z = complex(block.bundle.jacobian_point(surface.period)[0])
         p = lattice_reduce(coord(q) + z - (1.0 + tau) / 2.0, tau)
         chi = block.bundle.characteristic
-        val = theta_with_char(chi, coord(q) - p, surface.period, cfg)
-        ref = abs(block.bundle.theta_at_zero(surface.period, cfg)) + 1.0
+        val = theta_with_char(chi, coord(q) - p, surface.period)
+        ref = abs(block.bundle.theta_at_zero(surface.period)) + 1.0
         if abs(val) > 1e-8 * ref:
             raise PoleLocationFailure(
                 f"theta numerator {abs(val):.3e} not small at predicted pole {p}"
@@ -701,7 +694,7 @@ def _scalar_map(surface, q, Q, values):
 
 def scalar_multiplicative(surface: Surface, zeros, poles,
                           chi: FlatLineBundle, chi_tilde: FlatLineBundle,
-                          q, Q: complex, cfg: ThetaEvalConfig | None = None):
+                          q, Q: complex):
     """Multiplicative scalar interpolant on the torus.
 
     T(p) = prod_i E(p, lam^i)/E(q, lam^i) / prod_j E(p, mu^j)/E(q, mu^j)
@@ -713,19 +706,18 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     from the base point.  T takes one point or a sequence of N points
     (then an (N,) array).
     """
-    cfg = cfg or DEFAULT_CONFIG
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
     if len(zeros) != len(poles):
         raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
     defect = _necessity_defect(surface, zeros, poles, chi, chi_tilde)
     if defect > 1e-9:
         raise NecessityViolated(f"divisor/bundle lattice defect {defect:.3e}")
-    ratio = _prime_form_ratio(surface, zeros, poles, q, cfg)
+    ratio = _prime_form_ratio(surface, zeros, poles, q)
     Q = complex(Q)
     return _scalar_map(surface, q, Q, lambda P: ratio(P) * Q)
 
 
-def _prime_form_ratio(surface: Surface, zeros, poles, q, cfg):
+def _prime_form_ratio(surface: Surface, zeros, poles, q):
     """P -> prod_i E(p, lam^i)/E(q, lam^i) / prod_j E(p, mu^j)/E(q, mu^j)
     * exp(-2 pi i a (phi(p) - phi(q))), the scalar multiplicative factor,
     over an (N,) coordinate array P: one prime_form call over all nodes."""
@@ -734,10 +726,10 @@ def _prime_form_ratio(surface: Surface, zeros, poles, q, cfg):
     qc = coord(q)
     nodes = surface.points([*zeros, *poles])
     n, k = len(zeros), len(nodes)
-    at_q = prime_form(surface, np.full(k, qc), nodes, cfg)
+    at_q = prime_form(surface, np.full(k, qc), nodes)
 
     def ratio(P):
-        E = prime_form(surface, np.repeat(P, k), np.tile(nodes, len(P)), cfg).reshape(-1, k)
+        E = prime_form(surface, np.repeat(P, k), np.tile(nodes, len(P))).reshape(-1, k)
         # out-of-place products: numpy's in-place complex multiply takes a
         # vector path whose last bits depend on the array length
         val = np.ones(len(P), dtype=complex)
@@ -752,7 +744,7 @@ def _prime_form_ratio(surface: Surface, zeros, poles, q, cfg):
 
 def scalar_partial_fraction(surface: Surface, zeros, poles,
                             chi: FlatLineBundle, chi_tilde: FlatLineBundle,
-                            q, Q: complex, cfg: ThetaEvalConfig | None = None):
+                            q, Q: complex):
     """Partial-fraction scalar interpolant: build_solution at rank 1.
 
     Independent route to the same map as scalar_multiplicative: the rank-1
@@ -761,16 +753,12 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     Gamma_ij = -K(chi~; lam^i, mu^j), the kernel-sum formula and the
     inverse input kernel factor.  Rejects the same degenerate nodes as
     scalar_multiplicative, and T likewise takes one point or a sequence.
-    The line kernels sum theta at DEFAULT_CONFIG, so cfg must be None or
-    equal to it.
 
     Raises
     ------
     NotSquare, SingularGamma
         As build_solution: unequal counts, or a singular Gamma or Q.
     """
-    if cfg not in (None, DEFAULT_CONFIG):
-        raise ValueError("the line kernels of build_solution sum theta at DEFAULT_CONFIG")
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
     one = np.ones((1, 1))
     data = InterpolationDataSet(surface, 1, tuple((z, one) for z in zeros),
@@ -780,8 +768,7 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     return _scalar_map(surface, q, Q, lambda P: T.many(P)[:, 0, 0])
 
 
-def fay_residual(surface: Surface, z, p, q, lam, mu,
-                 cfg: ThetaEvalConfig | None = None):
+def fay_residual(surface: Surface, z, p, q, lam, mu):
     """Relative residual of the three-term trisecant identity.
 
     theta(z + L - M) theta(z + Q - P) E(p, lam) E(q, mu)
@@ -793,7 +780,6 @@ def fay_residual(surface: Surface, z, p, q, lam, mu,
     them ((N,) at genus 1, or (N, g)); the result is then the (N,) array
     of residuals, from six theta_many and six prime_form calls.
     """
-    cfg = cfg or DEFAULT_CONFIG
     period = surface.period
     many = np.ndim(surface.points(p)) > 0
     p, q, lam, mu = (surface.points(x if many else [x]) for x in (p, q, lam, mu))
@@ -803,10 +789,10 @@ def fay_residual(surface: Surface, z, p, q, lam, mu,
     zero = ThetaCharacteristic(np.zeros(g), np.zeros(g))
 
     def th(w):
-        return theta_many(zero, np.broadcast_to(w, phi_p.shape), period, cfg)
+        return theta_many(zero, np.broadcast_to(w, phi_p.shape), period)
 
     def E(s, t):
-        return prime_form(surface, s, t, cfg)
+        return prime_form(surface, s, t)
 
     term1 = th(z + phi_l - phi_m) * th(z + phi_q - phi_p) * E(p, lam) * E(q, mu)
     term2 = th(z + phi_l - phi_p) * th(z + phi_q - phi_m) * E(lam, mu) * E(q, p)
@@ -857,8 +843,7 @@ def matrix_fay_residual(oracle_chi: CauchyKernelOracle,
 
 
 def full_rank_multiplicative(data: InterpolationDataSet,
-                             oracle_tilde: CauchyKernelOracle, q, Q,
-                             cfg: ThetaEvalConfig | None = None):
+                             oracle_tilde: CauchyKernelOracle, q, Q):
     """Multiplicative solution for full-rank standard-basis data.
 
     Every node must carry the r standard basis vectors; then the solution
@@ -868,7 +853,6 @@ def full_rank_multiplicative(data: InterpolationDataSet,
 
     Returns (evaluator, gamma_block).
     """
-    cfg = cfg or DEFAULT_CONFIG
     r = data.rank
     eye = np.eye(r)
     for node in (*data.zeros, *data.poles):
@@ -877,7 +861,7 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     surface = data.surface
     zeros = [z.point for z in data.zeros]
     poles = [p.point for p in data.poles]
-    ratio = _prime_form_ratio(surface, zeros, poles, q, cfg)
+    ratio = _prime_form_ratio(surface, zeros, poles, q)
     scalar = _scalar_map(surface, q, 1.0, ratio)
     Qmat = np.asarray(Q, dtype=complex).reshape(r, r)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PointOnPoleSet, SingularBoundaryValue, SurfaceMismatch
-from .kernels import CauchyKernelOracle
+from .kernels import CauchyKernelOracle, evaluate_many
 from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
 from .surface import EmbeddingPair, coord, point
 
@@ -99,18 +99,26 @@ class PencilRep:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedSections:
-    """Right and left normalized section evaluators of the kernel bundle."""
+    """Right and left normalized section evaluators of the kernel bundle.
+
+    Each evaluation is one evaluate_many call over the m pole points;
+    point() rejects a non-finite p, as a single-pair call does.
+    """
 
     oracle: CauchyKernelOracle
     embedding: EmbeddingPair
 
     def right(self, p) -> np.ndarray:
         """u_cross(p), shape (M, r); poles exactly at the x^i."""
-        return np.vstack([self.oracle(x, p) for x in self.embedding.pole_points])
+        xs = self.embedding.pole_points
+        blocks = evaluate_many(self.oracle, xs, [point(p)] * len(xs))   # K(x^i, p)
+        return blocks.reshape(-1, self.oracle.rank)
 
     def left(self, p) -> np.ndarray:
         """u_cross_left(p), shape (r, M)."""
-        return -np.hstack([self.oracle(p, x) for x in self.embedding.pole_points])
+        xs = self.embedding.pole_points
+        blocks = evaluate_many(self.oracle, [point(p)] * len(xs), xs)   # K(p, x^i)
+        return -blocks.transpose(1, 0, 2).reshape(self.oracle.rank, -1)
 
 
 def _require_same_surface(oracle, embedding):
@@ -178,31 +186,29 @@ def check_kernel_identities(pencil: PencilRep, sections: NormalizedSections,
     return res1, res2, res3
 
 
-def curve_membership(pencil: PencilRep, embedding: EmbeddingPair, p,
-                     gap_ratio: float = 1e6) -> tuple[float, int]:
+def curve_membership(pencil: PencilRep, embedding: EmbeddingPair, p) -> tuple[float, int]:
     """On-curve test of the pencil at the image of p.
 
     Returns (relative determinant, numerical kernel dimension): the
     product of the r smallest singular values over the r-th power of the
-    smallest one above the rank gap, and the SVD kernel dimension at the
-    given gap ratio.
+    smallest one above the rank gap, and the SVD kernel dimension
+    (numerical_kernel_dim).
     """
     pc = coord(p)
     if embedding.is_pole(pc):
         raise PointOnPoleSet("membership test excludes the embedding poles")
     l1, l2 = embedding.lambda_values(pc)
-    return pencil_membership(pencil, l1, l2, gap_ratio)
+    return pencil_membership(pencil, l1, l2)
 
 
-def pencil_membership(pencil: PencilRep, z1: complex, z2: complex,
-                      gap_ratio: float = 1e6) -> tuple[float, int]:
+def pencil_membership(pencil: PencilRep, z1: complex, z2: complex) -> tuple[float, int]:
     """Membership statistic of the pencil at an arbitrary affine point."""
     mat = pencil.pencil(complex(z1), complex(z2))
     s = np.linalg.svd(mat, compute_uv=False)
     r = pencil.rank
     ref = s[pencil.size - r - 1] if pencil.size > r else s[0]
     det_rel = float(np.prod(s[pencil.size - r:]) / ref**r) if ref > 0 else 0.0
-    return det_rel, numerical_kernel_dim(mat, gap_ratio)
+    return det_rel, numerical_kernel_dim(mat)
 
 
 def adjust_gamma_by_map(pencil: PencilRep, boundary_values) -> PencilRep:

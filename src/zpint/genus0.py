@@ -220,9 +220,10 @@ def sylvester_coefficients(zeros, poles) -> np.ndarray:
     return np.linalg.solve(s_mat, np.ones(n, dtype=complex))
 
 
-def det_winding_number(T, radius: float, samples: int = 720) -> float:
-    """Winding number of det T(z) around a circle of the given radius."""
-    angles = 2 * np.pi * np.arange(samples + 1) / samples
+def det_winding_number(T, radius: float) -> float:
+    """Winding number of det T(z) around a circle of the given radius, read
+    at 720 equispaced angles."""
+    angles = 2 * np.pi * np.arange(721) / 720
     values = [np.linalg.det(T(radius * np.exp(1j * a))) for a in angles]
     args = np.unwrap(np.angle(values))
     return float((args[-1] - args[0]) / (2 * np.pi))

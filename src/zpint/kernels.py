@@ -56,9 +56,7 @@ from .surface import (
     prime_form,
 )
 from .theta import (
-    DEFAULT_CONFIG,
     ThetaCharacteristic,
-    ThetaEvalConfig,
     theta_gradient,
     theta_many,
     theta_with_char,
@@ -112,14 +110,23 @@ class CauchyKernelOracle:
         return values[0] if single else values
 
     def dual(self) -> "CauchyKernelOracle":
-        """Oracle of the dual bundle; satisfies K(dual; p, q)^T = -K(chi; q, p)."""
+        """Oracle of the dual bundle; satisfies K(dual; p, q)^T = -K(chi; q, p).
+
+        Raises
+        ------
+        UnsupportedGenus
+            For an oracle given by many alone at genus >= 1, whose bundle
+            is not known.
+        """
         if self.inner is not None:
             return conjugated_kernel(self.inner.dual(), np.linalg.inv(self.frame).T)
         if self.parts:
             return direct_sum_kernel([part.dual() for part in self.parts])
         if self.bundle is not None:
             return line_kernel(self.surface, self.bundle.dual())
-        return self  # the trivial kernel is self-dual
+        if self.surface.genus == 0:
+            return self  # in the global frame the one kernel is I/(p - q), self-dual
+        raise UnsupportedGenus("the dual of a kernel given by many alone is known at genus 0")
 
 
 def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
@@ -301,21 +308,19 @@ def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> ConnectionCoeffici
     return ConnectionCoefficients(z0, a, a_ell)
 
 
-def line_connection_form(surface: Surface, bundle: FlatLineBundle,
-                         cfg: ThetaEvalConfig | None = None) -> complex:
+def line_connection_form(surface: Surface, bundle: FlatLineBundle) -> complex:
     """Closed-form connection value A/dz = 2*pi*i*a + theta'(z)/theta(z).
 
     Here z = Omega a + b is the Jacobian point of the bundle; at genus 1
     the normalized differential is dz, so the value is a plain number in
     the global frame.
     """
-    cfg = cfg or DEFAULT_CONFIG
     period = surface.period
     g = period.genus
     z = bundle.jacobian_point(period)
     zero_char = ThetaCharacteristic(np.zeros(g), np.zeros(g))
-    val = theta_with_char(zero_char, z, period, cfg)
-    grad = theta_gradient(zero_char, z, period, cfg)
+    val = theta_with_char(zero_char, z, period)
+    grad = theta_gradient(zero_char, z, period)
     if g != 1:
         raise UnsupportedGenus("closed-form connection is genus-1 only")
     return complex(2j * np.pi * bundle.a[0] + grad[0] / val)

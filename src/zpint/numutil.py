@@ -27,30 +27,38 @@ EPS_GUARD = 1e-300
 # Condition number above which a matrix to be solved counts as singular.
 COND_LIMIT = 1e12
 
+# Equispaced points on every circle circle_modes samples.
+CIRCLE_SAMPLES = 16
 
-def circle_modes(f, center, radius: float, orders, samples: int = 16):
+# Smallest singular-value ratio numerical_kernel_dim reads as a rank gap.
+GAP_RATIO = 1e6
+
+
+def circle_modes(f, center, radius: float, orders):
     """Laurent modes of f around center from equispaced circle samples.
 
     For f(t) = sum_m a_m (t - center)^m analytic in a punctured disk larger
     than radius, the trapezoid average (1/N) sum_k f(t_k) t_k^{-m} equals
-    a_m up to aliased modes a_{m + N}, a_{m - N}, ...; with N = 16 and a
-    radius small against the distance to the next singularity the aliasing
-    error is far below double precision roundoff.
+    a_m up to aliased modes a_{m + N}, a_{m - N}, ...; with
+    N = CIRCLE_SAMPLES = 16 and a radius small against the distance to the
+    next singularity the aliasing error is far below double precision
+    roundoff.
 
     center is one point or an array of points.  f is called once, on the
-    array of all circle points, of shape (samples, *center.shape), and
-    returns values of shape (samples, *center.shape, ...) (a list of the
-    per-point values will do).  Returns a dict order -> coefficient of
+    array of all circle points, of shape (N, *center.shape), and returns
+    values of shape (N, *center.shape, ...) (a list of the per-point values
+    will do).  Returns a dict order -> coefficient of
     shape (*center.shape, ...), a complex for a scalar one.
     """
     center = np.asarray(center, dtype=complex)
-    rim = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    points = center + rim.reshape((samples,) + (1,) * center.ndim)
+    n = CIRCLE_SAMPLES
+    rim = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    points = center + rim.reshape((n,) + (1,) * center.ndim)
     values = np.asarray(f(points), dtype=complex)
-    spectrum = np.fft.fft(values, axis=0) / samples
+    spectrum = np.fft.fft(values, axis=0) / n
     out = {}
     for m in orders:
-        coeff = spectrum[m % samples] / radius**m
+        coeff = spectrum[m % n] / radius**m
         out[m] = complex(coeff) if coeff.ndim == 0 else coeff
     return out
 
@@ -77,8 +85,8 @@ def svd_cond(mat) -> float:
     return float(s[0] / s[-1])
 
 
-def numerical_kernel_dim(mat, gap_ratio: float = 1e6) -> int:
-    """Kernel dimension by the largest singular-value gap of ratio >= gap_ratio.
+def numerical_kernel_dim(mat) -> int:
+    """Kernel dimension by the largest singular-value gap of ratio >= GAP_RATIO.
 
     Singular values below max(M, N) * eps * s0 are roundoff and count as
     one cluster at that floor, as in numpy.linalg.matrix_rank (Golub & Van
@@ -95,7 +103,7 @@ def numerical_kernel_dim(mat, gap_ratio: float = 1e6) -> int:
         hi = s[k]
         lo = max(s[k + 1], floor)
         ratio = np.inf if lo == 0.0 else hi / lo
-        if ratio >= gap_ratio and ratio > best_ratio:
+        if ratio >= GAP_RATIO and ratio > best_ratio:
             best_ratio = ratio
             best_dim = n - 1 - k
     return best_dim

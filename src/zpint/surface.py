@@ -46,10 +46,8 @@ from .errors import (
 )
 from .numutil import circle_modes
 from .theta import (
-    DEFAULT_CONFIG,
     PeriodMatrix,
     ThetaCharacteristic,
-    ThetaEvalConfig,
     period_from_tau,
     theta_gradient,
     theta_many,
@@ -214,7 +212,7 @@ class Surface:
 
     Each kind defines distance(p, q), which equal and coincidences read;
     same_as(other); abel_jacobi(p), the g-vector image ((N, g) for a
-    sequence); and prime_form(p, q, cfg), E(p, q) (the (N,) array of
+    sequence); and prime_form(p, q), E(p, q) (the (N,) array of
     E(p[i], q[i]) for two sequences).  Every method takes one point or a
     sequence of points; a sequence gives an array, and distance broadcasts
     like numpy.  points(p) gives values that point() turns back into the
@@ -270,7 +268,7 @@ class Sphere(Surface):
     def abel_jacobi(self, p):
         raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
 
-    def prime_form(self, p, q, cfg=None):
+    def prime_form(self, p, q):
         raise UnsupportedGenus("use 1/(p - q) kernels directly at genus 0")
 
 
@@ -291,16 +289,16 @@ class Torus(Surface):
     def abel_jacobi(self, p) -> np.ndarray:
         return np.asarray(self.points(p), dtype=complex)[..., None]
 
-    def prime_form(self, p, q, cfg=None):
+    def prime_form(self, p, q):
         # one pair is the N = 1 case of the array arithmetic, so E of a pair
         # has the same bits alone and in an array
         v = np.atleast_1d(self.points(q) - self.points(p))
-        value = self.prime_form_from_odd_theta(odd_theta(v, self.period, cfg), cfg)
+        value = self.prime_form_from_odd_theta(odd_theta(v, self.period))
         return value if _is_many(p) or _is_many(q) else complex(value[0])
 
-    def prime_form_from_odd_theta(self, odd, cfg=None):
+    def prime_form_from_odd_theta(self, odd):
         """E(p, q) from odd = theta[1/2; 1/2](q - p), a value or an array."""
-        return odd / odd_theta_deriv0(self.tau, cfg)
+        return odd / odd_theta_deriv0(self.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +318,7 @@ class TabulatedSurface(Surface):
     def abel_jacobi(self, p) -> np.ndarray:
         return self.bundle.phi[self._rows(p)]
 
-    def prime_form(self, p, q, cfg=None):
+    def prime_form(self, p, q):
         value = self.bundle.prime_form_table[self._rows(p), self._rows(q)]
         return value if _is_many(p) or _is_many(q) else complex(value)
 
@@ -405,14 +403,8 @@ class FlatLineBundle:
     def jacobian_point(self, period: PeriodMatrix) -> np.ndarray:
         return period.omega @ self.a + self.b
 
-    def theta_at_zero(self, period: PeriodMatrix,
-                      cfg: ThetaEvalConfig | None = None) -> complex:
-        g = period.genus
-        return theta_with_char(self.characteristic, np.zeros(g), period, cfg)
-
-    def is_nondegenerate(self, period: PeriodMatrix,
-                         cfg: ThetaEvalConfig | None = None) -> bool:
-        return abs(self.theta_at_zero(period, cfg)) > 1e-10
+    def theta_at_zero(self, period: PeriodMatrix) -> complex:
+        return theta_with_char(self.characteristic, np.zeros(period.genus), period)
 
 
 def line_bundle(a, b) -> FlatLineBundle:
@@ -426,47 +418,44 @@ ODD_CHAR = ThetaCharacteristic(np.array([0.5]), np.array([0.5]))
 
 
 @functools.lru_cache(maxsize=256)
-def _odd_deriv0(tau: complex, target: float) -> complex:
-    cfg = ThetaEvalConfig(target_abs_error=target)
-    grad = theta_gradient(ODD_CHAR, np.zeros(1), period_from_tau(tau), cfg)
+def _odd_deriv0(tau: complex) -> complex:
+    grad = theta_gradient(ODD_CHAR, np.zeros(1), period_from_tau(tau))
     if grad[0] == 0.0:
         # |theta_1'(0)| ~ 2 pi exp(-pi Im(tau) / 4) leaves double range
         raise NonConvergent(f"theta[1/2; 1/2]'(0) underflows to 0 at tau = {tau}")
     return complex(grad[0])
 
 
-def odd_theta(v, period: PeriodMatrix, cfg: ThetaEvalConfig | None = None):
+def odd_theta(v, period: PeriodMatrix):
     """theta[1/2; 1/2](v | tau), the odd genus-1 theta value; elementwise for arrays."""
-    cfg = cfg or DEFAULT_CONFIG
     if isinstance(v, np.ndarray):
-        return theta_many(ODD_CHAR, v.reshape(-1, 1), period, cfg).reshape(v.shape)
-    return theta_with_char(ODD_CHAR, np.array([v]), period, cfg)
+        return theta_many(ODD_CHAR, v.reshape(-1, 1), period).reshape(v.shape)
+    return theta_with_char(ODD_CHAR, np.array([v]), period)
 
 
-def odd_theta_deriv0(tau: complex, cfg: ThetaEvalConfig | None = None) -> complex:
+def odd_theta_deriv0(tau: complex) -> complex:
     """theta[1/2; 1/2]'(0 | tau); cached per modulus."""
-    cfg = cfg or DEFAULT_CONFIG
-    return _odd_deriv0(complex(tau), cfg.target_abs_error)
+    return _odd_deriv0(complex(tau))
 
 
-def prime_form(surface: Surface, p, q, cfg: ThetaEvalConfig | None = None):
+def prime_form(surface: Surface, p, q):
     """Prime form E(p, q) in the global frame; antisymmetric, E(p, p) = 0.
 
     p and q are single points, or two sequences of points of one length,
     giving the (N,) array of E(p[i], q[i]).
     """
-    return surface.prime_form(p, q, cfg)
+    return surface.prime_form(p, q)
 
 
 # --- Laurent coefficients at a simple pole ---
 
-def laurent_coeffs(f, center, radius: float = 1e-2,
-                   samples: int = 16) -> tuple[complex, complex]:
+def laurent_coeffs(f, center) -> tuple[complex, complex]:
     """(residue, constant term) of f at a simple pole.
 
-    Reads the modes of circle_modes at two radii; the finer radius gives
-    the returned values and the |t|^-2 mode is monitored on both.  f takes
-    the array of circle points and may return scalars or arrays per point.
+    Reads the modes of circle_modes at the radii 1e-2 and 5e-3; the finer
+    radius gives the returned values and the |t|^-2 mode is monitored on
+    both.  f takes the array of circle points and may return scalars or
+    arrays per point.
 
     Raises
     ------
@@ -474,8 +463,8 @@ def laurent_coeffs(f, center, radius: float = 1e-2,
         If the fitted |t|^-2 component exceeds tolerance.
     """
     c = coord(center)
-    coarse, fine = (circle_modes(f, c, h, orders=(-2, -1, 0), samples=samples)
-                    for h in (radius, radius / 2.0))
+    coarse, fine = (circle_modes(f, c, h, orders=(-2, -1, 0))
+                    for h in (1e-2, 5e-3))
     scale = max(np.abs(fine[-1]).max(), np.abs(fine[0]).max(), 1.0)
     if max(np.abs(coarse[-2]).max(), np.abs(fine[-2]).max()) > 1e-6 * scale:
         raise HigherOrderPole(
@@ -492,7 +481,7 @@ def laurent_coeffs(f, center, radius: float = 1e-2,
 TAYLOR_RADIUS = 0.1
 
 
-def _log_theta_derivs(v, period: PeriodMatrix, cfg: ThetaEvalConfig, order: int):
+def _log_theta_derivs(v, period: PeriodMatrix, order: int):
     """[L, L', L''][:order + 1] at each entry of the array v, L = theta'/theta.
 
     v is first moved to its representative nearest 0, where
@@ -506,7 +495,7 @@ def _log_theta_derivs(v, period: PeriodMatrix, cfg: ThetaEvalConfig, order: int)
     n = np.rint(v.imag / tau.imag)
     v = v - n * tau
     v = v - np.rint(v.real)
-    a = circle_modes(lambda t: odd_theta(t, period, cfg), v, TAYLOR_RADIUS,
+    a = circle_modes(lambda t: odd_theta(t, period), v, TAYLOR_RADIUS,
                      orders=range(order + 2))
     q = [a[k] / a[0] for k in range(1, order + 2)]
     out = [q[0] - 2j * np.pi * n]
@@ -534,7 +523,6 @@ class EmbeddingPair:
     pole_points: tuple[SurfacePoint, ...]
     residues: np.ndarray   # (m, 2), c[i][k]
     consts: np.ndarray     # (m, 2), d[i][k]
-    cfg: ThetaEvalConfig = DEFAULT_CONFIG
 
     @property
     def m(self) -> int:
@@ -544,7 +532,7 @@ class EmbeddingPair:
         """_log_theta_derivs at z - x_j, each of shape (*z.shape, 3)."""
         z = np.asarray(self.surface.points(z))
         v = z[..., None] - self.surface.points(self.pole_points)
-        return _log_theta_derivs(v, self.surface.period, self.cfg, order)
+        return _log_theta_derivs(v, self.surface.period, order)
 
     def lambda_values(self, z) -> np.ndarray:
         """(lambda1, lambda2) at z: shape (2,) at one point, (*z.shape, 2) at an array."""
@@ -564,22 +552,20 @@ class EmbeddingPair:
         dL = self._log_derivs(z, order)[order]
         return dL[..., :1] - dL[..., 1:]
 
-    def is_pole(self, z, tol: float = POINT_TOL) -> bool:
-        return bool(np.any(self.surface.equal(z, self.pole_points, tol)))
+    def is_pole(self, z) -> bool:
+        return bool(np.any(self.surface.equal(z, self.pole_points)))
 
 
-def build_embedding_functions(surface: Torus, x1, x2, x3,
-                              cfg: ThetaEvalConfig | None = None,
-                              degeneracy_samples: int = 24) -> EmbeddingPair:
+def build_embedding_functions(surface: Torus, x1, x2, x3) -> EmbeddingPair:
     """Construct the coordinate pair for pole points (x1, x2, x3).
 
     With lambda_k = sum_j S[k, j] L(z - x_j) and S = [[1, -1, 0],
     [1, 0, -1]], the Laurent data are closed forms: L is odd, so
     L(t) = 1/t + O(t), the residues are c = -S^T and the constants are
-    d[i][k] = -sum_{j != i} S[k, j] L(x_i - x_j).  A deterministic sample
-    sweep guards against a degenerate (non-injective) coordinate map.
+    d[i][k] = -sum_{j != i} S[k, j] L(x_i - x_j).  A deterministic sweep
+    over 24 sample points guards against a degenerate (non-injective)
+    coordinate map.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(surface, Torus):
         raise UnsupportedGenus("embedding functions are built on the torus")
     xs = tuple(point(x) for x in (x1, x2, x3))
@@ -590,14 +576,14 @@ def build_embedding_functions(surface: Torus, x1, x2, x3,
     c = surface.points(xs)
     upper = np.triu_indices(3, 1)
     L = np.zeros((3, 3), dtype=complex)   # L[i, j] = L(x_i - x_j), odd
-    L[upper] = _log_theta_derivs(c[upper[0]] - c[upper[1]], surface.period, cfg, 0)[0]
+    L[upper] = _log_theta_derivs(c[upper[0]] - c[upper[1]], surface.period, 0)[0]
     L -= L.T
-    pair = EmbeddingPair(surface, xs, (-S.T).astype(complex), -L @ S.T, cfg)
+    pair = EmbeddingPair(surface, xs, (-S.T).astype(complex), -L @ S.T)
 
     tau = surface.tau
     samples = []
     k = 1
-    while len(samples) < degeneracy_samples:
+    while len(samples) < 24:
         alpha = (k * 0.7548776662466927) % 1.0
         beta = (k * 0.5698402909980532) % 1.0
         k += 1

@@ -16,24 +16,26 @@ and reduces to the plain sum through
 Evaluation enumerates lattice points in a box around the peak of the
 Gaussian envelope of the summand.  The box radius is the smallest one at
 which an analytic tail bound (point counts times a Gaussian shell bound
-using the smallest eigenvalue of pi*Im(Omega)) falls below the requested
-absolute error, so truncation is provable rather than heuristic.  The
-error target governs truncation only; double-precision rounding
-contributes a further few-ulp error relative to the value's magnitude,
-which matters when the Gaussian peak exp(pi y.Im(Omega)^-1 y) is large.
-A sum that overflows to a non-finite value raises NonConvergent.
+using the smallest eigenvalue of pi*Im(Omega)) falls below the fixed
+absolute error TARGET_ABS_ERROR, so truncation is provable rather than
+heuristic; a point that needs a radius above MAX_LATTICE_RADIUS raises
+NonConvergent.  The error target governs truncation only;
+double-precision rounding contributes a further few-ulp error relative to
+the value's magnitude, which matters when the Gaussian peak
+exp(pi y.Im(Omega)^-1 y) is large.  A sum that overflows to a non-finite
+value raises NonConvergent.
 
-Truncation is planned once per period matrix and configuration: the
-ThetaPlan held by each PeriodMatrix caches the inverse and the smallest
-eigenvalue of Im(Omega) and two tables of the tail bound by radius, one
-for values and one for gradients, each additive in the log of the
-Gaussian peak.  Every entry runs one pass: theta_many evaluates a batch
-of arguments, grouped by radius and summed in chunks; riemann_theta,
-theta_with_char and theta_gradient are its N = 1 case, the last one
-summing the gradient in the same pass at the gradient radius.  Every
-point is summed with the same per-element arithmetic whatever batch it
-arrives in, so its value does not depend on its batch and equals the
-scalar theta_with_char value bit for bit.  Given a tuple of
+Truncation is planned once per period matrix: the ThetaPlan held by each
+PeriodMatrix caches the inverse and the smallest eigenvalue of Im(Omega)
+and two tables of the tail bound by radius, one for values and one for
+gradients, each additive in the log of the Gaussian peak.  Every entry
+runs one pass: theta_many evaluates a batch of arguments, grouped by
+radius and summed in chunks; riemann_theta, theta_with_char and
+theta_gradient are its N = 1 case, the last one summing the gradient in
+the same pass at the gradient radius.  Every point is summed with the
+same per-element arithmetic whatever batch it arrives in, so its value
+does not depend on its batch and equals the scalar theta_with_char value
+bit for bit.  Given a tuple of
 characteristics, theta_many sums one row set per characteristic in the
 same single pass, each row with its own (a, b).  Enumeration order is
 fixed; identical inputs give bit-identical results on one platform.
@@ -53,9 +55,9 @@ from .errors import InvalidPeriodMatrix, NonConvergent
 __all__ = [
     "PeriodMatrix",
     "ThetaCharacteristic",
-    "ThetaEvalConfig",
     "ThetaPlan",
-    "DEFAULT_CONFIG",
+    "TARGET_ABS_ERROR",
+    "MAX_LATTICE_RADIUS",
     "period_from_tau",
     "reduce_characteristic",
     "riemann_theta",
@@ -69,6 +71,10 @@ __all__ = [
 # the batch size.
 CHUNK_ELEMENTS = 1 << 15
 
+# Tail target and radius cap of every theta sum (see the module docstring).
+TARGET_ABS_ERROR = 1e-12
+MAX_LATTICE_RADIUS = 60
+
 
 @dataclass(frozen=True, eq=False)
 class PeriodMatrix:
@@ -80,7 +86,7 @@ class PeriodMatrix:
 
     genus: int
     omega: np.ndarray
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
+    _plan: ThetaPlan | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.genus < 0:
@@ -105,13 +111,11 @@ class PeriodMatrix:
             raise InvalidPeriodMatrix("tau is only defined at genus 1")
         return complex(self.omega[0, 0])
 
-    def plan(self, cfg: ThetaEvalConfig | None = None) -> ThetaPlan:
-        """The truncation plan for cfg, built on first use (genus >= 1)."""
-        cfg = cfg or DEFAULT_CONFIG
-        plan = self._plans.get(cfg)
-        if plan is None:
-            plan = self._plans[cfg] = ThetaPlan(self, cfg)
-        return plan
+    def plan(self) -> ThetaPlan:
+        """The truncation plan, built on first use (genus >= 1)."""
+        if self._plan is None:
+            object.__setattr__(self, "_plan", ThetaPlan(self))
+        return self._plan
 
 
 def period_from_tau(tau: complex) -> PeriodMatrix:
@@ -157,23 +161,6 @@ def reduce_characteristic(chi: ThetaCharacteristic) -> tuple[ThetaCharacteristic
     return ThetaCharacteristic(a_red, b_red), phase
 
 
-@dataclass(frozen=True)
-class ThetaEvalConfig:
-    """Truncation control: absolute error target and a radius cap."""
-
-    target_abs_error: float = 1e-12
-    max_lattice_radius: int = 60
-
-    def __post_init__(self):
-        if not (self.target_abs_error >= 1e-15):
-            raise ValueError("target_abs_error must be at least 1e-15")
-        if self.max_lattice_radius < 1:
-            raise ValueError("max_lattice_radius must be at least 1")
-
-
-DEFAULT_CONFIG = ThetaEvalConfig()
-
-
 def _log_tail_bound(lam_min: float, log_peak: float, g: int, start: int,
                     deriv_shift: float | None) -> float:
     """Log of a bound on the summand mass outside box radius start - 1.
@@ -195,15 +182,8 @@ def _log_tail_bound(lam_min: float, log_peak: float, g: int, start: int,
     return float(total)
 
 
-def _radius_cap(cfg: ThetaEvalConfig) -> NonConvergent:
-    return NonConvergent(
-        f"tail bound above {cfg.target_abs_error:g} at radius cap "
-        f"{cfg.max_lattice_radius}"
-    )
-
-
 class ThetaPlan:
-    """Truncation data of one period matrix under one ThetaEvalConfig.
+    """Truncation data of one period matrix.
 
     Holds the inverse and the smallest eigenvalue of Im(Omega) (symmetrised),
     and two tables of the tail bound by radius, each extended only as far
@@ -211,20 +191,19 @@ class ThetaPlan:
     T0(r) = _log_tail_bound(lam_min, 0, g, r, None) and the gradient table
     T1(r) = _log_tail_bound(lam_min, 0, g, r, 0).  The tail bound is
     additive in log_peak, so the value radius of a point is the smallest
-    r with T0(r) < log(target) - log_peak.  A gradient term at shell k
+    r with T0(r) < log(TARGET_ABS_ERROR) - log_peak.  A gradient term at shell k
     carries the weight 2*pi*(k + 1/2 + s), s = max|Im(Omega)^-1 y|, which
     is at most 2*pi*(k + 1/2)*(1 + s) for k >= 1, so the gradient radius is
-    the smallest r with T1(r) < log(target) - log_peak - log1p(s).
+    the smallest r with T1(r) < log(TARGET_ABS_ERROR) - log_peak - log1p(s).
+    Both tables stop at MAX_LATTICE_RADIUS.
     """
 
-    def __init__(self, pm: PeriodMatrix, cfg: ThetaEvalConfig):
+    def __init__(self, pm: PeriodMatrix):
         self.genus = pm.genus
         self.omega = pm.omega
-        self.cfg = cfg
         imag = 0.5 * (pm.omega.imag + pm.omega.imag.T)
         self.imag_inv = np.linalg.inv(imag)
         self.lam_min = float(np.linalg.eigvalsh(imag).min())
-        self._log_target = math.log(cfg.target_abs_error)
         # -T(1), -T(2), ...: increasing; keyed by the gradient flag
         self._neg_tail = {False: np.empty(0), True: np.empty(0)}
 
@@ -247,15 +226,16 @@ class ThetaPlan:
         Raises
         ------
         NonConvergent
-            If some point needs more than cfg.max_lattice_radius.
+            If some point needs more than MAX_LATTICE_RADIUS.
         """
         return self._radii(log_peak, False)
 
     def _radii(self, log_peak: np.ndarray, gradient: bool) -> np.ndarray:
-        excess = log_peak - self._log_target   # radius r fits when -T(r) > excess
+        # radius r fits when -T(r) > excess
+        excess = log_peak - math.log(TARGET_ABS_ERROR)
         highest = float(excess.max())
         table = self._neg_tail[gradient]
-        cap = self.cfg.max_lattice_radius
+        cap = MAX_LATTICE_RADIUS
         if table.size < cap and not (table.size and table[-1] > highest):
             shift = 0.0 if gradient else None
             extended = table.tolist()
@@ -265,7 +245,7 @@ class ThetaPlan:
             # replaced whole, so a concurrent caller sees one complete table
             table = self._neg_tail[gradient] = np.array(extended)
         if not (table.size and table[-1] > highest):
-            raise _radius_cap(self.cfg)
+            raise NonConvergent(f"tail bound above {TARGET_ABS_ERROR:g} at radius cap {cap}")
         return np.searchsorted(table, excess, side="right") + 1
 
 
@@ -313,8 +293,8 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
     return values, grad
 
 
-def _sums(omega: PeriodMatrix, cfg: ThetaEvalConfig, a: np.ndarray, b: np.ndarray,
-          rows: np.ndarray, want_gradient: bool):
+def _sums(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+          want_gradient: bool):
     """Characteristic sums at the rows of rows (N, g), row i with (a[i], b[i]).
 
     The one lattice pass behind every entry: rows are grouped by truncation
@@ -325,7 +305,7 @@ def _sums(omega: PeriodMatrix, cfg: ThetaEvalConfig, a: np.ndarray, b: np.ndarra
     n, g = rows.shape
     if g == 0 or n == 0:
         return np.ones(n, dtype=complex), np.zeros((n, g), dtype=complex)
-    plan = omega.plan(cfg)
+    plan = omega.plan()
     log_peak, y_sol = plan.peaks(rows)
     if want_gradient:
         radii = plan._radii(log_peak + np.log1p(np.abs(y_sol).max(axis=1)), True)
@@ -349,9 +329,9 @@ def _sums(omega: PeriodMatrix, cfg: ThetaEvalConfig, a: np.ndarray, b: np.ndarra
 
 
 def _char_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, pm: PeriodMatrix,
-              cfg: ThetaEvalConfig, want_gradient: bool):
+              want_gradient: bool):
     """The scalar entries' one point: the N = 1 case of _sums."""
-    values, grad = _sums(pm, cfg, a[None], b[None], z[None], want_gradient)
+    values, grad = _sums(pm, a[None], b[None], z[None], want_gradient)
     return complex(values[0]), None if grad is None else grad[0]
 
 
@@ -364,38 +344,33 @@ def _as_z(z, g: int) -> np.ndarray:
     return arr
 
 
-def riemann_theta(z, omega: PeriodMatrix, cfg: ThetaEvalConfig | None = None) -> complex:
-    """theta(z | Omega) with tail bound below cfg.target_abs_error.
+def riemann_theta(z, omega: PeriodMatrix) -> complex:
+    """theta(z | Omega) with tail bound below TARGET_ABS_ERROR.
 
     Parameters
     ----------
     z : complex scalar (genus 1) or length-g complex vector
     omega : PeriodMatrix
-    cfg : ThetaEvalConfig, optional
 
     Returns
     -------
     complex
     """
-    cfg = cfg or DEFAULT_CONFIG
     g = omega.genus
     zero = np.zeros(g)
-    value, _ = _char_sum(zero, zero, _as_z(z, g), omega, cfg, False)
+    value, _ = _char_sum(zero, zero, _as_z(z, g), omega, False)
     return value
 
 
-def theta_with_char(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,
-                    cfg: ThetaEvalConfig | None = None) -> complex:
+def theta_with_char(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> complex:
     """theta[a; b](lam | Omega) via the direct characteristic sum."""
-    cfg = cfg or DEFAULT_CONFIG
     if chi.genus != omega.genus:
         raise ValueError("characteristic genus does not match period matrix")
-    value, _ = _char_sum(chi.a, chi.b, _as_z(lam, omega.genus), omega, cfg, False)
+    value, _ = _char_sum(chi.a, chi.b, _as_z(lam, omega.genus), omega, False)
     return value
 
 
-def theta_many(chi, Z, omega: PeriodMatrix,
-               cfg: ThetaEvalConfig | None = None) -> np.ndarray:
+def theta_many(chi, Z, omega: PeriodMatrix) -> np.ndarray:
     """theta[a; b](Z[i] | Omega) for every row of Z, shape (N, g) -> (N,).
 
     chi may also be a tuple of k characteristics; Z then has shape
@@ -403,9 +378,8 @@ def theta_many(chi, Z, omega: PeriodMatrix,
     from one lattice pass over all k*N rows.  Points are grouped by
     truncation radius and summed in chunks of at most CHUNK_ELEMENTS
     terms; entry (i, j) is bit-identical to
-    theta_with_char(chi[i], Z[i, j], omega, cfg).
+    theta_with_char(chi[i], Z[i, j], omega).
     """
-    cfg = cfg or DEFAULT_CONFIG
     g = omega.genus
     many = isinstance(chi, tuple)
     chis = chi if many else (chi,)
@@ -421,18 +395,16 @@ def theta_many(chi, Z, omega: PeriodMatrix,
     rows = Z.reshape(len(chis) * stacked.shape[1], g)
     a = np.array([c.a for c in chis]).repeat(stacked.shape[1], axis=0)
     b = np.array([c.b for c in chis]).repeat(stacked.shape[1], axis=0)
-    return _sums(omega, cfg, a, b, rows, False)[0].reshape(Z.shape[:-1])
+    return _sums(omega, a, b, rows, False)[0].reshape(Z.shape[:-1])
 
 
-def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix,
-                   cfg: ThetaEvalConfig | None = None) -> np.ndarray:
+def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:
     """Gradient of theta[a; b] in lam, by term-wise differentiation.
 
     The N = 1 case of the batched pass, truncated at the gradient radius
     of the ThetaPlan, whose tail bound carries the 2*pi*i*(n+a) weights.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if chi.genus != omega.genus:
         raise ValueError("characteristic genus does not match period matrix")
-    _, grad = _char_sum(chi.a, chi.b, _as_z(lam, omega.genus), omega, cfg, True)
+    _, grad = _char_sum(chi.a, chi.b, _as_z(lam, omega.genus), omega, True)
     return grad

@@ -531,8 +531,8 @@ def checks_detrep(seed=7, tol_scale=1.0):
     return out
 
 
-def _off_curve_height(pencil, z1, rng, clearance: float = 1.0) -> complex:
-    """A z2 with (z1, z2) at least `clearance` from every curve height.
+def _off_curve_height(pencil, z1, rng) -> complex:
+    """A z2 with (z1, z2) at distance at least 1 from every curve height.
 
     det of the pencil along the vertical line is a polynomial in z2 whose
     roots are the fiber of the curve; interpolation on a circle of nodes
@@ -550,7 +550,7 @@ def _off_curve_height(pencil, z1, rng, clearance: float = 1.0) -> complex:
     # singular sigma coefficient, i.e. toward the curve's points at infinity
     for _ in range(256):
         z2 = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
-        if not roots.size or np.abs(z2 - roots).min() >= clearance:
+        if not roots.size or np.abs(z2 - roots).min() >= 1.0:
             return z2
     raise RuntimeError("could not place an off-curve probe")
 
@@ -575,11 +575,11 @@ def _scalar_fixture(tau, q):
     return surf, data, oracle_chi, oracle_tilde, T
 
 
-def _shift_poles(data, shift=0.01):
-    """The data with every pole moved by `shift`: no longer a solvable problem."""
+def _shift_poles(data):
+    """The data with every pole moved by 0.01: no longer a solvable problem."""
     return InterpolationDataSet(
         surface=data.surface, rank=data.rank, zeros=data.zeros,
-        poles=tuple(PoleNode(surface.coord(p.point) + shift, p.vectors) for p in data.poles),
+        poles=tuple(PoleNode(surface.coord(p.point) + 0.01, p.vectors) for p in data.poles),
     )
 
 

@@ -338,8 +338,6 @@ def test_scalar_partial_fraction_equivalence(scalar_setup, rng):
 def test_scalar_partial_fraction_is_rank1_build_solution(scalar_setup, rng):
     """The partial-fraction form is build_solution on the rank-1 data set,
     bit for bit, and it keeps its own rejections."""
-    from zpint.theta import ThetaEvalConfig
-
     surf, zeros, poles, chi, chit, data = scalar_setup
     Q = 1.3 - 0.4j
     P = torus_points(rng, 8, avoid=zeros + poles + [Q_POINT])
@@ -349,10 +347,6 @@ def test_scalar_partial_fraction_is_rank1_build_solution(scalar_setup, rng):
     assert np.array_equal(T_pf(P), T.many(P)[:, 0, 0])
     with pytest.raises(NotSquare):
         scalar_partial_fraction(surf, zeros, poles[:1], chi, chit, Q_POINT, Q)
-    # the line kernels sum theta at the default configuration only
-    with pytest.raises(ValueError):
-        scalar_partial_fraction(surf, zeros, poles, chi, chit, Q_POINT, Q,
-                                ThetaEvalConfig(target_abs_error=1e-9))
 
 
 def test_scalar_forms_take_point_sequences(scalar_setup, rng):

@@ -43,6 +43,37 @@ def sample_points(rng, emb, n):
     return out
 
 
+@pytest.mark.parametrize("which", ["line", "direct_sum"])
+def test_sections_are_one_kernel_call(setup, which, monkeypatch):
+    """right and left each make one oracle call over the m pole points, and
+    give the bits of the per-pole stack of single calls."""
+    from zpint.kernels import CauchyKernelOracle
+
+    surf, emb, k1, ksum = setup
+    oracle = k1 if which == "line" else ksum
+    p = 0.41 + 0.33j
+    right_ref = np.vstack([oracle(x, p) for x in emb.pole_points])
+    left_ref = -np.hstack([oracle(p, x) for x in emb.pole_points])
+    sections = normalized_sections(oracle, emb)
+    calls = []
+    original = CauchyKernelOracle.__call__
+
+    def counting(self, p, q):
+        calls.append((p, q))
+        return original(self, p, q)
+
+    monkeypatch.setattr(CauchyKernelOracle, "__call__", counting)
+    right = sections.right(p)
+    assert len(calls) == 1 and len(calls[0][0]) == emb.m
+    left = sections.left(p)
+    assert len(calls) == 2 and len(calls[1][0]) == emb.m
+    assert np.array_equal(right, right_ref)
+    assert np.array_equal(left, left_ref)
+    for evaluate in (sections.right, sections.left):
+        with pytest.raises(ValueError):   # as a single-pair call
+            evaluate(complex("nan"))
+
+
 def test_pencil_structure(setup):
     surf, emb, k1, ksum = setup
     pencil = build_pencil(k1, emb)

@@ -76,6 +76,20 @@ def test_line_kernel_duality(torus, bundle, rng):
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
+def test_dual_of_a_kernel_given_by_many_alone(torus, bundle):
+    """With no bundle, parts or inner kernel the dual bundle is unknown at
+    genus >= 1, so dual() raises; at genus 0 the one kernel in the global
+    frame is I/(p - q), which is self-dual."""
+    wrapped = CauchyKernelOracle(1, torus, line_kernel(torus, bundle).many)
+    with pytest.raises(UnsupportedGenus):
+        wrapped.dual()
+    k0 = CauchyKernelOracle(2, genus0_surface(), genus0_kernel(2).many)
+    kd = k0.dual()
+    assert kd is k0
+    p, q = 0.3 + 0.2j, -1.1 + 0.7j
+    assert np.abs(kd(p, q).T + k0(q, p)).max() < 1e-15
+
+
 def test_degenerate_bundle_rejected(torus):
     with pytest.raises(DegenerateBundle):
         line_kernel(torus, line_bundle(0.5, 0.5))

@@ -10,10 +10,9 @@ import oracles
 import zpint.theta as theta_module
 from zpint.errors import InvalidPeriodMatrix, NonConvergent
 from zpint.theta import (
-    DEFAULT_CONFIG,
+    TARGET_ABS_ERROR,
     PeriodMatrix,
     ThetaCharacteristic,
-    ThetaEvalConfig,
     _log_tail_bound,
     period_from_tau,
     reduce_characteristic,
@@ -164,7 +163,7 @@ def test_gradient_matches_direct_sum_off_the_real_axis(g, count, rng):
         ref = oracles.theta_char_gradient_direct(chi.a, chi.b, z, omega)
         err = np.abs(theta_gradient(chi, z, pm) - np.array([complex(v) for v in ref])).max()
         ulps = 64 * np.finfo(float).eps * math.exp(log_peak[0]) * 2 * math.pi * (1 + s)
-        assert err <= DEFAULT_CONFIG.target_abs_error + ulps, (z, err)
+        assert err <= TARGET_ABS_ERROR + ulps, (z, err)
 
 
 def test_odd_derivative_at_zero_is_frozen():
@@ -247,18 +246,10 @@ def test_period_matrix_validation():
     assert riemann_theta(np.zeros(0), pm) == 1.0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ThetaEvalConfig(target_abs_error=1e-16)
-    with pytest.raises(ValueError):
-        ThetaEvalConfig(max_lattice_radius=0)
-
-
 def test_nonconvergent_when_radius_capped():
     pm = period_from_tau(0.001j)  # tiny Im tau needs a huge lattice box
-    cfg = ThetaEvalConfig(target_abs_error=1e-12, max_lattice_radius=2)
-    with pytest.raises(NonConvergent):
-        riemann_theta(0.3, pm, cfg)
+    with pytest.raises(NonConvergent, match="tail bound above 1e-12 at radius cap 60"):
+        riemann_theta(0.3, pm)
 
 
 def test_overflow_raises_nonconvergent():
@@ -282,27 +273,31 @@ def _outcome(fn):
         return "radius cap"
 
 
-def _radius_search(lam_min, log_peak, g, cfg, deriv_shift):
-    """Smallest radius whose tail bound falls below the target, searched directly."""
-    for radius in range(1, cfg.max_lattice_radius + 1):
+def _radius_search(lam_min, log_peak, g, deriv_shift):
+    """Smallest radius whose tail bound falls below the target, searched directly
+    up to the cap, both read from the theta module."""
+    for radius in range(1, theta_module.MAX_LATTICE_RADIUS + 1):
         if _log_tail_bound(lam_min, log_peak, g, radius, deriv_shift) < math.log(
-                cfg.target_abs_error):
+                theta_module.TARGET_ABS_ERROR):
             return radius
     raise NonConvergent("radius cap")
 
 
 @pytest.mark.parametrize("g", [1, 2])
 @pytest.mark.parametrize("lam", [0.15, 0.6, 1.7])
-def test_plan_radius_equals_radius_search(g, lam):
+def test_plan_radius_equals_radius_search(g, lam, monkeypatch):
+    """At the module's target and cap, and at target 1e-9 with cap 6 on a
+    fresh period matrix, which reaches the cap branch."""
     omega = 1j * lam * np.array([[1.0, 0.3], [0.3, 2.0]])[:g, :g] + 0.2
-    pm = PeriodMatrix(g, omega)
-    for cfg in (DEFAULT_CONFIG, ThetaEvalConfig(target_abs_error=1e-9, max_lattice_radius=6)):
-        plan = pm.plan(cfg)
+    for target, cap in ((theta_module.TARGET_ABS_ERROR, theta_module.MAX_LATTICE_RADIUS),
+                        (1e-9, 6)):
+        monkeypatch.setattr(theta_module, "TARGET_ABS_ERROR", target)
+        monkeypatch.setattr(theta_module, "MAX_LATTICE_RADIUS", cap)
+        plan = PeriodMatrix(g, omega).plan()
         for log_peak in np.linspace(0.0, 150.0, 76):
             ours = _outcome(lambda: int(plan.radii(np.array([log_peak]))[0]))
-            ref = _outcome(lambda: _radius_search(plan.lam_min, float(log_peak), g,
-                                                  cfg, None))
-            assert ours == ref, (cfg, log_peak)
+            ref = _outcome(lambda: _radius_search(plan.lam_min, float(log_peak), g, None))
+            assert ours == ref, (target, cap, log_peak)
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -316,7 +311,7 @@ def test_gradient_radius_covers_shifted_bound(g, lam):
     for log_peak in np.linspace(0.0, 60.0, 13):
         for shift in (0.0, 0.4, 2.5, 9.0):
             ours = int(plan._radii(np.array([log_peak + math.log1p(shift)]), True)[0])
-            ref = _radius_search(plan.lam_min, float(log_peak), g, DEFAULT_CONFIG, shift)
+            ref = _radius_search(plan.lam_min, float(log_peak), g, shift)
             assert ours >= ref, (log_peak, shift)
             if shift == 0.0:
                 assert ours == ref, log_peak
