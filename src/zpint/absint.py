@@ -46,8 +46,10 @@ from .errors import (
 )
 from .kernels import (
     CauchyKernelOracle,
+    _block_form,
     evaluate_many,
     extract_laurent_coeffs,
+    kernel_grid,
     line_kernel,
 )
 from .numutil import (
@@ -207,19 +209,18 @@ class _Nodes:
     groups: tuple
 
 
-def _read_nodes(data, nodes) -> _Nodes:
-    counts = [node.count for node in nodes]
+def _read_nodes(surface, points, vector_sets, width) -> _Nodes:
+    """Nodes at points with the (count, width) vector sets, read into arrays."""
+    counts = [len(vectors) for vectors in vector_sets]
     starts = np.cumsum([0, *counts])
     blocks = tuple(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    vectors = np.vstack([np.empty((0, data.rank), dtype=complex),
-                         *(node.vectors for node in nodes)])
+    vectors = np.vstack([np.empty((0, width), dtype=complex), *vector_sets])
     groups = []
     for c in sorted(set(counts)):
         idx = [k for k, count in enumerate(counts) if count == c]
         rows = starts[idx][:, None] + np.arange(c)
-        groups.append((np.array(idx), np.array([nodes[k].vectors for k in idx]), rows))
-    return _Nodes(data.surface.points([node.point for node in nodes]), blocks, vectors,
-                  tuple(groups))
+        groups.append((np.array(idx), np.array([vector_sets[k] for k in idx]), rows))
+    return _Nodes(surface.points(points), blocks, vectors, tuple(groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,25 +270,19 @@ def build_gamma(data: InterpolationDataSet,
 
     Entries are -x K(chi~; lambda^i, mu^j) u away from coincidences and
     -rho at them; squareness and conditioning are judged downstream.  The
-    kernel values of all non-coincident pairs are one kernel batch, and
-    the blocks are one stacked product per node-block shape
-    (count_i, count_j), bit-identical to the pairwise -(x @ K @ u.T).
+    kernel values are one kernel_grid, and the blocks are one stacked
+    product per node-block shape (count_i, count_j), bit-identical to the
+    pairwise -(x @ K @ u.T).
     """
-    zeros, poles = _read_nodes(data, data.zeros), _read_nodes(data, data.poles)
-    n, m, r = len(data.zeros), len(data.poles), data.rank
-    coincident = data.surface.coincidences(zeros.points, poles.points)
-    apart = np.ones((n, m), dtype=bool)
-    for (i, j) in coincident:
-        apart[i, j] = False
-    kvals = np.zeros((n, m, r, r), dtype=complex)
-    flat = apart.ravel()
-    kvals[apart] = evaluate_many(oracle_tilde, np.repeat(zeros.points, m)[flat],
-                                 np.tile(poles.points, n)[flat])
+    zeros, poles = (_read_nodes(data.surface, [node.point for node in nodes],
+                                [node.vectors for node in nodes], data.rank)
+                    for nodes in (data.zeros, data.poles))
+    kvals = kernel_grid(oracle_tilde, zeros.points, poles.points)
     blocks = np.empty((len(zeros.vectors), len(poles.vectors)), dtype=complex)
     _block_products(blocks, kvals, zeros.groups, poles.groups)
-    for (i, j) in coincident:
+    for (i, j), rho in data.couplings.items():   # the coincident pairs
         (r0, r1), (c0, c1) = zeros.blocks[i], poles.blocks[j]
-        blocks[r0:r1, c0:c1] = data.couplings[(i, j)]
+        blocks[r0:r1, c0:c1] = rho
     return GammaMatrix(-blocks, zeros, poles)
 
 
@@ -831,15 +826,13 @@ def matrix_fay_residual(oracle_chi: CauchyKernelOracle,
         poles=(PoleNode(mu, u.T),),
     )
     T = build_solution(data, q, Q, oracle_chi, oracle_tilde)
-    Qmat = np.asarray(Q, dtype=complex).reshape(r, r)
-    Qinv = np.linalg.inv(Qmat)
-    worst = 0.0
-    for p in points:
-        lhs = T(p) @ oracle_chi(p, q) @ Qinv
-        rhs = (oracle_tilde(p, q)
-               - oracle_tilde(p, mu) @ u @ x @ oracle_tilde(lam, q) / denom)
-        worst = max(worst, rel_residual(lhs, rhs))
-    return worst
+    Qinv = np.linalg.inv(np.asarray(Q, dtype=complex).reshape(r, r))
+    P = data.surface.points(points)
+    at_q, at_mu = (data.surface.points([end] * len(P)) for end in (q, mu))
+    lhs = T.many(P) @ evaluate_many(oracle_chi, P, at_q) @ Qinv
+    rhs = (evaluate_many(oracle_tilde, P, at_q)
+           - evaluate_many(oracle_tilde, P, at_mu) @ u @ x @ oracle_tilde(lam, q) / denom)
+    return float(np.max([rel_residual(a, b) for a, b in zip(lhs, rhs)], initial=0.0))
 
 
 def full_rank_multiplicative(data: InterpolationDataSet,
@@ -868,9 +861,5 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     def T(p):
         return np.multiply.outer(scalar(p), Qmat)
 
-    n0, ninf = len(zeros), len(poles)
-    gamma = np.zeros((n0 * r, ninf * r), dtype=complex)
-    for i, lam in enumerate(zeros):
-        for j, mu in enumerate(poles):
-            gamma[i * r:(i + 1) * r, j * r:(j + 1) * r] = -oracle_tilde(lam, mu)
+    gamma = -_block_form(kernel_grid(oracle_tilde, zeros, poles))
     return T, gamma

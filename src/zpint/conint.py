@@ -13,10 +13,11 @@ interpolating bundle map S and the updated input pencil are
 
     gamma = gamma~ - sigma1 phi Gamma0^{-1} psi sigma2
                    + sigma2 phi Gamma0^{-1} psi sigma1,
-    S(z)  = [I + phi (xi1(z1 I - A1) + xi2(z2 I - A2))^{-1} Gamma0^{-1}
-               psi (xi1 sigma1 + xi2 sigma2)] restricted to ker U_gamma(z),
+    S(z)  = [I + phi D(z)^{-1} Gamma0^{-1} psi (xi1 sigma1 + xi2 sigma2)]
+            restricted to ker U_gamma(z),
 
-with the left inverse acting from the right by the mirrored formula.
+with D(z) = diag(xi1 (z1 - mu1) + xi2 (z2 - mu2)) over the pole rows, and
+the left inverse acting from the right by the mirrored formula.
 Conversion from abstract zero-pole data uses the normalized sections of
 the output pencil; the abstract and concrete coupling matrices then agree
 entrywise, and the abstract solution T intertwines with S through the
@@ -29,7 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .absint import InterpolationDataSet, build_gamma, coupling_table
+from .absint import (
+    InterpolationDataSet,
+    _block_products,
+    _read_nodes,
+    build_gamma,
+    coupling_table,
+)
 from .detrep import PencilRep, build_pencil, normalized_sections
 from .errors import (
     InputError,
@@ -146,67 +153,74 @@ class ConintDataSet:
 
 @dataclass(frozen=True, eq=False)
 class BlockMatrices:
-    """Diagonal coordinate blocks and stacked vector matrices."""
+    """Per-row affine coordinates and stacked vector matrices.
 
-    A1: np.ndarray   # (N_pole, N_pole)
-    A2: np.ndarray
-    Z1: np.ndarray   # (N_zero, N_zero)
-    Z2: np.ndarray
-    phi: np.ndarray  # (M, N_pole)
-    psi: np.ndarray  # (N_zero, M)
+    Row k of pole_affine is the affine pair of the pole node that column k
+    of phi belongs to; likewise zero_affine for the rows of psi.
+    """
+
+    pole_affine: np.ndarray   # (N_pole, 2)
+    zero_affine: np.ndarray   # (N_zero, 2)
+    phi: np.ndarray           # (M, N_pole)
+    psi: np.ndarray           # (N_zero, M)
+
+
+def _read_conint_nodes(data: ConintDataSet, nodes):
+    return _read_nodes(data.surface, [node.surface_point for node in nodes],
+                       [node.vectors for node in nodes], data.pencil.size)
+
+
+def _affine_rows(nodes) -> np.ndarray:
+    """Each node's affine pair once per vector row, (total count, 2)."""
+    return np.array([node.affine for node in nodes for _ in range(node.count)],
+                    dtype=complex).reshape(-1, 2)
 
 
 def block_matrices(data: ConintDataSet) -> BlockMatrices:
-    a1 = np.concatenate([[p.affine[0]] * p.count for p in data.poles]) \
-        if data.poles else np.zeros(0)
-    a2 = np.concatenate([[p.affine[1]] * p.count for p in data.poles]) \
-        if data.poles else np.zeros(0)
-    z1 = np.concatenate([[z.affine[0]] * z.count for z in data.zeros]) \
-        if data.zeros else np.zeros(0)
-    z2 = np.concatenate([[z.affine[1]] * z.count for z in data.zeros]) \
-        if data.zeros else np.zeros(0)
-    size = data.pencil.size
-    phi = np.hstack([p.vectors.T for p in data.poles]) if data.poles \
-        else np.zeros((size, 0), dtype=complex)
-    psi = np.vstack([z.vectors for z in data.zeros]) if data.zeros \
-        else np.zeros((0, size), dtype=complex)
-    return BlockMatrices(np.diag(a1.astype(complex)), np.diag(a2.astype(complex)),
-                         np.diag(z1.astype(complex)), np.diag(z2.astype(complex)),
-                         phi, psi)
+    zeros, poles = _read_conint_nodes(data, data.zeros), _read_conint_nodes(data, data.poles)
+    return BlockMatrices(_affine_rows(data.poles), _affine_rows(data.zeros),
+                         poles.vectors.T, zeros.vectors)
 
 
 def _sigma_xi(pencil: PencilRep, xi) -> np.ndarray:
     return complex(xi[0]) * pencil.sigma1 + complex(xi[1]) * pencil.sigma2
 
 
+def _xi_gap(xi, a, b) -> np.ndarray:
+    """xi1 (a1 - b1) + xi2 (a2 - b2) over the last axis of affine arrays."""
+    return complex(xi[0]) * (a[..., 0] - b[..., 0]) + complex(xi[1]) * (a[..., 1] - b[..., 1])
+
+
 def build_gamma0(data: ConintDataSet, xi) -> np.ndarray:
     """Concrete coupling matrix at the direction xi.
 
-    Raises XiDenominatorZero when the direction pairs to zero against some
-    non-coincident node difference; redraw xi in that case.
+    The pairings psi (xi sigma) phi are absint's grouped block products
+    with the one matrix xi sigma for every node pair, divided entrywise by
+    the per-row gap xi1 (mu1 - l1) + xi2 (mu2 - l2); the coincident blocks
+    are -rho.  Raises XiDenominatorZero when the direction pairs to zero
+    against some non-coincident node difference; redraw xi in that case.
     """
-    xi1, xi2 = complex(xi[0]), complex(xi[1])
-    sig = _sigma_xi(data.pencil, xi)
-    coincident = set(data.coincident_pairs())
-    rows = np.cumsum([0] + [z.count for z in data.zeros])
-    cols = np.cumsum([0] + [p.count for p in data.poles])
-    gamma0 = np.zeros((data.n_zero_total, data.n_pole_total), dtype=complex)
-    for i, zn in enumerate(data.zeros):
-        for j, pn in enumerate(data.poles):
-            block = np.s_[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
-            if (i, j) in coincident:
-                gamma0[block] = -data.couplings[(i, j)]
-                continue
-            denom = xi1 * (pn.affine[0] - zn.affine[0]) + xi2 * (pn.affine[1] - zn.affine[1])
-            scale = (abs(xi1) + abs(xi2)) * (
-                abs(pn.affine[0]) + abs(pn.affine[1])
-                + abs(zn.affine[0]) + abs(zn.affine[1]) + 1.0
-            )
-            if abs(denom) <= 1e-12 * scale:
-                raise XiDenominatorZero(
-                    f"direction {xi} degenerate against nodes {i}, {j}"
-                )
-            gamma0[block] = (zn.vectors @ sig @ pn.vectors.T) / denom
+    zeros, poles = _read_conint_nodes(data, data.zeros), _read_conint_nodes(data, data.poles)
+    size = data.pencil.size
+    sig = np.broadcast_to(_sigma_xi(data.pencil, xi),
+                          (len(data.zeros), len(data.poles), size, size))
+    gamma0 = np.empty((len(zeros.vectors), len(poles.vectors)), dtype=complex)
+    _block_products(gamma0, sig, zeros.groups, poles.groups)
+    z_aff, p_aff = _affine_rows(data.zeros)[:, None], _affine_rows(data.poles)[None, :]
+    gap = _xi_gap(xi, p_aff, z_aff)
+    scale = (abs(complex(xi[0])) + abs(complex(xi[1]))) * (
+        np.abs(p_aff).sum(axis=-1) + np.abs(z_aff).sum(axis=-1) + 1.0)
+    apart = np.ones(gap.shape, dtype=bool)
+    for (i, j), rho in data.couplings.items():   # the coincident pairs
+        (r0, r1), (c0, c1) = zeros.blocks[i], poles.blocks[j]
+        apart[r0:r1, c0:c1] = False
+        gamma0[r0:r1, c0:c1] = -rho
+    degenerate = apart & (np.abs(gap) <= 1e-12 * scale)
+    if degenerate.any():
+        row, col = np.argwhere(degenerate)[0]
+        raise XiDenominatorZero(f"direction {xi} degenerate against zero row {row}, "
+                                f"pole column {col}")
+    np.divide(gamma0, gap, out=gamma0, where=apart)
     return gamma0
 
 
@@ -226,16 +240,6 @@ class ConintSolution:
                                     self.gamma)
         self._blocks = block_matrices(self.data)
 
-    def _d_poles(self, z, xi):
-        xi1, xi2 = complex(xi[0]), complex(xi[1])
-        return xi1 * (complex(z[0]) * np.eye(self._blocks.A1.shape[0]) - self._blocks.A1) \
-            + xi2 * (complex(z[1]) * np.eye(self._blocks.A2.shape[0]) - self._blocks.A2)
-
-    def _d_zeros(self, z, xi):
-        xi1, xi2 = complex(xi[0]), complex(xi[1])
-        return xi1 * (complex(z[0]) * np.eye(self._blocks.Z1.shape[0]) - self._blocks.Z1) \
-            + xi2 * (complex(z[1]) * np.eye(self._blocks.Z2.shape[0]) - self._blocks.Z2)
-
     def s_matrix(self, z, xi=None) -> np.ndarray:
         """Full matrix of S at affine z; meaningful on ker U_gamma(z) only."""
         xi = xi or self.xi
@@ -243,8 +247,8 @@ class ConintSolution:
         if blocks.phi.shape[1] == 0:
             return np.eye(self.data.pencil.size, dtype=complex)
         sig = _sigma_xi(self.data.pencil, xi)
-        mid = np.linalg.solve(self._d_poles(z, xi),
-                              np.linalg.solve(self.gamma0, blocks.psi @ sig))
+        mid = np.linalg.solve(self.gamma0, blocks.psi @ sig) \
+            / _xi_gap(xi, np.asarray(z, dtype=complex), blocks.pole_affine)[:, None]
         return np.eye(self.data.pencil.size, dtype=complex) + blocks.phi @ mid
 
     def s_left_inv_matrix(self, z, xi=None) -> np.ndarray:
@@ -254,8 +258,8 @@ class ConintSolution:
         if blocks.phi.shape[1] == 0:
             return np.eye(self.data.pencil.size, dtype=complex)
         sig = _sigma_xi(self.data.pencil, xi)
-        mid = np.linalg.solve(self._d_zeros(z, xi).T,
-                              np.linalg.solve(self.gamma0.T, (sig @ blocks.phi).T)).T
+        mid = (np.linalg.solve(self.gamma0.T, (sig @ blocks.phi).T)
+               / _xi_gap(xi, np.asarray(z, dtype=complex), blocks.zero_affine)[:, None]).T
         return np.eye(self.data.pencil.size, dtype=complex) - mid @ blocks.psi
 
     def apply(self, z, columns, xi=None) -> np.ndarray:

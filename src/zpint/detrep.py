@@ -16,6 +16,8 @@ kernel bundle.  The normalized section matrices
 
 annihilate the pencil on the curve from the right and left and pair to
 the identity against (xi1 sigma1 + xi2 sigma2) / (xi1 dl1 + xi2 dl2).
+The gamma blocks and the line-section matrix are each one kernel_grid,
+in the block layout of absint's Gamma and conint's Gamma0.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PointOnPoleSet, SingularBoundaryValue, SurfaceMismatch
-from .kernels import CauchyKernelOracle, evaluate_many
+from .kernels import CauchyKernelOracle, _block_form, evaluate_many, kernel_grid
 from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
 from .surface import EmbeddingPair, coord, point
 
@@ -127,30 +129,21 @@ def _require_same_surface(oracle, embedding):
 
 
 def build_pencil(oracle: CauchyKernelOracle, embedding: EmbeddingPair) -> PencilRep:
-    """Assemble the pencil matrices from kernel values at the pole points."""
+    """Assemble the pencil matrices from kernel values at the pole points.
+
+    The off-diagonal gamma blocks are the weights c_i1 c_j2 - c_j1 c_i2
+    times one kernel_grid over the pole points, whose diagonal is zero.
+    """
     _require_same_surface(oracle, embedding)
     r = oracle.rank
-    m = embedding.m
     c = embedding.residues
     d = embedding.consts
-    eye = np.eye(r, dtype=complex)
-    size = m * r
-    sigma1 = np.zeros((size, size), dtype=complex)
-    sigma2 = np.zeros((size, size), dtype=complex)
-    gamma = np.zeros((size, size), dtype=complex)
-    for i in range(m):
-        sl = slice(i * r, (i + 1) * r)
-        sigma1[sl, sl] = c[i, 0] * eye
-        sigma2[sl, sl] = c[i, 1] * eye
-        gamma[sl, sl] = (d[i, 0] * c[i, 1] - d[i, 1] * c[i, 0]) * eye
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            weight = c[i, 0] * c[j, 1] - c[j, 0] * c[i, 1]
-            block = oracle(embedding.pole_points[i], embedding.pole_points[j])
-            gamma[i * r:(i + 1) * r, j * r:(j + 1) * r] = weight * block
-    return PencilRep(size, r, sigma1, sigma2, gamma)
+    weights = c[:, None, 0] * c[None, :, 1] - c[None, :, 0] * c[:, None, 1]
+    grid = kernel_grid(oracle, embedding.pole_points, embedding.pole_points)
+    diagonal = d[:, 0] * c[:, 1] - d[:, 1] * c[:, 0]
+    gamma = _block_form(weights[:, :, None, None] * grid) + np.diag(np.repeat(diagonal, r))
+    return PencilRep(embedding.m * r, r, np.diag(np.repeat(c[:, 0], r)),
+                     np.diag(np.repeat(c[:, 1], r)), gamma)
 
 
 def normalized_sections(oracle: CauchyKernelOracle,
@@ -216,26 +209,18 @@ def adjust_gamma_by_map(pencil: PencilRep, boundary_values) -> PencilRep:
 
     Conjugates by alpha = diag(T(x^i)) and beta = alpha^{-1}; the sigmas
     commute with the block-scalar conjugation and are unchanged, while
-    gamma_ij becomes T(x^i) gamma_ij T(x^j)^{-1} off the diagonal.
+    gamma_ij becomes T(x^i) gamma_ij T(x^j)^{-1}, all blocks in one
+    stacked product (the scalar diagonal blocks keep their values).
     """
-    r = pencil.rank
-    values = [np.asarray(v, dtype=complex).reshape(r, r) for v in boundary_values]
-    if len(values) != pencil.m:
+    r, m = pencil.rank, pencil.m
+    values = np.array([np.asarray(v, dtype=complex).reshape(r, r) for v in boundary_values])
+    if len(values) != m:
         raise ValueError("need one boundary value per pole point")
-    inverses = []
-    for v in values:
-        if svd_cond(v) > COND_LIMIT:
-            raise SingularBoundaryValue("boundary value numerically singular")
-        inverses.append(np.linalg.inv(v))
-    gamma = pencil.gamma.copy()
-    for i in range(pencil.m):
-        for j in range(pencil.m):
-            if i == j:
-                continue
-            sl_i = slice(i * r, (i + 1) * r)
-            sl_j = slice(j * r, (j + 1) * r)
-            gamma[sl_i, sl_j] = values[i] @ pencil.gamma[sl_i, sl_j] @ inverses[j]
-    return PencilRep(pencil.size, r, pencil.sigma1, pencil.sigma2, gamma)
+    if any(svd_cond(v) > COND_LIMIT for v in values):
+        raise SingularBoundaryValue("boundary value numerically singular")
+    blocks = pencil.gamma.reshape(m, r, m, r).transpose(0, 2, 1, 3)
+    conjugated = values[:, None] @ blocks @ np.linalg.inv(values)[None, :]
+    return PencilRep(pencil.size, r, pencil.sigma1, pencil.sigma2, _block_form(conjugated))
 
 
 def line_section_condition(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
@@ -250,10 +235,6 @@ def line_section_condition(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
     ys = [point(y) for y in y_points]
     if len(ys) != embedding.m:
         raise ValueError("need exactly m section points")
-    r = oracle.rank
-    size = embedding.m * r
-    mat = np.zeros((size, size), dtype=complex)
-    for i, x in enumerate(embedding.pole_points):
-        for j, y in enumerate(ys):
-            mat[i * r:(i + 1) * r, j * r:(j + 1) * r] = oracle(x, y)
-    return svd_cond(mat)
+    if embedding.surface.coincidences(embedding.pole_points, ys):
+        raise PointOnPoleSet("line section points exclude the embedding poles")
+    return svd_cond(_block_form(kernel_grid(oracle, embedding.pole_points, ys)))

@@ -66,6 +66,7 @@ __all__ = [
     "CauchyKernelOracle",
     "ConnectionCoefficients",
     "evaluate_many",
+    "kernel_grid",
     "genus0_kernel",
     "line_kernel",
     "direct_sum_kernel",
@@ -136,6 +137,29 @@ def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     the N = 1 case of the same code.
     """
     return oracle(oracle.surface.points(P), oracle.surface.points(Q))
+
+
+def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
+    """Kernel values K(P[i], Q[j]) at every pair, shape (n, m, r, r).
+
+    The pairs are one evaluate_many call.  A pair whose points coincide on
+    the surface, where K has its pole, is left zero; every block matrix
+    over node pairs (Gamma, the pencil, the line-section matrix) takes
+    its kernel values from this grid.
+    """
+    surface = oracle.surface
+    P, Q = surface.points(P), surface.points(Q)
+    apart = ~surface.equal(P[:, None], Q[None, :])
+    out = np.zeros((len(P), len(Q), oracle.rank, oracle.rank), dtype=complex)
+    out[apart] = evaluate_many(oracle, np.repeat(P, len(Q))[apart.ravel()],
+                               np.tile(Q, len(P))[apart.ravel()])
+    return out
+
+
+def _block_form(blocks: np.ndarray) -> np.ndarray:
+    """The (n r, m r) matrix whose (i, j) block is blocks[i, j], (n, m, r, r)."""
+    n, m, r, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * r, m * r)
 
 
 def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
@@ -335,19 +359,19 @@ def collection_residual(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
     replaces the coordinate difference with -(xi1 l1' + xi2 l2')(p) I_r.
     """
     xi1, xi2 = complex(xi[0]), complex(xi[1])
-    surface = embedding.surface
     pc, qc = coord(p), coord(q)
     if embedding.is_pole(pc) or embedding.is_pole(qc):
         raise PointOnPoleSet("collection identity excludes the embedding poles")
     weights = xi1 * embedding.residues[:, 0] + xi2 * embedding.residues[:, 1]
-    lhs = np.zeros((oracle.rank, oracle.rank), dtype=complex)
-    for w, x in zip(weights, embedding.pole_points):
-        lhs += w * (oracle(pc, coord(x)) @ oracle(coord(x), qc))
-    if surface.equal(pc, qc):
+    xs = embedding.pole_points
+    from_p = kernel_grid(oracle, [pc], [*xs, qc])[0]   # K(p, x^j), then K(p, q) or 0
+    to_q = kernel_grid(oracle, xs, [qc])[:, 0]         # K(x^j, q)
+    lhs = (weights[:, None, None] * (from_p[:-1] @ to_q)).sum(axis=0)
+    if embedding.surface.equal(pc, qc):
         d1, d2 = embedding.lambda_derivs(pc, order=1)
         rhs = -(xi1 * d1 + xi2 * d2) * np.eye(oracle.rank, dtype=complex)
     else:
         l1p, l2p = embedding.lambda_values(pc)
         l1q, l2q = embedding.lambda_values(qc)
-        rhs = (xi1 * (l1q - l1p) + xi2 * (l2q - l2p)) * oracle(pc, qc)
+        rhs = (xi1 * (l1q - l1p) + xi2 * (l2q - l2p)) * from_p[-1]
     return rel_residual(lhs, rhs)

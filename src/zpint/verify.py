@@ -485,9 +485,9 @@ def checks_detrep(seed=7, tol_scale=1.0):
     emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
     avoid = [surface.coord(xp) for xp in emb.pole_points]
 
+    pencils = {oracle: build_pencil(oracle, emb) for oracle in (k1, ksum)}
     worst_ident = 0.0
-    for oracle in (k1, ksum):
-        pencil = build_pencil(oracle, emb)
+    for oracle, pencil in pencils.items():
         sections = normalized_sections(oracle, emb)
         xis = [DEFAULT_XI, SECOND_XI,
                (rng.standard_normal() + 1j * rng.standard_normal(),
@@ -499,7 +499,7 @@ def checks_detrep(seed=7, tol_scale=1.0):
                 worst_ident = max(worst_ident, r1, r2, r3)
     out.append(check("detrep.kernel_identities", worst_ident, 1e-7 * tol_scale))
 
-    pencil2 = build_pencil(ksum, emb)
+    pencil2 = pencils[ksum]
     worst_on = 0.0
     kdim_ok = True
     for _ in range(100):

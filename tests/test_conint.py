@@ -28,7 +28,7 @@ from zpint.conint import (
     convert_absint_to_conint,
     solve_conint,
 )
-from zpint.detrep import build_pencil, curve_membership
+from zpint.detrep import adjust_gamma_by_map, build_pencil, curve_membership
 from zpint.errors import (
     NoCoincidence,
     PoleCollision,
@@ -195,19 +195,47 @@ def test_block_matrices_shapes_and_entries(scalar_case):
     n_pole = converted.n_pole_total
     n_zero = converted.n_zero_total
     size = converted.pencil.size
-    assert blocks.A1.shape == (n_pole, n_pole)
-    assert blocks.Z1.shape == (n_zero, n_zero)
+    assert blocks.pole_affine.shape == (n_pole, 2)
+    assert blocks.zero_affine.shape == (n_zero, 2)
     assert blocks.phi.shape == (size, n_pole)
     assert blocks.psi.shape == (n_zero, size)
     for j, node in enumerate(converted.poles):
-        assert blocks.A1[j, j] == node.affine[0]
-        assert blocks.A2[j, j] == node.affine[1]
-    # the pole-side denominator matrix is singular exactly at a node
+        assert tuple(blocks.pole_affine[j]) == node.affine
+    for i, node in enumerate(converted.zeros):
+        assert tuple(blocks.zero_affine[i]) == node.affine
+    # the pole-side gap xi.(z - mu) vanishes exactly at a node
     xi = DEFAULT_XI
     z = converted.poles[0].affine
-    d = (xi[0] * (z[0] * np.eye(n_pole) - blocks.A1)
-         + xi[1] * (z[1] * np.eye(n_pole) - blocks.A2))
-    assert abs(np.linalg.det(d)) < 1e-12
+    d = (xi[0] * (z[0] - blocks.pole_affine[:, 0])
+         + xi[1] * (z[1] - blocks.pole_affine[:, 1]))
+    assert d[0] == 0.0 and np.all(d[1:] != 0.0)
+
+
+def test_gamma0_and_adjustment_match_pair_formulas(triangular_case):
+    """Rank 2 with coincidences: Gamma0 and the boundary-value adjustment
+    agree with their per-pair formulas to 1e-15 of the largest entry."""
+    surf, data, ko, kt, T, emb, pencil_t, converted = triangular_case
+    xi = DEFAULT_XI
+    sig = xi[0] * pencil_t.sigma1 + xi[1] * pencil_t.sigma2
+    ref = np.block([[
+        -converted.couplings[(i, j)] if (i, j) in converted.couplings
+        else (zn.vectors @ sig @ pn.vectors.T)
+        / (xi[0] * (pn.affine[0] - zn.affine[0]) + xi[1] * (pn.affine[1] - zn.affine[1]))
+        for j, pn in enumerate(converted.poles)] for i, zn in enumerate(converted.zeros)])
+    assert len(converted.couplings) == 2
+    gamma0 = build_gamma0(converted, xi)
+    assert np.abs(gamma0 - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    pencil_chi = build_pencil(ko, emb)
+    values = [T(x) for x in emb.pole_points]
+    r, gamma = pencil_chi.rank, pencil_chi.gamma
+    blocks = [[gamma[i * r:(i + 1) * r, j * r:(j + 1) * r] for j in range(emb.m)]
+              for i in range(emb.m)]
+    ref = np.block([[   # the diagonal blocks are scalars, which conjugation keeps
+        blocks[i][j] if i == j else values[i] @ blocks[i][j] @ np.linalg.inv(values[j])
+        for j in range(emb.m)] for i in range(emb.m)])
+    adjusted = adjust_gamma_by_map(pencil_chi, values).gamma
+    assert np.abs(adjusted - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_empty_data_gives_identity(scalar_case):
@@ -229,8 +257,6 @@ def test_gamma_update_membership_and_adjusted_equality(scalar_case, rng):
         det_rel, kdim = curve_membership(solution.pencil_new, emb, p)
         assert det_rel < 1e-7 and kdim == 1
     # two-route check: gamma update equals the boundary-value adjustment
-    from zpint.detrep import adjust_gamma_by_map
-
     pencil_chi = build_pencil(ko, emb)
     adjusted = adjust_gamma_by_map(pencil_chi, [T(x) for x in emb.pole_points])
     scale = np.abs(solution.gamma).max()

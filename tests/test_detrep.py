@@ -43,32 +43,71 @@ def sample_points(rng, emb, n):
     return out
 
 
-@pytest.mark.parametrize("which", ["line", "direct_sum"])
+@pytest.mark.parametrize("which", ["line", "direct_sum", "conjugated"])
 def test_sections_are_one_kernel_call(setup, which, monkeypatch):
-    """right and left each make one oracle call over the m pole points, and
-    give the bits of the per-pole stack of single calls."""
-    from zpint.kernels import CauchyKernelOracle
+    """Each evaluation over the pole points makes one call of the oracle
+    (collection_residual two), and gives the bits of single-pair calls."""
+    from zpint.absint import InterpolationDataSet, full_rank_multiplicative
+    from zpint.kernels import CauchyKernelOracle, collection_residual, conjugated_kernel
+    from zpint.numutil import rel_residual, svd_cond
 
     surf, emb, k1, ksum = setup
-    oracle = k1 if which == "line" else ksum
-    p = 0.41 + 0.33j
-    right_ref = np.vstack([oracle(x, p) for x in emb.pole_points])
-    left_ref = -np.hstack([oracle(p, x) for x in emb.pole_points])
+    oracle = {"line": k1, "direct_sum": ksum,
+              "conjugated": conjugated_kernel(ksum, [[1.0, 0.3j], [0.2, 1.1]])}[which]
+    r, m, xs = oracle.rank, emb.m, emb.pole_points
+    c, d = emb.residues, emb.consts
+    p, q, xi = 0.41 + 0.33j, 0.58 + 0.12j, (0.35 + 0.2j, 1.0)
+    ys = [0.31 + 0.44j, 0.68 + 0.79j]
+    ys.append(lattice_reduce(sum(x.coordinate for x in xs) - sum(ys), TAU))
+    eye = np.eye(r)
+    data = InterpolationDataSet(surf, r, ((0.2 + 0.3j, eye), (0.6 + 0.2j, eye)),
+                                ((0.4 + 0.7j, eye), (0.8 + 0.5j, eye)))
+
+    def collection_ref(p, q):
+        weights = xi[0] * c[:, 0] + xi[1] * c[:, 1]
+        lhs = np.zeros((r, r), dtype=complex)
+        for w, x in zip(weights, xs):
+            lhs += w * (oracle(p, x) @ oracle(x, q))
+        if p == q:
+            d1, d2 = emb.lambda_derivs(p, order=1)
+            return rel_residual(lhs, -(xi[0] * d1 + xi[1] * d2) * eye)
+        (l1p, l2p), (l1q, l2q) = emb.lambda_values(p), emb.lambda_values(q)
+        return rel_residual(lhs, (xi[0] * (l1q - l1p) + xi[1] * (l2q - l2p)) * oracle(p, q))
+
     sections = normalized_sections(oracle, emb)
+    evaluations = {   # name: (evaluation, oracle calls, single-pair reference)
+        "right": (lambda: sections.right(p), 1, np.vstack([oracle(x, p) for x in xs])),
+        "left": (lambda: sections.left(p), 1, -np.hstack([oracle(p, x) for x in xs])),
+        "build_pencil": (lambda: build_pencil(oracle, emb).gamma, 1, np.block([
+            [(d[i, 0] * c[i, 1] - d[i, 1] * c[i, 0]) * eye if i == j
+             else (c[i, 0] * c[j, 1] - c[j, 0] * c[i, 1]) * oracle(xs[i], xs[j])
+             for j in range(m)] for i in range(m)])),
+        "line_section_condition": (lambda: line_section_condition(oracle, emb, ys), 1,
+                                   svd_cond(np.block([[oracle(x, y) for y in ys] for x in xs]))),
+        "full_rank_multiplicative": (
+            lambda: full_rank_multiplicative(data, oracle, q, eye)[1], 1,
+            -np.block([[oracle(z.point, w.point) for w in data.poles] for z in data.zeros])),
+        "collection_residual": (lambda: collection_residual(oracle, emb, p, q, xi), 2,
+                                collection_ref(p, q)),
+        "collection_residual at p = q": (
+            lambda: collection_residual(oracle, emb, p, p, xi), 2, collection_ref(p, p)),
+    }
     calls = []
     original = CauchyKernelOracle.__call__
 
     def counting(self, p, q):
-        calls.append((p, q))
+        if self is oracle:   # a conjugated kernel calls its inner kernel as well
+            calls.append((p, q))
         return original(self, p, q)
 
     monkeypatch.setattr(CauchyKernelOracle, "__call__", counting)
-    right = sections.right(p)
-    assert len(calls) == 1 and len(calls[0][0]) == emb.m
-    left = sections.left(p)
-    assert len(calls) == 2 and len(calls[1][0]) == emb.m
-    assert np.array_equal(right, right_ref)
-    assert np.array_equal(left, left_ref)
+    for name, (evaluate, count, ref) in evaluations.items():
+        calls.clear()
+        value = evaluate()
+        assert len(calls) == count, name
+        assert np.array_equal(value, ref), name
+        if name in ("right", "left"):
+            assert len(calls[0][0]) == m
     for evaluate in (sections.right, sections.left):
         with pytest.raises(ValueError):   # as a single-pair call
             evaluate(complex("nan"))
@@ -190,6 +229,13 @@ def test_line_section_condition(setup, rng):
     y3 = lattice_reduce(xsum - y1 - y2, TAU)
     assert line_section_condition(k1, emb, [y1, y2, y3]) < 1e10
     assert line_section_condition(ksum, emb, [y1, y2, y3]) < 1e10
+    # a section point on an embedding pole, given as x^1 or as its lattice
+    # translate x^1 + 1, is rejected, not turned into a zero block
+    x1 = emb.pole_points[0].coordinate
+    for oracle in (k1, ksum):
+        for y in (x1, x1 + 1.0):
+            with pytest.raises(PointOnPoleSet):
+                line_section_condition(oracle, emb, [y, y2, y3])
 
 
 def test_pencil_json_round_trip(setup):

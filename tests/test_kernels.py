@@ -18,6 +18,7 @@ from zpint.kernels import (
     evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
+    kernel_grid,
     line_connection_form,
     line_kernel,
 )
@@ -242,6 +243,29 @@ def test_data_bundle_kernel_matches_closed_form(torus, bundle):
             assert abs(a - b) < 1e-12 * abs(a)
     # the trisecant residual runs through the tabulated path as well
     assert fay_residual(surf, 0.1 + 0.2j, "p0", "p1", "p2", "p3") < 1e-12
+
+
+def test_kernel_grid_matches_single_pair_calls(torus, bundle, bundle2, rng):
+    """Off the coincidences the grid has the bits of one oracle call per pair;
+    on them (a point equal to another or to a lattice translate) it is zero."""
+    line = line_kernel(torus, bundle)
+    dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    P = [rng.uniform(0, 1) + rng.uniform(0, 1) * TAU for _ in range(4)]
+    Q = [rng.uniform(0, 1) + rng.uniform(0, 1) * TAU, P[1], P[3] + 1.0, P[0] - TAU]
+    cases = [(line, P, Q), (dsum, P, Q), (conjugated_kernel(dsum, frame), P, Q),
+             (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, -2.0j, 0.4, 0.3])]
+    for oracle, P, Q in cases:
+        grid = kernel_grid(oracle, P, Q)
+        assert grid.shape == (len(P), len(Q), oracle.rank, oracle.rank)
+        coincident = set(oracle.surface.coincidences(P, Q))
+        assert len(coincident) >= 2, oracle.name
+        for i, p in enumerate(P):
+            for j, q in enumerate(Q):
+                if (i, j) in coincident:
+                    assert not grid[i, j].any(), oracle.name
+                else:
+                    assert np.array_equal(grid[i, j], oracle(p, q)), oracle.name
 
 
 def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
