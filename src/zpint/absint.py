@@ -64,6 +64,7 @@ from .surface import (
     FlatLineBundle,
     Surface,
     Torus,
+    _is_many,
     coord,
     lattice_coords,
     lattice_distance,
@@ -303,8 +304,8 @@ class BundleMapEvaluator:
     """Bundle map with a fixed base value T(q) = Q, over arrays of points.
 
     many(P) gives the values at a sequence of points, shape (N, r, r); a
-    call T(p) is its N = 1 case.  The value at q is Q for a solution and
-    Q^{-1} for an inverse.
+    call T(p) is its N = 1 case, and a call on a sequence is many.  The
+    value at q is Q for a solution and Q^{-1} for an inverse.
     """
 
     def __init__(self, rows, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
@@ -336,7 +337,7 @@ class BundleMapEvaluator:
         return out
 
     def __call__(self, p) -> np.ndarray:
-        return self.many([p])[0]
+        return self.many(p) if _is_many(p) else self.many([p])[0]
 
     @property
     def rank(self) -> int:
@@ -561,7 +562,7 @@ def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q) -> np.nd
     xi_c = coord(xi_point)
 
     def f_matrix(t):
-        return np.array([T(s) for s in t]) @ evaluate_many(oracle_chi, t, [q] * len(t))
+        return T(t) @ evaluate_many(oracle_chi, t, [q] * len(t))
 
     modes = circle_modes(f_matrix, xi_c, 1e-3, orders=(-1, 0))
     res, const = modes[-1], modes[0]
@@ -576,7 +577,9 @@ def forward_couplings(T, surface: Surface, zeros, poles,
 
     zeros and poles are the nodes of an InterpolationDataSet on surface;
     the returned dict rho[(i, j)] = -x grad(t u) over the pairs where they
-    coincide completes them into a consistent data set for the map T.
+    coincide completes them into a consistent data set for the map T.  T
+    is called once per pair, on the sequence of one circle's points, and
+    gives their (N, r, r) values, as BundleMapEvaluator does.
     """
     out = {}
     for (i, j) in surface.coincidences([z.point for z in zeros], [p.point for p in poles]):
@@ -596,7 +599,9 @@ def verify_solution(T, data: InterpolationDataSet,
     (i) the residue of T at each mu^j has column span matching the pole
     vectors; (ii) likewise for the transpose inverse at each lambda^i and
     the null vectors; (iii) coupled conditions at coincidences through the
-    output-bundle connection.  Returns a dict of residual lists.
+    output-bundle connection.  T is called once per circle, on the
+    sequence of its points, as in forward_couplings.  Returns a dict of
+    residual lists.
     """
     oracle_chi = oracle_chi or getattr(T, "oracle_chi", None)
     oracle_tilde = oracle_tilde or getattr(T, "oracle_tilde", None)
@@ -604,19 +609,14 @@ def verify_solution(T, data: InterpolationDataSet,
     radius = min(1e-2, 0.2 * _min_node_gap(data, extra=[q] if q is not None else ()))
     report = {"pole_span_gaps": [], "zero_span_gaps": [], "coupling_residuals": []}
 
-    for j, node in enumerate(data.poles):
-        res = circle_modes(lambda t: [T(s) for s in t], coord(node.point), radius,
-                           orders=(-1,))[-1]
-        gap = principal_angle_gap(_col_span(res, node.count), node.vectors.T)
-        report["pole_span_gaps"].append(gap)
+    def inv_t(t):
+        return np.linalg.inv(T(t)).transpose(0, 2, 1)
 
-    for i, node in enumerate(data.zeros):
-        def inv_t(t):
-            return np.linalg.inv([T(s) for s in t]).transpose(0, 2, 1)
-
-        res = circle_modes(inv_t, coord(node.point), radius, orders=(-1,))[-1]
-        gap = principal_angle_gap(_col_span(res, node.count), node.vectors.T)
-        report["zero_span_gaps"].append(gap)
+    for key, nodes, f in (("pole_span_gaps", data.poles, T),
+                          ("zero_span_gaps", data.zeros, inv_t)):
+        for node in nodes:
+            res = circle_modes(f, coord(node.point), radius, orders=(-1,))[-1]
+            report[key].append(principal_angle_gap(_col_span(res, node.count), node.vectors.T))
 
     if data.coincident_pairs() and (oracle_chi is None or oracle_tilde is None or q is None):
         raise ValueError("coincidence checks need the kernel oracles and base point")
@@ -832,7 +832,7 @@ def matrix_fay_residual(oracle_chi: CauchyKernelOracle,
     lhs = T.many(P) @ evaluate_many(oracle_chi, P, at_q) @ Qinv
     rhs = (evaluate_many(oracle_tilde, P, at_q)
            - evaluate_many(oracle_tilde, P, at_mu) @ u @ x @ oracle_tilde(lam, q) / denom)
-    return float(np.max([rel_residual(a, b) for a, b in zip(lhs, rhs)], initial=0.0))
+    return float(np.max(rel_residual(lhs, rhs), initial=0.0))
 
 
 def full_rank_multiplicative(data: InterpolationDataSet,

@@ -86,6 +86,14 @@ def _pair(value) -> complex:
     raise InputError(f"expected [re, im] pair of finite numbers, got {value!r}")
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option; argparse exits 2 on the ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative count {value}")
+    return value
+
+
 def _enc(value):
     value = complex(value)
     return [value.real, value.imag]
@@ -231,7 +239,7 @@ def _cmd_solve_line(args):
     problem = (surf, zeros, poles, chi, chit, q, base_value)
     rng = np.random.default_rng(args.seed)
     checks = [verify.line_equivalence_check(*problem, rng, args.samples, args.tol_scale)]
-    p = verify.sample_point(surf, rng, avoid=[*zeros, *poles, q])
+    p, = verify.sample_points(surf, rng, 1, avoid=[*zeros, *poles, q])
     extras = {
         "input_sha256": _echo_hash(payload),
         "evaluation": {"p": _enc(p),
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, help_text, **defaults):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0, help="RNG seed for sweeps")
-        p.add_argument("--samples", type=int, default=50, help="sweep sample count")
+        p.add_argument("--samples", type=_count, default=50, help="sweep sample count")
         p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
                        help="multiply every tolerance by this factor")
         p.add_argument("--out", default=None, help="report path (default stdout)")

@@ -241,44 +241,41 @@ class ConintSolution:
         self._blocks = block_matrices(self.data)
 
     def s_matrix(self, z, xi=None) -> np.ndarray:
-        """Full matrix of S at affine z; meaningful on ker U_gamma(z) only."""
+        """Full matrix of S at affine z, (M, M), or at each row of an array of
+        affine pairs (..., 2), (..., M, M); meaningful on ker U_gamma(z) only."""
         xi = xi or self.xi
         blocks = self._blocks
-        if blocks.phi.shape[1] == 0:
-            return np.eye(self.data.pencil.size, dtype=complex)
         sig = _sigma_xi(self.data.pencil, xi)
-        mid = np.linalg.solve(self.gamma0, blocks.psi @ sig) \
-            / _xi_gap(xi, np.asarray(z, dtype=complex), blocks.pole_affine)[:, None]
+        gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :], blocks.pole_affine)
+        mid = np.linalg.solve(self.gamma0, blocks.psi @ sig) / gap[..., None]
         return np.eye(self.data.pencil.size, dtype=complex) + blocks.phi @ mid
 
     def s_left_inv_matrix(self, z, xi=None) -> np.ndarray:
         """Right-multiplication matrix of S_left^{-1} at affine z."""
         xi = xi or self.xi
         blocks = self._blocks
-        if blocks.phi.shape[1] == 0:
-            return np.eye(self.data.pencil.size, dtype=complex)
         sig = _sigma_xi(self.data.pencil, xi)
         mid = (np.linalg.solve(self.gamma0.T, (sig @ blocks.phi).T)
                / _xi_gap(xi, np.asarray(z, dtype=complex), blocks.zero_affine)[:, None]).T
         return np.eye(self.data.pencil.size, dtype=complex) - mid @ blocks.psi
 
     def apply(self, z, columns, xi=None) -> np.ndarray:
-        """Apply S at affine z to kernel column vectors.
+        """Apply S at affine z to kernel column vectors, or at each row of an
+        array of affine pairs (N, 2) to its own columns (N, M, k).
 
         The inputs are orthogonally projected onto the numerical kernel of
         the updated pencil first, enforcing the restriction semantics.
         """
         cols = np.atleast_2d(np.asarray(columns, dtype=complex))
-        if cols.shape[0] != self.data.pencil.size:
-            cols = cols.T
+        if cols.shape[-2] != self.data.pencil.size:
+            cols = np.swapaxes(cols, -1, -2)
         return self.s_matrix(z, xi) @ self._project_kernel(z, cols)
 
     def _project_kernel(self, z, cols) -> np.ndarray:
-        mat = self.pencil_new.pencil(complex(z[0]), complex(z[1]))
-        _, s, vh = np.linalg.svd(mat)
-        r = self.data.pencil.rank
-        basis = vh[-r:].conj().T
-        return basis @ (basis.conj().T @ cols)
+        z = np.asarray(z, dtype=complex)
+        _, _, vh = np.linalg.svd(self.pencil_new.pencil(z[..., 0], z[..., 1]))
+        basis = np.swapaxes(vh[..., -self.data.pencil.rank:, :].conj(), -1, -2)
+        return basis @ (np.swapaxes(basis.conj(), -1, -2) @ cols)
 
 
 def solve_conint(data: ConintDataSet, xi=None) -> ConintSolution:
@@ -333,7 +330,8 @@ def convert_absint_to_conint(data: InterpolationDataSet,
                              pencil_tilde: PencilRep | None = None) -> ConintDataSet:
     """Concrete data from abstract data through the normalized sections.
 
-    phi_jb = u_cross(mu^j) u_jb and psi_ia = x_ia u_cross_left(lambda^i);
+    phi_jb = u_cross(mu^j) u_jb and psi_ia = x_ia u_cross_left(lambda^i),
+    the sections of all zeros and of all poles one array call each;
     couplings carry over unchanged.  The embedding poles must avoid every
     interpolation node.
     """
@@ -342,21 +340,16 @@ def convert_absint_to_conint(data: InterpolationDataSet,
             raise PoleCollision(f"node {node.point!r} sits on an embedding pole")
     pencil_tilde = pencil_tilde or build_pencil(oracle_tilde, embedding)
     sections = normalized_sections(oracle_tilde, embedding)
-    zeros = []
-    for zn in data.zeros:
-        left = sections.left(zn.point)
-        vecs = zn.vectors @ left
-        zeros.append(ConintNode(zn.point, embedding.lambda_values(zn.point), vecs))
-    poles = []
-    for pn in data.poles:
-        right = sections.right(pn.point)
-        vecs = (right @ pn.vectors.T).T
-        poles.append(ConintNode(pn.point, embedding.lambda_values(pn.point), vecs))
+    zs, ps = [zn.point for zn in data.zeros], [pn.point for pn in data.poles]
+    zeros = tuple(ConintNode(zn.point, affine, zn.vectors @ left) for zn, affine, left
+                  in zip(data.zeros, embedding.lambda_values(zs), sections.left(zs)))
+    poles = tuple(ConintNode(pn.point, affine, (right @ pn.vectors.T).T) for pn, affine, right
+                  in zip(data.poles, embedding.lambda_values(ps), sections.right(ps)))
     return ConintDataSet(
         surface=data.surface,
         pencil=pencil_tilde,
-        zeros=tuple(zeros),
-        poles=tuple(poles),
+        zeros=zeros,
+        poles=poles,
         couplings={k: v.copy() for k, v in data.couplings.items()},
     )
 
@@ -379,30 +372,33 @@ def check_gamma_equality(data: InterpolationDataSet,
 def check_intertwining(solution: ConintSolution, T,
                        oracle_chi: CauchyKernelOracle,
                        oracle_tilde: CauchyKernelOracle,
-                       embedding: EmbeddingPair, p, xi=None) -> float:
+                       embedding: EmbeddingPair, p, xi=None):
     """Residual of S(z(p)) beta^{-1} u_cross_in(p) = u_cross_out(p) T(p).
 
     beta^{-1} stacks the boundary values T(x^i) blockwise; the left side
     applies the concrete map to the normalized input sections, the right
-    side maps the output sections through the abstract interpolant.
+    side maps the output sections through the abstract interpolant.  p is
+    one point (a float) or a sequence of N points (an array (N,)); T is
+    called once, on the pole points and the points together, and must
+    give the (N, r, r) values of a sequence.
     """
-    pc = coord(p)
-    if embedding.is_pole(pc):
+    P = embedding.surface.points(p)
+    if embedding.is_pole(P):
         raise PointOnExcludedSet("intertwining check excludes the embedding poles")
     nodes = [node.surface_point for node in (*solution.data.zeros, *solution.data.poles)]
-    if np.any(solution.data.surface.equal(pc, nodes)):
+    if np.any(solution.data.surface.equal(np.asarray(P)[..., None], nodes)):
         raise PointOnExcludedSet("intertwining check excludes the nodes")
-    r = oracle_chi.rank
-    u_in = normalized_sections(oracle_chi, embedding).right(pc)
-    beta_inv_blocks = [np.asarray(T(x), dtype=complex) for x in embedding.pole_points]
-    lifted = np.vstack([
-        beta_inv_blocks[i] @ u_in[i * r:(i + 1) * r] for i in range(embedding.m)
-    ])
-    z = embedding.lambda_values(pc)
-    lhs = solution.apply(z, lifted, xi=xi)
-    u_out = normalized_sections(oracle_tilde, embedding).right(pc)
-    rhs = u_out @ np.asarray(T(pc), dtype=complex)
-    return rel_residual(lhs, rhs)
+    single, P = np.ndim(P) == 0, np.atleast_1d(P)
+    r, m = oracle_chi.rank, embedding.m
+    xs = embedding.surface.points(embedding.pole_points)
+    values = np.asarray(T(np.concatenate([xs, P])), dtype=complex)
+    beta_inv, at_p = values[:m], values[m:]
+    u_in = normalized_sections(oracle_chi, embedding).right(P)
+    lifted = (beta_inv @ u_in.reshape(len(P), m, r, r)).reshape(u_in.shape)
+    lhs = solution.apply(embedding.lambda_values(P), lifted, xi=xi)
+    rhs = normalized_sections(oracle_tilde, embedding).right(P) @ at_p
+    res = rel_residual(lhs, rhs)
+    return float(res[0]) if single else res
 
 
 def _holomorphic_left_kernel(mat: np.ndarray, probe: np.ndarray) -> np.ndarray:

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InputError, PointOnPoleSet, SingularBoundaryValue, SurfaceMismatch
 from .kernels import CauchyKernelOracle, _block_form, evaluate_many, kernel_grid
 from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
-from .surface import EmbeddingPair, coord, point
+from .surface import EmbeddingPair, point
 
 __all__ = [
     "PencilRep",
@@ -61,7 +62,10 @@ class PencilRep:
             )
             object.__setattr__(self, name, mat)
 
-    def pencil(self, z1: complex, z2: complex) -> np.ndarray:
+    def pencil(self, z1, z2) -> np.ndarray:
+        """z1 sigma2 - z2 sigma1 + gamma, (M, M); over arrays z1, z2 the stack (..., M, M)."""
+        z1 = np.asarray(z1, dtype=complex)[..., None, None]
+        z2 = np.asarray(z2, dtype=complex)[..., None, None]
         return z1 * self.sigma2 - z2 * self.sigma1 + self.gamma
 
     @property
@@ -103,24 +107,33 @@ class PencilRep:
 class NormalizedSections:
     """Right and left normalized section evaluators of the kernel bundle.
 
-    Each evaluation is one evaluate_many call over the m pole points;
-    point() rejects a non-finite p, as a single-pair call does.
+    Each takes one point or a sequence of N points and makes one
+    evaluate_many call over all (point, pole point) pairs; point()
+    rejects a non-finite p, as a single-pair call does.
     """
 
     oracle: CauchyKernelOracle
     embedding: EmbeddingPair
 
+    def _stack(self, p, right: bool) -> np.ndarray:
+        surface, m, r = self.embedding.surface, self.embedding.m, self.oracle.rank
+        P = surface.points(p)
+        ps = np.repeat(np.atleast_1d(P), m)
+        xs = np.tile(surface.points(self.embedding.pole_points), len(ps) // m)
+        if right:   # K(x^i, p) stacked down
+            out = evaluate_many(self.oracle, xs, ps).reshape(-1, m * r, r)
+        else:       # -K(p, x^i) side by side
+            out = -evaluate_many(self.oracle, ps, xs).reshape(-1, m, r, r).transpose(
+                0, 2, 1, 3).reshape(-1, r, m * r)
+        return out[0] if np.ndim(P) == 0 else out
+
     def right(self, p) -> np.ndarray:
-        """u_cross(p), shape (M, r); poles exactly at the x^i."""
-        xs = self.embedding.pole_points
-        blocks = evaluate_many(self.oracle, xs, [point(p)] * len(xs))   # K(x^i, p)
-        return blocks.reshape(-1, self.oracle.rank)
+        """u_cross(p), shape (M, r), or (N, M, r) over N points; poles exactly at the x^i."""
+        return self._stack(p, right=True)
 
     def left(self, p) -> np.ndarray:
-        """u_cross_left(p), shape (r, M)."""
-        xs = self.embedding.pole_points
-        blocks = evaluate_many(self.oracle, [point(p)] * len(xs), xs)   # K(p, x^i)
-        return -blocks.transpose(1, 0, 2).reshape(self.oracle.rank, -1)
+        """u_cross_left(p), shape (r, M), or (N, r, M) over N points."""
+        return self._stack(p, right=False)
 
 
 def _require_same_surface(oracle, embedding):
@@ -152,56 +165,73 @@ def normalized_sections(oracle: CauchyKernelOracle,
     return NormalizedSections(oracle, embedding)
 
 
+def _off_poles(embedding: EmbeddingPair, p, what: str):
+    """Coordinates of one point or a sequence, as an array, and whether p was
+    one point; PointOnPoleSet when one of them is an embedding pole."""
+    P = embedding.surface.points(p)
+    if embedding.is_pole(P):
+        raise PointOnPoleSet(f"{what} exclude the embedding poles")
+    return np.atleast_1d(P), np.ndim(P) == 0
+
+
 def check_kernel_identities(pencil: PencilRep, sections: NormalizedSections,
-                            embedding: EmbeddingPair, p, xi) -> tuple[float, float, float]:
-    """Residuals of the three pencil identities at p.
+                            embedding: EmbeddingPair, p, xi):
+    """Residuals of the three pencil identities at p, one point or a sequence.
 
     (1) pencil(l1, l2) u_cross(p) = 0;
     (2) u_cross_left(p) pencil(l1, l2) = 0;
-    (3) u_cross_left (xi1 sigma1 + xi2 sigma2) u_cross / (xi1 l1' + xi2 l2') = I.
+    (3) u_cross_left (xi1 sigma1 + xi2 sigma2) u_cross / (xi1 l1' + xi2 l2') = I,
+    at the direction xi, or at each row of an array of directions (K, 2).
+
+    Returns (res1, res2, res3): floats at one point and one direction;
+    over N points res1 and res2 have shape (N,) and res3 (N,) or (N, K).
     """
-    pc = coord(p)
-    if embedding.is_pole(pc):
-        raise PointOnPoleSet("identity checks exclude the embedding poles")
-    l1, l2 = embedding.lambda_values(pc)
-    u = sections.right(pc)
-    ul = sections.left(pc)
-    upen = pencil.pencil(l1, l2)
-    scale_u = float(np.linalg.norm(upen)) * float(np.linalg.norm(u))
-    res1 = float(np.linalg.norm(upen @ u)) / (scale_u + 1e-300)
-    scale_l = float(np.linalg.norm(ul)) * float(np.linalg.norm(upen))
-    res2 = float(np.linalg.norm(ul @ upen)) / (scale_l + 1e-300)
-    xi1, xi2 = complex(xi[0]), complex(xi[1])
-    d1, d2 = embedding.lambda_derivs(pc, order=1)
-    pairing = ul @ (xi1 * pencil.sigma1 + xi2 * pencil.sigma2) @ u
-    pairing = pairing / (xi1 * d1 + xi2 * d2)
-    res3 = rel_residual(pairing, np.eye(pencil.rank))
+    P, single = _off_poles(embedding, p, "identity checks")
+    lam = embedding.lambda_values(P)
+    u = sections.right(P)                  # (N, M, r)
+    ul = sections.left(P)                  # (N, r, M)
+    upen = pencil.pencil(lam[:, 0], lam[:, 1])
+    norm = partial(np.linalg.norm, axis=(-2, -1))
+    res1 = norm(upen @ u) / (norm(upen) * norm(u) + 1e-300)
+    res2 = norm(ul @ upen) / (norm(ul) * norm(upen) + 1e-300)
+    xis = np.asarray(xi, dtype=complex)
+    dirs = xis.reshape(-1, 2)              # (K, 2)
+    d = embedding.lambda_derivs(P, order=1)
+    slope = dirs[:, 0] * d[:, :1] + dirs[:, 1] * d[:, 1:]           # (N, K)
+    sig = dirs[:, 0, None, None] * pencil.sigma1 + dirs[:, 1, None, None] * pencil.sigma2
+    pairing = ul[:, None] @ sig @ u[:, None] / slope[..., None, None]
+    res3 = rel_residual(pairing, np.eye(pencil.rank)).reshape(len(P), *xis.shape[:-1])
+    if single:
+        return float(res1[0]), float(res2[0]), res3[0] if res3.ndim > 1 else float(res3[0])
     return res1, res2, res3
 
 
-def curve_membership(pencil: PencilRep, embedding: EmbeddingPair, p) -> tuple[float, int]:
-    """On-curve test of the pencil at the image of p.
+def curve_membership(pencil: PencilRep, embedding: EmbeddingPair, p):
+    """On-curve test of the pencil at the image of p, one point or a sequence.
 
     Returns (relative determinant, numerical kernel dimension): the
     product of the r smallest singular values over the r-th power of the
     smallest one above the rank gap, and the SVD kernel dimension
-    (numerical_kernel_dim).
+    (numerical_kernel_dim); a float and an int at one point, arrays (N,)
+    over N points.
     """
-    pc = coord(p)
-    if embedding.is_pole(pc):
-        raise PointOnPoleSet("membership test excludes the embedding poles")
-    l1, l2 = embedding.lambda_values(pc)
-    return pencil_membership(pencil, l1, l2)
+    P, single = _off_poles(embedding, p, "membership tests")
+    lam = embedding.lambda_values(P)
+    det_rel, kdim = pencil_membership(pencil, lam[:, 0], lam[:, 1])
+    return (float(det_rel[0]), int(kdim[0])) if single else (det_rel, kdim)
 
 
-def pencil_membership(pencil: PencilRep, z1: complex, z2: complex) -> tuple[float, int]:
-    """Membership statistic of the pencil at an arbitrary affine point."""
-    mat = pencil.pencil(complex(z1), complex(z2))
+def pencil_membership(pencil: PencilRep, z1, z2):
+    """Membership statistic of the pencil at an affine point, or elementwise
+    over arrays z1, z2: one stacked SVD for all of them."""
+    mat = pencil.pencil(z1, z2)
     s = np.linalg.svd(mat, compute_uv=False)
     r = pencil.rank
-    ref = s[pencil.size - r - 1] if pencil.size > r else s[0]
-    det_rel = float(np.prod(s[pencil.size - r:]) / ref**r) if ref > 0 else 0.0
-    return det_rel, numerical_kernel_dim(mat)
+    ref = s[..., pencil.size - r - 1] if pencil.size > r else s[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det_rel = np.where(ref > 0, np.prod(s[..., pencil.size - r:], axis=-1) / ref**r, 0.0)
+    kdim = numerical_kernel_dim(mat)
+    return (float(det_rel), int(kdim)) if det_rel.ndim == 0 else (det_rel, kdim)
 
 
 def adjust_gamma_by_map(pencil: PencilRep, boundary_values) -> PencilRep:

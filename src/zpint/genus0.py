@@ -112,12 +112,16 @@ class RationalMatrixFunction:
         self._inverse_data = _inverse_data
         self._inverse = None
 
-    def __call__(self, z) -> np.ndarray:
-        z = complex(z)
-        val = np.eye(self.rank, dtype=complex)
+    def many(self, Z) -> np.ndarray:
+        """Values at the points Z, shape (N, r, r); a call T(z) is the N = 1 case."""
+        Z = np.asarray(Z, dtype=complex).reshape(-1)
+        val = np.repeat(np.eye(self.rank, dtype=complex)[None], len(Z), axis=0)
         for mu, u, c in zip(self.poles, self.pole_vectors, self.coefficients):
-            val = val + np.outer(u, c) / (z - mu)
+            val = val + np.outer(u, c) / (Z - mu)[:, None, None]
         return val
+
+    def __call__(self, z) -> np.ndarray:
+        return self.many([complex(z)])[0]
 
     def inverse(self) -> "RationalMatrixFunction":
         """Analytic inverse, built by solving the swapped-transpose problem.
@@ -182,7 +186,8 @@ def solve_genus0(problem: Genus0Problem) -> RationalMatrixFunction:
 
 
 def scalar_product_form(zeros, poles):
-    """Evaluator of prod (z - lambda^i) / prod (z - mu^j).
+    """Evaluator of prod (z - lambda^i) / prod (z - mu^j), at one point (a
+    complex) or elementwise over an array.
 
     Raises CountMismatch when the divisor is unbalanced.
     """
@@ -192,11 +197,11 @@ def scalar_product_form(zeros, poles):
         raise CountMismatch(f"{len(lams)} zeros vs {len(mus)} poles")
 
     def T(z):
-        z = complex(z)
-        val = 1.0 + 0.0j
+        z = np.asarray(z, dtype=complex)
+        val = np.ones_like(z)
         for lam, mu in zip(lams, mus):
-            val *= (z - lam) / (z - mu)
-        return val
+            val = val * ((z - lam) / (z - mu))
+        return complex(val) if val.ndim == 0 else val
 
     return T
 

@@ -10,6 +10,8 @@ dense numpy on desk-scale matrices.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 __all__ = [
@@ -63,13 +65,14 @@ def circle_modes(f, center, radius: float, orders):
     return out
 
 
-def rel_residual(lhs, rhs) -> float:
-    """Frobenius residual |lhs - rhs| / (|lhs| + |rhs| + guard)."""
+def rel_residual(lhs, rhs):
+    """Frobenius residual |lhs - rhs| / (|lhs| + |rhs| + guard) of two
+    matrices (a float), or of each pair of two stacks (..., m, n) (an array)."""
     lhs = np.asarray(lhs, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    num = float(np.linalg.norm(lhs - rhs))
-    den = float(np.linalg.norm(lhs)) + float(np.linalg.norm(rhs)) + EPS_GUARD
-    return num / den
+    norm = partial(np.linalg.norm, axis=(-2, -1))
+    out = norm(lhs - rhs) / (norm(lhs) + norm(rhs) + EPS_GUARD)
+    return float(out) if out.ndim == 0 else out
 
 
 def svd_cond(mat) -> float:
@@ -85,28 +88,28 @@ def svd_cond(mat) -> float:
     return float(s[0] / s[-1])
 
 
-def numerical_kernel_dim(mat) -> int:
+def numerical_kernel_dim(mat):
     """Kernel dimension by the largest singular-value gap of ratio >= GAP_RATIO.
 
     Singular values below max(M, N) * eps * s0 are roundoff and count as
     one cluster at that floor, as in numpy.linalg.matrix_rank (Golub & Van
     Loan, Matrix Computations, 5.4.1); an exact zero next to a roundoff
-    value therefore cannot outbid the true gap above them.
+    value therefore cannot outbid the true gap above them.  mat is one
+    matrix (an int) or a stack (..., M, N) (an int array of shape (...)).
     """
     mat = np.asarray(mat, dtype=complex)
     s = np.linalg.svd(mat, compute_uv=False)
-    n = s.size
-    floor = max(mat.shape) * np.finfo(float).eps * s[0]
-    best_dim = 0
-    best_ratio = 1.0
-    for k in range(n - 1):
-        hi = s[k]
-        lo = max(s[k + 1], floor)
-        ratio = np.inf if lo == 0.0 else hi / lo
-        if ratio >= GAP_RATIO and ratio > best_ratio:
-            best_ratio = ratio
-            best_dim = n - 1 - k
-    return best_dim
+    n = s.shape[-1]
+    floor = max(mat.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    lo = np.maximum(s[..., 1:], floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lo == 0.0, np.inf, s[..., :-1] / lo)
+    # a trailing 0.0 stands for "no gap", so a 1 x 1 matrix has one entry
+    ratio = np.concatenate([np.where(ratio >= GAP_RATIO, ratio, 0.0),
+                            np.zeros(ratio.shape[:-1] + (1,))], axis=-1)
+    k = ratio.argmax(axis=-1)   # the first of the largest gaps
+    dims = np.where(ratio.max(axis=-1) > 0.0, n - 1 - k, 0)
+    return int(dims) if dims.ndim == 0 else dims
 
 
 def orth_columns(vectors) -> np.ndarray:

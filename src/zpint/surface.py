@@ -553,6 +553,8 @@ class EmbeddingPair:
         return dL[..., :1] - dL[..., 1:]
 
     def is_pole(self, z) -> bool:
+        """Whether z, or any point of a sequence z, is one of the pole points."""
+        z = np.asarray(self.surface.points(z))[..., None]
         return bool(np.any(self.surface.equal(z, self.pole_points)))
 
 

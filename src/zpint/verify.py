@@ -6,16 +6,20 @@ data, a seeded generator, a sample count and the tolerance scale:
 `genus0_checks`, `genus0_product_check`, `line_equivalence_check`,
 `fay_sweep_check`, `fay_degenerate_check` and `conint_checks`.  The
 criteria `checks_*` feed them random problems and fold the rows with
-`worst`, one row per name at its largest residual; the CLI feeds them the
-user's problem, so both report the same names and tolerances.  run_all
-stitches the criteria into a single report.  All randomness is drawn from
-a seeded generator (torus points through `sample_point`), so a report is
-reproducible bit for bit for a fixed seed and platform.
+`worst`, one row per name, a failing row first and then the largest
+residual; the CLI feeds them the user's problem, so both report the same
+names and tolerances.  run_all stitches the criteria into a single
+report.  All randomness is drawn from a seeded generator (torus points
+through `sample_points`), so a report is reproducible bit for bit for a
+fixed seed and platform.  A check draws its points first and then
+evaluates all of them in one array call; its residuals are folded with
+np.max, so a NaN residual fails the check.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from .detrep import (
     normalized_sections,
     pencil_membership,
 )
-from .errors import NotSquare, SingularGamma, ZPViolated, ZpintError
+from .errors import InputError, NotSquare, SingularGamma, ZPViolated, ZpintError
 from .genus0 import Genus0Problem, scalar_product_form, solve_genus0, sylvester_coefficients
 from .kernels import (
     collection_residual,
@@ -77,10 +81,9 @@ from .theta import (
     riemann_theta,
     theta_gradient,
     theta_many,
-    theta_with_char,
 )
 
-__all__ = ["run_all", "CRITERIA", "check", "worst", "sample_point", "genus0_checks",
+__all__ = ["run_all", "CRITERIA", "check", "worst", "sample_points", "genus0_checks",
            "genus0_product_check", "line_equivalence_check", "fay_sweep_check",
            "fay_degenerate_check", "conint_checks"]
 
@@ -105,11 +108,13 @@ def check(name, residual, tolerance):
 
 
 def worst(checks):
-    """One check per name, the one with the largest residual, in first-seen order."""
+    """One check per name in first-seen order: a failing one if there is one
+    (a NaN residual fails), else the one with the largest residual."""
     folded = {}
     for entry in checks:
         kept = folded.get(entry["name"])
-        if kept is None or entry["residual"] > kept["residual"]:
+        if kept is None or ((not entry["passed"], entry["residual"])
+                            > (not kept["passed"], kept["residual"])):
             folded[entry["name"]] = entry
     return list(folded.values())
 
@@ -124,16 +129,26 @@ def _raises(name, exc_types, fn):
     return check(name, 1.0, 0.5)
 
 
-def sample_point(surf, rng, avoid=()):
-    """Rejection-sampled torus point at lattice distance > 0.05 from `avoid`."""
-    tau = surf.tau
+def sample_points(surf, rng, n, avoid=()):
+    """n rejection-sampled torus points at lattice distance > 0.05 from `avoid`.
+
+    Each round draws the (alpha, beta) rows still missing as one block, as
+    many single draws would, and keeps those that pass one broadcast
+    distance test: the points of n successive one-point draws.  Raises
+    InputError when 256 rounds leave fewer than n points.
+    """
+    avoid = surf.points(list(avoid))
+    out = np.zeros(0, dtype=complex)
     for _ in range(256):
-        alpha = rng.uniform(0.03, 0.97)
-        beta = rng.uniform(0.03, 0.97)
-        z = alpha + beta * tau
-        if all(surf.distance(z, a) > 5e-2 for a in avoid):
-            return z
-    raise RuntimeError("rejection sampling failed")
+        rows = rng.uniform(0.03, 0.97, (n - len(out), 2))
+        z = rows[:, 0] + rows[:, 1] * surf.tau
+        if avoid.size:   # with nothing to avoid every row is kept
+            z = z[(surf.distance(z[:, None], avoid) > 5e-2).all(axis=1)]
+        out = np.concatenate([out, z])
+        if len(out) == n:
+            return out
+    raise InputError(f"no {n} torus points at distance > 0.05 from the avoided set "
+                     f"{avoid.tolist()}")
 
 
 def _random_period_g2(rng) -> PeriodMatrix:
@@ -149,55 +164,58 @@ def _random_period_g2(rng) -> PeriodMatrix:
 def checks_theta(seed=1, tol_scale=1.0):
     rng = np.random.default_rng(seed)
     out = []
+    zero_g1 = ThetaCharacteristic(np.zeros(1), np.zeros(1))
 
-    worst = 0.0
-    for tau in TAUS:
+    def rel_gap(lhs, rhs):
+        return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs))
+
+    gaps = []
+    for tau in TAUS:   # one theta_many per tau over the shifted and plain points
         pm = period_from_tau(tau)
+        draws = []
         for _ in range(40):
             z = rng.uniform(-1, 1) + 1j * rng.uniform(-0.8, 0.8) * abs(tau.imag)
-            m = int(rng.integers(-2, 3))
-            n = int(rng.integers(-2, 3))
-            lhs = riemann_theta(z + tau * m + n, pm)
-            rhs = np.exp(-1j * np.pi * m * tau * m - 2j * np.pi * m * z) \
-                * riemann_theta(z, pm)
-            worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
-    for _ in range(80):
+            draws.append((z, int(rng.integers(-2, 3)), int(rng.integers(-2, 3))))
+        z, m, n = (np.array(col) for col in zip(*draws))
+        lhs, plain = theta_many(zero_g1, np.concatenate([z + tau * m + n, z])[:, None],
+                                pm).reshape(2, -1)
+        gaps.append(rel_gap(lhs, np.exp(-1j * np.pi * m * tau * m - 2j * np.pi * m * z)
+                            * plain))
+    for _ in range(80):   # one theta_many with two rows per random Omega
         pm = _random_period_g2(rng)
         z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.6, 0.6, 2)
         m = rng.integers(-2, 3, 2).astype(float)
         n = rng.integers(-2, 3, 2).astype(float)
-        lhs = riemann_theta(z + pm.omega @ m + n, pm)
+        lhs, plain = theta_many(ThetaCharacteristic(np.zeros(2), np.zeros(2)),
+                                [z + pm.omega @ m + n, z], pm)
         factor = np.exp(-1j * np.pi * (m @ pm.omega @ m) - 2j * np.pi * (m @ z))
-        rhs = factor * riemann_theta(z, pm)
-        worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
-    out.append(check("theta.quasi_periodicity", worst, 1e-10 * tol_scale))
+        gaps.append(rel_gap(lhs, factor * plain)[None])
+    out.append(check("theta.quasi_periodicity", np.max(np.concatenate(gaps)),
+                     1e-10 * tol_scale))
 
     val = riemann_theta(0.0, period_from_tau(1j))
     out.append(check("theta.value_at_i", abs(val - THETA_AT_I), 1e-9 * tol_scale))
 
-    worst = 0.0
+    def fd_gaps(chi, lam, pm):
+        """Gradient against central differences; the 2g rows lam +- h e_k
+        are one theta_many call."""
+        steps = h * np.eye(pm.genus)
+        plus, minus = theta_many(chi, np.concatenate([lam + steps, lam - steps]),
+                                 pm).reshape(2, -1)
+        fd = (plus - minus) / (2 * h)
+        return np.abs(theta_gradient(chi, lam, pm) - fd) / (np.abs(fd) + 1e-300)
+
+    gaps = []
     h = 1e-5
     for _ in range(10):
-        tau = TAUS[int(rng.integers(0, 3))]
-        pm = period_from_tau(tau)
+        pm = period_from_tau(TAUS[int(rng.integers(0, 3))])
         chi = ThetaCharacteristic(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-        lam = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
-        grad = theta_gradient(chi, lam, pm)[0]
-        fd = (theta_with_char(chi, lam + h, pm)
-              - theta_with_char(chi, lam - h, pm)) / (2 * h)
-        worst = max(worst, abs(grad - fd) / (abs(fd) + 1e-300))
+        gaps.append(fd_gaps(chi, rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5), pm))
     for _ in range(5):
         pm = _random_period_g2(rng)
         chi = ThetaCharacteristic(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        lam = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.4, 0.4, 2)
-        grad = theta_gradient(chi, lam, pm)
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (theta_with_char(chi, lam + e, pm)
-                  - theta_with_char(chi, lam - e, pm)) / (2 * h)
-            worst = max(worst, abs(grad[k] - fd) / (abs(fd) + 1e-300))
-    out.append(check("theta.gradient_vs_fd", worst, 1e-6 * tol_scale))
+        gaps.append(fd_gaps(chi, rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.4, 0.4, 2), pm))
+    out.append(check("theta.gradient_vs_fd", np.max(np.concatenate(gaps)), 1e-6 * tol_scale))
     return out
 
 
@@ -224,23 +242,22 @@ def genus0_checks(problem, T, rng, samples=20, tol_scale=1.0):
     """Zero, pole and inverse conditions of the solution T of a genus-0 problem.
 
     Node residuals are relative to max(|T(3.7 + 1.1i)|, 1); T(z) T^-1(z) = I
-    is sampled on [-4, 4]^2, skipping draws within 0.1 of a node.
+    is sampled on [-4, 4]^2, skipping draws within 0.1 of a node.  Each
+    condition evaluates T or T^-1 once, at all its points.
     """
     Ti = T.inverse()
+    r = problem.rank
     scale = max(float(np.abs(T(3.7 + 1.1j)).max()), 1.0)
-    worst_zero = worst_pole = worst_inv = 0.0
-    for lam, x in problem.zeros:
-        worst_zero = max(worst_zero, float(np.abs(x @ T(lam)).max()) / scale)
-    for mu, u in problem.poles:
-        worst_pole = max(worst_pole, float(np.abs(Ti(mu) @ u).max()) / scale)
-    nodes = [w for w, _ in (*problem.zeros, *problem.poles)]
-    for _ in range(samples):
-        z = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
-        if any(abs(z - w) < 0.1 for w in nodes):
-            continue
-        worst_inv = max(
-            worst_inv, float(np.abs(T(z) @ Ti(z) - np.eye(problem.rank)).max())
-        )
+    lams = np.array([lam for lam, _ in problem.zeros], dtype=complex)
+    mus = np.array([mu for mu, _ in problem.poles], dtype=complex)
+    xs = np.array([x for _, x in problem.zeros], dtype=complex).reshape(-1, 1, r)
+    us = np.array([u for _, u in problem.poles], dtype=complex).reshape(-1, r, 1)
+    worst_zero = np.abs(xs @ T.many(lams)).max(initial=0.0) / scale
+    worst_pole = np.abs(Ti.many(mus) @ us).max(initial=0.0) / scale
+    draws = rng.uniform(-4, 4, (samples, 2))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    z = z[~(np.abs(z[:, None] - np.concatenate([lams, mus])) < 0.1).any(axis=1)]
+    worst_inv = np.abs(T.many(z) @ Ti.many(z) - np.eye(r)).max(initial=0.0)
     tol = 1e-10 * tol_scale
     return [
         check("genus0.zero_conditions", worst_zero, tol),
@@ -253,14 +270,12 @@ def genus0_product_check(lams, mus, rng, samples=50, tol_scale=1.0):
     """Scalar product form against its Sylvester partial fractions on [-5, 5]^2."""
     prod = scalar_product_form(lams, mus)
     coeffs = sylvester_coefficients(lams, mus)
-    worst_eq = 0.0
-    for _ in range(samples):
-        z = rng.uniform(-5, 5) + 1j * rng.uniform(-5, 5)
-        if any(abs(z - m) < 0.1 for m in mus):
-            continue
-        pf = 1.0 + sum(c / (z - m) for c, m in zip(coeffs, mus))
-        pr = prod(z)
-        worst_eq = max(worst_eq, abs(pf - pr) / (abs(pf) + abs(pr)))
+    draws = rng.uniform(-5, 5, (samples, 2))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    z = z[~(np.abs(z[:, None] - np.asarray(mus, dtype=complex)) < 0.1).any(axis=1)]
+    pf = 1.0 + sum(c / (z - m) for c, m in zip(coeffs, mus))
+    pr = prod(z)
+    worst_eq = (np.abs(pf - pr) / (np.abs(pf) + np.abs(pr))).max(initial=0.0)
     return check("genus0.product_vs_partial_fraction", worst_eq, 1e-10 * tol_scale)
 
 
@@ -291,13 +306,15 @@ def checks_genus0(seed=2, tol_scale=1.0):
 
 # --- criterion 3: Cauchy kernels ---
 
-def _residue_defect(oracle, p0):
-    """Distance from I of the -1 mode of K(., p0) at p0 (the kernel's residue)."""
-    def column(t):
-        return evaluate_many(oracle, t, np.full(len(t), p0))
+def _residue_defect(oracle, P0):
+    """Largest distance from I of the -1 mode of K(., p0) at p0 (the kernel's
+    residue) over the points P0, read on all their circles in one kernel call."""
+    def column(t):   # t is (16, N), row-major like the tiled P0
+        return evaluate_many(oracle, t.ravel(), np.tile(P0, len(t))).reshape(
+            *t.shape, oracle.rank, oracle.rank)
 
-    residue = circle_modes(column, p0, 1e-3, orders=(-1,))[-1]
-    return float(np.abs(residue - np.eye(oracle.rank)).max())
+    residue = circle_modes(column, P0, 1e-3, orders=(-1,))[-1]
+    return float(np.abs(residue - np.eye(oracle.rank)).max(initial=0.0))
 
 
 def _torus_kernels():
@@ -313,54 +330,54 @@ def checks_kernel(seed=3, tol_scale=1.0):
     surf, k1, ksum = _torus_kernels()
     k0 = genus0_kernel(2)
 
-    worst = 0.0
+    defects = []
     for oracle in (k1, ksum, k0):
-        for _ in range(3):
-            p0 = sample_point(surf, rng) if oracle is not k0 \
-                else rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-            worst = max(worst, _residue_defect(oracle, p0))
-    out.append(check("kernel.diagonal_residue", worst, 1e-8 * tol_scale))
+        if oracle is k0:
+            draws = [rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1) for _ in range(3)]
+        else:
+            draws = sample_points(surf, rng, 3)
+        defects.append(_residue_defect(oracle, draws))
+    out.append(check("kernel.diagonal_residue", np.max(defects), 1e-8 * tol_scale))
 
-    worst_dual_sum = 0.0
-    worst_closed = 0.0
-    for _ in range(10):
-        p0 = sample_point(surf, rng)
+    dual_defects = []
+    closed_gaps = []
+    closed = line_connection_form(surf, k1.bundle)
+    for p0 in sample_points(surf, rng, 10):
         cc = extract_laurent_coeffs(k1, p0)
-        worst_dual_sum = max(worst_dual_sum, cc.duality_defect())
-        closed = line_connection_form(surf, k1.bundle)
-        worst_closed = max(worst_closed, abs(cc.A[0, 0] - closed))
         cc2 = extract_laurent_coeffs(ksum, p0)
-        worst_dual_sum = max(worst_dual_sum, cc2.duality_defect())
-    out.append(check("kernel.connection_duality", worst_dual_sum, 1e-7 * tol_scale))
-    out.append(check("kernel.connection_closed_form", worst_closed, 1e-6 * tol_scale))
+        dual_defects += [cc.duality_defect(), cc2.duality_defect()]
+        closed_gaps.append(abs(cc.A[0, 0] - closed))
+    out.append(check("kernel.connection_duality", np.max(dual_defects), 1e-7 * tol_scale))
+    out.append(check("kernel.connection_closed_form", np.max(closed_gaps), 1e-6 * tol_scale))
 
-    worst_dual = 0.0
+    # duality: each side of each oracle is one kernel call over its 10 pairs
+    dual_defects = []
     for oracle in (k1, ksum):
-        dual = oracle.dual()
+        P, Q = [], []
         for _ in range(10):
-            p = sample_point(surf, rng)
-            q = sample_point(surf, rng, avoid=[p])
-            defect = np.abs(dual(p, q).T + oracle(q, p)).max()
-            scale = np.abs(oracle(q, p)).max()
-            worst_dual = max(worst_dual, float(defect / scale))
-    out.append(check("kernel.duality", worst_dual, 1e-10 * tol_scale))
+            P.append(sample_points(surf, rng, 1)[0])
+            Q.append(sample_points(surf, rng, 1, avoid=P[-1:])[0])
+        forward = evaluate_many(oracle, Q, P)
+        defect = np.abs(evaluate_many(oracle.dual(), P, Q).transpose(0, 2, 1) + forward)
+        dual_defects.append(defect.max(axis=(1, 2)) / np.abs(forward).max(axis=(1, 2)))
+    out.append(check("kernel.duality", np.max(dual_defects), 1e-10 * tol_scale))
 
     emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
     avoid = [surface.coord(x) for x in emb.pole_points]
-    worst_col = 0.0
+    col_residuals = []
     draws = [(1.0, 0.0), (0.0, 1.0)]
     while len(draws) < 50:
         draws.append((rng.standard_normal() + 1j * rng.standard_normal(),
                       rng.standard_normal() + 1j * rng.standard_normal()))
     for idx, xi in enumerate(draws):
         oracle = ksum if idx % 2 else k1
-        p = sample_point(surf, rng, avoid=avoid)
+        p, = sample_points(surf, rng, 1, avoid=avoid)
         if idx % 7 == 3:
             q = p  # degenerate branch
         else:
-            q = sample_point(surf, rng, avoid=avoid + [p])
-        worst_col = max(worst_col, collection_residual(oracle, emb, p, q, xi))
-    out.append(check("kernel.collection_formula", worst_col, 1e-8 * tol_scale))
+            q, = sample_points(surf, rng, 1, avoid=avoid + [p])
+        col_residuals.append(collection_residual(oracle, emb, p, q, xi))
+    out.append(check("kernel.collection_formula", np.max(col_residuals), 1e-8 * tol_scale))
     return out
 
 
@@ -369,7 +386,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
 def fay_sweep_check(surf, rng, samples=200, tol_scale=1.0):
     """Trisecant identity at random z and four random torus points."""
     draws = [(rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.4, 0.4),
-              *(sample_point(surf, rng) for _ in range(4))) for _ in range(samples)]
+              *sample_points(surf, rng, 4)) for _ in range(samples)]
     residuals = fay_residual(surf, *np.reshape(draws, (-1, 5)).T)
     return check("fay.random_sweep", residuals.max(initial=0.0), 1e-9 * tol_scale)
 
@@ -377,7 +394,7 @@ def fay_sweep_check(surf, rng, samples=200, tol_scale=1.0):
 def fay_degenerate_check(surf, rng, samples=10, tol_scale=1.0):
     """Trisecant identity where lambda = mu and where p = lambda."""
     draws = [(rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.3, 0.3),
-              *(sample_point(surf, rng) for _ in range(3))) for _ in range(samples)]
+              *sample_points(surf, rng, 3)) for _ in range(samples)]
     z, p, q, lam = np.reshape(draws, (-1, 4)).T
     residuals = fay_residual(surf, *np.hstack([[z, p, q, lam, lam], [z, lam, q, lam, p]]))
     return check("fay.degenerate_collapses", residuals.max(initial=0.0), 1e-10 * tol_scale)
@@ -398,8 +415,7 @@ def line_equivalence_check(surf, zeros, poles, chi, chit, q, Q, rng,
     """Multiplicative and partial-fraction forms of one line problem agree."""
     t_mult = scalar_multiplicative(surf, zeros, poles, chi, chit, q, Q)
     t_pf = scalar_partial_fraction(surf, zeros, poles, chi, chit, q, Q)
-    avoid = [*zeros, *poles, q]
-    P = [sample_point(surf, rng, avoid=avoid) for _ in range(samples)]
+    P = sample_points(surf, rng, samples, avoid=[*zeros, *poles, q])
     a, b = t_mult(P), t_pf(P)
     worst_eq = (np.abs(a - b) / (np.abs(a) + np.abs(b))).max(initial=0.0)
     return check("line.mult_vs_partial_fraction", worst_eq, 1e-9 * tol_scale)
@@ -412,11 +428,11 @@ def checks_scalar_equivalence(seed=5, tol_scale=1.0):
     surf = torus_surface(tau)
     for n in (1, 2, 3):
         chi = line_bundle(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-        zeros = [sample_point(surf, rng) for _ in range(n)]
-        poles = [sample_point(surf, rng, avoid=zeros) for _ in range(n)]
+        zeros = sample_points(surf, rng, n).tolist()
+        poles = sample_points(surf, rng, n, avoid=zeros).tolist()
         a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
         chit = line_bundle(chi.a + a_w, chi.b + b_w)
-        q = sample_point(surf, rng, avoid=zeros + poles)
+        q, = sample_points(surf, rng, 1, avoid=zeros + poles)
         draws.append(line_equivalence_check(surf, zeros, poles, chi, chit, q,
                                             1.3 - 0.4j, rng, 50, tol_scale))
     out = worst(draws)
@@ -432,7 +448,7 @@ def checks_scalar_equivalence(seed=5, tol_scale=1.0):
     pm = period_from_tau(tau)
     z_chi = complex(chi.jacobian_point(pm)[0])
     a_exp = float(a1[0])
-    P = np.array([sample_point(surf, rng, avoid=[lam, mu, q]) for _ in range(50)])
+    P = sample_points(surf, rng, 50, avoid=[lam, mu, q])
     zero = ThetaCharacteristic(np.zeros(1), np.zeros(1))
 
     def th(w):   # one theta_many call per term
@@ -469,7 +485,7 @@ def checks_matrix_fay(seed=6, tol_scale=1.0):
     surf, _, kt = _torus_kernels()
     lam, mu = 0.21 + 0.33j, 0.67 + 0.52j
     q = 0.52 + 0.18j
-    pts = [sample_point(surf, rng, avoid=[lam, mu, q]) for _ in range(30)]
+    pts = sample_points(surf, rng, 30, avoid=[lam, mu, q])
     Qm = np.array([[1.1, 0.2j], [0.1, 0.9 - 0.3j]])
     res1 = matrix_fay_residual(kt, kt, lam, x, mu, u, q, Qm, pts)
     out.append(check("matrix_fay.genus1_r2_direct_sum", res1, 1e-8 * tol_scale))
@@ -486,45 +502,37 @@ def checks_detrep(seed=7, tol_scale=1.0):
     avoid = [surface.coord(xp) for xp in emb.pole_points]
 
     pencils = {oracle: build_pencil(oracle, emb) for oracle in (k1, ksum)}
-    worst_ident = 0.0
+    residuals = []
     for oracle, pencil in pencils.items():
-        sections = normalized_sections(oracle, emb)
         xis = [DEFAULT_XI, SECOND_XI,
                (rng.standard_normal() + 1j * rng.standard_normal(),
                 rng.standard_normal() + 1j * rng.standard_normal())]
-        for _ in range(20):
-            p = sample_point(surf, rng, avoid=avoid)
-            for xi in xis:
-                r1, r2, r3 = check_kernel_identities(pencil, sections, emb, p, xi)
-                worst_ident = max(worst_ident, r1, r2, r3)
-    out.append(check("detrep.kernel_identities", worst_ident, 1e-7 * tol_scale))
+        P = sample_points(surf, rng, 20, avoid=avoid)
+        residuals += check_kernel_identities(pencil, normalized_sections(oracle, emb),
+                                             emb, P, xis)
+    out.append(check("detrep.kernel_identities",
+                     np.max(np.concatenate([r.ravel() for r in residuals])), 1e-7 * tol_scale))
 
     pencil2 = pencils[ksum]
-    worst_on = 0.0
-    kdim_ok = True
-    for _ in range(100):
-        p = sample_point(surf, rng, avoid=avoid)
-        det_rel, kdim = curve_membership(pencil2, emb, p)
-        worst_on = max(worst_on, det_rel)
-        kdim_ok = kdim_ok and (kdim == ksum.rank)
-    out.append(check("detrep.on_curve_membership", worst_on, 1e-7 * tol_scale))
-    out.append(check("detrep.on_curve_kernel_dim", 0.0 if kdim_ok else 1.0, 0.5))
+    det_rel, kdim = curve_membership(pencil2, emb, sample_points(surf, rng, 100, avoid=avoid))
+    out.append(check("detrep.on_curve_membership", np.max(det_rel), 1e-7 * tol_scale))
+    out.append(check("detrep.on_curve_kernel_dim",
+                     0.0 if np.all(kdim == ksum.rank) else 1.0, 0.5))
 
     # Generic off-curve probes: over a random first coordinate, the curve
     # has finitely many heights (roots of det in z2); placing the probe a
     # unit away from all of them makes "off the curve" a certainty rather
     # than a likelihood.
-    best_off = np.inf
+    probes = []
     for _ in range(20):
         z1 = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
-        z2 = _off_curve_height(pencil2, z1, rng)
-        det_rel, _ = pencil_membership(pencil2, z1, z2)
-        best_off = min(best_off, det_rel)
-    out.append(check("detrep.off_curve_separation", 1.0 / best_off, 1e3 / tol_scale))
+        probes.append((z1, _off_curve_height(pencil2, z1, rng)))
+    det_rel, _ = pencil_membership(pencil2, *np.transpose(probes))
+    out.append(check("detrep.off_curve_separation", 1.0 / np.min(det_rel), 1e3 / tol_scale))
 
     xsum = sum(avoid)
-    y1 = sample_point(surf, rng)
-    y2 = sample_point(surf, rng, avoid=[y1])
+    y1, = sample_points(surf, rng, 1)
+    y2, = sample_points(surf, rng, 1, avoid=[y1])
     y3 = lattice_reduce(xsum - y1 - y2, surf.tau)
     cond = line_section_condition(ksum, emb, [y1, y2, y3])
     out.append(check("detrep.line_section_condition", cond, 1e10))
@@ -537,11 +545,13 @@ def _off_curve_height(pencil, z1, rng) -> complex:
     det of the pencil along the vertical line is a polynomial in z2 whose
     roots are the fiber of the curve; interpolation on a circle of nodes
     recovers it exactly.
+
+    Raises InputError, naming the heights, when 256 draws in [-4, 4]^2 all
+    land within 1 of one.
     """
     size = pencil.size
     nodes = 4.0 * np.exp(2j * np.pi * np.arange(size + 1) / (size + 1))
-    values = np.array([np.linalg.det(pencil.pencil(z1, node)) for node in nodes])
-    coeffs = np.polyfit(nodes, values, size)
+    coeffs = np.polyfit(nodes, np.linalg.det(pencil.pencil(z1, nodes)), size)
     scale = np.abs(coeffs).max()
     trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-10 * scale, coeffs, 0.0),
                             trim="f")
@@ -552,7 +562,8 @@ def _off_curve_height(pencil, z1, rng) -> complex:
         z2 = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
         if not roots.size or np.abs(z2 - roots).min() >= 1.0:
             return z2
-    raise RuntimeError("could not place an off-curve probe")
+    raise InputError(f"no off-curve probe over z1 = {z1!r} at distance 1 from the "
+                     f"curve heights {roots.tolist()}")
 
 
 # --- criterion 8: concrete interpolation ---
@@ -600,8 +611,9 @@ def _triangular_fixture(tau, q):
     f2 = scalar_multiplicative(surf, [lam_star], [xi_c], chi2, chit2, q, 0.8 - 0.5j)
     g = scalar_multiplicative(surf, [lam_g], [mu_g], chi2, chit1, q, 1.3 - 0.4j)
 
-    def t_known(p):
-        return np.array([[f1(p), g(p)], [0.0, f2(p)]], dtype=complex)
+    def t_known(p):   # (2, 2) at one point, (N, 2, 2) over a sequence
+        c = f2(p)
+        return np.stack([f1(p), g(p), np.zeros_like(c), c], -1).reshape(np.shape(c) + (2, 2))
 
     oracle_chi = direct_sum_kernel([line_kernel(surf, chi1), line_kernel(surf, chi2)])
     oracle_tilde = direct_sum_kernel([line_kernel(surf, chit1), line_kernel(surf, chit2)])
@@ -631,32 +643,23 @@ def conint_checks(data, oracle_chi, oracle_tilde, T, emb, q, rng,
 
     avoid = [surface.coord(xp) for xp in emb.pole_points]
     node_pts = [surface.coord(n.point) for n in (*data.zeros, *data.poles)]
-    worst_mem = worst_map = worst_int = worst_i3 = 0.0
-    for _ in range(samples):
-        p = sample_point(surf, rng, avoid=avoid)
-        det_rel, _ = curve_membership(solution.pencil_new, emb, p)
-        worst_mem = max(worst_mem, det_rel)
+    P = sample_points(surf, rng, samples, avoid=avoid)
+    det_rel, _ = curve_membership(solution.pencil_new, emb, P)
+    worst_mem = np.max(det_rel, initial=0.0)
 
-        z = emb.lambda_values(p)
-        mat = solution.pencil_new.pencil(*z)
-        _, _, vh = np.linalg.svd(mat)
-        vecs = vh[-oracle_chi.rank:].conj().T
-        image = solution.apply(z, vecs)
-        ref = pencil_t.pencil(*z)
-        num = float(np.linalg.norm(ref @ image))
-        den = float(np.linalg.norm(ref)) * float(np.linalg.norm(image)) + 1e-300
-        worst_map = max(worst_map, num / den)
+    z = emb.lambda_values(P)
+    _, _, vh = np.linalg.svd(solution.pencil_new.pencil(z[:, 0], z[:, 1]))
+    image = solution.apply(z, np.swapaxes(vh[:, -oracle_chi.rank:].conj(), 1, 2))
+    ref = pencil_t.pencil(z[:, 0], z[:, 1])
+    norm = partial(np.linalg.norm, axis=(1, 2))
+    worst_map = np.max(norm(ref @ image) / (norm(ref) * norm(image) + 1e-300), initial=0.0)
 
-    for _ in range(samples * 2 // 5):
-        p = sample_point(surf, rng, avoid=avoid + node_pts + [q])
-        worst_int = max(
-            worst_int,
-            check_intertwining(solution, T, oracle_chi, oracle_tilde, emb, p),
-        )
-    for pair in converted.coincident_pairs():
-        res_a = check_condition_I3(solution, emb, pair, xi=DEFAULT_XI)
-        res_b = check_condition_I3(solution, emb, pair, xi=SECOND_XI)
-        worst_i3 = max(worst_i3, float(res_a.max()), float(res_b.max()))
+    P = sample_points(surf, rng, samples * 2 // 5, avoid=[*avoid, *node_pts, q])
+    worst_int = np.max(check_intertwining(solution, T, oracle_chi, oracle_tilde, emb, P),
+                       initial=0.0)
+    i3 = [check_condition_I3(solution, emb, pair, xi=xi).ravel()
+          for pair in converted.coincident_pairs() for xi in (DEFAULT_XI, SECOND_XI)]
+    worst_i3 = np.max(np.concatenate([np.zeros(1), *i3]))
 
     checks = [
         check("conint.gamma0_xi_independence", solution.xi_consistency, 1e-8 * tol_scale),
@@ -738,11 +741,8 @@ def checks_negative(seed=9, tol_scale=1.0):
     t_bad = build_solution(_shift_poles(data), q, np.array([[1.3 - 0.4j]]), kchi, ktil)
     node_pts = [surface.coord(n.point) for n in (*data.zeros, *data.poles)]
     avoid = [surface.coord(xp) for xp in emb.pole_points] + node_pts + [q]
-    worst_bad = 0.0
-    for _ in range(5):
-        p = sample_point(surf2, rng, avoid=avoid)
-        worst_bad = max(worst_bad,
-                        check_intertwining(solution, t_bad, kchi, ktil, emb, p))
+    worst_bad = np.max(check_intertwining(solution, t_bad, kchi, ktil, emb,
+                                          sample_points(surf2, rng, 5, avoid=avoid)))
     out.append(check("negative.perturbed_intertwining",
                      1.0 / (worst_bad + 1e-300), 1e3 / tol_scale))
 

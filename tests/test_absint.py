@@ -529,8 +529,10 @@ def diag_coincidence():
     f1 = scalar_multiplicative(surf, [xi_c], [mu1], chi1, chit1, Q_POINT, 1.0 + 0.3j)
     f2 = scalar_multiplicative(surf, [lam2], [xi_c], chi2, chit2, Q_POINT, 0.8 - 0.5j)
 
-    def t_known(p):
-        return np.diag([f1(p), f2(p)]).astype(complex)
+    def t_known(p):   # (2, 2) at one point, (N, 2, 2) over a sequence
+        a, c = f1(p), f2(p)
+        zero = np.zeros_like(c)
+        return np.stack([a, zero, zero, c], -1).reshape(np.shape(c) + (2, 2))
 
     ko = direct_sum_kernel([line_kernel(surf, chi1), line_kernel(surf, chi2)])
     kt = direct_sum_kernel([line_kernel(surf, chit1), line_kernel(surf, chit2)])
@@ -578,8 +580,9 @@ def triangular_coincidence():
     f2 = scalar_multiplicative(surf, [lam_star], [xi_c], chi2, chit2, Q_POINT, 0.8 - 0.5j)
     g = scalar_multiplicative(surf, [lam_g], [mu_g], chi2, chit1, Q_POINT, 1.3 - 0.4j)
 
-    def t_known(p):
-        return np.array([[f1(p), g(p)], [0.0, f2(p)]], dtype=complex)
+    def t_known(p):   # (2, 2) at one point, (N, 2, 2) over a sequence
+        c = f2(p)
+        return np.stack([f1(p), g(p), np.zeros_like(c), c], -1).reshape(np.shape(c) + (2, 2))
 
     ko = direct_sum_kernel([line_kernel(surf, chi1), line_kernel(surf, chi2)])
     kt = direct_sum_kernel([line_kernel(surf, chit1), line_kernel(surf, chit2)])

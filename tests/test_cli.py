@@ -192,6 +192,20 @@ def test_solve_line_keeps_the_base_point_as_given(shift, tmp_path):
         assert abs(got - complex(*reports[0][name])) > 1e-3 * abs(want)
 
 
+# 17 zeros and 17 poles on the torus of tau = 0.1i whose 0.05-discs cover
+# it: no sample point exists, an input error rather than a traceback
+DENSE_NODES = Path(__file__).parent / "data" / "dense_nodes_line.json"
+
+
+def test_solve_line_without_room_for_samples_exits_2(tmp_path, capsys):
+    code = run_command(["solve-line", str(DENSE_NODES), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "input" and "avoided set" in error["message"]
+
+
 def test_fay_check(tmp_path):
     code, report = run_json(
         ["fay-check", "--tau", "0+1i", "--samples", "30", "--seed", "7"],
@@ -226,6 +240,7 @@ def test_exit_code_2_on_bad_input(tmp_path):
     ok_syntax.write_text(json.dumps({"rank": 1, "zeros": []}))
     assert run_command(["solve-genus0", str(ok_syntax)]) == 2
     assert run_command(["theta", "--tau", "huh"]) == 2
+    assert run_command(["fay-check", "--samples", "-1"]) == 2
     undecodable = tmp_path / "binary.json"
     undecodable.write_bytes(b"\xff\xfe\x00")
     assert run_command(["solve-genus0", str(undecodable)]) == 2

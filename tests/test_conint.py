@@ -93,8 +93,9 @@ def triangular_case():
     f2 = scalar_multiplicative(surf, [lam_star], [xi_c], chi2, chit2, Q_POINT, 0.8 - 0.5j)
     g = scalar_multiplicative(surf, [lam_g], [mu_g], chi2, chit1, Q_POINT, 1.3 - 0.4j)
 
-    def t_known(p):
-        return np.array([[f1(p), g(p)], [0.0, f2(p)]], dtype=complex)
+    def t_known(p):   # (2, 2) at one point, (N, 2, 2) over a sequence
+        c = f2(p)
+        return np.stack([f1(p), g(p), np.zeros_like(c), c], -1).reshape(np.shape(c) + (2, 2))
 
     ko = direct_sum_kernel([line_kernel(surf, chi1), line_kernel(surf, chi2)])
     kt = direct_sum_kernel([line_kernel(surf, chit1), line_kernel(surf, chit2)])
@@ -291,6 +292,30 @@ def test_intertwining(scalar_case, triangular_case, rng):
         avoid += [Q_POINT]
         for p in torus_points(rng, 5, avoid=avoid):
             assert check_intertwining(solution, T, ko, kt, emb, p) < 1e-7
+
+
+def test_intertwining_over_arrays_matches_per_point_loop(scalar_case, triangular_case, rng):
+    """One check over five points against a loop of single-pair kernel calls,
+    T at each point and S at one affine point; the residuals are of scale 1,
+    so roundoff in the stacked products moves them by at most 1e-15."""
+    norm = np.linalg.norm
+    for case in (scalar_case, triangular_case):
+        surf, data, ko, kt, T, emb, pencil_t, converted = case
+        solution = solve_conint(converted)
+        avoid = [x.coordinate for x in emb.pole_points] + [Q_POINT]
+        avoid += [coord(n.point) for n in (*data.zeros, *data.poles)]
+        P = np.array(torus_points(rng, 5, avoid=avoid))
+        residuals = check_intertwining(solution, T, ko, kt, emb, P)
+        assert residuals.shape == (5,)
+        r = ko.rank
+        for p, value in zip(P, residuals):
+            u_in = np.vstack([ko(x, p) for x in emb.pole_points])
+            lifted = np.vstack([T(x) @ u_in[i * r:(i + 1) * r]
+                                for i, x in enumerate(emb.pole_points)])
+            lhs = solution.apply(emb.lambda_values(p), lifted)
+            rhs = np.vstack([kt(x, p) for x in emb.pole_points]) @ T(p)
+            assert abs(value - norm(lhs - rhs) / (norm(lhs) + norm(rhs))) <= 1e-15
+            assert value < 1e-7
 
 
 def test_intertwining_excluded_points(scalar_case):

@@ -252,3 +252,93 @@ def test_surface_mismatch(setup):
     other = line_kernel(torus_surface(0.2 + 1.3j), line_bundle(0.21, 0.37))
     with pytest.raises(SurfaceMismatch):
         build_pencil(other, emb)
+
+
+def _kernel_dim_loop(mat):
+    """numerical_kernel_dim of one matrix as a loop over the gaps (reference)."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    floor = max(mat.shape) * np.finfo(float).eps * s[0]
+    best_dim, best_ratio = 0, 1.0
+    for k in range(s.size - 1):
+        lo = max(s[k + 1], floor)
+        ratio = np.inf if lo == 0.0 else s[k] / lo
+        if ratio >= 1e6 and ratio > best_ratio:
+            best_dim, best_ratio = s.size - 1 - k, ratio
+    return best_dim
+
+
+def test_array_checks_match_per_point_loops(setup, rng):
+    """check_kernel_identities, curve_membership, pencil_membership and
+    numerical_kernel_dim over arrays against per-point loops of their
+    formulas.  The residuals are normalised to scale 1, so roundoff in a
+    stacked product moves them by at most 1e-15; kernel dims agree exactly."""
+    surf, emb, k1, ksum = setup
+    P = np.array(sample_points(rng, emb, 12))
+    xis = [(1.0, 0.0), (0.0, 1.0), (0.4 - 0.3j, 1.0)]
+    z1 = rng.uniform(-3, 3, 10) + 1j * rng.uniform(-3, 3, 10)
+    z2 = rng.uniform(-3, 3, 10) + 1j * rng.uniform(-3, 3, 10)
+    norm = np.linalg.norm
+    for oracle in (k1, ksum):
+        r = oracle.rank
+        pencil = build_pencil(oracle, emb)
+        res1, res2, res3 = check_kernel_identities(
+            pencil, normalized_sections(oracle, emb), emb, P, xis)
+        det_rel, kdim = curve_membership(pencil, emb, P)
+        assert res1.shape == res2.shape == det_rel.shape == kdim.shape == (12,)
+        assert res3.shape == (12, 3)
+        mats = []   # this pencil's values
+        for n, p in enumerate(P):
+            l1, l2 = emb.lambda_values(p)
+            mat = l1 * pencil.sigma2 - l2 * pencil.sigma1 + pencil.gamma
+            mats.append(mat)
+            u = np.vstack([oracle(x, p) for x in emb.pole_points])
+            ul = -np.hstack([oracle(p, x) for x in emb.pole_points])
+            assert abs(res1[n] - norm(mat @ u) / (norm(mat) * norm(u))) <= 1e-15
+            assert abs(res2[n] - norm(ul @ mat) / (norm(ul) * norm(mat))) <= 1e-15
+            d1, d2 = emb.lambda_derivs(p, order=1)
+            for k, (a, b) in enumerate(xis):
+                pairing = ul @ (a * pencil.sigma1 + b * pencil.sigma2) @ u / (a * d1 + b * d2)
+                ref = norm(pairing - np.eye(r)) / (norm(pairing) + norm(np.eye(r)))
+                assert abs(res3[n, k] - ref) <= 1e-15
+            s = np.linalg.svd(mat, compute_uv=False)
+            assert abs(det_rel[n] - np.prod(s[-r:]) / s[-r - 1] ** r) <= 1e-15
+            assert kdim[n] == _kernel_dim_loop(mat) == r
+        off_rel, off_dim = pencil_membership(pencil, z1, z2)
+        for n in range(len(z1)):
+            mat = z1[n] * pencil.sigma2 - z2[n] * pencil.sigma1 + pencil.gamma
+            mats.append(mat)
+            s = np.linalg.svd(mat, compute_uv=False)
+            assert off_rel[n] == np.prod(s[-r:]) / s[-r - 1] ** r
+            assert off_dim[n] == _kernel_dim_loop(mat)
+    # the last pencil's (6 x 6) values on and off the curve, and edge spectra
+    spectra = [np.diag([18.4, 16.5, 13.5, 11.9, 4e-16, 0.0]), np.eye(6), np.zeros((6, 6)),
+               np.diag([1.0, 1e-9, 1e-9, 1e-17, 0.0, 0.0])]
+    stack = np.array(mats + spectra)
+    assert numerical_kernel_dim(stack).tolist() == [_kernel_dim_loop(m) for m in stack]
+
+
+def test_checks_detrep_oracle_calls_do_not_grow_with_samples(monkeypatch):
+    """checks_detrep evaluates each check's points in one array call: three
+    times as many sample points make the same number of oracle calls."""
+    from zpint import verify
+    from zpint.kernels import CauchyKernelOracle
+
+    calls = []
+    original = CauchyKernelOracle.__call__
+
+    def counting(self, p, q):
+        calls.append(1)
+        return original(self, p, q)
+
+    monkeypatch.setattr(CauchyKernelOracle, "__call__", counting)
+    draw = verify.sample_points
+    counts = {}
+    for factor in (1, 3):
+        def repeated(surf, rng, n, avoid=()):   # one-point draws stay one point
+            return np.tile(draw(surf, rng, n, avoid), factor if n > 1 else 1)
+
+        monkeypatch.setattr(verify, "sample_points", repeated)
+        calls.clear()
+        assert all(c["passed"] for c in verify.checks_detrep(seed=7))
+        counts[factor] = len(calls)
+    assert counts[1] == counts[3] <= 12

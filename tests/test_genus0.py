@@ -114,6 +114,27 @@ def test_random_problems_conditions_and_inverse(rng):
             assert np.abs(T(z) @ Ti(z) - np.eye(r)).max() < 1e-10
 
 
+def test_many_is_the_per_point_formula(rng):
+    """T.many over an array has the bits of I + sum_j u_j c_j / (z - mu^j)
+    evaluated point by point, and T(z) is its N = 1 case."""
+    problem = Genus0Problem(
+        rank=2,
+        zeros=((0.5, [1, 2]), (1.5j, [0, 1]), (-0.7 + 0.2j, [1j, 1])),
+        poles=((2.0, [1, 1]), (-1.0, [2, -1]), (0.3 - 1.1j, [1, 0.5j])),
+    )
+    for T in (solve_genus0(problem), solve_genus0(problem).inverse()):
+        Z = rng.uniform(-3, 3, 9) + 1j * rng.uniform(-3, 3, 9)
+        values = T.many(Z)
+        assert values.shape == (9, 2, 2)
+        for z, value in zip(Z, values):
+            ref = np.eye(2, dtype=complex)
+            for mu, u, c in zip(T.poles, T.pole_vectors, T.coefficients):
+                ref = ref + np.outer(u, c) / (z - mu)
+            assert np.array_equal(value, ref)
+            assert np.array_equal(T(z), value)
+    assert T.many([]).shape == (0, 2, 2)
+
+
 def test_det_winding_number_is_zero(rng):
     problem = Genus0Problem(
         rank=2,
