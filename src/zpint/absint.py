@@ -17,8 +17,8 @@ the poles of K(chi; . , q)^{-1} hold, and then
 Both interpolants evaluate arrays of points (BundleMapEvaluator.many),
 and a call at one point is the N = 1 case.  The terms of the kernel sum
 are folded at build time into one weight matrix, so a batch of points
-costs one kernel batch for the numerator, one for K(chi; p, q) and one
-stacked solve.
+costs one joint kernel call (kernels.evaluate_joint: the numerator's
+kernels and K(chi; p, q) in one theta pass) and one stacked solve.
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -41,12 +41,14 @@ from .errors import (
     NecessityViolated,
     NotFullRank,
     NotSquare,
+    PointOnPoleSet,
     PoleLocationFailure,
     SingularGamma,
 )
 from .kernels import (
     CauchyKernelOracle,
     _block_form,
+    evaluate_joint,
     evaluate_many,
     extract_laurent_coeffs,
     kernel_grid,
@@ -305,7 +307,8 @@ class BundleMapEvaluator:
 
     many(P) gives the values at a sequence of points, shape (N, r, r); a
     call T(p) is its N = 1 case, and a call on a sequence is many.  The
-    value at q is Q for a solution and Q^{-1} for an inverse.
+    value at q is Q for a solution and Q^{-1} for an inverse.  T has poles
+    at the pole nodes (T^{-1} at the zero nodes), where many raises.
     """
 
     def __init__(self, rows, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
@@ -318,19 +321,30 @@ class BundleMapEvaluator:
         self.gamma = gamma
         self.kind = kind
         self._at_q = Q if kind == "solution" else np.linalg.inv(Q)
+        poles = gamma.poles if kind == "solution" else gamma.zeros
+        self._q_and_poles = np.concatenate([data.surface.points([q]), poles.points])
 
     def many(self, P) -> np.ndarray:
         """Values at the points P, shape (N, r, r).
 
         Raises
         ------
+        PointOnPoleSet
+            If a point of P is a pole node of T (a zero node of T^{-1}).
         KernelSingular
             If a point of P is a pole of the inverse kernel factor.
         """
         surface = self.data.surface
         P = surface.points(P)
+        hits = surface.equal(P[:, None], self._q_and_poles)
+        if not hits.any():
+            return self._rows(P)
+        on_pole = hits[:, 1:].any(axis=1)
+        if on_pole.any():
+            where = point(P[on_pole.argmax()])
+            raise PointOnPoleSet(f"the {self.kind} has a pole at p = {where!r}")
+        at_q = hits[:, 0]
         out = np.empty((len(P), self.rank, self.rank), dtype=complex)
-        at_q = surface.equal(P, self.q)
         out[at_q] = self._at_q
         if not at_q.all():
             out[~at_q] = self._rows(P[~at_q])
@@ -376,8 +390,9 @@ def _numerator(data, q, gamma, oracle_tilde):
     With K_mu_u(p) = [K(chi~; p, mu^j) u_j]_j and K_x_lam(q) =
     [x_i K(chi~; lambda^i, q)]_i, the pole weights fold into one
     ((n+1) r, r) matrix [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so a batch is
-    one kernel call over the pairs (p, q), (p, mu^1), ..., (p, mu^n) and
-    one matmul.
+    one kernel request over the pairs (p, q), (p, mu^1), ..., (p, mu^n) and
+    one matmul; rows(P, *more) also returns the values of the further
+    kernel requests more, from the same evaluate_joint call.
     """
     r = data.rank
     zeros, poles = gamma.zeros, gamma.poles
@@ -392,10 +407,10 @@ def _numerator(data, q, gamma, oracle_tilde):
         weight = np.vstack([weight, _fold(poles, coef).reshape(-1, r)])
     ends = np.concatenate([base, poles.points])
 
-    def rows(P):
+    def rows(P, *more):
         n, m = len(P), len(ends)
-        kvals = evaluate_many(oracle_tilde, np.repeat(P, m), np.tile(ends, n))
-        return kvals.reshape(n, m, r, r).transpose(0, 2, 1, 3).reshape(n, r, m * r) @ weight
+        kvals, *rest = evaluate_joint([(oracle_tilde, P.repeat(m), np.tile(ends, n)), *more])
+        return kvals.reshape(n, m, r, r).transpose(0, 2, 1, 3).reshape(n, r, m * r) @ weight, *rest
 
     return rows
 
@@ -406,7 +421,7 @@ def _tail(data, q, gamma, oracle_tilde):
 
     The mirror of _numerator: the zero weights fold into one (r, (n+1) r)
     matrix [I, (K_mu_u(q) Gamma^-1)_i x_i], over the pairs (q, p),
-    (lambda^1, p), ..., (lambda^n, p).
+    (lambda^1, p), ..., (lambda^n, p); rows(P, *more) as in _numerator.
     """
     r = data.rank
     zeros, poles = gamma.zeros, gamma.poles
@@ -423,10 +438,10 @@ def _tail(data, q, gamma, oracle_tilde):
         weight = np.hstack([weight, blocks.reshape(r, -1)])
     starts = np.concatenate([base, zeros.points])
 
-    def rows(P):
+    def rows(P, *more):
         n, m = len(P), len(starts)
-        kvals = evaluate_many(oracle_tilde, np.tile(starts, n), np.repeat(P, m))
-        return weight @ kvals.reshape(n, m * r, r)
+        kvals, *rest = evaluate_joint([(oracle_tilde, np.tile(starts, n), P.repeat(m)), *more])
+        return weight @ kvals.reshape(n, m * r, r), *rest
 
     return rows
 
@@ -440,11 +455,10 @@ def build_solution(data: InterpolationDataSet, q, Q,
     base = data.surface.points([q])
 
     def rows(P):
-        numer = numerator(P) @ Q
-        kmat = evaluate_many(oracle_chi, P, np.repeat(base, len(P)))
+        numer, kmat = numerator(P, (oracle_chi, P, base.repeat(len(P))))
         _kernel_invertible(kmat, P)
         return np.linalg.solve(kmat.transpose(0, 2, 1),
-                               numer.transpose(0, 2, 1)).transpose(0, 2, 1)
+                               (numer @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)
 
     return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "solution")
 
@@ -467,10 +481,9 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     base = data.surface.points([q])
 
     def rows(P):
-        after = Qinv @ tail(P)
-        kmat = evaluate_many(oracle_chi, np.repeat(base, len(P)), P)
+        after, kmat = tail(P, (oracle_chi, base.repeat(len(P)), P))
         _kernel_invertible(kmat, P)
-        return np.linalg.solve(kmat, after)
+        return np.linalg.solve(kmat, Qinv @ after)
 
     return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse")
 
@@ -524,7 +537,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
         return []
     tau = data.surface.tau
     ref_point = lattice_reduce(coord(q) + 0.2718 + 0.3141j, tau)
-    scale_n = float(np.linalg.norm(numerator([ref_point])[0])) + EPS_GUARD
+    scale_n = float(np.linalg.norm(numerator(data.surface.points([ref_point]))[0][0])) + EPS_GUARD
 
     results = []
     for pole in poles:
@@ -533,7 +546,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
             return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
 
         res = circle_modes(inv_kernel, coord(pole), 1e-3, orders=(-1,))[-1]
-        defect = numerator([pole])[0] @ Q @ res
+        defect = numerator(data.surface.points([pole]))[0][0] @ Q @ res
         residual = float(np.linalg.norm(defect)) / (
             float(np.linalg.norm(Q @ res)) * scale_n + EPS_GUARD
         )

@@ -24,14 +24,15 @@ internally.
 An oracle has one evaluation path, many: called on two point sequences
 (or through evaluate_many) it gives the values at all their pairs with
 array operations, and a single pair is the N = 1 case of the same call.
-The line kernels of one surface share the argument phi(q) - phi(p) and
-the prime form, so a line kernel and the line blocks of a direct sum are
-evaluated together in one theta pass (_line_values).
+Line kernels share the argument phi(q) - phi(p) and the prime form, so
+evaluate_joint sends the line blocks of several requests into one theta
+pass; the many of a line, direct-sum or conjugated kernel is its case of
+one request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -66,6 +67,7 @@ __all__ = [
     "CauchyKernelOracle",
     "ConnectionCoefficients",
     "evaluate_many",
+    "evaluate_joint",
     "kernel_grid",
     "genus0_kernel",
     "line_kernel",
@@ -85,10 +87,11 @@ class CauchyKernelOracle:
     to the (N, r, r) values.  Calling the oracle with two point sequences
     of length N gives many on them; with two point-like arguments it gives
     the (r, r) value of the N = 1 case.
-    parts holds the summands of a direct sum; bundle holds the flat line
-    bundle of a line kernel, and a direct sum evaluates such a part from
-    its bundle alone; inner and frame hold the kernel and the constant
-    frame of a conjugated kernel.
+    parts holds the summands of a direct sum; bundle and theta0 hold the
+    flat line bundle of a line kernel and its theta[a; b](0); inner, frame
+    and frame_inv hold the kernel and the constant frame (and its inverse)
+    of a conjugated kernel.  evaluate_joint evaluates an oracle with any of
+    these from them, and reads many only of an oracle with none.
     """
 
     rank: int
@@ -99,6 +102,8 @@ class CauchyKernelOracle:
     name: str = ""
     inner: CauchyKernelOracle | None = None
     frame: np.ndarray | None = None
+    theta0: complex | None = None
+    frame_inv: np.ndarray | None = None
 
     def __call__(self, p, q) -> np.ndarray:
         single = not (_is_many(p) or _is_many(q))
@@ -120,7 +125,7 @@ class CauchyKernelOracle:
             is not known.
         """
         if self.inner is not None:
-            return conjugated_kernel(self.inner.dual(), np.linalg.inv(self.frame).T)
+            return conjugated_kernel(self.inner.dual(), self.frame_inv.T)
         if self.parts:
             return direct_sum_kernel([part.dual() for part in self.parts])
         if self.bundle is not None:
@@ -137,6 +142,83 @@ def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     the N = 1 case of the same code.
     """
     return oracle(oracle.surface.points(P), oracle.surface.points(Q))
+
+
+def evaluate_joint(requests) -> list:
+    """K(P[i], Q[i]) for several requests (oracle, P, Q), one (N, r, r) array each.
+
+    Every line block of every request, through direct sums and
+    conjugations, is a row set of one theta_many call (on the torus with
+    the odd theta of the prime form), divided by the theta(0) kept on its
+    line kernel; a kernel given by many alone is called once for all its
+    requests.  Request i has the bits of evaluate_many(*requests[i]).
+    """
+    requests = list(requests)
+    surface = requests[0][0].surface if requests else None
+    outs, pairs, lines, others, frames = [], [], [], {}, []
+    for i, (oracle, P, Q) in enumerate(requests):
+        if not (oracle.surface is surface or surface.same_as(oracle.surface)):
+            raise SurfaceMismatch("joint kernel evaluation needs a common surface")
+        P, Q = surface.points(P), surface.points(Q)
+        if len(P) != len(Q):
+            raise ValueError("point arrays differ in length")
+        pairs.append((P, Q))
+        given = oracle.inner is None and not oracle.parts and oracle.bundle is None
+        outs.append(None if given else np.zeros((len(P), oracle.rank, oracle.rank), complex))
+        _blocks(oracle, outs[i], i, lines, others, frames)
+    if lines:
+        _line_blocks(surface, lines, pairs)
+    for oracle, targets in others.values():
+        values = oracle.many(*(np.concatenate([pairs[i][k] for i, _ in targets]) for k in (0, 1)))
+        start = 0
+        for i, view in targets:   # view None: the request's whole value
+            part, start = values[start:start + len(pairs[i][0])], start + len(pairs[i][0])
+            if view is None:
+                outs[i] = part
+            else:
+                view[...] = part
+    for oracle, inner, view in frames:   # inner conjugations come first
+        view[...] = oracle.frame @ inner @ oracle.frame_inv
+    return outs
+
+
+def _blocks(oracle, view, i, lines, others, frames):
+    """File request i's blocks, written into view, in lines, others (keyed
+    by oracle) and frames (conjugations, in the order they apply)."""
+    if oracle.inner is not None:
+        inner = np.zeros_like(view)
+        _blocks(oracle.inner, inner, i, lines, others, frames)
+        frames.append((oracle, inner, view))
+    elif oracle.parts:
+        at = 0
+        for part in oracle.parts:
+            sl, at = slice(at, at + part.rank), at + part.rank
+            _blocks(part, view[:, sl, sl], i, lines, others, frames)
+    elif oracle.bundle is not None:
+        lines.append((oracle, view[:, 0, 0], i))
+    else:
+        others.setdefault(id(oracle), (oracle, []))[1].append((i, view))
+
+
+def _line_blocks(surface, lines, pairs):
+    """Write the line blocks (oracle, diagonal view, request) from one theta pass."""
+    spans, P, Q, n = {}, [], [], 0
+    for i in dict.fromkeys(i for _, _, i in lines):   # the requests with line blocks
+        spans[i], n = slice(n, n + len(pairs[i][0])), n + len(pairs[i][0])
+        P.append(pairs[i][0])
+        Q.append(pairs[i][1])
+    P, Q = np.concatenate(P), np.concatenate(Q)
+    v = surface.abel_jacobi(Q) - surface.abel_jacobi(P)
+    chis = tuple(oracle.bundle.characteristic for oracle, _, _ in lines)
+    Z = [v[spans[i]] for _, _, i in lines]
+    if isinstance(surface, Torus):
+        *theta, odd = theta_many(chis + (ODD_CHAR,), Z + [-v], surface.period)
+        e_qp = surface.prime_form_from_odd_theta(odd)
+    else:
+        theta = theta_many(chis, Z, surface.period)
+        e_qp = prime_form(surface, Q, P)
+    for (oracle, diagonal, i), values in zip(lines, theta):
+        np.divide(values, oracle.theta0 * e_qp[spans[i]], out=diagonal)
 
 
 def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
@@ -190,62 +272,24 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
     """
     if surface.genus == 0 or bundle.characteristic.genus != surface.genus:
         raise UnsupportedGenus("line kernels need genus >= 1 and a bundle of that genus")
-    values = _line_values(surface, (bundle,))
-
-    def many(P, Q):
-        return values(P, Q)[:, :, None]
-
-    return CauchyKernelOracle(1, surface, many, bundle=bundle, name="line")
+    theta0 = bundle.theta_at_zero(surface.period)
+    if abs(theta0) <= 1e-10:
+        raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}")
+    return _structured(1, surface, "line", bundle=bundle, theta0=theta0)
 
 
-def _line_values(surface: Surface, bundles) -> Callable:
-    """(P, Q) -> (N, k) values of the line kernels of k bundles, one theta pass.
-
-    Every kernel theta[chi_k](v) / (theta[chi_k](0) E(q, p)) shares the
-    argument v = phi(q) - phi(p) and the prime form, so one theta_many
-    call over the k characteristics at v serves the batch; on the torus
-    it also carries theta[1/2; 1/2] at -v = phi(p) - phi(q), from which
-    Torus.prime_form_from_odd_theta gives E(q, p) as prime_form does.
-    Each block is divided by its own scalar theta(0), as a lone line
-    kernel is, so the values do not depend on the company a kernel keeps.
-
-    Raises
-    ------
-    DegenerateBundle
-        If some |theta[a; b](0)| <= 1e-10.
-    """
-    period = surface.period
-    chis = tuple(bundle.characteristic for bundle in bundles)
-    theta0 = [bundle.theta_at_zero(period) for bundle in bundles]
-    for value in theta0:
-        if abs(value) <= 1e-10:
-            raise DegenerateBundle(f"|theta[a;b](0)| = {abs(value):.3e}")
-    torus = isinstance(surface, Torus)
-
-    def values(P, Q):
-        v = surface.abel_jacobi(Q) - surface.abel_jacobi(P)
-        Z = np.empty((len(chis) + torus, *v.shape), dtype=complex)
-        Z[:len(chis)] = v
-        if torus:
-            Z[-1] = -v
-            theta = theta_many(chis + (ODD_CHAR,), Z, period)
-            e_qp = surface.prime_form_from_odd_theta(theta[-1])
-        else:
-            theta = theta_many(chis, Z, period)
-            e_qp = prime_form(surface, Q, P)
-        out = np.empty((len(v), len(chis)), dtype=complex)
-        for k, t0 in enumerate(theta0):
-            out[:, k] = theta[k] / (t0 * e_qp)
-        return out
-
-    return values
+def _structured(rank: int, surface: Surface, name: str, **structure) -> CauchyKernelOracle:
+    """An oracle whose many is evaluate_joint of one request on a copy
+    without many (no reference cycle, so it is freed when dropped)."""
+    bare = CauchyKernelOracle(rank, surface, None, name=name, **structure)
+    return replace(bare, many=lambda P, Q: evaluate_joint([(bare, P, Q)])[0])
 
 
 def direct_sum_kernel(oracles) -> CauchyKernelOracle:
     """Block-diagonal kernel of a direct sum of bundles on one surface.
 
-    The line-kernel parts share one theta pass (_line_values); any other
-    part is evaluated on its own.
+    evaluate_joint sends its line-kernel parts into its one theta pass;
+    any other part is evaluated on its own.
     """
     oracles = tuple(oracles)
     if not oracles:
@@ -254,24 +298,8 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
     for oracle in oracles[1:]:
         if not base.same_as(oracle.surface):
             raise SurfaceMismatch("direct sum needs a common surface")
-    ranks = [oracle.rank for oracle in oracles]
-    total = sum(ranks)
-    offsets = np.cumsum([0] + ranks)
-    lines = [k for k, oracle in enumerate(oracles) if oracle.bundle is not None]
-    others = [k for k, oracle in enumerate(oracles) if oracle.bundle is None]
-    line_values = _line_values(base, [oracles[k].bundle for k in lines]) if lines else None
-
-    def many(P, Q):
-        out = np.zeros((len(P), total, total), dtype=complex)
-        if lines:
-            diagonal = offsets[lines]
-            out[:, diagonal, diagonal] = line_values(P, Q)
-        for k in others:
-            sl = slice(offsets[k], offsets[k + 1])
-            out[:, sl, sl] = evaluate_many(oracles[k], P, Q)
-        return out
-
-    return CauchyKernelOracle(total, base, many, parts=oracles, name="direct_sum")
+    return _structured(sum(oracle.rank for oracle in oracles), base, "direct_sum",
+                       parts=oracles)
 
 
 def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKernelOracle:
@@ -282,13 +310,8 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
     because the residue I_r is central.
     """
     frame = np.asarray(frame, dtype=complex)
-    inv = np.linalg.inv(frame)
-
-    def many(P, Q):
-        return frame @ evaluate_many(oracle, P, Q) @ inv
-
-    return CauchyKernelOracle(oracle.rank, oracle.surface, many,
-                              inner=oracle, frame=frame, name="conjugated")
+    return _structured(oracle.rank, oracle.surface, "conjugated", inner=oracle, frame=frame,
+                       frame_inv=np.linalg.inv(frame))
 
 
 @dataclass(frozen=True, eq=False)

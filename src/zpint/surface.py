@@ -228,7 +228,7 @@ class Surface:
     def genus(self) -> int:
         return self.period.genus
 
-    @property
+    @functools.cached_property
     def tau(self) -> complex:
         return self.period.tau
 
@@ -393,7 +393,7 @@ class FlatLineBundle:
         object.__setattr__(self, "a", chi.a)
         object.__setattr__(self, "b", chi.b)
 
-    @property
+    @functools.cached_property
     def characteristic(self) -> ThetaCharacteristic:
         return ThetaCharacteristic(self.a, self.b)
 

@@ -35,10 +35,10 @@ theta_gradient are its N = 1 case, the last one summing the gradient in
 the same pass at the gradient radius.  Every point is summed with the
 same per-element arithmetic whatever batch it arrives in, so its value
 does not depend on its batch and equals the scalar theta_with_char value
-bit for bit.  Given a tuple of
-characteristics, theta_many sums one row set per characteristic in the
-same single pass, each row with its own (a, b).  Enumeration order is
-fixed; identical inputs give bit-identical results on one platform.
+bit for bit.  Given a tuple of characteristics, theta_many sums one row
+set per characteristic, each of its own length and each row with its own
+(a, b), in the same pass.  Enumeration order is fixed; identical inputs
+give bit-identical results on one platform.
 """
 
 from __future__ import annotations
@@ -280,7 +280,10 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
     quad = sum(mj * omega[j, k] * mk for j, mj in enumerate(m) for k, mk in enumerate(m))
     lin = sum(mj * zb[:, j, None] for j, mj in enumerate(m))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
+        quad *= 1j * np.pi   # the exponent, then the terms, in quad's buffer
+        lin *= 2j * np.pi
+        quad += lin
+        terms = np.exp(quad, out=quad)
         values = terms.sum(axis=1)
         grad = None
         if want_gradient:
@@ -370,32 +373,33 @@ def theta_with_char(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> compl
     return value
 
 
-def theta_many(chi, Z, omega: PeriodMatrix) -> np.ndarray:
+def theta_many(chi, Z, omega: PeriodMatrix):
     """theta[a; b](Z[i] | Omega) for every row of Z, shape (N, g) -> (N,).
 
-    chi may also be a tuple of k characteristics; Z then has shape
-    (k, N, g), row set i belonging to chi[i], and the (k, N) result comes
-    from one lattice pass over all k*N rows.  Points are grouped by
-    truncation radius and summed in chunks of at most CHUNK_ELEMENTS
-    terms; entry (i, j) is bit-identical to
-    theta_with_char(chi[i], Z[i, j], omega).
+    chi may also be a tuple of k characteristics; Z then holds one row set
+    per characteristic, each of its own length (k arrays (N_i, g) give the
+    k arrays (N_i,); one (k, N, g) array gives a (k, N) array), summed in
+    one lattice pass.  Points are grouped by truncation radius and summed
+    in chunks of at most CHUNK_ELEMENTS terms; entry j of row set i is
+    bit-identical to theta_with_char(chi[i], Z[i][j], omega).
     """
     g = omega.genus
     many = isinstance(chi, tuple)
     chis = chi if many else (chi,)
     if any(c.genus != g for c in chis):
         raise ValueError("characteristic genus does not match period matrix")
-    Z = np.asarray(Z, dtype=complex)
-    stacked = Z if many else Z[None]
-    if stacked.ndim != 3 or stacked.shape[0] != len(chis) or stacked.shape[2] != g:
-        expected = f"({len(chis)}, N, {g})" if many else f"(N, {g})"
-        raise ValueError(f"arguments have shape {Z.shape}, expected {expected}")
-    if not np.isfinite(Z).all():
+    sets = [np.asarray(z, dtype=complex) for z in Z] if many else [np.asarray(Z, dtype=complex)]
+    if len(sets) != len(chis) or any(z.ndim != 2 or z.shape[1] != g for z in sets):
+        raise ValueError(f"expected {len(chis)} row set(s) of shape (N, {g})")
+    rows = np.concatenate(sets) if many else sets[0]
+    if not np.isfinite(rows).all():
         raise ValueError("theta arguments must be finite")
-    rows = Z.reshape(len(chis) * stacked.shape[1], g)
-    a = np.array([c.a for c in chis]).repeat(stacked.shape[1], axis=0)
-    b = np.array([c.b for c in chis]).repeat(stacked.shape[1], axis=0)
-    return _sums(omega, a, b, rows, False)[0].reshape(Z.shape[:-1])
+    counts = [len(z) for z in sets]
+    ab = np.array([(c.a, c.b) for c in chis]).repeat(counts, axis=0)
+    values = _sums(omega, ab[:, 0], ab[:, 1], rows, False)[0]
+    if not many or isinstance(Z, np.ndarray):
+        return values.reshape(np.shape(Z)[:-1])
+    return [values[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:

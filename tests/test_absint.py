@@ -1,6 +1,8 @@
 """Abstract zero-pole interpolation: coupling matrix, solution formulas,
 residue conditions, scalar forms, the trisecant identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from zpint.errors import (
     NecessityViolated,
     NotFullRank,
     NotSquare,
+    PointOnPoleSet,
     SingularGamma,
 )
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
@@ -786,9 +789,37 @@ def _rank2_data(surf, rng, zeros, poles):
         poles=tuple(PoleNode(p, rng.standard_normal((1, 2))) for p in poles))
 
 
+def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
+    """T(p) (kind "solution") or T^-1(p) by the two-call route: evaluate_many
+    of chi~ over the pairs of the folded kernel sum, then oracle_chi at
+    (p, q) or (q, p), then the solve the interpolant makes."""
+    from zpint.absint import _numerator, _prepare, _tail
+    from zpint.kernels import evaluate_many
+
+    q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
+    r = data.rank
+    if kind == "solution":
+        weight = closure_value(_numerator(data, q, gamma, oracle_tilde), "weight")
+        ends = [q, *(node.point for node in data.poles)]
+        m = len(ends)
+        kvals = evaluate_many(oracle_tilde, [p] * m, ends)
+        numer = kvals.reshape(1, m, r, r).transpose(0, 2, 1, 3).reshape(1, r, m * r) @ weight
+        kmat = oracle_chi(p, q)[None]
+        return np.linalg.solve(kmat.transpose(0, 2, 1),
+                               (numer @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)[0]
+    weight = closure_value(_tail(data, q, gamma, oracle_tilde), "weight")
+    starts = [q, *(node.point for node in data.zeros)]
+    m = len(starts)
+    kvals = evaluate_many(oracle_tilde, starts, [p] * m)
+    kmat = oracle_chi(q, p)[None]
+    return np.linalg.solve(kmat, np.linalg.inv(Q) @ (weight @ kvals.reshape(1, m * r, r)))[0]
+
+
 def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     """T.many and T^-1.many agree with scalar calls bit for bit, give the
-    base value in the row at q, and work on every kind of surface and kernel."""
+    base value in the row at q, and work on every kind of surface and kernel;
+    off q each value has the bits of the two-call route (a kernel batch for
+    chi~, then one call of K(chi)), which the joint kernel call replaces."""
     from test_kernels import torus_table_surface
     from zpint.kernels import CauchyKernelOracle
 
@@ -825,6 +856,9 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
             assert np.array_equal(batch[1], base)
             for i, p in enumerate(P):
                 assert np.array_equal(batch[i], T(p)), (build.__name__, p)
+                if i != 1:
+                    ref = two_call_value(T.kind, case_data, q, Q, oracle_chi, oracle_tilde, p)
+                    assert np.array_equal(batch[i], ref), (build.__name__, p)
 
 
 def test_rank2_inverse_inverts_solution(rng):
@@ -855,7 +889,10 @@ def test_many_raises_at_inverse_kernel_pole(scalar_setup):
         assert str(raised.value).endswith(f"p = {point(pole)!r}")
 
 
-def test_torus_solution_call_makes_two_theta_passes(scalar_setup, rng, monkeypatch):
+def test_torus_interpolant_call_makes_one_theta_pass(scalar_setup, rng, monkeypatch):
+    """One T(p) and one T^-1(p) with rank-2 direct-sum kernels each make one
+    theta_many call (the chi~ kernels and K(chi) share it) and no scalar
+    theta call: theta(0) is read from the line kernels."""
     import zpint.kernels
     import zpint.surface
     import zpint.theta
@@ -866,14 +903,50 @@ def test_torus_solution_call_makes_two_theta_passes(scalar_setup, rng, monkeypat
     dsum_t = direct_sum_kernel([line_kernel(surf, chit),
                                 line_kernel(surf, line_bundle(0.58, 0.73))])
     data = _rank2_data(surf, rng, zeros, poles)
-    T = build_solution(data, Q_POINT, np.eye(2), dsum_o, dsum_t)
     calls = []
-    original = zpint.theta.theta_many
-    for module in (zpint.theta, zpint.surface, zpint.kernels):
-        monkeypatch.setattr(module, "theta_many",
-                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-    T(0.41 + 0.33j)
-    assert len(calls) == 2
+
+    def counting(name, original):
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    for build in (build_solution, build_inverse):
+        T = build(data, Q_POINT, np.eye(2), dsum_o, dsum_t)
+        with monkeypatch.context() as patch:
+            for name in ("theta_many", "theta_with_char", "riemann_theta"):
+                original = getattr(zpint.theta, name)
+                for module in (zpint.theta, zpint.surface, zpint.kernels):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, counting(name, original))
+            calls.clear()
+            T(0.41 + 0.33j)
+        assert calls == ["theta_many"], build.__name__
+
+
+def test_interpolant_raises_at_its_poles(scalar_setup, rng):
+    """T at a pole node and T^-1 at a zero node (or a lattice translate)
+    raise PointOnPoleSet naming the point, alone and inside a batch, on the
+    torus and on the sphere; T at a zero node is a finite value."""
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    dsum_o = direct_sum_kernel([line_kernel(surf, chi),
+                                line_kernel(surf, line_bundle(0.67, 0.19))])
+    dsum_t = direct_sum_kernel([line_kernel(surf, chit),
+                                line_kernel(surf, line_bundle(0.58, 0.73))])
+    sphere = genus0_surface()
+    k0 = genus0_kernel(2, sphere)
+    sphere_zeros, sphere_poles = [2.0, -1.0j], [3.0 + 1j, 0.5]
+    cases = [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t, zeros, poles,
+              0.41 + 0.33j, 1.0),
+             (_rank2_data(sphere, rng, sphere_zeros, sphere_poles), 40.0 + 3j, k0, k0,
+              sphere_zeros, sphere_poles, 0.1 - 0.7j, 0.0)]
+    for data, q, ko, kt, zs, ps, away, period in cases:
+        for build, on, off in ((build_solution, ps, zs), (build_inverse, zs, ps)):
+            T = build(data, q, np.eye(2), ko, kt)
+            for node in on:
+                for p in (node, node + period):
+                    with pytest.raises(PointOnPoleSet, match=re.escape(repr(point(p)))):
+                        T(p)
+                    with pytest.raises(PointOnPoleSet, match=re.escape(repr(point(p)))):
+                        T.many([away, q, p])
+            assert np.isfinite(T.many([away, q, *off])).all()
 
 
 def test_tabulated_interpolants_match_multiplicative(scalar_setup, rng):

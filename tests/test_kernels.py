@@ -15,6 +15,7 @@ from zpint.kernels import (
     collection_residual,
     conjugated_kernel,
     direct_sum_kernel,
+    evaluate_joint,
     evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
@@ -303,6 +304,61 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
         with pytest.raises(ValueError):
             oracle(P, Q[:-1])
+
+
+def test_evaluate_joint_requests_match_evaluate_many(torus, bundle, bundle2, rng,
+                                                    monkeypatch):
+    """Each request of one evaluate_joint call has the bits of evaluate_many
+    on it alone: line, direct-sum, conjugated, opaque, genus-0 and tabulated
+    oracles, requests of unequal lengths, an empty request and one oracle
+    twice.  All line blocks of a call share one theta_many call, and an
+    oracle given by many alone is called once for all its requests."""
+    import zpint.kernels
+
+    def torus_pairs(n):
+        P = rng.uniform(0, 1, n) + rng.uniform(0, 1, n) * TAU
+        return list(P), list(P + 0.3 + 0.4 * TAU)
+
+    line = line_kernel(torus, bundle)
+    dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    conj = conjugated_kernel(dsum, frame)
+    opaque = CauchyKernelOracle(
+        rank=1, surface=torus, many=lambda P, Q: (1.0 / (P - Q))[:, None, None],
+    )
+    nested = conjugated_kernel(direct_sum_kernel([conj, opaque]), np.diag([1.0, 2.0j, -0.5]))
+    torus_requests = [(line, *torus_pairs(5)), (dsum, *torus_pairs(1)),
+                      (conj, *torus_pairs(7)), (opaque, *torus_pairs(3)),
+                      (direct_sum_kernel([line, opaque]), *torus_pairs(4)),
+                      (nested, *torus_pairs(2)), (dsum, [], []), (line, *torus_pairs(2))]
+    k0 = genus0_kernel(2)
+    sphere_requests = [(k0, [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4]), (k0, [], []),
+                       (k0, [2.0], [-1.0])]
+    table, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j])
+    table_line = line_kernel(table, bundle)
+    table_opaque = CauchyKernelOracle(1, table, table_line.many)
+    table_requests = [(table_line, ["p0", "p1", "p2"], ["p1", "p2", "p0"]),
+                      (table_opaque, ["p2"], ["p1"]),
+                      (direct_sum_kernel([table_line, table_opaque]), ["p0", "p1"], ["p2", "p2"])]
+    passes = []
+    original = zpint.kernels.theta_many
+    monkeypatch.setattr(zpint.kernels, "theta_many",
+                        lambda *args: passes.append(1) or original(*args))
+    # the tabulated wrapper's own many is the second pass, once for both its requests
+    for requests, theta_passes in ((torus_requests, 1), (sphere_requests, 0),
+                                   (table_requests, 2)):
+        passes.clear()
+        joint = evaluate_joint(requests)
+        assert len(passes) == theta_passes
+        assert len(joint) == len(requests)
+        for (oracle, P, Q), values in zip(requests, joint):
+            assert values.shape == (len(P), oracle.rank, oracle.rank), oracle.name
+            assert np.array_equal(values, evaluate_many(oracle, P, Q)), oracle.name
+    assert evaluate_joint([]) == []
+    with pytest.raises(SurfaceMismatch):
+        evaluate_joint([torus_requests[0], sphere_requests[0]])
+    with pytest.raises(ValueError):
+        evaluate_joint([(line, [0.1, 0.2], [0.3])])
 
 
 def test_single_pair_rejects_non_finite_point(torus, bundle):

@@ -340,6 +340,48 @@ def test_theta_many_rows_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
             assert stacked[i, j] == theta_with_char(c, Zs[i, j], pm)
 
 
+@pytest.mark.parametrize("chunk", [theta_module.CHUNK_ELEMENTS, 64])
+@pytest.mark.parametrize("g", [1, 2])
+def test_theta_many_ragged_row_sets_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
+    """Row sets of different lengths, one per characteristic, in one pass:
+    entry j of set i has the bits of theta_with_char(chi[i], Z[i][j])."""
+    monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
+    omega = np.array([[0.3 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 0.9j]])[:g, :g]
+    pm = PeriodMatrix(g, omega)
+    chis = tuple(ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g))
+                 for _ in range(3)) + (ThetaCharacteristic(np.full(g, 0.5), np.full(g, 0.5)),)
+    Zs = [rng.uniform(-1, 1, (n, g)) + 1j * rng.uniform(-4, 4, (n, g)) for n in (17, 0, 1, 30)]
+    out = theta_many(chis, Zs, pm)
+    assert [values.shape for values in out] == [(17,), (0,), (1,), (30,)]
+    for chi, Z, values in zip(chis, Zs, out):
+        for j in range(len(Z)):
+            assert values[j] == theta_with_char(chi, Z[j], pm)
+    for bad in (Zs[:3], Zs[:3] + [np.zeros((2, g + 1))], Zs[:3] + [np.zeros(2)]):
+        with pytest.raises(ValueError):
+            theta_many(chis, bad, pm)
+
+
+def test_theta_many_large_batch_peak_memory():
+    """4,800 rows of the odd theta at tau = 0.3 + 0.9i, the size of the
+    determinantal check's circle rows, peak at or below 2.2 MB: the lattice
+    sum scales, adds and exponentiates its exponent in place."""
+    import tracemalloc
+
+    tau = 0.3 + 0.9j
+    pm = period_from_tau(tau)
+    odd = ThetaCharacteristic([0.5], [0.5])
+    alpha, beta = np.meshgrid(np.linspace(0.0, 1.0, 80), np.linspace(0.0, 1.0, 60))
+    Z = (alpha + beta * tau).reshape(-1, 1)
+    theta_many(odd, Z, pm)   # plan tables and offset columns exist before the window
+    tracemalloc.start()
+    try:
+        theta_many(odd, Z, pm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2e6
+
+
 def test_theta_many_validation():
     pm = period_from_tau(1j)
     chi = ThetaCharacteristic([0.5], [0.5])
