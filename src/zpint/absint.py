@@ -16,9 +16,13 @@ the poles of K(chi; . , q)^{-1} hold, and then
 
 Both interpolants evaluate arrays of points (BundleMapEvaluator.many),
 and a call at one point is the N = 1 case.  The terms of the kernel sum
-are folded at build time into one weight matrix, so a batch of points
-costs one joint kernel call (kernels.evaluate_joint: the numerator's
-kernels and K(chi; p, q) in one theta pass) and one stacked solve.
+are folded at build time into one weight matrix, and the kernel requests
+of a point, K(chi~) at the pairs of p with [q, the poles] and
+K(chi; p, q), are laid out once per build (kernels.FrozenRequests).  A
+batch of points then costs one finiteness check, one difference ends - p
+(for the distance test and the theta arguments), one kernels.evaluate_frozen
+call (one theta pass), one weight matmul, the SVD guard and one stacked
+solve.
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -29,6 +33,7 @@ also evaluates directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +52,9 @@ from .errors import (
 )
 from .kernels import (
     CauchyKernelOracle,
+    FrozenRequests,
     _block_form,
-    evaluate_joint,
+    evaluate_frozen,
     evaluate_many,
     extract_laurent_coeffs,
     kernel_grid,
@@ -63,6 +69,7 @@ from .numutil import (
     svd_cond,
 )
 from .surface import (
+    POINT_TOL,
     FlatLineBundle,
     Surface,
     Torus,
@@ -215,15 +222,18 @@ class _Nodes:
 def _read_nodes(surface, points, vector_sets, width) -> _Nodes:
     """Nodes at points with the (count, width) vector sets, read into arrays."""
     counts = [len(vectors) for vectors in vector_sets]
-    starts = np.cumsum([0, *counts])
-    blocks = tuple(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    vectors = np.vstack([np.empty((0, width), dtype=complex), *vector_sets])
+    starts = [0, *itertools.accumulate(counts)]
+    vectors = np.concatenate([np.empty((0, width), dtype=complex), *vector_sets])
     groups = []
     for c in sorted(set(counts)):
         idx = [k for k, count in enumerate(counts) if count == c]
-        rows = starts[idx][:, None] + np.arange(c)
-        groups.append((np.array(idx), np.array([vector_sets[k] for k in idx]), rows))
-    return _Nodes(surface.points(points), blocks, vectors, tuple(groups))
+        if len(idx) == len(counts):   # one count: node k holds rows k c, ..., k c + c - 1
+            X, rows = vectors.reshape(-1, c, width), np.arange(len(vectors)).reshape(-1, c)
+        else:
+            X = np.array([vector_sets[k] for k in idx])
+            rows = np.array(starts)[idx][:, None] + np.arange(c)
+        groups.append((np.array(idx), X, rows))
+    return _Nodes(surface.points(points), tuple(zip(starts, starts[1:])), vectors, tuple(groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,10 +319,14 @@ class BundleMapEvaluator:
     call T(p) is its N = 1 case, and a call on a sequence is many.  The
     value at q is Q for a solution and Q^{-1} for an inverse.  T has poles
     at the pole nodes (T^{-1} at the zero nodes), where many raises.
+
+    The two kernel requests of a point p are frozen at build time
+    (kernels.FrozenRequests): K(chi~) at the pairs of p with ends = [q,
+    its poles] (T^{-1}: [q, its zeros]) and K(chi) at the pair of p with q.
+    Their one difference ends - p also finds p at q or at a pole.
     """
 
-    def __init__(self, rows, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
-        self._rows = rows   # values at points away from q
+    def __init__(self, data, q, Q, oracle_chi, oracle_tilde, gamma, kind, weight):
         self.data = data
         self.q = q
         self.Q = Q
@@ -320,25 +334,34 @@ class BundleMapEvaluator:
         self.oracle_tilde = oracle_tilde
         self.gamma = gamma
         self.kind = kind
+        self._weight = weight
         self._at_q = Q if kind == "solution" else np.linalg.inv(Q)
         poles = gamma.poles if kind == "solution" else gamma.zeros
-        self._q_and_poles = np.concatenate([data.surface.points([q]), poles.points])
+        ends = np.concatenate([data.surface.points([q]), poles.points])
+        self._kernels = FrozenRequests(data.surface, [(oracle_tilde, np.arange(len(ends))),
+                                                      (oracle_chi, [0])],
+                                       ends, kind == "solution")
 
     def many(self, P) -> np.ndarray:
         """Values at the points P, shape (N, r, r).
 
         Raises
         ------
+        InputError
+            If a point of P is not finite.
         PointOnPoleSet
             If a point of P is a pole node of T (a zero node of T^{-1}).
         KernelSingular
             If a point of P is a pole of the inverse kernel factor.
         """
-        surface = self.data.surface
-        P = surface.points(P)
-        hits = surface.equal(P[:, None], self._q_and_poles)
-        if not hits.any():
-            return self._rows(P)
+        P = self.data.surface.points(P)
+        if P.dtype == complex and not np.isfinite(P).all():
+            where = complex(P[np.flatnonzero(~np.isfinite(P))[0]])
+            raise InputError(f"the {self.kind} is evaluated at a non-finite p = {where!r}")
+        v, dist = self._kernels.separation(P)
+        if not dist.size or dist.min() > POINT_TOL:
+            return self._values(P, v)
+        hits = dist <= POINT_TOL
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
             where = point(P[on_pole.argmax()])
@@ -347,7 +370,8 @@ class BundleMapEvaluator:
         out = np.empty((len(P), self.rank, self.rank), dtype=complex)
         out[at_q] = self._at_q
         if not at_q.all():
-            out[~at_q] = self._rows(P[~at_q])
+            off = ~at_q
+            out[off] = self._values(P[off], None if v is None else v[off])
         return out
 
     def __call__(self, p) -> np.ndarray:
@@ -356,6 +380,27 @@ class BundleMapEvaluator:
     @property
     def rank(self) -> int:
         return self.Q.shape[0]
+
+    def _values(self, P, v):
+        tilde, chi = evaluate_frozen(self._kernels, P, v)
+        total, kmat = _kernel_sum(self.kind, tilde, self._weight), chi[:, 0]
+        _kernel_invertible(kmat, P)
+        if self.kind == "solution":
+            return np.linalg.solve(kmat.transpose(0, 2, 1),
+                                   (total @ self.Q).transpose(0, 2, 1)).transpose(0, 2, 1)
+        return np.linalg.solve(kmat, self._at_q @ total)
+
+
+def _kernel_sum(kind, tilde, weight) -> np.ndarray:
+    """The kernel sum of T(p) (kind "solution") or of T^{-1}(p), (N, r, r),
+    from the K(chi~) values tilde (N, m, r, r) at the pairs of p with [q,
+    the poles] (T^{-1}: of [q, the zeros] with p) and the weight of
+    _numerator (_tail): T(p) = sum Q K(chi; p, q)^-1 and T^{-1}(p) =
+    K(chi; q, p)^-1 Q^-1 sum."""
+    n, m, r, _ = tilde.shape
+    if kind == "solution":
+        return tilde.transpose(0, 2, 1, 3).reshape(n, r, m * r) @ weight
+    return weight @ tilde.reshape(n, m * r, r)
 
 
 def _prepare(data, q, Q, oracle_chi, oracle_tilde):
@@ -383,51 +428,41 @@ def _fold(nodes, coef) -> np.ndarray:
                            [start for start, _ in nodes.blocks])
 
 
-def _numerator(data, q, gamma, oracle_tilde):
-    """P -> K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q) per point, (N, r, r):
-    T(p) before Q K(chi; p, q)^-1.
+def _numerator(data, q, gamma, oracle_tilde) -> np.ndarray:
+    """The weight of T(p)'s kernel sum K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q).
 
     With K_mu_u(p) = [K(chi~; p, mu^j) u_j]_j and K_x_lam(q) =
     [x_i K(chi~; lambda^i, q)]_i, the pole weights fold into one
-    ((n+1) r, r) matrix [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so a batch is
-    one kernel request over the pairs (p, q), (p, mu^1), ..., (p, mu^n) and
-    one matmul; rows(P, *more) also returns the values of the further
-    kernel requests more, from the same evaluate_joint call.
+    ((n+1) r, r) matrix [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so the sum at a
+    point is its kernel values at the pairs (p, q), (p, mu^1), ...,
+    (p, mu^n), side by side, times this matrix.
     """
     r = data.rank
     zeros, poles = gamma.zeros, gamma.poles
     weight = np.eye(r, dtype=complex)
-    base = data.surface.points([q])
     if data.poles:
+        base = data.surface.points([q])
         kvals = evaluate_many(oracle_tilde, zeros.points, np.repeat(base, len(zeros.points)))
         k_x_lam = np.empty((len(zeros.vectors), r), dtype=complex)
         for idx, X, rows in zeros.groups:
             k_x_lam[rows] = X @ kvals[idx]
         coef = np.linalg.solve(gamma.matrix, k_x_lam)
         weight = np.vstack([weight, _fold(poles, coef).reshape(-1, r)])
-    ends = np.concatenate([base, poles.points])
-
-    def rows(P, *more):
-        n, m = len(P), len(ends)
-        kvals, *rest = evaluate_joint([(oracle_tilde, P.repeat(m), np.tile(ends, n)), *more])
-        return kvals.reshape(n, m, r, r).transpose(0, 2, 1, 3).reshape(n, r, m * r) @ weight, *rest
-
-    return rows
+    return weight
 
 
-def _tail(data, q, gamma, oracle_tilde):
-    """P -> K(chi~; q, p) + K_mu_u(q) Gamma^-1 K_x_lam(p) per point, (N, r, r):
-    T^{-1}(p) after K(chi; q, p)^-1 Q^-1.
+def _tail(data, q, gamma, oracle_tilde) -> np.ndarray:
+    """The weight of T^{-1}(p)'s kernel sum K(chi~; q, p) + K_mu_u(q) Gamma^-1 K_x_lam(p).
 
     The mirror of _numerator: the zero weights fold into one (r, (n+1) r)
-    matrix [I, (K_mu_u(q) Gamma^-1)_i x_i], over the pairs (q, p),
-    (lambda^1, p), ..., (lambda^n, p); rows(P, *more) as in _numerator.
+    matrix [I, (K_mu_u(q) Gamma^-1)_i x_i], times the kernel values at the
+    pairs (q, p), (lambda^1, p), ..., (lambda^n, p), stacked.
     """
     r = data.rank
     zeros, poles = gamma.zeros, gamma.poles
     weight = np.eye(r, dtype=complex)
-    base = data.surface.points([q])
     if data.zeros:
+        base = data.surface.points([q])
         kvals = evaluate_many(oracle_tilde, np.repeat(base, len(poles.points)), poles.points)
         k_mu_u = np.empty((len(poles.vectors), r), dtype=complex)   # K_mu_u(q)^T
         for idx, U, cols in poles.groups:
@@ -436,14 +471,7 @@ def _tail(data, q, gamma, oracle_tilde):
         # block i is (K_mu_u(q) Gamma^-1)_i x_i, the transpose of x_i^T coef_i
         blocks = _fold(zeros, coef).transpose(2, 0, 1)
         weight = np.hstack([weight, blocks.reshape(r, -1)])
-    starts = np.concatenate([base, zeros.points])
-
-    def rows(P, *more):
-        n, m = len(P), len(starts)
-        kvals, *rest = evaluate_joint([(oracle_tilde, np.tile(starts, n), P.repeat(m)), *more])
-        return weight @ kvals.reshape(n, m * r, r), *rest
-
-    return rows
+    return weight
 
 
 def build_solution(data: InterpolationDataSet, q, Q,
@@ -451,16 +479,8 @@ def build_solution(data: InterpolationDataSet, q, Q,
                    oracle_tilde: CauchyKernelOracle) -> BundleMapEvaluator:
     """Interpolant with value Q at q, in partial-fraction form."""
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    numerator = _numerator(data, q, gamma, oracle_tilde)
-    base = data.surface.points([q])
-
-    def rows(P):
-        numer, kmat = numerator(P, (oracle_chi, P, base.repeat(len(P))))
-        _kernel_invertible(kmat, P)
-        return np.linalg.solve(kmat.transpose(0, 2, 1),
-                               (numer @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)
-
-    return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "solution")
+    weight = _numerator(data, q, gamma, oracle_tilde)
+    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, "solution", weight)
 
 
 def build_inverse(data: InterpolationDataSet, q, Q,
@@ -476,16 +496,8 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     kernel duality K(dual; p, q)^T = -K(chi; q, p).
     """
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    tail = _tail(data, q, gamma, oracle_tilde)
-    Qinv = np.linalg.inv(Q)
-    base = data.surface.points([q])
-
-    def rows(P):
-        after, kmat = tail(P, (oracle_chi, base.repeat(len(P)), P))
-        _kernel_invertible(kmat, P)
-        return np.linalg.solve(kmat, Qinv @ after)
-
-    return BundleMapEvaluator(rows, data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse")
+    weight = _tail(data, q, gamma, oracle_tilde)
+    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse", weight)
 
 
 def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
@@ -531,13 +543,19 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     below about 1e-7 indicate consistent data for the given input bundle.
     """
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    numerator = _numerator(data, q, gamma, oracle_tilde)
+    weight = _numerator(data, q, gamma, oracle_tilde)
+    ends = np.concatenate([data.surface.points([q]), gamma.poles.points])
     poles = _inverse_kernel_poles(oracle_chi, q)
     if not poles:
         return []
+
+    def numerator(p):   # the kernel sum of T(p), also where K(chi; p, q) is singular
+        tilde = evaluate_many(oracle_tilde, [p] * len(ends), ends)
+        return _kernel_sum("solution", tilde[None], weight)[0]
+
     tau = data.surface.tau
     ref_point = lattice_reduce(coord(q) + 0.2718 + 0.3141j, tau)
-    scale_n = float(np.linalg.norm(numerator(data.surface.points([ref_point]))[0][0])) + EPS_GUARD
+    scale_n = float(np.linalg.norm(numerator(ref_point))) + EPS_GUARD
 
     results = []
     for pole in poles:
@@ -546,7 +564,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
             return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
 
         res = circle_modes(inv_kernel, coord(pole), 1e-3, orders=(-1,))[-1]
-        defect = numerator(data.surface.points([pole]))[0][0] @ Q @ res
+        defect = numerator(pole) @ Q @ res
         residual = float(np.linalg.norm(defect)) / (
             float(np.linalg.norm(Q @ res)) * scale_n + EPS_GUARD
         )

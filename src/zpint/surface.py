@@ -244,6 +244,14 @@ class Surface:
     def equal(self, p, q, tol: float = POINT_TOL):
         return self.distance(p, q) <= tol
 
+    def separation(self, P, E):
+        """(v, dist) of the point array P (N,) against the point array E (m,):
+        dist[i, j] is the distance of P[i] and E[j], and v[i, j] the
+        Abel-Jacobi difference AJ(E[j]) - AJ(P[i]), shape (N, m, g) (None on
+        the sphere)."""
+        v = self.abel_jacobi(E)[None] - self.abel_jacobi(P)[:, None]
+        return v, self.distance(P[:, None], E)
+
     def coincidences(self, P, Q) -> list[tuple[int, int]]:
         """Row-major list of the index pairs (i, j) with P[i] equal to Q[j]."""
         P, Q = self.points(P), self.points(Q)
@@ -265,6 +273,9 @@ class Sphere(Surface):
     def same_as(self, other) -> bool:
         return isinstance(other, Sphere)
 
+    def separation(self, P, E):
+        return None, _modulus(E - P[:, None])   # no Abel-Jacobi map
+
     def abel_jacobi(self, p):
         raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
 
@@ -285,6 +296,11 @@ class Torus(Surface):
 
     def same_as(self, other) -> bool:
         return isinstance(other, Torus) and abs(self.tau - other.tau) <= POINT_TOL
+
+    def separation(self, P, E):
+        # one difference gives both: the Abel-Jacobi map is the coordinate
+        d = E - P[:, None]
+        return d[..., None], lattice_distance(d, self.tau)
 
     def abel_jacobi(self, p) -> np.ndarray:
         return np.asarray(self.points(p), dtype=complex)[..., None]
@@ -371,7 +387,8 @@ def lattice_distance(v, tau: complex):
     alpha, beta = lattice_coords(v, tau)
     da = alpha - np.rint(alpha)
     db = beta - np.rint(beta)
-    return _modulus(da + db * tau)
+    # |da + db tau| in real arithmetic: the same bits, fewer complex temporaries
+    return np.hypot(da + db * tau.real, db * tau.imag)
 
 
 # --- flat line bundles ---

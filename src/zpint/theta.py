@@ -43,6 +43,7 @@ give bit-identical results on one platform.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -63,6 +64,7 @@ __all__ = [
     "riemann_theta",
     "theta_with_char",
     "theta_many",
+    "theta_rows",
     "theta_gradient",
 ]
 
@@ -233,7 +235,25 @@ class ThetaPlan:
     def _radii(self, log_peak: np.ndarray, gradient: bool) -> np.ndarray:
         # radius r fits when -T(r) > excess
         excess = log_peak - math.log(TARGET_ABS_ERROR)
-        highest = float(excess.max())
+        table = self._table(float(excess.max()), gradient)
+        return np.searchsorted(table, excess, side="right") + 1
+
+    def radius_range(self, log_peak: np.ndarray, gradient: bool) -> tuple[int, int]:
+        """Smallest and largest radius of _radii(log_peak, gradient), read
+        from the extreme log_peak values alone (the radius grows with it)."""
+        target = math.log(TARGET_ABS_ERROR)
+        low, high = float(log_peak.min()) - target, float(log_peak.max()) - target
+        table = self._table(high, gradient)
+        return bisect.bisect_right(table, low) + 1, bisect.bisect_right(table, high) + 1
+
+    def _table(self, highest: float, gradient: bool) -> np.ndarray:
+        """The table -T(1), -T(2), ..., extended until it passes highest.
+
+        Raises
+        ------
+        NonConvergent
+            If the table reaches MAX_LATTICE_RADIUS without passing highest.
+        """
         table = self._neg_tail[gradient]
         cap = MAX_LATTICE_RADIUS
         if table.size < cap and not (table.size and table[-1] > highest):
@@ -246,7 +266,7 @@ class ThetaPlan:
             table = self._neg_tail[gradient] = np.array(extended)
         if not (table.size and table[-1] > highest):
             raise NonConvergent(f"tail bound above {TARGET_ABS_ERROR:g} at radius cap {cap}")
-        return np.searchsorted(table, excess, side="right") + 1
+        return table
 
 
 @functools.lru_cache(maxsize=128)
@@ -302,8 +322,10 @@ def _sums(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarray,
 
     The one lattice pass behind every entry: rows are grouped by truncation
     radius (the gradient radius when want_gradient) and summed in chunks of
-    at most CHUNK_ELEMENTS terms.  Returns (values (N,), gradients (N, g)
-    or None).
+    at most CHUNK_ELEMENTS terms.  The extreme radii come first, from the
+    extreme log peaks; a batch of one radius that fits in one chunk, the
+    usual case, is then one _lattice_sum with no per-row radius.  Returns
+    (values (N,), gradients (N, g) or None).
     """
     n, g = rows.shape
     if g == 0 or n == 0:
@@ -311,12 +333,11 @@ def _sums(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     plan = omega.plan()
     log_peak, y_sol = plan.peaks(rows)
     if want_gradient:
-        radii = plan._radii(log_peak + np.log1p(np.abs(y_sol).max(axis=1)), True)
-    else:
-        radii = plan.radii(log_peak)
-    lo, hi = int(radii.min()), int(radii.max())
+        log_peak = log_peak + np.log1p(np.abs(y_sol).max(axis=1))
+    lo, hi = plan.radius_range(log_peak, want_gradient)
     if lo == hi and n * (2 * hi + 1) ** g <= CHUNK_ELEMENTS:
         return _lattice_sum(plan, a, b, rows, y_sol, hi, want_gradient)
+    radii = plan._radii(log_peak, want_gradient)
     values = np.empty(n, dtype=complex)
     grad = np.empty((n, g), dtype=complex) if want_gradient else None
     for radius in sorted(set(radii.tolist())):
@@ -392,14 +413,28 @@ def theta_many(chi, Z, omega: PeriodMatrix):
     if len(sets) != len(chis) or any(z.ndim != 2 or z.shape[1] != g for z in sets):
         raise ValueError(f"expected {len(chis)} row set(s) of shape (N, {g})")
     rows = np.concatenate(sets) if many else sets[0]
-    if not np.isfinite(rows).all():
-        raise ValueError("theta arguments must be finite")
     counts = [len(z) for z in sets]
     ab = np.array([(c.a, c.b) for c in chis]).repeat(counts, axis=0)
-    values = _sums(omega, ab[:, 0], ab[:, 1], rows, False)[0]
+    values = theta_rows(omega, ab[:, 0], ab[:, 1], rows)
     if not many or isinstance(Z, np.ndarray):
         return values.reshape(np.shape(Z)[:-1])
     return [values[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+
+
+def theta_rows(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """theta[a[i]; b[i]](rows[i] | Omega) for every row, shape (N, g) -> (N,).
+
+    The one lattice pass of theta_many with the characteristics given row
+    by row; entry i is bit-identical to theta_with_char at row i.
+
+    Raises
+    ------
+    ValueError
+        If an argument is not finite.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("theta arguments must be finite")
+    return _sums(omega, a, b, rows, False)[0]
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:

@@ -188,10 +188,6 @@ def test_build_gamma_is_one_kernel_call(n, rng, monkeypatch):
     assert len(calls[0][0]) == n * n
 
 
-def closure_value(fn, name):
-    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))[name]
-
-
 def test_numerator_and_tail_weights_match_loop_form(rng):
     from zpint.absint import _numerator, _prepare, _tail
     from zpint.kernels import evaluate_many
@@ -215,8 +211,8 @@ def test_numerator_and_tail_weights_match_loop_form(rng):
         coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
         blocks = fold(x, coef.T, [z.count for z in data.zeros]).transpose(2, 0, 1)
         tail = np.hstack([np.eye(r), blocks.reshape(r, -1)])
-        assert np.array_equal(closure_value(_numerator(data, q, gamma, oracle), "weight"), numer)
-        assert np.array_equal(closure_value(_tail(data, q, gamma, oracle), "weight"), tail)
+        assert np.array_equal(_numerator(data, q, gamma, oracle), numer)
+        assert np.array_equal(_tail(data, q, gamma, oracle), tail)
 
 
 def test_gamma_sign_reconciles_with_classical_convention():
@@ -799,7 +795,7 @@ def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
     q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
     r = data.rank
     if kind == "solution":
-        weight = closure_value(_numerator(data, q, gamma, oracle_tilde), "weight")
+        weight = _numerator(data, q, gamma, oracle_tilde)
         ends = [q, *(node.point for node in data.poles)]
         m = len(ends)
         kvals = evaluate_many(oracle_tilde, [p] * m, ends)
@@ -807,7 +803,7 @@ def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
         kmat = oracle_chi(p, q)[None]
         return np.linalg.solve(kmat.transpose(0, 2, 1),
                                (numer @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)[0]
-    weight = closure_value(_tail(data, q, gamma, oracle_tilde), "weight")
+    weight = _tail(data, q, gamma, oracle_tilde)
     starts = [q, *(node.point for node in data.zeros)]
     m = len(starts)
     kvals = evaluate_many(oracle_tilde, starts, [p] * m)
@@ -817,7 +813,8 @@ def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
 
 def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     """T.many and T^-1.many agree with scalar calls bit for bit, give the
-    base value in the row at q, and work on every kind of surface and kernel;
+    base value in the row at q, and work on every kind of surface and kernel
+    (direct sums with a conjugated part and with a part given by many alone);
     off q each value has the bits of the two-call route (a kernel batch for
     chi~, then one call of K(chi)), which the joint kernel call replaces."""
     from test_kernels import torus_table_surface
@@ -836,9 +833,18 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     table, labels = torus_table_surface(surf, table_pts)
     table_data = InterpolationDataSet(table, 1, *scalar_nodes(labels[:2], labels[2:4]))
     opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
+    second_o = line_kernel(surf, line_bundle(0.67, 0.19))
+    second_t = line_kernel(surf, line_bundle(0.58, 0.73))
+    # direct sums with a conjugated part and with a part given by many alone
+    conj_o = direct_sum_kernel([conjugated_kernel(ko, [[1.5 - 0.5j]]), second_o])
+    conj_t = direct_sum_kernel([conjugated_kernel(kt, [[0.7j]]), second_t])
+    given_o = direct_sum_kernel([ko, CauchyKernelOracle(1, surf, second_o.many)])
+    given_t = direct_sum_kernel([kt, CauchyKernelOracle(1, surf, second_t.many)])
     Q2 = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
     cases = [
         (rank2, Q_POINT, Q2, dsum_o, dsum_t, sweep),
+        (rank2, Q_POINT, Q2, conj_o, conj_t, sweep),
+        (rank2, Q_POINT, Q2, given_o, given_t, sweep),
         (rank2, Q_POINT, Q2, conjugated_kernel(dsum_o, frame),
          conjugated_kernel(dsum_t, frame), sweep),
         (_rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5]), 40.0 + 3j, Q2, k0, k0,
@@ -891,8 +897,10 @@ def test_many_raises_at_inverse_kernel_pole(scalar_setup):
 
 def test_torus_interpolant_call_makes_one_theta_pass(scalar_setup, rng, monkeypatch):
     """One T(p) and one T^-1(p) with rank-2 direct-sum kernels each make one
-    theta_many call (the chi~ kernels and K(chi) share it) and no scalar
-    theta call: theta(0) is read from the line kernels."""
+    lattice pass, one theta_rows call and in it one theta._sums call on the
+    frozen rows (the chi~ kernels, K(chi) and the odd theta share it), and
+    no theta_many or scalar theta call: theta(0) is read from the line
+    kernels."""
     import zpint.kernels
     import zpint.surface
     import zpint.theta
@@ -911,14 +919,77 @@ def test_torus_interpolant_call_makes_one_theta_pass(scalar_setup, rng, monkeypa
     for build in (build_solution, build_inverse):
         T = build(data, Q_POINT, np.eye(2), dsum_o, dsum_t)
         with monkeypatch.context() as patch:
-            for name in ("theta_many", "theta_with_char", "riemann_theta"):
+            for name in ("theta_many", "theta_rows", "theta_with_char", "riemann_theta", "_sums"):
                 original = getattr(zpint.theta, name)
                 for module in (zpint.theta, zpint.surface, zpint.kernels):
                     if hasattr(module, name):
                         patch.setattr(module, name, counting(name, original))
             calls.clear()
             T(0.41 + 0.33j)
-        assert calls == ["theta_many"], build.__name__
+        assert calls == ["theta_rows", "_sums"], build.__name__
+
+
+def _interpolant_cases(scalar_setup, rng):
+    """(data, q, oracle_chi, oracle_tilde, points away from q and the nodes)
+    for rank-2 direct sums of line kernels on the torus and the trivial
+    kernel on the sphere."""
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    dsum_o = direct_sum_kernel([line_kernel(surf, chi),
+                                line_kernel(surf, line_bundle(0.67, 0.19))])
+    dsum_t = direct_sum_kernel([line_kernel(surf, chit),
+                                line_kernel(surf, line_bundle(0.58, 0.73))])
+    sphere = genus0_surface()
+    k0 = genus0_kernel(2, sphere)
+    sweep = torus_points(rng, 100, avoid=zeros + poles + [Q_POINT])
+    plane = list(rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100))
+    return [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t, sweep),
+            (_rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5]), 40.0 + 3j, k0, k0,
+             plane)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_many_rows_bit_identical_to_one_point_calls(scalar_setup, rng, n):
+    """T.many(P)[i] has the bits of T(P[i]) at N = 1, 7 and 100, for T and
+    T^-1, on the torus and on the sphere: a batch is N units of the one
+    frozen layout."""
+    for data, q, ko, kt, sweep in _interpolant_cases(scalar_setup, rng):
+        for build in (build_solution, build_inverse):
+            T = build(data, q, np.eye(2) + 0.3j, ko, kt)
+            P = sweep[:n]
+            batch = T.many(P)
+            assert all(np.array_equal(batch[i], T(p)) for i, p in enumerate(P)), build.__name__
+
+
+def test_interpolant_call_builds_no_layout(scalar_setup, rng, monkeypatch):
+    """The kernel layouts of T and T^-1 are built with them: after the
+    build, a call at one point or at many builds no KernelLayout."""
+    from zpint.kernels import KernelLayout
+
+    builds = []
+    original = KernelLayout.__init__
+    monkeypatch.setattr(KernelLayout, "__init__",
+                        lambda self, *args: builds.append(1) or original(self, *args))
+    for data, q, ko, kt, sweep in _interpolant_cases(scalar_setup, rng):
+        for build in (build_solution, build_inverse):
+            T = build(data, q, np.eye(2), ko, kt)
+            assert builds
+            builds.clear()
+            T(sweep[0])
+            T.many(sweep[:5])
+            assert not builds, (data.surface, build.__name__)
+
+
+def test_interpolant_rejects_non_finite_points(scalar_setup, rng):
+    """T and T^-1 at a NaN or infinite point raise InputError naming the
+    point, alone and inside a batch, on the torus and on the sphere."""
+    for data, q, ko, kt, sweep in _interpolant_cases(scalar_setup, rng):
+        for build in (build_solution, build_inverse):
+            T = build(data, q, np.eye(2), ko, kt)
+            for bad in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.2, -np.inf)):
+                with pytest.raises(InputError, match=re.escape(repr(bad))):
+                    T(bad)
+                with pytest.raises(InputError, match=re.escape(repr(bad))):
+                    T.many([sweep[0], q, bad])
 
 
 def test_interpolant_raises_at_its_poles(scalar_setup, rng):

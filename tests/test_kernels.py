@@ -309,9 +309,10 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
 def test_evaluate_joint_requests_match_evaluate_many(torus, bundle, bundle2, rng,
                                                     monkeypatch):
     """Each request of one evaluate_joint call has the bits of evaluate_many
-    on it alone: line, direct-sum, conjugated, opaque, genus-0 and tabulated
-    oracles, requests of unequal lengths, an empty request and one oracle
-    twice.  All line blocks of a call share one theta_many call, and an
+    on it alone: line, direct-sum (with a conjugated part, with a part given
+    by many alone), conjugated, opaque, genus-0 and tabulated oracles,
+    requests of unequal lengths, an empty request and one oracle twice.
+    All line blocks of a call share one lattice pass (theta_rows), and an
     oracle given by many alone is called once for all its requests."""
     import zpint.kernels
 
@@ -330,7 +331,8 @@ def test_evaluate_joint_requests_match_evaluate_many(torus, bundle, bundle2, rng
     torus_requests = [(line, *torus_pairs(5)), (dsum, *torus_pairs(1)),
                       (conj, *torus_pairs(7)), (opaque, *torus_pairs(3)),
                       (direct_sum_kernel([line, opaque]), *torus_pairs(4)),
-                      (nested, *torus_pairs(2)), (dsum, [], []), (line, *torus_pairs(2))]
+                      (nested, *torus_pairs(2)), (dsum, [], []), (line, *torus_pairs(2)),
+                      (direct_sum_kernel([conj, line]), *torus_pairs(3))]
     k0 = genus0_kernel(2)
     sphere_requests = [(k0, [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4]), (k0, [], []),
                        (k0, [2.0], [-1.0])]
@@ -341,8 +343,8 @@ def test_evaluate_joint_requests_match_evaluate_many(torus, bundle, bundle2, rng
                       (table_opaque, ["p2"], ["p1"]),
                       (direct_sum_kernel([table_line, table_opaque]), ["p0", "p1"], ["p2", "p2"])]
     passes = []
-    original = zpint.kernels.theta_many
-    monkeypatch.setattr(zpint.kernels, "theta_many",
+    original = zpint.kernels.theta_rows
+    monkeypatch.setattr(zpint.kernels, "theta_rows",
                         lambda *args: passes.append(1) or original(*args))
     # the tabulated wrapper's own many is the second pass, once for both its requests
     for requests, theta_passes in ((torus_requests, 1), (sphere_requests, 0),
@@ -367,6 +369,27 @@ def test_single_pair_rejects_non_finite_point(torus, bundle):
         for p, q in ((complex(np.nan, 0.0), 0.3), (0.3, complex(0.0, np.inf))):
             with pytest.raises(ValueError):
                 oracle(p, q)
+
+
+def test_batches_reject_non_finite_points(torus, bundle, bundle2):
+    """A NaN or infinite point in a batch of a line, direct-sum or
+    conjugated oracle, through evaluate_many, evaluate_joint or
+    kernel_grid (NaN only: its coincidence test warns on an infinite
+    point), raises the theta pass's ValueError before any sum."""
+    line = line_kernel(torus, bundle)
+    dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
+    oracles = (line, dsum, conjugated_kernel(dsum, [[1.0, 0.4j], [0.1, 0.9]]))
+    good = [0.11 + 0.71j, 0.3 + 0.6j]
+    for bad in (complex(np.nan, 0.2), complex(0.2, np.nan), complex(np.inf, 0.2),
+                complex(0.2, -np.inf)):
+        for oracle in oracles:
+            for call in (lambda: evaluate_many(oracle, [*good, bad], [0.5, 0.4j, 0.25]),
+                         lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good]),
+                         lambda: evaluate_joint([(line, good, good[::-1]),
+                                                 (oracle, [bad], [0.5])]),
+                         lambda: kernel_grid(oracle, good, [bad if np.isnan(bad) else np.nan])):
+                with pytest.raises(ValueError, match="theta arguments must be finite"):
+                    call()
 
 
 def test_line_blocks_match_theta_formula(torus, bundle, bundle2):
