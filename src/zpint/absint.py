@@ -239,11 +239,15 @@ def _read_nodes(surface, points, vector_sets, width) -> _Nodes:
 @dataclass(frozen=True, eq=False)
 class GammaMatrix:
     """Block coupling matrix with its index bookkeeping: the zero and pole
-    nodes as read for its assembly, whose blocks index its rows and columns."""
+    nodes as read for its assembly, whose blocks index its rows and columns.
+    at_base holds the kernel values at a base point q read from the same
+    kernel grid, (n, r, r): at the pairs (lambda^i, q), or (q, mu^j) for an
+    inverse; None when no base point was given."""
 
     matrix: np.ndarray
     zeros: _Nodes
     poles: _Nodes
+    at_base: np.ndarray | None = None
 
     @property
     def row_blocks(self) -> tuple:
@@ -277,26 +281,36 @@ def _block_products(out, kvals, row_groups, col_groups):
             out[rows[:, None, :, None], cols[None, :, None, :]] = prod
 
 
-def build_gamma(data: InterpolationDataSet,
-                oracle_tilde: CauchyKernelOracle) -> GammaMatrix:
+def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
+                q=None, inverse: bool = False) -> GammaMatrix:
     """Assemble the coupling matrix from the output-bundle kernel.
 
     Entries are -x K(chi~; lambda^i, mu^j) u away from coincidences and
     -rho at them; squareness and conditioning are judged downstream.  The
     kernel values are one kernel_grid, and the blocks are one stacked
     product per node-block shape (count_i, count_j), bit-identical to the
-    pairwise -(x @ K @ u.T).
+    pairwise -(x @ K @ u.T).  Given a base point q, the grid gains the
+    column q (the row q when inverse), whose values are kept as at_base
+    for the interpolant's weight.
     """
     zeros, poles = (_read_nodes(data.surface, [node.point for node in nodes],
                                 [node.vectors for node in nodes], data.rank)
                     for nodes in (data.zeros, data.poles))
-    kvals = kernel_grid(oracle_tilde, zeros.points, poles.points)
+    rows, cols = zeros.points, poles.points
+    if q is not None:
+        base = data.surface.points([q])
+        rows, cols = (np.concatenate([rows, base]), cols) if inverse else (
+            rows, np.concatenate([cols, base]))
+    kvals = kernel_grid(oracle_tilde, rows, cols)
+    at_base = None
+    if q is not None:
+        kvals, at_base = (kvals[:-1], kvals[-1]) if inverse else (kvals[:, :-1], kvals[:, -1])
     blocks = np.empty((len(zeros.vectors), len(poles.vectors)), dtype=complex)
     _block_products(blocks, kvals, zeros.groups, poles.groups)
     for (i, j), rho in data.couplings.items():   # the coincident pairs
         (r0, r1), (c0, c1) = zeros.blocks[i], poles.blocks[j]
         blocks[r0:r1, c0:c1] = rho
-    return GammaMatrix(-blocks, zeros, poles)
+    return GammaMatrix(-blocks, zeros, poles, at_base)
 
 
 def _kernel_invertible(kmat: np.ndarray, P):
@@ -403,14 +417,14 @@ def _kernel_sum(kind, tilde, weight) -> np.ndarray:
     return weight @ tilde.reshape(n, m * r, r)
 
 
-def _prepare(data, q, Q, oracle_chi, oracle_tilde):
+def _prepare(data, q, Q, oracle_tilde, inverse: bool):
     q = point(q)
     Q = np.asarray(Q, dtype=complex).reshape(data.rank, data.rank)
     if np.any(data.surface.equal(q, [node.point for node in (*data.zeros, *data.poles)])):
         raise BasePointCollision(f"base point {q!r} hits a node")
     if svd_cond(Q) > COND_LIMIT:
         raise SingularGamma("base value Q is numerically singular")
-    gamma = build_gamma(data, oracle_tilde)
+    gamma = build_gamma(data, oracle_tilde, q, inverse)
     if not gamma.is_square:
         raise NotSquare(
             f"coupling matrix is {gamma.matrix.shape[0]}x{gamma.matrix.shape[1]}"
@@ -428,21 +442,21 @@ def _fold(nodes, coef) -> np.ndarray:
                            [start for start, _ in nodes.blocks])
 
 
-def _numerator(data, q, gamma, oracle_tilde) -> np.ndarray:
+def _numerator(data, gamma) -> np.ndarray:
     """The weight of T(p)'s kernel sum K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q).
 
     With K_mu_u(p) = [K(chi~; p, mu^j) u_j]_j and K_x_lam(q) =
-    [x_i K(chi~; lambda^i, q)]_i, the pole weights fold into one
-    ((n+1) r, r) matrix [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so the sum at a
-    point is its kernel values at the pairs (p, q), (p, mu^1), ...,
-    (p, mu^n), side by side, times this matrix.
+    [x_i K(chi~; lambda^i, q)]_i (gamma.at_base, Gamma's q column), the
+    pole weights fold into one ((n+1) r, r) matrix
+    [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so the sum at a point is its
+    kernel values at the pairs (p, q), (p, mu^1), ..., (p, mu^n), side by
+    side, times this matrix.
     """
     r = data.rank
     zeros, poles = gamma.zeros, gamma.poles
     weight = np.eye(r, dtype=complex)
     if data.poles:
-        base = data.surface.points([q])
-        kvals = evaluate_many(oracle_tilde, zeros.points, np.repeat(base, len(zeros.points)))
+        kvals = gamma.at_base
         k_x_lam = np.empty((len(zeros.vectors), r), dtype=complex)
         for idx, X, rows in zeros.groups:
             k_x_lam[rows] = X @ kvals[idx]
@@ -451,19 +465,19 @@ def _numerator(data, q, gamma, oracle_tilde) -> np.ndarray:
     return weight
 
 
-def _tail(data, q, gamma, oracle_tilde) -> np.ndarray:
+def _tail(data, gamma) -> np.ndarray:
     """The weight of T^{-1}(p)'s kernel sum K(chi~; q, p) + K_mu_u(q) Gamma^-1 K_x_lam(p).
 
-    The mirror of _numerator: the zero weights fold into one (r, (n+1) r)
-    matrix [I, (K_mu_u(q) Gamma^-1)_i x_i], times the kernel values at the
-    pairs (q, p), (lambda^1, p), ..., (lambda^n, p), stacked.
+    The mirror of _numerator, with K(chi~; q, mu^j) from gamma.at_base
+    (Gamma's q row): the zero weights fold into one (r, (n+1) r) matrix
+    [I, (K_mu_u(q) Gamma^-1)_i x_i], times the kernel values at the pairs
+    (q, p), (lambda^1, p), ..., (lambda^n, p), stacked.
     """
     r = data.rank
     zeros, poles = gamma.zeros, gamma.poles
     weight = np.eye(r, dtype=complex)
     if data.zeros:
-        base = data.surface.points([q])
-        kvals = evaluate_many(oracle_tilde, np.repeat(base, len(poles.points)), poles.points)
+        kvals = gamma.at_base
         k_mu_u = np.empty((len(poles.vectors), r), dtype=complex)   # K_mu_u(q)^T
         for idx, U, cols in poles.groups:
             k_mu_u[cols] = (kvals[idx] @ U.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -478,8 +492,8 @@ def build_solution(data: InterpolationDataSet, q, Q,
                    oracle_chi: CauchyKernelOracle,
                    oracle_tilde: CauchyKernelOracle) -> BundleMapEvaluator:
     """Interpolant with value Q at q, in partial-fraction form."""
-    q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    weight = _numerator(data, q, gamma, oracle_tilde)
+    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, False)
+    weight = _numerator(data, gamma)
     return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, "solution", weight)
 
 
@@ -495,8 +509,8 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     transposing the solution of the swapped zero/pole problem through the
     kernel duality K(dual; p, q)^T = -K(chi; q, p).
     """
-    q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    weight = _tail(data, q, gamma, oracle_tilde)
+    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, True)
+    weight = _tail(data, gamma)
     return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse", weight)
 
 
@@ -542,8 +556,8 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     Returns a list of (pole point, relative residual); residuals at or
     below about 1e-7 indicate consistent data for the given input bundle.
     """
-    q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
-    weight = _numerator(data, q, gamma, oracle_tilde)
+    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, False)
+    weight = _numerator(data, gamma)
     ends = np.concatenate([data.surface.points([q]), gamma.poles.points])
     poles = _inverse_kernel_poles(oracle_chi, q)
     if not poles:

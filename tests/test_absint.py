@@ -200,7 +200,9 @@ def test_numerator_and_tail_weights_match_loop_form(rng):
         r = data.rank
         x = np.vstack([node.vectors for node in data.zeros])
         u = np.vstack([node.vectors for node in data.poles])
-        _, _, gamma = _prepare(data, q, np.eye(r), oracle, oracle)
+        _, _, gamma = _prepare(data, q, np.eye(r), oracle, False)
+        _, _, gamma_inverse = _prepare(data, q, np.eye(r), oracle, True)
+        assert np.array_equal(gamma.matrix, gamma_inverse.matrix)
         # the loop form: one vectors @ k product per node
         kz = evaluate_many(oracle, [z.point for z in data.zeros], [q] * len(data.zeros))
         k_x_lam = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
@@ -211,8 +213,8 @@ def test_numerator_and_tail_weights_match_loop_form(rng):
         coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
         blocks = fold(x, coef.T, [z.count for z in data.zeros]).transpose(2, 0, 1)
         tail = np.hstack([np.eye(r), blocks.reshape(r, -1)])
-        assert np.array_equal(_numerator(data, q, gamma, oracle), numer)
-        assert np.array_equal(_tail(data, q, gamma, oracle), tail)
+        assert np.array_equal(_numerator(data, gamma), numer)
+        assert np.array_equal(_tail(data, gamma_inverse), tail)
 
 
 def test_gamma_sign_reconciles_with_classical_convention():
@@ -792,10 +794,10 @@ def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
     from zpint.absint import _numerator, _prepare, _tail
     from zpint.kernels import evaluate_many
 
-    q, Q, gamma = _prepare(data, q, Q, oracle_chi, oracle_tilde)
+    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, kind != "solution")
     r = data.rank
     if kind == "solution":
-        weight = _numerator(data, q, gamma, oracle_tilde)
+        weight = _numerator(data, gamma)
         ends = [q, *(node.point for node in data.poles)]
         m = len(ends)
         kvals = evaluate_many(oracle_tilde, [p] * m, ends)
@@ -803,7 +805,7 @@ def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
         kmat = oracle_chi(p, q)[None]
         return np.linalg.solve(kmat.transpose(0, 2, 1),
                                (numer @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)[0]
-    weight = _tail(data, q, gamma, oracle_tilde)
+    weight = _tail(data, gamma)
     starts = [q, *(node.point for node in data.zeros)]
     m = len(starts)
     kvals = evaluate_many(oracle_tilde, starts, [p] * m)
