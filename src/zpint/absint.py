@@ -54,6 +54,7 @@ from .kernels import (
     CauchyKernelOracle,
     FrozenRequests,
     _block_form,
+    _reject_non_finite,
     evaluate_frozen,
     evaluate_many,
     extract_laurent_coeffs,
@@ -369,9 +370,7 @@ class BundleMapEvaluator:
             If a point of P is a pole of the inverse kernel factor.
         """
         P = self.data.surface.points(P)
-        if P.dtype == complex and not np.isfinite(P).all():
-            where = complex(P[np.flatnonzero(~np.isfinite(P))[0]])
-            raise InputError(f"the {self.kind} is evaluated at a non-finite p = {where!r}")
+        _reject_non_finite(P, f"the {self.kind} is evaluated")
         v, dist = self._kernels.separation(P)
         if not dist.size or dist.min() > POINT_TOL:
             return self._values(P, v)

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBundle,
+    InputError,
     PointOnPoleSet,
     SurfaceMismatch,
     UnsupportedGenus,
@@ -477,6 +478,14 @@ def evaluate_frozen(frozen: FrozenRequests, P, v) -> list:
     return _run(frozen.surface, [(frozen.layout, len(P), v, pairs)])[0]
 
 
+def _reject_non_finite(P, what: str):
+    """Raise InputError naming the first non-finite point of the point
+    array P (coordinates; labels are always finite)."""
+    if P.dtype == complex and not np.isfinite(P).all():
+        where = complex(P[np.flatnonzero(~np.isfinite(P))[0]])
+        raise InputError(f"{what} at a non-finite point {where!r}")
+
+
 def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     """Kernel values K(P[i], Q[j]) at every pair, shape (n, m, r, r).
 
@@ -484,9 +493,17 @@ def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     the surface, where K has its pole, is left zero; every block matrix
     over node pairs (Gamma, the pencil, the line-section matrix) takes
     its kernel values from this grid.
+
+    Raises
+    ------
+    InputError
+        If a point of P or Q is not finite (before the coincidence test,
+        which has no answer for it).
     """
     surface = oracle.surface
     P, Q = surface.points(P), surface.points(Q)
+    for points in (P, Q):
+        _reject_non_finite(points, "kernel grid")
     apart = ~surface.equal(P[:, None], Q[None, :])
     out = np.zeros((len(P), len(Q), oracle.rank, oracle.rank), dtype=complex)
     out[apart] = evaluate_many(oracle, np.repeat(P, len(Q))[apart.ravel()],

@@ -25,10 +25,18 @@ the value's magnitude, which matters when the Gaussian peak
 exp(pi y.Im(Omega)^-1 y) is large.  A sum that overflows to a non-finite
 value raises NonConvergent.
 
+A value's box is walked outward from its centre by the q-series
+recurrence (_walked), so a row costs 1 + 2g complex exps, not (2R + 1)^g.
+Every partial product is a box term, so nothing overflows or underflows
+unless the sum does; a walk inward from the box edge would start from 0
+at large Im(Omega).  Gradients, and genus >= 2 boxes deeper than
+WALK_SPAN below their peak, are summed term by term.
+
 Truncation is planned once per period matrix: the ThetaPlan held by each
-PeriodMatrix caches the inverse and the smallest eigenvalue of Im(Omega)
-and two tables of the tail bound by radius, one for values and one for
-gradients, each additive in the log of the Gaussian peak.  Every entry
+PeriodMatrix caches the inverse and the smallest eigenvalue of Im(Omega),
+two tables of the tail bound by radius, one for values and one for
+gradients, each additive in the log of the Gaussian peak, and the walk's
+point-independent factors by radius.  Every entry
 runs one pass: theta_many evaluates a batch of arguments, grouped by
 radius and summed in chunks; riemann_theta, theta_with_char and
 theta_gradient are its N = 1 case, the last one summing the gradient in
@@ -44,6 +52,7 @@ give bit-identical results on one platform.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import itertools
 import math
@@ -76,6 +85,10 @@ CHUNK_ELEMENTS = 1 << 15
 # Tail target and radius cap of every theta sum (see the module docstring).
 TARGET_ABS_ERROR = 1e-12
 MAX_LATTICE_RADIUS = 60
+
+# Deepest box, in log magnitude below its peak, walked at genus >= 2 (see
+# ThetaPlan.walk): its partial products stay normal doubles.
+WALK_SPAN = 690.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +216,12 @@ class ThetaPlan:
     def __init__(self, pm: PeriodMatrix):
         self.genus = pm.genus
         self.omega = pm.omega
-        imag = 0.5 * (pm.omega.imag + pm.omega.imag.T)
-        self.imag_inv = np.linalg.inv(imag)
-        self.lam_min = float(np.linalg.eigvalsh(imag).min())
+        self.imag = 0.5 * (pm.omega.imag + pm.omega.imag.T)
+        self.imag_inv = np.linalg.inv(self.imag)
+        self.lam_min = float(np.linalg.eigvalsh(self.imag).min())
         # -T(1), -T(2), ...: increasing; keyed by the gradient flag
         self._neg_tail = {False: np.empty(0), True: np.empty(0)}
+        self._walks = {}   # radius -> _Walk
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
@@ -220,7 +234,8 @@ class ThetaPlan:
         y_sol = y[:, :1] * inv[:, 0]
         for k in range(1, self.genus):
             y_sol = y_sol + y[:, k:k + 1] * inv[:, k]
-        return math.pi * (y * y_sol).sum(axis=1), y_sol
+        quad = (y * y_sol).T
+        return math.pi * sum(quad[1:], quad[0]), y_sol
 
     def radii(self, log_peak: np.ndarray) -> np.ndarray:
         """Value-path truncation radius per log_peak.
@@ -240,11 +255,45 @@ class ThetaPlan:
 
     def radius_range(self, log_peak: np.ndarray, gradient: bool) -> tuple[int, int]:
         """Smallest and largest radius of _radii(log_peak, gradient), read
-        from the extreme log_peak values alone (the radius grows with it)."""
+        from the extreme log_peak values alone (the radius grows with it).
+
+        Raises
+        ------
+        NonConvergent
+            If a log_peak is not finite (its row is not finite, or so large
+            that the peak overflows), or if the largest one needs more than
+            MAX_LATTICE_RADIUS.
+        """
         target = math.log(TARGET_ABS_ERROR)
-        low, high = float(log_peak.min()) - target, float(log_peak.max()) - target
+        if len(log_peak) == 1:
+            low = high = float(log_peak[0]) - target
+        else:
+            low, high = float(log_peak.min()) - target, float(log_peak.max()) - target
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NonConvergent(f"theta log peak is not finite ({high + target})")
         table = self._table(high, gradient)
-        return bisect.bisect_right(table, low) + 1, bisect.bisect_right(table, high) + 1
+        hi = bisect.bisect_right(table, high) + 1
+        return hi if low == high else bisect.bisect_right(table, low) + 1, hi
+
+    def walk(self, radius: int) -> _Walk | None:
+        """The outward walk's tables at radius, built on first use; None
+        for a box summed term by term.
+
+        depth = pi (R + 1/2)^2 sum_ij |Im Omega_ij| bounds, in log, how far
+        any box term lies below the peak (log_peak >= 0) and how far any
+        step factor's modulus lies from 1.  At genus >= 2 the walk passes
+        through slots that may lie deeper than the term it reaches, so only
+        boxes with depth <= WALK_SPAN are walked, where all of these are
+        normal doubles.  At genus 1 every
+        line falls off monotonically from the centre, so a term that
+        underflows leaves only smaller ones after it: every box is walked.
+        """
+        walk = self._walks.get(radius, False)
+        if walk is False:
+            depth = math.pi * (radius + 0.5) ** 2 * float(np.abs(self.imag).sum())
+            walk = None if self.genus > 1 and depth > WALK_SPAN else _Walk(self.omega, radius)
+            self._walks[radius] = walk
+        return walk
 
     def _table(self, highest: float, gradient: bool) -> np.ndarray:
         """The table -T(1), -T(2), ..., extended until it passes highest.
@@ -269,6 +318,74 @@ class ThetaPlan:
         return table
 
 
+class _Walk:
+    """Point-independent tables of the outward walk over box radius R.
+
+    Axis j adds to every slot p walked so far an up and a down line of
+    R + 1 slots, (s, p, line) with k_j = +-s; the down line's first slot
+    repeats its start and is zeroed once walked.  ratios[j], shape
+    (R, P_j, 2, 1), holds the step factors
+    exp(2 pi i (Omega_jj s +- sum_{i<j} Omega_ji k_i)); half is
+    pi i Omega_jj, signs +-2 pi i, columns the columns of Omega.
+    """
+
+    def __init__(self, omega: np.ndarray, radius: int):
+        g = len(omega)
+        self.radius = radius
+        self.half = (1j * np.pi) * omega.diagonal()[:, None, None]
+        self.signs = np.array([[2j * np.pi], [-2j * np.pi]])
+        self.columns = tuple(omega[:, k, None] for k in range(g))
+        self.ratios = []
+        k = np.arange(radius + 1)[:, None, None] * np.array([1.0, -1.0])   # per (s, 1, line)
+        steps = np.arange(radius)[:, None] * omega.diagonal()   # Omega_jj s, (R, g)
+        offsets = np.zeros((1, 0))   # k of every slot of the axes walked so far
+        for j in range(g):
+            cross = offsets @ omega[j, :j]   # sum_{i<j} Omega_ji k_i
+            phase = steps[:, j, None, None] + cross[:, None] * np.array([1.0, -1.0])
+            self.ratios.append(np.exp((2j * np.pi) * phase)[..., None])
+            shape = (radius + 1, len(offsets), 2)
+            offsets = np.concatenate([np.broadcast_to(offsets[:, None], shape + (j,)),
+                                      np.broadcast_to(k[..., None], shape + (1,))],
+                                     axis=-1).reshape(-1, j + 1)
+
+
+def _walked(omega: np.ndarray, walk: _Walk, m0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums (N,) of the box terms around the centres m0, walked outward.
+
+    With u = Omega m0 + w, t(k) = t(0) exp(2 pi i k.u + pi i k.Omega.k), so
+    a step along axis j from k_j = +-s (k_i = 0 for i > j) multiplies by
+    exp(+-2 pi i u_j + pi i Omega_jj) times walk.ratios[j].  A row's only
+    complex exps are t(0) and those first factors.  Arrays are laid out
+    slot by slot with the batch innermost, no operation reads memory it
+    writes (other than in place), and every sum runs down slots of at
+    least two values, so a row's bits do not depend on its batch.
+    """
+    n, g = m0.shape
+    m, w = m0.T, w.T   # (g, N)
+    u = w + walk.columns[0] * m[0]
+    for k in range(1, g):
+        u = u + walk.columns[k] * m[k]
+    centre = m * (u + w)   # its column sum is m0.Omega.m0 + 2 m0.w
+    terms = np.exp((1j * np.pi) * sum(centre[1:], centre[0]))
+    # per axis the first up and down step: exp(pi i Omega_jj +- 2 pi i u_j), (g, 2, N)
+    first = np.exp(walk.half + walk.signs * u[:, None])
+    top = walk.radius + 1
+    for j, ratios in enumerate(walk.ratios):
+        lines = np.empty((top, terms.size // n, 2, n), dtype=complex)
+        lines[0] = terms.reshape(-1, 1, n)
+        rest = lines[1:]
+        np.multiply(ratios, first[j], rest)
+        for prev, cur in zip(lines, rest):
+            np.multiply(cur, prev, cur)
+        lines[0, :, 1] = 0.0
+        terms = lines.reshape(-1, n)
+    # down the steps, then down the slots of the axes before the last
+    total = np.add.reduce(lines.reshape(top, -1), axis=0)
+    if lines.shape[1] > 1:
+        total = np.add.reduce(total.reshape(lines.shape[1], -1), axis=0)
+    return total[:n] + total[n:]
+
+
 @functools.lru_cache(maxsize=128)
 def _offset_columns(radius: int, g: int) -> tuple[np.ndarray, ...]:
     """Columns of the box lattice offsets of sup-norm at most radius, in a fixed order."""
@@ -278,37 +395,53 @@ def _offset_columns(radius: int, g: int) -> tuple[np.ndarray, ...]:
     return tuple(offsets.T)
 
 
+def _direct(omega: np.ndarray, m0: np.ndarray, w: np.ndarray, radius: int) -> tuple:
+    """Box terms (N, (2R + 1)^g) around the centres m0, one complex exp
+    each, and their lattice points m as g columns (N, (2R + 1)^g)."""
+    m = [m0[:, j, None] + col for j, col in enumerate(_offset_columns(radius, len(omega)))]
+    quad = sum(mj * omega[j, k] * mk for j, mj in enumerate(m) for k, mk in enumerate(m))
+    lin = sum(mj * w[:, j, None] for j, mj in enumerate(m))
+    quad *= 1j * np.pi   # the exponent, then the terms, in quad's buffer
+    lin *= 2j * np.pi
+    quad += lin
+    return np.exp(quad, out=quad), m
+
+
 def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
                  y_sol: np.ndarray, radius: int, want_gradient: bool):
     """Characteristic sums at the rows of Z over one box radius.
 
-    a and b hold one characteristic per row (rows, g).  Every operation is
-    elementwise, and each term sum runs along one row, so a row's value
-    does not depend on the other rows.  Returns (values, gradients or
-    None).
+    a and b hold one characteristic per row (rows, g).  The box is
+    centred at the rounded peak m0 = rint(-a - Im(Omega)^-1 y) + a and
+    walked outward by the q-series recurrence (_walked): each term is its
+    inner neighbour times a step ratio, so every partial product is a box
+    term and none under- or overflows unless the sum does, where a walk
+    inward from the edge would start from 0 at large Im(Omega).  Where
+    the plan has no walk, and for the gradient 2 pi i sum m t(m), the box
+    is summed term by term (_direct).  Every operation is row by row, so
+    a row's value does not depend on the other rows.  Returns (values,
+    gradients or None).
 
     Raises
     ------
     NonConvergent
-        If a summed value is not finite (the Gaussian peak overflowed).
+        If a summed value is not finite (the Gaussian peak overflowed, or a
+        row is not finite).
     """
     omega = plan.omega
-    base = np.rint(-a - y_sol)
-    m = [base[:, j, None] + col + a[:, j, None]
-         for j, col in enumerate(_offset_columns(radius, plan.genus))]
-    zb = Z + b
-    quad = sum(mj * omega[j, k] * mk for j, mj in enumerate(m) for k, mk in enumerate(m))
-    lin = sum(mj * zb[:, j, None] for j, mj in enumerate(m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad *= 1j * np.pi   # the exponent, then the terms, in quad's buffer
-        lin *= 2j * np.pi
-        quad += lin
-        terms = np.exp(quad, out=quad)
+    m0 = a - np.rint(a + y_sol)   # rint(-a - y_sol) + a
+    w = Z + b
+    walk = None if want_gradient else plan.walk(radius)
+    grad = None
+    if walk is not None:
+        values = _walked(omega, walk, m0, w)
+    else:
+        terms, m = _direct(omega, m0, w, radius)
         values = terms.sum(axis=1)
-        grad = None
         if want_gradient:
             grad = (2j * np.pi) * (np.stack(m, axis=-1) * terms[..., None]).sum(axis=1)
-    if not (np.isfinite(values).all() and (grad is None or np.isfinite(grad).all())):
+    finite = cmath.isfinite(values[0]) if len(values) == 1 else np.isfinite(values).all()
+    if not (finite and (grad is None or np.isfinite(grad).all())):
         raise NonConvergent(
             f"theta lattice sum is not finite (log peak up to "
             f"{float(plan.peaks(Z)[0].max()):.1f})"
@@ -326,11 +459,30 @@ def _sums(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     extreme log peaks; a batch of one radius that fits in one chunk, the
     usual case, is then one _lattice_sum with no per-row radius.  Returns
     (values (N,), gradients (N, g) or None).
+
+    Raises
+    ------
+    ValueError
+        If a row is not finite (checked only when the pass fails).
+    NonConvergent
+        If a finite row needs more than MAX_LATTICE_RADIUS or its sum
+        overflows.
     """
     n, g = rows.shape
     if g == 0 or n == 0:
         return np.ones(n, dtype=complex), np.zeros((n, g), dtype=complex)
-    plan = omega.plan()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _grouped_sums(omega.plan(), a, b, rows, want_gradient)
+    except NonConvergent:
+        if not np.isfinite(rows).all():
+            raise ValueError("theta arguments must be finite") from None
+        raise
+
+
+def _grouped_sums(plan: ThetaPlan, a, b, rows, want_gradient: bool):
+    """_sums' pass, grouped by radius and chunked."""
+    n, g = rows.shape
     log_peak, y_sol = plan.peaks(rows)
     if want_gradient:
         log_peak = log_peak + np.log1p(np.abs(y_sol).max(axis=1))
@@ -363,8 +515,6 @@ def _as_z(z, g: int) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(-1)
     if arr.size != g:
         raise ValueError(f"argument has length {arr.size}, expected genus {g}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("theta argument must be finite")
     return arr
 
 
@@ -432,8 +582,6 @@ def theta_rows(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarr
     ValueError
         If an argument is not finite.
     """
-    if not np.isfinite(rows).all():
-        raise ValueError("theta arguments must be finite")
     return _sums(omega, a, b, rows, False)[0]
 
 

@@ -1,11 +1,15 @@
 """Cauchy kernel oracles, connection coefficients, collection identity."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from zpint.errors import (
     DegenerateBundle,
     ExtractionUnstable,
+    InputError,
     PointOnPoleSet,
     SurfaceMismatch,
     UnsupportedGenus,
@@ -373,9 +377,9 @@ def test_single_pair_rejects_non_finite_point(torus, bundle):
 
 def test_batches_reject_non_finite_points(torus, bundle, bundle2):
     """A NaN or infinite point in a batch of a line, direct-sum or
-    conjugated oracle, through evaluate_many, evaluate_joint or
-    kernel_grid (NaN only: its coincidence test warns on an infinite
-    point), raises the theta pass's ValueError before any sum."""
+    conjugated oracle raises the theta pass's ValueError before any sum
+    through evaluate_many or evaluate_joint, and InputError naming the
+    point, with no warning, through kernel_grid (on the sphere too)."""
     line = line_kernel(torus, bundle)
     dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
     oracles = (line, dsum, conjugated_kernel(dsum, [[1.0, 0.4j], [0.1, 0.9]]))
@@ -386,10 +390,15 @@ def test_batches_reject_non_finite_points(torus, bundle, bundle2):
             for call in (lambda: evaluate_many(oracle, [*good, bad], [0.5, 0.4j, 0.25]),
                          lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good]),
                          lambda: evaluate_joint([(line, good, good[::-1]),
-                                                 (oracle, [bad], [0.5])]),
-                         lambda: kernel_grid(oracle, good, [bad if np.isnan(bad) else np.nan])):
+                                                 (oracle, [bad], [0.5])])):
                 with pytest.raises(ValueError, match="theta arguments must be finite"):
                     call()
+        for oracle in (*oracles, genus0_kernel(2)):
+            for P, Q in ((good, [0.5, bad]), ([bad, *good], good)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InputError, match=re.escape(repr(bad))):
+                        kernel_grid(oracle, P, Q)
 
 
 def test_line_blocks_match_theta_formula(torus, bundle, bundle2):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import zpint.theta as theta_module
@@ -396,3 +398,141 @@ def test_theta_many_validation():
     for bad in (np.zeros((3, 1)), np.zeros((3, 2, 1)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
             theta_many((chi, chi), bad, pm)
+
+
+# theta(0.3 + 150i | 300i) = 1 + exp(-0.6 pi i) to 40 digits: the centre term
+# and its down neighbour have modulus 1, and the box edge lies some 10^-1600
+# below them, so a walk inward from the edge would underflow to 0.
+STIFF_TAU, STIFF_Z = 300j, 0.3 + 150j
+STIFF_VALUE = complex(0.6909830056250527, -0.9510565162951536)
+
+_unit = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def theta_problems(draw, min_imag=0.3, max_imag=2.0, max_coupling=0.97):
+    """(Omega, a, b, z) at genus 1 or 2, Im Omega_jj in [min_imag, max_imag].
+    Genus 2 draws the coupling |Im Omega_12| / sqrt(Im Omega_11 Im Omega_22)
+    up to max_coupling, so strongly coupled boxes come up; z = x + Im(Omega) t
+    with |t_j| <= 1 keeps the Gaussian peak below exp(4 pi max_imag)."""
+    g = draw(st.sampled_from([1, 2]))
+    imag = [min_imag + (max_imag - min_imag) * draw(_unit) for _ in range(g)]
+    re = [draw(_unit) - 0.5 for _ in range(3)]
+    if g == 1:
+        omega = np.array([[re[0] + 1j * imag[0]]])
+    else:
+        c = max_coupling * (2 * draw(_unit) - 1) * math.sqrt(imag[0] * imag[1])
+        omega = np.array([[re[0] + 1j * imag[0], re[1] + 1j * c],
+                          [re[1] + 1j * c, re[2] + 1j * imag[1]]])
+    a = np.array([draw(_unit) for _ in range(g)])
+    b = np.array([draw(_unit) for _ in range(g)])
+    t = np.array([2 * draw(_unit) - 1 for _ in range(g)])
+    z = np.array([2 * draw(_unit) - 1 for _ in range(g)]) + 1j * (omega.imag @ t)
+    return omega, a, b, z
+
+
+def _centre(omega, a, z):
+    """The box centre shift rint(-a - Im(Omega)^-1 y) that zpint sums around."""
+    return np.rint(-a - np.linalg.solve(0.5 * (omega.imag + omega.imag.T), z.imag))
+
+
+def _centred_oracle(fn, omega, a, b, z, radius):
+    """An oracle sum over the box of the given radius around zpint's box
+    centre: shifting a by the integer _centre re-indexes the lattice only."""
+    return fn(a + _centre(omega, a, z), b, z, omega.tolist(), radius=radius)
+
+
+def _box_mass(omega, a, z, radius, gradient):
+    """Sum of |t(m)| over the box of the given radius around zpint's centre
+    (with the weights 2 pi max|m_j| for a gradient): the scale of its
+    double-precision rounding."""
+    g = len(a)
+    k = np.stack(np.meshgrid(*[np.arange(-radius, radius + 1)] * g, indexing="ij"), -1)
+    m = k.reshape(-1, g) + _centre(omega, a, z) + a
+    imag = 0.5 * (omega.imag + omega.imag.T)
+    size = np.exp(-math.pi * ((m @ imag) * m).sum(axis=1) - 2 * math.pi * m @ z.imag)
+    if gradient:
+        size *= 2 * math.pi * np.abs(m).max(axis=1)
+    return float(size.sum())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(theta_problems(min_imag=0.5, max_coupling=0.95))
+def test_theta_rows_and_gradient_match_oracle(problem):
+    """theta_rows and theta_gradient against mpmath sums over a box two
+    wider than zpint's, at genus 1 and 2, strongly coupled boxes included
+    (radii up to about 20, summed term by term);
+    the error allowed is the truncation target plus 64 ulps of the summed
+    term moduli."""
+    omega, a, b, z = problem
+    g = len(a)
+    pm = PeriodMatrix(g, omega)
+    plan = pm.plan()
+    log_peak, y_sol = plan.peaks(z[None])
+    value_radius = int(plan.radii(log_peak)[0])
+    grad_radius = int(plan._radii(log_peak + math.log1p(np.abs(y_sol).max()), True)[0])
+    ulp = 64 * np.finfo(float).eps
+    value = theta_module.theta_rows(pm, a[None], b[None], z[None])[0]
+    ref = complex(_centred_oracle(oracles.theta_char_direct, omega, a, b, z, value_radius + 2))
+    tol = TARGET_ABS_ERROR + ulp * _box_mass(omega, a, z, value_radius, False)
+    assert abs(value - ref) <= tol, (value, ref)
+    grad = theta_gradient(ThetaCharacteristic(a, b), z, pm)
+    ref = _centred_oracle(oracles.theta_char_gradient_direct, omega, a, b, z, grad_radius + 2)
+    err = np.abs(grad - np.array([complex(v) for v in ref])).max()
+    assert err <= TARGET_ABS_ERROR + ulp * _box_mass(omega, a, z, grad_radius, True), (grad, ref)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(theta_problems(max_imag=0.75), st.integers(1, 8))
+def test_walk_matches_oracle_box_sum_at_every_radius(problem, radius):
+    """The outward walk over the box of each radius 1 to 8 is the mpmath sum
+    over the same box, to 64 ulps of the summed term moduli; every one of
+    these boxes, strongly coupled genus-2 ones included, is walked."""
+    omega, a, b, z = problem
+    g = len(a)
+    plan = PeriodMatrix(g, omega).plan()
+    assert plan.walk(radius) is not None
+    _, y_sol = plan.peaks(z[None])
+    value, _ = theta_module._lattice_sum(plan, a[None], b[None], z[None], y_sol, radius, False)
+    ref = complex(_centred_oracle(oracles.theta_char_direct, omega, a, b, z, radius))
+    tol = 64 * np.finfo(float).eps * _box_mass(omega, a, z, radius, False)
+    assert abs(value[0] - ref) <= tol, (value[0], ref)
+
+
+def test_large_imaginary_tau_walks_from_the_centre():
+    """At tau = 300i, z = 0.3 + 150i every entry gives the 40-digit value,
+    and the value and gradient match the mpmath oracle."""
+    pm = period_from_tau(STIFF_TAU)
+    zero = ThetaCharacteristic([0.0], [0.0])
+    ref = complex(oracles.theta_char_direct([0.0], [0.0], [STIFF_Z], [[STIFF_TAU]], radius=3))
+    assert abs(ref - STIFF_VALUE) <= 1e-15
+    for value in (riemann_theta(STIFF_Z, pm), theta_with_char(zero, STIFF_Z, pm),
+                  theta_module.theta_rows(pm, np.zeros((2, 1)), np.zeros((2, 1)),
+                                          np.array([[STIFF_Z], [STIFF_Z]]))[1]):
+        assert abs(value - STIFF_VALUE) <= 1e-15
+    grad = theta_gradient(zero, STIFF_Z, pm)[0]
+    ref = complex(oracles.theta_char_gradient_direct([0.0], [0.0], [STIFF_Z], [[STIFF_TAU]],
+                                                     radius=3)[0])
+    assert abs(grad - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("chunk", [theta_module.CHUNK_ELEMENTS, 64])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_theta_rows_bit_identical_to_one_row_calls(n, chunk, rng, monkeypatch):
+    """One theta_rows call on n rows, each with its own characteristic,
+    equals its rows called one at a time bit for bit: at genus 1, at genus
+    2, and on a genus-2 box too deep to walk, summed term by term."""
+    monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
+    deep = np.array([[0.1 + 2.0j, 0.2 + 1.9j], [0.2 + 1.9j, -0.3 + 2.0j]])
+    for omega in (np.array([[0.3 + 1.1j]]),
+                  np.array([[0.3 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 0.9j]]), deep):
+        g = len(omega)
+        pm = PeriodMatrix(g, omega)
+        a, b = rng.uniform(-1, 1, (2, n, g))
+        rows = rng.uniform(-1, 1, (n, g)) + 1j * rng.uniform(-2, 2, (n, g))
+        batch = theta_module.theta_rows(pm, a, b, rows)
+        singles = [theta_module.theta_rows(pm, a[i:i + 1], b[i:i + 1], rows[i:i + 1])[0]
+                   for i in range(n)]
+        assert np.array_equal(batch, singles)
+    plan = PeriodMatrix(2, deep).plan()
+    assert plan.walk(int(plan.radii(plan.peaks(rows)[0]).min())) is None
