@@ -86,6 +86,10 @@ CHUNK_ELEMENTS = 1 << 15
 TARGET_ABS_ERROR = 1e-12
 MAX_LATTICE_RADIUS = 60
 
+# Batches of at most this many rows read their extreme log peaks and check
+# their sums through Python numbers, which is faster than numpy reductions.
+_SMALL = 32
+
 # Deepest box, in log magnitude below its peak, walked at genus >= 2 (see
 # ThetaPlan.walk): its partial products stay normal doubles.
 WALK_SPAN = 690.0
@@ -265,12 +269,10 @@ class ThetaPlan:
             MAX_LATTICE_RADIUS.
         """
         target = math.log(TARGET_ABS_ERROR)
-        if len(log_peak) == 1:
-            low = high = float(log_peak[0]) - target
-        else:
-            low, high = float(log_peak.min()) - target, float(log_peak.max()) - target
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise NonConvergent(f"theta log peak is not finite ({high + target})")
+        ends = log_peak.tolist() if len(log_peak) <= _SMALL else [log_peak.min(), log_peak.max()]
+        if not math.isfinite(sum(ends)):
+            raise NonConvergent(f"theta log peak is not finite ({sum(ends)})")
+        low, high = float(min(ends)) - target, float(max(ends)) - target
         table = self._table(high, gradient)
         hi = bisect.bisect_right(table, high) + 1
         return hi if low == high else bisect.bisect_right(table, low) + 1, hi
@@ -440,7 +442,8 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
         values = terms.sum(axis=1)
         if want_gradient:
             grad = (2j * np.pi) * (np.stack(m, axis=-1) * terms[..., None]).sum(axis=1)
-    finite = cmath.isfinite(values[0]) if len(values) == 1 else np.isfinite(values).all()
+    finite = (all(map(cmath.isfinite, values.tolist())) if len(values) <= _SMALL
+              else np.isfinite(values).all())
     if not (finite and (grad is None or np.isfinite(grad).all())):
         raise NonConvergent(
             f"theta lattice sum is not finite (log peak up to "
