@@ -94,6 +94,9 @@ _SMALL = 32
 # ThetaPlan.walk): its partial products stay normal doubles.
 WALK_SPAN = 690.0
 
+# +-2 pi i, the sign of the up and the down line of a walk axis
+_SIGNS = np.array([[2j * np.pi], [-2j * np.pi]])
+
 
 @dataclass(frozen=True, eq=False)
 class PeriodMatrix:
@@ -292,9 +295,9 @@ class ThetaPlan:
         """
         walk = self._walks.get(radius, False)
         if walk is False:
-            depth = math.pi * (radius + 0.5) ** 2 * float(np.abs(self.imag).sum())
-            walk = None if self.genus > 1 and depth > WALK_SPAN else _Walk(self.omega, radius)
-            self._walks[radius] = walk
+            deep = self.genus > 1 and (
+                math.pi * (radius + 0.5) ** 2 * float(np.abs(self.imag).sum()) > WALK_SPAN)
+            walk = self._walks[radius] = None if deep else _Walk(self.omega, radius)
         return walk
 
     def _table(self, highest: float, gradient: bool) -> np.ndarray:
@@ -327,28 +330,45 @@ class _Walk:
     R + 1 slots, (s, p, line) with k_j = +-s; the down line's first slot
     repeats its start and is zeroed once walked.  ratios[j], shape
     (R, P_j, 2, 1), holds the step factors
-    exp(2 pi i (Omega_jj s +- sum_{i<j} Omega_ji k_i)); half is
-    pi i Omega_jj, signs +-2 pi i, columns the columns of Omega.
+    exp(2 pi i (Omega_jj s +- sum_{i<j} Omega_ji k_i)), all from one exp of
+    their phases, linear in Omega with the coefficients of _walk_phases;
+    half is pi i Omega_jj, signs +-2 pi i, columns the columns of Omega.
     """
 
     def __init__(self, omega: np.ndarray, radius: int):
         g = len(omega)
+        coeff, parts = _walk_phases(g, radius)
+        factors = np.exp(coeff @ ((2j * np.pi) * omega.ravel()))
         self.radius = radius
+        self.ratios = [factors[start:stop].reshape(shape) for start, stop, shape in parts]
         self.half = (1j * np.pi) * omega.diagonal()[:, None, None]
-        self.signs = np.array([[2j * np.pi], [-2j * np.pi]])
+        self.signs = _SIGNS
         self.columns = tuple(omega[:, k, None] for k in range(g))
-        self.ratios = []
-        k = np.arange(radius + 1)[:, None, None] * np.array([1.0, -1.0])   # per (s, 1, line)
-        steps = np.arange(radius)[:, None] * omega.diagonal()   # Omega_jj s, (R, g)
-        offsets = np.zeros((1, 0))   # k of every slot of the axes walked so far
-        for j in range(g):
-            cross = offsets @ omega[j, :j]   # sum_{i<j} Omega_ji k_i
-            phase = steps[:, j, None, None] + cross[:, None] * np.array([1.0, -1.0])
-            self.ratios.append(np.exp((2j * np.pi) * phase)[..., None])
-            shape = (radius + 1, len(offsets), 2)
-            offsets = np.concatenate([np.broadcast_to(offsets[:, None], shape + (j,)),
-                                      np.broadcast_to(k[..., None], shape + (1,))],
-                                     axis=-1).reshape(-1, j + 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _walk_phases(g: int, radius: int) -> tuple:
+    """The coefficients (E, g * g) of the flattened Omega in the phases of
+    every step factor of the walk at radius, axis after axis, and per axis
+    its (start, stop, shape) in them."""
+    line = np.array([1.0, -1.0])
+    offsets = np.zeros((1, 0))   # k of every slot of the axes walked so far
+    blocks, parts, start = [], [], 0
+    for j in range(g):
+        block = np.zeros((radius, len(offsets), 2, g, g))
+        block[..., j, j] = np.arange(radius)[:, None, None]
+        block[..., j, :j] = offsets[:, None, :] * line[:, None]
+        blocks.append(block.reshape(-1, g * g))
+        parts.append((start, start + block[..., 0, 0].size, block.shape[:3] + (1,)))
+        start = parts[-1][1]
+        k = np.arange(radius + 1)[:, None, None] * line   # k_j per slot (s, 1, line)
+        shape = (radius + 1, len(offsets), 2)
+        offsets = np.concatenate([np.broadcast_to(offsets[:, None], shape + (j,)),
+                                  np.broadcast_to(k[..., None], shape + (1,))],
+                                 axis=-1).reshape(-1, j + 1)
+    coeff = np.concatenate(blocks).astype(complex)
+    coeff.flags.writeable = False
+    return coeff, tuple(parts)
 
 
 def _walked(omega: np.ndarray, walk: _Walk, m0: np.ndarray, w: np.ndarray) -> np.ndarray:

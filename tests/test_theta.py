@@ -401,8 +401,9 @@ def test_theta_many_validation():
 
 
 # theta(0.3 + 150i | 300i) = 1 + exp(-0.6 pi i) to 40 digits: the centre term
-# and its down neighbour have modulus 1, and the box edge lies some 10^-1600
-# below them, so a walk inward from the edge would underflow to 0.
+# and its down neighbour have modulus 1, and the edges of the radius-2 box
+# lie 10^-819 and 10^-2456 below them, so a walk inward from an edge would
+# start from 0.
 STIFF_TAU, STIFF_Z = 300j, 0.3 + 150j
 STIFF_VALUE = complex(0.6909830056250527, -0.9510565162951536)
 
@@ -461,9 +462,8 @@ def _box_mass(omega, a, z, radius, gradient):
 def test_theta_rows_and_gradient_match_oracle(problem):
     """theta_rows and theta_gradient against mpmath sums over a box two
     wider than zpint's, at genus 1 and 2, strongly coupled boxes included
-    (radii up to about 20, summed term by term);
-    the error allowed is the truncation target plus 64 ulps of the summed
-    term moduli."""
+    (radii up to about 20, summed term by term); the error allowed is the
+    truncation target plus 64 ulps of the summed term moduli."""
     omega, a, b, z = problem
     g = len(a)
     pm = PeriodMatrix(g, omega)
