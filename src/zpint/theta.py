@@ -228,7 +228,8 @@ class ThetaPlan:
         self.lam_min = float(np.linalg.eigvalsh(self.imag).min())
         # -T(1), -T(2), ...: increasing; keyed by the gradient flag
         self._neg_tail = {False: np.empty(0), True: np.empty(0)}
-        self._walks = {}   # radius -> _Walk
+        self._walks = {}   # radius -> _Walk or None
+        self._spread = float(np.abs(self.imag).sum())   # sum_ij |Im Omega_ij|
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
@@ -295,8 +296,7 @@ class ThetaPlan:
         """
         walk = self._walks.get(radius, False)
         if walk is False:
-            deep = self.genus > 1 and (
-                math.pi * (radius + 0.5) ** 2 * float(np.abs(self.imag).sum()) > WALK_SPAN)
+            deep = self.genus > 1 and math.pi * (radius + 0.5) ** 2 * self._spread > WALK_SPAN
             walk = self._walks[radius] = None if deep else _Walk(self.omega, radius)
         return walk
 
@@ -338,7 +338,7 @@ class _Walk:
     def __init__(self, omega: np.ndarray, radius: int):
         g = len(omega)
         coeff, parts = _walk_phases(g, radius)
-        factors = np.exp(coeff @ ((2j * np.pi) * omega.ravel()))
+        factors = np.exp(coeff @ omega.ravel())
         self.radius = radius
         self.ratios = [factors[start:stop].reshape(shape) for start, stop, shape in parts]
         self.half = (1j * np.pi) * omega.diagonal()[:, None, None]
@@ -348,9 +348,9 @@ class _Walk:
 
 @functools.lru_cache(maxsize=128)
 def _walk_phases(g: int, radius: int) -> tuple:
-    """The coefficients (E, g * g) of the flattened Omega in the phases of
-    every step factor of the walk at radius, axis after axis, and per axis
-    its (start, stop, shape) in them."""
+    """The coefficients (E, g * g) of the flattened Omega in the phases
+    (with their 2 pi i) of every step factor of the walk at radius, axis
+    after axis, and per axis its (start, stop, shape) in them."""
     line = np.array([1.0, -1.0])
     offsets = np.zeros((1, 0))   # k of every slot of the axes walked so far
     blocks, parts, start = [], [], 0
@@ -366,7 +366,7 @@ def _walk_phases(g: int, radius: int) -> tuple:
         offsets = np.concatenate([np.broadcast_to(offsets[:, None], shape + (j,)),
                                   np.broadcast_to(k[..., None], shape + (1,))],
                                  axis=-1).reshape(-1, j + 1)
-    coeff = np.concatenate(blocks).astype(complex)
+    coeff = (2j * np.pi) * np.concatenate(blocks)
     coeff.flags.writeable = False
     return coeff, tuple(parts)
 
