@@ -15,14 +15,14 @@ the poles of K(chi; . , q)^{-1} hold, and then
     T(p)^{-1} = K(chi; q, p)^{-1} Q^{-1} [K(chi~; q, p) + K_mu_u(q) Gamma^{-1} K_x_lam(p)].
 
 Both interpolants evaluate arrays of points (BundleMapEvaluator.many),
-and a call at one point is the N = 1 case.  The terms of the kernel sum
-are folded at build time into one weight matrix, and the kernel requests
-of a point, K(chi~) at the pairs of p with [q, the poles] and
-K(chi; p, q), are laid out once per build (kernels.FrozenRequests).  A
-batch of points then costs one finiteness check, one difference ends - p
-(for the distance test and the theta arguments), one kernels.evaluate_frozen
-call (one theta pass), one weight matmul, the SVD guard and one stacked
-solve.
+and a call at one point is the N = 1 case.  Both kernels are in the normal
+form F diag(k_1, ..., k_r) F^-1 of kernels, so K(chi; p, q)^-1 is
+F diag(1/k) F^-1 and the kernel sum is linear in the channels of
+K(chi~); the weights, Q and both frames are folded at build time into
+one matrix.  A batch of points then costs one finiteness check, one
+difference ends - p (for the distance test and the theta arguments), one
+kernels.evaluate_channels call (one theta pass), one matmul and one
+divide by the channels of K(chi).
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -52,10 +52,11 @@ from .errors import (
 )
 from .kernels import (
     CauchyKernelOracle,
-    FrozenRequests,
     _block_form,
+    _channels_of,
+    _plan,
     _reject_non_finite,
-    evaluate_frozen,
+    evaluate_channels,
     evaluate_many,
     extract_laurent_coeffs,
     kernel_grid,
@@ -204,61 +205,29 @@ class InterpolationDataSet:
         return sum(p.count for p in self.poles)
 
 
-@dataclass(frozen=True, eq=False)
-class _Nodes:
-    """Zero or pole nodes read into arrays, once per Gamma build.
-
-    points are the node point values; blocks the (start, stop) rows of each
-    node's vectors in vectors, the (total count, r) stack of all of them;
-    groups one (node indices, (len, c, r) vector stack, (len, c) row
-    indices) per vector count c.
-    """
-
-    points: np.ndarray
-    blocks: tuple
-    vectors: np.ndarray
-    groups: tuple
-
-
-def _read_nodes(surface, points, vector_sets, width) -> _Nodes:
-    """Nodes at points with the (count, width) vector sets, read into arrays."""
-    counts = [len(vectors) for vectors in vector_sets]
-    starts = [0, *itertools.accumulate(counts)]
-    vectors = np.concatenate([np.empty((0, width), dtype=complex), *vector_sets])
-    groups = []
-    for c in sorted(set(counts)):
-        idx = [k for k, count in enumerate(counts) if count == c]
-        if len(idx) == len(counts):   # one count: node k holds rows k c, ..., k c + c - 1
-            X, rows = vectors.reshape(-1, c, width), np.arange(len(vectors)).reshape(-1, c)
-        else:
-            X = np.array([vector_sets[k] for k in idx])
-            rows = np.array(starts)[idx][:, None] + np.arange(c)
-        groups.append((np.array(idx), X, rows))
-    return _Nodes(surface.points(points), tuple(zip(starts, starts[1:])), vectors, tuple(groups))
+def _rows(nodes, width: int) -> tuple:
+    """The vector rows of nodes: their (count, width) vector sets stacked,
+    the node of each row, and the (start, stop) rows of each node."""
+    vectors = [node.vectors for node in nodes]
+    counts = [len(v) for v in vectors]
+    stops = list(itertools.accumulate(counts))
+    return (np.concatenate([np.empty((0, width), dtype=complex), *vectors]),
+            np.repeat(np.arange(len(nodes)), counts), tuple(zip([0, *stops], stops)))
 
 
 @dataclass(frozen=True, eq=False)
 class GammaMatrix:
-    """Block coupling matrix with its index bookkeeping: the zero and pole
-    nodes as read for its assembly, whose blocks index its rows and columns.
-    at_base holds the kernel values at a base point q read from the same
-    kernel grid, (n, r, r): at the pairs (lambda^i, q), or (q, mu^j) for an
-    inverse; None when no base point was given."""
+    """Block coupling matrix with the (start, stop) rows of each zero node
+    (row_blocks) and columns of each pole node (col_blocks).  at_base
+    holds the kernel values at a base point q, read from the same kernel
+    grid, on the vector rows: K_x_lam(q) = [x_a K(chi~; lambda_a, q)]_a,
+    (A, r), or for an inverse K_mu_u(q)^T = [K(chi~; q, mu_b) u_b]_b, (B,
+    r); None when no base point was given."""
 
     matrix: np.ndarray
-    zeros: _Nodes
-    poles: _Nodes
+    row_blocks: tuple
+    col_blocks: tuple
     at_base: np.ndarray | None = None
-
-    @property
-    def row_blocks(self) -> tuple:
-        """(start, stop) per zero node."""
-        return self.zeros.blocks
-
-    @property
-    def col_blocks(self) -> tuple:
-        """(start, stop) per pole node."""
-        return self.poles.blocks
 
     @property
     def is_square(self) -> bool:
@@ -268,63 +237,44 @@ class GammaMatrix:
         return svd_cond(self.matrix)
 
 
-def _block_products(out, kvals, row_groups, col_groups):
-    """Write X @ K @ U^T for every node pair into its block of out.
-
-    kvals holds K per (row node, column node), shape (n, m, r, r); X and U
-    are the vector stacks of the two groups.  Each pair of groups is one
-    stacked (X @ K) @ U^T, the association order of the pairwise
-    x @ k @ u.T, so every block is bit-identical to it.
-    """
-    for idx_i, X, rows in row_groups:
-        for idx_j, U, cols in col_groups:
-            prod = X[:, None] @ kvals[np.ix_(idx_i, idx_j)] @ U[None].transpose(0, 1, 3, 2)
-            out[rows[:, None, :, None], cols[None, :, None, :]] = prod
-
-
 def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
                 q=None, inverse: bool = False) -> GammaMatrix:
     """Assemble the coupling matrix from the output-bundle kernel.
 
     Entries are -x K(chi~; lambda^i, mu^j) u away from coincidences and
     -rho at them; squareness and conditioning are judged downstream.  The
-    kernel values are one kernel_grid, and the blocks are one stacked
-    product per node-block shape (count_i, count_j), bit-identical to the
-    pairwise -(x @ K @ u.T).  Given a base point q, the grid gains the
-    column q (the row q when inverse), whose values are kept as at_base
-    for the interpolant's weight.
+    kernel values are one kernel_grid over the node points, and Gamma is
+    one product -einsum('ak,abkl,bl->ab', X, K, U) over the grid expanded
+    to the vector rows X of the zeros and U of the poles.  Given a base
+    point q, the grid gains the column q (the row q when inverse), whose
+    values, times the vector rows, are kept as at_base for the
+    interpolant's weight.
     """
-    zeros, poles = (_read_nodes(data.surface, [node.point for node in nodes],
-                                [node.vectors for node in nodes], data.rank)
-                    for nodes in (data.zeros, data.poles))
-    rows, cols = zeros.points, poles.points
+    X, zero_of, row_blocks = _rows(data.zeros, data.rank)
+    U, pole_of, col_blocks = _rows(data.poles, data.rank)
+    rows, cols = (data.surface.points([node.point for node in nodes])
+                  for nodes in (data.zeros, data.poles))
     if q is not None:
         base = data.surface.points([q])
         rows, cols = (np.concatenate([rows, base]), cols) if inverse else (
             rows, np.concatenate([cols, base]))
     kvals = kernel_grid(oracle_tilde, rows, cols)
     at_base = None
-    if q is not None:
-        kvals, at_base = (kvals[:-1], kvals[-1]) if inverse else (kvals[:, :-1], kvals[:, -1])
-    blocks = np.empty((len(zeros.vectors), len(poles.vectors)), dtype=complex)
-    _block_products(blocks, kvals, zeros.groups, poles.groups)
+    if inverse and q is not None:
+        kvals, at_base = kvals[:-1], np.einsum("bkl,bl->bk", kvals[-1][pole_of], U)
+    elif q is not None:
+        kvals, at_base = kvals[:, :-1], np.einsum("ak,akl->al", X, kvals[:, -1][zero_of])
+    gamma = -np.einsum("ak,abkl,bl->ab", X, kvals[np.ix_(zero_of, pole_of)], U)
     for (i, j), rho in data.couplings.items():   # the coincident pairs
-        (r0, r1), (c0, c1) = zeros.blocks[i], poles.blocks[j]
-        blocks[r0:r1, c0:c1] = rho
-    return GammaMatrix(-blocks, zeros, poles, at_base)
+        (r0, r1), (c0, c1) = row_blocks[i], col_blocks[j]
+        gamma[r0:r1, c0:c1] = -rho
+    return GammaMatrix(gamma, row_blocks, col_blocks, at_base)
 
 
-def _kernel_invertible(kmat: np.ndarray, P):
-    """Kernel values vanish where the inverse kernel has poles; kernels are
-    O(1)-or-larger elsewhere, so a tiny smallest singular value against a
-    unit scale flags evaluation at (or next to) such a pole.  kmat holds
-    the values at the points P, shape (N, r, r); the first such point is
-    named."""
-    s = np.linalg.svd(kmat, compute_uv=False)
-    singular = s[:, -1] <= 1e-10 * np.maximum(1.0, s[:, 0])
-    if singular.any():
-        where = point(P[int(singular.argmax())])
-        raise KernelSingular(f"kernel value numerically singular at p = {where!r}")
+def _ends(data, q, nodes) -> np.ndarray:
+    """[q, the point of each vector row of nodes]: the columns of an
+    interpolant's kernel sum."""
+    return data.surface.points([q, *(node.point for node in nodes for _ in range(node.count))])
 
 
 class BundleMapEvaluator:
@@ -335,13 +285,21 @@ class BundleMapEvaluator:
     value at q is Q for a solution and Q^{-1} for an inverse.  T has poles
     at the pole nodes (T^{-1} at the zero nodes), where many raises.
 
-    The two kernel requests of a point p are frozen at build time
-    (kernels.FrozenRequests): K(chi~) at the pairs of p with ends = [q,
-    its poles] (T^{-1}: [q, its zeros]) and K(chi) at the pair of p with q.
-    Their one difference ends - p also finds p at q or at a pole.
+    The kernel sum of a point p reads K(chi~) at the pairs of p with the
+    ends [q, the pole of each pole vector] (T^{-1}: [q, the zero of each
+    null vector]), with the weights V_0 = I and V_j = outer(left_j,
+    right_j) of _weights.  With K(chi~) = F~ diag(d_j) F~^-1 at end j and
+    K(chi) = F diag(c) F^-1,
+
+        T(p)      = F~ [sum_j diag(d_j) F~^-1 V_j Q F] diag(1/c) F^-1,
+        T^{-1}(p) = F diag(1/c) [sum_j F^-1 Q^-1 V_j F~ diag(d_j)] F~^-1,
+
+    so everything but the channels d and c is folded at build time into
+    one (m r, r r) matrix, and a point's values are its m r channels of
+    K(chi~) times that matrix, divided by the channels of K(chi).
     """
 
-    def __init__(self, data, q, Q, oracle_chi, oracle_tilde, gamma, kind, weight):
+    def __init__(self, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
         self.data = data
         self.q = q
         self.Q = Q
@@ -349,13 +307,23 @@ class BundleMapEvaluator:
         self.oracle_tilde = oracle_tilde
         self.gamma = gamma
         self.kind = kind
-        self._weight = weight
-        self._at_q = Q if kind == "solution" else np.linalg.inv(Q)
-        poles = gamma.poles if kind == "solution" else gamma.zeros
-        ends = np.concatenate([data.surface.points([q]), poles.points])
-        self._kernels = FrozenRequests(data.surface, [(oracle_tilde, np.arange(len(ends))),
-                                                      (oracle_chi, [0])],
-                                       ends, kind == "solution")
+        solution = kind == "solution"
+        self._at_q = Q if solution else np.linalg.inv(Q)
+        self._ends = _ends(data, q, data.poles if solution else data.zeros)
+        m, r = len(self._ends), self.rank
+        self._plan = _plan(data.surface, [(oracle_tilde.channels, np.arange(m)),
+                                          (oracle_chi.channels, np.zeros(1, int))], m)
+        left, right = _weights(data, gamma, not solution)
+        eye = np.eye(r)
+        f_t, f_t_inv, f, f_inv = (eye if x is None else x for x in (
+            oracle_tilde.frame, oracle_tilde.frame_inv, oracle_chi.frame, oracle_chi.frame_inv))
+        # a V_j b for a, b = F~^-1, Q F (T^{-1}: F^-1 Q^-1, F~), from the factors of V_j
+        a, b = (f_t_inv, Q @ f) if solution else (f_inv @ self._at_q, f_t)
+        inner = np.concatenate([(a @ b)[None], (left @ a.T)[:, :, None] * (right @ b)[:, None, :]])
+        fold = (np.einsum("ak,jkl->jkal", f_t, inner) if solution
+                else np.einsum("jak,kb->jkab", inner, f_t_inv))
+        self._fold = fold.reshape(m * r, r * r)
+        self._frame = oracle_chi.frame_inv if solution else oracle_chi.frame
 
     def many(self, P) -> np.ndarray:
         """Values at the points P, shape (N, r, r).
@@ -371,7 +339,7 @@ class BundleMapEvaluator:
         """
         P = self.data.surface.points(P)
         _reject_non_finite(P, f"the {self.kind} is evaluated")
-        v, dist = self._kernels.separation(P)
+        v, dist = self.data.surface.separation(P, self._ends)
         if not dist.size or dist.min() > POINT_TOL:
             return self._values(P, v)
         hits = dist <= POINT_TOL
@@ -395,25 +363,24 @@ class BundleMapEvaluator:
         return self.Q.shape[0]
 
     def _values(self, P, v):
-        tilde, chi = evaluate_frozen(self._kernels, P, v)
-        total, kmat = _kernel_sum(self.kind, tilde, self._weight), chi[:, 0]
-        _kernel_invertible(kmat, P)
+        r = self.rank
+        d = evaluate_channels(self.data.surface, self._plan, self._ends, P, v,
+                              self.kind == "solution")
+        chi = d[:, -r:]
+        # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and is
+        # O(1) or larger elsewhere, so a tiny channel against a unit scale
+        # flags a point at (or next to) such a pole
+        size = np.abs(chi)
+        singular = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
+        if singular.any():
+            where = point(P[int(singular.argmax())])
+            raise KernelSingular(f"kernel value numerically singular at p = {where!r}")
+        values = (d[:, None, :-r] @ self._fold).reshape(-1, r, r)
         if self.kind == "solution":
-            return np.linalg.solve(kmat.transpose(0, 2, 1),
-                                   (total @ self.Q).transpose(0, 2, 1)).transpose(0, 2, 1)
-        return np.linalg.solve(kmat, self._at_q @ total)
-
-
-def _kernel_sum(kind, tilde, weight) -> np.ndarray:
-    """The kernel sum of T(p) (kind "solution") or of T^{-1}(p), (N, r, r),
-    from the K(chi~) values tilde (N, m, r, r) at the pairs of p with [q,
-    the poles] (T^{-1}: of [q, the zeros] with p) and the weight of
-    _numerator (_tail): T(p) = sum Q K(chi; p, q)^-1 and T^{-1}(p) =
-    K(chi; q, p)^-1 Q^-1 sum."""
-    n, m, r, _ = tilde.shape
-    if kind == "solution":
-        return tilde.transpose(0, 2, 1, 3).reshape(n, r, m * r) @ weight
-    return weight @ tilde.reshape(n, m * r, r)
+            values = values / chi[:, None, :]
+            return values if self._frame is None else values @ self._frame
+        values = values / chi[:, :, None]
+        return values if self._frame is None else self._frame @ values
 
 
 def _prepare(data, q, Q, oracle_tilde, inverse: bool):
@@ -434,66 +401,40 @@ def _prepare(data, q, Q, oracle_tilde, inverse: bool):
     return q, Q, gamma
 
 
-def _fold(nodes, coef) -> np.ndarray:
-    """Per node, the (r, r) sum over its vector rows k of
-    outer(vectors[k], coef[k]): the node's vectors^T times its rows of coef."""
-    return np.add.reduceat(nodes.vectors[:, :, None] * coef[:, None, :],
-                           [start for start, _ in nodes.blocks])
+def _weights(data, gamma, inverse: bool) -> tuple:
+    """The weights of an interpolant's kernel sum, one (r, r) matrix V_j per
+    end of _ends: V_0 = I and V_j = outer(left_j, right_j) for the (vector
+    count, r) factors (left, right) returned.
 
-
-def _numerator(data, gamma) -> np.ndarray:
-    """The weight of T(p)'s kernel sum K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q).
-
-    With K_mu_u(p) = [K(chi~; p, mu^j) u_j]_j and K_x_lam(q) =
-    [x_i K(chi~; lambda^i, q)]_i (gamma.at_base, Gamma's q column), the
-    pole weights fold into one ((n+1) r, r) matrix
-    [I; u_j^T (Gamma^-1 K_x_lam(q))_j], so the sum at a point is its
-    kernel values at the pairs (p, q), (p, mu^1), ..., (p, mu^n), side by
-    side, times this matrix.
+    With K_mu_u(p) = [K(chi~; p, mu_b) u_b]_b over the pole vectors and
+    K_x_lam(p) = [x_a K(chi~; lambda_a, p)]_a over the null vectors, T(p)'s
+    sum K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q) is sum_j K(chi~; p,
+    e_j) V_j over [q, mu_1, ..., mu_B], with V_b = outer(u_b, c_b) and c =
+    Gamma^-1 K_x_lam(q) (gamma.at_base).  T^{-1}(p)'s sum K(chi~; q, p) +
+    K_mu_u(q) Gamma^-1 K_x_lam(p) is its mirror, sum_j V_j K(chi~; e_j, p)
+    over [q, lambda_1, ..., lambda_A], with V_a = outer(c_a, x_a) and c =
+    (K_mu_u(q) Gamma^-1)^T (at_base is K_mu_u(q)^T).
     """
-    r = data.rank
-    zeros, poles = gamma.zeros, gamma.poles
-    weight = np.eye(r, dtype=complex)
-    if data.poles:
-        kvals = gamma.at_base
-        k_x_lam = np.empty((len(zeros.vectors), r), dtype=complex)
-        for idx, X, rows in zeros.groups:
-            k_x_lam[rows] = X @ kvals[idx]
-        coef = np.linalg.solve(gamma.matrix, k_x_lam)
-        weight = np.vstack([weight, _fold(poles, coef).reshape(-1, r)])
-    return weight
+    if inverse:
+        return np.linalg.solve(gamma.matrix.T, gamma.at_base), _rows(data.zeros, data.rank)[0]
+    return _rows(data.poles, data.rank)[0], np.linalg.solve(gamma.matrix, gamma.at_base)
 
 
-def _tail(data, gamma) -> np.ndarray:
-    """The weight of T^{-1}(p)'s kernel sum K(chi~; q, p) + K_mu_u(q) Gamma^-1 K_x_lam(p).
-
-    The mirror of _numerator, with K(chi~; q, mu^j) from gamma.at_base
-    (Gamma's q row): the zero weights fold into one (r, (n+1) r) matrix
-    [I, (K_mu_u(q) Gamma^-1)_i x_i], times the kernel values at the pairs
-    (q, p), (lambda^1, p), ..., (lambda^n, p), stacked.
-    """
-    r = data.rank
-    zeros, poles = gamma.zeros, gamma.poles
-    weight = np.eye(r, dtype=complex)
-    if data.zeros:
-        kvals = gamma.at_base
-        k_mu_u = np.empty((len(poles.vectors), r), dtype=complex)   # K_mu_u(q)^T
-        for idx, U, cols in poles.groups:
-            k_mu_u[cols] = (kvals[idx] @ U.transpose(0, 2, 1)).transpose(0, 2, 1)
-        coef = np.linalg.solve(gamma.matrix.T, k_mu_u)   # (K_mu_u(q) Gamma^-1)^T
-        # block i is (K_mu_u(q) Gamma^-1)_i x_i, the transpose of x_i^T coef_i
-        blocks = _fold(zeros, coef).transpose(2, 0, 1)
-        weight = np.hstack([weight, blocks.reshape(r, -1)])
-    return weight
+def _interpolant(data, q, Q, oracle_chi, oracle_tilde, kind) -> BundleMapEvaluator:
+    for oracle in (oracle_chi, oracle_tilde):
+        _channels_of(oracle, "an interpolant")
+    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, kind == "inverse")
+    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, kind)
 
 
 def build_solution(data: InterpolationDataSet, q, Q,
                    oracle_chi: CauchyKernelOracle,
                    oracle_tilde: CauchyKernelOracle) -> BundleMapEvaluator:
-    """Interpolant with value Q at q, in partial-fraction form."""
-    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, False)
-    weight = _numerator(data, gamma)
-    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, "solution", weight)
+    """Interpolant with value Q at q, in partial-fraction form.
+
+    Raises InputError for a kernel given by many alone.
+    """
+    return _interpolant(data, q, Q, oracle_chi, oracle_tilde, "solution")
 
 
 def build_inverse(data: InterpolationDataSet, q, Q,
@@ -506,40 +447,36 @@ def build_inverse(data: InterpolationDataSet, q, Q,
 
     every kernel factor carries the (q, p) argument order, as dictated by
     transposing the solution of the swapped zero/pole problem through the
-    kernel duality K(dual; p, q)^T = -K(chi; q, p).
+    kernel duality K(dual; p, q)^T = -K(chi; q, p).  Raises InputError for
+    a kernel given by many alone.
     """
-    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, True)
-    weight = _tail(data, gamma)
-    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, "inverse", weight)
+    return _interpolant(data, q, Q, oracle_chi, oracle_tilde, "inverse")
 
 
 def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
-    """Closed-form pole locations of K(chi; . , q)^{-1} for split torus kernels.
+    """Closed-form pole locations of K(chi; . , q)^{-1} for torus kernels.
 
-    A line-bundle block with Jacobian point z has 1/K blowing up where the
-    numerator theta[a; b](phi(q) - phi(p)) vanishes, i.e. at
-    p = q + z - (1 + tau)/2 mod the lattice (the odd half-period shift is
-    the genus-1 vector of Riemann constants).  The trivial genus-0 kernel
-    contributes no poles, and a constant frame moves none.
+    A channel of the flat line bundle with Jacobian point z has 1/K
+    blowing up where the numerator theta[a; b](phi(q) - phi(p)) vanishes,
+    i.e. at p = q + z - (1 + tau)/2 mod the lattice (the odd half-period
+    shift is the genus-1 vector of Riemann constants).  The trivial genus-0
+    kernel contributes no poles, and a constant frame moves none.
     """
     surface = oracle_chi.surface
     if surface.genus == 0:
         return []
     if not isinstance(surface, Torus):
         raise PoleLocationFailure("pole location needs the torus closed form")
+    if oracle_chi.channels is None:
+        raise PoleLocationFailure("pole location needs the kernel's channels")
     tau = surface.tau
-    kernel = oracle_chi.inner or oracle_chi
-    blocks = kernel.parts or (kernel,)
+    channels = oracle_chi.channels
     out = []
-    for block in blocks:
-        if block.bundle is None:
-            raise PoleLocationFailure("pole location needs line-bundle blocks")
-        z = complex(block.bundle.jacobian_point(surface.period)[0])
+    for bundle, theta0 in zip(channels.bundles, channels.theta0):
+        z = complex(bundle.jacobian_point(surface.period)[0])
         p = lattice_reduce(coord(q) + z - (1.0 + tau) / 2.0, tau)
-        chi = block.bundle.characteristic
-        val = theta_with_char(chi, coord(q) - p, surface.period)
-        ref = abs(block.bundle.theta_at_zero(surface.period)) + 1.0
-        if abs(val) > 1e-8 * ref:
+        val = theta_with_char(bundle.characteristic, coord(q) - p, surface.period)
+        if abs(val) > 1e-8 * (abs(theta0) + 1.0):
             raise PoleLocationFailure(
                 f"theta numerator {abs(val):.3e} not small at predicted pole {p}"
             )
@@ -556,15 +493,15 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     below about 1e-7 indicate consistent data for the given input bundle.
     """
     q, Q, gamma = _prepare(data, q, Q, oracle_tilde, False)
-    weight = _numerator(data, gamma)
-    ends = np.concatenate([data.surface.points([q]), gamma.poles.points])
+    left, right = _weights(data, gamma, False)
+    ends = _ends(data, q, data.poles)
     poles = _inverse_kernel_poles(oracle_chi, q)
     if not poles:
         return []
 
     def numerator(p):   # the kernel sum of T(p), also where K(chi; p, q) is singular
-        tilde = evaluate_many(oracle_tilde, [p] * len(ends), ends)
-        return _kernel_sum("solution", tilde[None], weight)[0]
+        kvals = evaluate_many(oracle_tilde, [p] * len(ends), ends)
+        return kvals[0] + np.einsum("bkl,bl,bm->km", kvals[1:], left, right)
 
     tau = data.surface.tau
     ref_point = lattice_reduce(coord(q) + 0.2718 + 0.3141j, tau)

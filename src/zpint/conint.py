@@ -32,8 +32,7 @@ import numpy as np
 
 from .absint import (
     InterpolationDataSet,
-    _block_products,
-    _read_nodes,
+    _rows,
     build_gamma,
     coupling_table,
 )
@@ -165,11 +164,6 @@ class BlockMatrices:
     psi: np.ndarray           # (N_zero, M)
 
 
-def _read_conint_nodes(data: ConintDataSet, nodes):
-    return _read_nodes(data.surface, [node.surface_point for node in nodes],
-                       [node.vectors for node in nodes], data.pencil.size)
-
-
 def _affine_rows(nodes) -> np.ndarray:
     """Each node's affine pair once per vector row, (total count, 2)."""
     return np.array([node.affine for node in nodes for _ in range(node.count)],
@@ -177,9 +171,9 @@ def _affine_rows(nodes) -> np.ndarray:
 
 
 def block_matrices(data: ConintDataSet) -> BlockMatrices:
-    zeros, poles = _read_conint_nodes(data, data.zeros), _read_conint_nodes(data, data.poles)
+    size = data.pencil.size
     return BlockMatrices(_affine_rows(data.poles), _affine_rows(data.zeros),
-                         poles.vectors.T, zeros.vectors)
+                         _rows(data.poles, size)[0].T, _rows(data.zeros, size)[0])
 
 
 def _sigma_xi(pencil: PencilRep, xi) -> np.ndarray:
@@ -194,25 +188,24 @@ def _xi_gap(xi, a, b) -> np.ndarray:
 def build_gamma0(data: ConintDataSet, xi) -> np.ndarray:
     """Concrete coupling matrix at the direction xi.
 
-    The pairings psi (xi sigma) phi are absint's grouped block products
-    with the one matrix xi sigma for every node pair, divided entrywise by
-    the per-row gap xi1 (mu1 - l1) + xi2 (mu2 - l2); the coincident blocks
-    are -rho.  Raises XiDenominatorZero when the direction pairs to zero
-    against some non-coincident node difference; redraw xi in that case.
+    The pairings are one product Psi (xi sigma) Phi^T over the stacked
+    null rows Psi of the zeros and pole vectors Phi of the poles, divided
+    entrywise by the per-row gap xi1 (mu1 - l1) + xi2 (mu2 - l2); the
+    coincident blocks are -rho.  Raises XiDenominatorZero when the
+    direction pairs to zero against some non-coincident node difference;
+    redraw xi in that case.
     """
-    zeros, poles = _read_conint_nodes(data, data.zeros), _read_conint_nodes(data, data.poles)
     size = data.pencil.size
-    sig = np.broadcast_to(_sigma_xi(data.pencil, xi),
-                          (len(data.zeros), len(data.poles), size, size))
-    gamma0 = np.empty((len(zeros.vectors), len(poles.vectors)), dtype=complex)
-    _block_products(gamma0, sig, zeros.groups, poles.groups)
+    psi, _, row_blocks = _rows(data.zeros, size)
+    phi, _, col_blocks = _rows(data.poles, size)
+    gamma0 = psi @ _sigma_xi(data.pencil, xi) @ phi.T
     z_aff, p_aff = _affine_rows(data.zeros)[:, None], _affine_rows(data.poles)[None, :]
     gap = _xi_gap(xi, p_aff, z_aff)
     scale = (abs(complex(xi[0])) + abs(complex(xi[1]))) * (
         np.abs(p_aff).sum(axis=-1) + np.abs(z_aff).sum(axis=-1) + 1.0)
     apart = np.ones(gap.shape, dtype=bool)
     for (i, j), rho in data.couplings.items():   # the coincident pairs
-        (r0, r1), (c0, c1) = zeros.blocks[i], poles.blocks[j]
+        (r0, r1), (c0, c1) = row_blocks[i], col_blocks[j]
         apart[r0:r1, c0:c1] = False
         gamma0[r0:r1, c0:c1] = -rho
     degenerate = apart & (np.abs(gap) <= 1e-12 * scale)

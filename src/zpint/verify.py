@@ -341,7 +341,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
 
     dual_defects = []
     closed_gaps = []
-    closed = line_connection_form(surf, k1.bundle)
+    closed = line_connection_form(surf, k1.channels.bundles[0])
     for p0 in sample_points(surf, rng, 10):
         cc = extract_laurent_coeffs(k1, p0)
         cc2 = extract_laurent_coeffs(ksum, p0)

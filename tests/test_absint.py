@@ -35,6 +35,7 @@ from zpint.errors import (
     SingularGamma,
 )
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
+from zpint.numutil import rel_residual
 from zpint.surface import (
     genus0_surface,
     lattice_reduce,
@@ -103,7 +104,8 @@ def test_build_gamma_matches_pairwise_loop(rng):
                     ref[r0:r1, c0:c1] = -data.couplings[(0, 0)]
                 else:
                     ref[r0:r1, c0:c1] = -(z.vectors @ oracle(z.point, p.point) @ p.vectors.T)
-        assert np.array_equal(gamma.matrix, ref)
+        assert rel_residual(gamma.matrix, ref) <= 1e-14
+        assert gamma.matrix[0, 0] == ref[0, 0]   # the coincident block is -rho exactly
 
 
 def mixed_count_data(surf, pts, rng):
@@ -160,7 +162,10 @@ def test_build_gamma_matches_pairwise_loop_mixed_counts(rng):
                     block = -(z.vectors @ oracle(z.point, p.point) @ p.vectors.T)
                 ref[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = block
         assert len(data.couplings) == 2
-        assert np.array_equal(gamma.matrix, ref), oracle.name
+        assert rel_residual(gamma.matrix, ref) <= 1e-14, oracle.name
+        for i, j in data.couplings:   # the coincident blocks are -rho exactly
+            block = np.s_[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
+            assert np.array_equal(gamma.matrix[block], ref[block]), oracle.name
         assert gamma.row_blocks == tuple(zip(rows[:-1].tolist(), rows[1:].tolist()))
         assert gamma.col_blocks == tuple(zip(cols[:-1].tolist(), cols[1:].tolist()))
 
@@ -189,12 +194,11 @@ def test_build_gamma_is_one_kernel_call(n, rng, monkeypatch):
 
 
 def test_numerator_and_tail_weights_match_loop_form(rng):
-    from zpint.absint import _numerator, _prepare, _tail
+    """The weights of T's and T^-1's kernel sums, one (r, r) matrix per end
+    [q, then one per pole (zero) vector], agree with the loop form of one
+    outer product per vector within 10 cond(Gamma) eps."""
+    from zpint.absint import _prepare, _weights
     from zpint.kernels import evaluate_many
-
-    def fold(vectors, coef, counts):
-        starts = np.cumsum([0] + counts[:-1])
-        return np.add.reduceat(vectors[:, :, None] * coef[:, None, :], starts)
 
     for data, oracle, q in mixed_count_cases(rng):
         r = data.rank
@@ -203,18 +207,21 @@ def test_numerator_and_tail_weights_match_loop_form(rng):
         _, _, gamma = _prepare(data, q, np.eye(r), oracle, False)
         _, _, gamma_inverse = _prepare(data, q, np.eye(r), oracle, True)
         assert np.array_equal(gamma.matrix, gamma_inverse.matrix)
-        # the loop form: one vectors @ k product per node
+        tol = 10 * gamma.condition() * np.finfo(float).eps
+        # the loop form: one vectors @ k product per node, one outer product per vector
         kz = evaluate_many(oracle, [z.point for z in data.zeros], [q] * len(data.zeros))
         k_x_lam = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
         coef = np.linalg.solve(gamma.matrix, k_x_lam)
-        numer = np.vstack([np.eye(r), fold(u, coef, [p.count for p in data.poles]).reshape(-1, r)])
+        numer = np.array([np.eye(r), *(np.outer(u_b, c_b) for u_b, c_b in zip(u, coef))])
         kp = evaluate_many(oracle, [q] * len(data.poles), [p.point for p in data.poles])
         k_mu_u = np.hstack([k @ p.vectors.T for k, p in zip(kp, data.poles)])
-        coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T).T
-        blocks = fold(x, coef.T, [z.count for z in data.zeros]).transpose(2, 0, 1)
-        tail = np.hstack([np.eye(r), blocks.reshape(r, -1)])
-        assert np.array_equal(_numerator(data, gamma), numer)
-        assert np.array_equal(_tail(data, gamma_inverse), tail)
+        coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T)
+        tail = np.array([np.eye(r), *(np.outer(c_a, x_a) for c_a, x_a in zip(coef, x))])
+        for (left, right), ref in ((_weights(data, gamma, False), numer),
+                                   (_weights(data, gamma_inverse, True), tail)):
+            weight = np.concatenate([np.eye(r)[None], left[:, :, None] * right[:, None, :]])
+            assert weight.shape == ref.shape
+            assert rel_residual(weight.reshape(-1, r), ref.reshape(-1, r)) <= tol
 
 
 def test_gamma_sign_reconciles_with_classical_convention():
@@ -757,8 +764,8 @@ def test_full_rank_agreement(rng):
 
 def test_full_rank_rank1_specializes(scalar_setup, rng):
     surf, data, ko, kt, lam, mu = full_rank_setup(r2=False)
-    chi_t = kt.bundle
-    chi = ko.bundle
+    chi_t = kt.channels.bundles[0]
+    chi = ko.channels.bundles[0]
     Q = 1.4 + 0.2j
     T_mult, _ = full_rank_multiplicative(data, kt, Q_POINT, np.array([[Q]]))
     T_scalar = scalar_multiplicative(surf, [lam], [mu], chi, chi_t, Q_POINT, Q)
@@ -789,36 +796,32 @@ def _rank2_data(surf, rng, zeros, poles):
 
 def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
     """T(p) (kind "solution") or T^-1(p) by the two-call route: evaluate_many
-    of chi~ over the pairs of the folded kernel sum, then oracle_chi at
-    (p, q) or (q, p), then the solve the interpolant makes."""
-    from zpint.absint import _numerator, _prepare, _tail
+    of chi~ over the pairs of the kernel sum, then oracle_chi at (p, q) or
+    (q, p), then a solve with that kernel value."""
+    from zpint.absint import _prepare, _weights
     from zpint.kernels import evaluate_many
 
     q, Q, gamma = _prepare(data, q, Q, oracle_tilde, kind != "solution")
-    r = data.rank
+    nodes = data.poles if kind == "solution" else data.zeros
+    ends = [q, *(node.point for node in nodes for _ in range(node.count))]
+    left, right = _weights(data, gamma, kind != "solution")
+    weight = np.concatenate([np.eye(data.rank)[None], left[:, :, None] * right[:, None, :]])
     if kind == "solution":
-        weight = _numerator(data, gamma)
-        ends = [q, *(node.point for node in data.poles)]
-        m = len(ends)
-        kvals = evaluate_many(oracle_tilde, [p] * m, ends)
-        numer = kvals.reshape(1, m, r, r).transpose(0, 2, 1, 3).reshape(1, r, m * r) @ weight
-        kmat = oracle_chi(p, q)[None]
-        return np.linalg.solve(kmat.transpose(0, 2, 1),
-                               (numer @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)[0]
-    weight = _tail(data, gamma)
-    starts = [q, *(node.point for node in data.zeros)]
-    m = len(starts)
-    kvals = evaluate_many(oracle_tilde, starts, [p] * m)
-    kmat = oracle_chi(q, p)[None]
-    return np.linalg.solve(kmat, np.linalg.inv(Q) @ (weight @ kvals.reshape(1, m * r, r)))[0]
+        kvals = evaluate_many(oracle_tilde, [p] * len(ends), ends)
+        numer = (kvals @ weight).sum(axis=0)
+        return np.linalg.solve(oracle_chi(p, q).T, (numer @ Q).T).T
+    kvals = evaluate_many(oracle_tilde, ends, [p] * len(ends))
+    tail = (weight @ kvals).sum(axis=0)
+    return np.linalg.solve(oracle_chi(q, p), np.linalg.inv(Q) @ tail)
 
 
 def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     """T.many and T^-1.many agree with scalar calls bit for bit, give the
     base value in the row at q, and work on every kind of surface and kernel
-    (direct sums with a conjugated part and with a part given by many alone);
-    off q each value has the bits of the two-call route (a kernel batch for
-    chi~, then one call of K(chi)), which the joint kernel call replaces."""
+    in normal form (direct sums with a conjugated part); off q each value
+    agrees within 10 cond(Gamma) eps with the two-call route (a kernel batch
+    for chi~, then one call of K(chi) and a solve), which the channel pass
+    replaces.  A kernel given by many alone is refused with InputError."""
     from test_kernels import torus_table_surface
     from zpint.kernels import CauchyKernelOracle
 
@@ -840,25 +843,27 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     # direct sums with a conjugated part and with a part given by many alone
     conj_o = direct_sum_kernel([conjugated_kernel(ko, [[1.5 - 0.5j]]), second_o])
     conj_t = direct_sum_kernel([conjugated_kernel(kt, [[0.7j]]), second_t])
-    given_o = direct_sum_kernel([ko, CauchyKernelOracle(1, surf, second_o.many)])
-    given_t = direct_sum_kernel([kt, CauchyKernelOracle(1, surf, second_t.many)])
+    for build in (build_solution, build_inverse):
+        for oracle_chi, oracle_tilde in ((opaque, kt), (ko, opaque)):
+            with pytest.raises(InputError):
+                build(data, Q_POINT, np.array([[1.3 - 0.4j]]), oracle_chi, oracle_tilde)
     Q2 = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
     cases = [
         (rank2, Q_POINT, Q2, dsum_o, dsum_t, sweep),
         (rank2, Q_POINT, Q2, conj_o, conj_t, sweep),
-        (rank2, Q_POINT, Q2, given_o, given_t, sweep),
         (rank2, Q_POINT, Q2, conjugated_kernel(dsum_o, frame),
          conjugated_kernel(dsum_t, frame), sweep),
         (_rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5]), 40.0 + 3j, Q2, k0, k0,
          [0.1, 1.5 - 2j, -3.0, 7.0j]),
         (table_data, labels[4], np.array([[1.3 - 0.4j]]),
          line_kernel(table, chi), line_kernel(table, chit), list(labels[5:])),
-        (data, Q_POINT, np.array([[1.3 - 0.4j]]), opaque, opaque, sweep),
+        (data, Q_POINT, np.array([[1.3 - 0.4j]]), ko, kt, sweep),
     ]
     for case_data, q, Q, oracle_chi, oracle_tilde, P in cases:
         P = [P[0], q, *P[1:]]
         for build, base in ((build_solution, Q), (build_inverse, np.linalg.inv(Q))):
             T = build(case_data, q, Q, oracle_chi, oracle_tilde)
+            tol = 10 * T.gamma.condition() * np.finfo(float).eps
             batch = T.many(P)
             assert batch.shape == (len(P), *Q.shape)
             assert np.array_equal(batch[1], base)
@@ -866,7 +871,7 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
                 assert np.array_equal(batch[i], T(p)), (build.__name__, p)
                 if i != 1:
                     ref = two_call_value(T.kind, case_data, q, Q, oracle_chi, oracle_tilde, p)
-                    assert np.array_equal(batch[i], ref), (build.__name__, p)
+                    assert rel_residual(batch[i], ref) <= tol, (build.__name__, p)
 
 
 def test_rank2_inverse_inverts_solution(rng):
@@ -960,25 +965,6 @@ def test_many_rows_bit_identical_to_one_point_calls(scalar_setup, rng, n):
             P = sweep[:n]
             batch = T.many(P)
             assert all(np.array_equal(batch[i], T(p)) for i, p in enumerate(P)), build.__name__
-
-
-def test_interpolant_call_builds_no_layout(scalar_setup, rng, monkeypatch):
-    """The kernel layouts of T and T^-1 are built with them: after the
-    build, a call at one point or at many builds no KernelLayout."""
-    from zpint.kernels import KernelLayout
-
-    builds = []
-    original = KernelLayout.__init__
-    monkeypatch.setattr(KernelLayout, "__init__",
-                        lambda self, *args: builds.append(1) or original(self, *args))
-    for data, q, ko, kt, sweep in _interpolant_cases(scalar_setup, rng):
-        for build in (build_solution, build_inverse):
-            T = build(data, q, np.eye(2), ko, kt)
-            assert builds
-            builds.clear()
-            T(sweep[0])
-            T.many(sweep[:5])
-            assert not builds, (data.surface, build.__name__)
 
 
 def test_interpolant_rejects_non_finite_points(scalar_setup, rng):

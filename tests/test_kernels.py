@@ -19,7 +19,6 @@ from zpint.kernels import (
     collection_residual,
     conjugated_kernel,
     direct_sum_kernel,
-    evaluate_joint,
     evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
@@ -139,7 +138,10 @@ def test_extraction_trivial_kernel():
     assert np.abs(cc.A_ell).max() < 1e-12
 
 
-def test_extraction_duality_and_closed_form(torus, bundle, rng):
+def test_extraction_duality_and_closed_form(torus, bundle, rng, monkeypatch):
+    import zpint.kernels
+    from zpint.surface import SurfaceDataBundle, data_bundle_surface
+
     k = line_kernel(torus, bundle)
     closed = line_connection_form(torus, bundle)
     for _ in range(5):
@@ -148,6 +150,18 @@ def test_extraction_duality_and_closed_form(torus, bundle, rng):
         assert cc.duality_defect() < 1e-7
         # connection is constant in p for a flat unitary bundle
         assert abs(cc.A[0, 0] - closed) < 1e-6
+    # the closed form is genus-1 only; a genus-2 bundle is refused before any theta sum
+    genus2 = data_bundle_surface(SurfaceDataBundle(
+        2, np.array([[1.0j, 0.3 + 0.2j], [0.3 + 0.2j, 1.2j]]), ("p0",), np.zeros((1, 2)),
+        np.zeros((1, 1)), np.ones((1, 2))))
+    sums = []
+    for name in ("theta_with_char", "theta_gradient"):
+        original = getattr(zpint.kernels, name)
+        monkeypatch.setattr(zpint.kernels, name,
+                            lambda *args, original=original: sums.append(1) or original(*args))
+    with pytest.raises(UnsupportedGenus):
+        line_connection_form(genus2, line_bundle([0.2, 0.1], [0.3, 0.4]))
+    assert not sums
 
 
 def test_extraction_unstable_on_double_pole(torus):
@@ -290,15 +304,21 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
     )
     P, Q = torus_pairs(12)
     cases = [(line, P, Q), (dsum, P, Q), (conjugated_kernel(dsum, frame), P, Q),
-             (opaque, P, Q), (direct_sum_kernel([line, opaque]), P, Q),
-             (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
+             (opaque, P, Q), (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
     table_surface, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j,
                                                         0.44 + 0.12j])
     table_line = line_kernel(table_surface, bundle)
     table_opaque = CauchyKernelOracle(1, table_surface, table_line.many)
     table_P, table_Q = ["p0", "p1", "p2", "p0"], ["p1", "p2", "p0", "p2"]
     cases += [(table_line, table_P, table_Q), (table_opaque, table_P, table_Q),
-              (direct_sum_kernel([table_line, table_opaque]), table_P, table_Q)]
+              (direct_sum_kernel([table_line, line_kernel(table_surface, bundle2)]),
+               table_P, table_Q)]
+    # a kernel given by many alone has no normal form to sum or conjugate
+    for given in (opaque, table_opaque):
+        with pytest.raises(InputError):
+            direct_sum_kernel([line if given is opaque else table_line, given])
+        with pytest.raises(InputError):
+            conjugated_kernel(given, [[2.0]])
     for oracle, P, Q in cases:
         batch = evaluate_many(oracle, P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
@@ -308,63 +328,6 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
         with pytest.raises(ValueError):
             oracle(P, Q[:-1])
-
-
-def test_evaluate_joint_requests_match_evaluate_many(torus, bundle, bundle2, rng,
-                                                    monkeypatch):
-    """Each request of one evaluate_joint call has the bits of evaluate_many
-    on it alone: line, direct-sum (with a conjugated part, with a part given
-    by many alone), conjugated, opaque, genus-0 and tabulated oracles,
-    requests of unequal lengths, an empty request and one oracle twice.
-    All line blocks of a call share one lattice pass (theta_rows), and an
-    oracle given by many alone is called once for all its requests."""
-    import zpint.kernels
-
-    def torus_pairs(n):
-        P = rng.uniform(0, 1, n) + rng.uniform(0, 1, n) * TAU
-        return list(P), list(P + 0.3 + 0.4 * TAU)
-
-    line = line_kernel(torus, bundle)
-    dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
-    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
-    conj = conjugated_kernel(dsum, frame)
-    opaque = CauchyKernelOracle(
-        rank=1, surface=torus, many=lambda P, Q: (1.0 / (P - Q))[:, None, None],
-    )
-    nested = conjugated_kernel(direct_sum_kernel([conj, opaque]), np.diag([1.0, 2.0j, -0.5]))
-    torus_requests = [(line, *torus_pairs(5)), (dsum, *torus_pairs(1)),
-                      (conj, *torus_pairs(7)), (opaque, *torus_pairs(3)),
-                      (direct_sum_kernel([line, opaque]), *torus_pairs(4)),
-                      (nested, *torus_pairs(2)), (dsum, [], []), (line, *torus_pairs(2)),
-                      (direct_sum_kernel([conj, line]), *torus_pairs(3))]
-    k0 = genus0_kernel(2)
-    sphere_requests = [(k0, [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4]), (k0, [], []),
-                       (k0, [2.0], [-1.0])]
-    table, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j])
-    table_line = line_kernel(table, bundle)
-    table_opaque = CauchyKernelOracle(1, table, table_line.many)
-    table_requests = [(table_line, ["p0", "p1", "p2"], ["p1", "p2", "p0"]),
-                      (table_opaque, ["p2"], ["p1"]),
-                      (direct_sum_kernel([table_line, table_opaque]), ["p0", "p1"], ["p2", "p2"])]
-    passes = []
-    original = zpint.kernels.theta_rows
-    monkeypatch.setattr(zpint.kernels, "theta_rows",
-                        lambda *args: passes.append(1) or original(*args))
-    # the tabulated wrapper's own many is the second pass, once for both its requests
-    for requests, theta_passes in ((torus_requests, 1), (sphere_requests, 0),
-                                   (table_requests, 2)):
-        passes.clear()
-        joint = evaluate_joint(requests)
-        assert len(passes) == theta_passes
-        assert len(joint) == len(requests)
-        for (oracle, P, Q), values in zip(requests, joint):
-            assert values.shape == (len(P), oracle.rank, oracle.rank), oracle.name
-            assert np.array_equal(values, evaluate_many(oracle, P, Q)), oracle.name
-    assert evaluate_joint([]) == []
-    with pytest.raises(SurfaceMismatch):
-        evaluate_joint([torus_requests[0], sphere_requests[0]])
-    with pytest.raises(ValueError):
-        evaluate_joint([(line, [0.1, 0.2], [0.3])])
 
 
 def test_single_pair_rejects_non_finite_point(torus, bundle):
@@ -378,7 +341,7 @@ def test_single_pair_rejects_non_finite_point(torus, bundle):
 def test_batches_reject_non_finite_points(torus, bundle, bundle2):
     """A NaN or infinite point in a batch of a line, direct-sum or
     conjugated oracle raises the theta pass's ValueError before any sum
-    through evaluate_many or evaluate_joint, and InputError naming the
+    through evaluate_many, and InputError naming the
     point, with no warning, through kernel_grid (on the sphere too)."""
     line = line_kernel(torus, bundle)
     dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
@@ -388,9 +351,7 @@ def test_batches_reject_non_finite_points(torus, bundle, bundle2):
                 complex(0.2, -np.inf)):
         for oracle in oracles:
             for call in (lambda: evaluate_many(oracle, [*good, bad], [0.5, 0.4j, 0.25]),
-                         lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good]),
-                         lambda: evaluate_joint([(line, good, good[::-1]),
-                                                 (oracle, [bad], [0.5])])):
+                         lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good])):
                 with pytest.raises(ValueError, match="theta arguments must be finite"):
                     call()
         for oracle in (*oracles, genus0_kernel(2)):

@@ -51,16 +51,16 @@ def test_tracer_installs_and_uninstalls():
 
 def test_interpolant_built_before_install_keeps_its_bits():
     """An interpolant built before the tracer is installed gives, traced, the
-    bits it gives untraced: its frozen kernel requests hold no function the
-    tracer rebinds.  The functions perfbench's --trace 1 gate reads stay
+    bits it gives untraced: what it keeps from its build holds no function
+    the tracer rebinds.  The functions perfbench's --trace 1 gate reads stay
     where the tracer looks for them, and each evaluation's kernel and theta
-    work is a span of the public kernels.evaluate_frozen and
+    work is a span of the public kernels.evaluate_channels and
     theta.theta_rows, so the per-layer metrics see it."""
     from zpint.absint import InterpolationDataSet, PoleNode, ZeroNode, build_solution
 
     assert "__call__" in vars(zpint.absint.BundleMapEvaluator)
-    for module, name in ((zpint.kernels, "evaluate_joint"), (zpint.kernels, "evaluate_frozen"),
-                         (zpint.theta, "theta_many"), (zpint.theta, "theta_rows")):
+    for module, name in ((zpint.kernels, "evaluate_channels"), (zpint.theta, "theta_many"),
+                         (zpint.theta, "theta_rows")):
         assert isinstance(vars(module).get(name), types.FunctionType)
         assert not name.startswith("_")
     surf = torus_surface(0.1 + 1.05j)
@@ -83,6 +83,6 @@ def test_interpolant_built_before_install_keeps_its_bits():
     assert np.array_equal(untraced[1], traced[1])
     counts = {name: trace.name.tolist().count(i) for i, name in enumerate(trace.names)}
     assert counts["absint.BundleMapEvaluator.__call__"] == len(P)
-    assert counts["kernels.evaluate_frozen"] == counts["theta.theta_rows"] == len(P) + 1
+    assert counts["kernels.evaluate_channels"] == counts["theta.theta_rows"] == len(P) + 1
     layers = trace.layer_metrics()
     assert layers["kernels.self_s"] > 0 and layers["theta.self_s"] > 0
