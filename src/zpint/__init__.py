@@ -2,11 +2,12 @@
 Riemann surfaces, via Cauchy kernels of flat bundles.
 
 Fully concrete at genus 0 (rational matrix functions) and genus 1 (theta
-functions on the torus); higher genus enters through tabulated surface
-data and user-supplied kernel oracles.  The package doubles as a
-numerical verifier of the identities the construction rests on, up to and
-including the trisecant identity and the determinantal-representation
-correspondence; see zpint.verify and the `zpint verify-all` command.
+functions on the torus), where a point is a finite complex number, its
+coordinate; genus >= 2 is reached through period matrices and theta
+functions only.  The package doubles as a numerical verifier of the
+identities the construction rests on, up to and including the trisecant
+identity and the determinantal-representation correspondence; see
+zpint.verify and the `zpint verify-all` command.
 """
 
 from .errors import ZpintError
@@ -25,12 +26,8 @@ from .surface import (
     FlatLineBundle,
     Sphere,
     Surface,
-    SurfaceDataBundle,
-    SurfacePoint,
-    TabulatedSurface,
     Torus,
     build_embedding_functions,
-    data_bundle_surface,
     genus0_surface,
     laurent_coeffs,
     line_bundle,

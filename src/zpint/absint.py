@@ -39,23 +39,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BasePointCollision,
     DegenerateDenominator,
     InputError,
-    KernelSingular,
     NecessityViolated,
-    NotFullRank,
     NotSquare,
-    PointOnPoleSet,
+    PointOnExcludedSet,
     PoleLocationFailure,
-    SingularGamma,
+    SingularMatrix,
 )
 from .kernels import (
     CauchyKernelOracle,
     _block_form,
     _channels_of,
     _plan,
-    _reject_non_finite,
     evaluate_channels,
     evaluate_many,
     extract_laurent_coeffs,
@@ -74,9 +70,7 @@ from .surface import (
     POINT_TOL,
     FlatLineBundle,
     Surface,
-    Torus,
     _is_many,
-    coord,
     lattice_coords,
     lattice_distance,
     lattice_reduce,
@@ -116,7 +110,7 @@ class InterpolationNode:
     are the pole vectors u (s_j, r).
     """
 
-    point: object
+    point: complex
     vectors: np.ndarray
 
     def __post_init__(self):
@@ -332,13 +326,12 @@ class BundleMapEvaluator:
         ------
         InputError
             If a point of P is not finite.
-        PointOnPoleSet
+        PointOnExcludedSet
             If a point of P is a pole node of T (a zero node of T^{-1}).
-        KernelSingular
+        SingularMatrix
             If a point of P is a pole of the inverse kernel factor.
         """
         P = self.data.surface.points(P)
-        _reject_non_finite(P, f"the {self.kind} is evaluated")
         v, dist = self.data.surface.separation(P, self._ends)
         if not dist.size or dist.min() > POINT_TOL:
             return self._values(P, v)
@@ -346,7 +339,7 @@ class BundleMapEvaluator:
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
             where = point(P[on_pole.argmax()])
-            raise PointOnPoleSet(f"the {self.kind} has a pole at p = {where!r}")
+            raise PointOnExcludedSet(f"the {self.kind} has a pole at p = {where!r}")
         at_q = hits[:, 0]
         out = np.empty((len(P), self.rank, self.rank), dtype=complex)
         out[at_q] = self._at_q
@@ -374,7 +367,7 @@ class BundleMapEvaluator:
         singular = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
         if singular.any():
             where = point(P[int(singular.argmax())])
-            raise KernelSingular(f"kernel value numerically singular at p = {where!r}")
+            raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
         values = (d[:, None, :-r] @ self._fold).reshape(-1, r, r)
         if self.kind == "solution":
             values = values / chi[:, None, :]
@@ -387,9 +380,10 @@ def _prepare(data, q, Q, oracle_tilde, inverse: bool):
     q = point(q)
     Q = np.asarray(Q, dtype=complex).reshape(data.rank, data.rank)
     if np.any(data.surface.equal(q, [node.point for node in (*data.zeros, *data.poles)])):
-        raise BasePointCollision(f"base point {q!r} hits a node")
-    if svd_cond(Q) > COND_LIMIT:
-        raise SingularGamma("base value Q is numerically singular")
+        raise PointOnExcludedSet(f"base point {q!r} hits a node")
+    cond = svd_cond(Q)
+    if cond > COND_LIMIT:
+        raise SingularMatrix("base value Q is numerically singular", cond)
     gamma = build_gamma(data, oracle_tilde, q, inverse)
     if not gamma.is_square:
         raise NotSquare(
@@ -397,7 +391,7 @@ def _prepare(data, q, Q, oracle_tilde, inverse: bool):
         )
     cond = gamma.condition()
     if cond > COND_LIMIT:
-        raise SingularGamma(f"coupling matrix condition {cond:.3e}")
+        raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
     return q, Q, gamma
 
 
@@ -465,8 +459,6 @@ def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
     surface = oracle_chi.surface
     if surface.genus == 0:
         return []
-    if not isinstance(surface, Torus):
-        raise PoleLocationFailure("pole location needs the torus closed form")
     if oracle_chi.channels is None:
         raise PoleLocationFailure("pole location needs the kernel's channels")
     tau = surface.tau
@@ -474,13 +466,13 @@ def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
     out = []
     for bundle, theta0 in zip(channels.bundles, channels.theta0):
         z = complex(bundle.jacobian_point(surface.period)[0])
-        p = lattice_reduce(coord(q) + z - (1.0 + tau) / 2.0, tau)
-        val = theta_with_char(bundle.characteristic, coord(q) - p, surface.period)
+        p = lattice_reduce(q + z - (1.0 + tau) / 2.0, tau)
+        val = theta_with_char(bundle.characteristic, q - p, surface.period)
         if abs(val) > 1e-8 * (abs(theta0) + 1.0):
             raise PoleLocationFailure(
                 f"theta numerator {abs(val):.3e} not small at predicted pole {p}"
             )
-        out.append(point(p))
+        out.append(p)
     return out
 
 
@@ -504,7 +496,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
         return kvals[0] + np.einsum("bkl,bl,bm->km", kvals[1:], left, right)
 
     tau = data.surface.tau
-    ref_point = lattice_reduce(coord(q) + 0.2718 + 0.3141j, tau)
+    ref_point = lattice_reduce(q + 0.2718 + 0.3141j, tau)
     scale_n = float(np.linalg.norm(numerator(ref_point))) + EPS_GUARD
 
     results = []
@@ -513,7 +505,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
         def inv_kernel(t):
             return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
 
-        res = circle_modes(inv_kernel, coord(pole), 1e-3, orders=(-1,))[-1]
+        res = circle_modes(inv_kernel, pole, 1e-3, orders=(-1,))[-1]
         defect = numerator(pole) @ Q @ res
         residual = float(np.linalg.norm(defect)) / (
             float(np.linalg.norm(Q @ res)) * scale_n + EPS_GUARD
@@ -540,14 +532,12 @@ def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q) -> np.nd
     value res w_beta and derivative const w_beta at xi, both modes of one
     circle.  The coupling numbers of a known map are rho = -P.
     """
-    xi_c = coord(xi_point)
-
     def f_matrix(t):
         return T(t) @ evaluate_many(oracle_chi, t, [q] * len(t))
 
-    modes = circle_modes(f_matrix, xi_c, 1e-3, orders=(-1, 0))
+    modes = circle_modes(f_matrix, xi_point, 1e-3, orders=(-1, 0))
     res, const = modes[-1], modes[0]
-    conn = extract_laurent_coeffs(oracle_tilde, xi_c)
+    conn = extract_laurent_coeffs(oracle_tilde, xi_point)
     w, *_ = np.linalg.lstsq(res, us.T, rcond=None)
     return xs @ (conn.A @ res @ w + const @ w)
 
@@ -596,11 +586,11 @@ def verify_solution(T, data: InterpolationDataSet,
     for key, nodes, f in (("pole_span_gaps", data.poles, T),
                           ("zero_span_gaps", data.zeros, inv_t)):
         for node in nodes:
-            res = circle_modes(f, coord(node.point), radius, orders=(-1,))[-1]
+            res = circle_modes(f, node.point, radius, orders=(-1,))[-1]
             report[key].append(principal_angle_gap(_col_span(res, node.count), node.vectors.T))
 
     if data.coincident_pairs() and (oracle_chi is None or oracle_tilde is None or q is None):
-        raise ValueError("coincidence checks need the kernel oracles and base point")
+        raise InputError("coincidence checks need the kernel oracles and base point")
     found = forward_couplings(T, data.surface, data.zeros, data.poles, oracle_chi, oracle_tilde, q)
     for key, rho_found in found.items():
         rho = data.couplings[key]
@@ -624,7 +614,7 @@ def divisor_characteristic(surface: Surface, zeros, poles):
     genus 1 only.
     """
     tau = surface.tau
-    w = sum(coord(z) for z in zeros) - sum(coord(p) for p in poles)
+    w = sum(point(z) for z in zeros) - sum(point(p) for p in poles)
     alpha, beta = lattice_coords(w, tau)
     return np.array([beta]), np.array([alpha]), w
 
@@ -633,18 +623,18 @@ def _necessity_defect(surface, zeros, poles, chi, chi_tilde):
     period = surface.period
     z_in = complex(chi.jacobian_point(period)[0])
     z_out = complex(chi_tilde.jacobian_point(period)[0])
-    w = sum(coord(z) for z in zeros) - sum(coord(p) for p in poles)
+    w = sum(point(z) for z in zeros) - sum(point(p) for p in poles)
     return lattice_distance((z_out - z_in) - w, surface.tau)
 
 
 def _scalar_nodes(surface, zeros, poles, q):
     """Zeros and poles as points; rejects a repeated zero or pole, a zero on a
-    pole (InputError) and a base point on a node (BasePointCollision)."""
+    pole (InputError) and a base point on a node (PointOnExcludedSet)."""
     zeros, poles = [point(z) for z in zeros], [point(p) for p in poles]
     nodes = [*zeros, *poles]
     for i, j in surface.coincidences(nodes, [*nodes, q]):
         if j == len(nodes):
-            raise BasePointCollision(f"base point {q!r} hits a node")
+            raise PointOnExcludedSet(f"base point {q!r} hits a node")
         if i != j:
             raise InputError(f"nodes {nodes[i]!r} and {nodes[j]!r} coincide")
     return zeros, poles
@@ -654,7 +644,7 @@ def _scalar_map(surface, q, Q, values):
     """T over one point or a sequence of points: Q where the point equals
     q, values(P) at the coordinates P of the others.  One point is the
     N = 1 case of a sequence, so it has the same bits alone and in one."""
-    qc = coord(q)
+    qc = point(q)
 
     def T(p):
         pc = surface.points(p)
@@ -699,7 +689,7 @@ def _prime_form_ratio(surface: Surface, zeros, poles, q):
     over an (N,) coordinate array P: one prime_form call over all nodes."""
     a_vec, _, _ = divisor_characteristic(surface, zeros, poles)
     a = float(a_vec[0])
-    qc = coord(q)
+    qc = point(q)
     nodes = surface.points([*zeros, *poles])
     n, k = len(zeros), len(nodes)
     at_q = prime_form(surface, np.full(k, qc), nodes)
@@ -732,7 +722,7 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
 
     Raises
     ------
-    NotSquare, SingularGamma
+    NotSquare, SingularMatrix
         As build_solution: unequal counts, or a singular Gamma or Q.
     """
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
@@ -831,7 +821,7 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     eye = np.eye(r)
     for node in (*data.zeros, *data.poles):
         if node.count != r or not np.allclose(node.vectors, eye, atol=1e-12):
-            raise NotFullRank("nodes must carry the standard basis vectors")
+            raise InputError("nodes must carry the standard basis vectors")
     surface = data.surface
     zeros = [z.point for z in data.zeros]
     poles = [p.point for p in data.poles]

@@ -41,15 +41,14 @@ from .errors import (
     InputError,
     NoCoincidence,
     NotSquare,
-    PoleCollision,
     PointOnExcludedSet,
-    SingularGamma0,
+    SingularMatrix,
     XiDenominatorZero,
     ZPViolated,
 )
 from .kernels import CauchyKernelOracle
 from .numutil import COND_LIMIT, EPS_GUARD, circle_modes, rel_residual, svd_cond
-from .surface import EmbeddingPair, Surface, coord, point
+from .surface import EmbeddingPair, Surface, point
 
 __all__ = [
     "ConintNode",
@@ -81,7 +80,7 @@ class ConintNode:
     are the pole vectors (s_j, M).
     """
 
-    surface_point: object
+    surface_point: complex
     affine: tuple
     vectors: np.ndarray
 
@@ -304,7 +303,7 @@ def solve_conint(data: ConintDataSet, xi=None) -> ConintSolution:
     if gamma0.size:
         cond = svd_cond(gamma0)
         if cond > COND_LIMIT:
-            raise SingularGamma0(f"concrete coupling matrix condition {cond:.3e}")
+            raise SingularMatrix(f"concrete coupling matrix condition {cond:.3e}", cond)
     blocks = block_matrices(data)
     if gamma0.size:
         mid = np.linalg.solve(gamma0, blocks.psi)
@@ -329,8 +328,8 @@ def convert_absint_to_conint(data: InterpolationDataSet,
     interpolation node.
     """
     for node in (*data.zeros, *data.poles):
-        if embedding.is_pole(coord(node.point)):
-            raise PoleCollision(f"node {node.point!r} sits on an embedding pole")
+        if embedding.is_pole(node.point):
+            raise PointOnExcludedSet(f"node {node.point!r} sits on an embedding pole")
     pencil_tilde = pencil_tilde or build_pencil(oracle_tilde, embedding)
     sections = normalized_sections(oracle_tilde, embedding)
     zs, ps = [zn.point for zn in data.zeros], [pn.point for pn in data.poles]
@@ -383,8 +382,7 @@ def check_intertwining(solution: ConintSolution, T,
         raise PointOnExcludedSet("intertwining check excludes the nodes")
     single, P = np.ndim(P) == 0, np.atleast_1d(P)
     r, m = oracle_chi.rank, embedding.m
-    xs = embedding.surface.points(embedding.pole_points)
-    values = np.asarray(T(np.concatenate([xs, P])), dtype=complex)
+    values = np.asarray(T(np.concatenate([embedding.pole_points, P])), dtype=complex)
     beta_inv, at_p = values[:m], values[m:]
     u_in = normalized_sections(oracle_chi, embedding).right(P)
     lifted = (beta_inv @ u_in.reshape(len(P), m, r, r)).reshape(u_in.shape)
@@ -433,7 +431,7 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
         raise NoCoincidence(f"nodes {pair} do not coincide on the surface")
     i, j = pair
     zn, pn = data.zeros[i], data.poles[j]
-    xi_c = coord(zn.surface_point)
+    xi_c = zn.surface_point
     size = data.pencil.size
     r = data.pencil.rank
     rng = np.random.default_rng(1234)   # fixed probes: a deterministic residual

@@ -28,10 +28,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InputError, PointOnPoleSet, SingularBoundaryValue, SurfaceMismatch
+from .errors import InputError, PointOnExcludedSet, SingularMatrix, SurfaceMismatch
 from .kernels import CauchyKernelOracle, _block_form, evaluate_many, kernel_grid
 from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
-from .surface import EmbeddingPair, point
+from .surface import EmbeddingPair
 
 __all__ = [
     "PencilRep",
@@ -108,8 +108,8 @@ class NormalizedSections:
     """Right and left normalized section evaluators of the kernel bundle.
 
     Each takes one point or a sequence of N points and makes one
-    evaluate_many call over all (point, pole point) pairs; point()
-    rejects a non-finite p, as a single-pair call does.
+    evaluate_many call over all (point, pole point) pairs; a non-finite
+    p raises InputError, as a single-pair call does.
     """
 
     oracle: CauchyKernelOracle
@@ -119,7 +119,7 @@ class NormalizedSections:
         surface, m, r = self.embedding.surface, self.embedding.m, self.oracle.rank
         P = surface.points(p)
         ps = np.repeat(np.atleast_1d(P), m)
-        xs = np.tile(surface.points(self.embedding.pole_points), len(ps) // m)
+        xs = np.tile(self.embedding.pole_points, len(ps) // m)
         if right:   # K(x^i, p) stacked down
             out = evaluate_many(self.oracle, xs, ps).reshape(-1, m * r, r)
         else:       # -K(p, x^i) side by side
@@ -167,10 +167,10 @@ def normalized_sections(oracle: CauchyKernelOracle,
 
 def _off_poles(embedding: EmbeddingPair, p, what: str):
     """Coordinates of one point or a sequence, as an array, and whether p was
-    one point; PointOnPoleSet when one of them is an embedding pole."""
+    one point; PointOnExcludedSet when one of them is an embedding pole."""
     P = embedding.surface.points(p)
     if embedding.is_pole(P):
-        raise PointOnPoleSet(f"{what} exclude the embedding poles")
+        raise PointOnExcludedSet(f"{what} exclude the embedding poles")
     return np.atleast_1d(P), np.ndim(P) == 0
 
 
@@ -245,9 +245,10 @@ def adjust_gamma_by_map(pencil: PencilRep, boundary_values) -> PencilRep:
     r, m = pencil.rank, pencil.m
     values = np.array([np.asarray(v, dtype=complex).reshape(r, r) for v in boundary_values])
     if len(values) != m:
-        raise ValueError("need one boundary value per pole point")
-    if any(svd_cond(v) > COND_LIMIT for v in values):
-        raise SingularBoundaryValue("boundary value numerically singular")
+        raise InputError("need one boundary value per pole point")
+    cond = max((svd_cond(v) for v in values), default=1.0)
+    if cond > COND_LIMIT:
+        raise SingularMatrix("boundary value numerically singular", cond)
     blocks = pencil.gamma.reshape(m, r, m, r).transpose(0, 2, 1, 3)
     conjugated = values[:, None] @ blocks @ np.linalg.inv(values)[None, :]
     return PencilRep(pencil.size, r, pencil.sigma1, pencil.sigma2, _block_form(conjugated))
@@ -262,9 +263,9 @@ def line_section_condition(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
     matrix reflects h^0 = 0 for the bundle; returns the condition number.
     """
     _require_same_surface(oracle, embedding)
-    ys = [point(y) for y in y_points]
+    ys = list(y_points)
     if len(ys) != embedding.m:
-        raise ValueError("need exactly m section points")
+        raise InputError("need exactly m section points")
     if embedding.surface.coincidences(embedding.pole_points, ys):
-        raise PointOnPoleSet("line section points exclude the embedding poles")
+        raise PointOnExcludedSet("line section points exclude the embedding poles")
     return svd_cond(_block_form(kernel_grid(oracle, embedding.pole_points, ys)))

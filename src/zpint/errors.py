@@ -1,7 +1,12 @@
 """Exception hierarchy for zpint.
 
 Every error raised on a contract violation derives from ZpintError, so
-callers (and the CLI) can distinguish bad input from genuine bugs.
+callers (and the CLI) can distinguish bad input from genuine bugs.  The
+split follows what a caller does differently: InputError for an argument
+of the wrong shape, value or kind; SingularMatrix for a matrix too
+ill-conditioned to solve; PointOnExcludedSet for a point where the
+object asked for is not defined; and one class per failed identity or
+construction.
 """
 
 __all__ = [
@@ -9,31 +14,22 @@ __all__ = [
     "InputError",
     "InvalidPeriodMatrix",
     "NonConvergent",
-    "UnknownPoint",
     "UnsupportedGenus",
     "DegenerateEmbedding",
+    "ExtractionUnstable",
     "HigherOrderPole",
     "NotSquare",
-    "SingularGamma",
+    "SingularMatrix",
     "CountMismatch",
-    "SingularSylvester",
     "DegenerateBundle",
     "SurfaceMismatch",
-    "ExtractionUnstable",
-    "PointOnPoleSet",
-    "BasePointCollision",
-    "KernelSingular",
+    "PointOnExcludedSet",
     "PoleLocationFailure",
     "NecessityViolated",
     "DegenerateDenominator",
-    "NotFullRank",
-    "SingularBoundaryValue",
     "XiDenominatorZero",
-    "SingularGamma0",
     "ZPViolated",
-    "PoleCollision",
     "NoCoincidence",
-    "PointOnExcludedSet",
 ]
 
 
@@ -42,7 +38,27 @@ class ZpintError(Exception):
 
 
 class InputError(ZpintError):
-    """Malformed problem file or command-line input (CLI exit code 2)."""
+    """Malformed problem file, command-line input or argument (CLI exit code 2)."""
+
+
+class SingularMatrix(ZpintError):
+    """A matrix to be solved or inverted is numerically singular: the
+    coupling matrix Gamma or Gamma0, a Sylvester matrix, a base or boundary
+    value, or a kernel value at a point.
+
+    condition is the condition estimate that failed, where one was
+    computed, and None otherwise.
+    """
+
+    def __init__(self, message: str, condition: float | None = None):
+        super().__init__(message)
+        self.condition = condition
+
+
+class PointOnExcludedSet(ZpintError):
+    """A point lies on the excluded node or pole set of the object
+    evaluated: a pole of an interpolant, an embedding pole, or a base point
+    on a node."""
 
 
 # --- theta evaluation ---
@@ -56,10 +72,6 @@ class NonConvergent(ZpintError):
 
 
 # --- surface geometry ---
-
-class UnknownPoint(ZpintError):
-    """Label not present in a surface data bundle."""
-
 
 class UnsupportedGenus(ZpintError):
     """Operation not defined for this surface kind."""
@@ -77,25 +89,15 @@ class HigherOrderPole(ExtractionUnstable):
     """Laurent fit found a |t|^-2 component above tolerance on either radius."""
 
 
-# --- genus-0 interpolation ---
+# --- interpolation ---
 
 class NotSquare(ZpintError):
     """Coupling matrix is not square; zero and pole counts differ."""
 
 
-class SingularGamma(ZpintError):
-    """Coupling matrix numerically singular (condition estimate attached)."""
-
-
 class CountMismatch(ZpintError):
     """Zero and pole counts differ in a scalar product form."""
 
-
-class SingularSylvester(ZpintError):
-    """Sylvester matrix numerically singular."""
-
-
-# --- Cauchy kernels ---
 
 class DegenerateBundle(ZpintError):
     """theta[a; b](0) vanishes: the bundle admits a global section."""
@@ -103,20 +105,6 @@ class DegenerateBundle(ZpintError):
 
 class SurfaceMismatch(ZpintError):
     """Operands live on different surfaces."""
-
-
-class PointOnPoleSet(ZpintError):
-    """Evaluation point coincides with an excluded pole point."""
-
-
-# --- abstract interpolation ---
-
-class BasePointCollision(ZpintError):
-    """Base point collides with an interpolation node."""
-
-
-class KernelSingular(ZpintError):
-    """Kernel value is numerically singular at the requested point."""
 
 
 class PoleLocationFailure(ZpintError):
@@ -131,37 +119,15 @@ class DegenerateDenominator(ZpintError):
     """Scalar pairing in the single-pair identity vanishes."""
 
 
-class NotFullRank(ZpintError):
-    """Data set is not of full-rank standard-basis form."""
-
-
-# --- determinantal representations ---
-
-class SingularBoundaryValue(ZpintError):
-    """A boundary value T(x^i) is numerically singular."""
-
-
 # --- concrete interpolation ---
 
 class XiDenominatorZero(ZpintError):
     """Chosen direction pairs to zero against a node difference; redraw."""
 
 
-class SingularGamma0(ZpintError):
-    """Concrete coupling matrix numerically singular."""
-
-
 class ZPViolated(ZpintError):
     """Coincidence pairing is nonzero: inconsistent concrete data."""
 
 
-class PoleCollision(ZpintError):
-    """Interpolation node collides with an embedding pole."""
-
-
 class NoCoincidence(ZpintError):
     """Requested pair of nodes does not coincide on the surface."""
-
-
-class PointOnExcludedSet(ZpintError):
-    """Evaluation point lies on the excluded node or pole set."""

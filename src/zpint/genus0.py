@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CountMismatch,
-    InputError,
-    NotSquare,
-    SingularGamma,
-    SingularSylvester,
-)
+from .errors import CountMismatch, InputError, NotSquare, SingularMatrix
 from .numutil import COND_LIMIT, svd_cond
 from .surface import genus0_surface
 
@@ -133,7 +127,7 @@ class RationalMatrixFunction:
         """
         if self._inverse is None:
             if self._inverse_data is None:
-                raise ValueError("no problem data attached; cannot invert")
+                raise InputError("no problem data attached; cannot invert")
             problem = self._inverse_data
             swapped = Genus0Problem(
                 rank=problem.rank,
@@ -159,7 +153,7 @@ def solve_genus0(problem: Genus0Problem) -> RationalMatrixFunction:
     ------
     NotSquare
         If zero and pole counts differ.
-    SingularGamma
+    SingularMatrix
         If the coupling matrix has condition number above 1e12.
     """
     if problem.n_zeros != problem.n_poles:
@@ -175,7 +169,7 @@ def solve_genus0(problem: Genus0Problem) -> RationalMatrixFunction:
     gamma = build_gamma_genus0(problem)
     cond = svd_cond(gamma)
     if cond > COND_LIMIT:
-        raise SingularGamma(f"coupling matrix condition {cond:.3e}")
+        raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
     x_stack = np.array([x for _, x in problem.zeros])   # (n, r)
     coeffs = np.linalg.solve(gamma, x_stack)            # rows c_j
     poles = [mu for mu, _ in problem.poles]
@@ -221,7 +215,7 @@ def sylvester_coefficients(zeros, poles) -> np.ndarray:
     s_mat = np.array([[1.0 / (mu - lam) for mu in mus] for lam in lams])
     cond = svd_cond(s_mat)
     if cond > COND_LIMIT:
-        raise SingularSylvester(f"Sylvester matrix condition {cond:.3e}")
+        raise SingularMatrix(f"Sylvester matrix condition {cond:.3e}", cond)
     return np.linalg.solve(s_mat, np.ones(n, dtype=complex))
 
 

@@ -16,8 +16,7 @@ frame F (r x r, with F^-1 kept) times r scalar channels times F^-1:
 
     K(p, q) = F diag(k_1(p, q), ..., k_r(p, q)) F^-1.
 
-The channel of a flat line bundle [a; b] on the torus (or on a tabulated
-surface bundle) is
+The channel of a flat line bundle [a; b] on the torus is
 
     k(p, q) = theta[a; b](phi(q) - phi(p)) / (theta[a; b](0) E(q, p)),
 
@@ -29,12 +28,12 @@ kernel is (F^-T, the dual channels).
 
 One private channel pass evaluates channels at the point pairs of N
 units: on the torus one theta_rows call whose rows also carry the odd
-theta of the prime form, on the sphere one 1/(p - q), on a tabulated
-surface one theta_rows call and the surface's prime-form table.  An
-oracle's many, and so the oracle called at a pair, evaluate_many and
-kernel_grid, is the pass composed with F; a single pair is the N = 1 case
-of the same code.  evaluate_channels is the pass an interpolant of absint
-makes at a batch of points.
+theta of the prime form, on the sphere one 1/(p - q).  An oracle's many,
+and so the oracle called at a pair, evaluate_many and kernel_grid, is the
+pass composed with F; a single pair is the N = 1 case of the same code.
+evaluate_channels is the pass an interpolant of absint makes at a batch
+of points.  Points are checked once, by surface.points, where they enter:
+the oracle call and kernel_grid; many and the pass take checked arrays.
 
 An oracle given by many alone has no channels.  It is evaluated by its
 many (evaluate_many, kernel_grid, extract_laurent_coeffs,
@@ -51,18 +50,17 @@ import numpy as np
 from .errors import (
     DegenerateBundle,
     InputError,
-    PointOnPoleSet,
+    PointOnExcludedSet,
     SurfaceMismatch,
     UnsupportedGenus,
 )
 from .numutil import rel_residual
 from .surface import (
     ODD_CHAR,
+    POINT_TOL,
     EmbeddingPair,
     FlatLineBundle,
     Surface,
-    Torus,
-    coord,
     _is_many,
     genus0_surface,
     laurent_coeffs,
@@ -107,8 +105,8 @@ class _Channels:
 
 def _line_channels(surface: Surface, bundles) -> _Channels:
     """The channels of flat line bundles; raises as line_kernel does."""
-    if surface.genus == 0 or any(b.characteristic.genus != surface.genus for b in bundles):
-        raise UnsupportedGenus("line kernels need genus >= 1 and a bundle of that genus")
+    if surface.genus != 1 or any(b.characteristic.genus != 1 for b in bundles):
+        raise UnsupportedGenus("line kernels need the torus and a genus-1 bundle")
     theta0 = np.array([b.theta_at_zero(surface.period) for b in bundles])
     if np.abs(theta0).min() <= 1e-10:
         raise DegenerateBundle(f"|theta[a;b](0)| = {np.abs(theta0).min():.3e}")
@@ -129,7 +127,7 @@ def _plan(surface: Surface, entries, m: int) -> tuple:
     """
     cols = np.concatenate([np.repeat(at, len(ch.theta0)) for ch, at in entries])
     ab = np.concatenate([np.tile(ch.ab, (len(at), 1, 1)) for ch, at in entries])
-    if isinstance(surface, Torus):
+    if surface.genus:
         ab = np.concatenate([ab, np.repeat(_ODD_AB[None], m, axis=0)])
     # (1, L), not (L,): numpy's complex product of a (1,) and a (1, 1)
     # array can differ in the last bit from the scalar-times-array one
@@ -140,10 +138,9 @@ def _plan(surface: Surface, entries, m: int) -> tuple:
 def _channel_pass(surface: Surface, plan, v, pairs) -> np.ndarray:
     """(N, L) values of the plan's entries at N units.
 
-    v holds the (N, m, g) differences phi(Q) - phi(P) of each unit's m
-    pairs (None on the sphere); pairs() gives the point arrays (P, Q) of
-    all N m pairs, unit by unit, which the sphere and a tabulated surface
-    read.
+    v holds the (N, m, 1) differences phi(Q) - phi(P) of each unit's m
+    pairs on the torus; on the sphere v is None, and pairs() gives the point
+    arrays (P, Q) of all N m pairs, unit by unit.
     """
     m, cols, ab, theta0 = plan
     if v is None:   # the sphere: every channel is 1/(p - q)
@@ -152,18 +149,13 @@ def _channel_pass(surface: Surface, plan, v, pairs) -> np.ndarray:
         # pass has it, so that a matmul over rows gives the same bits
         return (1.0 / (P - Q)).reshape(-1, m).take(cols, axis=1)
     n, lines, width = len(v), len(cols), len(ab)
-    torus = isinstance(surface, Torus)
-    # on the torus the odd theta of E(q, p) at every column is at -v
-    rows = np.concatenate([v[:, cols], -v], axis=1) if torus else v[:, cols]
+    # the odd theta of E(q, p) at every column is at -v
+    rows = np.concatenate([v[:, cols], -v], axis=1)
     if n != 1:
         ab = np.tile(ab, (n, 1, 1))
     values = theta_rows(surface.period, ab[:, 0], ab[:, 1],
-                        rows.reshape(-1, surface.genus)).reshape(n, width)
-    if torus:
-        e = surface.prime_form_from_odd_theta(values[:, lines:])
-    else:
-        P, Q = pairs()
-        e = surface.prime_form(Q, P).reshape(n, m)
+                        rows.reshape(-1, 1)).reshape(n, width)
+    e = surface.prime_form_from_odd_theta(values[:, lines:])
     return values[:, :lines] / (theta0 * e[:, cols])
 
 
@@ -181,10 +173,11 @@ def _compose(d: np.ndarray, frame, frame_inv) -> np.ndarray:
 class CauchyKernelOracle:
     """Evaluator contract for an r-by-r Cauchy kernel in the global frame.
 
-    many maps two point arrays of one length N, as made by surface.points,
-    to the (N, r, r) values.  Calling the oracle with two point sequences
-    of length N gives many on them; with two point-like arguments it gives
-    the (r, r) value of the N = 1 case.
+    many maps two checked point arrays of one length N, as made by
+    surface.points, to the (N, r, r) values.  Calling the oracle with two
+    point sequences of length N gives many on them; with two points it
+    gives the (r, r) value of the N = 1 case.  A call checks its points
+    once (InputError for a non-finite one).
     channels, frame and frame_inv hold the normal form F diag(channels)
     F^-1 (frame None for F = I); channels is None for an oracle given by
     many alone.
@@ -200,11 +193,9 @@ class CauchyKernelOracle:
 
     def __call__(self, p, q) -> np.ndarray:
         single = not (_is_many(p) or _is_many(q))
-        if single:   # point() rejects a non-finite coordinate
-            p, q = (point(p),), (point(q),)
-        P, Q = self.surface.points(p), self.surface.points(q)
-        if len(P) != len(Q):
-            raise ValueError("point arrays differ in length")
+        P, Q = (self.surface.points([x] if single else x) for x in (p, q))
+        if np.shape(P) != np.shape(Q):   # also one point against a sequence
+            raise InputError("point arrays differ in length")
         values = self.many(P, Q)
         return values[0] if single else values
 
@@ -237,7 +228,8 @@ def _normal_form(rank: int, surface: Surface, name: str, channels: _Channels,
     sphere = surface.genus == 0
 
     def many(P, Q):
-        v = None if sphere else (surface.abel_jacobi(Q) - surface.abel_jacobi(P))[:, None]
+        # on the torus the Abel-Jacobi map is the coordinate: v = Q - P, (N, 1, 1)
+        v = None if sphere else (Q - P)[:, None, None]
         return _compose(_channel_pass(surface, plan, v, lambda: (P, Q)), frame, frame_inv)
 
     return CauchyKernelOracle(rank, surface, many, name, channels, frame, frame_inv)
@@ -256,13 +248,14 @@ def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     This is the oracle called on the two sequences; a single-pair call is
     the N = 1 case of the same code.
     """
-    return oracle(oracle.surface.points(P), oracle.surface.points(Q))
+    return oracle(P, Q)
 
 
 def evaluate_channels(surface: Surface, plan, ends, P, v, point_first: bool) -> np.ndarray:
     """(N, L) channel values of a plan over the m points ends, at the pairs
     (P[i], ends[c]) of each point of P, or (ends[c], P[i]) when point_first
-    is false; v is from surface.separation(P, ends).
+    is false; v is from surface.separation(P, ends), and P and ends are
+    checked point arrays.
 
     A module function, not a method, so that perfbench's span tracer,
     which wraps public functions, counts an interpolant's kernel work
@@ -278,21 +271,13 @@ def evaluate_channels(surface: Surface, plan, ends, P, v, point_first: bool) -> 
     return _channel_pass(surface, plan, v, pairs)
 
 
-def _reject_non_finite(P, what: str):
-    """Raise InputError naming the first non-finite point of the point
-    array P (coordinates; labels are always finite)."""
-    if P.dtype == complex and not np.isfinite(P).all():
-        where = complex(P[np.flatnonzero(~np.isfinite(P))[0]])
-        raise InputError(f"{what} at a non-finite point {where!r}")
-
-
 def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     """Kernel values K(P[i], Q[j]) at every pair, shape (n, m, r, r).
 
-    The pairs are one evaluate_many call.  A pair whose points coincide on
-    the surface, where K has its pole, is left zero; every block matrix
-    over node pairs (Gamma, the pencil, the line-section matrix) takes
-    its kernel values from this grid.
+    The pairs are one oracle call.  A pair whose points coincide on the
+    surface, where K has its pole, is left zero; every block matrix over
+    node pairs (Gamma, the pencil, the line-section matrix) takes its
+    kernel values from this grid.
 
     Raises
     ------
@@ -302,12 +287,9 @@ def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     """
     surface = oracle.surface
     P, Q = surface.points(P), surface.points(Q)
-    for points in (P, Q):
-        _reject_non_finite(points, "kernel grid")
-    apart = ~surface.equal(P[:, None], Q[None, :])
+    apart = ~(surface.gap(P[:, None] - Q[None, :]) <= POINT_TOL)
     out = np.zeros((len(P), len(Q), oracle.rank, oracle.rank), dtype=complex)
-    out[apart] = evaluate_many(oracle, np.repeat(P, len(Q))[apart.ravel()],
-                               np.tile(Q, len(P))[apart.ravel()])
+    out[apart] = oracle(np.repeat(P, len(Q))[apart.ravel()], np.tile(Q, len(P))[apart.ravel()])
     return out
 
 
@@ -320,13 +302,13 @@ def _block_form(blocks: np.ndarray) -> np.ndarray:
 def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
     """Trivial rank-r kernel I_r / (p - q) on the sphere."""
     if r < 1:
-        raise ValueError("rank must be at least 1")
+        raise InputError("rank must be at least 1")
     channels = _Channels((None,) * r, np.zeros((r, 2, 0)), np.ones(r, dtype=complex))
     return _normal_form(r, surface or genus0_surface(), f"trivial({r})", channels)
 
 
 def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
-    """Rank-1 kernel of a flat line bundle on the torus or a data bundle.
+    """Rank-1 kernel of a flat line bundle on the torus.
 
     Raises
     ------
@@ -364,7 +346,7 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
     """
     oracles = tuple(oracles)
     if not oracles:
-        raise ValueError("need at least one summand")
+        raise InputError("need at least one summand")
     parts = [_channels_of(oracle, "a direct sum") for oracle in oracles]
     base = oracles[0].surface
     for oracle in oracles[1:]:
@@ -431,7 +413,7 @@ def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> ConnectionCoeffici
     ExtractionUnstable
         When either side shows more than a simple pole (HigherOrderPole).
     """
-    z0 = coord(p0)
+    z0 = point(p0)
 
     def column(t):
         return evaluate_many(oracle, t, np.full(len(t), z0))
@@ -471,9 +453,9 @@ def collection_residual(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
     replaces the coordinate difference with -(xi1 l1' + xi2 l2')(p) I_r.
     """
     xi1, xi2 = complex(xi[0]), complex(xi[1])
-    pc, qc = coord(p), coord(q)
+    pc, qc = point(p), point(q)
     if embedding.is_pole(pc) or embedding.is_pole(qc):
-        raise PointOnPoleSet("collection identity excludes the embedding poles")
+        raise PointOnExcludedSet("collection identity excludes the embedding poles")
     weights = xi1 * embedding.residues[:, 0] + xi2 * embedding.residues[:, 1]
     xs = embedding.pole_points
     from_p = kernel_grid(oracle, [pc], [*xs, qc])[0]   # K(p, x^j), then K(p, q) or 0

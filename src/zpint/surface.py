@@ -1,6 +1,11 @@
 """Concrete surface geometry.
 
-One small frozen type per kind of surface, each on the ``Surface`` base:
+A point is a finite complex number, its coordinate: the plane coordinate
+on the sphere, any representative in C on the torus.  point() makes one
+from a number and raises InputError for anything else, and
+Surface.points makes the coordinate array of a sequence by the same
+rule, with one finiteness check per call.  One small frozen type per kind
+of surface sits on the ``Surface`` base:
 
 * ``Sphere``: the Riemann sphere with its global coordinate.  It has no
   Abel-Jacobi map and no prime form; its kernels are 1/(p - q).
@@ -9,14 +14,15 @@ One small frozen type per kind of surface, each on the ``Surface`` base:
   differential frame sqrt(dz) is constant, so every
   half-differential-valued object in this package is represented by its
   plain scalar value in this global frame.
-* ``TabulatedSurface``: user-supplied higher-genus geometry (Abel-Jacobi
-  values, pairwise prime-form values and differentials at labelled
-  points), loaded from JSON.
 
-The surface alone decides when two points are equal: ``distance`` is the
-lattice distance on the torus, |p - q| on the sphere, and 0 or infinity
-by label on a tabulated surface, and ``equal`` and ``coincidences`` read
-it.  Every method takes one point or a sequence of points.
+Genus >= 2 is reached through period matrices and theta functions only
+(zpint.theta); there is no surface of higher genus.
+
+The surface alone decides when two points are equal: ``gap`` is the
+distance that a coordinate difference spans on it (the lattice distance
+on the torus, |p - q| on the sphere), and ``distance``, ``equal`` and
+``coincidences`` read it.  Every method takes one point or a sequence of
+points.
 
 The genus-1 prime form is
 
@@ -30,8 +36,8 @@ never leak into kernel values.
 
 from __future__ import annotations
 
+import cmath
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +47,6 @@ from .errors import (
     HigherOrderPole,
     InputError,
     NonConvergent,
-    UnknownPoint,
     UnsupportedGenus,
 )
 from .numutil import circle_modes
@@ -58,20 +63,15 @@ __all__ = [
     "Surface",
     "Sphere",
     "Torus",
-    "TabulatedSurface",
-    "SurfacePoint",
     "FlatLineBundle",
-    "SurfaceDataBundle",
     "EmbeddingPair",
     "genus0_surface",
     "torus_surface",
-    "data_bundle_surface",
     "line_bundle",
     "lattice_coords",
     "lattice_reduce",
     "lattice_distance",
     "point",
-    "coord",
     "prime_form",
     "odd_theta",
     "odd_theta_deriv0",
@@ -82,147 +82,34 @@ __all__ = [
 POINT_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class SurfacePoint:
-    """A point: a coordinate on the sphere/torus, or a label in a bundle."""
+def point(value) -> complex:
+    """The point value: its coordinate as a finite complex.
 
-    coordinate: complex | None = None
-    label: str | None = None
-
-    def __post_init__(self):
-        if self.coordinate is None and self.label is None:
-            raise ValueError("a surface point needs a coordinate or a label")
-        if self.coordinate is not None:
-            c = complex(self.coordinate)
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-                raise ValueError("point coordinate must be finite")
-            object.__setattr__(self, "coordinate", c)
-
-    def __repr__(self):
-        if self.label is not None:
-            return f"SurfacePoint(label={self.label!r})"
-        return f"SurfacePoint({self.coordinate!r})"
-
-
-def point(value) -> SurfacePoint:
-    """Coerce a complex coordinate or label into a SurfacePoint."""
-    if isinstance(value, SurfacePoint):
-        return value
-    if isinstance(value, str):
-        return SurfacePoint(label=value)
-    return SurfacePoint(coordinate=complex(value))
-
-
-def coord(value) -> complex:
-    """Complex coordinate of a point-like value."""
-    if isinstance(value, SurfacePoint):
-        if value.coordinate is None:
-            raise UnknownPoint(f"point {value!r} has no coordinate")
-        return value.coordinate
-    return complex(value)
-
-
-def _label(p) -> str:
-    label = point(p).label
-    if label is None:
-        raise UnknownPoint("data-bundle points need labels")
-    return label
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceDataBundle:
-    """Tabulated geometry for a user-supplied surface of genus >= 1.
-
-    points maps label -> Abel-Jacobi value in C^g; prime_form holds the
-    antisymmetric pairwise table; differentials holds the per-point values
-    omega_j(p)/dt of the normalized differentials in the chosen frames.
+    Raises InputError for a value that is not a finite number.
     """
-
-    genus: int
-    omega: np.ndarray
-    labels: tuple[str, ...]
-    phi: np.ndarray          # (n, g)
-    prime_form_table: np.ndarray  # (n, n), antisymmetric
-    differentials: np.ndarray     # (n, g)
-
-    def __post_init__(self):
-        n = len(self.labels)
-        phi = np.asarray(self.phi, dtype=complex).reshape(n, self.genus)
-        table = np.asarray(self.prime_form_table, dtype=complex).reshape(n, n)
-        diffs = np.asarray(self.differentials, dtype=complex).reshape(n, self.genus)
-        scale = max(1.0, float(np.abs(table).max()))
-        if float(np.abs(table + table.T).max()) > 1e-12 * scale:
-            raise InputError("prime form table is not antisymmetric")
-        if float(np.abs(np.diag(table)).max()) != 0.0:
-            raise InputError("prime form table diagonal must be exactly zero")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "prime_form_table", table)
-        object.__setattr__(self, "differentials", diffs)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownPoint(f"label {label!r} not in data bundle") from None
-
-    @classmethod
-    def from_json(cls, payload) -> "SurfaceDataBundle":
-        if isinstance(payload, (str, bytes)):
-            payload = json.loads(payload)
-        try:
-            genus = int(payload["genus"])
-            omega = _complex_matrix(payload["omega"], genus)
-            labels = tuple(str(p["label"]) for p in payload["points"])
-            phi = np.array(
-                [[_c(pair) for pair in p["phi"]] for p in payload["points"]],
-                dtype=complex,
-            )
-            upper = [_c(pair) for pair in payload["prime_form"]]
-            diffs = np.array(
-                [[_c(pair) for pair in row] for row in payload["differentials"]],
-                dtype=complex,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad surface bundle payload: {exc}") from exc
-        n = len(labels)
-        if len(upper) != n * (n - 1) // 2:
-            raise InputError("prime_form upper triangle has wrong length")
-        table = np.zeros((n, n), dtype=complex)
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                table[i, j] = upper[k]
-                table[j, i] = -upper[k]
-                k += 1
-        return cls(genus, PeriodMatrix(genus, omega).omega, labels, phi, table, diffs)
-
-
-def _c(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
-def _complex_matrix(rows, g: int) -> np.ndarray:
-    return np.array([[_c(pair) for pair in row] for row in rows], dtype=complex).reshape(g, g)
+    try:
+        z = complex(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a point is a finite complex number, not {value!r}") from exc
+    if not cmath.isfinite(z):
+        raise InputError(f"non-finite point {z!r}")
+    return z
 
 
 @dataclass(frozen=True, eq=False)
 class Surface:
     """A compact Riemann surface: its period matrix and its point rules.
 
-    Each kind defines distance(p, q), which equal and coincidences read;
-    same_as(other); abel_jacobi(p), the g-vector image ((N, g) for a
-    sequence); and prime_form(p, q), E(p, q) (the (N,) array of
-    E(p[i], q[i]) for two sequences).  Every method takes one point or a
-    sequence of points; a sequence gives an array, and distance broadcasts
-    like numpy.  points(p) gives values that point() turns back into the
-    same points: complex coordinates, or labels (dtype object) on a
-    tabulated surface.
+    Each kind defines gap(d), the distance spanned by coordinate
+    differences d (elementwise), which distance, equal and coincidences
+    read; separation(P, E); same_as(other); abel_jacobi(p), the g-vector
+    image ((N, g) for a sequence); and prime_form(p, q), E(p, q) (the
+    (N,) array of E(p[i], q[i]) for two sequences).  Every public method
+    takes one point or a sequence of points and checks them once, by
+    points; a sequence gives an array, and distance broadcasts like numpy.
     """
 
     period: PeriodMatrix
-    _dtype = complex  # dtype and maker of the values points() gives
-    _value = staticmethod(coord)
 
     @property
     def genus(self) -> int:
@@ -233,29 +120,29 @@ class Surface:
         return self.period.tau
 
     def points(self, p):
-        """Value of one point, or the value array of a sequence (as is if it is one)."""
-        if isinstance(p, np.ndarray) and p.dtype == self._dtype:
-            return p
-        if _is_many(p):
-            value = self._value
-            return np.array([value(x) for x in p], dtype=self._dtype)
-        return self._value(point(p))
+        """The coordinate of one point (point(p)), or the complex array of a
+        sequence (as is if it is one); InputError names the first
+        non-finite point."""
+        if not _is_many(p):
+            return point(p)
+        try:
+            P = np.asarray(p, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"points are finite complex numbers: {exc}") from exc
+        if not np.isfinite(P).all():
+            raise InputError(f"non-finite point {complex(P[~np.isfinite(P)][0])!r}")
+        return P
+
+    def distance(self, p, q):
+        return self.gap(self.points(p) - self.points(q))
 
     def equal(self, p, q, tol: float = POINT_TOL):
         return self.distance(p, q) <= tol
 
-    def separation(self, P, E):
-        """(v, dist) of the point array P (N,) against the point array E (m,):
-        dist[i, j] is the distance of P[i] and E[j], and v[i, j] the
-        Abel-Jacobi difference AJ(E[j]) - AJ(P[i]), shape (N, m, g) (None on
-        the sphere)."""
-        v = self.abel_jacobi(E)[None] - self.abel_jacobi(P)[:, None]
-        return v, self.distance(P[:, None], E)
-
     def coincidences(self, P, Q) -> list[tuple[int, int]]:
         """Row-major list of the index pairs (i, j) with P[i] equal to Q[j]."""
         P, Q = self.points(P), self.points(Q)
-        hits = self.distance(P[:, None], Q[None, :]) <= POINT_TOL
+        hits = self.gap(P[:, None] - Q[None, :]) <= POINT_TOL
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(hits))]
 
 
@@ -267,14 +154,16 @@ class Sphere(Surface):
         if self.genus != 0:
             raise InputError("genus-0 surface needs an empty period matrix")
 
-    def distance(self, p, q):
-        return _modulus(self.points(p) - self.points(q))
+    def gap(self, d):
+        return _modulus(d)
 
     def same_as(self, other) -> bool:
         return isinstance(other, Sphere)
 
     def separation(self, P, E):
-        return None, _modulus(E - P[:, None])   # no Abel-Jacobi map
+        """(None, dist) for the checked point arrays P (N,) and E (m,):
+        dist[i, j] = |E[j] - P[i]|; there is no Abel-Jacobi map."""
+        return None, _modulus(E - P[:, None])
 
     def abel_jacobi(self, p):
         raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
@@ -291,14 +180,17 @@ class Torus(Surface):
         if self.genus != 1:
             raise InputError("torus surface needs a 1x1 period matrix")
 
-    def distance(self, p, q):
-        return lattice_distance(self.points(p) - self.points(q), self.tau)
+    def gap(self, d):
+        return lattice_distance(d, self.tau)
 
     def same_as(self, other) -> bool:
         return isinstance(other, Torus) and abs(self.tau - other.tau) <= POINT_TOL
 
     def separation(self, P, E):
-        # one difference gives both: the Abel-Jacobi map is the coordinate
+        """(v, dist) for the checked point arrays P (N,) and E (m,): v[i, j]
+        = AJ(E[j]) - AJ(P[i]), shape (N, m, 1), and dist[i, j] their lattice
+        distance.  One difference gives both: the Abel-Jacobi map is the
+        coordinate."""
         d = E - P[:, None]
         return d[..., None], lattice_distance(d, self.tau)
 
@@ -317,44 +209,12 @@ class Torus(Surface):
         return odd / odd_theta_deriv0(self.tau)
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedSurface(Surface):
-    """A surface known through a data bundle; its points are the bundle's labels."""
-
-    bundle: SurfaceDataBundle
-    _dtype = object
-    _value = staticmethod(_label)
-
-    def distance(self, p, q):
-        return np.where(self.points(p) == self.points(q), 0.0, np.inf)[()]
-
-    def same_as(self, other) -> bool:
-        return isinstance(other, TabulatedSurface) and other.bundle is self.bundle
-
-    def abel_jacobi(self, p) -> np.ndarray:
-        return self.bundle.phi[self._rows(p)]
-
-    def prime_form(self, p, q):
-        value = self.bundle.prime_form_table[self._rows(p), self._rows(q)]
-        return value if _is_many(p) or _is_many(q) else complex(value)
-
-    def _rows(self, p):
-        """Table row of one point, or the row list of a sequence."""
-        if _is_many(p):
-            return [self.bundle.index(label) for label in self.points(p)]
-        return self.bundle.index(self.points(p))
-
-
 def genus0_surface() -> Sphere:
     return Sphere(PeriodMatrix(0, np.zeros((0, 0))))
 
 
 def torus_surface(tau: complex) -> Torus:
     return Torus(period_from_tau(tau))
-
-
-def data_bundle_surface(bundle: SurfaceDataBundle) -> TabulatedSurface:
-    return TabulatedSurface(PeriodMatrix(bundle.genus, bundle.omega), bundle)
 
 
 def _modulus(w):
@@ -479,7 +339,7 @@ def laurent_coeffs(f, center) -> tuple[complex, complex]:
     HigherOrderPole
         If the fitted |t|^-2 component exceeds tolerance.
     """
-    c = coord(center)
+    c = point(center)
     coarse, fine = (circle_modes(f, c, h, orders=(-2, -1, 0))
                     for h in (1e-2, 5e-3))
     scale = max(np.abs(fine[-1]).max(), np.abs(fine[0]).max(), 1.0)
@@ -537,7 +397,7 @@ class EmbeddingPair:
     """
 
     surface: Torus
-    pole_points: tuple[SurfacePoint, ...]
+    pole_points: tuple[complex, ...]
     residues: np.ndarray   # (m, 2), c[i][k]
     consts: np.ndarray     # (m, 2), d[i][k]
 
@@ -548,7 +408,7 @@ class EmbeddingPair:
     def _log_derivs(self, z, order: int):
         """_log_theta_derivs at z - x_j, each of shape (*z.shape, 3)."""
         z = np.asarray(self.surface.points(z))
-        v = z[..., None] - self.surface.points(self.pole_points)
+        v = z[..., None] - np.array(self.pole_points)
         return _log_theta_derivs(v, self.surface.period, order)
 
     def lambda_values(self, z) -> np.ndarray:
@@ -565,14 +425,14 @@ class EmbeddingPair:
     def lambda_derivs(self, z, order: int = 1) -> np.ndarray:
         """Derivative of order 1 or 2 of (lambda1, lambda2), shaped as lambda_values."""
         if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
+            raise InputError("order must be 1 or 2")
         dL = self._log_derivs(z, order)[order]
         return dL[..., :1] - dL[..., 1:]
 
     def is_pole(self, z) -> bool:
         """Whether z, or any point of a sequence z, is one of the pole points."""
         z = np.asarray(self.surface.points(z))[..., None]
-        return bool(np.any(self.surface.equal(z, self.pole_points)))
+        return bool(np.any(self.surface.gap(z - np.array(self.pole_points)) <= POINT_TOL))
 
 
 def build_embedding_functions(surface: Torus, x1, x2, x3) -> EmbeddingPair:
@@ -592,7 +452,7 @@ def build_embedding_functions(surface: Torus, x1, x2, x3) -> EmbeddingPair:
         raise DegenerateEmbedding("pole points must be distinct mod lattice")
 
     S = np.array([[1, -1, 0], [1, 0, -1]])
-    c = surface.points(xs)
+    c = np.array(xs)
     upper = np.triu_indices(3, 1)
     L = np.zeros((3, 3), dtype=complex)   # L[i, j] = L(x_i - x_j), odd
     L[upper] = _log_theta_derivs(c[upper[0]] - c[upper[1]], surface.period, 0)[0]
@@ -607,13 +467,13 @@ def build_embedding_functions(surface: Torus, x1, x2, x3) -> EmbeddingPair:
         beta = (k * 0.5698402909980532) % 1.0
         k += 1
         z = alpha + beta * tau
-        if np.any(surface.equal(z, xs, 1e-3)):
+        if np.any(surface.gap(z - c) <= 1e-3):
             continue
         samples.append(z)
     grid = np.array(samples)
     values = pair.lambda_values(grid)
     gaps = np.abs(values[:, None] - values[None, :]).sum(axis=2)
-    distinct = ~surface.equal(grid[:, None], grid[None, :], 1e-6)
+    distinct = surface.gap(grid[:, None] - grid[None, :]) > 1e-6
     hits = np.argwhere(np.triu(distinct & (gaps < 1e-8), 1))
     if hits.size:
         i, j = hits[0]

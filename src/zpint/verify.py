@@ -18,12 +18,13 @@ np.max, so a NaN residual fails the check.
 
 from __future__ import annotations
 
+import re
 import time
 from functools import partial
 
 import numpy as np
 
-from . import conint, surface
+from . import conint
 from .absint import (
     InterpolationDataSet,
     PoleNode,
@@ -55,7 +56,7 @@ from .detrep import (
     normalized_sections,
     pencil_membership,
 )
-from .errors import InputError, NotSquare, SingularGamma, ZPViolated, ZpintError
+from .errors import InputError, NotSquare, SingularMatrix, ZPViolated, ZpintError
 from .genus0 import Genus0Problem, scalar_product_form, solve_genus0, sylvester_coefficients
 from .kernels import (
     collection_residual,
@@ -119,11 +120,14 @@ def worst(checks):
     return list(folded.values())
 
 
-def _raises(name, exc_types, fn):
+def _raises(name, exc_types, fn, match=None):
+    """A negative control: it passes when fn raises exc_types with a message
+    that the regular expression match finds (any message when None)."""
     try:
         fn()
-    except exc_types:
-        return check(name, 0.0, 0.5)
+    except exc_types as exc:
+        if match is None or re.search(match, str(exc)):
+            return check(name, 0.0, 0.5)
     except ZpintError:
         pass
     return check(name, 1.0, 0.5)
@@ -289,7 +293,7 @@ def checks_genus0(seed=2, tol_scale=1.0):
         problem = _random_genus0_problem(rng, r, n)
         try:
             T = solve_genus0(problem)
-        except SingularGamma:
+        except SingularMatrix:
             continue
         solved += 1
         out += genus0_checks(problem, T, rng, 20, tol_scale)
@@ -363,7 +367,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
     out.append(check("kernel.duality", np.max(dual_defects), 1e-10 * tol_scale))
 
     emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
-    avoid = [surface.coord(x) for x in emb.pole_points]
+    avoid = list(emb.pole_points)
     col_residuals = []
     draws = [(1.0, 0.0), (0.0, 1.0)]
     while len(draws) < 50:
@@ -499,7 +503,7 @@ def checks_detrep(seed=7, tol_scale=1.0):
     out = []
     surf, k1, ksum = _torus_kernels()
     emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
-    avoid = [surface.coord(xp) for xp in emb.pole_points]
+    avoid = list(emb.pole_points)
 
     pencils = {oracle: build_pencil(oracle, emb) for oracle in (k1, ksum)}
     residuals = []
@@ -590,7 +594,7 @@ def _shift_poles(data):
     """The data with every pole moved by 0.01: no longer a solvable problem."""
     return InterpolationDataSet(
         surface=data.surface, rank=data.rank, zeros=data.zeros,
-        poles=tuple(PoleNode(surface.coord(p.point) + 0.01, p.vectors) for p in data.poles),
+        poles=tuple(PoleNode(p.point + 0.01, p.vectors) for p in data.poles),
     )
 
 
@@ -641,8 +645,8 @@ def conint_checks(data, oracle_chi, oracle_tilde, T, emb, q, rng,
     converted = convert_absint_to_conint(data, oracle_tilde, emb, pencil_t)
     solution = solve_conint(converted)
 
-    avoid = [surface.coord(xp) for xp in emb.pole_points]
-    node_pts = [surface.coord(n.point) for n in (*data.zeros, *data.poles)]
+    avoid = list(emb.pole_points)
+    node_pts = [n.point for n in (*data.zeros, *data.poles)]
     P = sample_points(surf, rng, samples, avoid=avoid)
     det_rel, _ = curve_membership(solution.pencil_new, emb, P)
     worst_mem = np.max(det_rel, initial=0.0)
@@ -711,7 +715,8 @@ def checks_negative(seed=9, tol_scale=1.0):
         )
         solve_genus0(problem)
 
-    out.append(_raises("negative.genus0_singular_gamma", SingularGamma, singular))
+    out.append(_raises("negative.genus0_singular_gamma", SingularMatrix, singular,
+                       match="^coupling matrix condition"))
 
     q = 0.52 + 0.18j
     surf, data, oracle_chi, oracle_tilde, _ = _scalar_fixture(0.3 + 0.9j, q)
@@ -739,8 +744,8 @@ def checks_negative(seed=9, tol_scale=1.0):
     converted = convert_absint_to_conint(data, ktil, emb)
     solution = solve_conint(converted)
     t_bad = build_solution(_shift_poles(data), q, np.array([[1.3 - 0.4j]]), kchi, ktil)
-    node_pts = [surface.coord(n.point) for n in (*data.zeros, *data.poles)]
-    avoid = [surface.coord(xp) for xp in emb.pole_points] + node_pts + [q]
+    node_pts = [n.point for n in (*data.zeros, *data.poles)]
+    avoid = [*emb.pole_points, *node_pts, q]
     worst_bad = np.max(check_intertwining(solution, t_bad, kchi, ktil, emb,
                                           sample_points(surf2, rng, 5, avoid=avoid)))
     out.append(check("negative.perturbed_intertwining",

@@ -10,7 +10,7 @@ from zpint.errors import (
     DegenerateBundle,
     ExtractionUnstable,
     InputError,
-    PointOnPoleSet,
+    PointOnExcludedSet,
     SurfaceMismatch,
     UnsupportedGenus,
 )
@@ -140,7 +140,6 @@ def test_extraction_trivial_kernel():
 
 def test_extraction_duality_and_closed_form(torus, bundle, rng, monkeypatch):
     import zpint.kernels
-    from zpint.surface import SurfaceDataBundle, data_bundle_surface
 
     k = line_kernel(torus, bundle)
     closed = line_connection_form(torus, bundle)
@@ -150,17 +149,14 @@ def test_extraction_duality_and_closed_form(torus, bundle, rng, monkeypatch):
         assert cc.duality_defect() < 1e-7
         # connection is constant in p for a flat unitary bundle
         assert abs(cc.A[0, 0] - closed) < 1e-6
-    # the closed form is genus-1 only; a genus-2 bundle is refused before any theta sum
-    genus2 = data_bundle_surface(SurfaceDataBundle(
-        2, np.array([[1.0j, 0.3 + 0.2j], [0.3 + 0.2j, 1.2j]]), ("p0",), np.zeros((1, 2)),
-        np.zeros((1, 1)), np.ones((1, 2))))
+    # the closed form is genus-1 only; the sphere is refused before any theta sum
     sums = []
     for name in ("theta_with_char", "theta_gradient"):
         original = getattr(zpint.kernels, name)
         monkeypatch.setattr(zpint.kernels, name,
                             lambda *args, original=original: sums.append(1) or original(*args))
     with pytest.raises(UnsupportedGenus):
-        line_connection_form(genus2, line_bundle([0.2, 0.1], [0.3, 0.4]))
+        line_connection_form(genus0_surface(), bundle)
     assert not sums
 
 
@@ -194,7 +190,7 @@ def test_conjugated_kernel_duality(torus, bundle, bundle2):
 
 def test_collection_identity(torus, bundle, embedding, rng):
     k = line_kernel(torus, bundle)
-    avoid = [x.coordinate for x in embedding.pole_points]
+    avoid = embedding.pole_points
 
     def draw():
         while True:
@@ -210,7 +206,7 @@ def test_collection_identity(torus, bundle, embedding, rng):
 
 def test_collection_identity_degenerate(torus, bundle, bundle2, embedding, rng):
     ksum = direct_sum_kernel([line_kernel(torus, bundle), line_kernel(torus, bundle2)])
-    avoid = [x.coordinate for x in embedding.pole_points]
+    avoid = embedding.pole_points
     for _ in range(5):
         while True:
             p = rng.uniform(0.03, 0.97) + rng.uniform(0.03, 0.97) * TAU
@@ -222,46 +218,8 @@ def test_collection_identity_degenerate(torus, bundle, bundle2, embedding, rng):
 def test_collection_rejects_pole_points(torus, bundle, embedding):
     k = line_kernel(torus, bundle)
     x1 = embedding.pole_points[0]
-    with pytest.raises(PointOnPoleSet):
+    with pytest.raises(PointOnExcludedSet):
         collection_residual(k, embedding, x1, 0.4 + 0.4j, (1.0, 0.0))
-
-
-def torus_table_surface(torus, pts):
-    """Data-bundle surface tabulating the torus geometry at pts, labels p0, p1, ..."""
-    from zpint.surface import SurfaceDataBundle, data_bundle_surface, prime_form
-
-    labels = tuple(f"p{i}" for i in range(len(pts)))
-    n = len(pts)
-    table = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i, j] = prime_form(torus, pts[i], pts[j])
-            table[j, i] = -table[i, j]
-    data = SurfaceDataBundle(1, torus.period.omega, labels,
-                             np.array([[p] for p in pts]), table,
-                             np.ones((n, 1), dtype=complex))
-    return data_bundle_surface(data), labels
-
-
-def test_data_bundle_kernel_matches_closed_form(torus, bundle):
-    """The tabulated-geometry kernel path (the genus >= 2 interface)
-    agrees with the torus closed form when fed torus tables."""
-    from zpint.absint import fay_residual
-
-    pts = [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j, 0.11 + 0.71j]
-    surf, labels = torus_table_surface(torus, pts)
-    n = len(pts)
-    k_closed = line_kernel(torus, bundle)
-    k_table = line_kernel(surf, bundle)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a = k_closed(pts[i], pts[j])[0, 0]
-            b = k_table(labels[i], labels[j])[0, 0]
-            assert abs(a - b) < 1e-12 * abs(a)
-    # the trisecant residual runs through the tabulated path as well
-    assert fay_residual(surf, 0.1 + 0.2j, "p0", "p1", "p2", "p3") < 1e-12
 
 
 def test_kernel_grid_matches_single_pair_calls(torus, bundle, bundle2, rng):
@@ -305,20 +263,11 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
     P, Q = torus_pairs(12)
     cases = [(line, P, Q), (dsum, P, Q), (conjugated_kernel(dsum, frame), P, Q),
              (opaque, P, Q), (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
-    table_surface, labels = torus_table_surface(torus, [0.21 + 0.33j, 0.67 + 0.52j,
-                                                        0.44 + 0.12j])
-    table_line = line_kernel(table_surface, bundle)
-    table_opaque = CauchyKernelOracle(1, table_surface, table_line.many)
-    table_P, table_Q = ["p0", "p1", "p2", "p0"], ["p1", "p2", "p0", "p2"]
-    cases += [(table_line, table_P, table_Q), (table_opaque, table_P, table_Q),
-              (direct_sum_kernel([table_line, line_kernel(table_surface, bundle2)]),
-               table_P, table_Q)]
     # a kernel given by many alone has no normal form to sum or conjugate
-    for given in (opaque, table_opaque):
-        with pytest.raises(InputError):
-            direct_sum_kernel([line if given is opaque else table_line, given])
-        with pytest.raises(InputError):
-            conjugated_kernel(given, [[2.0]])
+    with pytest.raises(InputError):
+        direct_sum_kernel([line, opaque])
+    with pytest.raises(InputError):
+        conjugated_kernel(opaque, [[2.0]])
     for oracle, P, Q in cases:
         batch = evaluate_many(oracle, P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
@@ -326,63 +275,59 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
         assert np.array_equal(oracle(P, Q), batch), oracle.name
         for i in range(len(P)):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
-        with pytest.raises(ValueError):
-            oracle(P, Q[:-1])
+        for short in (Q[:-1], Q[0]):
+            with pytest.raises(InputError, match="differ in length"):
+                oracle(P, short)
 
 
 def test_single_pair_rejects_non_finite_point(torus, bundle):
-    """A single pair runs through point(), which rejects a non-finite coordinate."""
+    """A single pair runs through surface.points, which rejects a non-finite
+    coordinate with InputError naming it."""
     for oracle in (line_kernel(torus, bundle), genus0_kernel(2)):
-        for p, q in ((complex(np.nan, 0.0), 0.3), (0.3, complex(0.0, np.inf))):
-            with pytest.raises(ValueError):
-                oracle(p, q)
+        for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            for p, q in ((bad, 0.3), (0.3, bad)):
+                with pytest.raises(InputError, match=re.escape(repr(bad))):
+                    oracle(p, q)
 
 
 def test_batches_reject_non_finite_points(torus, bundle, bundle2):
     """A NaN or infinite point in a batch of a line, direct-sum or
-    conjugated oracle raises the theta pass's ValueError before any sum
-    through evaluate_many, and InputError naming the
-    point, with no warning, through kernel_grid (on the sphere too)."""
+    conjugated oracle, or of the sphere's kernel, raises InputError naming
+    the point, with no warning, through evaluate_many and kernel_grid."""
     line = line_kernel(torus, bundle)
     dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
     oracles = (line, dsum, conjugated_kernel(dsum, [[1.0, 0.4j], [0.1, 0.9]]))
     good = [0.11 + 0.71j, 0.3 + 0.6j]
     for bad in (complex(np.nan, 0.2), complex(0.2, np.nan), complex(np.inf, 0.2),
                 complex(0.2, -np.inf)):
-        for oracle in oracles:
-            for call in (lambda: evaluate_many(oracle, [*good, bad], [0.5, 0.4j, 0.25]),
-                         lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good])):
-                with pytest.raises(ValueError, match="theta arguments must be finite"):
-                    call()
         for oracle in (*oracles, genus0_kernel(2)):
-            for P, Q in ((good, [0.5, bad]), ([bad, *good], good)):
+            for call in (lambda: evaluate_many(oracle, [*good, bad], [0.5, 0.4j, 0.25]),
+                         lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good]),
+                         lambda: kernel_grid(oracle, good, [0.5, bad]),
+                         lambda: kernel_grid(oracle, [bad, *good], good)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(InputError, match=re.escape(repr(bad))):
-                        kernel_grid(oracle, P, Q)
+                        call()
 
 
 def test_line_blocks_match_theta_formula(torus, bundle, bundle2):
     """Every block of a line kernel or of a line direct sum is
-    theta[chi](phi(q) - phi(p)) / (theta[chi](0) E(q, p)), bit for bit,
-    on the torus and on a tabulated surface."""
-    pts = [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j]
-    table, labels = torus_table_surface(torus, pts)
+    theta[chi](phi(q) - phi(p)) / (theta[chi](0) E(q, p)), bit for bit."""
+    P = [0.21 + 0.33j, 0.67 + 0.52j, 0.44 + 0.12j, 0.9 + 0.1j]
+    Q = [0.11 + 0.71j, 0.3 + 0.6j, 0.05j, 0.5]
     bundles = (bundle, bundle2, bundle)
-    cases = [(torus, pts + [0.9 + 0.1j], [0.11 + 0.71j, 0.3 + 0.6j, 0.05j, 0.5]),
-             (table, list(labels), [labels[1], labels[2], labels[0]])]
-    for surf, P, Q in cases:
-        dsum = direct_sum_kernel([line_kernel(surf, b) for b in bundles])
-        batch = evaluate_many(dsum, P, Q)
-        assert not batch[:, ~np.eye(3, dtype=bool)].any()
-        for i, (p, q) in enumerate(zip(P, Q)):
-            v = surf.abel_jacobi(q) - surf.abel_jacobi(p)
-            for k, b in enumerate(bundles):
-                chi = b.characteristic
-                # in numpy array arithmetic, as the kernels use: Python or
-                # numpy scalar products can differ from it in the last bit
-                expected = (np.array([theta_with_char(chi, v, surf.period)]) / (
-                    theta_with_char(chi, np.zeros(1), surf.period)
-                    * prime_form(surf, [q], [p])))[0]
-                assert batch[i, k, k] == expected
-                assert line_kernel(surf, b)(p, q)[0, 0] == expected
+    dsum = direct_sum_kernel([line_kernel(torus, b) for b in bundles])
+    batch = evaluate_many(dsum, P, Q)
+    assert not batch[:, ~np.eye(3, dtype=bool)].any()
+    for i, (p, q) in enumerate(zip(P, Q)):
+        v = torus.abel_jacobi(q) - torus.abel_jacobi(p)
+        for k, b in enumerate(bundles):
+            chi = b.characteristic
+            # in numpy array arithmetic, as the kernels use: Python or
+            # numpy scalar products can differ from it in the last bit
+            expected = (np.array([theta_with_char(chi, v, torus.period)]) / (
+                theta_with_char(chi, np.zeros(1), torus.period)
+                * prime_form(torus, [q], [p])))[0]
+            assert batch[i, k, k] == expected
+            assert line_kernel(torus, b)(p, q)[0, 0] == expected

@@ -1,26 +1,27 @@
-"""Surface geometry: lattice arithmetic, prime form, embedding functions."""
+"""Surface geometry: points, lattice arithmetic, prime form, embedding functions."""
 
-import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from zpint.absint import InterpolationDataSet, build_solution
 from zpint.errors import (
     DegenerateEmbedding,
     HigherOrderPole,
     InputError,
-    UnknownPoint,
     UnsupportedGenus,
 )
+from zpint.kernels import evaluate_many, genus0_kernel, kernel_grid, line_kernel
 from zpint.numutil import circle_modes
 from zpint.surface import (
-    SurfaceDataBundle,
-    SurfacePoint,
     build_embedding_functions,
-    data_bundle_surface,
     genus0_surface,
     laurent_coeffs,
+    line_bundle,
+    point,
     prime_form,
     torus_surface,
 )
@@ -117,7 +118,7 @@ def test_embedding_residue_table(torus, embedding):
     res2, _ = laurent_coeffs(embedding.lambda1, x2)
     assert abs(res2 - (-embedding.residues[1, 0])) < 1e-8
     # independent contour oracle for the same residue
-    ref = oracles.circle_residue(embedding.lambda1, complex(x1.coordinate))
+    ref = oracles.circle_residue(embedding.lambda1, x1)
     assert abs(ref - 1.0) < 1e-8
 
 
@@ -151,13 +152,13 @@ def test_embedding_derivs_match_oracle(embedding):
 
 def _lambda_points(embedding):
     """Generic points, a lattice-shifted one and two 1e-3 from a pole."""
-    x1, x2, _ = (complex(x.coordinate) for x in embedding.pole_points)
+    x1, x2, _ = embedding.pole_points
     return [0.27 + 0.33j, 0.91 + 0.05j, 0.44 + 0.71j + 1 + TAU,
             x1 + 1e-3, x2 - 0.6e-3 + 0.8e-3j]
 
 
 def test_lambda_values_match_log_deriv_and_mpmath(torus, embedding):
-    xs = [complex(x.coordinate) for x in embedding.pole_points]
+    xs = embedding.pole_points
     for z in _lambda_points(embedding):
         got = embedding.lambda_values(z)
         Lmp = [oracles.odd_theta_log_derivs(z - x, TAU)[0] for x in xs]
@@ -167,7 +168,7 @@ def test_lambda_values_match_log_deriv_and_mpmath(torus, embedding):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_lambda_derivs_match_mpmath(embedding, order):
-    xs = [complex(x.coordinate) for x in embedding.pole_points]
+    xs = embedding.pole_points
     for z in _lambda_points(embedding):
         got = embedding.lambda_derivs(z, order=order)
         dL = [oracles.odd_theta_log_derivs(z - x, TAU)[order] for x in xs]
@@ -213,46 +214,11 @@ def test_degenerate_embedding_rejected(torus):
         build_embedding_functions(torus, 0.2 + 0.3j, 1.2 + 0.3j, 0.7 + 0.1j)
 
 
-BUNDLE_PAYLOAD = {
-    "genus": 2,
-    "omega": [[[0.3, 1.1], [0.1, 0.2]], [[0.1, 0.2], [-0.2, 0.9]]],
-    "points": [
-        {"label": "p1", "phi": [[0.1, 0.0], [0.0, 0.2]]},
-        {"label": "p2", "phi": [[0.3, 0.1], [0.2, 0.0]]},
-    ],
-    "prime_form": [[0.5, 0.25]],
-    "differentials": [[[1.0, 0.0], [0.5, 0.0]], [[0.9, 0.1], [0.4, 0.2]]],
-}
-
-
-def test_data_bundle_round_trip():
-    bundle = SurfaceDataBundle.from_json(json.dumps(BUNDLE_PAYLOAD))
-    surf = data_bundle_surface(bundle)
-    phi = surf.abel_jacobi(SurfacePoint(label="p1"))
-    assert phi[0] == 0.1 and phi[1] == 0.2j
-    ep = prime_form(surf, SurfacePoint(label="p1"), SurfacePoint(label="p2"))
-    assert ep == 0.5 + 0.25j
-    assert prime_form(surf, "p2", "p1") == -(0.5 + 0.25j)
-    assert prime_form(surf, "p1", "p1") == 0.0
-    with pytest.raises(UnknownPoint):
-        surf.abel_jacobi(SurfacePoint(label="nope"))
-
-
-def test_data_bundle_validation():
-    bad = dict(BUNDLE_PAYLOAD)
-    bad["prime_form"] = [[0.5, 0.25], [1.0, 0.0]]
-    with pytest.raises(InputError):
-        SurfaceDataBundle.from_json(json.dumps(bad))
-
-
-@pytest.mark.parametrize("kind", ["sphere", "torus", "tabulated"])
+@pytest.mark.parametrize("kind", ["sphere", "torus"])
 def test_point_rules_of_each_kind(kind):
-    bundle = SurfaceDataBundle.from_json(json.dumps(BUNDLE_PAYLOAD))
     family = {
         "sphere": [genus0_surface(), genus0_surface()],
         "torus": [torus_surface(TAU), torus_surface(TAU), torus_surface(TAU + 0.1)],
-        "tabulated": [data_bundle_surface(bundle), data_bundle_surface(bundle),
-                      data_bundle_surface(SurfaceDataBundle.from_json(BUNDLE_PAYLOAD))],
     }
     p = 0.31 + 0.42j
     P, Q = {
@@ -260,7 +226,6 @@ def test_point_rules_of_each_kind(kind):
         # lattice-shifted copies are one point of the torus
         "torus": ([p, p + 1 + TAU, 0.7 + 0.1j, 0.55 + 0.8j],
                   [0.55 + 0.8j - TAU, p - 2 + TAU, 0.75 + 0.1j, p]),
-        "tabulated": (["p1", "p2", "p1"], [SurfacePoint(label="p2"), "p1", "p1", "p2"]),
     }[kind]
     surf = family[kind][0]
 
@@ -278,9 +243,71 @@ def test_point_rules_of_each_kind(kind):
         if i < n:
             assert pairwise[i] == surf.distance(P[i], Q[i])
 
-    # same_as holds exactly within a kind and for the same modulus or bundle
+    # same_as holds exactly within a kind and for the same modulus
     for other_kind, group in family.items():
         for k, other in enumerate(group):
             expected = other_kind == kind and k < 2
             assert surf.same_as(other) == expected
             assert other.same_as(surf) == expected
+
+
+# --- points ---
+
+ROUTES = ("oracle_pair", "oracle_batch", "evaluate_many", "kernel_grid", "T", "T.many",
+          "equal", "prime_form", "build_embedding_functions")
+TORUS_ONLY = ("prime_form", "build_embedding_functions")   # UnsupportedGenus on the sphere
+
+
+def _point_routes(kind):
+    """Every public entry that takes points, on the sphere or the torus, as
+    name -> call at one bad point among good ones."""
+    if kind == "sphere":
+        surf = genus0_surface()
+        oracle = genus0_kernel(1, surf)
+        nodes, q = (2.0, 3.0 + 1j), 40.0 + 3j
+    else:
+        surf = torus_surface(TAU)
+        oracle = line_kernel(surf, line_bundle(0.21, 0.37))
+        nodes, q = (0.13 + 0.27j, 0.61 + 0.43j), 0.52 + 0.18j
+    one = np.ones((1, 1))
+    T = build_solution(InterpolationDataSet(surf, 1, ((nodes[0], one),), ((nodes[1], one),)),
+                       q, one, oracle, oracle)
+    good = [0.31 + 0.42j, 0.7 + 0.1j]
+    return {
+        "oracle_pair": lambda bad: oracle(bad, good[0]),
+        "oracle_batch": lambda bad: oracle([good[0], bad], good),
+        "evaluate_many": lambda bad: evaluate_many(oracle, good, [good[1], bad]),
+        "kernel_grid": lambda bad: kernel_grid(oracle, good, [bad]),
+        "T": lambda bad: T(bad),
+        "T.many": lambda bad: T.many([good[0], bad]),
+        "equal": lambda bad: surf.equal(good[0], bad),
+        "prime_form": lambda bad: prime_form(surf, bad, good[0]),
+        "build_embedding_functions":
+            lambda bad: build_embedding_functions(surf, good[0], good[1], bad),
+    }
+
+
+@pytest.mark.parametrize("kind, route", [(kind, route) for kind in ("sphere", "torus")
+                                         for route in ROUTES
+                                         if kind == "torus" or route not in TORUS_ONLY])
+def test_non_finite_points_raise_input_error(kind, route):
+    """A NaN or infinite point raises InputError naming it, with no warning,
+    on every route a point enters by."""
+    call = _point_routes(kind)[route]
+    for bad in (complex(np.nan, 0.2), complex(0.3, np.inf), complex(-np.inf, np.nan)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(repr(bad))):
+                call(bad)
+
+
+def test_point_is_a_finite_complex():
+    """point() gives a Python complex; a value that is no number, alone or
+    in a sequence, raises InputError."""
+    assert point(1) == 1.0 and type(point(np.complex128(0.3 + 0.1j))) is complex
+    for bad in ("p1", None, [0.1, 0.2]):
+        with pytest.raises(InputError):
+            point(bad)
+    for surf in (genus0_surface(), torus_surface(TAU)):
+        with pytest.raises(InputError):
+            surf.points([0.1, "p1"])
