@@ -84,11 +84,8 @@ from .detrep import (
     normalized_sections,
 )
 from .conint import (
-    BlockMatrices,
     ConintDataSet,
-    ConintNode,
     ConintSolution,
-    block_matrices,
     build_gamma0,
     check_condition_I3,
     check_gamma_equality,

@@ -14,6 +14,12 @@ the poles of K(chi; . , q)^{-1} hold, and then
     T(p)      = [K(chi~; p, q) + K_mu_u(p) Gamma^{-1} K_x_lam(q)] Q K(chi; p, q)^{-1},
     T(p)^{-1} = K(chi; q, p)^{-1} Q^{-1} [K(chi~; q, p) + K_mu_u(q) Gamma^{-1} K_x_lam(p)].
 
+The zeros and poles are InterpolationNode (a point and its vectors as
+rows).  A data set validates them once on construction and stacks their
+vector rows, NodeRows per side, which Gamma and the interpolant weights
+read; conint.ConintDataSet shares the node type, the validation and the
+layout, at the width of its pencil.
+
 Both interpolants evaluate arrays of points (BundleMapEvaluator.many),
 and a call at one point is the N = 1 case.  Both kernels are in the normal
 form F diag(k_1, ..., k_r) F^-1 of kernels, so K(chi; p, q)^-1 is
@@ -84,6 +90,7 @@ __all__ = [
     "ZeroNode",
     "PoleNode",
     "InterpolationDataSet",
+    "NodeRows",
     "coupling_table",
     "GammaMatrix",
     "BundleMapEvaluator",
@@ -104,10 +111,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class InterpolationNode:
-    """Prescribed zero or pole: point and independent vectors stored as rows.
+    """Prescribed zero or pole: point and vectors stored as rows.
 
-    At a zero the rows are the null row vectors x (t_i, r); at a pole they
-    are the pole vectors u (s_j, r).
+    At a zero the rows are null row vectors, at a pole pole vectors, each
+    of the data set's width: the rank r of an InterpolationDataSet, the
+    pencil size M of a conint.ConintDataSet.  The data set holding the
+    node validates the vectors.
     """
 
     point: complex
@@ -141,14 +150,99 @@ def coupling_table(couplings, zeros, poles, pairs) -> dict:
         raise InputError(f"a coupling does not match its nodes: {exc}") from exc
 
 
-@dataclass(eq=False)
-class InterpolationDataSet:
-    """Zero/pole data with couplings at coincident points.
+@dataclass(frozen=True, eq=False)
+class NodeRows:
+    """The vector rows of one side's nodes, stacked once per data set:
+    vectors (rows, width), node_of (the node of each row) and blocks (the
+    (start, stop) rows of each node)."""
+
+    vectors: np.ndarray
+    node_of: np.ndarray
+    blocks: tuple
+
+
+def _node_rows(nodes, width: int) -> NodeRows:
+    """Stack the vectors of nodes; InputError unless every node has a
+    (count >= 1, width) array of finite, nonzero, independent vectors."""
+    vectors = [node.vectors for node in nodes]
+    for v in vectors:
+        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != width:
+            raise InputError(f"vectors at a node form a {v.shape} array, not (count, {width})")
+    rows = np.concatenate([np.empty((0, width), dtype=complex), *vectors])
+    if not np.isfinite(rows).all():
+        raise InputError("interpolation vectors must be finite")
+    if len(rows) and np.linalg.norm(rows, axis=1).min() == 0.0:
+        raise InputError("interpolation vectors must be nonzero")
+    for v in vectors:   # one nonzero row is independent
+        if len(v) > 1:
+            s = np.linalg.svd(v, compute_uv=False)
+            if len(s) < len(v) or s[-1] <= 1e-10 * s[0]:
+                raise InputError("vector set at a node is numerically dependent")
+    counts = [len(v) for v in vectors]
+    stops = list(itertools.accumulate(counts))
+    return NodeRows(rows, np.repeat(np.arange(len(nodes)), counts),
+                    tuple(zip([0, *stops], stops)))
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeData:
+    """Zeros and poles with couplings at their coincident points: the
+    layout the abstract InterpolationDataSet and the concrete
+    conint.ConintDataSet share, validated once per data set.
+
+    The subclass declares surface, zeros, poles and couplings and calls
+    _lay_out(width) first in __post_init__.  Afterwards zeros and poles are
+    tuples of InterpolationNode, zero_rows and pole_rows their NodeRows,
+    and couplings maps exactly the coincident pairs (i, j), in row-major
+    order, to (t_i, s_j) arrays.
+    """
+
+    zero_rows: NodeRows = field(init=False, repr=False)
+    pole_rows: NodeRows = field(init=False, repr=False)
+
+    def _lay_out(self, width: int) -> None:
+        """InputError for bad vectors (_node_rows), a repeated zero or pole
+        or couplings off the coincident pairs."""
+        zeros, poles = (tuple(node if isinstance(node, InterpolationNode)
+                              else InterpolationNode(*node) for node in nodes)
+                        for nodes in (self.zeros, self.poles))
+        zero_rows, pole_rows = _node_rows(zeros, width), _node_rows(poles, width)
+        # one coincidence test over all nodes: pairs within a side are
+        # repeats, pairs across are the coincident (zero, pole) pairs
+        n, pts = len(zeros), [node.point for node in (*zeros, *poles)]
+        hits = self.surface.coincidences(pts, pts)
+        for i, j in hits:
+            if i != j and (i < n) == (j < n):
+                raise InputError(f"{'zeros' if i < n else 'poles'} must be pairwise distinct")
+        pairs = [(i, j - n) for i, j in hits if i < n <= j]
+        laid_out = dict(zeros=zeros, poles=poles, zero_rows=zero_rows, pole_rows=pole_rows,
+                        couplings=coupling_table(self.couplings, zeros, poles, pairs))
+        for name, value in laid_out.items():
+            object.__setattr__(self, name, value)
+
+    def coincident_pairs(self) -> list[tuple[int, int]]:
+        return list(self.couplings)
+
+    def write_couplings(self, matrix: np.ndarray) -> np.ndarray:
+        """Write -rho into the coincident blocks of a matrix over the zero
+        rows and pole rows, in place; returns the mask of those entries."""
+        mask = np.zeros(matrix.shape, dtype=bool)
+        for (i, j), rho in self.couplings.items():
+            block = slice(*self.zero_rows.blocks[i]), slice(*self.pole_rows.blocks[j])
+            matrix[block] = -rho
+            mask[block] = True
+        return mask
+
+
+@dataclass(frozen=True, eq=False)
+class InterpolationDataSet(_NodeData):
+    """Zero/pole data of rank r with couplings at coincident points.
 
     couplings maps (zero index, pole index) to a (t_i, s_j) array for the
-    pairs whose points coincide on the surface.  Validation enforces
-    distinctness within each list, per-point linear independence of the
-    vector sets, and the compatibility x u = 0 at every coincidence.
+    pairs whose points coincide on the surface.  Validation (_NodeData)
+    enforces distinctness within each list and finite, nonzero, per-point
+    independent vectors of length r, and here the compatibility x u = 0
+    at every coincidence.
     """
 
     surface: Surface
@@ -158,69 +252,26 @@ class InterpolationDataSet:
     couplings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.zeros = tuple(
-            z if isinstance(z, ZeroNode) else ZeroNode(*z) for z in self.zeros
-        )
-        self.poles = tuple(
-            p if isinstance(p, PoleNode) else PoleNode(*p) for p in self.poles
-        )
-        for node in (*self.zeros, *self.poles):
-            if node.vectors.shape[1] != self.rank:
-                raise InputError("vector length does not match rank")
-            if np.linalg.norm(node.vectors, axis=1).min() == 0.0:
-                raise InputError("interpolation vectors must be nonzero")
-            s = np.linalg.svd(node.vectors, compute_uv=False)
-            if s[-1] <= 1e-10 * s[0]:
-                raise InputError("vector set at a node is numerically dependent")
-        for nodes, tag in ((self.zeros, "zeros"), (self.poles, "poles")):
-            pts = [node.point for node in nodes]
-            if any(i != j for i, j in self.surface.coincidences(pts, pts)):
-                raise InputError(f"{tag} must be pairwise distinct")
-        pairs = self.coincident_pairs()
-        for (i, j) in pairs:
+        self._lay_out(self.rank)
+        for (i, j) in self.coincident_pairs():
             x = self.zeros[i].vectors
             u = self.poles[j].vectors
             pairing = x @ u.T
             scale = max(np.abs(x).max() * np.abs(u).max(), 1.0)
             if float(np.abs(pairing).max()) > 1e-12 * scale:
                 raise InputError("compatibility x.u = 0 fails at a coincidence")
-        self.couplings = coupling_table(self.couplings, self.zeros, self.poles, pairs)
-
-    def coincident_pairs(self) -> list[tuple[int, int]]:
-        return self.surface.coincidences([z.point for z in self.zeros],
-                                         [p.point for p in self.poles])
-
-    @property
-    def n_zero_total(self) -> int:
-        return sum(z.count for z in self.zeros)
-
-    @property
-    def n_pole_total(self) -> int:
-        return sum(p.count for p in self.poles)
-
-
-def _rows(nodes, width: int) -> tuple:
-    """The vector rows of nodes: their (count, width) vector sets stacked,
-    the node of each row, and the (start, stop) rows of each node."""
-    vectors = [node.vectors for node in nodes]
-    counts = [len(v) for v in vectors]
-    stops = list(itertools.accumulate(counts))
-    return (np.concatenate([np.empty((0, width), dtype=complex), *vectors]),
-            np.repeat(np.arange(len(nodes)), counts), tuple(zip([0, *stops], stops)))
 
 
 @dataclass(frozen=True, eq=False)
 class GammaMatrix:
-    """Block coupling matrix with the (start, stop) rows of each zero node
-    (row_blocks) and columns of each pole node (col_blocks).  at_base
-    holds the kernel values at a base point q, read from the same kernel
-    grid, on the vector rows: K_x_lam(q) = [x_a K(chi~; lambda_a, q)]_a,
-    (A, r), or for an inverse K_mu_u(q)^T = [K(chi~; q, mu_b) u_b]_b, (B,
-    r); None when no base point was given."""
+    """Block coupling matrix over the vector rows of the zeros and poles
+    (data.zero_rows and pole_rows).  at_base holds the kernel values at a
+    base point q, read from the same kernel grid, on the vector rows:
+    K_x_lam(q) = [x_a K(chi~; lambda_a, q)]_a, (A, r), or for an inverse
+    K_mu_u(q)^T = [K(chi~; q, mu_b) u_b]_b, (B, r); None when no base
+    point was given."""
 
     matrix: np.ndarray
-    row_blocks: tuple
-    col_blocks: tuple
     at_base: np.ndarray | None = None
 
     @property
@@ -244,8 +295,8 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
     values, times the vector rows, are kept as at_base for the
     interpolant's weight.
     """
-    X, zero_of, row_blocks = _rows(data.zeros, data.rank)
-    U, pole_of, col_blocks = _rows(data.poles, data.rank)
+    X, zero_of = data.zero_rows.vectors, data.zero_rows.node_of
+    U, pole_of = data.pole_rows.vectors, data.pole_rows.node_of
     rows, cols = (data.surface.points([node.point for node in nodes])
                   for nodes in (data.zeros, data.poles))
     if q is not None:
@@ -259,10 +310,8 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
     elif q is not None:
         kvals, at_base = kvals[:, :-1], np.einsum("ak,akl->al", X, kvals[:, -1][zero_of])
     gamma = -np.einsum("ak,abkl,bl->ab", X, kvals[np.ix_(zero_of, pole_of)], U)
-    for (i, j), rho in data.couplings.items():   # the coincident pairs
-        (r0, r1), (c0, c1) = row_blocks[i], col_blocks[j]
-        gamma[r0:r1, c0:c1] = -rho
-    return GammaMatrix(gamma, row_blocks, col_blocks, at_base)
+    data.write_couplings(gamma)
+    return GammaMatrix(gamma, at_base)
 
 
 def _ends(data, q, nodes) -> np.ndarray:
@@ -410,8 +459,8 @@ def _weights(data, gamma, inverse: bool) -> tuple:
     (K_mu_u(q) Gamma^-1)^T (at_base is K_mu_u(q)^T).
     """
     if inverse:
-        return np.linalg.solve(gamma.matrix.T, gamma.at_base), _rows(data.zeros, data.rank)[0]
-    return _rows(data.poles, data.rank)[0], np.linalg.solve(gamma.matrix, gamma.at_base)
+        return np.linalg.solve(gamma.matrix.T, gamma.at_base), data.zero_rows.vectors
+    return data.pole_rows.vectors, np.linalg.solve(gamma.matrix, gamma.at_base)
 
 
 def _interpolant(data, q, Q, oracle_chi, oracle_tilde, kind) -> BundleMapEvaluator:

@@ -22,6 +22,13 @@ Conversion from abstract zero-pole data uses the normalized sections of
 the output pencil; the abstract and concrete coupling matrices then agree
 entrywise, and the abstract solution T intertwines with S through the
 boundary-value normalization beta = diag(T(x^i))^{-1}.
+
+The zeros and poles are the InterpolationNode of absint, of width M (the
+pencil size) instead of the rank, laid out and validated as in the
+abstract data set; ConintDataSet adds the affine pair lambda(p) of each
+node, one (n, 2) array per side.  Psi and Phi are the stacked rows of
+the data set, and every per-row affine pair is read from those arrays
+through the node of each row.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ import numpy as np
 
 from .absint import (
     InterpolationDataSet,
-    _rows,
+    InterpolationNode,
+    _NodeData,
     build_gamma,
-    coupling_table,
 )
 from .detrep import PencilRep, build_pencil, normalized_sections
 from .errors import (
@@ -48,15 +55,12 @@ from .errors import (
 )
 from .kernels import CauchyKernelOracle
 from .numutil import COND_LIMIT, EPS_GUARD, circle_modes, rel_residual, svd_cond
-from .surface import EmbeddingPair, Surface, point
+from .surface import EmbeddingPair, Surface
 
 __all__ = [
-    "ConintNode",
     "ConintDataSet",
-    "BlockMatrices",
     "ConintSolution",
     "build_gamma0",
-    "block_matrices",
     "solve_conint",
     "convert_absint_to_conint",
     "check_gamma_equality",
@@ -73,106 +77,50 @@ SECOND_XI = tuple(_XI_B / np.linalg.norm(_XI_B))
 
 
 @dataclass(frozen=True, eq=False)
-class ConintNode:
-    """Zero or pole node: surface point, affine pair, vectors stored as rows.
+class ConintDataSet(_NodeData):
+    """Concrete data against a reference pencil of size M.
 
-    At a zero the rows are the stacked null rows (t_i, M); at a pole they
-    are the pole vectors (s_j, M).
-    """
-
-    surface_point: complex
-    affine: tuple
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "surface_point", point(self.surface_point))
-        object.__setattr__(self, "affine",
-                           (complex(self.affine[0]), complex(self.affine[1])))
-        object.__setattr__(self, "vectors",
-                           np.atleast_2d(np.asarray(self.vectors, dtype=complex)))
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(eq=False)
-class ConintDataSet:
-    """Concrete data against a reference pencil.
-
-    Coincidence of a zero and a pole is decided by surface-point equality,
-    not by affine coordinates (a node of the curve carries two surface
-    points over one affine point).
+    zeros and poles are InterpolationNode of width M, their rows the null
+    rows psi and the pole vectors phi; zero_affine and pole_affine are the
+    affine pairs lambda(p) of the nodes, (n, 2) per side.  Validation is
+    that of absint (_NodeData), then finite affine pairs and membership of
+    every vector in the left (zeros) or right (poles) kernel of the pencil
+    at its pair, to membership_tol.  Coincidence of a zero and a pole is
+    decided by surface-point equality, not by affine coordinates (a node
+    of the curve carries two surface points over one affine point).
     """
 
     surface: Surface
     pencil: PencilRep
     zeros: tuple
     poles: tuple
+    zero_affine: np.ndarray
+    pole_affine: np.ndarray
     couplings: dict = field(default_factory=dict)
     membership_tol: float = 1e-8
 
     def __post_init__(self):
-        self.zeros = tuple(self.zeros)
-        self.poles = tuple(self.poles)
-        for node in self.poles:
-            self._require_membership(node, left=False)
-        for node in self.zeros:
-            self._require_membership(node, left=True)
-        for node in (*self.zeros, *self.poles):
-            s = np.linalg.svd(node.vectors, compute_uv=False)
-            if s[-1] <= 1e-10 * s[0]:
-                raise InputError("vector set at a node is numerically dependent")
-        pairs = self.coincident_pairs()
-        self.couplings = coupling_table(self.couplings, self.zeros, self.poles, pairs)
+        self._lay_out(self.pencil.size)
+        for name, rows, left in (("pole_affine", self.pole_rows, False),
+                                 ("zero_affine", self.zero_rows, True)):
+            affine = np.asarray(getattr(self, name), dtype=complex)
+            count = len(rows.blocks)
+            if affine.shape != (count, 2) or not np.isfinite(affine).all():
+                raise InputError(f"{name} must be a finite ({count}, 2) array")
+            object.__setattr__(self, name, affine)
+            self._require_membership(rows, affine, left)
 
-    def _require_membership(self, node, left: bool):
-        z1, z2 = node.affine
-        mat = self.pencil.pencil(z1, z2)
-        for vec in node.vectors:
-            image = vec @ mat if left else mat @ vec
-            scale = float(np.linalg.norm(mat)) * float(np.linalg.norm(vec)) + EPS_GUARD
-            if float(np.linalg.norm(image)) / scale > self.membership_tol:
-                side = "left" if left else "right"
-                raise InputError(f"vector not in the {side} kernel of the pencil")
-
-    def coincident_pairs(self) -> list[tuple[int, int]]:
-        return self.surface.coincidences([z.surface_point for z in self.zeros],
-                                         [p.surface_point for p in self.poles])
-
-    @property
-    def n_zero_total(self) -> int:
-        return sum(z.count for z in self.zeros)
-
-    @property
-    def n_pole_total(self) -> int:
-        return sum(p.count for p in self.poles)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockMatrices:
-    """Per-row affine coordinates and stacked vector matrices.
-
-    Row k of pole_affine is the affine pair of the pole node that column k
-    of phi belongs to; likewise zero_affine for the rows of psi.
-    """
-
-    pole_affine: np.ndarray   # (N_pole, 2)
-    zero_affine: np.ndarray   # (N_zero, 2)
-    phi: np.ndarray           # (M, N_pole)
-    psi: np.ndarray           # (N_zero, M)
-
-
-def _affine_rows(nodes) -> np.ndarray:
-    """Each node's affine pair once per vector row, (total count, 2)."""
-    return np.array([node.affine for node in nodes for _ in range(node.count)],
-                    dtype=complex).reshape(-1, 2)
-
-
-def block_matrices(data: ConintDataSet) -> BlockMatrices:
-    size = data.pencil.size
-    return BlockMatrices(_affine_rows(data.poles), _affine_rows(data.zeros),
-                         _rows(data.poles, size)[0].T, _rows(data.zeros, size)[0])
+    def _require_membership(self, rows, affine, left: bool):
+        z = affine[rows.node_of]
+        mats = self.pencil.pencil(z[:, 0], z[:, 1])
+        vecs = rows.vectors
+        image = (np.einsum("ak,akl->al", vecs, mats) if left
+                 else np.einsum("akl,al->ak", mats, vecs))
+        scale = (np.linalg.norm(mats, axis=(1, 2)) * np.linalg.norm(vecs, axis=1)
+                 + EPS_GUARD)
+        if np.any(np.linalg.norm(image, axis=1) / scale > self.membership_tol):
+            side = "left" if left else "right"
+            raise InputError(f"vector not in the {side} kernel of the pencil")
 
 
 def _sigma_xi(pencil: PencilRep, xi) -> np.ndarray:
@@ -194,19 +142,14 @@ def build_gamma0(data: ConintDataSet, xi) -> np.ndarray:
     direction pairs to zero against some non-coincident node difference;
     redraw xi in that case.
     """
-    size = data.pencil.size
-    psi, _, row_blocks = _rows(data.zeros, size)
-    phi, _, col_blocks = _rows(data.poles, size)
+    psi, phi = data.zero_rows.vectors, data.pole_rows.vectors
     gamma0 = psi @ _sigma_xi(data.pencil, xi) @ phi.T
-    z_aff, p_aff = _affine_rows(data.zeros)[:, None], _affine_rows(data.poles)[None, :]
+    z_aff = data.zero_affine[data.zero_rows.node_of][:, None]
+    p_aff = data.pole_affine[data.pole_rows.node_of][None, :]
     gap = _xi_gap(xi, p_aff, z_aff)
     scale = (abs(complex(xi[0])) + abs(complex(xi[1]))) * (
         np.abs(p_aff).sum(axis=-1) + np.abs(z_aff).sum(axis=-1) + 1.0)
-    apart = np.ones(gap.shape, dtype=bool)
-    for (i, j), rho in data.couplings.items():   # the coincident pairs
-        (r0, r1), (c0, c1) = row_blocks[i], col_blocks[j]
-        apart[r0:r1, c0:c1] = False
-        gamma0[r0:r1, c0:c1] = -rho
+    apart = ~data.write_couplings(gamma0)
     degenerate = apart & (np.abs(gap) <= 1e-12 * scale)
     if degenerate.any():
         row, col = np.argwhere(degenerate)[0]
@@ -230,26 +173,27 @@ class ConintSolution:
         pen = self.data.pencil
         self.pencil_new = PencilRep(pen.size, pen.rank, pen.sigma1, pen.sigma2,
                                     self.gamma)
-        self._blocks = block_matrices(self.data)
 
     def s_matrix(self, z, xi=None) -> np.ndarray:
         """Full matrix of S at affine z, (M, M), or at each row of an array of
         affine pairs (..., 2), (..., M, M); meaningful on ker U_gamma(z) only."""
         xi = xi or self.xi
-        blocks = self._blocks
-        sig = _sigma_xi(self.data.pencil, xi)
-        gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :], blocks.pole_affine)
-        mid = np.linalg.solve(self.gamma0, blocks.psi @ sig) / gap[..., None]
-        return np.eye(self.data.pencil.size, dtype=complex) + blocks.phi @ mid
+        data = self.data
+        sig = _sigma_xi(data.pencil, xi)
+        gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :],
+                      data.pole_affine[data.pole_rows.node_of])
+        mid = np.linalg.solve(self.gamma0, data.zero_rows.vectors @ sig) / gap[..., None]
+        return np.eye(data.pencil.size, dtype=complex) + data.pole_rows.vectors.T @ mid
 
     def s_left_inv_matrix(self, z, xi=None) -> np.ndarray:
         """Right-multiplication matrix of S_left^{-1} at affine z."""
         xi = xi or self.xi
-        blocks = self._blocks
-        sig = _sigma_xi(self.data.pencil, xi)
-        mid = (np.linalg.solve(self.gamma0.T, (sig @ blocks.phi).T)
-               / _xi_gap(xi, np.asarray(z, dtype=complex), blocks.zero_affine)[:, None]).T
-        return np.eye(self.data.pencil.size, dtype=complex) - mid @ blocks.psi
+        data = self.data
+        sig = _sigma_xi(data.pencil, xi)
+        gap = _xi_gap(xi, np.asarray(z, dtype=complex), data.zero_affine[data.zero_rows.node_of])
+        mid = (np.linalg.solve(self.gamma0.T, (sig @ data.pole_rows.vectors.T).T)
+               / gap[:, None]).T
+        return np.eye(data.pencil.size, dtype=complex) - mid @ data.zero_rows.vectors
 
     def apply(self, z, columns, xi=None) -> np.ndarray:
         """Apply S at affine z to kernel column vectors, or at each row of an
@@ -304,10 +248,9 @@ def solve_conint(data: ConintDataSet, xi=None) -> ConintSolution:
         cond = svd_cond(gamma0)
         if cond > COND_LIMIT:
             raise SingularMatrix(f"concrete coupling matrix condition {cond:.3e}", cond)
-    blocks = block_matrices(data)
     if gamma0.size:
-        mid = np.linalg.solve(gamma0, blocks.psi)
-        correction = blocks.phi @ mid
+        mid = np.linalg.solve(gamma0, data.zero_rows.vectors)
+        correction = data.pole_rows.vectors.T @ mid
         gamma = (pen.gamma
                  - pen.sigma1 @ correction @ pen.sigma2
                  + pen.sigma2 @ correction @ pen.sigma1)
@@ -333,15 +276,17 @@ def convert_absint_to_conint(data: InterpolationDataSet,
     pencil_tilde = pencil_tilde or build_pencil(oracle_tilde, embedding)
     sections = normalized_sections(oracle_tilde, embedding)
     zs, ps = [zn.point for zn in data.zeros], [pn.point for pn in data.poles]
-    zeros = tuple(ConintNode(zn.point, affine, zn.vectors @ left) for zn, affine, left
-                  in zip(data.zeros, embedding.lambda_values(zs), sections.left(zs)))
-    poles = tuple(ConintNode(pn.point, affine, (right @ pn.vectors.T).T) for pn, affine, right
-                  in zip(data.poles, embedding.lambda_values(ps), sections.right(ps)))
+    zeros = tuple(InterpolationNode(zn.point, zn.vectors @ left)
+                  for zn, left in zip(data.zeros, sections.left(zs)))
+    poles = tuple(InterpolationNode(pn.point, (right @ pn.vectors.T).T)
+                  for pn, right in zip(data.poles, sections.right(ps)))
     return ConintDataSet(
         surface=data.surface,
         pencil=pencil_tilde,
         zeros=zeros,
         poles=poles,
+        zero_affine=embedding.lambda_values(zs),
+        pole_affine=embedding.lambda_values(ps),
         couplings={k: v.copy() for k, v in data.couplings.items()},
     )
 
@@ -377,7 +322,7 @@ def check_intertwining(solution: ConintSolution, T,
     P = embedding.surface.points(p)
     if embedding.is_pole(P):
         raise PointOnExcludedSet("intertwining check excludes the embedding poles")
-    nodes = [node.surface_point for node in (*solution.data.zeros, *solution.data.poles)]
+    nodes = [node.point for node in (*solution.data.zeros, *solution.data.poles)]
     if np.any(solution.data.surface.equal(np.asarray(P)[..., None], nodes)):
         raise PointOnExcludedSet("intertwining check excludes the nodes")
     single, P = np.ndim(P) == 0, np.atleast_1d(P)
@@ -431,7 +376,7 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
         raise NoCoincidence(f"nodes {pair} do not coincide on the surface")
     i, j = pair
     zn, pn = data.zeros[i], data.poles[j]
-    xi_c = zn.surface_point
+    xi_c = zn.point
     size = data.pencil.size
     r = data.pencil.rank
     rng = np.random.default_rng(1234)   # fixed probes: a deterministic residual

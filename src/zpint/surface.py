@@ -224,7 +224,8 @@ def _modulus(w):
 
 
 def _is_many(p) -> bool:
-    return isinstance(p, (np.ndarray, list, tuple))
+    """Whether p is a sequence of points; a 0-d array is one point."""
+    return isinstance(p, (list, tuple)) or (isinstance(p, np.ndarray) and p.ndim > 0)
 
 
 # --- torus lattice arithmetic ---

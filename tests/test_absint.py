@@ -95,8 +95,8 @@ def test_build_gamma_matches_pairwise_loop(rng):
         ref = np.zeros((4, 5), dtype=complex)
         for i, z in enumerate(data.zeros):
             for j, p in enumerate(data.poles):
-                r0, r1 = gamma.row_blocks[i]
-                c0, c1 = gamma.col_blocks[j]
+                r0, r1 = data.zero_rows.blocks[i]
+                c0, c1 = data.pole_rows.blocks[j]
                 if (i, j) == (0, 0):
                     ref[r0:r1, c0:c1] = -data.couplings[(0, 0)]
                 else:
@@ -159,8 +159,12 @@ def test_build_gamma_matches_pairwise_loop_mixed_counts(rng):
         for i, j in data.couplings:   # the coincident blocks are -rho exactly
             block = np.s_[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
             assert np.array_equal(gamma.matrix[block], ref[block]), oracle.name
-        assert gamma.row_blocks == tuple(zip(rows[:-1].tolist(), rows[1:].tolist()))
-        assert gamma.col_blocks == tuple(zip(cols[:-1].tolist(), cols[1:].tolist()))
+        assert data.zero_rows.blocks == tuple(zip(rows[:-1].tolist(), rows[1:].tolist()))
+        assert data.pole_rows.blocks == tuple(zip(cols[:-1].tolist(), cols[1:].tolist()))
+        for nodes, layout in ((data.zeros, data.zero_rows), (data.poles, data.pole_rows)):
+            assert np.array_equal(layout.vectors, np.vstack([n.vectors for n in nodes]))
+            assert layout.node_of.tolist() == [k for k, n in enumerate(nodes)
+                                               for _ in range(n.count)]
 
 
 @pytest.mark.parametrize("n", [1, 4, 12])

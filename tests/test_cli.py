@@ -254,30 +254,14 @@ def test_exit_code_1_on_check_failure(tmp_path):
     assert code == 1
 
 
-ABSINT_PROBLEM = {
-    "tau": [0.3, 0.9],
-    "rank": 1,
-    "chi": {"blocks": [{"a": [0.23], "b": [0.41]}]},
-    # bundle difference matching the divisor class of the data below
-    "chi_tilde": {"blocks": [{"a": [0.09666666666666668],
-                              "b": [-0.010000000000000009]}]},
-    "zeros": [
-        {"point": [0.13, 0.27], "vectors": [[[1.0, 0.0]]]},
-        {"point": [0.61, 0.43], "vectors": [[[1.0, 0.0]]]},
-    ],
-    "poles": [
-        {"point": [0.37, 0.71], "vectors": [[[1.0, 0.0]]]},
-        {"point": [0.83, 0.11], "vectors": [[[1.0, 0.0]]]},
-    ],
-    "base_point": [0.52, 0.18],
-    "base_value": [[[1.3, -0.4]]],
-}
+# rank 1 on tau = 0.3 + 0.9i, chi_tilde - chi matching the divisor class
+# of the two zeros and two poles
+CONINT_PROBLEM = Path(__file__).parent / "data" / "conint_problem.json"
+ABSINT_PROBLEM = json.loads(CONINT_PROBLEM.read_text())
 
 
 def test_conint_problem_file(tmp_path):
-    problem = tmp_path / "absint.json"
-    problem.write_text(json.dumps(ABSINT_PROBLEM))
-    code, report = run_json(["conint", str(problem), "--samples", "20"],
+    code, report = run_json(["conint", str(CONINT_PROBLEM), "--samples", "20"],
                             tmp_path / "r.json")
     assert code == 0
     checks = {c["name"]: c for c in report["checks"]}

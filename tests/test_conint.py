@@ -1,6 +1,9 @@
 """Concrete interpolation: coupling equality, gamma update, intertwining,
 the coupled coincidence condition, and the collection-formula consequences."""
 
+import warnings
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,7 @@ from zpint.absint import (
 from zpint.conint import (
     DEFAULT_XI,
     SECOND_XI,
-    ConintDataSet,
-    ConintNode,
     ConintSolution,
-    block_matrices,
     build_gamma0,
     check_condition_I3,
     check_gamma_equality,
@@ -30,6 +30,7 @@ from zpint.conint import (
 )
 from zpint.detrep import adjust_gamma_by_map, build_pencil, curve_membership
 from zpint.errors import (
+    InputError,
     NoCoincidence,
     PointOnExcludedSet,
     XiDenominatorZero,
@@ -118,12 +119,12 @@ def test_converted_vectors_live_in_kernels(scalar_case):
     *_, converted = scalar_case
     # construction of ConintDataSet validates membership at 1e-8 already;
     # re-check explicitly at a tighter scale
-    for node in converted.poles:
-        mat = converted.pencil.pencil(*node.affine)
+    for node, affine in zip(converted.poles, converted.pole_affine):
+        mat = converted.pencil.pencil(*affine)
         for vec in node.vectors:
             assert np.linalg.norm(mat @ vec) < 1e-9 * np.linalg.norm(mat)
-    for node in converted.zeros:
-        mat = converted.pencil.pencil(*node.affine)
+    for node, affine in zip(converted.zeros, converted.zero_affine):
+        mat = converted.pencil.pencil(*affine)
         for vec in node.vectors:
             assert np.linalg.norm(vec @ mat) < 1e-9 * np.linalg.norm(mat)
 
@@ -158,17 +159,9 @@ def test_gamma_equality(scalar_case, triangular_case):
 
 def test_gamma_equality_negative_control(scalar_case):
     surf, data, ko, kt, T, emb, pencil_t, converted = scalar_case
-    tampered = ConintDataSet(
-        surface=converted.surface, pencil=converted.pencil,
-        zeros=tuple(
-            ConintNode(z.surface_point, z.affine, z.vectors * (1 + 0.01)
-                       + 0.01 * np.ones_like(z.vectors))
-            for z in converted.zeros
-        ),
-        poles=converted.poles,
-        couplings=converted.couplings,
-        membership_tol=1.0,
-    )
+    zeros = tuple(ZeroNode(z.point, z.vectors * (1 + 0.01) + 0.01 * np.ones_like(z.vectors))
+                  for z in converted.zeros)
+    tampered = replace(converted, zeros=zeros, membership_tol=1.0)
     assert check_gamma_equality(data, kt, tampered) > 1e-3
 
 
@@ -181,33 +174,26 @@ def test_scalar_pairing_relation(scalar_case):
     gamma = build_gamma(data, kt).matrix
     xi = DEFAULT_XI
     sig = complex(xi[0]) * pencil_t.sigma1 + complex(xi[1]) * pencil_t.sigma2
-    for i, zn in enumerate(converted.zeros):
-        for j, pn in enumerate(converted.poles):
+    for i, (zn, za) in enumerate(zip(converted.zeros, converted.zero_affine)):
+        for j, (pn, pa) in enumerate(zip(converted.poles, converted.pole_affine)):
             pairing = (zn.vectors @ sig @ pn.vectors.T).item()
-            denom = (xi[0] * (pn.affine[0] - zn.affine[0])
-                     + xi[1] * (pn.affine[1] - zn.affine[1]))
+            denom = xi[0] * (pa[0] - za[0]) + xi[1] * (pa[1] - za[1])
             assert abs(pairing - gamma[i, j] * denom) < 1e-8 * (1 + abs(pairing))
 
 
-def test_block_matrices_shapes_and_entries(scalar_case):
-    *_, converted = scalar_case
-    blocks = block_matrices(converted)
-    n_pole = converted.n_pole_total
-    n_zero = converted.n_zero_total
+def test_concrete_layout_shapes_and_entries(scalar_case):
+    *_, emb, pencil_t, converted = scalar_case
     size = converted.pencil.size
-    assert blocks.pole_affine.shape == (n_pole, 2)
-    assert blocks.zero_affine.shape == (n_zero, 2)
-    assert blocks.phi.shape == (size, n_pole)
-    assert blocks.psi.shape == (n_zero, size)
-    for j, node in enumerate(converted.poles):
-        assert tuple(blocks.pole_affine[j]) == node.affine
-    for i, node in enumerate(converted.zeros):
-        assert tuple(blocks.zero_affine[i]) == node.affine
+    for nodes, rows, affine in ((converted.zeros, converted.zero_rows, converted.zero_affine),
+                                (converted.poles, converted.pole_rows, converted.pole_affine)):
+        assert rows.vectors.shape == (len(nodes), size)
+        assert affine.shape == (len(nodes), 2)
+        assert np.array_equal(affine, emb.lambda_values([n.point for n in nodes]))
     # the pole-side gap xi.(z - mu) vanishes exactly at a node
     xi = DEFAULT_XI
-    z = converted.poles[0].affine
-    d = (xi[0] * (z[0] - blocks.pole_affine[:, 0])
-         + xi[1] * (z[1] - blocks.pole_affine[:, 1]))
+    z = converted.pole_affine[0]
+    per_row = converted.pole_affine[converted.pole_rows.node_of]
+    d = xi[0] * (z[0] - per_row[:, 0]) + xi[1] * (z[1] - per_row[:, 1])
     assert d[0] == 0.0 and np.all(d[1:] != 0.0)
 
 
@@ -220,8 +206,9 @@ def test_gamma0_and_adjustment_match_pair_formulas(triangular_case):
     ref = np.block([[
         -converted.couplings[(i, j)] if (i, j) in converted.couplings
         else (zn.vectors @ sig @ pn.vectors.T)
-        / (xi[0] * (pn.affine[0] - zn.affine[0]) + xi[1] * (pn.affine[1] - zn.affine[1]))
-        for j, pn in enumerate(converted.poles)] for i, zn in enumerate(converted.zeros)])
+        / (xi[0] * (pa[0] - za[0]) + xi[1] * (pa[1] - za[1]))
+        for j, (pn, pa) in enumerate(zip(converted.poles, converted.pole_affine))]
+        for i, (zn, za) in enumerate(zip(converted.zeros, converted.zero_affine))])
     assert len(converted.couplings) == 2
     gamma0 = build_gamma0(converted, xi)
     assert np.abs(gamma0 - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -242,7 +229,7 @@ def test_empty_data_gives_identity(scalar_case):
     surf, data, ko, kt, T, emb, pencil_t, converted = scalar_case
     empty_abs = InterpolationDataSet(surface=surf, rank=1, zeros=(), poles=())
     empty = convert_absint_to_conint(empty_abs, kt, emb, pencil_t)
-    assert empty.n_zero_total == 0 and empty.n_pole_total == 0
+    assert empty.zero_rows.vectors.shape == empty.pole_rows.vectors.shape == (0, pencil_t.size)
     solution = solve_conint(empty)
     assert np.array_equal(solution.gamma, pencil_t.gamma)
     z = emb.lambda_values(0.31 + 0.44j)
@@ -340,11 +327,8 @@ def test_condition_i3_round_trip(triangular_case):
 def test_condition_i3_perturbation_sensitivity(triangular_case):
     *_, emb, pencil_t, converted = triangular_case[4:]
     solution = solve_conint(converted)
-    tampered_data = ConintDataSet(
-        surface=converted.surface, pencil=converted.pencil,
-        zeros=converted.zeros, poles=converted.poles,
-        couplings={k: v + 0.01 for k, v in converted.couplings.items()},
-    )
+    tampered_data = replace(converted,
+                            couplings={k: v + 0.01 for k, v in converted.couplings.items()})
     tampered = ConintSolution(tampered_data, solution.gamma0, solution.gamma,
                               solution.xi, solution.xi_consistency)
     res = check_condition_I3(tampered, emb, (0, 1))
@@ -363,17 +347,9 @@ def test_condition_i3_requires_coincidence(scalar_case):
 
 def test_zp_violation_rejected(triangular_case):
     *_, converted = triangular_case
-    bad = ConintDataSet(
-        surface=converted.surface, pencil=converted.pencil,
-        zeros=tuple(
-            ConintNode(z.surface_point, z.affine,
-                       z.vectors + 0.05 * np.roll(z.vectors, 1, axis=1))
-            for z in converted.zeros
-        ),
-        poles=converted.poles,
-        couplings=converted.couplings,
-        membership_tol=1.0,
-    )
+    zeros = tuple(ZeroNode(z.point, z.vectors + 0.05 * np.roll(z.vectors, 1, axis=1))
+                  for z in converted.zeros)
+    bad = replace(converted, zeros=zeros, membership_tol=1.0)
     with pytest.raises(ZPViolated):
         solve_conint(bad)
 
@@ -405,8 +381,8 @@ def test_singular_and_nonsquare_gamma0(scalar_case):
 
 def test_xi_denominator_zero(scalar_case):
     *_, converted = scalar_case
-    z0 = converted.zeros[0].affine
-    p0 = converted.poles[0].affine
+    z0 = converted.zero_affine[0]
+    p0 = converted.pole_affine[0]
     diff = (p0[0] - z0[0], p0[1] - z0[1])
     xi_bad = (diff[1], -diff[0])
     with pytest.raises(XiDenominatorZero):
@@ -459,3 +435,70 @@ def test_collection_consequences(scalar_case):
     diag_m = np.diag([xi[0] * pm[0] + xi[1] * pm[1] for pm in pair_m])
     rhs2 = diag_l @ gamma - gamma @ diag_m
     assert np.abs(lhs2 - rhs2).max() / (np.abs(rhs2).max() + 1e-300) < 1e-7
+
+
+def _bad_vectors(vectors):
+    """Replace the vectors of the first zero node."""
+    return lambda d: {"zeros": (ZeroNode(d.zeros[0].point, vectors(d.zeros[0].vectors)),
+                                *d.zeros[1:])}
+
+
+def _with_entry(value):
+    def change(v):
+        v = v.copy()
+        v[0, 0] = value
+        return v
+    return change
+
+
+BAD_NODES = {
+    "repeated-zero": (lambda d: {"zeros": (d.zeros[0], *d.zeros)}, "zeros must be pairwise"),
+    "repeated-pole": (lambda d: {"poles": (d.poles[0], *d.poles)}, "poles must be pairwise"),
+    "wrong-width": (_bad_vectors(lambda v: np.ones((1, v.shape[1] + 1))), "not \\(count"),
+    "no-vectors": (_bad_vectors(lambda v: np.empty((0, v.shape[1]))), "not \\(count"),
+    "3-d-vectors": (_bad_vectors(lambda v: v[None]), "not \\(count"),
+    "zero-vector": (_bad_vectors(np.zeros_like), "must be nonzero"),
+    "dependent": (_bad_vectors(lambda v: np.vstack([v, 2 * v])), "numerically dependent"),
+    "nan-entry": (_bad_vectors(_with_entry(np.nan)), "must be finite"),
+    "inf-entry": (_bad_vectors(_with_entry(np.inf)), "must be finite"),
+    "couplings-off-pairs": (lambda d: {"couplings": {(0, 0): [[1.0]]}},
+                            "exactly at coincident pairs"),
+}
+
+
+def _concrete(changes, converted):
+    """A repeated node repeats its affine pair too."""
+    for side in ("zeros", "poles"):
+        if side in changes and len(changes[side]) > len(getattr(converted, side)):
+            name = side[:-1] + "_affine"
+            affine = getattr(converted, name)
+            changes[name] = affine[[0, *range(len(affine))]]
+    return changes
+
+
+@pytest.mark.parametrize("kind, case", [
+    *((kind, case) for case in BAD_NODES for kind in ("abstract", "concrete")),
+    ("concrete", "non-finite-affine")])
+def test_both_data_sets_reject_malformed_nodes(kind, case, scalar_case):
+    """Both data sets share one validator: each malformed input raises
+    InputError, for its own reason, before any arithmetic warns; and
+    neither data set can be changed after construction."""
+    data, converted = scalar_case[1], scalar_case[-1]
+    base = data if kind == "abstract" else converted
+    if case == "non-finite-affine":
+        affine = converted.pole_affine.copy()
+        affine[0, 1] = np.inf
+        changes, match = {"pole_affine": affine}, "pole_affine must be a finite"
+    else:
+        mutate, match = BAD_NODES[case]
+        changes = mutate(base)
+        if kind == "concrete":
+            changes = _concrete(changes, converted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=match):
+            replace(base, **changes)
+    with pytest.raises(FrozenInstanceError):
+        base.zeros = ()
+    with pytest.raises(FrozenInstanceError):
+        base.couplings = {}

@@ -311,3 +311,20 @@ def test_point_is_a_finite_complex():
     for surf in (genus0_surface(), torus_surface(TAU)):
         with pytest.raises(InputError):
             surf.points([0.1, "p1"])
+
+
+def test_zero_dim_array_is_one_point(torus):
+    """A 0-d array is one point, not a sequence: the interpolant, a kernel
+    and the prime form give the one-point result, bit for bit."""
+    sphere = genus0_surface()
+    oracle = genus0_kernel(1, sphere)
+    data = InterpolationDataSet(surface=sphere, rank=1, zeros=((0.3 + 0.2j, [[1.0]]),),
+                                poles=((-0.4 + 0.1j, [[1.0]]),))
+    T = build_solution(data, 1.1 - 0.3j, [[2.0]], oracle, oracle)
+    p = 0.5 + 0.1j
+    pairs = [(T(np.array(p)), T(p)),
+             (oracle(np.array(0.5), np.array(0.2)), oracle(0.5, 0.2)),
+             (torus.prime_form(np.array(p), 0.2 + 0.3j), torus.prime_form(p, 0.2 + 0.3j))]
+    for got, want in pairs:
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
