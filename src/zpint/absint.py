@@ -25,9 +25,12 @@ and a call at one point is the N = 1 case.  Both kernels are in the normal
 form F diag(k_1, ..., k_r) F^-1 of kernels, so K(chi; p, q)^-1 is
 F diag(1/k) F^-1 and the kernel sum is linear in the channels of
 K(chi~); the weights, Q and both frames are folded at build time into
-one matrix.  A batch of points then costs one finiteness check, one
-difference ends - p (for the distance test and the theta arguments), one
-kernels.evaluate_channels call (one theta pass), one matmul and one
+one matrix.  The kernels are read only at pairs of p with ends fixed at
+build time, so on the torus the build also freezes the Fourier
+coefficients of every theta row at the ends (kernels.end_plan, a
+theta.ThetaTable).  A batch of points then costs one finiteness check,
+one distance test against the ends, one kernels.evaluate_channels call
+(on the torus one read of the table, no lattice pass), one matmul and one
 divide by the channels of K(chi).
 
 For flat line bundles everything is explicit in theta functions; the
@@ -57,7 +60,7 @@ from .kernels import (
     CauchyKernelOracle,
     _block_form,
     _channels_of,
-    _plan,
+    end_plan,
     evaluate_channels,
     evaluate_many,
     extract_laurent_coeffs,
@@ -123,8 +126,16 @@ class InterpolationNode:
     vectors: np.ndarray
 
     def __post_init__(self):
+        """InputError naming the node for vectors that are not an array of
+        numbers (None, text, ragged rows)."""
         object.__setattr__(self, "point", point(self.point))
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
+        if self.vectors is None:
+            raise InputError(f"the node at {self.point!r} has no vectors")
+        try:
+            v = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"vectors at the node {self.point!r} are not an array of "
+                             f"numbers: {exc}") from exc
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -153,12 +164,13 @@ def coupling_table(couplings, zeros, poles, pairs) -> dict:
 @dataclass(frozen=True, eq=False)
 class NodeRows:
     """The vector rows of one side's nodes, stacked once per data set:
-    vectors (rows, width), node_of (the node of each row) and blocks (the
-    (start, stop) rows of each node)."""
+    vectors (rows, width), node_of (the node of each row), blocks (the
+    (start, stop) rows of each node) and points (the point of each node)."""
 
     vectors: np.ndarray
     node_of: np.ndarray
     blocks: tuple
+    points: np.ndarray
 
 
 def _node_rows(nodes, width: int) -> NodeRows:
@@ -181,7 +193,8 @@ def _node_rows(nodes, width: int) -> NodeRows:
     counts = [len(v) for v in vectors]
     stops = list(itertools.accumulate(counts))
     return NodeRows(rows, np.repeat(np.arange(len(nodes)), counts),
-                    tuple(zip([0, *stops], stops)))
+                    tuple(zip([0, *stops], stops)),
+                    np.array([node.point for node in nodes], dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,8 +310,7 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
     """
     X, zero_of = data.zero_rows.vectors, data.zero_rows.node_of
     U, pole_of = data.pole_rows.vectors, data.pole_rows.node_of
-    rows, cols = (data.surface.points([node.point for node in nodes])
-                  for nodes in (data.zeros, data.poles))
+    rows, cols = data.zero_rows.points, data.pole_rows.points
     if q is not None:
         base = data.surface.points([q])
         rows, cols = (np.concatenate([rows, base]), cols) if inverse else (
@@ -314,10 +326,10 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
     return GammaMatrix(gamma, at_base)
 
 
-def _ends(data, q, nodes) -> np.ndarray:
-    """[q, the point of each vector row of nodes]: the columns of an
-    interpolant's kernel sum."""
-    return data.surface.points([q, *(node.point for node in nodes for _ in range(node.count))])
+def _ends(q, rows: NodeRows) -> np.ndarray:
+    """[q, the point of each vector row]: the columns of an interpolant's
+    kernel sum."""
+    return np.concatenate([[q], rows.points[rows.node_of]])
 
 
 class BundleMapEvaluator:
@@ -340,6 +352,13 @@ class BundleMapEvaluator:
     so everything but the channels d and c is folded at build time into
     one (m r, r r) matrix, and a point's values are its m r channels of
     K(chi~) times that matrix, divided by the channels of K(chi).
+
+    The channels come from kernels.end_plan, built here with the rest: on
+    the torus a frozen theta.ThetaTable of the ends (up to
+    theta.MAX_TABLE_IM), so a point reads its theta rows from the table,
+    with p reduced by the lattice and the channels' multipliers, instead of
+    summing a lattice; past MAX_TABLE_IM, and on the sphere, the oracles'
+    channel pass.
     """
 
     def __init__(self, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
@@ -352,10 +371,10 @@ class BundleMapEvaluator:
         self.kind = kind
         solution = kind == "solution"
         self._at_q = Q if solution else np.linalg.inv(Q)
-        self._ends = _ends(data, q, data.poles if solution else data.zeros)
+        self._ends = _ends(q, data.pole_rows if solution else data.zero_rows)
         m, r = len(self._ends), self.rank
-        self._plan = _plan(data.surface, [(oracle_tilde.channels, np.arange(m)),
-                                          (oracle_chi.channels, np.zeros(1, int))], m)
+        self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
+                              self._ends, solution)
         left, right = _weights(data, gamma, not solution)
         eye = np.eye(r)
         f_t, f_t_inv, f, f_inv = (eye if x is None else x for x in (
@@ -381,9 +400,9 @@ class BundleMapEvaluator:
             If a point of P is a pole of the inverse kernel factor.
         """
         P = self.data.surface.points(P)
-        v, dist = self.data.surface.separation(P, self._ends)
+        dist = self.data.surface.gap(self._ends - P[:, None])
         if not dist.size or dist.min() > POINT_TOL:
-            return self._values(P, v)
+            return self._values(P)
         hits = dist <= POINT_TOL
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
@@ -394,7 +413,7 @@ class BundleMapEvaluator:
         out[at_q] = self._at_q
         if not at_q.all():
             off = ~at_q
-            out[off] = self._values(P[off], None if v is None else v[off])
+            out[off] = self._values(P[off])
         return out
 
     def __call__(self, p) -> np.ndarray:
@@ -404,10 +423,9 @@ class BundleMapEvaluator:
     def rank(self) -> int:
         return self.Q.shape[0]
 
-    def _values(self, P, v):
+    def _values(self, P):
         r = self.rank
-        d = evaluate_channels(self.data.surface, self._plan, self._ends, P, v,
-                              self.kind == "solution")
+        d = evaluate_channels(self.data.surface, self._plan, P)
         chi = d[:, -r:]
         # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and is
         # O(1) or larger elsewhere, so a tiny channel against a unit scale
@@ -428,7 +446,8 @@ class BundleMapEvaluator:
 def _prepare(data, q, Q, oracle_tilde, inverse: bool):
     q = point(q)
     Q = np.asarray(Q, dtype=complex).reshape(data.rank, data.rank)
-    if np.any(data.surface.equal(q, [node.point for node in (*data.zeros, *data.poles)])):
+    if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
+                                                    data.pole_rows.points]))):
         raise PointOnExcludedSet(f"base point {q!r} hits a node")
     cond = svd_cond(Q)
     if cond > COND_LIMIT:
@@ -535,7 +554,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     """
     q, Q, gamma = _prepare(data, q, Q, oracle_tilde, False)
     left, right = _weights(data, gamma, False)
-    ends = _ends(data, q, data.poles)
+    ends = _ends(q, data.pole_rows)
     poles = _inverse_kernel_poles(oracle_chi, q)
     if not poles:
         return []

@@ -31,9 +31,12 @@ units: on the torus one theta_rows call whose rows also carry the odd
 theta of the prime form, on the sphere one 1/(p - q).  An oracle's many,
 and so the oracle called at a pair, evaluate_many and kernel_grid, is the
 pass composed with F; a single pair is the N = 1 case of the same code.
-evaluate_channels is the pass an interpolant of absint makes at a batch
-of points.  Points are checked once, by surface.points, where they enter:
-the oracle call and kernel_grid; many and the pass take checked arrays.
+An interpolant of absint reads its kernels only at pairs of a point with
+ends fixed at build time: end_plan freezes them once, on the torus as a
+theta.ThetaTable of the ends, and evaluate_channels reads the channels at
+a batch of points from it.  Points are checked once, by surface.points,
+where they enter: the oracle call and kernel_grid; many and the pass take
+checked arrays.
 
 An oracle given by many alone has no channels.  It is evaluated by its
 many (evaluate_many, kernel_grid, extract_laurent_coeffs,
@@ -64,12 +67,17 @@ from .surface import (
     _is_many,
     genus0_surface,
     laurent_coeffs,
+    odd_theta_deriv0,
     point,
 )
 from .theta import (
+    MAX_TABLE_IM,
     ThetaCharacteristic,
+    ThetaTable,
     theta_gradient,
     theta_rows,
+    theta_table,
+    theta_table_rows,
     theta_with_char,
 )
 
@@ -77,6 +85,8 @@ __all__ = [
     "CauchyKernelOracle",
     "ConnectionCoefficients",
     "evaluate_many",
+    "EndPlan",
+    "end_plan",
     "evaluate_channels",
     "kernel_grid",
     "genus0_kernel",
@@ -135,28 +145,68 @@ def _plan(surface: Surface, entries, m: int) -> tuple:
     return m, cols, ab, theta0
 
 
-def _channel_pass(surface: Surface, plan, v, pairs) -> np.ndarray:
-    """(N, L) values of the plan's entries at N units.
-
+def _channel_pass(surface: Surface, plan, v) -> np.ndarray:
+    """(N, L) values of the plan's entries at N units on the torus: one
+    theta_rows call, whose rows also carry the odd theta of the prime form.
     v holds the (N, m, 1) differences phi(Q) - phi(P) of each unit's m
-    pairs on the torus; on the sphere v is None, and pairs() gives the point
-    arrays (P, Q) of all N m pairs, unit by unit.
-    """
+    pairs."""
     m, cols, ab, theta0 = plan
-    if v is None:   # the sphere: every channel is 1/(p - q)
-        P, Q = pairs()
-        # take, not [:, cols], keeps each row contiguous, as a one-unit
-        # pass has it, so that a matmul over rows gives the same bits
-        return (1.0 / (P - Q)).reshape(-1, m).take(cols, axis=1)
     n, lines, width = len(v), len(cols), len(ab)
     # the odd theta of E(q, p) at every column is at -v
     rows = np.concatenate([v[:, cols], -v], axis=1)
     if n != 1:
-        ab = np.tile(ab, (n, 1, 1))
+        ab = np.broadcast_to(ab, (n, *ab.shape)).reshape(-1, *ab.shape[1:])
     values = theta_rows(surface.period, ab[:, 0], ab[:, 1],
                         rows.reshape(-1, 1)).reshape(n, width)
     e = surface.prime_form_from_odd_theta(values[:, lines:])
     return values[:, :lines] / (theta0 * e[:, cols])
+
+
+@dataclass(frozen=True, eq=False)
+class EndPlan:
+    """The channel rows of an interpolant over its fixed ends.
+
+    Its channels are those of tilde at each of the m ends, end by end,
+    then those of chi at ends[0], read at the pairs (p, e) when
+    point_first, else (e, p).  On the torus up to theta.MAX_TABLE_IM, table
+    is the frozen theta.ThetaTable of the ends over the characteristics of
+    tilde, of chi and of the odd theta, tilde the number of tilde
+    channels, and scale theta'(0)/theta[a; b](0) per channel; rows is None.
+    Elsewhere rows is _plan's (m, cols, ab, theta0) over the ends,
+    for the pass of the oracles, and table is None.
+    """
+
+    ends: np.ndarray
+    point_first: bool
+    rows: tuple | None
+    table: ThetaTable | None = None
+    tilde: int = 0
+    scale: np.ndarray | None = None
+
+
+def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
+             point_first: bool) -> EndPlan:
+    """The EndPlan of the channels tilde and chi over the checked point
+    array ends.
+
+    On the torus a channel read at (p, e) is theta[a; b](e - p) over
+    theta[a; b](0) E(e, p), with E(e, p) the odd theta at p - e over its
+    derivative at 0; read at (e, p) it is theta[a; b](p - e) over
+    theta[a; b](0) E(p, e).  theta[a; b](-z) = theta[-a; -b](z) turns every
+    theta into a row theta[+-a; +-b](e - p) of the table.
+    """
+    m = len(ends)
+    if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
+        rows = _plan(surface, [(tilde, np.arange(m)), (chi, np.zeros(1, int))], m)
+        return EndPlan(ends, point_first, rows)
+    ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], -_ODD_AB[None, :, 0]])
+    if not point_first:
+        ab = -ab
+    table = theta_table(surface.period, ab[:, 0], ab[:, 1], ends)
+    theta0 = np.concatenate([np.broadcast_to(tilde.theta0, (m, len(tilde.theta0))).reshape(-1),
+                             chi.theta0])
+    return EndPlan(ends, point_first, None, table, len(tilde.theta0),
+                   odd_theta_deriv0(surface.tau) / theta0)
 
 
 def _compose(d: np.ndarray, frame, frame_inv) -> np.ndarray:
@@ -225,12 +275,13 @@ def _normal_form(rank: int, surface: Surface, name: str, channels: _Channels,
     column composed with F (the closure holds the plan and the frame, not
     the oracle, so the oracle is freed when dropped)."""
     plan = _plan(surface, [(channels, np.zeros(1, int))], 1)
-    sphere = surface.genus == 0
 
     def many(P, Q):
-        # on the torus the Abel-Jacobi map is the coordinate: v = Q - P, (N, 1, 1)
-        v = None if sphere else (Q - P)[:, None, None]
-        return _compose(_channel_pass(surface, plan, v, lambda: (P, Q)), frame, frame_inv)
+        if not surface.genus:   # every channel is 1/(p - q); take keeps rows contiguous
+            return _compose((1.0 / (P - Q)).reshape(-1, 1).take(plan[1], axis=1),
+                            frame, frame_inv)
+        # on the torus the Abel-Jacobi map is the coordinate: v = Q - P
+        return _compose(_channel_pass(surface, plan, (Q - P)[:, None, None]), frame, frame_inv)
 
     return CauchyKernelOracle(rank, surface, many, name, channels, frame, frame_inv)
 
@@ -251,24 +302,30 @@ def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     return oracle(P, Q)
 
 
-def evaluate_channels(surface: Surface, plan, ends, P, v, point_first: bool) -> np.ndarray:
-    """(N, L) channel values of a plan over the m points ends, at the pairs
-    (P[i], ends[c]) of each point of P, or (ends[c], P[i]) when point_first
-    is false; v is from surface.separation(P, ends), and P and ends are
-    checked point arrays.
+def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
+    """(N, L) channel values of an interpolant's plan at every point of the
+    checked point array P, over the plan's fixed ends.
 
-    A module function, not a method, so that perfbench's span tracer,
-    which wraps public functions, counts an interpolant's kernel work
-    under kernels.
+    On the torus the rows are read from the plan's frozen table by
+    theta.theta_table_rows; the rows of one end share a factor, which the
+    divide by the odd theta (the prime form) cancels.  A module function,
+    not a method, so that perfbench's span tracer, which wraps public
+    functions, counts an interpolant's kernel work under kernels and its
+    theta work under theta.
     """
-    if v is not None and not point_first:
-        v = -v
-
-    def pairs():
-        moving, fixed = P.repeat(len(ends)), np.tile(ends, len(P))
-        return (moving, fixed) if point_first else (fixed, moving)
-
-    return _channel_pass(surface, plan, v, pairs)
+    if plan.table is not None:
+        rows = theta_table_rows(plan.table, P)
+        ratio = rows[:, :, :-1] / rows[:, :, -1:]   # each channel over its end's odd theta
+        r = plan.tilde
+        return np.concatenate([ratio[:, :, :r].reshape(len(P), -1), ratio[:, 0, r:]],
+                              axis=1) * plan.scale
+    d = P[:, None] - plan.ends if plan.point_first else plan.ends - P[:, None]
+    if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
+        return _channel_pass(surface, plan.rows, -d[..., None])
+    # the sphere: every channel is 1/(p - e) or 1/(e - p); take, not [:, cols],
+    # keeps each row contiguous, as a one-point pass has it, so that a matmul
+    # over rows gives the same bits
+    return (1.0 / d).take(plan.rows[1], axis=1)
 
 
 def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
@@ -289,7 +346,8 @@ def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
     P, Q = surface.points(P), surface.points(Q)
     apart = ~(surface.gap(P[:, None] - Q[None, :]) <= POINT_TOL)
     out = np.zeros((len(P), len(Q), oracle.rank, oracle.rank), dtype=complex)
-    out[apart] = oracle(np.repeat(P, len(Q))[apart.ravel()], np.tile(Q, len(P))[apart.ravel()])
+    i, j = np.nonzero(apart)
+    out[i, j] = oracle(P[i], Q[j])
     return out
 
 

@@ -102,7 +102,7 @@ class Surface:
 
     Each kind defines gap(d), the distance spanned by coordinate
     differences d (elementwise), which distance, equal and coincidences
-    read; separation(P, E); same_as(other); abel_jacobi(p), the g-vector
+    read; same_as(other); abel_jacobi(p), the g-vector
     image ((N, g) for a sequence); and prime_form(p, q), E(p, q) (the
     (N,) array of E(p[i], q[i]) for two sequences).  Every public method
     takes one point or a sequence of points and checks them once, by
@@ -160,11 +160,6 @@ class Sphere(Surface):
     def same_as(self, other) -> bool:
         return isinstance(other, Sphere)
 
-    def separation(self, P, E):
-        """(None, dist) for the checked point arrays P (N,) and E (m,):
-        dist[i, j] = |E[j] - P[i]|; there is no Abel-Jacobi map."""
-        return None, _modulus(E - P[:, None])
-
     def abel_jacobi(self, p):
         raise UnsupportedGenus("Abel-Jacobi map is trivial on the sphere")
 
@@ -185,14 +180,6 @@ class Torus(Surface):
 
     def same_as(self, other) -> bool:
         return isinstance(other, Torus) and abs(self.tau - other.tau) <= POINT_TOL
-
-    def separation(self, P, E):
-        """(v, dist) for the checked point arrays P (N,) and E (m,): v[i, j]
-        = AJ(E[j]) - AJ(P[i]), shape (N, m, 1), and dist[i, j] their lattice
-        distance.  One difference gives both: the Abel-Jacobi map is the
-        coordinate."""
-        d = E - P[:, None]
-        return d[..., None], lattice_distance(d, self.tau)
 
     def abel_jacobi(self, p) -> np.ndarray:
         return np.asarray(self.points(p), dtype=complex)[..., None]

@@ -47,6 +47,15 @@ bit for bit.  Given a tuple of characteristics, theta_many sums one row
 set per characteristic, each of its own length and each row with its own
 (a, b), in the same pass.  Enumeration order is fixed; identical inputs
 give bit-identical results on one platform.
+
+Rows theta[a; b](e - p) whose ends e are fixed have a second route at
+genus 1: every term is a coefficient of e times a factor of p, so
+theta_table freezes the coefficients of each row over one window of the
+lattice, and theta_table_rows reads the rows at points p from them, with
+one exp for the factors of each point and no lattice pass.  Ends and
+points are reduced by the lattice first, and the rows of one end share a
+factor at each point (see theta_table), which a ratio of two of them
+cancels; a torus interpolant reads its kernels this way.
 """
 
 from __future__ import annotations
@@ -75,6 +84,9 @@ __all__ = [
     "theta_many",
     "theta_rows",
     "theta_gradient",
+    "ThetaTable",
+    "theta_table",
+    "theta_table_rows",
 ]
 
 # Largest (points x lattice terms) working array theta_many builds; bigger
@@ -93,6 +105,13 @@ _SMALL = 32
 # Deepest box, in log magnitude below its peak, walked at genus >= 2 (see
 # ThetaPlan.walk): its partial products stay normal doubles.
 WALK_SPAN = 690.0
+
+# Largest Im(tau) of a ThetaTable (see theta_table): up to here its factors
+# and terms stay normal doubles, or too small to move a row.
+MAX_TABLE_IM = 200.0
+
+# Characteristic sets whose ThetaTable window data a ThetaPlan keeps.
+_TABLE_KEEP = 32
 
 # +-2 pi i, the sign of the up and the down line of a walk axis
 _SIGNS = np.array([[2j * np.pi], [-2j * np.pi]])
@@ -230,6 +249,7 @@ class ThetaPlan:
         self._neg_tail = {False: np.empty(0), True: np.empty(0)}
         self._walks = {}   # radius -> _Walk or None
         self._spread = float(np.abs(self.imag).sum())   # sum_ij |Im Omega_ij|
+        self._table_windows = {}   # (a, b) bytes -> _TableWindow
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
@@ -299,6 +319,25 @@ class ThetaPlan:
             deep = self.genus > 1 and math.pi * (radius + 0.5) ** 2 * self._spread > WALK_SPAN
             walk = self._walks[radius] = None if deep else _Walk(self.omega, radius)
         return walk
+
+    def table_window(self, a: np.ndarray, b: np.ndarray) -> _TableWindow:
+        """The window data of a genus-1 ThetaTable over the characteristics
+        (a[i], b[i]), built on first use and kept for up to _TABLE_KEEP
+        characteristic sets.
+
+        Raises
+        ------
+        NonConvergent
+            If Im(tau) > MAX_TABLE_IM, or the window needs more than
+            MAX_LATTICE_RADIUS.
+        """
+        key = (a.tobytes(), b.tobytes())
+        window = self._table_windows.get(key)
+        if window is None:
+            if len(self._table_windows) >= _TABLE_KEEP:
+                self._table_windows.clear()
+            window = self._table_windows[key] = _TableWindow(self, a, b)
+        return window
 
     def _table(self, highest: float, gradient: bool) -> np.ndarray:
         """The table -T(1), -T(2), ..., extended until it passes highest.
@@ -606,6 +645,161 @@ def theta_rows(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarr
         If an argument is not finite.
     """
     return _sums(omega, a, b, rows, False)[0]
+
+
+class _TableWindow:
+    """End- and point-independent data of the genus-1 ThetaTables over the
+    characteristics (a[i], b[i]), a reduced to [-1/2, 1/2).
+
+    The window is n in [-R - 2, R + 2], R the value radius at the log peak
+    pi Im(tau).  With quad = pi i tau + pi Im(tau) / 2 (the coefficients'
+    half of the Gaussian), the coefficient at n = 0 of an end e has the
+    exponent start0 + a 2 pi i e + (terms of e), its first step up the
+    exponent up0 + 2 pi i e and its first step down down0 = 2 quad minus
+    that; the walk's shared ratios are exp(2 quad s), s = 0, ..., R + 1.
+    slopes and gauss (W, 1, D) and shift (D,) give the exponents of the
+    point factors.
+
+    Raises
+    ------
+    NonConvergent
+        If Im(tau) > MAX_TABLE_IM, or the window needs more than
+        MAX_LATTICE_RADIUS.
+    """
+
+    def __init__(self, plan: ThetaPlan, a: np.ndarray, b: np.ndarray):
+        height = float(plan.imag[0, 0])
+        if height > MAX_TABLE_IM:
+            raise NonConvergent(f"theta table needs Im(tau) <= {MAX_TABLE_IM:g}, not {height:g}")
+        steps = plan.radius_range(np.array([math.pi * height]), False)[1] + 2
+        half = 0.5 * math.pi * height
+        quad = 1j * math.pi * complex(plan.omega[0, 0]) + half
+        a = a - np.floor(a + 0.5)
+        self.a = a
+        self.start0 = (quad * a + (2j * math.pi) * b) * a
+        self.up0 = quad * (2 * a + 1) + (2j * math.pi) * b
+        self.down0 = 2 * quad
+        self.ratios = np.exp((2 * quad) * np.arange(steps))[:, None, None]
+        grid = (np.arange(-steps, steps + 1.0)[:, None] + a)[:, None]   # x over the window
+        self.slopes = (-2j * math.pi) * grid
+        self.gauss = -half * (grid * grid + 0.5)
+        self.shift = (2j * math.pi) * b
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaTable:
+    """Frozen Fourier coefficients of genus-1 theta rows over fixed ends.
+
+    Row (j, i) reads theta[a_i; b_i](e_j - p) at an end e_j fixed at build
+    time.  Each of its terms factors into a coefficient of the end and a
+    factor of the point,
+
+        exp(pi i tau x^2 + 2 pi i x (e + b)) * exp(-2 pi i x p),  x = n + a,
+
+    so the table holds the coefficients of every row over one window of n,
+    and theta_table_rows makes the factors of p.  Built by theta_table,
+    which states the reduction and the scaling.
+
+    coeffs (W, m, D) holds the coefficients down the window of every end
+    and characteristic; per characteristic the exponent of the point factor
+    is slopes * p + gauss (W, 1, D), plus shift (D,) times the lattice shift
+    n of p.
+    """
+
+    tau: complex
+    coeffs: np.ndarray
+    slopes: np.ndarray
+    gauss: np.ndarray
+    shift: np.ndarray
+
+
+def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
+    """The frozen table of the genus-1 rows theta[a_i; b_i](e_j - p) at every
+    end e_j of the (m,) complex array ends and every characteristic of the
+    (D,) float arrays a and b.
+
+    Each end e is reduced to e^ = e - nu tau with |Im e^| <= Im(tau)/2, and
+    each a to [-1/2, 1/2) (exact: theta[a + k; b] = theta[a; b]).  A
+    reduced argument e^ - p^ then has |Im| < Im(tau): its terms lie within
+    box radius R of a peak at |x| < 1, R being the plan's value radius at
+    the log peak pi Im(tau), so the window n in [-R - 2, R + 2] holds them.
+    Half of the Gaussian exp(pi i tau x^2) goes to each factor, the end
+    factor exp(pi Im(tau) / 8 - pi (Im e^)^2 / Im(tau)) scales the
+    coefficients of e and the constant exp(-pi Im(tau) / 4) the point
+    factors.  Then no coefficient exceeds exp(3 pi Im(tau) / 8), no point
+    factor exp(pi Im(tau) / 4), and the largest term of every row lies
+    within exp(5 pi Im(tau) / 8) of 1; a factor that underflows moves a
+    row by at most exp(pi Im(tau) - 744) of its largest term, which is
+    below rounding up to MAX_TABLE_IM.
+
+    The coefficients of a row are walked outward from n = 0, as _walked
+    walks a box: each step multiplies by the row's first step up (or down)
+    and a shared ratio exp(2 pi i tau s + pi Im(tau) s), so a row costs
+    three complex exps and every partial product is a coefficient.  Up to
+    MAX_TABLE_IM the first coefficient and the first steps are normal
+    doubles.  The data that do not depend on the ends are kept by the
+    plan (ThetaPlan.table_window).
+
+    Raises
+    ------
+    NonConvergent
+        If Im(tau) > MAX_TABLE_IM, or the window needs more than
+        MAX_LATTICE_RADIUS.
+    """
+    if omega.genus != 1:
+        raise ValueError("theta tables are genus-1 only")
+    window = omega.plan().table_window(a, b)
+    tau = omega.tau
+    height = tau.imag
+    nu = np.rint(ends.imag / height)
+    ends = ends - nu * tau
+    lin = (2j * math.pi) * ends[:, None]
+    # per (end, characteristic): the exponent of the coefficient at n = 0,
+    # with the end's scale and the multiplier exp(-2 pi i nu b) of its
+    # shift, and those of the first steps up and down
+    first = np.empty((3, len(ends), len(b)), dtype=complex)
+    np.add(window.start0, lin * window.a, out=first[0])
+    first[0] += ((0.125 * math.pi) * height - (math.pi / height) * ends.imag ** 2)[:, None] - nu[:, None] * window.shift
+    np.add(window.up0, lin, out=first[1])
+    np.subtract(window.down0, first[1], out=first[2])
+    np.exp(first, out=first)
+    # walk[s] holds the coefficients at n = s (up) and n = -s (down)
+    walk = np.empty((len(window.ratios) + 1, 2, len(ends) * len(b)), dtype=complex)
+    walk[0] = first[0].reshape(-1)
+    np.multiply(first[1:].reshape(2, -1), window.ratios, out=walk[1:])
+    np.cumprod(walk, axis=0, out=walk)
+    coeffs = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(-1, len(ends), len(b))
+    return ThetaTable(tau, coeffs, window.slopes, window.gauss, window.shift)
+
+
+def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
+    """The table's rows at every point of P, shape (N,) -> (N, m, D).
+
+    Row (j, i) at p is theta[a_i; b_i](e_j - p) times a nonzero factor
+    common to the rows of e_j at p (the end's scale, and the factor
+    exp(-pi i N^2 tau - 2 pi i N w) of theta(w + N tau) = ... theta(w)), so
+    the ratio of two rows of one end is exact.  p is reduced to p^ = p -
+    n tau with |Im p^| <= Im(tau)/2; its factors are one exp, and each row
+    is one product with its coefficients and one sum down the window, term
+    after term, so a point's rows do not depend on its batch.
+
+    Raises
+    ------
+    NonConvergent
+        If a row is not finite (a point so far out that its reduction
+        loses every digit).
+    """
+    tau = table.tau
+    P = np.asarray(P, dtype=complex).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = np.rint(P.imag / tau.imag)
+        p = P - shift * tau
+        factors = np.exp(table.slopes * p[:, None, None, None]
+                         + (table.gauss + (shift[:, None] * table.shift)[:, None, None]))
+        rows = (table.coeffs * factors).sum(axis=1)
+    if not np.isfinite(rows).all():
+        raise NonConvergent("theta table row is not finite")
+    return rows
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:

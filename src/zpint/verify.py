@@ -387,19 +387,29 @@ def checks_kernel(seed=3, tol_scale=1.0):
 
 # --- criterion 4: trisecant identity ---
 
+def _trisecant_draws(surf, rng, samples, points, z_re, z_im):
+    """(samples, 1 + points) rows: z, uniform in the box z_re x z_im, then
+    the given number of torus points, as sample_points draws them with
+    nothing to avoid.  One block of doubles, each column scaled to its range
+    as rng.uniform scales it (low + (high - low) u), so the stream is that of
+    the sample-by-sample draws."""
+    u = rng.random((samples, 2 + 2 * points))
+    lows = np.array([z_re[0], z_im[0], *(0.03,) * (2 * points)])
+    highs = np.array([z_re[1], z_im[1], *(0.97,) * (2 * points)])
+    u = lows + (highs - lows) * u
+    return np.column_stack([u[:, 0] + 1j * u[:, 1], u[:, 2::2] + u[:, 3::2] * surf.tau])
+
+
 def fay_sweep_check(surf, rng, samples=200, tol_scale=1.0):
     """Trisecant identity at random z and four random torus points."""
-    draws = [(rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.4, 0.4),
-              *sample_points(surf, rng, 4)) for _ in range(samples)]
-    residuals = fay_residual(surf, *np.reshape(draws, (-1, 5)).T)
+    draws = _trisecant_draws(surf, rng, samples, 4, (-0.5, 0.5), (-0.4, 0.4))
+    residuals = fay_residual(surf, *draws.T)
     return check("fay.random_sweep", residuals.max(initial=0.0), 1e-9 * tol_scale)
 
 
 def fay_degenerate_check(surf, rng, samples=10, tol_scale=1.0):
     """Trisecant identity where lambda = mu and where p = lambda."""
-    draws = [(rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.3, 0.3),
-              *sample_points(surf, rng, 3)) for _ in range(samples)]
-    z, p, q, lam = np.reshape(draws, (-1, 4)).T
+    z, p, q, lam = _trisecant_draws(surf, rng, samples, 3, (-0.4, 0.4), (-0.3, 0.3)).T
     residuals = fay_residual(surf, *np.hstack([[z, p, q, lam, lam], [z, lam, q, lam, p]]))
     return check("fay.degenerate_collapses", residuals.max(initial=0.0), 1e-10 * tol_scale)
 

@@ -272,6 +272,16 @@ def test_dataset_validation(scalar_setup):
         )
 
 
+@pytest.mark.parametrize("vectors", [[["x"]], [[1.0], [1.0, 2.0]], None],
+                         ids=["text", "ragged", "none"])
+def test_node_rejects_vectors_that_are_not_numbers(vectors):
+    """A node's vectors must be an array of numbers: text and ragged rows
+    raise InputError naming the node, not a bare ValueError, and None is not
+    read as the vector [nan]."""
+    with pytest.raises(InputError, match=re.escape(repr(0.1 + 0j))):
+        ZeroNode(0.1, vectors)
+
+
 # --- genus-0 solutions through the abstract formula ---
 
 def test_solution_genus0_scalar_large_base_point():
@@ -888,12 +898,12 @@ def test_many_raises_at_inverse_kernel_pole(scalar_setup):
         assert str(raised.value).endswith(f"p = {point(pole)!r}")
 
 
-def test_torus_interpolant_call_makes_one_theta_pass(scalar_setup, rng, monkeypatch):
-    """One T(p) and one T^-1(p) with rank-2 direct-sum kernels each make one
-    lattice pass, one theta_rows call and in it one theta._sums call on the
-    frozen rows (the chi~ kernels, K(chi) and the odd theta share it), and
-    no theta_many or scalar theta call: theta(0) is read from the line
-    kernels."""
+def test_torus_interpolant_call_makes_no_lattice_pass(scalar_setup, rng, monkeypatch):
+    """One T(p) and one T^-1(p) with rank-2 direct-sum kernels each read the
+    frozen table of their ends once (one theta_table_rows call, for the chi~
+    kernels, K(chi) and the odd theta together) and make no lattice pass:
+    no theta._sums, theta_rows, theta_many or scalar theta call; theta(0)
+    is read from the line kernels."""
     import zpint.kernels
     import zpint.surface
     import zpint.theta
@@ -912,14 +922,15 @@ def test_torus_interpolant_call_makes_one_theta_pass(scalar_setup, rng, monkeypa
     for build in (build_solution, build_inverse):
         T = build(data, Q_POINT, np.eye(2), dsum_o, dsum_t)
         with monkeypatch.context() as patch:
-            for name in ("theta_many", "theta_rows", "theta_with_char", "riemann_theta", "_sums"):
+            for name in ("theta_many", "theta_rows", "theta_with_char", "riemann_theta", "_sums",
+                         "theta_table_rows"):
                 original = getattr(zpint.theta, name)
                 for module in (zpint.theta, zpint.surface, zpint.kernels):
                     if hasattr(module, name):
                         patch.setattr(module, name, counting(name, original))
             calls.clear()
             T(0.41 + 0.33j)
-        assert calls == ["theta_rows", "_sums"], build.__name__
+        assert calls == ["theta_table_rows"], build.__name__
 
 
 def _interpolant_cases(scalar_setup, rng):

@@ -55,12 +55,12 @@ def test_interpolant_built_before_install_keeps_its_bits():
     the tracer rebinds.  The functions perfbench's --trace 1 gate reads stay
     where the tracer looks for them, and each evaluation's kernel and theta
     work is a span of the public kernels.evaluate_channels and
-    theta.theta_rows, so the per-layer metrics see it."""
+    theta.theta_table_rows, so the per-layer metrics see it."""
     from zpint.absint import InterpolationDataSet, PoleNode, ZeroNode, build_solution
 
     assert "__call__" in vars(zpint.absint.BundleMapEvaluator)
     for module, name in ((zpint.kernels, "evaluate_channels"), (zpint.theta, "theta_many"),
-                         (zpint.theta, "theta_rows")):
+                         (zpint.theta, "theta_rows"), (zpint.theta, "theta_table_rows")):
         assert isinstance(vars(module).get(name), types.FunctionType)
         assert not name.startswith("_")
     surf = torus_surface(0.1 + 1.05j)
@@ -83,6 +83,6 @@ def test_interpolant_built_before_install_keeps_its_bits():
     assert np.array_equal(untraced[1], traced[1])
     counts = {name: trace.name.tolist().count(i) for i, name in enumerate(trace.names)}
     assert counts["absint.BundleMapEvaluator.__call__"] == len(P)
-    assert counts["kernels.evaluate_channels"] == counts["theta.theta_rows"] == len(P) + 1
+    assert counts["kernels.evaluate_channels"] == counts["theta.theta_table_rows"] == len(P) + 1
     layers = trace.layer_metrics()
     assert layers["kernels.self_s"] > 0 and layers["theta.self_s"] > 0
