@@ -110,9 +110,6 @@ WALK_SPAN = 690.0
 # and terms stay normal doubles, or too small to move a row.
 MAX_TABLE_IM = 200.0
 
-# Characteristic sets whose ThetaTable window data a ThetaPlan keeps.
-_TABLE_KEEP = 32
-
 # +-2 pi i, the sign of the up and the down line of a walk axis
 _SIGNS = np.array([[2j * np.pi], [-2j * np.pi]])
 
@@ -249,7 +246,7 @@ class ThetaPlan:
         self._neg_tail = {False: np.empty(0), True: np.empty(0)}
         self._walks = {}   # radius -> _Walk or None
         self._spread = float(np.abs(self.imag).sum())   # sum_ij |Im Omega_ij|
-        self._table_windows = {}   # (a, b) bytes -> _TableWindow
+        self._table_window = None
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
@@ -320,10 +317,12 @@ class ThetaPlan:
             walk = self._walks[radius] = None if deep else _Walk(self.omega, radius)
         return walk
 
-    def table_window(self, a: np.ndarray, b: np.ndarray) -> _TableWindow:
-        """The window data of a genus-1 ThetaTable over the characteristics
-        (a[i], b[i]), built on first use and kept for up to _TABLE_KEEP
-        characteristic sets.
+    def table_window(self) -> tuple:
+        """(window, ratios) of every genus-1 ThetaTable of this period
+        matrix, built on first use: the window n in [-R - 2, R + 2], R the
+        value radius at the log peak pi Im(tau), as a (W, 1, 1) array, and
+        the walk's shared ratios exp(2 quad s), s = 0, ..., R + 1, quad =
+        pi i tau + pi Im(tau) / 2, as a (R + 2, 1, 1) array.
 
         Raises
         ------
@@ -331,13 +330,16 @@ class ThetaPlan:
             If Im(tau) > MAX_TABLE_IM, or the window needs more than
             MAX_LATTICE_RADIUS.
         """
-        key = (a.tobytes(), b.tobytes())
-        window = self._table_windows.get(key)
-        if window is None:
-            if len(self._table_windows) >= _TABLE_KEEP:
-                self._table_windows.clear()
-            window = self._table_windows[key] = _TableWindow(self, a, b)
-        return window
+        if self._table_window is None:
+            height = float(self.imag[0, 0])
+            if height > MAX_TABLE_IM:
+                raise NonConvergent(f"theta table needs Im(tau) <= {MAX_TABLE_IM:g}, "
+                                    f"not {height:g}")
+            steps = self.radius_range(np.array([math.pi * height]), False)[1] + 2
+            quad = 1j * math.pi * complex(self.omega[0, 0]) + 0.5 * math.pi * height
+            self._table_window = (np.arange(-steps, steps + 1.0)[:, None, None],
+                                  np.exp((2 * quad) * np.arange(steps))[:, None, None])
+        return self._table_window
 
     def _table(self, highest: float, gradient: bool) -> np.ndarray:
         """The table -T(1), -T(2), ..., extended until it passes highest.
@@ -647,45 +649,6 @@ def theta_rows(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarr
     return _sums(omega, a, b, rows, False)[0]
 
 
-class _TableWindow:
-    """End- and point-independent data of the genus-1 ThetaTables over the
-    characteristics (a[i], b[i]), a reduced to [-1/2, 1/2).
-
-    The window is n in [-R - 2, R + 2], R the value radius at the log peak
-    pi Im(tau).  With quad = pi i tau + pi Im(tau) / 2 (the coefficients'
-    half of the Gaussian), the coefficient at n = 0 of an end e has the
-    exponent start0 + a 2 pi i e + (terms of e), its first step up the
-    exponent up0 + 2 pi i e and its first step down down0 = 2 quad minus
-    that; the walk's shared ratios are exp(2 quad s), s = 0, ..., R + 1.
-    slopes and gauss (W, 1, D) and shift (D,) give the exponents of the
-    point factors.
-
-    Raises
-    ------
-    NonConvergent
-        If Im(tau) > MAX_TABLE_IM, or the window needs more than
-        MAX_LATTICE_RADIUS.
-    """
-
-    def __init__(self, plan: ThetaPlan, a: np.ndarray, b: np.ndarray):
-        height = float(plan.imag[0, 0])
-        if height > MAX_TABLE_IM:
-            raise NonConvergent(f"theta table needs Im(tau) <= {MAX_TABLE_IM:g}, not {height:g}")
-        steps = plan.radius_range(np.array([math.pi * height]), False)[1] + 2
-        half = 0.5 * math.pi * height
-        quad = 1j * math.pi * complex(plan.omega[0, 0]) + half
-        a = a - np.floor(a + 0.5)
-        self.a = a
-        self.start0 = (quad * a + (2j * math.pi) * b) * a
-        self.up0 = quad * (2 * a + 1) + (2j * math.pi) * b
-        self.down0 = 2 * quad
-        self.ratios = np.exp((2 * quad) * np.arange(steps))[:, None, None]
-        grid = (np.arange(-steps, steps + 1.0)[:, None] + a)[:, None]   # x over the window
-        self.slopes = (-2j * math.pi) * grid
-        self.gauss = -half * (grid * grid + 0.5)
-        self.shift = (2j * math.pi) * b
-
-
 @dataclass(frozen=True, eq=False)
 class ThetaTable:
     """Frozen Fourier coefficients of genus-1 theta rows over fixed ends.
@@ -737,8 +700,8 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     and a shared ratio exp(2 pi i tau s + pi Im(tau) s), so a row costs
     three complex exps and every partial product is a coefficient.  Up to
     MAX_TABLE_IM the first coefficient and the first steps are normal
-    doubles.  The data that do not depend on the ends are kept by the
-    plan (ThetaPlan.table_window).
+    doubles.  The window and the shared ratios depend on tau alone and are
+    kept by the plan (ThetaPlan.table_window).
 
     Raises
     ------
@@ -748,9 +711,13 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     """
     if omega.genus != 1:
         raise ValueError("theta tables are genus-1 only")
-    window = omega.plan().table_window(a, b)
+    window, ratios = omega.plan().table_window()
     tau = omega.tau
     height = tau.imag
+    half = 0.5 * math.pi * height
+    quad = 1j * math.pi * tau + half   # the coefficients' half of the Gaussian
+    a = a - np.floor(a + 0.5)
+    shift = (2j * math.pi) * b
     nu = np.rint(ends.imag / height)
     ends = ends - nu * tau
     lin = (2j * math.pi) * ends[:, None]
@@ -758,18 +725,20 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     # with the end's scale and the multiplier exp(-2 pi i nu b) of its
     # shift, and those of the first steps up and down
     first = np.empty((3, len(ends), len(b)), dtype=complex)
-    np.add(window.start0, lin * window.a, out=first[0])
-    first[0] += ((0.125 * math.pi) * height - (math.pi / height) * ends.imag ** 2)[:, None] - nu[:, None] * window.shift
-    np.add(window.up0, lin, out=first[1])
-    np.subtract(window.down0, first[1], out=first[2])
+    np.multiply(quad * a + shift + lin, a, out=first[0])
+    first[0] += ((0.25 * half - (math.pi / height) * ends.imag ** 2)[:, None]
+                 - nu[:, None] * shift)
+    np.add((2 * quad) * a + (quad + shift), lin, out=first[1])
+    np.subtract(2 * quad, first[1], out=first[2])
     np.exp(first, out=first)
     # walk[s] holds the coefficients at n = s (up) and n = -s (down)
-    walk = np.empty((len(window.ratios) + 1, 2, len(ends) * len(b)), dtype=complex)
+    walk = np.empty((len(ratios) + 1, 2, len(ends) * len(b)), dtype=complex)
     walk[0] = first[0].reshape(-1)
-    np.multiply(first[1:].reshape(2, -1), window.ratios, out=walk[1:])
+    np.multiply(first[1:].reshape(2, -1), ratios, out=walk[1:])
     np.cumprod(walk, axis=0, out=walk)
     coeffs = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(-1, len(ends), len(b))
-    return ThetaTable(tau, coeffs, window.slopes, window.gauss, window.shift)
+    grid = window + a   # x over the window, (W, 1, D)
+    return ThetaTable(tau, coeffs, (-2j * math.pi) * grid, -half * (grid * grid + 0.5), shift)
 
 
 def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
@@ -777,11 +746,11 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
 
     Row (j, i) at p is theta[a_i; b_i](e_j - p) times a nonzero factor
     common to the rows of e_j at p (the end's scale, and the factor
-    exp(-pi i N^2 tau - 2 pi i N w) of theta(w + N tau) = ... theta(w)), so
-    the ratio of two rows of one end is exact.  p is reduced to p^ = p -
-    n tau with |Im p^| <= Im(tau)/2; its factors are one exp, and each row
-    is one product with its coefficients and one sum down the window, term
-    after term, so a point's rows do not depend on its batch.
+    exp(-pi i N^2 tau - 2 pi i N w) of theta(w + N tau) = ... theta(w)),
+    which cancels in the ratio of two rows of one end.  p is reduced to
+    p^ = p - n tau with |Im p^| <= Im(tau)/2; its factors are one exp, and
+    each row is one product with its coefficients and one sum down the
+    window, term after term, so a point's rows do not depend on its batch.
 
     Raises
     ------

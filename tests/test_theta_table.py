@@ -119,8 +119,8 @@ def interpolation_cases(draw):
         frame = np.eye(r) + complex_matrix(draw, (r, r), 0.6 / r)
         kernels = [conjugated_kernel(kernel, frame) for kernel in kernels]
     cells = draw(st.permutations(range(16)))[:10]
-    points = [(c // 4 + draw(st.floats(0.2, 0.8))) / 4 + (c % 4 + draw(st.floats(0.2, 0.8))) / 4 * tau
-              for c in cells]
+    points = [(c // 4 + draw(st.floats(0.2, 0.8))) / 4
+              + (c % 4 + draw(st.floats(0.2, 0.8))) / 4 * tau for c in cells]
     shifts = [draw(st.integers(-2, 2)) + draw(st.integers(-2, 2)) * tau for _ in range(7)]
     n = draw(st.integers(1, 3))
     vectors = [complex_matrix(draw, (1, r), 1.0) + np.eye(r)[k % r] for k in range(2 * n)]
@@ -198,7 +198,8 @@ def test_interpolant_at_large_im_tau_matches_channel_pass(tau, a):
                 outcomes.add(type(exc).__name__)
                 continue
             # both sides round exponents up to pi Im(tau) in their theta sums
-            assert np.linalg.norm(T(p) - expected) <= 10 * np.pi * tau.imag * EPS * scale, (kind, p)
+            tol = 10 * np.pi * tau.imag * EPS * scale
+            assert np.linalg.norm(T(p) - expected) <= tol, (kind, p)
             outcomes.add("value")
     assert "value" in outcomes
 
