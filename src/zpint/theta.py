@@ -751,6 +751,8 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
     p^ = p - n tau with |Im p^| <= Im(tau)/2; its factors are one exp, and
     each row is one product with its coefficients and one sum down the
     window, term after term, so a point's rows do not depend on its batch.
+    Points are read a chunk at a time, so that no working array holds more
+    than CHUNK_ELEMENTS terms.
 
     Raises
     ------
@@ -758,8 +760,16 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
         If a row is not finite (a point so far out that its reduction
         loses every digit).
     """
-    tau = table.tau
     P = np.asarray(P, dtype=complex).reshape(-1)
+    step = max(1, CHUNK_ELEMENTS // table.coeffs.size)
+    if len(P) <= step:
+        return _table_rows(table, P)
+    return np.concatenate([_table_rows(table, P[at:at + step]) for at in range(0, len(P), step)])
+
+
+def _table_rows(table: ThetaTable, P: np.ndarray) -> np.ndarray:
+    """theta_table_rows at one chunk of points."""
+    tau = table.tau
     with np.errstate(over="ignore", invalid="ignore"):
         shift = np.rint(P.imag / tau.imag)
         p = P - shift * tau

@@ -211,3 +211,20 @@ def test_table_refuses_im_tau_past_its_range():
     with pytest.raises(NonConvergent):
         theta_table(period_from_tau(1j * (MAX_TABLE_IM + 1)), np.zeros(1), np.zeros(1),
                     np.zeros(1, dtype=complex))
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 1 << 15])
+def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
+    """A batch read in chunks of at most `chunk` terms gives each point the
+    bits of its one-point read: a point's rows do not depend on its batch."""
+    import zpint.theta as theta_module
+
+    monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(7)
+    tau = 0.3 + 0.9j
+    table = theta_table(period_from_tau(tau), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
+                        rng.uniform(-2, 2, 4) + rng.uniform(-2, 2, 4) * tau)
+    P = rng.uniform(-3, 3, 40) + rng.uniform(-3, 3, 40) * tau
+    batch = theta_table_rows(table, P)
+    assert batch.shape == (40, 4, 3)
+    assert all(np.array_equal(batch[i], theta_table_rows(table, P[i:i + 1])[0]) for i in range(40))
