@@ -17,8 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_normal_form import complex_matrix, reference
 from zpint.absint import InterpolationDataSet, PoleNode, ZeroNode, build_inverse, build_solution
-from zpint.errors import NonConvergent, SingularMatrix, ZpintError
+from zpint.errors import NonConvergent, SingularMatrix
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, line_kernel
 from zpint.numutil import rel_residual
 from zpint.surface import line_bundle, torus_surface
@@ -28,36 +29,6 @@ EPS = np.finfo(float).eps
 unit = st.floats(0.0, 1.0)
 # |theta[a; b](0)| vanishes at a = b = 1/2 only; keep a away from 1/2
 away = st.one_of(st.floats(0.05, 0.4), st.floats(0.6, 0.95))
-
-
-def complex_matrix(draw, shape, scale):
-    size = 2 * int(np.prod(shape))
-    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
-    values = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
-    return scale * values.reshape(shape)
-
-
-def reference(kind, chi, tilde, zeros, poles, q, Q, p):
-    """T(p) or T^-1(p) from the partial-fraction formula, each kernel value
-    an oracle call (the channel pass), Gamma formed pair by pair and every
-    inverse taken by np.linalg.solve; and the scale of its terms, |K~| +
-    |K_mu_u| |c| times |Q| |K^-1| in Frobenius norms, c the Gamma solve."""
-    norm = np.linalg.norm
-    gamma = -np.array([[x @ tilde(lam, mu) @ u for mu, u in poles] for lam, x in zeros])
-    if kind == "solution":
-        k_mu_u = np.column_stack([tilde(p, mu) @ u for mu, u in poles])
-        coef = np.linalg.solve(gamma, np.vstack([x @ tilde(lam, q) for lam, x in zeros]))
-        kmat = chi(p, q)
-        value = np.linalg.solve(kmat.T, ((tilde(p, q) + k_mu_u @ coef) @ Q).T).T
-        terms = norm(tilde(p, q)) + norm(k_mu_u) * norm(coef)
-    else:
-        k_x_lam = np.vstack([x @ tilde(lam, p) for lam, x in zeros])
-        coef = np.linalg.solve(gamma.T, np.column_stack([tilde(q, mu) @ u for mu, u in poles]).T)
-        kmat = chi(q, p)
-        value = np.linalg.solve(kmat, np.linalg.solve(Q, tilde(q, p) + coef.T @ k_x_lam))
-        terms = norm(tilde(q, p)) + norm(coef) * norm(k_x_lam)
-        Q = np.linalg.inv(Q)
-    return value, terms * norm(Q) * norm(np.linalg.inv(kmat))
 
 
 def direct_row(a, b, z, tau):
