@@ -102,9 +102,9 @@ class Surface:
 
     Each kind defines gap(d), the distance spanned by coordinate
     differences d (elementwise), which distance, equal and coincidences
-    read; same_as(other); abel_jacobi(p), the g-vector
-    image ((N, g) for a sequence); and prime_form(p, q), E(p, q) (the
-    (N,) array of E(p[i], q[i]) for two sequences).  Every public method
+    read; same_as(other); abel_jacobi(p), the g-vector image ((N, g) for a
+    sequence); and prime_form(p, q), E(p, q) (the (N,) array of
+    E(p[i], q[i]) for two sequences).  Every public method
     takes one point or a sequence of points and checks them once, by
     points; a sequence gives an array, and distance broadcasts like numpy.
     """
