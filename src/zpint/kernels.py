@@ -124,6 +124,8 @@ def _line_channels(surface: Surface, bundles) -> _Channels:
 
 
 _ODD_AB = np.stack([ODD_CHAR.a, ODD_CHAR.b])
+# the odd theta of E(e, p), at p - e, as a row theta[-1/2; -1/2](e - p)
+_ODD_ROW = -_ODD_AB.T
 
 
 def _plan(surface: Surface, entries, m: int) -> tuple:
@@ -171,7 +173,8 @@ class EndPlan:
     point_first, else (e, p).  On the torus up to theta.MAX_TABLE_IM, table
     is the frozen theta.ThetaTable of the ends over the characteristics of
     tilde, of chi and of the odd theta, tilde the number of tilde
-    channels, and scale theta'(0)/theta[a; b](0) per channel; rows is None.
+    channels, and scale theta'(0)/theta[a; b](0) per characteristic of
+    tilde and chi; rows is None.
     Elsewhere rows is _plan's (m, cols, ab, theta0) over the ends,
     for the pass of the oracles, and table is None.
     """
@@ -199,14 +202,12 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
         rows = _plan(surface, [(tilde, np.arange(m)), (chi, np.zeros(1, int))], m)
         return EndPlan(ends, point_first, rows)
-    ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], -_ODD_AB[None, :, 0]])
+    ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
     if not point_first:
         ab = -ab
     table = theta_table(surface.period, ab[:, 0], ab[:, 1], ends)
-    theta0 = np.concatenate([np.broadcast_to(tilde.theta0, (m, len(tilde.theta0))).reshape(-1),
-                             chi.theta0])
     return EndPlan(ends, point_first, None, table, len(tilde.theta0),
-                   odd_theta_deriv0(surface.tau) / theta0)
+                   odd_theta_deriv0(surface.tau) / np.concatenate([tilde.theta0, chi.theta0]))
 
 
 def _compose(d: np.ndarray, frame, frame_inv) -> np.ndarray:
@@ -315,10 +316,10 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
     """
     if plan.table is not None:
         rows = theta_table_rows(plan.table, P)
-        ratio = rows[:, :, :-1] / rows[:, :, -1:]   # each channel over its end's odd theta
+        # each channel over its end's odd theta, times theta'(0)/theta[a; b](0)
+        ratio = rows[:, :, :-1] / rows[:, :, -1:] * plan.scale
         r = plan.tilde
-        return np.concatenate([ratio[:, :, :r].reshape(len(P), -1), ratio[:, 0, r:]],
-                              axis=1) * plan.scale
+        return np.concatenate([ratio[:, :, :r].reshape(len(P), -1), ratio[:, 0, r:]], axis=1)
     d = P[:, None] - plan.ends if plan.point_first else plan.ends - P[:, None]
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
         return _channel_pass(surface, plan.rows, -d[..., None])

@@ -725,17 +725,21 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     # with the end's scale and the multiplier exp(-2 pi i nu b) of its
     # shift, and those of the first steps up and down
     first = np.empty((3, len(ends), len(b)), dtype=complex)
-    np.multiply(quad * a + shift + lin, a, out=first[0])
+    slope = quad * a + shift
+    np.add(slope + quad * (a + 1), lin, out=first[1])
+    np.add(slope, lin, out=first[0])
+    first[0] *= a
     first[0] += ((0.25 * half - (math.pi / height) * ends.imag ** 2)[:, None]
                  - nu[:, None] * shift)
-    np.add((2 * quad) * a + (quad + shift), lin, out=first[1])
     np.subtract(2 * quad, first[1], out=first[2])
     np.exp(first, out=first)
-    # walk[s] holds the coefficients at n = s (up) and n = -s (down)
+    # walk[s] holds the coefficients at n = s (up) and n = -s (down), each
+    # its inner neighbour times a step
     walk = np.empty((len(ratios) + 1, 2, len(ends) * len(b)), dtype=complex)
     walk[0] = first[0].reshape(-1)
     np.multiply(first[1:].reshape(2, -1), ratios, out=walk[1:])
-    np.cumprod(walk, axis=0, out=walk)
+    for prev, cur in zip(walk, walk[1:]):
+        np.multiply(cur, prev, out=cur)
     coeffs = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(-1, len(ends), len(b))
     grid = window + a   # x over the window, (W, 1, D)
     return ThetaTable(tau, coeffs, (-2j * math.pi) * grid, -half * (grid * grid + 0.5), shift)
