@@ -33,6 +33,13 @@ one distance test against the ends, one kernels.evaluate_channels call
 (on the torus one read of the table, no lattice pass), one matmul and one
 divide by the channels of K(chi).
 
+Gamma and K_x_lam(q) read K(chi~) at the pairs of the zero points with
+the ends [q, mu_1, ...] of T's kernel sum, so the build reads them from
+that plan too, in one evaluate_channels call at the zero points, and a
+torus build makes no lattice pass.  build_gamma, one kernels.kernel_grid
+over the node points, is the reference route and the one for a kernel
+given by many alone.
+
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
 and equating them for a single zero-pole pair is exactly the trisecant
@@ -51,6 +58,7 @@ from .errors import (
     DegenerateDenominator,
     InputError,
     NecessityViolated,
+    NonConvergent,
     NotSquare,
     PointOnExcludedSet,
     PoleLocationFailure,
@@ -60,6 +68,7 @@ from .kernels import (
     CauchyKernelOracle,
     _block_form,
     _channels_of,
+    _compose,
     end_plan,
     evaluate_channels,
     evaluate_many,
@@ -278,11 +287,11 @@ class InterpolationDataSet(_NodeData):
 @dataclass(frozen=True, eq=False)
 class GammaMatrix:
     """Block coupling matrix over the vector rows of the zeros and poles
-    (data.zero_rows and pole_rows).  at_base holds the kernel values at a
-    base point q, read from the same kernel grid, on the vector rows:
-    K_x_lam(q) = [x_a K(chi~; lambda_a, q)]_a, (A, r), or for an inverse
-    K_mu_u(q)^T = [K(chi~; q, mu_b) u_b]_b, (B, r); None when no base
-    point was given."""
+    (data.zero_rows and pole_rows).  An interpolant's Gamma also holds, in
+    at_base, the kernel values at its base point q on the vector rows, read
+    with Gamma from its pole-end plan: K_x_lam(q) = [x_a K(chi~; lambda_a,
+    q)]_a, (A, r), or for an inverse K_mu_u(q)^T = [K(chi~; q, mu_b) u_b]_b,
+    (B, r); build_gamma leaves it None."""
 
     matrix: np.ndarray
     at_base: np.ndarray | None = None
@@ -295,41 +304,91 @@ class GammaMatrix:
         return svd_cond(self.matrix)
 
 
-def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle,
-                q=None, inverse: bool = False) -> GammaMatrix:
+def _assemble(data, kvals: np.ndarray, at_base=None) -> GammaMatrix:
+    """Gamma = -einsum('ak,abkl,bl->ab', X, kvals, U) over the kernel values
+    kvals (A, B, r, r) at the pairs of zero rows X and pole rows U, with -rho
+    written into the coincident blocks.
+
+    Raises
+    ------
+    NonConvergent
+        If an entry of Gamma or of at_base is not finite (a kernel value
+        overflowed).
+    """
+    gamma = -np.einsum("ak,abkl,bl->ab", data.zero_rows.vectors, kvals, data.pole_rows.vectors)
+    data.write_couplings(gamma)
+    if not (np.isfinite(gamma).all() and (at_base is None or np.isfinite(at_base).all())):
+        raise NonConvergent("coupling matrix has a non-finite kernel value")
+    return GammaMatrix(gamma, at_base)
+
+
+def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle) -> GammaMatrix:
     """Assemble the coupling matrix from the output-bundle kernel.
 
     Entries are -x K(chi~; lambda^i, mu^j) u away from coincidences and
     -rho at them; squareness and conditioning are judged downstream.  The
-    kernel values are one kernel_grid over the node points, and Gamma is
-    one product -einsum('ak,abkl,bl->ab', X, K, U) over the grid expanded
-    to the vector rows X of the zeros and U of the poles.  Given a base
-    point q, the grid gains the column q (the row q when inverse), whose
-    values, times the vector rows, are kept as at_base for the
-    interpolant's weight.
+    kernel values are one kernel_grid over the node points, expanded to the
+    vector rows.  This is the reference route, and the one for a kernel
+    given by many alone; an interpolant reads the same Gamma from the
+    theta table of its ends (_plan_gamma).
     """
-    X, zero_of = data.zero_rows.vectors, data.zero_rows.node_of
-    U, pole_of = data.pole_rows.vectors, data.pole_rows.node_of
-    rows, cols = data.zero_rows.points, data.pole_rows.points
-    if q is not None:
-        base = data.surface.points([q])
-        rows, cols = (np.concatenate([rows, base]), cols) if inverse else (
-            rows, np.concatenate([cols, base]))
-    kvals = kernel_grid(oracle_tilde, rows, cols)
-    at_base = None
-    if inverse and q is not None:
-        kvals, at_base = kvals[:-1], np.einsum("bkl,bl->bk", kvals[-1][pole_of], U)
-    elif q is not None:
-        kvals, at_base = kvals[:, :-1], np.einsum("ak,akl->al", X, kvals[:, -1][zero_of])
-    gamma = -np.einsum("ak,abkl,bl->ab", X, kvals[np.ix_(zero_of, pole_of)], U)
-    data.write_couplings(gamma)
-    return GammaMatrix(gamma, at_base)
+    kvals = kernel_grid(oracle_tilde, data.zero_rows.points, data.pole_rows.points)
+    return _assemble(data, kvals[np.ix_(data.zero_rows.node_of, data.pole_rows.node_of)])
 
 
 def _ends(q, rows: NodeRows) -> np.ndarray:
     """[q, the point of each vector row]: the columns of an interpolant's
     kernel sum."""
     return np.concatenate([[q], rows.points[rows.node_of]])
+
+
+def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
+    """K(chi~; p, e_j), (N, m, r, r), from the (N, L) channels d of a plan
+    over m ends read at N points: the channels of chi~ composed with its
+    frame."""
+    r = oracle_tilde.rank
+    return _compose(d[:, :m * r].reshape(-1, r), oracle_tilde.frame,
+                    oracle_tilde.frame_inv).reshape(len(d), m, r, r)
+
+
+def _plan_gamma(data, plan, oracle_tilde, inverse: bool) -> GammaMatrix:
+    """Gamma and at_base read from the pole-end plan of T.
+
+    Gamma reads K(chi~; lambda, mu), and a solution's K_x_lam(q) reads
+    K(chi~; lambda, q): both are the plan's kernel sum read at the zero
+    points.  An inverse's K_mu_u(q) is the row read at q as well, all in one
+    evaluate_channels call.  A coincident (zero, pole) pair and q against
+    its own end divide by a vanishing prime form; their channels are
+    discarded and left zero, as kernel_grid leaves them, before the frame
+    is applied.  On the sphere every value has the bits of build_gamma's.
+    """
+    rows, m, r = data.zero_rows, len(plan.ends), data.rank
+    P = np.append(rows.points, plan.ends[0]) if inverse else rows.points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = evaluate_channels(data.surface, plan, P)
+    for i, j in data.couplings:   # the columns of pole j's ends, 1 + its rows
+        start, stop = data.pole_rows.blocks[j]
+        d[i, (1 + start) * r:(1 + stop) * r] = 0.0
+    if inverse:
+        d[-1, :r] = 0.0
+    kvals = _end_kernels(d, m, oracle_tilde)
+    grid = kvals[np.ix_(rows.node_of, np.arange(1, m))]
+    if inverse:
+        return _assemble(data, grid, np.einsum("bkl,bl->bk", kvals[-1, 1:],
+                                               data.pole_rows.vectors))
+    return _assemble(data, grid, np.einsum("ak,akl->al", rows.vectors, kvals[rows.node_of, 0]))
+
+
+def _solvable(gamma: GammaMatrix) -> GammaMatrix:
+    """gamma, checked to be square and well conditioned."""
+    if not gamma.is_square:
+        raise NotSquare(
+            f"coupling matrix is {gamma.matrix.shape[0]}x{gamma.matrix.shape[1]}"
+        )
+    cond = gamma.condition()
+    if cond > COND_LIMIT:
+        raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
+    return gamma
 
 
 class BundleMapEvaluator:
@@ -358,23 +417,33 @@ class BundleMapEvaluator:
     theta.MAX_TABLE_IM), so a point reads its theta rows from the table,
     with p reduced by the lattice and the channels' multipliers, instead of
     summing a lattice; past MAX_TABLE_IM, and on the sphere, the oracles'
-    channel pass.
+    channel pass.  Gamma and its base column are T's kernel sum read at the
+    zero points (_plan_gamma), so the build reads them from T's pole-end
+    plan and makes no lattice pass; T^{-1} reads them the same way, from a
+    pole-end plan of its own, and keeps Gamma's bits, then plans its zero
+    ends for evaluation.
+
+    Raises NotSquare or SingularMatrix for a Gamma that is not square and
+    well conditioned.
     """
 
-    def __init__(self, data, q, Q, oracle_chi, oracle_tilde, gamma, kind):
+    def __init__(self, data, q, Q, oracle_chi, oracle_tilde, kind):
         self.data = data
         self.q = q
         self.Q = Q
         self.oracle_chi = oracle_chi
         self.oracle_tilde = oracle_tilde
-        self.gamma = gamma
         self.kind = kind
         solution = kind == "solution"
         self._at_q = Q if solution else np.linalg.inv(Q)
-        self._ends = _ends(q, data.pole_rows if solution else data.zero_rows)
-        m, r = len(self._ends), self.rank
         self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
-                              self._ends, solution)
+                              _ends(q, data.pole_rows), True)
+        self.gamma = gamma = _solvable(_plan_gamma(data, self._plan, oracle_tilde, not solution))
+        if not solution:
+            self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
+                                  _ends(q, data.zero_rows), False)
+        self._ends = self._plan.ends
+        m, r = len(self._ends), self.rank
         left, right = _weights(data, gamma, not solution)
         eye = np.eye(r)
         f_t, f_t_inv, f, f_inv = (eye if x is None else x for x in (
@@ -443,7 +512,9 @@ class BundleMapEvaluator:
         return values if self._frame is None else self._frame @ values
 
 
-def _prepare(data, q, Q, oracle_tilde, inverse: bool):
+def _base(data, q, Q) -> tuple:
+    """q as a point and Q as an (r, r) array; PointOnExcludedSet for q on a
+    node, SingularMatrix for a singular Q."""
     q = point(q)
     Q = np.asarray(Q, dtype=complex).reshape(data.rank, data.rank)
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
@@ -452,15 +523,7 @@ def _prepare(data, q, Q, oracle_tilde, inverse: bool):
     cond = svd_cond(Q)
     if cond > COND_LIMIT:
         raise SingularMatrix("base value Q is numerically singular", cond)
-    gamma = build_gamma(data, oracle_tilde, q, inverse)
-    if not gamma.is_square:
-        raise NotSquare(
-            f"coupling matrix is {gamma.matrix.shape[0]}x{gamma.matrix.shape[1]}"
-        )
-    cond = gamma.condition()
-    if cond > COND_LIMIT:
-        raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
-    return q, Q, gamma
+    return q, Q
 
 
 def _weights(data, gamma, inverse: bool) -> tuple:
@@ -485,8 +548,8 @@ def _weights(data, gamma, inverse: bool) -> tuple:
 def _interpolant(data, q, Q, oracle_chi, oracle_tilde, kind) -> BundleMapEvaluator:
     for oracle in (oracle_chi, oracle_tilde):
         _channels_of(oracle, "an interpolant")
-    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, kind == "inverse")
-    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, gamma, kind)
+    q, Q = _base(data, q, Q)
+    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, kind)
 
 
 def build_solution(data: InterpolationDataSet, q, Q,
@@ -551,30 +614,32 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
 
     Returns a list of (pole point, relative residual); residuals at or
     below about 1e-7 indicate consistent data for the given input bundle.
+    The numerator of T, its kernel sum, is read at a reference point and at
+    every pole from the pole-end plan of the solution T, in one
+    evaluate_channels call.  Raises as build_solution, and
+    PoleLocationFailure first for a K(chi) given by many alone on the
+    torus.
     """
-    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, False)
-    left, right = _weights(data, gamma, False)
-    ends = _ends(q, data.pole_rows)
-    poles = _inverse_kernel_poles(oracle_chi, q)
+    poles = _inverse_kernel_poles(oracle_chi, point(q))
+    T = build_solution(data, q, Q, oracle_chi, oracle_tilde)
     if not poles:
         return []
+    q, Q = T.q, T.Q
+    left, right = _weights(data, T.gamma, False)
+    ref_point = lattice_reduce(q + 0.2718 + 0.3141j, data.surface.tau)
+    P = data.surface.points([ref_point, *poles])
+    kvals = _end_kernels(evaluate_channels(data.surface, T._plan, P), len(T._ends), oracle_tilde)
+    # the kernel sum of T(p), also where K(chi; p, q) is singular
+    numerators = kvals[:, 0] + np.einsum("nbkl,bl,bm->nkm", kvals[:, 1:], left, right)
+    scale_n = float(np.linalg.norm(numerators[0])) + EPS_GUARD
 
-    def numerator(p):   # the kernel sum of T(p), also where K(chi; p, q) is singular
-        kvals = evaluate_many(oracle_tilde, [p] * len(ends), ends)
-        return kvals[0] + np.einsum("bkl,bl,bm->km", kvals[1:], left, right)
-
-    tau = data.surface.tau
-    ref_point = lattice_reduce(q + 0.2718 + 0.3141j, tau)
-    scale_n = float(np.linalg.norm(numerator(ref_point))) + EPS_GUARD
+    def inv_kernel(t):
+        return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
 
     results = []
-    for pole in poles:
-
-        def inv_kernel(t):
-            return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
-
+    for pole, numerator in zip(poles, numerators[1:]):
         res = circle_modes(inv_kernel, pole, 1e-3, orders=(-1,))[-1]
-        defect = numerator(pole) @ Q @ res
+        defect = numerator @ Q @ res
         residual = float(np.linalg.norm(defect)) / (
             float(np.linalg.norm(Q @ res)) * scale_n + EPS_GUARD
         )

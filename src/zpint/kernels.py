@@ -34,9 +34,11 @@ pass composed with F; a single pair is the N = 1 case of the same code.
 An interpolant of absint reads its kernels only at pairs of a point with
 ends fixed at build time: end_plan freezes them once, on the torus as a
 theta.ThetaTable of the ends, and evaluate_channels reads the channels at
-a batch of points from it.  Points are checked once, by surface.points,
-where they enter: the oracle call and kernel_grid; many and the pass take
-checked arrays.
+a batch of points from it; the interpolant's Gamma is such a read at the
+zero points.  kernel_grid, over every pair of two point sets, serves the
+block matrices built from an oracle.  Points are checked once, by
+surface.points, where they enter: the oracle call and kernel_grid; many
+and the pass take checked arrays.
 
 An oracle given by many alone has no channels.  It is evaluated by its
 many (evaluate_many, kernel_grid, extract_laurent_coeffs,
@@ -319,7 +321,8 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
         # each channel over its end's odd theta, times theta'(0)/theta[a; b](0)
         ratio = rows[:, :, :-1] / rows[:, :, -1:] * plan.scale
         r = plan.tilde
-        return np.concatenate([ratio[:, :, :r].reshape(len(P), -1), ratio[:, 0, r:]], axis=1)
+        return np.concatenate([ratio[:, :, :r].reshape(len(P), len(plan.ends) * r),
+                               ratio[:, 0, r:]], axis=1)
     d = P[:, None] - plan.ends if plan.point_first else plan.ends - P[:, None]
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
         return _channel_pass(surface, plan.rows, -d[..., None])
@@ -334,8 +337,10 @@ def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
 
     The pairs are one oracle call.  A pair whose points coincide on the
     surface, where K has its pole, is left zero; every block matrix over
-    node pairs (Gamma, the pencil, the line-section matrix) takes its
-    kernel values from this grid.
+    node pairs built from an oracle (absint.build_gamma, the pencil, the
+    line-section matrix) takes its kernel values from this grid.  An
+    interpolant reads its Gamma from its EndPlan instead, with the same
+    zeros at coincident pairs.
 
     Raises
     ------

@@ -52,10 +52,11 @@ Rows theta[a; b](e - p) whose ends e are fixed have a second route at
 genus 1: every term is a coefficient of e times a factor of p, so
 theta_table freezes the coefficients of each row over one window of the
 lattice, and theta_table_rows reads the rows at points p from them, with
-one exp for the factors of each point and no lattice pass.  Ends and
-points are reduced by the lattice first, and the rows of one end share a
-factor at each point (see theta_table), which a ratio of two of them
-cancels; a torus interpolant reads its kernels this way.
+one exp for the factors of each point, one matmul with the coefficients
+and no lattice pass.  Ends and points are reduced by the lattice first,
+and the rows of one end share a factor at each point (see theta_table),
+which a ratio of two of them cancels; a torus interpolant reads its
+kernels, and its build reads Gamma, this way.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ class ThetaPlan:
     def table_window(self) -> tuple:
         """(window, ratios) of every genus-1 ThetaTable of this period
         matrix, built on first use: the window n in [-R - 2, R + 2], R the
-        value radius at the log peak pi Im(tau), as a (W, 1, 1) array, and
+        value radius at the log peak pi Im(tau), as a (W,) array, and
         the walk's shared ratios exp(2 quad s), s = 0, ..., R + 1, quad =
         pi i tau + pi Im(tau) / 2, as a (R + 2, 1, 1) array.
 
@@ -337,7 +338,7 @@ class ThetaPlan:
                                     f"not {height:g}")
             steps = self.radius_range(np.array([math.pi * height]), False)[1] + 2
             quad = 1j * math.pi * complex(self.omega[0, 0]) + 0.5 * math.pi * height
-            self._table_window = (np.arange(-steps, steps + 1.0)[:, None, None],
+            self._table_window = (np.arange(-steps, steps + 1.0),
                                   np.exp((2 * quad) * np.arange(steps))[:, None, None])
         return self._table_window
 
@@ -663,10 +664,11 @@ class ThetaTable:
     and theta_table_rows makes the factors of p.  Built by theta_table,
     which states the reduction and the scaling.
 
-    coeffs (W, m, D) holds the coefficients down the window of every end
-    and characteristic; per characteristic the exponent of the point factor
-    is slopes * p + gauss (W, 1, D), plus shift (D,) times the lattice shift
-    n of p.
+    coeffs (D, W, m) holds, per characteristic, the coefficients of every
+    end down the window, so that the rows of a point are one (1, W) @ (W, m)
+    product per characteristic; the exponent of the point factor is
+    slopes * p + gauss (D, 1, W), plus shift (D,) times the lattice shift n
+    of p.
     """
 
     tau: complex
@@ -741,8 +743,9 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     for prev, cur in zip(walk, walk[1:]):
         np.multiply(cur, prev, out=cur)
     coeffs = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(-1, len(ends), len(b))
-    grid = window + a   # x over the window, (W, 1, D)
-    return ThetaTable(tau, coeffs, (-2j * math.pi) * grid, -half * (grid * grid + 0.5), shift)
+    grid = (a[:, None] + window)[:, None]   # x over the window, (D, 1, W)
+    return ThetaTable(tau, np.ascontiguousarray(coeffs.transpose(2, 0, 1)),
+                      (-2j * math.pi) * grid, -half * (grid * grid + 0.5), shift)
 
 
 def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
@@ -752,11 +755,12 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
     common to the rows of e_j at p (the end's scale, and the factor
     exp(-pi i N^2 tau - 2 pi i N w) of theta(w + N tau) = ... theta(w)),
     which cancels in the ratio of two rows of one end.  p is reduced to
-    p^ = p - n tau with |Im p^| <= Im(tau)/2; its factors are one exp, and
-    each row is one product with its coefficients and one sum down the
-    window, term after term, so a point's rows do not depend on its batch.
-    Points are read a chunk at a time, so that no working array holds more
-    than CHUNK_ELEMENTS terms.
+    p^ = p - n tau with |Im p^| <= Im(tau)/2; its factors are one exp, made
+    as (N, D, 1, W), and its rows are one (1, W) @ (W, m) matmul with the
+    coefficients per characteristic.  numpy runs a stacked matmul slice by
+    slice, so a point's rows do not depend on its batch or on the layout of
+    P.  Points are read a chunk at a time, so that no working array holds
+    more than CHUNK_ELEMENTS terms.
 
     Raises
     ------
@@ -778,11 +782,11 @@ def _table_rows(table: ThetaTable, P: np.ndarray) -> np.ndarray:
         shift = np.rint(P.imag / tau.imag)
         p = P - shift * tau
         factors = np.exp(table.slopes * p[:, None, None, None]
-                         + (table.gauss + (shift[:, None] * table.shift)[:, None, None]))
-        rows = (table.coeffs * factors).sum(axis=1)
+                         + (table.gauss + (shift[:, None] * table.shift)[..., None, None]))
+        rows = (factors @ table.coeffs)[:, :, 0]
     if not np.isfinite(rows).all():
         raise NonConvergent("theta table row is not finite")
-    return rows
+    return rows.transpose(0, 2, 1)
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:

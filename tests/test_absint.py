@@ -190,19 +190,41 @@ def test_build_gamma_is_one_kernel_call(n, rng, monkeypatch):
     assert len(calls[0][0]) == n * n
 
 
+def reference_gamma(data, oracle, q, inverse):
+    """Gamma by build_gamma's kernel_grid route, with at_base in loop form:
+    one vectors @ K product per node, K(chi~; lambda, q) for T and
+    K(chi~; q, mu) for T^-1."""
+    from zpint.absint import GammaMatrix
+    from zpint.kernels import evaluate_many
+
+    if inverse:
+        kp = evaluate_many(oracle, [q] * len(data.poles), [p.point for p in data.poles])
+        at_base = np.vstack([(k @ p.vectors.T).T for k, p in zip(kp, data.poles)])
+    else:
+        kz = evaluate_many(oracle, [z.point for z in data.zeros], [q] * len(data.zeros))
+        at_base = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
+    return GammaMatrix(build_gamma(data, oracle).matrix, at_base)
+
+
 def test_numerator_and_tail_weights_match_loop_form(rng):
     """The weights of T's and T^-1's kernel sums, one (r, r) matrix per end
     [q, then one per pole (zero) vector], agree with the loop form of one
-    outer product per vector within 10 cond(Gamma) eps."""
-    from zpint.absint import _prepare, _weights
+    outer product per vector within 10 cond(Gamma) eps.  T and T^-1 share
+    Gamma bit for bit; a kernel given by many alone, which the interpolants
+    refuse, takes Gamma from build_gamma."""
+    from zpint.absint import _weights
     from zpint.kernels import evaluate_many
 
     for data, oracle, q in mixed_count_cases(rng):
         r = data.rank
         x = np.vstack([node.vectors for node in data.zeros])
         u = np.vstack([node.vectors for node in data.poles])
-        _, _, gamma = _prepare(data, q, np.eye(r), oracle, False)
-        _, _, gamma_inverse = _prepare(data, q, np.eye(r), oracle, True)
+        if oracle.channels is None:
+            gamma, gamma_inverse = (reference_gamma(data, oracle, q, inverse)
+                                    for inverse in (False, True))
+        else:
+            gamma, gamma_inverse = (build(data, q, np.eye(r), oracle, oracle).gamma
+                                    for build in (build_solution, build_inverse))
         assert np.array_equal(gamma.matrix, gamma_inverse.matrix)
         tol = 10 * gamma.condition() * np.finfo(float).eps
         # the loop form: one vectors @ k product per node, one outer product per vector
@@ -219,6 +241,82 @@ def test_numerator_and_tail_weights_match_loop_form(rng):
             weight = np.concatenate([np.eye(r)[None], left[:, :, None] * right[:, None, :]])
             assert weight.shape == ref.shape
             assert rel_residual(weight.reshape(-1, r), ref.reshape(-1, r)) <= tol
+
+
+def large_im_tau_case():
+    """(data, oracle, q) on the torus with Im(tau) = 300, past
+    theta.MAX_TABLE_IM: rank 2, three zeros and three poles with one
+    coincident pair, every point at the same height, so that the kernel
+    values stay finite."""
+    tau = 0.1 + 300j
+    surf = torus_surface(tau)
+    e = np.eye(2)
+    # |theta[a; b](0)| is about exp(-pi Im(tau) a^2): keep a near an integer
+    kernel = direct_sum_kernel([line_kernel(surf, line_bundle(0.02, 0.41)),
+                                line_kernel(surf, line_bundle(0.97, 0.17))])
+    pts = [x + 0.45 * tau for x in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8)]
+    zeros = (ZeroNode(pts[0], e[:1]), ZeroNode(pts[1], [[1.0, 0.3]]),
+             ZeroNode(pts[2], [[0.2, 1.0]]))
+    poles = (PoleNode(pts[0], e[1:]), PoleNode(pts[3], [[1.0, -0.4]]),
+             PoleNode(pts[4], [[0.5, 1.0]]))
+    data = InterpolationDataSet(surface=surf, rank=2, zeros=zeros, poles=poles,
+                                couplings={(0, 0): [[0.7 - 0.2j]]})
+    return data, kernel, pts[5]
+
+
+def test_interpolant_gamma_matches_build_gamma(rng):
+    """The Gamma and base column an interpolant reads from the theta table
+    of its ends (past MAX_TABLE_IM, the channel pass) agree with the
+    kernel_grid route of build_gamma: on the torus within 10 eps max|Gamma|
+    entrywise, on the sphere bit for bit, with -rho exactly on the
+    coincident blocks.  Direct-sum and conjugated frames, genus-0 rank 3
+    (with and without a frame), and coincident pairs with couplings; no
+    RuntimeWarning (the test configuration makes them errors)."""
+    cases = [case for case in mixed_count_cases(rng) if case[1].channels is not None]
+    sphere_data, trivial, sphere_q = cases[-1]
+    frame = np.array([[1.0, 0.4 - 0.2j, 0.1], [0.1j, 0.9, 0.0], [0.2, -0.3j, 1.1]])
+    cases += [(sphere_data, conjugated_kernel(trivial, frame), sphere_q), large_im_tau_case()]
+    eps = np.finfo(float).eps
+    for data, oracle, q in cases:
+        assert data.couplings
+        sphere = data.surface.genus == 0
+        for build in (build_solution, build_inverse):
+            gamma = build(data, q, np.eye(data.rank), oracle, oracle).gamma
+            ref = reference_gamma(data, oracle, q, build is build_inverse)
+            if sphere:
+                assert np.array_equal(gamma.matrix, ref.matrix), build.__name__
+            else:
+                scale = 10 * eps * np.abs(ref.matrix).max()
+                assert np.abs(gamma.matrix - ref.matrix).max() <= scale, build.__name__
+            assert rel_residual(gamma.at_base, ref.at_base) <= 1e-14, build.__name__
+            for i, j in data.couplings:
+                block = (slice(*data.zero_rows.blocks[i]), slice(*data.pole_rows.blocks[j]))
+                assert np.array_equal(gamma.matrix[block], -data.couplings[(i, j)])
+
+
+def test_non_finite_gamma_entry_is_a_typed_error(rng, monkeypatch):
+    """A kernel value that is not finite off the coincident blocks raises
+    NonConvergent from both routes, not LinAlgError from the SVD."""
+    import zpint.absint as absint_module
+    from zpint.errors import NonConvergent, ZpintError
+    from zpint.kernels import CauchyKernelOracle
+
+    data, oracle, q = mixed_count_cases(rng)[0]
+    nan_kernel = CauchyKernelOracle(3, data.surface,
+                                    lambda P, Q: np.full((len(P), 3, 3), np.nan + 0j))
+    with pytest.raises(NonConvergent):
+        build_gamma(data, nan_kernel)
+    original = absint_module.evaluate_channels
+
+    def one_nan(surface, plan, P):
+        d = original(surface, plan, P)
+        d[2, -1 - data.rank] = np.nan   # zero 2 against the last pole vector
+        return d
+
+    monkeypatch.setattr(absint_module, "evaluate_channels", one_nan)
+    for build in (build_solution, build_inverse):
+        with pytest.raises(ZpintError, match="non-finite"):
+            build(data, q, np.eye(data.rank), oracle, oracle)
 
 
 def test_gamma_sign_reconciles_with_classical_convention():
@@ -797,13 +895,15 @@ def _rank2_data(surf, rng, zeros, poles):
 
 
 def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
-    """T(p) (kind "solution") or T^-1(p) by the two-call route: evaluate_many
-    of chi~ over the pairs of the kernel sum, then oracle_chi at (p, q) or
-    (q, p), then a solve with that kernel value."""
-    from zpint.absint import _prepare, _weights
+    """T(p) (kind "solution") or T^-1(p) by the two-call route: Gamma by
+    build_gamma, evaluate_many of chi~ over the pairs of the kernel sum,
+    then oracle_chi at (p, q) or (q, p), then a solve with that kernel
+    value."""
+    from zpint.absint import _weights
     from zpint.kernels import evaluate_many
 
-    q, Q, gamma = _prepare(data, q, Q, oracle_tilde, kind != "solution")
+    q, Q = point(q), np.asarray(Q, dtype=complex)
+    gamma = reference_gamma(data, oracle_tilde, q, kind != "solution")
     nodes = data.poles if kind == "solution" else data.zeros
     ends = [q, *(node.point for node in nodes for _ in range(node.count))]
     left, right = _weights(data, gamma, kind != "solution")

@@ -187,15 +187,52 @@ def test_table_refuses_im_tau_past_its_range():
 @pytest.mark.parametrize("chunk", [1, 64, 1 << 15])
 def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
     """A batch read in chunks of at most `chunk` terms gives each point the
-    bits of its one-point read: a point's rows do not depend on its batch."""
+    bits of its one-point read: a point's rows do not depend on its batch,
+    nor on the layout of P (stride 2 reads a non-contiguous view).  33 ends
+    and 5 characteristics are the table of an interp_torus benchmark
+    solution."""
     import zpint.theta as theta_module
 
     monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(7)
     tau = 0.3 + 0.9j
-    table = theta_table(period_from_tau(tau), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
-                        rng.uniform(-2, 2, 4) + rng.uniform(-2, 2, 4) * tau)
-    P = rng.uniform(-3, 3, 40) + rng.uniform(-3, 3, 40) * tau
-    batch = theta_table_rows(table, P)
-    assert batch.shape == (40, 4, 3)
-    assert all(np.array_equal(batch[i], theta_table_rows(table, P[i:i + 1])[0]) for i in range(40))
+    for ends, chars, stride in ((4, 3, 1), (33, 5, 2)):
+        table = theta_table(period_from_tau(tau), rng.uniform(-1, 1, chars),
+                            rng.uniform(-1, 1, chars),
+                            rng.uniform(-2, 2, ends) + rng.uniform(-2, 2, ends) * tau)
+        P = (rng.uniform(-3, 3, 40 * stride) + rng.uniform(-3, 3, 40 * stride) * tau)[::stride]
+        batch = theta_table_rows(table, P)
+        assert batch.shape == (40, ends, chars)
+        for i in range(40):
+            assert np.array_equal(batch[i], theta_table_rows(table, P[i:i + 1])[0])
+            assert np.array_equal(batch[i], theta_table_rows(table, P[i:i + 2])[0])
+
+
+def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch):
+    """Up to MAX_TABLE_IM a torus build_solution reads Gamma, its base column
+    and every later value from the theta table of its ends: once theta'(0)
+    is cached for the modulus, a second build calls neither theta_rows nor
+    the lattice walk."""
+    import zpint.kernels as kernels_module
+    import zpint.theta as theta_module
+
+    surface = torus_surface(0.2 + 1.1j)
+    chi, tilde = (direct_sum_kernel([line_kernel(surface, line_bundle(a, b)) for a, b in pair])
+                  for pair in (((0.23, 0.41), (0.67, 0.19)), ((0.58, 0.73), (0.31, 0.88))))
+    e = np.eye(2)
+    data = InterpolationDataSet(
+        surface, 2, (ZeroNode(0.21 + 0.33j, e[:1]), ZeroNode(0.12 + 0.82j, e[1:])),
+        (PoleNode(0.45 + 0.12j, e[:1]), PoleNode(0.33 + 0.55j, e[1:])))
+    Q = np.diag([1.2 - 0.1j, 0.8 + 0.4j])
+    first = build_solution(data, 0.52 + 0.18j, Q, chi, tilde)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a lattice pass")
+
+    for module, name in ((theta_module, "theta_rows"), (kernels_module, "theta_rows"),
+                         (theta_module, "_walked")):
+        monkeypatch.setattr(module, name, refused)
+    T = build_solution(data, 0.52 + 0.18j, Q, chi, tilde)
+    P = [0.71 + 0.25j, 0.9 + 0.93j]
+    assert np.array_equal(T.gamma.matrix, first.gamma.matrix)
+    assert np.array_equal(T.many(P), first.many(P))
