@@ -596,6 +596,28 @@ def test_pole_location_needs_line_bundle_blocks(scalar_setup):
         residue_condition_check(data, Q_POINT, np.array([[1.0]]), opaque, kt)
 
 
+def test_residue_condition_refuses_kernel_given_by_many_alone(scalar_setup):
+    """The numerators are read from the solution's plan, so a K(chi~) given
+    by many alone is refused as build_solution refuses it, on the torus and
+    on the sphere, where K(chi) has no poles to check."""
+    from zpint.kernels import CauchyKernelOracle
+
+    surf, zeros, poles, chi, chit, data = scalar_setup
+    ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
+    opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
+    with pytest.raises(InputError):
+        residue_condition_check(data, Q_POINT, np.array([[1.0]]), ko, opaque)
+    sphere = genus0_surface()
+    k = genus0_kernel(1, sphere)
+    zn, pn = scalar_nodes([2.0], [3.0])
+    sphere_data = InterpolationDataSet(surface=sphere, rank=1, zeros=zn, poles=pn)
+    opaque0 = CauchyKernelOracle(rank=1, surface=sphere, many=k.many)
+    for oracle_chi, oracle_tilde in ((opaque0, opaque0), (k, opaque0), (opaque0, k)):
+        with pytest.raises(InputError):
+            residue_condition_check(sphere_data, 1e6, np.array([[1.0]]), oracle_chi,
+                                    oracle_tilde)
+
+
 def test_fay_residual_needs_prime_form():
     from zpint.errors import UnsupportedGenus
 

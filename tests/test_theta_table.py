@@ -208,11 +208,13 @@ def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
             assert np.array_equal(batch[i], theta_table_rows(table, P[i:i + 2])[0])
 
 
-def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch):
-    """Up to MAX_TABLE_IM a torus build_solution reads Gamma, its base column
-    and every later value from the theta table of its ends: once theta'(0)
-    is cached for the modulus, a second build calls neither theta_rows nor
-    the lattice walk."""
+@pytest.mark.parametrize("build", [build_solution, build_inverse])
+def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
+    """Up to MAX_TABLE_IM a torus build reads Gamma, its base column and
+    every later value from theta tables of its ends (the inverse from two:
+    its pole ends for Gamma, its zero ends for values): once theta'(0) is
+    cached for the modulus, a second build calls neither theta_rows nor the
+    lattice walk."""
     import zpint.kernels as kernels_module
     import zpint.theta as theta_module
 
@@ -224,7 +226,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch):
         surface, 2, (ZeroNode(0.21 + 0.33j, e[:1]), ZeroNode(0.12 + 0.82j, e[1:])),
         (PoleNode(0.45 + 0.12j, e[:1]), PoleNode(0.33 + 0.55j, e[1:])))
     Q = np.diag([1.2 - 0.1j, 0.8 + 0.4j])
-    first = build_solution(data, 0.52 + 0.18j, Q, chi, tilde)
+    first = build(data, 0.52 + 0.18j, Q, chi, tilde)
 
     def refused(*args, **kwargs):
         raise AssertionError("a lattice pass")
@@ -232,7 +234,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch):
     for module, name in ((theta_module, "theta_rows"), (kernels_module, "theta_rows"),
                          (theta_module, "_walked")):
         monkeypatch.setattr(module, name, refused)
-    T = build_solution(data, 0.52 + 0.18j, Q, chi, tilde)
+    T = build(data, 0.52 + 0.18j, Q, chi, tilde)
     P = [0.71 + 0.25j, 0.9 + 0.93j]
     assert np.array_equal(T.gamma.matrix, first.gamma.matrix)
     assert np.array_equal(T.many(P), first.many(P))
