@@ -120,9 +120,16 @@ def _line_channels(surface: Surface, bundles) -> _Channels:
     if surface.genus != 1 or any(b.characteristic.genus != 1 for b in bundles):
         raise UnsupportedGenus("line kernels need the torus and a genus-1 bundle")
     theta0 = np.array([b.theta_at_zero(surface.period) for b in bundles])
-    if np.abs(theta0).min() <= 1e-10:
-        raise DegenerateBundle(f"|theta[a;b](0)| = {np.abs(theta0).min():.3e}")
-    return _Channels(tuple(bundles), np.array([[b.a, b.b] for b in bundles]), theta0)
+    ab = np.array([[b.a, b.b] for b in bundles])
+    # the largest term of theta[a; b](0), exp(-pi Im(tau) a^2), a in [-1/2, 1/2)
+    a = ab[:, 0, 0] - np.floor(ab[:, 0, 0] + 0.5)
+    largest = np.exp(-np.pi * surface.period.tau.imag * a * a)
+    small = np.abs(theta0) <= 1e-10 * largest
+    if small.any():
+        k = int(np.argmax(small))
+        raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0[k]):.3e}, "
+                               f"at most 1e-10 of its largest term {largest[k]:.3e}")
+    return _Channels(tuple(bundles), ab, theta0)
 
 
 _ODD_AB = np.stack([ODD_CHAR.a, ODD_CHAR.b])
@@ -379,8 +386,10 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
     UnsupportedGenus
         On the sphere (use genus0_kernel), or for a bundle of another genus.
     DegenerateBundle
-        If |theta[a; b](0)| <= 1e-10, i.e. the twisted bundle has a
-        global section and no Cauchy kernel exists.
+        If |theta[a; b](0)| is at most 1e-10 of the largest term of its sum,
+        exp(-pi Im(tau) a^2) with a reduced to [-1/2, 1/2): the bundle is
+        then on (or at rounding distance from) the theta divisor, where the
+        twisted bundle has a global section and no Cauchy kernel exists.
     """
     return _normal_form(1, surface, "line", _line_channels(surface, [bundle]))
 

@@ -25,18 +25,16 @@ the value's magnitude, which matters when the Gaussian peak
 exp(pi y.Im(Omega)^-1 y) is large.  A sum that overflows to a non-finite
 value raises NonConvergent.
 
-A value's box is walked outward from its centre by the q-series
-recurrence (_walked), so a row costs 1 + 2g complex exps, not (2R + 1)^g.
-Every partial product is a box term, so nothing overflows or underflows
-unless the sum does; a walk inward from the box edge would start from 0
-at large Im(Omega).  Gradients, and genus >= 2 boxes deeper than
-WALK_SPAN below their peak, are summed term by term.
+Every box is centred at the lattice point nearest the peak and summed
+term by term (_direct), each term exponentiated from its own exponent:
+a term underflows only where it is below the truncation target, and
+none overflows unless the peak does.  A value and its gradient are sums
+of the same terms.
 
 Truncation is planned once per period matrix: the ThetaPlan held by each
 PeriodMatrix caches the inverse and the smallest eigenvalue of Im(Omega),
 two tables of the tail bound by radius, one for values and one for
-gradients, each additive in the log of the Gaussian peak, and the walk's
-point-independent factors by radius.  Every entry
+gradients, each additive in the log of the Gaussian peak.  Every entry
 runs one pass: theta_many evaluates a batch of arguments, grouped by
 radius and summed in chunks; riemann_theta, theta_with_char and
 theta_gradient are its N = 1 case, the last one summing the gradient in
@@ -103,16 +101,9 @@ MAX_LATTICE_RADIUS = 60
 # their sums through Python numbers, which is faster than numpy reductions.
 _SMALL = 32
 
-# Deepest box, in log magnitude below its peak, walked at genus >= 2 (see
-# ThetaPlan.walk): its partial products stay normal doubles.
-WALK_SPAN = 690.0
-
 # Largest Im(tau) of a ThetaTable (see theta_table): up to here its factors
 # and terms stay normal doubles, or too small to move a row.
 MAX_TABLE_IM = 200.0
-
-# +-2 pi i, the sign of the up and the down line of a walk axis
-_SIGNS = np.array([[2j * np.pi], [-2j * np.pi]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +236,6 @@ class ThetaPlan:
         self.lam_min = float(np.linalg.eigvalsh(self.imag).min())
         # -T(1), -T(2), ...: increasing; keyed by the gradient flag
         self._neg_tail = {False: np.empty(0), True: np.empty(0)}
-        self._walks = {}   # radius -> _Walk or None
-        self._spread = float(np.abs(self.imag).sum())   # sum_ij |Im Omega_ij|
         self._table_window = None
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,30 +288,11 @@ class ThetaPlan:
         hi = bisect.bisect_right(table, high) + 1
         return hi if low == high else bisect.bisect_right(table, low) + 1, hi
 
-    def walk(self, radius: int) -> _Walk | None:
-        """The outward walk's tables at radius, built on first use; None
-        for a box summed term by term.
-
-        depth = pi (R + 1/2)^2 sum_ij |Im Omega_ij| bounds, in log, how far
-        any box term lies below the peak (log_peak >= 0) and how far any
-        step factor's modulus lies from 1.  At genus >= 2 the walk passes
-        through slots that may lie deeper than the term it reaches, so only
-        boxes with depth <= WALK_SPAN are walked, where all of these are
-        normal doubles.  At genus 1 every
-        line falls off monotonically from the centre, so a term that
-        underflows leaves only smaller ones after it: every box is walked.
-        """
-        walk = self._walks.get(radius, False)
-        if walk is False:
-            deep = self.genus > 1 and math.pi * (radius + 0.5) ** 2 * self._spread > WALK_SPAN
-            walk = self._walks[radius] = None if deep else _Walk(self.omega, radius)
-        return walk
-
     def table_window(self) -> tuple:
         """(window, ratios) of every genus-1 ThetaTable of this period
         matrix, built on first use: the window n in [-R - 2, R + 2], R the
         value radius at the log peak pi Im(tau), as a (W,) array, and
-        the walk's shared ratios exp(2 quad s), s = 0, ..., R + 1, quad =
+        theta_table's shared ratios exp(2 quad s), s = 0, ..., R + 1, quad =
         pi i tau + pi Im(tau) / 2, as a (R + 2, 1, 1) array.
 
         Raises
@@ -365,91 +335,6 @@ class ThetaPlan:
         return table
 
 
-class _Walk:
-    """Point-independent tables of the outward walk over box radius R.
-
-    Axis j adds to every slot p walked so far an up and a down line of
-    R + 1 slots, (s, p, line) with k_j = +-s; the down line's first slot
-    repeats its start and is zeroed once walked.  ratios[j], shape
-    (R, P_j, 2, 1), holds the step factors
-    exp(2 pi i (Omega_jj s +- sum_{i<j} Omega_ji k_i)), all from one exp of
-    their phases, linear in Omega with the coefficients of _walk_phases;
-    half is pi i Omega_jj, signs +-2 pi i, columns the columns of Omega.
-    """
-
-    def __init__(self, omega: np.ndarray, radius: int):
-        g = len(omega)
-        coeff, parts = _walk_phases(g, radius)
-        factors = np.exp(coeff @ omega.ravel())
-        self.radius = radius
-        self.ratios = [factors[start:stop].reshape(shape) for start, stop, shape in parts]
-        self.half = (1j * np.pi) * omega.diagonal()[:, None, None]
-        self.signs = _SIGNS
-        self.columns = tuple(omega[:, k, None] for k in range(g))
-
-
-@functools.lru_cache(maxsize=128)
-def _walk_phases(g: int, radius: int) -> tuple:
-    """The coefficients (E, g * g) of the flattened Omega in the phases
-    (with their 2 pi i) of every step factor of the walk at radius, axis
-    after axis, and per axis its (start, stop, shape) in them."""
-    line = np.array([1.0, -1.0])
-    offsets = np.zeros((1, 0))   # k of every slot of the axes walked so far
-    blocks, parts, start = [], [], 0
-    for j in range(g):
-        block = np.zeros((radius, len(offsets), 2, g, g))
-        block[..., j, j] = np.arange(radius)[:, None, None]
-        block[..., j, :j] = offsets[:, None, :] * line[:, None]
-        blocks.append(block.reshape(-1, g * g))
-        parts.append((start, start + block[..., 0, 0].size, block.shape[:3] + (1,)))
-        start = parts[-1][1]
-        k = np.arange(radius + 1)[:, None, None] * line   # k_j per slot (s, 1, line)
-        shape = (radius + 1, len(offsets), 2)
-        offsets = np.concatenate([np.broadcast_to(offsets[:, None], shape + (j,)),
-                                  np.broadcast_to(k[..., None], shape + (1,))],
-                                 axis=-1).reshape(-1, j + 1)
-    coeff = (2j * np.pi) * np.concatenate(blocks)
-    coeff.flags.writeable = False
-    return coeff, tuple(parts)
-
-
-def _walked(omega: np.ndarray, walk: _Walk, m0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums (N,) of the box terms around the centres m0, walked outward.
-
-    With u = Omega m0 + w, t(k) = t(0) exp(2 pi i k.u + pi i k.Omega.k), so
-    a step along axis j from k_j = +-s (k_i = 0 for i > j) multiplies by
-    exp(+-2 pi i u_j + pi i Omega_jj) times walk.ratios[j].  A row's only
-    complex exps are t(0) and those first factors.  Arrays are laid out
-    slot by slot with the batch innermost, no operation reads memory it
-    writes (other than in place), and every sum runs down slots of at
-    least two values, so a row's bits do not depend on its batch.
-    """
-    n, g = m0.shape
-    m, w = m0.T, w.T   # (g, N)
-    u = w + walk.columns[0] * m[0]
-    for k in range(1, g):
-        u = u + walk.columns[k] * m[k]
-    centre = m * (u + w)   # its column sum is m0.Omega.m0 + 2 m0.w
-    terms = np.exp((1j * np.pi) * sum(centre[1:], centre[0]))
-    # per axis the first up and down step: exp(pi i Omega_jj +- 2 pi i u_j), (g, 2, N)
-    first = np.exp(walk.half + walk.signs * u[:, None])
-    top = walk.radius + 1
-    for j, ratios in enumerate(walk.ratios):
-        lines = np.empty((top, terms.size // n, 2, n), dtype=complex)
-        lines[0] = terms.reshape(-1, 1, n)
-        rest = lines[1:]
-        np.multiply(ratios, first[j], rest)
-        for prev, cur in zip(lines, rest):
-            np.multiply(cur, prev, cur)
-        lines[0, :, 1] = 0.0
-        terms = lines.reshape(-1, n)
-    # down the steps, then down the slots of the axes before the last
-    total = np.add.reduce(lines.reshape(top, -1), axis=0)
-    if lines.shape[1] > 1:
-        total = np.add.reduce(total.reshape(lines.shape[1], -1), axis=0)
-    return total[:n] + total[n:]
-
-
 @functools.lru_cache(maxsize=128)
 def _offset_columns(radius: int, g: int) -> tuple[np.ndarray, ...]:
     """Columns of the box lattice offsets of sup-norm at most radius, in a fixed order."""
@@ -477,14 +362,9 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
 
     a and b hold one characteristic per row (rows, g).  The box is
     centred at the rounded peak m0 = rint(-a - Im(Omega)^-1 y) + a and
-    walked outward by the q-series recurrence (_walked): each term is its
-    inner neighbour times a step ratio, so every partial product is a box
-    term and none under- or overflows unless the sum does, where a walk
-    inward from the edge would start from 0 at large Im(Omega).  Where
-    the plan has no walk, and for the gradient 2 pi i sum m t(m), the box
-    is summed term by term (_direct).  Every operation is row by row, so
-    a row's value does not depend on the other rows.  Returns (values,
-    gradients or None).
+    summed term by term (_direct), the gradient 2 pi i sum m t(m) from
+    the same terms.  Every operation is row by row, so a row's value does
+    not depend on the other rows.  Returns (values, gradients or None).
 
     Raises
     ------
@@ -492,18 +372,12 @@ def _lattice_sum(plan: ThetaPlan, a: np.ndarray, b: np.ndarray, Z: np.ndarray,
         If a summed value is not finite (the Gaussian peak overflowed, or a
         row is not finite).
     """
-    omega = plan.omega
     m0 = a - np.rint(a + y_sol)   # rint(-a - y_sol) + a
-    w = Z + b
-    walk = None if want_gradient else plan.walk(radius)
+    terms, m = _direct(plan.omega, m0, Z + b, radius)
+    values = terms.sum(axis=1)
     grad = None
-    if walk is not None:
-        values = _walked(omega, walk, m0, w)
-    else:
-        terms, m = _direct(omega, m0, w, radius)
-        values = terms.sum(axis=1)
-        if want_gradient:
-            grad = (2j * np.pi) * (np.stack(m, axis=-1) * terms[..., None]).sum(axis=1)
+    if want_gradient:
+        grad = (2j * np.pi) * (np.stack(m, axis=-1) * terms[..., None]).sum(axis=1)
     finite = (all(map(cmath.isfinite, values.tolist())) if len(values) <= _SMALL
               else np.isfinite(values).all())
     if not (finite and (grad is None or np.isfinite(grad).all())):
@@ -697,10 +571,10 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     row by at most exp(pi Im(tau) - 744) of its largest term, which is
     below rounding up to MAX_TABLE_IM.
 
-    The coefficients of a row are walked outward from n = 0, as _walked
-    walks a box: each step multiplies by the row's first step up (or down)
-    and a shared ratio exp(2 pi i tau s + pi Im(tau) s), so a row costs
-    three complex exps and every partial product is a coefficient.  Up to
+    The coefficients of a row are walked outward from n = 0: each step
+    multiplies by the row's first step up (or down) and a shared ratio
+    exp(2 pi i tau s + pi Im(tau) s), so a row costs three complex exps
+    and every partial product is a coefficient.  Up to
     MAX_TABLE_IM the first coefficient and the first steps are normal
     doubles.  The window and the shared ratios depend on tau alone and are
     kept by the plan (ThetaPlan.table_window).

@@ -100,6 +100,21 @@ def test_degenerate_bundle_rejected(torus):
         line_kernel(torus, line_bundle(0.5, 0.5))
 
 
+def test_small_theta_zero_far_from_the_divisor_accepted(rng):
+    """At tau = 50i, theta[-0.41; 0.23](0) = 3.4e-12 in modulus, the size of
+    its largest term exp(-pi Im(tau) 0.41^2): the bundle is far from the
+    theta divisor, so its kernel is built and satisfies the duality
+    K(dual; q, p)^T = -K(chi; p, q)."""
+    surface = torus_surface(50j)
+    bundle = line_bundle(-0.41, 0.23)
+    assert abs(bundle.theta_at_zero(surface.period)) < 1e-10
+    k = line_kernel(surface, bundle)
+    kd = k.dual()
+    for _ in range(8):
+        p, q = rng.uniform(0, 1, 2) + 1j * rng.uniform(0, 50, 2)
+        assert np.abs(kd(q, p).T + k(p, q)).max() <= 1e-14 * np.abs(k(p, q)).max()
+
+
 def test_line_kernel_needs_a_matching_genus(torus):
     for surface, bundle in [(genus0_surface(), line_bundle([], [])),
                             (genus0_surface(), line_bundle(0.2, 0.3)),

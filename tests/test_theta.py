@@ -402,8 +402,9 @@ def test_theta_many_validation():
 
 # theta(0.3 + 150i | 300i) = 1 + exp(-0.6 pi i) to 40 digits: the centre term
 # and its down neighbour have modulus 1, and the edges of the radius-2 box
-# lie 10^-819 and 10^-2456 below them, so a walk inward from an edge would
-# start from 0.
+# lie 10^-819 and 10^-2456 below them: the edge terms underflow to 0, and
+# the sum keeps its digits because each term is exponentiated from its own
+# exponent, in a box centred at the peak.
 STIFF_TAU, STIFF_Z = 300j, 0.3 + 150j
 STIFF_VALUE = complex(0.6909830056250527, -0.9510565162951536)
 
@@ -484,14 +485,13 @@ def test_theta_rows_and_gradient_match_oracle(problem):
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(theta_problems(max_imag=0.75), st.integers(1, 8))
-def test_walk_matches_oracle_box_sum_at_every_radius(problem, radius):
-    """The outward walk over the box of each radius 1 to 8 is the mpmath sum
-    over the same box, to 64 ulps of the summed term moduli; every one of
-    these boxes, strongly coupled genus-2 ones included, is walked."""
+def test_lattice_sum_matches_oracle_box_sum_at_every_radius(problem, radius):
+    """The lattice sum over the box of each radius 1 to 8 is the mpmath sum
+    over the same box, to 64 ulps of the summed term moduli, strongly
+    coupled genus-2 boxes included."""
     omega, a, b, z = problem
     g = len(a)
     plan = PeriodMatrix(g, omega).plan()
-    assert plan.walk(radius) is not None
     _, y_sol = plan.peaks(z[None])
     value, _ = theta_module._lattice_sum(plan, a[None], b[None], z[None], y_sol, radius, False)
     ref = complex(_centred_oracle(oracles.theta_char_direct, omega, a, b, z, radius))
@@ -499,7 +499,7 @@ def test_walk_matches_oracle_box_sum_at_every_radius(problem, radius):
     assert abs(value[0] - ref) <= tol, (value[0], ref)
 
 
-def test_large_imaginary_tau_walks_from_the_centre():
+def test_large_imaginary_tau_sums_from_the_centre():
     """At tau = 300i, z = 0.3 + 150i every entry gives the 40-digit value,
     and the value and gradient match the mpmath oracle."""
     pm = period_from_tau(STIFF_TAU)
@@ -521,7 +521,7 @@ def test_large_imaginary_tau_walks_from_the_centre():
 def test_theta_rows_bit_identical_to_one_row_calls(n, chunk, rng, monkeypatch):
     """One theta_rows call on n rows, each with its own characteristic,
     equals its rows called one at a time bit for bit: at genus 1, at genus
-    2, and on a genus-2 box too deep to walk, summed term by term."""
+    2, and on a strongly coupled genus-2 box at a large radius."""
     monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
     deep = np.array([[0.1 + 2.0j, 0.2 + 1.9j], [0.2 + 1.9j, -0.3 + 2.0j]])
     for omega in (np.array([[0.3 + 1.1j]]),
@@ -534,5 +534,3 @@ def test_theta_rows_bit_identical_to_one_row_calls(n, chunk, rng, monkeypatch):
         singles = [theta_module.theta_rows(pm, a[i:i + 1], b[i:i + 1], rows[i:i + 1])[0]
                    for i in range(n)]
         assert np.array_equal(batch, singles)
-    plan = PeriodMatrix(2, deep).plan()
-    assert plan.walk(int(plan.radii(plan.peaks(rows)[0]).min())) is None

@@ -214,7 +214,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
     every later value from theta tables of its ends (the inverse from two:
     its pole ends for Gamma, its zero ends for values): once theta'(0) is
     cached for the modulus, a second build calls neither theta_rows nor the
-    lattice walk."""
+    lattice sum."""
     import zpint.kernels as kernels_module
     import zpint.theta as theta_module
 
@@ -232,7 +232,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
         raise AssertionError("a lattice pass")
 
     for module, name in ((theta_module, "theta_rows"), (kernels_module, "theta_rows"),
-                         (theta_module, "_walked")):
+                         (theta_module, "_sums")):
         monkeypatch.setattr(module, name, refused)
     T = build(data, 0.52 + 0.18j, Q, chi, tilde)
     P = [0.71 + 0.25j, 0.9 + 0.93j]
