@@ -186,14 +186,17 @@ class ConintSolution:
         return np.eye(data.pencil.size, dtype=complex) + data.pole_rows.vectors.T @ mid
 
     def s_left_inv_matrix(self, z, xi=None) -> np.ndarray:
-        """Right-multiplication matrix of S_left^{-1} at affine z."""
+        """Right-multiplication matrix of S_left^{-1} at affine z, (M, M), or
+        at each row of an array of affine pairs (..., 2), (..., M, M); the
+        Gamma0^T system, which z does not enter, is solved once per call."""
         xi = xi or self.xi
         data = self.data
         sig = _sigma_xi(data.pencil, xi)
-        gap = _xi_gap(xi, np.asarray(z, dtype=complex), data.zero_affine[data.zero_rows.node_of])
-        mid = (np.linalg.solve(self.gamma0.T, (sig @ data.pole_rows.vectors.T).T)
-               / gap[:, None]).T
-        return np.eye(data.pencil.size, dtype=complex) - mid @ data.zero_rows.vectors
+        gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :],
+                      data.zero_affine[data.zero_rows.node_of])
+        mid = np.linalg.solve(self.gamma0.T, (sig @ data.pole_rows.vectors.T).T) / gap[..., None]
+        return (np.eye(data.pencil.size, dtype=complex)
+                - np.swapaxes(mid, -1, -2) @ data.zero_rows.vectors)
 
     def apply(self, z, columns, xi=None) -> np.ndarray:
         """Apply S at affine z to kernel column vectors, or at each row of an
@@ -337,19 +340,32 @@ def check_intertwining(solution: ConintSolution, T,
     return float(res[0]) if single else res
 
 
+def _full_rank_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solutions x of a x = b over a stack (..., m, n), m >= n.
+
+    Assumes each a has full column rank n; then the reduced QR's R is
+    invertible and Q^H b solved on R is lstsq's solution.
+    """
+    q, r = np.linalg.qr(a)
+    return np.linalg.solve(r, np.swapaxes(q.conj(), -1, -2) @ b)
+
+
 def _holomorphic_left_kernel(mat: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Rows N with N mat = 0 and N probe = I_r; holomorphic in mat entries.
 
+    mat is one (M, M) matrix or a stack (..., M, M), giving (..., r, M).
     The normalization against a fixed probe matrix makes the solution of
     the combined linear system unique, hence holomorphic along any
-    holomorphic family of pencils; an SVD basis would not be.
+    holomorphic family of pencils; an SVD basis would not be.  The system
+    [mat, probe]^T N^T = [0; I] has full column rank M when mat has
+    corank r and the probe meets its left kernel transversally.
     """
     m, r = probe.shape
-    stacked = np.hstack([mat, probe])           # (M, M + r)
+    stacked = np.concatenate([mat, np.broadcast_to(probe, mat.shape[:-1] + (r,))],
+                             axis=-1)           # (..., M, M + r)
     rhs = np.zeros((m + r, r), dtype=complex)
     rhs[m:, :] = np.eye(r)
-    sol, *_ = np.linalg.lstsq(stacked.T, rhs, rcond=None)
-    return sol.T                                 # (r, M)
+    return np.swapaxes(_full_rank_lstsq(np.swapaxes(stacked, -1, -2), rhs), -1, -2)
 
 
 def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
@@ -383,15 +399,15 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
     probe_ref = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
     probe_new = rng.standard_normal((size, r)) + 1j * rng.standard_normal((size, r))
 
-    def frames(ts):
-        out = []
-        for z in embedding.lambda_values(ts):
-            ref = _holomorphic_left_kernel(data.pencil.pencil(*z), probe_ref)
-            new = _holomorphic_left_kernel(solution.pencil_new.pencil(*z), probe_new)
-            transfer = new @ solution.s_left_inv_matrix(z, xi)
-            pulled, *_ = np.linalg.lstsq(transfer.T, ref.T, rcond=None)
-            out.append((ref, pulled.T @ new))
-        return np.array(out)
+    def frames(ts):   # (16, 2, r, M) at the 16 circle points, one stack each
+        z = embedding.lambda_values(ts)
+        ref = _holomorphic_left_kernel(data.pencil.pencil(z[:, 0], z[:, 1]), probe_ref)
+        new = _holomorphic_left_kernel(solution.pencil_new.pencil(z[:, 0], z[:, 1]),
+                                       probe_new)
+        transfer = new @ solution.s_left_inv_matrix(z, xi)
+        # transfer maps onto the reference left kernel, so it has rank r
+        pulled = _full_rank_lstsq(np.swapaxes(transfer, -1, -2), np.swapaxes(ref, -1, -2))
+        return np.stack([ref, np.swapaxes(pulled, -1, -2) @ new], axis=1)
 
     modes = circle_modes(frames, xi_c, 1e-3, orders=(-1, 0, 1))
     frame0, frame_deriv = modes[0][0], modes[1][0]

@@ -70,7 +70,6 @@ from .surface import (
     genus0_surface,
     laurent_coeffs,
     odd_theta_deriv0,
-    point,
 )
 from .theta import (
     MAX_TABLE_IM,
@@ -460,43 +459,51 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
 
 @dataclass(frozen=True, eq=False)
 class ConnectionCoefficients:
-    """Linear diagonal-expansion coefficients at one point, frame-relative.
+    """Linear diagonal-expansion coefficients, frame-relative, at one point
+    (A and A_l of shape (r, r)) or at each of N points ((N, r, r)).
 
     A pairs with t(q), A_l with t(p); the duality of the induced
     connections is the statement A + A_l = 0.
     """
 
-    point: complex
+    point: complex | np.ndarray
     A: np.ndarray
     A_ell: np.ndarray
 
-    def duality_defect(self) -> float:
-        return float(np.linalg.norm(self.A + self.A_ell))
+    def duality_defect(self):
+        """|A + A_l| (Frobenius): a float at one point, an (N,) array at N."""
+        out = np.linalg.norm(self.A + self.A_ell, axis=(-2, -1))
+        return float(out) if out.ndim == 0 else out
 
 
 def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> ConnectionCoefficients:
-    """Read A and A_l at p0 from the constant Laurent modes of the kernel.
+    """Read A and A_l at p0, or at each point of a sequence p0, from the
+    constant Laurent modes of the kernel.
 
     K(p0 + t, p0) = I/t + A_l + O(t) and K(p0, p0 + t) = -I/t - A + O(t),
     so A_l is the constant mode of K(., p0) and A is minus that of
-    K(p0, .), each read by laurent_coeffs over evaluate_many.
+    K(p0, .), each read by laurent_coeffs with one oracle call per circle
+    radius over the circles of every point.  A point of a sequence has the
+    bits of its one-point call.
 
     Raises
     ------
     ExtractionUnstable
-        When either side shows more than a simple pole (HigherOrderPole).
+        When either side shows more than a simple pole at a point
+        (HigherOrderPole, naming it).
     """
-    z0 = point(p0)
+    P0 = oracle.surface.points(p0)
+    r = oracle.rank
 
-    def column(t):
-        return evaluate_many(oracle, t, np.full(len(t), z0))
+    def column(t):   # t is (16, *P0.shape), row-major like P0 broadcast to it
+        return oracle(t.ravel(), np.broadcast_to(P0, t.shape).ravel()).reshape(*t.shape, r, r)
 
     def row(t):
-        return evaluate_many(oracle, np.full(len(t), z0), t)
+        return oracle(np.broadcast_to(P0, t.shape).ravel(), t.ravel()).reshape(*t.shape, r, r)
 
-    a_ell = laurent_coeffs(column, z0)[1]
-    a = -laurent_coeffs(row, z0)[1]
-    return ConnectionCoefficients(z0, a, a_ell)
+    a_ell = laurent_coeffs(column, P0)[1]
+    a = -laurent_coeffs(row, P0)[1]
+    return ConnectionCoefficients(P0, a, a_ell)
 
 
 def line_connection_form(surface: Surface, bundle: FlatLineBundle) -> complex:
@@ -517,28 +524,63 @@ def line_connection_form(surface: Surface, bundle: FlatLineBundle) -> complex:
     return complex(2j * np.pi * bundle.a[0] + grad[0] / val)
 
 
+def _xi_pairing(xi: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """xi1 d1 + xi2 d2 per row of the (N, 2) arrays xi and d.
+
+    Each complex product is rounded as a product of two complex numbers is,
+    (ac - bd) + (ad + bc) i, where numpy's array product may fuse a
+    multiply and an add; so every row has the bits of the scalar formula.
+    """
+    prod = (xi.real * d.real - xi.imag * d.imag) + 1j * (xi.real * d.imag + xi.imag * d.real)
+    return prod[:, 0] + prod[:, 1]
+
+
 def collection_residual(oracle: CauchyKernelOracle, embedding: EmbeddingPair,
-                        p, q, xi) -> float:
+                        p, q, xi):
     """Relative residual of the pole-collection identity.
 
     For p != q, sum_j (xi1 c_j1 + xi2 c_j2) K(p, x^j) K(x^j, q) must equal
     (xi1 (l1(q) - l1(p)) + xi2 (l2(q) - l2(p))) K(p, q); at p = q the limit
     replaces the coordinate difference with -(xi1 l1' + xi2 l2')(p) I_r.
+    p and q are two points and xi a pair (a float), or N points each and an
+    (N, 2) xi (an (N,) array of the residuals of the N draws, each with the
+    bits of its one-draw call).  The oracle is called twice, on K(p, x^j)
+    and K(p, q), then on K(x^j, q), and lambda and lambda' once each, over
+    all draws.
+
+    Raises
+    ------
+    InputError
+        If p, q and xi do not hold the same number of draws.
+    PointOnExcludedSet
+        If a p or q is an embedding pole.
     """
-    xi1, xi2 = complex(xi[0]), complex(xi[1])
-    pc, qc = point(p), point(q)
-    if embedding.is_pole(pc) or embedding.is_pole(qc):
+    surface = embedding.surface
+    single = not (_is_many(p) or _is_many(q))
+    P, Q = (np.atleast_1d(surface.points(x)) for x in (p, q))
+    xi = np.asarray(xi, dtype=complex)
+    xi = xi[None] if single else xi
+    n, m, r = len(P), embedding.m, oracle.rank
+    if Q.shape != (n,) or xi.shape != (n, 2):
+        raise InputError("p, q and xi must hold one count of draws: "
+                         "N points each and an (N, 2) xi")
+    if embedding.is_pole(P) or embedding.is_pole(Q):
         raise PointOnExcludedSet("collection identity excludes the embedding poles")
-    weights = xi1 * embedding.residues[:, 0] + xi2 * embedding.residues[:, 1]
-    xs = embedding.pole_points
-    from_p = kernel_grid(oracle, [pc], [*xs, qc])[0]   # K(p, x^j), then K(p, q) or 0
-    to_q = kernel_grid(oracle, xs, [qc])[:, 0]         # K(x^j, q)
-    lhs = (weights[:, None, None] * (from_p[:-1] @ to_q)).sum(axis=0)
-    if embedding.surface.equal(pc, qc):
-        d1, d2 = embedding.lambda_derivs(pc, order=1)
-        rhs = -(xi1 * d1 + xi2 * d2) * np.eye(oracle.rank, dtype=complex)
-    else:
-        l1p, l2p = embedding.lambda_values(pc)
-        l1q, l2q = embedding.lambda_values(qc)
-        rhs = (xi1 * (l1q - l1p) + xi2 * (l2q - l2p)) * from_p[-1]
-    return rel_residual(lhs, rhs)
+    xs = np.array(embedding.pole_points)
+    same = surface.equal(P, Q)
+    apart = ~same
+    # K(p, x^j) per draw, then K(p, q) per draw with p != q; K(x^j, q)
+    from_p = oracle(np.concatenate([np.repeat(P, m), P[apart]]),
+                    np.concatenate([np.tile(xs, n), Q[apart]]))
+    to_q = oracle(np.tile(xs, n), np.repeat(Q, m)).reshape(n, m, r, r)
+    weights = xi[:, :1] * embedding.residues[:, 0] + xi[:, 1:] * embedding.residues[:, 1]
+    lhs = (weights[..., None, None] * (from_p[:n * m].reshape(n, m, r, r) @ to_q)).sum(axis=1)
+    rhs = np.empty_like(lhs)
+    if apart.any():
+        lam = embedding.lambda_values(np.concatenate([P[apart], Q[apart]])).reshape(2, -1, 2)
+        rhs[apart] = _xi_pairing(xi[apart], lam[1] - lam[0])[:, None, None] * from_p[n * m:]
+    if same.any():
+        slope = _xi_pairing(xi[same], embedding.lambda_derivs(P[same], order=1))
+        rhs[same] = -slope[:, None, None] * np.eye(r, dtype=complex)
+    out = rel_residual(lhs, rhs)
+    return float(out[0]) if single else out

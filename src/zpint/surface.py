@@ -123,15 +123,7 @@ class Surface:
         """The coordinate of one point (point(p)), or the complex array of a
         sequence (as is if it is one); InputError names the first
         non-finite point."""
-        if not _is_many(p):
-            return point(p)
-        try:
-            P = np.asarray(p, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"points are finite complex numbers: {exc}") from exc
-        if not np.isfinite(P).all():
-            raise InputError(f"non-finite point {complex(P[~np.isfinite(P)][0])!r}")
-        return P
+        return _points(p)
 
     def distance(self, p, q):
         return self.gap(self.points(p) - self.points(q))
@@ -208,6 +200,20 @@ def _modulus(w):
     """|w| by hypot for one value and for arrays alike: abs of a complex
     scalar is hypot, but np.abs of a complex array can differ in the last bit."""
     return abs(w) if isinstance(w, complex) else np.hypot(w.real, w.imag)
+
+
+def _points(p):
+    """The rule of Surface.points, the same on every surface; laurent_coeffs
+    checks its centres by it."""
+    if not _is_many(p):
+        return point(p)
+    try:
+        P = np.asarray(p, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points are finite complex numbers: {exc}") from exc
+    if not np.isfinite(P).all():
+        raise InputError(f"non-finite point {complex(P[~np.isfinite(P)][0])!r}")
+    return P
 
 
 def _is_many(p) -> bool:
@@ -314,27 +320,38 @@ def prime_form(surface: Surface, p, q):
 
 # --- Laurent coefficients at a simple pole ---
 
-def laurent_coeffs(f, center) -> tuple[complex, complex]:
-    """(residue, constant term) of f at a simple pole.
+def laurent_coeffs(f, center) -> tuple:
+    """(residue, constant term) of f at a simple pole, at one centre or at
+    each of an array of centres.
 
     Reads the modes of circle_modes at the radii 1e-2 and 5e-3; the finer
     radius gives the returned values and the |t|^-2 mode is monitored on
-    both.  f takes the array of circle points and may return scalars or
-    arrays per point.
+    both, at each centre against that centre's own scale.  f takes the
+    array of circle points, of shape (16, *centres.shape), and returns the
+    values there, scalars or arrays per point; at an array of centres the
+    two results have the centres' shape in front.
 
     Raises
     ------
+    InputError
+        If a centre is not a finite number.
     HigherOrderPole
-        If the fitted |t|^-2 component exceeds tolerance.
+        If the fitted |t|^-2 component exceeds tolerance at a centre, which
+        the message names.
     """
-    c = point(center)
+    c = _points(center)
     coarse, fine = (circle_modes(f, c, h, orders=(-2, -1, 0))
                     for h in (1e-2, 5e-3))
-    scale = max(np.abs(fine[-1]).max(), np.abs(fine[0]).max(), 1.0)
-    if max(np.abs(coarse[-2]).max(), np.abs(fine[-2]).max()) > 1e-6 * scale:
-        raise HigherOrderPole(
-            f"|t|^-2 component {np.abs(fine[-2]).max():.3e} exceeds tolerance at {c}"
-        )
+
+    def peak(mode):   # the largest modulus at each centre
+        return np.max(np.abs(mode), axis=tuple(range(np.ndim(c), np.ndim(mode))))
+
+    scale = np.maximum(np.maximum(peak(fine[-1]), peak(fine[0])), 1.0)
+    double = np.ravel(np.maximum(peak(coarse[-2]), peak(fine[-2])) > 1e-6 * scale)
+    if double.any():
+        k = int(np.argmax(double))
+        raise HigherOrderPole(f"|t|^-2 component {np.ravel(peak(fine[-2]))[k]:.3e} "
+                              f"exceeds tolerance at {complex(np.ravel(c)[k])}")
     return fine[-1], fine[0]
 
 

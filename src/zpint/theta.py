@@ -193,7 +193,8 @@ def reduce_characteristic(chi: ThetaCharacteristic) -> tuple[ThetaCharacteristic
 
 def _log_tail_bound(lam_min: float, log_peak: float, g: int, start: int,
                     deriv_shift: float | None) -> float:
-    """Log of a bound on the summand mass outside box radius start - 1.
+    """Log of a bound on the summand mass outside box radius start - 1, one
+    term at a time: the reference of _tail_table, which ThetaPlan reads.
 
     Shell k (sup-norm distance k from the rounded center) holds at most
     (2k+1)^g - (2k-1)^g points, each of modulus at most
@@ -212,14 +213,46 @@ def _log_tail_bound(lam_min: float, log_peak: float, g: int, start: int,
     return float(total)
 
 
+@functools.lru_cache(maxsize=16)
+def _shell_logs(g: int, radii: int, deriv_shift: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of _log_tail_bound's shell terms that lam_min does not
+    enter, for k = 1, ..., radii + 799: log of the shell count, plus that of
+    the gradient weight, and (k - 1/2)^2."""
+    k = np.arange(1.0, radii + 800.0)
+    logs = np.log((2 * k + 1) ** g - (2 * k - 1) ** g)
+    if deriv_shift is not None:
+        logs += np.log(2.0 * math.pi * (k + 0.5 + deriv_shift))
+    squares = (k - 0.5) ** 2
+    logs.flags.writeable = squares.flags.writeable = False
+    return logs, squares
+
+
+def _tail_table(lam_min: float, g: int, radii: int, deriv_shift: float | None) -> np.ndarray:
+    """_log_tail_bound(lam_min, 0, g, r, deriv_shift) for r = 1, ..., radii
+    in one array pass.
+
+    The shell terms la(k) are computed once, for k up to radii + 799, and
+    T(r) is their log-sum from k = r on, a reverse logaddexp.accumulate.
+    The run of terms at the end that are each below exp(-100) of the term
+    at k = radii, and so of every T(r), is dropped first: at most 800 of
+    them cannot move a bit.  _log_tail_bound sums from r up to at most
+    r + 799 and stops once a term is 60 below the total, so T(r) here holds
+    its terms up to that rounding.
+    """
+    logs, squares = _shell_logs(g, radii, deriv_shift)
+    la = logs - (math.pi * lam_min) * squares
+    end = np.flatnonzero(la >= la[radii - 1] - 100.0)[-1]
+    return np.logaddexp.accumulate(la[end::-1])[::-1][:radii]
+
+
 class ThetaPlan:
     """Truncation data of one period matrix.
 
     Holds the inverse and the smallest eigenvalue of Im(Omega) (symmetrised),
-    and two tables of the tail bound by radius, each extended only as far
-    as the largest radius asked for: the value table
-    T0(r) = _log_tail_bound(lam_min, 0, g, r, None) and the gradient table
-    T1(r) = _log_tail_bound(lam_min, 0, g, r, 0).  The tail bound is
+    and two tables of the tail bound by radius, each built whole on first
+    use by _tail_table: the value table T0(r), the bound of
+    _log_tail_bound(lam_min, 0, g, r, None), and the gradient table T1(r),
+    that of _log_tail_bound(lam_min, 0, g, r, 0).  The tail bound is
     additive in log_peak, so the value radius of a point is the smallest
     r with T0(r) < log(TARGET_ABS_ERROR) - log_peak.  A gradient term at shell k
     carries the weight 2*pi*(k + 1/2 + s), s = max|Im(Omega)^-1 y|, which
@@ -234,8 +267,8 @@ class ThetaPlan:
         self.imag = 0.5 * (pm.omega.imag + pm.omega.imag.T)
         self.imag_inv = np.linalg.inv(self.imag)
         self.lam_min = float(np.linalg.eigvalsh(self.imag).min())
-        # -T(1), -T(2), ...: increasing; keyed by the gradient flag
-        self._neg_tail = {False: np.empty(0), True: np.empty(0)}
+        # -T(1), ..., -T(MAX_LATTICE_RADIUS): increasing; keyed by the gradient flag
+        self._neg_tail = {}
         self._table_window = None
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,25 +346,20 @@ class ThetaPlan:
         return self._table_window
 
     def _table(self, highest: float, gradient: bool) -> np.ndarray:
-        """The table -T(1), -T(2), ..., extended until it passes highest.
+        """The table -T(1), ..., -T(MAX_LATTICE_RADIUS), checked to pass highest.
 
         Raises
         ------
         NonConvergent
             If the table reaches MAX_LATTICE_RADIUS without passing highest.
         """
-        table = self._neg_tail[gradient]
-        cap = MAX_LATTICE_RADIUS
-        if table.size < cap and not (table.size and table[-1] > highest):
-            shift = 0.0 if gradient else None
-            extended = table.tolist()
-            while len(extended) < cap and not (extended and extended[-1] > highest):
-                extended.append(-_log_tail_bound(self.lam_min, 0.0, self.genus,
-                                                 len(extended) + 1, shift))
-            # replaced whole, so a concurrent caller sees one complete table
-            table = self._neg_tail[gradient] = np.array(extended)
-        if not (table.size and table[-1] > highest):
-            raise NonConvergent(f"tail bound above {TARGET_ABS_ERROR:g} at radius cap {cap}")
+        table = self._neg_tail.get(gradient)
+        if table is None:
+            table = self._neg_tail[gradient] = -_tail_table(
+                self.lam_min, self.genus, MAX_LATTICE_RADIUS, 0.0 if gradient else None)
+        if not table[-1] > highest:
+            raise NonConvergent(f"tail bound above {TARGET_ABS_ERROR:g} at radius cap "
+                                f"{MAX_LATTICE_RADIUS}")
         return table
 
 

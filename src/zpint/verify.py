@@ -343,16 +343,15 @@ def checks_kernel(seed=3, tol_scale=1.0):
         defects.append(_residue_defect(oracle, draws))
     out.append(check("kernel.diagonal_residue", np.max(defects), 1e-8 * tol_scale))
 
-    dual_defects = []
-    closed_gaps = []
-    closed = line_connection_form(surf, k1.channels.bundles[0])
-    for p0 in sample_points(surf, rng, 10):
-        cc = extract_laurent_coeffs(k1, p0)
-        cc2 = extract_laurent_coeffs(ksum, p0)
-        dual_defects += [cc.duality_defect(), cc2.duality_defect()]
-        closed_gaps.append(abs(cc.A[0, 0] - closed))
+    # connection coefficients at 10 points: one extraction per oracle
+    P0 = sample_points(surf, rng, 10)
+    cc, cc2 = extract_laurent_coeffs(k1, P0), extract_laurent_coeffs(ksum, P0)
+    dual_defects = np.concatenate([cc.duality_defect(), cc2.duality_defect()])
+    gap = cc.A[:, 0, 0] - line_connection_form(surf, k1.channels.bundles[0])
     out.append(check("kernel.connection_duality", np.max(dual_defects), 1e-7 * tol_scale))
-    out.append(check("kernel.connection_closed_form", np.max(closed_gaps), 1e-6 * tol_scale))
+    # |gap| by hypot, the modulus of one complex number
+    out.append(check("kernel.connection_closed_form", np.max(np.hypot(gap.real, gap.imag)),
+                     1e-6 * tol_scale))
 
     # duality: each side of each oracle is one kernel call over its 10 pairs
     dual_defects = []
@@ -366,22 +365,25 @@ def checks_kernel(seed=3, tol_scale=1.0):
         dual_defects.append(defect.max(axis=(1, 2)) / np.abs(forward).max(axis=(1, 2)))
     out.append(check("kernel.duality", np.max(dual_defects), 1e-10 * tol_scale))
 
+    # pole collection: 50 draws (xi, p, q), every seventh from the fourth
+    # with q = p; the even draws go to k1 and the odd ones to ksum, one call
+    # per oracle
     emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
     avoid = list(emb.pole_points)
-    col_residuals = []
-    draws = [(1.0, 0.0), (0.0, 1.0)]
-    while len(draws) < 50:
-        draws.append((rng.standard_normal() + 1j * rng.standard_normal(),
-                      rng.standard_normal() + 1j * rng.standard_normal()))
-    for idx, xi in enumerate(draws):
-        oracle = ksum if idx % 2 else k1
+    xis = [(1.0, 0.0), (0.0, 1.0)]
+    while len(xis) < 50:
+        xis.append((rng.standard_normal() + 1j * rng.standard_normal(),
+                    rng.standard_normal() + 1j * rng.standard_normal()))
+    P, Q = [], []
+    for idx in range(50):
         p, = sample_points(surf, rng, 1, avoid=avoid)
-        if idx % 7 == 3:
-            q = p  # degenerate branch
-        else:
-            q, = sample_points(surf, rng, 1, avoid=avoid + [p])
-        col_residuals.append(collection_residual(oracle, emb, p, q, xi))
-    out.append(check("kernel.collection_formula", np.max(col_residuals), 1e-8 * tol_scale))
+        P.append(p)
+        Q.append(p if idx % 7 == 3 else sample_points(surf, rng, 1, avoid=avoid + [p])[0])
+    P, Q, xis = np.array(P), np.array(Q), np.array(xis)
+    col_residuals = [collection_residual(oracle, emb, P[at::2], Q[at::2], xis[at::2])
+                     for at, oracle in enumerate((k1, ksum))]
+    out.append(check("kernel.collection_formula", np.max(np.concatenate(col_residuals)),
+                     1e-8 * tol_scale))
     return out
 
 

@@ -38,6 +38,7 @@ from zpint.errors import (
 )
 from zpint.kernels import direct_sum_kernel, line_kernel
 from zpint.surface import lattice_reduce, line_bundle, torus_surface
+from zpint.verify import check
 
 TAU = 0.25 + 1.1j
 Q_POINT = 0.52 + 0.18j
@@ -336,6 +337,25 @@ def test_condition_i3_perturbation_sensitivity(triangular_case):
     expected = 0.01 / (2 * abs(rho[0, 0]) + 1.01)
     assert res.max() > 0.3 * expected
     assert res.max() > 1e-4
+
+
+def test_stacked_s_left_inverse_matches_points_and_tamper_still_fails(triangular_case, rng):
+    """s_left_inv_matrix over a stack of affine pairs equals its one-point
+    calls within 1e-14, and the I3 check on tampered couplings, whose
+    circle is read through that stack, still fails its battery tolerance."""
+    *_, emb, pencil_t, converted = triangular_case[4:]
+    solution = solve_conint(converted)
+    z = emb.lambda_values(torus_points(rng, 6, avoid=list(emb.pole_points)))
+    for xi in (None, SECOND_XI):
+        stacked = solution.s_left_inv_matrix(z, xi)
+        one = np.array([solution.s_left_inv_matrix(pair, xi) for pair in z])
+        assert stacked.shape == one.shape == (6, pencil_t.size, pencil_t.size)
+        assert np.abs(stacked - one).max() <= 1e-14 * max(1.0, np.abs(one).max())
+    tampered = ConintSolution(
+        replace(converted, couplings={k: v + 0.01 for k, v in converted.couplings.items()}),
+        solution.gamma0, solution.gamma, solution.xi, solution.xi_consistency)
+    assert not check("conint.coupling_round_trip",
+                     check_condition_I3(tampered, emb, (0, 1)).max(), 1e-5)["passed"]
 
 
 def test_condition_i3_requires_coincidence(scalar_case):

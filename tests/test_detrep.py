@@ -46,7 +46,9 @@ def sample_points(rng, emb, n):
 @pytest.mark.parametrize("which", ["line", "direct_sum", "conjugated"])
 def test_sections_are_one_kernel_call(setup, which, monkeypatch):
     """Each evaluation over the pole points makes one call of the oracle
-    (collection_residual two), and gives the bits of single-pair calls."""
+    (collection_residual two, over one draw or many), and gives the bits of
+    single-pair calls; collection_residual over draws gives the bits of its
+    one-draw calls, p = q rows among them."""
     from zpint.absint import InterpolationDataSet, full_rank_multiplicative
     from zpint.kernels import CauchyKernelOracle, collection_residual, conjugated_kernel
     from zpint.numutil import rel_residual, svd_cond
@@ -74,6 +76,9 @@ def test_sections_are_one_kernel_call(setup, which, monkeypatch):
         (l1p, l2p), (l1q, l2q) = emb.lambda_values(p), emb.lambda_values(q)
         return rel_residual(lhs, (xi[0] * (l1q - l1p) + xi[1] * (l2q - l2p)) * oracle(p, q))
 
+    P = np.array([p, q, 0.23 + 0.61j, p, 0.91 + 0.47j])
+    Q = np.array([q, q, 0.71 + 0.35j, p, 0.36 + 0.82j])   # p = q in rows 1 and 3
+    XI = np.array([xi, (1.0, 0.0), (0.2 - 0.7j, 0.4 + 1.1j), (0.0, 1.0), (-0.5j, 0.3)])
     sections = normalized_sections(oracle, emb)
     evaluations = {   # name: (evaluation, oracle calls, single-pair reference)
         "right": (lambda: sections.right(p), 1, np.vstack([oracle(x, p) for x in xs])),
@@ -91,6 +96,9 @@ def test_sections_are_one_kernel_call(setup, which, monkeypatch):
                                 collection_ref(p, q)),
         "collection_residual at p = q": (
             lambda: collection_residual(oracle, emb, p, p, xi), 2, collection_ref(p, p)),
+        "collection_residual over draws": (
+            lambda: collection_residual(oracle, emb, P, Q, XI), 2,
+            np.array([collection_residual(oracle, emb, *draw) for draw in zip(P, Q, XI)])),
     }
     calls = []
     original = CauchyKernelOracle.__call__

@@ -185,6 +185,35 @@ def test_extraction_unstable_on_double_pole(torus):
         extract_laurent_coeffs(fake, 0.3 + 0.4j)
 
 
+def test_extraction_at_points_matches_one_point_calls(torus, bundle, bundle2, rng):
+    """At an array of points A, A_l and the duality defect have the bits of
+    one-point calls, on the torus and on the sphere."""
+    line = line_kernel(torus, bundle)
+    dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
+    P = rng.uniform(0.05, 0.95, 6) + rng.uniform(0.05, 0.95, 6) * TAU
+    for oracle, points in ((line, P), (conjugated_kernel(dsum, [[1.0, 0.3j], [0.2, 1.1]]), P),
+                           (genus0_kernel(2), [0.3 + 0.1j, -1.2j, 2.0])):
+        cc = extract_laurent_coeffs(oracle, points)
+        assert cc.A.shape == cc.A_ell.shape == (len(points), oracle.rank, oracle.rank)
+        one = [extract_laurent_coeffs(oracle, p0) for p0 in points]
+        assert np.array_equal(cc.point, np.asarray(points, dtype=complex))
+        assert np.array_equal(cc.A, [c.A for c in one])
+        assert np.array_equal(cc.A_ell, [c.A_ell for c in one])
+        assert np.array_equal(cc.duality_defect(), [c.duality_defect() for c in one])
+        assert isinstance(one[0].duality_defect(), float)
+
+
+def test_collection_residual_needs_one_count_of_draws(torus, bundle, embedding):
+    k = line_kernel(torus, bundle)
+    P = np.array([0.41 + 0.33j, 0.58 + 0.12j])
+    for p, q, xi in ((P, P[:1], [(1.0, 0.0)] * 2), (P, P, [(1.0, 0.0)] * 3),
+                     (P, P, (1.0, 0.0)), (P[0], P[1], [(1.0, 0.0)] * 2)):
+        with pytest.raises(InputError, match="draws"):
+            collection_residual(k, embedding, p, q, xi)
+    with pytest.raises(PointOnExcludedSet):   # a pole in any draw
+        collection_residual(k, embedding, P, [P[0], embedding.pole_points[1]], [(1.0, 0.0)] * 2)
+
+
 def test_conjugated_kernel_preserves_residue(torus, bundle, bundle2):
     ksum = direct_sum_kernel([line_kernel(torus, bundle), line_kernel(torus, bundle2)])
     frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])

@@ -109,6 +109,26 @@ def test_laurent_coeffs_rejects_double_pole():
         laurent_coeffs(lambda z: 1.0 / z**2, 0.0)
 
 
+def test_laurent_coeffs_at_centres_names_the_double_pole():
+    """At an array of centres each centre is judged against its own scale:
+    a residue of 1e8 at one centre does not hide a double pole of weight
+    1e-3 at another, and the message names that centre."""
+    centres = np.array([0.5 + 0.25j, -1.0 + 2.0j, 3.0 - 0.5j])
+    weights = np.array([1e8, 1.0, 2.0])
+
+    def f(t):   # (16, 3): simple poles, and 1e-3 / t^2 more at the second centre
+        d = t - centres
+        return weights / d + 0.7 + np.array([0.0, 1e-3, 0.0]) / d**2
+
+    with pytest.raises(HigherOrderPole, match=re.escape(str(complex(centres[1])))):
+        laurent_coeffs(f, centres)
+    res, const = laurent_coeffs(lambda t: weights / (t - centres) + 0.7, centres)
+    assert np.allclose(res, weights, rtol=1e-12)
+    assert (np.abs(const - 0.7) <= 1e-9 * weights).all()   # roundoff of each centre's scale
+    with pytest.raises(InputError):
+        laurent_coeffs(f, [0.0, complex("nan")])
+
+
 def test_embedding_residue_table(torus, embedding):
     # lambda_1 = L(z - x1) - L(z - x2): residues +1 at x1, -1 at x2, none at x3
     x1, x2, _ = embedding.pole_points

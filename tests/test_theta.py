@@ -296,6 +296,9 @@ def test_plan_radius_equals_radius_search(g, lam, monkeypatch):
         monkeypatch.setattr(theta_module, "TARGET_ABS_ERROR", target)
         monkeypatch.setattr(theta_module, "MAX_LATTICE_RADIUS", cap)
         plan = PeriodMatrix(g, omega).plan()
+        # the one-pass table against the loop, within rounding of the log-sums
+        ref = [_log_tail_bound(plan.lam_min, 0.0, g, r, None) for r in range(1, cap + 1)]
+        assert np.allclose(-plan._table(-math.inf, False), ref, rtol=1e-14, atol=1e-14)
         for log_peak in np.linspace(0.0, 150.0, 76):
             ours = _outcome(lambda: int(plan.radii(np.array([log_peak]))[0]))
             ref = _outcome(lambda: _radius_search(plan.lam_min, float(log_peak), g, None))
