@@ -877,7 +877,9 @@ def fay_residual(surface: Surface, z, p, q, lam, mu):
     with L, M, P, Q the Abel-Jacobi images of lam, mu, p, q.  p, q, lam
     and mu may each be a sequence of N points, and z one argument or N of
     them ((N,) at genus 1, or (N, g)); the result is then the (N,) array
-    of residuals, from six theta_many and six prime_form calls.
+    of residuals, from one theta_many call over the six theta arguments
+    and one prime_form call over the six pairs (each value has the bits
+    of its own call).
     """
     period = surface.period
     many = np.ndim(surface.points(p)) > 0
@@ -886,16 +888,15 @@ def fay_residual(surface: Surface, z, p, q, lam, mu):
     g = period.genus
     z = np.asarray(z, dtype=complex).reshape(-1, g)
     zero = ThetaCharacteristic(np.zeros(g), np.zeros(g))
-
-    def th(w):
-        return theta_many(zero, np.broadcast_to(w, phi_p.shape), period)
-
-    def E(s, t):
-        return prime_form(surface, s, t)
-
-    term1 = th(z + phi_l - phi_m) * th(z + phi_q - phi_p) * E(p, lam) * E(q, mu)
-    term2 = th(z + phi_l - phi_p) * th(z + phi_q - phi_m) * E(lam, mu) * E(q, p)
-    term3 = th(z + phi_l - phi_m + phi_q - phi_p) * th(z) * E(p, mu) * E(q, lam)
+    args = [z + phi_l - phi_m, z + phi_q - phi_p, z + phi_l - phi_p, z + phi_q - phi_m,
+            z + phi_l - phi_m + phi_q - phi_p, z]
+    th = theta_many(zero, np.concatenate([np.broadcast_to(w, phi_p.shape) for w in args]),
+                    period).reshape(6, -1)
+    E = prime_form(surface, np.concatenate([p, q, lam, q, p, q]),
+                   np.concatenate([lam, mu, mu, p, mu, lam])).reshape(6, -1)
+    term1 = th[0] * th[1] * E[0] * E[1]
+    term2 = th[2] * th[3] * E[2] * E[3]
+    term3 = th[4] * th[5] * E[4] * E[5]
     residual = np.abs(term1 + term2 - term3) / (
         np.abs(term1) + np.abs(term2) + np.abs(term3) + EPS_GUARD)
     return residual if many else float(residual[0])

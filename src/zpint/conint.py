@@ -384,7 +384,7 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
     H(t) = transfer(t)^+ new(t), with psi(t) S_left = (c0 + c1 t) H(t), are
     sampled on one circle of radius 1e-3 around the node: R(0) and R'(0)
     are its modes 0 and 1, and the value at the node is the mean,
-    c0 H_0 + c1 H_-1.  lambda' and lambda'' come from lambda_derivs.
+    c0 H_0 + c1 H_-1.  lambda' and lambda'' come from one lambda_jet pass.
     """
     xi = tuple(xi) if xi is not None else solution.xi
     data = solution.data
@@ -413,8 +413,7 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
     frame0, frame_deriv = modes[0][0], modes[1][0]
     h0, h_minus1 = modes[0][1], modes[-1][1]
 
-    d1 = embedding.lambda_derivs(xi_c, order=1)
-    d2 = embedding.lambda_derivs(xi_c, order=2)
+    _, d1, d2 = embedding.lambda_jet(xi_c, 2)
     xi1, xi2 = complex(xi[0]), complex(xi[1])
     slope = xi1 * d1[0] + xi2 * d1[1]
     curvature = xi1 * d2[0] + xi2 * d2[1]

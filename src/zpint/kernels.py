@@ -27,8 +27,9 @@ block-diagonal frame, a conjugation by G has the frame G F, and the dual
 kernel is (F^-T, the dual channels).
 
 One private channel pass evaluates channels at the point pairs of N
-units: on the torus one theta_rows call whose rows also carry the odd
-theta of the prime form, on the sphere one 1/(p - q).  An oracle's many,
+units: on the torus one theta_rows call, with the odd theta of the prime
+form from its sine series (theta.odd_theta_series), on the sphere one
+1/(p - q).  An oracle's many,
 and so the oracle called at a pair, evaluate_many and kernel_grid, is the
 pass composed with F; a single pair is the N = 1 case of the same code.
 An interpolant of absint reads its kernels only at pairs of a point with
@@ -75,6 +76,7 @@ from .theta import (
     MAX_TABLE_IM,
     ThetaCharacteristic,
     ThetaTable,
+    odd_theta_series,
     theta_gradient,
     theta_rows,
     theta_table,
@@ -131,45 +133,40 @@ def _line_channels(surface: Surface, bundles) -> _Channels:
     return _Channels(tuple(bundles), ab, theta0)
 
 
-_ODD_AB = np.stack([ODD_CHAR.a, ODD_CHAR.b])
-# the odd theta of E(e, p), at p - e, as a row theta[-1/2; -1/2](e - p)
-_ODD_ROW = -_ODD_AB.T
+# the odd theta of E(e, p), at p - e, as a table row theta[-1/2; -1/2](e - p)
+_ODD_ROW = -np.stack([ODD_CHAR.a, ODD_CHAR.b]).T
 
 
-def _plan(surface: Surface, entries, m: int) -> tuple:
-    """The rows of a channel pass over units of m point pairs (columns).
+def _plan(entries) -> tuple:
+    """The rows of a channel pass over units of point pairs (columns).
 
     entries holds (channels, columns) pieces: every channel at each of the
     columns, column by column; entry l of the plan is one channel read at
-    column cols[l].  Returns (m, cols, ab, theta0): the characteristic of
-    each theta row, on the torus followed by the odd theta of every column,
-    and theta0 as a (1, L) row.
+    column cols[l].  Returns (cols, ab, theta0): the characteristic of
+    each theta row, and theta0 as a (1, L) row.
     """
     cols = np.concatenate([np.repeat(at, len(ch.theta0)) for ch, at in entries])
     ab = np.concatenate([np.tile(ch.ab, (len(at), 1, 1)) for ch, at in entries])
-    if surface.genus:
-        ab = np.concatenate([ab, np.repeat(_ODD_AB[None], m, axis=0)])
     # (1, L), not (L,): numpy's complex product of a (1,) and a (1, 1)
     # array can differ in the last bit from the scalar-times-array one
     theta0 = np.concatenate([np.tile(ch.theta0, len(at)) for ch, at in entries])[None]
-    return m, cols, ab, theta0
+    return cols, ab, theta0
 
 
 def _channel_pass(surface: Surface, plan, v) -> np.ndarray:
     """(N, L) values of the plan's entries at N units on the torus: one
-    theta_rows call, whose rows also carry the odd theta of the prime form.
-    v holds the (N, m, 1) differences phi(Q) - phi(P) of each unit's m
-    pairs."""
-    m, cols, ab, theta0 = plan
-    n, lines, width = len(v), len(cols), len(ab)
-    # the odd theta of E(q, p) at every column is at -v
-    rows = np.concatenate([v[:, cols], -v], axis=1)
+    theta_rows call for the channels and one odd_theta_series call for
+    the odd theta of the prime form at every column.  v holds the (N, m)
+    differences phi(Q) - phi(P) of each unit's m pairs."""
+    cols, ab, theta0 = plan
+    n, lines = len(v), len(cols)
     if n != 1:
         ab = np.broadcast_to(ab, (n, *ab.shape)).reshape(-1, *ab.shape[1:])
     values = theta_rows(surface.period, ab[:, 0], ab[:, 1],
-                        rows.reshape(-1, 1)).reshape(n, width)
-    e = surface.prime_form_from_odd_theta(values[:, lines:])
-    return values[:, :lines] / (theta0 * e[:, cols])
+                        v[:, cols].reshape(-1, 1)).reshape(n, lines)
+    # the odd theta of E(q, p) at every column is at -v
+    e = surface.prime_form_from_odd_theta(odd_theta_series(surface.period, -v)[0])
+    return values / (theta0 * e[:, cols])
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +180,8 @@ class EndPlan:
     tilde, of chi and of the odd theta, tilde the number of tilde
     channels, and scale theta'(0)/theta[a; b](0) per characteristic of
     tilde and chi; rows is None.
-    Elsewhere rows is _plan's (m, cols, ab, theta0) over the ends,
-    for the pass of the oracles, and table is None.
+    Elsewhere rows is _plan's (cols, ab, theta0) over the ends, for the
+    pass of the oracles, and table is None.
     """
 
     ends: np.ndarray
@@ -208,7 +205,7 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     """
     m = len(ends)
     if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
-        rows = _plan(surface, [(tilde, np.arange(m)), (chi, np.zeros(1, int))], m)
+        rows = _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))])
         return EndPlan(ends, point_first, rows)
     ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
     if not point_first:
@@ -283,14 +280,14 @@ def _normal_form(rank: int, surface: Surface, name: str, channels: _Channels,
     """The oracle F diag(channels) F^-1; its many is the channel pass at one
     column composed with F (the closure holds the plan and the frame, not
     the oracle, so the oracle is freed when dropped)."""
-    plan = _plan(surface, [(channels, np.zeros(1, int))], 1)
+    plan = _plan([(channels, np.zeros(1, int))])
 
     def many(P, Q):
         if not surface.genus:   # every channel is 1/(p - q); take keeps rows contiguous
-            return _compose((1.0 / (P - Q)).reshape(-1, 1).take(plan[1], axis=1),
+            return _compose((1.0 / (P - Q)).reshape(-1, 1).take(plan[0], axis=1),
                             frame, frame_inv)
         # on the torus the Abel-Jacobi map is the coordinate: v = Q - P
-        return _compose(_channel_pass(surface, plan, (Q - P)[:, None, None]), frame, frame_inv)
+        return _compose(_channel_pass(surface, plan, (Q - P)[:, None]), frame, frame_inv)
 
     return CauchyKernelOracle(rank, surface, many, name, channels, frame, frame_inv)
 
@@ -331,11 +328,11 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
                                ratio[:, 0, r:]], axis=1)
     d = P[:, None] - plan.ends if plan.point_first else plan.ends - P[:, None]
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
-        return _channel_pass(surface, plan.rows, -d[..., None])
+        return _channel_pass(surface, plan.rows, -d)
     # the sphere: every channel is 1/(p - e) or 1/(e - p); take, not [:, cols],
     # keeps each row contiguous, as a one-point pass has it, so that a matmul
     # over rows gives the same bits
-    return (1.0 / d).take(plan.rows[1], axis=1)
+    return (1.0 / d).take(plan.rows[0], axis=1)
 
 
 def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shared numerical helpers: contour mode extraction, rank decisions.
 
-Every derivative and Laurent coefficient in zpint is read from
-`circle_modes`: the trapezoid rule on a circle around the point, which
+Every derivative and Laurent coefficient that zpint reads from values of
+a kernel or an interpolant comes from `circle_modes`: the trapezoid rule on a circle around the point, which
 converges geometrically for analytic integrands (Trefethen & Weideman,
 SIAM Rev. 56, 2014) and gives derivatives of analytic functions without
 a difference step (Fornberg, ACM TOMS 7, 1981).  Everything here is plain

@@ -31,7 +31,9 @@ The genus-1 prime form is
 odd in (p, q), vanishing to first order exactly on the diagonal, with
 E(p0, p) = t + O(t^3) for t = p - p0.  The odd characteristic pins the
 half-order differential so that degrees of freedom in the spin structure
-never leak into kernel values.
+never leak into kernel values.  The odd theta and its derivatives come
+from its sine series (theta.odd_theta_series), which keeps relative
+accuracy next to the diagonal.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from .numutil import circle_modes
 from .theta import (
     PeriodMatrix,
     ThetaCharacteristic,
+    odd_theta_series,
     period_from_tau,
-    theta_gradient,
-    theta_many,
     theta_with_char,
 )
 
@@ -177,8 +178,11 @@ class Torus(Surface):
         return np.asarray(self.points(p), dtype=complex)[..., None]
 
     def prime_form(self, p, q):
-        # one pair is the N = 1 case of the array arithmetic, so E of a pair
-        # has the same bits alone and in an array
+        """E(p, q) = theta[1/2; 1/2](q - p) / theta[1/2; 1/2]'(0), both from
+        the sine series of the odd theta (theta.odd_theta_series): relative
+        accuracy near the diagonal, and no lattice pass.  One pair is the
+        N = 1 case of the array arithmetic, so E of a pair has the same
+        bits alone and in an array."""
         v = np.atleast_1d(self.points(q) - self.points(p))
         value = self.prime_form_from_odd_theta(odd_theta(v, self.period))
         return value if _is_many(p) or _is_many(q) else complex(value[0])
@@ -290,18 +294,21 @@ ODD_CHAR = ThetaCharacteristic(np.array([0.5]), np.array([0.5]))
 
 @functools.lru_cache(maxsize=256)
 def _odd_deriv0(tau: complex) -> complex:
-    grad = theta_gradient(ODD_CHAR, np.zeros(1), period_from_tau(tau))
-    if grad[0] == 0.0:
+    """theta[1/2; 1/2]'(0 | tau) = -2 pi sum (-1)^n (2n + 1) q^((n + 1/2)^2),
+    the sine series' first derivative at 0."""
+    value = complex(odd_theta_series(period_from_tau(tau), np.zeros(1), 1)[1, 0])
+    if value == 0.0:
         # |theta_1'(0)| ~ 2 pi exp(-pi Im(tau) / 4) leaves double range
         raise NonConvergent(f"theta[1/2; 1/2]'(0) underflows to 0 at tau = {tau}")
-    return complex(grad[0])
+    return value
 
 
 def odd_theta(v, period: PeriodMatrix):
-    """theta[1/2; 1/2](v | tau), the odd genus-1 theta value; elementwise for arrays."""
+    """theta[1/2; 1/2](v | tau), the odd genus-1 theta value by its sine
+    series (theta.odd_theta_series); elementwise for arrays."""
     if isinstance(v, np.ndarray):
-        return theta_many(ODD_CHAR, v.reshape(-1, 1), period).reshape(v.shape)
-    return theta_with_char(ODD_CHAR, np.array([v]), period)
+        return odd_theta_series(period, v)[0]
+    return complex(odd_theta_series(period, np.array([v]))[0, 0])
 
 
 def odd_theta_deriv0(tau: complex) -> complex:
@@ -357,34 +364,27 @@ def laurent_coeffs(f, center) -> tuple:
 
 # --- meromorphic embedding functions on the torus ---
 
-# Radius of the circle that reads the Taylor modes of theta[1/2; 1/2].
-# theta is entire, so the modes converge on any circle; at 0.1 the third
-# mode is a_3 r^3, well above roundoff, and the aliased a_19 r^19 is not.
-TAYLOR_RADIUS = 0.1
-
-
 def _log_theta_derivs(v, period: PeriodMatrix, order: int):
-    """[L, L', L''][:order + 1] at each entry of the array v, L = theta'/theta.
+    """[L, L', L''][:order + 1] at each entry of the array v, L = theta'/theta
+    for theta = theta[1/2; 1/2].
 
-    v is first moved to its representative nearest 0, where
-    L(v + m + n tau) = L(v) - 2 pi i n and the derivatives are periodic,
-    so the circle sees theta where its Taylor series is tame.  One
-    circle_modes call (one theta_many call) gives the Taylor modes a_k of
-    theta[1/2; 1/2]; with q_k = a_k / a_0, L = q1, L' = 2 q2 - q1^2 and
-    L'' = 6 q3 - 6 q1 q2 + 2 q1^3.
+    v is first moved to its representative w nearest 0, where
+    L(w + m + n tau) = L(w) - 2 pi i n and the derivatives are periodic.
+    One odd_theta_series pass gives theta and its first order + 1
+    derivatives at w exactly, as sums; with r_d = theta^(d) / theta,
+    L = r_1, L' = r_2 - r_1^2 and L'' = r_3 - 3 r_1 r_2 + 2 r_1^3.
     """
     tau = period.tau
     n = np.rint(v.imag / tau.imag)
     v = v - n * tau
     v = v - np.rint(v.real)
-    a = circle_modes(lambda t: odd_theta(t, period), v, TAYLOR_RADIUS,
-                     orders=range(order + 2))
-    q = [a[k] / a[0] for k in range(1, order + 2)]
-    out = [q[0] - 2j * np.pi * n]
+    theta = odd_theta_series(period, v, order + 1)
+    r = theta[1:] / theta[0]
+    out = [r[0] - 2j * np.pi * n]
     if order >= 1:
-        out.append(2 * q[1] - q[0] ** 2)
+        out.append(r[1] - r[0] ** 2)
     if order >= 2:
-        out.append(6 * q[2] - 6 * q[0] * q[1] + 2 * q[0] ** 3)
+        out.append(r[2] - 3 * r[0] * r[1] + 2 * r[0] ** 3)
     return out
 
 
@@ -397,8 +397,9 @@ class EmbeddingPair:
     function.  Together they embed the torus (birationally) onto a plane
     cubic.  residues holds c[i][k] = -Res_{x_i} lambda_k and consts holds
     the next Laurent coefficients d[i][k], so lambda_k = -c/t - d + O(t) at
-    each pole.  L and its derivatives at z - x_j come from the Taylor modes
-    of theta read on one circle (_log_theta_derivs).
+    each pole.  L and its derivatives at z - x_j are exact quotients of the
+    sine series of theta and its derivatives (_log_theta_derivs), one pass
+    per call for every order it returns.
     """
 
     surface: Torus
@@ -416,10 +417,14 @@ class EmbeddingPair:
         v = z[..., None] - np.array(self.pole_points)
         return _log_theta_derivs(v, self.surface.period, order)
 
+    def lambda_jet(self, z, order: int) -> list:
+        """[lambda, lambda', lambda''][:order + 1] at z from one pass, each
+        shaped as lambda_values; order is 0, 1 or 2."""
+        return [dL[..., :1] - dL[..., 1:] for dL in self._log_derivs(z, order)]
+
     def lambda_values(self, z) -> np.ndarray:
         """(lambda1, lambda2) at z: shape (2,) at one point, (*z.shape, 2) at an array."""
-        L = self._log_derivs(z, 0)[0]
-        return L[..., :1] - L[..., 1:]
+        return self.lambda_jet(z, 0)[0]
 
     def lambda1(self, z):
         return self.lambda_values(z)[..., 0]
@@ -431,8 +436,7 @@ class EmbeddingPair:
         """Derivative of order 1 or 2 of (lambda1, lambda2), shaped as lambda_values."""
         if order not in (1, 2):
             raise InputError("order must be 1 or 2")
-        dL = self._log_derivs(z, order)[order]
-        return dL[..., :1] - dL[..., 1:]
+        return self.lambda_jet(z, order)[order]
 
     def is_pole(self, z) -> bool:
         """Whether z, or any point of a sequence z, is one of the pole points."""

@@ -55,6 +55,12 @@ and no lattice pass.  Ends and points are reduced by the lattice first,
 and the rows of one end share a factor at each point (see theta_table),
 which a ratio of two of them cancels; a torus interpolant reads its
 kernels, and its build reads Gamma, this way.
+
+The genus-1 odd theta theta[1/2; 1/2] has a third route, its sine series
+(odd_theta_series), which gives it and its first three derivatives from
+one pass with a tail bound relative to the first term: unlike a lattice
+sum it keeps relative accuracy next to its zero at 0, where the prime
+form divides by it.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ __all__ = [
     "theta_many",
     "theta_rows",
     "theta_gradient",
+    "odd_theta_series",
     "ThetaTable",
     "theta_table",
     "theta_table_rows",
@@ -96,6 +103,11 @@ CHUNK_ELEMENTS = 1 << 15
 # Tail target and radius cap of every theta sum (see the module docstring).
 TARGET_ABS_ERROR = 1e-12
 MAX_LATTICE_RADIUS = 60
+
+# Tail target of the odd theta's sine series (ThetaPlan.odd_series),
+# relative to its first term: below rounding, so that the series keeps
+# relative accuracy at every argument.
+SERIES_TARGET = 1e-18
 
 # Batches of at most this many rows read their extreme log peaks and check
 # their sums through Python numbers, which is faster than numpy reductions.
@@ -270,6 +282,7 @@ class ThetaPlan:
         # -T(1), ..., -T(MAX_LATTICE_RADIUS): increasing; keyed by the gradient flag
         self._neg_tail = {}
         self._table_window = None
+        self._odd_series = None
 
     def peaks(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log_peak = pi y.Im(Omega)^-1 y and Im(Omega)^-1 y per row of Z, y = Im Z.
@@ -344,6 +357,51 @@ class ThetaPlan:
             self._table_window = (np.arange(-steps, steps + 1.0),
                                   np.exp((2 * quad) * np.arange(steps))[:, None, None])
         return self._table_window
+
+    def odd_series(self) -> tuple:
+        """(k, gauss, weights) of the genus-1 sine series of odd_theta_series,
+        built on first use: k_n = (2n + 1) pi and gauss_n = -pi Im(tau)
+        (n + 1/2)^2 as (1, T) arrays, and weights the real (4T, 8) matrix
+        that maps a point's products (see odd_theta_series) to the real and
+        imaginary parts of derivatives 0 to 3.
+
+        T is the number of terms n = 0, ..., T - 1.  At |Im v| <= Im(tau)/2
+        the Dirichlet kernel bounds term n of the third derivative, over the
+        size of term 0, by (2n + 1)^4 exp(-pi Im(tau) n^2), and T is the
+        first count whose tail sum of these bounds is below SERIES_TARGET.
+
+        Raises
+        ------
+        NonConvergent
+            If T would exceed MAX_LATTICE_RADIUS.
+        """
+        if self._odd_series is None:
+            height = float(self.imag[0, 0])
+            n = np.arange(2 * MAX_LATTICE_RADIUS + 2.0)
+            bound = 4 * np.log(2 * n + 1) - math.pi * height * n * n
+            tail = np.logaddexp.accumulate(bound[::-1])[::-1]
+            count = int(np.argmax(tail < math.log(SERIES_TARGET)))   # 0: none fits
+            if count == 0 or count > MAX_LATTICE_RADIUS:
+                raise NonConvergent(f"odd theta series needs more than {MAX_LATTICE_RADIUS} "
+                                    f"terms at Im(tau) = {height:g}")
+            x = n[:count] + 0.5
+            k = 2 * math.pi * x
+            # -2 (-1)^n exp(pi i Re(tau) x^2), times k^d (with the sign of
+            # d/dv sin = cos, d/dv cos = -sin) for derivative d
+            phase = math.pi * float(self.omega[0, 0].real) * x * x
+            base = (-2.0) * (-1.0) ** n[:count] * (np.cos(phase) + 1j * np.sin(phase))
+            coef = [base, base * k, -base * k * k, -base * k ** 3]
+            # rows [s ch, c sh] carry sin(k v) e^gauss = s ch + i c sh (even d),
+            # rows [c ch, s sh] cos(k v) e^gauss = c ch - i s sh (odd d)
+            weights = np.zeros((4 * count, 8))
+            for d, w in enumerate(coef):
+                at, sign = (0, 1.0) if d % 2 == 0 else (2 * count, -1.0)
+                weights[at:at + count, 2 * d] = w.real
+                weights[at + count:at + 2 * count, 2 * d] = -sign * w.imag
+                weights[at:at + count, 2 * d + 1] = w.imag
+                weights[at + count:at + 2 * count, 2 * d + 1] = sign * w.real
+            self._odd_series = (k[None], (-math.pi * height) * (x * x)[None], weights)
+        return self._odd_series
 
     def _table(self, highest: float, gradient: bool) -> np.ndarray:
         """The table -T(1), ..., -T(MAX_LATTICE_RADIUS), checked to pass highest.
@@ -701,3 +759,94 @@ def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.nda
         raise ValueError("characteristic genus does not match period matrix")
     _, grad = _char_sum(chi.a, chi.b, _as_z(lam, omega.genus), omega, True)
     return grad
+
+
+def odd_theta_series(omega: PeriodMatrix, v, order: int = 0) -> np.ndarray:
+    """theta[1/2; 1/2] and its derivatives up to order (at most 3) at every
+    entry of v, by the sine series: shape (order + 1, *v.shape).
+
+    In this module's convention (DLMF 20.2(i), theta_1 up to sign)
+
+        theta[1/2; 1/2](v) = -2 sum_{n >= 0} (-1)^n q^((n + 1/2)^2) sin((2n + 1) pi v),
+
+    q = exp(i pi tau), and the derivatives are the same sum with the
+    weights k_n^d = ((2n + 1) pi)^d and sin turned to cos, -sin, -cos.
+    Each v is first reduced to w = v - m tau - l with |Im w| <= Im(tau)/2
+    and |Re w| <= 1/2, then mapped back by
+    theta(w + m tau + l) = (-1)^(m + l) exp(-pi i tau m^2 - 2 pi i m w) theta(w)
+    and Leibniz's rule.  At w = a + i b term n is e^gauss_n sin(k_n w) =
+    s ch + i c sh with s, c = sin, cos(k_n a) and ch, sh = e^gauss_n
+    cosh, sinh(k_n b), each made from one exp of the summed exponent
+    gauss_n + k_n |b| and an expm1: no factor overflows unless the term
+    does, and sinh keeps its relative accuracy at small b.  Everything is
+    real until one stacked (1, 4T) @ (4T, 8) product per point with the
+    plan's weights (ThetaPlan.odd_series), which numpy runs point by point,
+    so a point's value depends neither on its batch nor on order.  Near
+    its zero at 0 the series keeps relative accuracy, where a lattice sum
+    loses eps/|v| to the cancellation of its two largest terms.
+
+    Raises
+    ------
+    NonConvergent
+        If the series needs more than MAX_LATTICE_RADIUS terms, or a value
+        is not finite.
+    """
+    if omega.genus != 1:
+        raise ValueError("the odd theta series is genus-1 only")
+    k, gauss, weights = omega.plan().odd_series()
+    v = np.asarray(v, dtype=complex)
+    tau = omega.tau
+    m = np.rint(v.imag / tau.imag).reshape(-1)
+    w = v.reshape(-1) - m * tau
+    l = np.rint(w.real)
+    w = w - l
+    b = w.imag[:, None]
+    shifted = np.count_nonzero(m) or np.count_nonzero(l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kb = np.abs(b) * k
+        exponent = gauss + kb
+        if shifted:   # |f| joins every term's exponent
+            exponent += (math.pi * m * (m * tau.imag + 2 * w.imag))[:, None]
+        big = np.exp(exponent)
+        half = 0.5 * big * np.expm1(-2 * kb)   # -big (1 - exp(-2 k |b|)) / 2
+        ch = big + half
+        sh = np.copysign(half, b)
+        ka = w.real[:, None] * k
+        s, c = np.sin(ka), np.cos(ka)
+        products = np.concatenate([s * ch, c * sh, c * ch, s * sh], axis=1)
+        # (N, 8): the real and imaginary part of each derivative
+        sums = (products[:, None] @ weights)[:, 0]
+        if shifted:
+            sums = _shift_back(sums[:, :2 * order + 2], m, l, w, tau)
+    out = sums.view(complex)[:, :order + 1].T
+    if not np.isfinite(out).all():
+        raise NonConvergent(f"odd theta series is not finite at Im(tau) = {tau.imag:g}")
+    return out.reshape(order + 1, *v.shape)
+
+
+def _shift_back(sums, m, l, w, tau: complex) -> np.ndarray:
+    """odd_theta_series' derivatives at w + m tau + l from sums, those at w
+    times |f| as (N, 2d + 2) real and imaginary parts, in the same layout.
+
+    The factor f = (-1)^(m + l) exp(-pi i m (m tau + 2 w)) has f' = s f
+    with s = -2 pi i m, so derivative d is f sum_i C(d, i) s^(d - i)
+    theta^(i)(w); |f| is already in sums, and f / |f| turns them by the
+    angle pi (m + l) - pi m (m Re(tau) + 2 Re(w)).  Complex products are
+    written out in real arithmetic, as numpy's complex product can round a
+    lone point differently from a point in a batch.
+    """
+    x, y = sums[:, 0::2], sums[:, 1::2]
+    if x.shape[1] > 1:
+        t = -2 * math.pi * m[:, None]   # s = i t; i^j turns (x, y) by j quarter turns
+        turns = ((x, y), (-y, x), (-x, -y), (y, -x))
+        jet = [[sum(math.comb(d, i) * t ** (d - i) * turns[(d - i) % 4][part][:, i:i + 1]
+                    for i in range(d + 1)) for part in (0, 1)] for d in range(x.shape[1])]
+        x, y = (np.concatenate([pair[part] for pair in jet], axis=1) for part in (0, 1))
+    angle = m * (m * tau.real + 2 * w.real)
+    angle -= m + l
+    angle *= -math.pi
+    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    out = np.empty_like(sums)
+    out[:, 0::2] = x * cos - y * sin
+    out[:, 1::2] = x * sin + y * cos
+    return out

@@ -134,25 +134,47 @@ def _raises(name, exc_types, fn, match=None):
 
 
 def sample_points(surf, rng, n, avoid=()):
-    """n rejection-sampled torus points at lattice distance > 0.05 from `avoid`.
+    """n rejection-sampled torus points at lattice distance > 0.05 from
+    `avoid`: the points of n successive one-point draws (a _point_chain
+    with no step tied to the one before it)."""
+    return _point_chain(surf, rng, [False] * n, avoid)
 
-    Each round draws the (alpha, beta) rows still missing as one block, as
-    many single draws would, and keeps those that pass one broadcast
-    distance test: the points of n successive one-point draws.  Raises
-    InputError when 256 rounds leave fewer than n points.
+
+def _point_chain(surf, rng, after, avoid=()):
+    """One torus point per step, drawn as successive one-point draws: step
+    i takes the first (alpha, beta) row of the stream whose point is at
+    lattice distance > 0.05 from avoid and, where after[i] (never at step
+    0), from the point of step i - 1.
+
+    Rows are drawn in blocks, one row per step still open, and each open
+    step takes at least one row, so no row is drawn that the one-point
+    draws would not draw (the last row of a block is the earliest that can
+    close the last step).  The distances of a block are broadcast tests;
+    only the choice of rows runs in Python.  Raises InputError when a step
+    rejects 256 rows.
     """
     avoid = surf.points(list(avoid))
-    out = np.zeros(0, dtype=complex)
-    for _ in range(256):
-        rows = rng.uniform(0.03, 0.97, (n - len(out), 2))
+    out = np.zeros(len(after), dtype=complex)
+    step = tries = 0
+    while step < len(after):
+        rows = rng.uniform(0.03, 0.97, (len(after) - step, 2))
         z = rows[:, 0] + rows[:, 1] * surf.tau
-        if avoid.size:   # with nothing to avoid every row is kept
-            z = z[(surf.distance(z[:, None], avoid) > 5e-2).all(axis=1)]
-        out = np.concatenate([out, z])
-        if len(out) == n:
-            return out
-    raise InputError(f"no {n} torus points at distance > 0.05 from the avoided set "
-                     f"{avoid.tolist()}")
+        free = (surf.distance(z[:, None], avoid) > 5e-2).all(axis=1).tolist()
+        # column 0: the point of the step before the block (unused at step 0),
+        # column j + 1: row j
+        apart = (surf.distance(z[:, None], np.concatenate([[out[step - 1]], z])) > 5e-2
+                 ).tolist() if any(after) else None
+        last = 0
+        for j, ok in enumerate(free):
+            if ok and (not after[step] or apart[j][last]):
+                out[step] = z[j]
+                step, tries, last = step + 1, 0, j + 1
+            else:
+                tries += 1
+                if tries == 256:
+                    raise InputError(f"no torus point at distance > 0.05 from the avoided set "
+                                     f"{avoid.tolist()} and the point before it")
+    return out
 
 
 def _random_period_g2(rng) -> PeriodMatrix:
@@ -226,20 +248,24 @@ def checks_theta(seed=1, tol_scale=1.0):
 # --- criterion 2: genus-0 interpolation ---
 
 def _random_genus0_problem(rng, r, n):
+    """n zeros and n poles in [-2, 2]^2, each more than 0.2 from the nodes
+    drawn before it, with standard complex normal vectors.
+
+    The draws are those of a one-node-at-a-time rejection loop (real part,
+    then imaginary part per node; then per node the real and the
+    imaginary parts of its vector), made in blocks: as sample_points does,
+    each round draws one candidate per node still missing, so no candidate
+    is drawn that the loop would not draw.
+    """
     pts = []
     while len(pts) < 2 * n:
-        cand = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
-        if all(abs(cand - p) > 0.2 for p in pts):
-            pts.append(cand)
-    zeros = tuple(
-        (pts[i], rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        for i in range(n)
-    )
-    poles = tuple(
-        (pts[n + i], rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        for i in range(n)
-    )
-    return Genus0Problem(rank=r, zeros=zeros, poles=poles)
+        for re, im in rng.uniform(-2, 2, (2 * n - len(pts), 2)).tolist():
+            cand = re + 1j * im
+            if all(abs(cand - p) > 0.2 for p in pts):
+                pts.append(cand)
+    parts = rng.standard_normal((2 * n, 2, r))
+    nodes = list(zip(pts, parts[:, 0] + 1j * parts[:, 1]))
+    return Genus0Problem(r, nodes[:n], nodes[n:])
 
 
 def genus0_checks(problem, T, rng, samples=20, tol_scale=1.0):
@@ -356,10 +382,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
     # duality: each side of each oracle is one kernel call over its 10 pairs
     dual_defects = []
     for oracle in (k1, ksum):
-        P, Q = [], []
-        for _ in range(10):
-            P.append(sample_points(surf, rng, 1)[0])
-            Q.append(sample_points(surf, rng, 1, avoid=P[-1:])[0])
+        P, Q = _point_chain(surf, rng, [False, True] * 10).reshape(10, 2).T.copy()
         forward = evaluate_many(oracle, Q, P)
         defect = np.abs(evaluate_many(oracle.dual(), P, Q).transpose(0, 2, 1) + forward)
         dual_defects.append(defect.max(axis=(1, 2)) / np.abs(forward).max(axis=(1, 2)))
@@ -374,12 +397,13 @@ def checks_kernel(seed=3, tol_scale=1.0):
     while len(xis) < 50:
         xis.append((rng.standard_normal() + 1j * rng.standard_normal(),
                     rng.standard_normal() + 1j * rng.standard_normal()))
-    P, Q = [], []
-    for idx in range(50):
-        p, = sample_points(surf, rng, 1, avoid=avoid)
-        P.append(p)
-        Q.append(p if idx % 7 == 3 else sample_points(surf, rng, 1, avoid=avoid + [p])[0])
-    P, Q, xis = np.array(P), np.array(Q), np.array(xis)
+    # each p, then its q unless q = p
+    paired = np.arange(50) % 7 != 3
+    after = np.array([flag for pair in paired for flag in (False, True)[:1 + pair]])
+    points = _point_chain(surf, rng, after, avoid)
+    P = points[~after]
+    Q = P.copy()
+    Q[paired] = points[after]
     col_residuals = [collection_residual(oracle, emb, P[at::2], Q[at::2], xis[at::2])
                      for at, oracle in enumerate((k1, ksum))]
     out.append(check("kernel.collection_formula", np.max(np.concatenate(col_residuals)),
@@ -467,17 +491,18 @@ def checks_scalar_equivalence(seed=5, tol_scale=1.0):
     P = sample_points(surf, rng, 50, avoid=[lam, mu, q])
     zero = ThetaCharacteristic(np.zeros(1), np.zeros(1))
 
-    def th(w):   # one theta_many call per term
-        return theta_many(zero, np.broadcast_to(w, P.shape)[:, None], pm)
+    def spread(*values):   # each value over the points, one row set after another
+        return np.concatenate(np.broadcast_arrays(P, *values)[1:])
 
-    def E(s, t):   # one array prime_form call per term
-        return prime_form(surf, np.broadcast_to(s, P.shape), np.broadcast_to(t, P.shape))
-
+    # every theta term in one theta_many call, every prime form in one
+    # prime_form call; each value has the bits of its own call
+    th = theta_many(zero, spread(z_chi + lam - mu + q - P, z_chi, z_chi + lam - mu,
+                                 z_chi + q - P, z_chi + lam - P, z_chi + q - mu)[:, None],
+                    pm).reshape(6, -1)
+    E = prime_form(surf, spread(mu, q, mu, q), spread(lam, P, P, lam)).reshape(4, -1)
     pre = np.exp(-2j * np.pi * a_exp * (P - q))
-    main = th(z_chi + lam - mu + q - P) * th(z_chi) / (
-        th(z_chi + lam - mu) * th(z_chi + q - P))
-    cross = (th(z_chi + lam - P) * th(z_chi + q - mu) * E(mu, lam) * E(q, P)
-             / (th(z_chi + lam - mu) * th(z_chi + q - P) * E(mu, P) * E(q, lam)))
+    main = th[0] * th[1] / (th[2] * th[3])
+    cross = th[4] * th[5] * E[0] * E[1] / (th[2] * th[3] * E[2] * E[3])
     a, b = t_mult(P), pre * (main - cross) * Q
     worst_single = (np.abs(a - b) / (np.abs(a) + np.abs(b))).max(initial=0.0)
     out.append(check("line.single_pair_term_assembly", worst_single, 1e-9 * tol_scale))

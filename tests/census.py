@@ -9,6 +9,11 @@ any seed.
 
     PYTHONPATH=src python3 tests/census.py --seeds 200-279
 
+``--only CRITERION`` (repeatable) runs just the named criteria of
+``verify.CRITERIA``, for a wide sweep of one of them:
+
+    PYTHONPATH=src python3 tests/census.py --seeds 0-2999 --only determinantal_rep
+
 The file name does not match pytest's ``test_*.py`` pattern, so the
 default test run does not collect it.
 """
@@ -19,7 +24,7 @@ import argparse
 import math
 import sys
 
-from zpint.verify import run_all
+from zpint.verify import CRITERIA, run_all
 
 RUNTIME_SUFFIX = ".runtime_seconds"
 
@@ -36,11 +41,12 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def census(seeds) -> tuple[dict, list]:
-    """({check: (worst ratio, seed)}, [(seed, check, residual, tolerance) failing])."""
+def census(seeds, only=None) -> tuple[dict, list]:
+    """({check: (worst ratio, seed)}, [(seed, check, residual, tolerance) failing])
+    over the criteria named in only (every criterion when None)."""
     worst, failures = {}, []
     for seed in seeds:
-        for criterion in run_all(seed=seed)["criteria"]:
+        for criterion in run_all(seed=seed, only=only)["criteria"]:
             for row in criterion["checks"]:
                 name = row["name"]
                 if name.endswith(RUNTIME_SUFFIX):
@@ -59,8 +65,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-199"),
                         help="inclusive seed range a-b (default 0-199)")
-    seeds = parser.parse_args(argv).seeds
-    worst, failures = census(seeds)
+    parser.add_argument("--only", action="append", metavar="CRITERION",
+                        choices=[name for name, _, _ in CRITERIA],
+                        help="run only this criterion (repeatable; default all)")
+    args = parser.parse_args(argv)
+    seeds = args.seeds
+    worst, failures = census(seeds, args.only)
     print(f"seeds {seeds.start}-{seeds.stop - 1}: {len(worst)} checks, "
           f"{len(failures)} failing (seed, check) pairs")
     for name, (ratio, seed) in sorted(worst.items(), key=lambda item: -item[1][0]):

@@ -67,6 +67,13 @@ def theta_char_gradient_direct(a, b, lam, omega, radius=40):
     return [2 * pi_i * v for v in grad]
 
 
+def odd_theta_jtheta(v, tau):
+    """theta[1/2; 1/2](v | tau) = -theta_1(pi v, q), q = exp(i pi tau), by
+    mp.jtheta at the exact value of the double v."""
+    q = mp.exp(1j * mp.pi * mp.mpc(complex(tau)))
+    return -mp.jtheta(1, mp.pi * mp.mpc(complex(v)), q)
+
+
 def theta3_zero_value():
     """theta(0 | tau = i) = pi^(1/4) / Gamma(3/4), closed form."""
     return mp.pi ** mp.mpf("0.25") / mp.gamma(mp.mpf(3) / 4)
@@ -110,8 +117,9 @@ def cauchy_determinant(lams, mus):
     return num / den
 
 
-def odd_theta_log_derivs(v, tau):
-    """(L, L', L'') at v for L = theta[1/2; 1/2]'/theta[1/2; 1/2], via mpmath.
+def odd_theta_log_derivs(v, tau, order=2):
+    """(L, L', L'') at v for L = theta[1/2; 1/2]'/theta[1/2; 1/2], via mpmath;
+    with order=3 the third derivative of L as well.
 
     theta[1/2; 1/2](v) = -theta_1(pi v, q) with q = exp(i pi tau); the
     constant factor cancels in L, and mp.jtheta gives the derivatives of
@@ -119,10 +127,12 @@ def odd_theta_log_derivs(v, tau):
     """
     q = mp.exp(1j * mp.pi * mp.mpc(complex(tau)))
     z = mp.pi * mp.mpc(complex(v))
-    t0, t1, t2, t3 = (mp.jtheta(1, z, q, k) for k in range(4))
-    r1, r2, r3 = t1 / t0, t2 / t0, t3 / t0
-    return (complex(mp.pi * r1), complex(mp.pi**2 * (r2 - r1**2)),
-            complex(mp.pi**3 * (r3 - 3 * r2 * r1 + 2 * r1**3)))
+    t0, t1, t2, t3, t4 = (mp.jtheta(1, z, q, k) for k in range(5))
+    r1, r2, r3, r4 = t1 / t0, t2 / t0, t3 / t0, t4 / t0
+    out = (complex(mp.pi * r1), complex(mp.pi**2 * (r2 - r1**2)),
+           complex(mp.pi**3 * (r3 - 3 * r2 * r1 + 2 * r1**3)),
+           complex(mp.pi**4 * (r4 - 4 * r3 * r1 - 3 * r2**2 + 12 * r2 * r1**2 - 6 * r1**4)))
+    return out[:order + 1]
 
 
 def central_difference(fn, z, h=1e-5, order=1):

@@ -12,6 +12,8 @@ from zpint.genus0 import Genus0Problem, RationalMatrixFunction, solve_genus0
 from zpint.surface import torus_surface
 from zpint.verify import (
     CRITERIA,
+    _point_chain,
+    _random_genus0_problem,
     check,
     checks_detrep,
     genus0_checks,
@@ -84,6 +86,98 @@ def test_sample_points_are_successive_one_point_draws():
     assert rejected > 10
     assert np.array_equal(points, reference)
     assert batched.uniform() == looped.uniform()   # the same draws consumed
+
+
+def test_point_chain_is_chained_one_point_draws():
+    """The kernel criterion's duality pairs (each Q away from its P) and
+    collection draws (each p away from the embedding poles, each q away
+    from them and from its p, q = p at every seventh draw from the fourth)
+    are the points of chained one-point draws, one (alpha, beta) pair at a
+    time, and consume the same draws; a dense avoided set makes steps
+    reject draws."""
+    surf = torus_surface(0.3 + 0.9j)
+    poles = [0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j]
+    dense = poles + list(sample_points(surf, np.random.default_rng(5), 100))
+
+    def one_point(rng, avoid):
+        while True:
+            alpha = rng.uniform(0.03, 0.97)
+            beta = rng.uniform(0.03, 0.97)
+            z = alpha + beta * surf.tau
+            if all(surf.distance(z, a) > 5e-2 for a in avoid):
+                return z
+
+    def duality_loop(rng):
+        P, Q = [], []
+        for _ in range(10):
+            P.append(one_point(rng, []))
+            Q.append(one_point(rng, P[-1:]))
+        return np.array(P), np.array(Q)
+
+    def collection_loop(rng, avoid):
+        P, Q = [], []
+        for idx in range(50):
+            P.append(one_point(rng, avoid))
+            Q.append(P[-1] if idx % 7 == 3 else one_point(rng, avoid + P[-1:]))
+        return np.array(P), np.array(Q)
+
+    paired = np.arange(50) % 7 != 3
+    after = np.array([flag for pair in paired for flag in (False, True)[:1 + pair]])
+    for seed in range(6):
+        chained, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        P, Q = _point_chain(surf, chained, [False, True] * 10).reshape(10, 2).T
+        ref = duality_loop(looped)
+        assert np.array_equal(P, ref[0]) and np.array_equal(Q, ref[1])
+        for avoid in (poles, dense):
+            points = _point_chain(surf, chained, after, avoid)
+            ref = collection_loop(looped, avoid)
+            assert np.array_equal(points[~after], ref[0])
+            assert np.array_equal(points[after], ref[1][paired])
+            assert np.array_equal(ref[1][~paired], ref[0][~paired])
+        assert chained.uniform() == looped.uniform()
+
+
+def test_random_genus0_problem_is_the_scalar_loop():
+    """The blocked genus-0 draws give the nodes and vectors of the
+    one-node-at-a-time loop they replace, rejected candidates included, and
+    consume the same draws."""
+    rejected = []
+
+    def scalar_loop(rng, r, n):
+        pts = []
+        while len(pts) < 2 * n:
+            cand = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
+            if all(abs(cand - p) > 0.2 for p in pts):
+                pts.append(cand)
+            else:
+                rejected.append(cand)
+        zeros = [(pts[i], rng.standard_normal(r) + 1j * rng.standard_normal(r))
+                 for i in range(n)]
+        poles = [(pts[n + i], rng.standard_normal(r) + 1j * rng.standard_normal(r))
+                 for i in range(n)]
+        return zeros + poles
+
+    blocked, looped = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(200):
+        r, n = int(looped.integers(1, 4)), int(looped.integers(1, 9))
+        assert (r, n) == (int(blocked.integers(1, 4)), int(blocked.integers(1, 9)))
+        ref = scalar_loop(looped, r, n)
+        problem = _random_genus0_problem(blocked, r, n)
+        for (z, x), (z_ref, x_ref) in zip(problem.zeros + problem.poles, ref, strict=True):
+            assert z == z_ref and np.array_equal(x, x_ref)
+    assert len(rejected) > 10
+    assert blocked.uniform() == looped.uniform()
+
+
+def test_census_only_runs_the_named_criteria(capsys):
+    """tests/census.py --only runs the named criteria alone."""
+    import census
+
+    worst_rows, failures = census.census(range(2), only=["matrix_fay"])
+    assert worst_rows and {name.split(".")[0] for name in worst_rows} == {"matrix_fay"}
+    assert not failures
+    assert census.main(["--seeds", "0", "--only", "matrix_fay", "--only", "theta_engine"]) == 0
+    assert "seeds 0-0: 5 checks, 0 failing" in capsys.readouterr().out
 
 
 def test_worst_keeps_a_failing_row():
