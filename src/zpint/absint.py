@@ -423,6 +423,12 @@ class BundleMapEvaluator:
     pole-end plan of its own, and keeps Gamma's bits, then plans its zero
     ends for evaluation.
 
+    A point costs its channel read, one matmul and one divide.  On the torus
+    it also tests K(chi) for a pole of its inverse (a tiny channel against
+    the channels' scale).  On the sphere every channel is 1/(p - q), which
+    vanishes at no p != q, so no such test runs there; only a channel that
+    rounds to 0, at |p - q| near the largest double, is refused.
+
     Raises NotSquare or SingularMatrix for a Gamma that is not square and
     well conditioned.
     """
@@ -466,7 +472,9 @@ class BundleMapEvaluator:
         PointOnExcludedSet
             If a point of P is a pole node of T (a zero node of T^{-1}).
         SingularMatrix
-            If a point of P is a pole of the inverse kernel factor.
+            If a point of P is a pole of the inverse kernel factor (on the
+            torus), or so far from q that 1/(p - q) rounds to 0 (on the
+            sphere).
         """
         P = self.data.surface.points(P)
         dist = self.data.surface.gap(self._ends - P[:, None])
@@ -496,12 +504,20 @@ class BundleMapEvaluator:
         r = self.rank
         d = evaluate_channels(self.data.surface, self._plan, P)
         chi = d[:, -r:]
-        # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and is
-        # O(1) or larger elsewhere, so a tiny channel against a unit scale
-        # flags a point at (or next to) such a pole
-        size = np.abs(chi)
-        singular = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
-        if singular.any():
+        singular = None
+        if self.data.surface.genus:
+            # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and
+            # is O(1) or larger elsewhere, so a tiny channel against a unit
+            # scale flags a point at (or next to) such a pole
+            size = np.abs(chi)
+            flags = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
+            singular = flags if flags.any() else None
+        elif np.count_nonzero(chi) < chi.size:   # a fraction of chi.all()'s cost
+            # on the sphere every channel is 1/(p - q), which vanishes nowhere
+            # (many has answered p at q); it rounds to 0 only at |p - q| near
+            # the largest double, where the value would be 0 / 0
+            singular = ~chi.all(axis=1)
+        if singular is not None:
             where = point(P[int(singular.argmax())])
             raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
         values = (d[:, None, :-r] @ self._fold).reshape(-1, r, r)

@@ -86,11 +86,16 @@ class Genus0Problem:
 
 def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:
     """Coupling matrix with entries x_i u_j / (mu^j - lambda^i)."""
-    gamma = np.zeros((problem.n_zeros, problem.n_poles), dtype=complex)
-    for i, (lam, x) in enumerate(problem.zeros):
-        for j, (mu, u) in enumerate(problem.poles):
-            gamma[i, j] = (x @ u) / (mu - lam)
-    return gamma
+    lams, xs = _stack(problem.zeros, problem.rank)
+    mus, us = _stack(problem.poles, problem.rank)
+    return (xs @ us.T) / (mus - lams[:, None])
+
+
+def _stack(nodes, rank: int) -> tuple:
+    """The points (n,) and the vectors (n, rank) of a side's nodes."""
+    points = np.array([z for z, _ in nodes], dtype=complex)
+    vectors = np.array([v for _, v in nodes], dtype=complex).reshape(len(nodes), rank)
+    return points, vectors
 
 
 class RationalMatrixFunction:
@@ -109,10 +114,16 @@ class RationalMatrixFunction:
     def many(self, Z) -> np.ndarray:
         """Values at the points Z, shape (N, r, r); a call T(z) is the N = 1 case."""
         Z = np.asarray(Z, dtype=complex).reshape(-1)
-        val = np.repeat(np.eye(self.rank, dtype=complex)[None], len(Z), axis=0)
-        for mu, u, c in zip(self.poles, self.pole_vectors, self.coefficients):
-            val = val + np.outer(u, c) / (Z - mu)[:, None, None]
-        return val
+        eye = np.eye(self.rank, dtype=complex)
+        # the pole terms u_j c_j / (z - mu^j), shape (n, N, r, r), added to I
+        # one by one in pole order at every N by the last running sum (a sum
+        # over the axis may pair them up when N r r is 1)
+        terms = ((self.pole_vectors[:, None, :, None] * self.coefficients[:, None, None, :])
+                 / (Z - self.poles[:, None])[:, :, None, None])
+        if not len(terms):
+            return np.repeat(eye[None], len(Z), axis=0)
+        terms[0] += eye
+        return terms.cumsum(axis=0)[-1]
 
     def __call__(self, z) -> np.ndarray:
         return self.many([complex(z)])[0]
@@ -170,10 +181,8 @@ def solve_genus0(problem: Genus0Problem) -> RationalMatrixFunction:
     cond = svd_cond(gamma)
     if cond > COND_LIMIT:
         raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
-    x_stack = np.array([x for _, x in problem.zeros])   # (n, r)
-    coeffs = np.linalg.solve(gamma, x_stack)            # rows c_j
-    poles = [mu for mu, _ in problem.poles]
-    pole_vectors = [u for _, u in problem.poles]
+    coeffs = np.linalg.solve(gamma, _stack(problem.zeros, problem.rank)[1])   # rows c_j
+    poles, pole_vectors = _stack(problem.poles, problem.rank)
     return RationalMatrixFunction(
         problem.rank, poles, pole_vectors, coeffs, cond, _inverse_data=problem
     )
@@ -223,6 +232,5 @@ def det_winding_number(T, radius: float) -> float:
     """Winding number of det T(z) around a circle of the given radius, read
     at 720 equispaced angles."""
     angles = 2 * np.pi * np.arange(721) / 720
-    values = [np.linalg.det(T(radius * np.exp(1j * a))) for a in angles]
-    args = np.unwrap(np.angle(values))
+    args = np.unwrap(np.angle(np.linalg.det(T.many(radius * np.exp(1j * angles)))))
     return float((args[-1] - args[0]) / (2 * np.pi))

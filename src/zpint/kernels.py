@@ -43,7 +43,8 @@ and the pass take checked arrays.
 
 An oracle given by many alone has no channels.  It is evaluated by its
 many (evaluate_many, kernel_grid, extract_laurent_coeffs,
-collection_residual); direct_sum_kernel and conjugated_kernel reject it.
+connection_duality_defect, collection_residual); direct_sum_kernel and
+conjugated_kernel reject it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import (
     SurfaceMismatch,
     UnsupportedGenus,
 )
-from .numutil import rel_residual
+from .numutil import circle_modes, rel_residual
 from .surface import (
     ODD_CHAR,
     POINT_TOL,
@@ -97,6 +98,7 @@ __all__ = [
     "direct_sum_kernel",
     "conjugated_kernel",
     "extract_laurent_coeffs",
+    "connection_duality_defect",
     "line_connection_form",
     "collection_residual",
 ]
@@ -501,6 +503,27 @@ def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> ConnectionCoeffici
     a_ell = laurent_coeffs(column, P0)[1]
     a = -laurent_coeffs(row, P0)[1]
     return ConnectionCoefficients(P0, a, a_ell)
+
+
+def connection_duality_defect(oracle: CauchyKernelOracle, p0):
+    """|A + A_l| (Frobenius) at p0, a float, or at each point of a sequence
+    p0, an (N,) array, read on one circle.
+
+    K(p0 + t, p0) - K(p0, p0 - t) = A_l + A + O(t): the poles I/t of the two
+    terms cancel, so the difference's constant mode on one circle of radius
+    5e-3 is A + A_l.  ConnectionCoefficients.duality_defect adds the two
+    constant modes that extract_laurent_coeffs reads under a pole of size
+    1/t, and so carries their rounding; this reads the identity itself.
+    """
+    P0 = oracle.surface.points(p0)
+    r = oracle.rank
+
+    def difference(x):   # x = p0 + t, (16, *P0.shape), row-major like P0 broadcast to it
+        at, near = x.ravel(), np.broadcast_to(P0, x.shape).ravel()
+        return (oracle(at, near) - oracle(near, near - (at - near))).reshape(*x.shape, r, r)
+
+    out = np.linalg.norm(circle_modes(difference, P0, 5e-3, orders=(0,))[0], axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def line_connection_form(surface: Surface, bundle: FlatLineBundle) -> complex:

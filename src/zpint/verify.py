@@ -60,6 +60,7 @@ from .errors import InputError, NotSquare, SingularMatrix, ZPViolated, ZpintErro
 from .genus0 import Genus0Problem, scalar_product_form, solve_genus0, sylvester_coefficients
 from .kernels import (
     collection_residual,
+    connection_duality_defect,
     direct_sum_kernel,
     evaluate_many,
     extract_laurent_coeffs,
@@ -369,11 +370,12 @@ def checks_kernel(seed=3, tol_scale=1.0):
         defects.append(_residue_defect(oracle, draws))
     out.append(check("kernel.diagonal_residue", np.max(defects), 1e-8 * tol_scale))
 
-    # connection coefficients at 10 points: one extraction per oracle
+    # connection coefficients at 10 points: A + A_l of each oracle on one
+    # circle, A of k1 against its closed form
     P0 = sample_points(surf, rng, 10)
-    cc, cc2 = extract_laurent_coeffs(k1, P0), extract_laurent_coeffs(ksum, P0)
-    dual_defects = np.concatenate([cc.duality_defect(), cc2.duality_defect()])
-    gap = cc.A[:, 0, 0] - line_connection_form(surf, k1.channels.bundles[0])
+    dual_defects = [connection_duality_defect(oracle, P0) for oracle in (k1, ksum)]
+    gap = extract_laurent_coeffs(k1, P0).A[:, 0, 0] - line_connection_form(
+        surf, k1.channels.bundles[0])
     out.append(check("kernel.connection_duality", np.max(dual_defects), 1e-7 * tol_scale))
     # |gap| by hypot, the modulus of one complex number
     out.append(check("kernel.connection_closed_form", np.max(np.hypot(gap.real, gap.imag)),

@@ -31,6 +31,7 @@ from zpint.errors import (
     PointOnExcludedSet,
     SingularMatrix,
 )
+from zpint.genus0 import Genus0Problem, solve_genus0
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
 from zpint.numutil import rel_residual
 from zpint.surface import (
@@ -1003,6 +1004,43 @@ def test_rank2_inverse_inverts_solution(rng):
     Ti = build_inverse(data, 40.0 + 3j, Q, k0, k0)
     P = [0.1, 1.5 - 2j, -3.0, 7.0j]
     assert np.abs(T.many(P) @ Ti.many(P) - np.eye(2)).max() < 1e-12
+
+
+def test_sphere_interpolant_is_finite_far_from_its_nodes(rng):
+    """On the sphere K(chi) = I/(p - q) is invertible at every p != q, so T
+    and T^-1 have values far from every node, with the trivial kernel and
+    with a conjugated one: at |p - q| up to 1e300 T(p) is within 1e-12 of
+    the classical T0(p) T0(q)^-1 Q and T(p) T^-1(p) of I, and a batch that
+    mixes near, far and q points has the bits of the one-point calls.  Only
+    where 1/(p - q) rounds to 0 (|p - q| near the largest double, where the
+    value would be 0 / 0) does a point raise SingularMatrix."""
+    sphere = genus0_surface()
+    data = _rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5])
+    q, Q = 40.0 + 3j, np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
+    t0 = solve_genus0(Genus0Problem(2, *([(n.point, n.vectors[0]) for n in nodes]
+                                          for nodes in (data.zeros, data.poles))))
+    right = np.linalg.solve(t0(q), Q)
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    far = [q + gap * np.exp(1j * angle) for gap, angle in
+           ((1e10, 0.3), (1e12, 2.1), (1e100, -1.2), (1e300, 3.0))]
+    near = [0.1, 1.5 - 2j, 3.0 + 1j + 1e-9]
+    mixed = [near[0], far[0], q, far[3], near[1], far[1], near[2], far[2]]
+    for kernel in (genus0_kernel(2, sphere), conjugated_kernel(genus0_kernel(2, sphere), frame)):
+        T = build_solution(data, q, Q, kernel, kernel)
+        Ti = build_inverse(data, q, Q, kernel, kernel)
+        values, inverses = T.many(far), Ti.many(far)
+        assert np.isfinite(values).all() and np.isfinite(inverses).all()
+        assert rel_residual(values, t0.many(far) @ right).max() <= 1e-12
+        assert np.abs(values @ inverses - np.eye(2)).max() <= 1e-12
+        for F in (T, Ti):
+            batch = F.many(mixed)
+            assert all(np.array_equal(batch[i], F(p)) for i, p in enumerate(mixed))
+            for beyond in (1e308 + 1e308j, 1.7e308 - 1.7e308j):
+                for call in (F, lambda p: F.many([far[2], q, p])):
+                    # numpy warns of the overflow, then the point is refused
+                    with pytest.warns(RuntimeWarning, match="overflow"), \
+                            pytest.raises(SingularMatrix, match=re.escape(repr(point(beyond)))):
+                        call(beyond)
 
 
 def test_many_raises_at_inverse_kernel_pole(scalar_setup):

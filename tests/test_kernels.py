@@ -18,6 +18,7 @@ from zpint.kernels import (
     CauchyKernelOracle,
     collection_residual,
     conjugated_kernel,
+    connection_duality_defect,
     direct_sum_kernel,
     evaluate_many,
     extract_laurent_coeffs,
@@ -201,6 +202,26 @@ def test_extraction_at_points_matches_one_point_calls(torus, bundle, bundle2, rn
         assert np.array_equal(cc.A_ell, [c.A_ell for c in one])
         assert np.array_equal(cc.duality_defect(), [c.duality_defect() for c in one])
         assert isinstance(one[0].duality_defect(), float)
+        defect = connection_duality_defect(oracle, points)
+        assert np.array_equal(defect, [connection_duality_defect(oracle, p0) for p0 in points])
+        assert isinstance(connection_duality_defect(oracle, points[0]), float)
+
+
+def test_duality_defect_on_one_circle_reads_the_identity(torus, bundle, bundle2, rng):
+    """The one-circle read of |A + A_l| is at rounding level where duality
+    holds, and reads the defect where it does not: for phi(p) / (p - q) the
+    residue is phi, and A + A_l = phi'(p0) = 0.1, which the two-mode read
+    gives within its own rounding."""
+    dsum = direct_sum_kernel([line_kernel(torus, bundle), line_kernel(torus, bundle2)])
+    P = rng.uniform(0.05, 0.95, 10) + rng.uniform(0.05, 0.95, 10) * TAU
+    for oracle, points in ((dsum, P), (conjugated_kernel(dsum, [[1.0, 0.3j], [0.2, 1.1]]), P),
+                           (genus0_kernel(2), [0.3 + 0.1j, -1.2j, 2.0])):
+        assert connection_duality_defect(oracle, points).max() <= 1e-12
+    skew = CauchyKernelOracle(rank=1, surface=genus0_surface(),
+                              many=lambda P, Q: ((1 + 0.1 * P) / (P - Q))[:, None, None])
+    points = [0.3 + 0.1j, -1.2j, 2.0]
+    assert np.abs(connection_duality_defect(skew, points) - 0.1).max() <= 1e-12
+    assert np.abs(extract_laurent_coeffs(skew, points).duality_defect() - 0.1).max() <= 1e-9
 
 
 def test_collection_residual_needs_one_count_of_draws(torus, bundle, embedding):
