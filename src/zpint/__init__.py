@@ -47,7 +47,6 @@ from .kernels import (
     ConnectionCoefficients,
     collection_residual,
     direct_sum_kernel,
-    evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
     line_connection_form,

@@ -33,12 +33,13 @@ one distance test against the ends, one kernels.evaluate_channels call
 (on the torus one read of the table, no lattice pass), one matmul and one
 divide by the channels of K(chi).
 
-Gamma and K_x_lam(q) read K(chi~) at the pairs of the zero points with
-the ends [q, mu_1, ...] of T's kernel sum, so the build reads them from
-that plan too, in one evaluate_channels call at the zero points, and a
-torus build makes no lattice pass.  build_gamma, one kernels.kernel_grid
-over the node points, is the reference route and the one for a kernel
-given by many alone.
+An interpolant has one plan, of the ends [q, mu_1, ...] of T's kernel
+sum ([q, lambda_1, ...] for T^{-1}), and reads Gamma and its base column
+from it at the node points of the other side, so a torus build makes one
+theta table and no lattice pass.  T^{-1}'s Gamma is T's within rounding
+(bit for bit on the sphere).  build_gamma, one kernels.kernel_grid over
+the node points, is the reference route and the one for a kernel given
+by many alone.
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -71,7 +72,6 @@ from .kernels import (
     _compose,
     end_plan,
     evaluate_channels,
-    evaluate_many,
     extract_laurent_coeffs,
     kernel_grid,
     line_kernel,
@@ -289,9 +289,10 @@ class GammaMatrix:
     """Block coupling matrix over the vector rows of the zeros and poles
     (data.zero_rows and pole_rows).  An interpolant's Gamma also holds, in
     at_base, the kernel values at its base point q on the vector rows, read
-    with Gamma from its pole-end plan: K_x_lam(q) = [x_a K(chi~; lambda_a,
-    q)]_a, (A, r), or for an inverse K_mu_u(q)^T = [K(chi~; q, mu_b) u_b]_b,
-    (B, r); build_gamma leaves it None."""
+    with Gamma from the interpolant's one plan: K_x_lam(q) = [x_a K(chi~;
+    lambda_a, q)]_a, (A, r), or for an inverse, whose Gamma is T's within
+    rounding (bit for bit on the sphere), K_mu_u(q)^T = [K(chi~; q, mu_b)
+    u_b]_b, (B, r); build_gamma leaves it None."""
 
     matrix: np.ndarray
     at_base: np.ndarray | None = None
@@ -336,12 +337,6 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle) ->
     return _assemble(data, kvals[np.ix_(data.zero_rows.node_of, data.pole_rows.node_of)])
 
 
-def _ends(q, rows: NodeRows) -> np.ndarray:
-    """[q, the point of each vector row]: the columns of an interpolant's
-    kernel sum."""
-    return np.concatenate([[q], rows.points[rows.node_of]])
-
-
 def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
     """K(chi~; p, e_j), (N, m, r, r), from the (N, L) channels d of a plan
     over m ends read at N points: the channels of chi~ composed with its
@@ -351,32 +346,33 @@ def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
                     oracle_tilde.frame_inv).reshape(len(d), m, r, r)
 
 
-def _plan_gamma(data, plan, oracle_tilde, inverse: bool) -> GammaMatrix:
-    """Gamma and at_base read from the pole-end plan of T.
+def _plan_gamma(data, plan, oracle_tilde, solution: bool) -> GammaMatrix:
+    """Gamma and at_base read from the interpolant's one plan, at the node
+    points of the other side, in one evaluate_channels call.
 
-    Gamma reads K(chi~; lambda, mu), and a solution's K_x_lam(q) reads
-    K(chi~; lambda, q): both are the plan's kernel sum read at the zero
-    points.  An inverse's K_mu_u(q) is the row read at q as well, all in one
-    evaluate_channels call.  A coincident (zero, pole) pair and q against
-    its own end divide by a vanishing prime form; their channels are
-    discarded and left zero, as kernel_grid leaves them, before the frame
-    is applied.  On the sphere every value has the bits of build_gamma's.
+    T's pole-end plan read at the zero points holds K(chi~; lambda, mu) and
+    K(chi~; lambda, q); T^{-1}'s zero-end plan read at the pole points holds
+    K(chi~; lambda, mu), transposed, and K(chi~; q, mu).  A coincident
+    (zero, pole) pair divides by a vanishing prime form: the channels of the
+    other node's end columns are left zero, as kernel_grid leaves them.  On
+    the sphere and past theta.MAX_TABLE_IM every value has the bits of
+    build_gamma's; on the torus table route T^{-1}'s are T's within rounding.
     """
-    rows, m, r = data.zero_rows, len(plan.ends), data.rank
-    P = np.append(rows.points, plan.ends[0]) if inverse else rows.points
+    rows, ends, r = data.zero_rows, data.pole_rows, data.rank
+    if not solution:
+        rows, ends = ends, rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = evaluate_channels(data.surface, plan, P)
-    for i, j in data.couplings:   # the columns of pole j's ends, 1 + its rows
-        start, stop = data.pole_rows.blocks[j]
-        d[i, (1 + start) * r:(1 + stop) * r] = 0.0
-    if inverse:
-        d[-1, :r] = 0.0
-    kvals = _end_kernels(d, m, oracle_tilde)
-    grid = kvals[np.ix_(rows.node_of, np.arange(1, m))]
-    if inverse:
-        return _assemble(data, grid, np.einsum("bkl,bl->bk", kvals[-1, 1:],
-                                               data.pole_rows.vectors))
-    return _assemble(data, grid, np.einsum("ak,akl->al", rows.vectors, kvals[rows.node_of, 0]))
+        d = evaluate_channels(data.surface, plan, rows.points)
+    for pair in data.couplings:   # the columns of the other node's ends, 1 + its rows
+        at, end = pair if solution else pair[::-1]
+        start, stop = ends.blocks[end]
+        d[at, (1 + start) * r:(1 + stop) * r] = 0.0
+    kvals = _end_kernels(d, len(plan.ends), oracle_tilde)[rows.node_of]
+    grid, base = kvals[:, 1:], kvals[:, 0]
+    if solution:
+        return _assemble(data, grid, np.einsum("ak,akl->al", rows.vectors, base))
+    return _assemble(data, grid.transpose(1, 0, 2, 3),
+                     np.einsum("bkl,bl->bk", base, rows.vectors))
 
 
 def _solvable(gamma: GammaMatrix) -> GammaMatrix:
@@ -417,11 +413,10 @@ class BundleMapEvaluator:
     theta.MAX_TABLE_IM), so a point reads its theta rows from the table,
     with p reduced by the lattice and the channels' multipliers, instead of
     summing a lattice; past MAX_TABLE_IM, and on the sphere, the oracles'
-    channel pass.  Gamma and its base column are T's kernel sum read at the
-    zero points (_plan_gamma), so the build reads them from T's pole-end
-    plan and makes no lattice pass; T^{-1} reads them the same way, from a
-    pole-end plan of its own, and keeps Gamma's bits, then plans its zero
-    ends for evaluation.
+    channel pass.  It is the only plan: the build reads Gamma and its base
+    column from it at the node points of the other side (_plan_gamma), and
+    makes no lattice pass.  T^{-1}'s Gamma is T's within rounding, bit for
+    bit on the sphere and past MAX_TABLE_IM.
 
     A point costs its channel read, one matmul and one divide.  On the torus
     it also tests K(chi) for a pole of its inverse (a tiny channel against
@@ -442,14 +437,11 @@ class BundleMapEvaluator:
         self.kind = kind
         solution = kind == "solution"
         self._at_q = Q if solution else np.linalg.inv(Q)
+        rows = data.pole_rows if solution else data.zero_rows
         self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
-                              _ends(q, data.pole_rows), True)
-        self.gamma = gamma = _solvable(_plan_gamma(data, self._plan, oracle_tilde, not solution))
-        if not solution:
-            self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
-                                  _ends(q, data.zero_rows), False)
-        self._ends = self._plan.ends
-        m, r = len(self._ends), self.rank
+                              np.concatenate([[q], rows.points[rows.node_of]]), solution)
+        self.gamma = gamma = _solvable(_plan_gamma(data, self._plan, oracle_tilde, solution))
+        m, r = len(self._plan.ends), self.rank
         left, right = _weights(data, gamma, not solution)
         eye = np.eye(r)
         f_t, f_t_inv, f, f_inv = (eye if x is None else x for x in (
@@ -477,7 +469,7 @@ class BundleMapEvaluator:
             sphere).
         """
         P = self.data.surface.points(P)
-        dist = self.data.surface.gap(self._ends - P[:, None])
+        dist = self.data.surface.gap(self._plan.ends - P[:, None])
         if not dist.size or dist.min() > POINT_TOL:
             return self._values(P)
         hits = dist <= POINT_TOL
@@ -529,10 +521,16 @@ class BundleMapEvaluator:
 
 
 def _base(data, q, Q) -> tuple:
-    """q as a point and Q as an (r, r) array; PointOnExcludedSet for q on a
-    node, SingularMatrix for a singular Q."""
-    q = point(q)
-    Q = np.asarray(Q, dtype=complex).reshape(data.rank, data.rank)
+    """q as a point and Q as an (r, r) array; InputError for a Q that is not
+    r^2 finite numbers, PointOnExcludedSet for q on a node, SingularMatrix
+    for a singular Q."""
+    q, r = point(q), data.rank
+    try:
+        Q = np.asarray(Q, dtype=complex).reshape(r, r)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"base value Q is not {r}x{r} numbers: {exc}") from exc
+    if not np.isfinite(Q).all():
+        raise InputError("base value Q must be finite")
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
                                                     data.pole_rows.points]))):
         raise PointOnExcludedSet(f"base point {q!r} hits a node")
@@ -544,7 +542,7 @@ def _base(data, q, Q) -> tuple:
 
 def _weights(data, gamma, inverse: bool) -> tuple:
     """The weights of an interpolant's kernel sum, one (r, r) matrix V_j per
-    end of _ends: V_0 = I and V_j = outer(left_j, right_j) for the (vector
+    end of the plan: V_0 = I and V_j = outer(left_j, right_j) for the (vector
     count, r) factors (left, right) returned.
 
     With K_mu_u(p) = [K(chi~; p, mu_b) u_b]_b over the pole vectors and
@@ -644,13 +642,14 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     left, right = _weights(data, T.gamma, False)
     ref_point = lattice_reduce(q + 0.2718 + 0.3141j, data.surface.tau)
     P = data.surface.points([ref_point, *poles])
-    kvals = _end_kernels(evaluate_channels(data.surface, T._plan, P), len(T._ends), oracle_tilde)
+    d = evaluate_channels(data.surface, T._plan, P)
+    kvals = _end_kernels(d, len(T._plan.ends), oracle_tilde)
     # the kernel sum of T(p), also where K(chi; p, q) is singular
     numerators = kvals[:, 0] + np.einsum("nbkl,bl,bm->nkm", kvals[:, 1:], left, right)
     scale_n = float(np.linalg.norm(numerators[0])) + EPS_GUARD
 
     def inv_kernel(t):
-        return np.linalg.inv(evaluate_many(oracle_chi, t, [q] * len(t)))
+        return np.linalg.inv(oracle_chi(t, [q] * len(t)))
 
     results = []
     for pole, numerator in zip(poles, numerators[1:]):
@@ -682,7 +681,7 @@ def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q) -> np.nd
     circle.  The coupling numbers of a known map are rho = -P.
     """
     def f_matrix(t):
-        return T(t) @ evaluate_many(oracle_chi, t, [q] * len(t))
+        return T(t) @ oracle_chi(t, [q] * len(t))
 
     modes = circle_modes(f_matrix, xi_point, 1e-3, orders=(-1, 0))
     res, const = modes[-1], modes[0]
@@ -950,9 +949,9 @@ def matrix_fay_residual(oracle_chi: CauchyKernelOracle,
     Qinv = np.linalg.inv(np.asarray(Q, dtype=complex).reshape(r, r))
     P = data.surface.points(points)
     at_q, at_mu = (data.surface.points([end] * len(P)) for end in (q, mu))
-    lhs = T.many(P) @ evaluate_many(oracle_chi, P, at_q) @ Qinv
-    rhs = (evaluate_many(oracle_tilde, P, at_q)
-           - evaluate_many(oracle_tilde, P, at_mu) @ u @ x @ oracle_tilde(lam, q) / denom)
+    lhs = T.many(P) @ oracle_chi(P, at_q) @ Qinv
+    rhs = (oracle_tilde(P, at_q)
+           - oracle_tilde(P, at_mu) @ u @ x @ oracle_tilde(lam, q) / denom)
     return float(np.max(rel_residual(lhs, rhs), initial=0.0))
 
 

@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InputError, PointOnExcludedSet, SingularMatrix, SurfaceMismatch
-from .kernels import CauchyKernelOracle, _block_form, evaluate_many, kernel_grid
+from .kernels import CauchyKernelOracle, _block_form, kernel_grid
 from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
 from .surface import EmbeddingPair
 
@@ -108,7 +108,7 @@ class NormalizedSections:
     """Right and left normalized section evaluators of the kernel bundle.
 
     Each takes one point or a sequence of N points and makes one
-    evaluate_many call over all (point, pole point) pairs; a non-finite
+    oracle call over all (point, pole point) pairs; a non-finite
     p raises InputError, as a single-pair call does.
     """
 
@@ -121,9 +121,9 @@ class NormalizedSections:
         ps = np.repeat(np.atleast_1d(P), m)
         xs = np.tile(self.embedding.pole_points, len(ps) // m)
         if right:   # K(x^i, p) stacked down
-            out = evaluate_many(self.oracle, xs, ps).reshape(-1, m * r, r)
+            out = self.oracle(xs, ps).reshape(-1, m * r, r)
         else:       # -K(p, x^i) side by side
-            out = -evaluate_many(self.oracle, ps, xs).reshape(-1, m, r, r).transpose(
+            out = -self.oracle(ps, xs).reshape(-1, m, r, r).transpose(
                 0, 2, 1, 3).reshape(-1, r, m * r)
         return out[0] if np.ndim(P) == 0 else out
 

@@ -29,20 +29,20 @@ kernel is (F^-T, the dual channels).
 One private channel pass evaluates channels at the point pairs of N
 units: on the torus one theta_rows call, with the odd theta of the prime
 form from its sine series (theta.odd_theta_series), on the sphere one
-1/(p - q).  An oracle's many,
-and so the oracle called at a pair, evaluate_many and kernel_grid, is the
-pass composed with F; a single pair is the N = 1 case of the same code.
+1/(p - q).  An oracle's many, and so the oracle called at one pair or
+at two sequences of N pairs, and kernel_grid, is the pass composed with
+F; a single pair is the N = 1 case of the same code.
 An interpolant of absint reads its kernels only at pairs of a point with
 ends fixed at build time: end_plan freezes them once, on the torus as a
 theta.ThetaTable of the ends, and evaluate_channels reads the channels at
 a batch of points from it; the interpolant's Gamma is such a read at the
-zero points.  kernel_grid, over every pair of two point sets, serves the
-block matrices built from an oracle.  Points are checked once, by
-surface.points, where they enter: the oracle call and kernel_grid; many
-and the pass take checked arrays.
+node points of the other side.  kernel_grid, over every pair of two point
+sets, serves the block matrices built from an oracle.  Points are checked
+once, by surface.points, where they enter: the oracle call and
+kernel_grid; many and the pass take checked arrays.
 
 An oracle given by many alone has no channels.  It is evaluated by its
-many (evaluate_many, kernel_grid, extract_laurent_coeffs,
+many (the oracle call, kernel_grid, extract_laurent_coeffs,
 connection_duality_defect, collection_residual); direct_sum_kernel and
 conjugated_kernel reject it.
 """
@@ -88,7 +88,6 @@ from .theta import (
 __all__ = [
     "CauchyKernelOracle",
     "ConnectionCoefficients",
-    "evaluate_many",
     "EndPlan",
     "end_plan",
     "evaluate_channels",
@@ -299,15 +298,6 @@ def _channels_of(oracle: CauchyKernelOracle, what: str) -> _Channels:
     if oracle.channels is None:
         raise InputError(f"{what} needs a kernel in normal form, not one given by many alone")
     return oracle.channels
-
-
-def evaluate_many(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:
-    """Kernel values K(P[i], Q[i]) at N point pairs, shape (N, r, r).
-
-    This is the oracle called on the two sequences; a single-pair call is
-    the N = 1 case of the same code.
-    """
-    return oracle(P, Q)
 
 
 def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:

@@ -62,7 +62,6 @@ from .kernels import (
     collection_residual,
     connection_duality_defect,
     direct_sum_kernel,
-    evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
     line_connection_form,
@@ -341,7 +340,7 @@ def _residue_defect(oracle, P0):
     """Largest distance from I of the -1 mode of K(., p0) at p0 (the kernel's
     residue) over the points P0, read on all their circles in one kernel call."""
     def column(t):   # t is (16, N), row-major like the tiled P0
-        return evaluate_many(oracle, t.ravel(), np.tile(P0, len(t))).reshape(
+        return oracle(t.ravel(), np.tile(P0, len(t))).reshape(
             *t.shape, oracle.rank, oracle.rank)
 
     residue = circle_modes(column, P0, 1e-3, orders=(-1,))[-1]
@@ -385,8 +384,8 @@ def checks_kernel(seed=3, tol_scale=1.0):
     dual_defects = []
     for oracle in (k1, ksum):
         P, Q = _point_chain(surf, rng, [False, True] * 10).reshape(10, 2).T.copy()
-        forward = evaluate_many(oracle, Q, P)
-        defect = np.abs(evaluate_many(oracle.dual(), P, Q).transpose(0, 2, 1) + forward)
+        forward = oracle(Q, P)
+        defect = np.abs(oracle.dual()(P, Q).transpose(0, 2, 1) + forward)
         dual_defects.append(defect.max(axis=(1, 2)) / np.abs(forward).max(axis=(1, 2)))
     out.append(check("kernel.duality", np.max(dual_defects), 1e-10 * tol_scale))
 

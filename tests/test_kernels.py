@@ -20,7 +20,6 @@ from zpint.kernels import (
     conjugated_kernel,
     connection_duality_defect,
     direct_sum_kernel,
-    evaluate_many,
     extract_laurent_coeffs,
     genus0_kernel,
     kernel_grid,
@@ -310,7 +309,7 @@ def test_kernel_grid_matches_single_pair_calls(torus, bundle, bundle2, rng):
                     assert np.array_equal(grid[i, j], oracle(p, q)), oracle.name
 
 
-def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
+def test_oracle_batch_matches_single_calls(torus, bundle, bundle2, rng):
     def torus_pairs(n):
         pairs = []
         while len(pairs) < n:
@@ -334,10 +333,8 @@ def test_evaluate_many_matches_single_calls(torus, bundle, bundle2, rng):
     with pytest.raises(InputError):
         conjugated_kernel(opaque, [[2.0]])
     for oracle, P, Q in cases:
-        batch = evaluate_many(oracle, P, Q)
+        batch = oracle(P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
-        # the oracle called on two point sequences is the same batch
-        assert np.array_equal(oracle(P, Q), batch), oracle.name
         for i in range(len(P)):
             assert np.array_equal(batch[i], oracle(P[i], Q[i])), oracle.name
         for short in (Q[:-1], Q[0]):
@@ -358,7 +355,7 @@ def test_single_pair_rejects_non_finite_point(torus, bundle):
 def test_batches_reject_non_finite_points(torus, bundle, bundle2):
     """A NaN or infinite point in a batch of a line, direct-sum or
     conjugated oracle, or of the sphere's kernel, raises InputError naming
-    the point, with no warning, through evaluate_many and kernel_grid."""
+    the point, with no warning, through the oracle call and kernel_grid."""
     line = line_kernel(torus, bundle)
     dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
     oracles = (line, dsum, conjugated_kernel(dsum, [[1.0, 0.4j], [0.1, 0.9]]))
@@ -366,8 +363,8 @@ def test_batches_reject_non_finite_points(torus, bundle, bundle2):
     for bad in (complex(np.nan, 0.2), complex(0.2, np.nan), complex(np.inf, 0.2),
                 complex(0.2, -np.inf)):
         for oracle in (*oracles, genus0_kernel(2)):
-            for call in (lambda: evaluate_many(oracle, [*good, bad], [0.5, 0.4j, 0.25]),
-                         lambda: evaluate_many(oracle, [0.5, 0.4j, 0.25], [bad, *good]),
+            for call in (lambda: oracle([*good, bad], [0.5, 0.4j, 0.25]),
+                         lambda: oracle([0.5, 0.4j, 0.25], [bad, *good]),
                          lambda: kernel_grid(oracle, good, [0.5, bad]),
                          lambda: kernel_grid(oracle, [bad, *good], good)):
                 with warnings.catch_warnings():
@@ -383,7 +380,7 @@ def test_line_blocks_match_theta_formula(torus, bundle, bundle2):
     Q = [0.11 + 0.71j, 0.3 + 0.6j, 0.05j, 0.5]
     bundles = (bundle, bundle2, bundle)
     dsum = direct_sum_kernel([line_kernel(torus, b) for b in bundles])
-    batch = evaluate_many(dsum, P, Q)
+    batch = dsum(P, Q)
     assert not batch[:, ~np.eye(3, dtype=bool)].any()
     for i, (p, q) in enumerate(zip(P, Q)):
         v = torus.abel_jacobi(q) - torus.abel_jacobi(p)

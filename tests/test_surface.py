@@ -14,7 +14,7 @@ from zpint.errors import (
     InputError,
     UnsupportedGenus,
 )
-from zpint.kernels import evaluate_many, genus0_kernel, kernel_grid, line_kernel
+from zpint.kernels import genus0_kernel, kernel_grid, line_kernel
 from zpint.numutil import circle_modes
 from zpint.surface import (
     build_embedding_functions,
@@ -273,7 +273,7 @@ def test_point_rules_of_each_kind(kind):
 
 # --- points ---
 
-ROUTES = ("oracle_pair", "oracle_batch", "evaluate_many", "kernel_grid", "T", "T.many",
+ROUTES = ("oracle_pair", "oracle_batch", "oracle_batch_q", "kernel_grid", "T", "T.many",
           "equal", "prime_form", "build_embedding_functions")
 TORUS_ONLY = ("prime_form", "build_embedding_functions")   # UnsupportedGenus on the sphere
 
@@ -296,7 +296,7 @@ def _point_routes(kind):
     return {
         "oracle_pair": lambda bad: oracle(bad, good[0]),
         "oracle_batch": lambda bad: oracle([good[0], bad], good),
-        "evaluate_many": lambda bad: evaluate_many(oracle, good, [good[1], bad]),
+        "oracle_batch_q": lambda bad: oracle(good, [good[1], bad]),
         "kernel_grid": lambda bad: kernel_grid(oracle, good, [bad]),
         "T": lambda bad: T(bad),
         "T.many": lambda bad: T.many([good[0], bad]),

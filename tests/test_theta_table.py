@@ -211,12 +211,20 @@ def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
 @pytest.mark.parametrize("build", [build_solution, build_inverse])
 def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
     """Up to MAX_TABLE_IM a torus build reads Gamma, its base column and
-    every later value from theta tables of its ends (the inverse from two:
-    its pole ends for Gamma, its zero ends for values): once theta'(0) is
+    every later value from one theta table of its ends (T its pole ends,
+    T^-1 its zero ends), built by one theta_table call: once theta'(0) is
     cached for the modulus, a second build calls neither theta_rows nor the
     lattice sum."""
     import zpint.kernels as kernels_module
     import zpint.theta as theta_module
+
+    tables = []
+
+    def counted(*args, **kwargs):
+        tables.append(args)
+        return theta_module.theta_table(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_module, "theta_table", counted)
 
     surface = torus_surface(0.2 + 1.1j)
     chi, tilde = (direct_sum_kernel([line_kernel(surface, line_bundle(a, b)) for a, b in pair])
@@ -227,6 +235,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
         (PoleNode(0.45 + 0.12j, e[:1]), PoleNode(0.33 + 0.55j, e[1:])))
     Q = np.diag([1.2 - 0.1j, 0.8 + 0.4j])
     first = build(data, 0.52 + 0.18j, Q, chi, tilde)
+    assert len(tables) == 1
 
     def refused(*args, **kwargs):
         raise AssertionError("a lattice pass")
@@ -235,6 +244,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
                          (theta_module, "_sums")):
         monkeypatch.setattr(module, name, refused)
     T = build(data, 0.52 + 0.18j, Q, chi, tilde)
+    assert len(tables) == 2
     P = [0.71 + 0.25j, 0.9 + 0.93j]
     assert np.array_equal(T.gamma.matrix, first.gamma.matrix)
     assert np.array_equal(T.many(P), first.many(P))
