@@ -35,11 +35,15 @@ divide by the channels of K(chi).
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of T's kernel
 sum ([q, lambda_1, ...] for T^{-1}), and reads Gamma and its base column
-from it at the node points of the other side, so a torus build makes one
-theta table and no lattice pass.  T^{-1}'s Gamma is T's within rounding
-(bit for bit on the sphere).  build_gamma, one kernels.kernel_grid over
-the node points, is the reference route and the one for a kernel given
-by many alone.
+from the channels the plan keeps at the node points of the other side.
+On the torus those come out of the walk that builds the table, so a
+torus build makes one theta table, reads no table rows and makes no
+lattice pass.  A kernel without a frame (F = I) meets no product with I
+in the build: Gamma and its base column are contracted over its channels
+and the fold is written in its block layout, with the bits of the
+composed route.  T^{-1}'s Gamma is T's within rounding (bit for bit on
+the sphere).  build_gamma, one kernels.kernel_grid over the node points,
+is the reference route and the one for a kernel given by many alone.
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -305,10 +309,9 @@ class GammaMatrix:
         return svd_cond(self.matrix)
 
 
-def _assemble(data, kvals: np.ndarray, at_base=None) -> GammaMatrix:
-    """Gamma = -einsum('ak,abkl,bl->ab', X, kvals, U) over the kernel values
-    kvals (A, B, r, r) at the pairs of zero rows X and pole rows U, with -rho
-    written into the coincident blocks.
+def _assemble(data, gamma: np.ndarray, at_base=None) -> GammaMatrix:
+    """The GammaMatrix of the kernel part gamma (A, B) over the zero rows and
+    pole rows, with -rho written into the coincident blocks.
 
     Raises
     ------
@@ -316,7 +319,6 @@ def _assemble(data, kvals: np.ndarray, at_base=None) -> GammaMatrix:
         If an entry of Gamma or of at_base is not finite (a kernel value
         overflowed).
     """
-    gamma = -np.einsum("ak,abkl,bl->ab", data.zero_rows.vectors, kvals, data.pole_rows.vectors)
     data.write_couplings(gamma)
     if not (np.isfinite(gamma).all() and (at_base is None or np.isfinite(at_base).all())):
         raise NonConvergent("coupling matrix has a non-finite kernel value")
@@ -334,7 +336,9 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle) ->
     theta table of its ends (_plan_gamma).
     """
     kvals = kernel_grid(oracle_tilde, data.zero_rows.points, data.pole_rows.points)
-    return _assemble(data, kvals[np.ix_(data.zero_rows.node_of, data.pole_rows.node_of)])
+    kvals = kvals[np.ix_(data.zero_rows.node_of, data.pole_rows.node_of)]
+    return _assemble(data, -np.einsum("ak,abkl,bl->ab", data.zero_rows.vectors, kvals,
+                                      data.pole_rows.vectors))
 
 
 def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
@@ -347,32 +351,44 @@ def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
 
 
 def _plan_gamma(data, plan, oracle_tilde, solution: bool) -> GammaMatrix:
-    """Gamma and at_base read from the interpolant's one plan, at the node
-    points of the other side, in one evaluate_channels call.
+    """Gamma and at_base from the tilde channels of the interpolant's one
+    plan at the node points of the other side (plan.at_nodes, which on the
+    torus come out of the walk that builds the plan's table).
 
-    T's pole-end plan read at the zero points holds K(chi~; lambda, mu) and
-    K(chi~; lambda, q); T^{-1}'s zero-end plan read at the pole points holds
+    T's pole-end plan at the zero points holds K(chi~; lambda, mu) and
+    K(chi~; lambda, q); T^{-1}'s zero-end plan at the pole points holds
     K(chi~; lambda, mu), transposed, and K(chi~; q, mu).  A coincident
     (zero, pole) pair divides by a vanishing prime form: the channels of the
-    other node's end columns are left zero, as kernel_grid leaves them.  On
-    the sphere and past theta.MAX_TABLE_IM every value has the bits of
-    build_gamma's; on the torus table route T^{-1}'s are T's within rounding.
+    other node's end columns are left zero, as kernel_grid leaves them.
+    Without a frame, K(chi~) is diagonal, and Gamma and at_base are
+    contracted over the channels; the zero products this skips change no
+    bit.  On the sphere and past theta.MAX_TABLE_IM every value has the
+    bits of build_gamma's; on the torus table route T^{-1}'s are T's within
+    rounding.
     """
     rows, ends, r = data.zero_rows, data.pole_rows, data.rank
     if not solution:
         rows, ends = ends, rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = evaluate_channels(data.surface, plan, rows.points)
-    for pair in data.couplings:   # the columns of the other node's ends, 1 + its rows
-        at, end = pair if solution else pair[::-1]
-        start, stop = ends.blocks[end]
-        d[at, (1 + start) * r:(1 + stop) * r] = 0.0
-    kvals = _end_kernels(d, len(plan.ends), oracle_tilde)[rows.node_of]
+    d = plan.at_nodes
+    if data.couplings:
+        d = d.copy()
+        for pair in data.couplings:   # the columns of the other node's ends, 1 + its rows
+            at, end = pair if solution else pair[::-1]
+            start, stop = ends.blocks[end]
+            d[at, (1 + start) * r:(1 + stop) * r] = 0.0
+    m = len(plan.ends)
+    if oracle_tilde.frame is None:   # K(chi~) is diagonal: contract over its channels
+        kvals = d.reshape(len(d), m, r)[rows.node_of]
+        spec, at_zeros, at_poles = "ak,abk,bk->ab", "ak,ak->ak", "bk,bk->bk"
+    else:
+        kvals = _end_kernels(d, m, oracle_tilde)[rows.node_of]
+        spec, at_zeros, at_poles = "ak,abkl,bl->ab", "ak,akl->al", "bkl,bl->bk"
     grid, base = kvals[:, 1:], kvals[:, 0]
     if solution:
-        return _assemble(data, grid, np.einsum("ak,akl->al", rows.vectors, base))
-    return _assemble(data, grid.transpose(1, 0, 2, 3),
-                     np.einsum("bkl,bl->bk", base, rows.vectors))
+        return _assemble(data, -np.einsum(spec, rows.vectors, grid, ends.vectors),
+                         np.einsum(at_zeros, rows.vectors, base))
+    return _assemble(data, -np.einsum(spec, ends.vectors, grid.swapaxes(0, 1), rows.vectors),
+                     np.einsum(at_poles, base, rows.vectors))
 
 
 def _solvable(gamma: GammaMatrix) -> GammaMatrix:
@@ -414,9 +430,12 @@ class BundleMapEvaluator:
     with p reduced by the lattice and the channels' multipliers, instead of
     summing a lattice; past MAX_TABLE_IM, and on the sphere, the oracles'
     channel pass.  It is the only plan: the build reads Gamma and its base
-    column from it at the node points of the other side (_plan_gamma), and
-    makes no lattice pass.  T^{-1}'s Gamma is T's within rounding, bit for
-    bit on the sphere and past MAX_TABLE_IM.
+    column from the channels it keeps at the node points of the other side
+    (_plan_gamma), on the torus rows of the walk that builds the table, and
+    makes no lattice pass and no table read.  T^{-1}'s Gamma is T's within
+    rounding, bit for bit on the sphere and past MAX_TABLE_IM.  A frame
+    that is None (F = I) is no product: the fold of a frame-free chi~ is
+    written in its block layout.
 
     A point costs its channel read, one matmul and one divide.  On the torus
     it also tests K(chi) for a pole of its inverse (a tiny channel against
@@ -437,20 +456,32 @@ class BundleMapEvaluator:
         self.kind = kind
         solution = kind == "solution"
         self._at_q = Q if solution else np.linalg.inv(Q)
-        rows = data.pole_rows if solution else data.zero_rows
+        rows, nodes = ((data.pole_rows, data.zero_rows) if solution
+                       else (data.zero_rows, data.pole_rows))
         self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
-                              np.concatenate([[q], rows.points[rows.node_of]]), solution)
+                              np.concatenate([[q], rows.points[rows.node_of]]), solution,
+                              nodes.points)
         self.gamma = gamma = _solvable(_plan_gamma(data, self._plan, oracle_tilde, solution))
         m, r = len(self._plan.ends), self.rank
         left, right = _weights(data, gamma, not solution)
-        eye = np.eye(r)
-        f_t, f_t_inv, f, f_inv = (eye if x is None else x for x in (
-            oracle_tilde.frame, oracle_tilde.frame_inv, oracle_chi.frame, oracle_chi.frame_inv))
-        # a V_j b for a, b = F~^-1, Q F (T^{-1}: F^-1 Q^-1, F~), from the factors of V_j
-        a, b = (f_t_inv, Q @ f) if solution else (f_inv @ self._at_q, f_t)
-        inner = np.concatenate([(a @ b)[None], (left @ a.T)[:, :, None] * (right @ b)[:, None, :]])
-        fold = (np.einsum("ak,jkl->jkal", f_t, inner) if solution
-                else np.einsum("jak,kb->jkab", inner, f_t_inv))
+        f_t, f_t_inv = oracle_tilde.frame, oracle_tilde.frame_inv
+        # a V_j b for a, b = F~^-1, Q F (T^{-1}: F^-1 Q^-1, F~), from the
+        # factors of V_j; a frame that is None (I) is no product
+        a, b = ((f_t_inv, _times(Q, oracle_chi.frame)) if solution
+                else (_times(oracle_chi.frame_inv, self._at_q), f_t))
+        inner = np.concatenate([_times(a, b)[None],
+                                (left if a is None else left @ a.T)[:, :, None]
+                                * _times(right, b)[:, None, :]])
+        if f_t is None:   # the fold's (j, k, a, l) block is delta_ak inner[j, k, l]
+            fold = np.zeros((m, r, r, r), dtype=complex)
+            k = np.arange(r)
+            if solution:
+                fold[:, k, k] = inner
+            else:   # (T^{-1}: delta_kl inner[j, a, k] at (j, k, a, l))
+                fold[:, k, :, k] = inner.transpose(2, 0, 1)
+        else:
+            fold = (np.einsum("ak,jkl->jkal", f_t, inner) if solution
+                    else np.einsum("jak,kb->jkab", inner, f_t_inv))
         self._fold = fold.reshape(m * r, r * r)
         self._frame = oracle_chi.frame_inv if solution else oracle_chi.frame
 
@@ -520,17 +551,27 @@ class BundleMapEvaluator:
         return values if self._frame is None else self._frame @ values
 
 
-def _base(data, q, Q) -> tuple:
-    """q as a point and Q as an (r, r) array; InputError for a Q that is not
-    r^2 finite numbers, PointOnExcludedSet for q on a node, SingularMatrix
-    for a singular Q."""
-    q, r = point(q), data.rank
+def _times(x, y):
+    """x @ y, with None standing for I (so no product with I is formed)."""
+    return y if x is None else x if y is None else x @ y
+
+
+def _base_value(Q, r: int) -> np.ndarray:
+    """Q as an (r, r) array; InputError for a Q that is not r^2 finite numbers."""
     try:
         Q = np.asarray(Q, dtype=complex).reshape(r, r)
     except (TypeError, ValueError) as exc:
         raise InputError(f"base value Q is not {r}x{r} numbers: {exc}") from exc
     if not np.isfinite(Q).all():
         raise InputError("base value Q must be finite")
+    return Q
+
+
+def _base(data, q, Q) -> tuple:
+    """q as a point and Q as an (r, r) array; InputError for a Q that is not
+    r^2 finite numbers, PointOnExcludedSet for q on a node, SingularMatrix
+    for a singular Q."""
+    q, Q = point(q), _base_value(Q, data.rank)
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
                                                     data.pole_rows.points]))):
         raise PointOnExcludedSet(f"base point {q!r} hits a node")
@@ -818,7 +859,8 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     the solvability condition: equal counts and bundle difference equal to
     the divisor class mod the lattice (to 1e-9), and distinct nodes apart
     from the base point.  T takes one point or a sequence of N points
-    (then an (N,) array).
+    (then an (N,) array).  Raises InputError for a Q that is not one finite
+    number, as build_solution checks it.
     """
     zeros, poles = _scalar_nodes(surface, zeros, poles, q)
     if len(zeros) != len(poles):
@@ -827,7 +869,7 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     if defect > 1e-9:
         raise NecessityViolated(f"divisor/bundle lattice defect {defect:.3e}")
     ratio = _prime_form_ratio(surface, zeros, poles, q)
-    Q = complex(Q)
+    Q = complex(_base_value(Q, 1)[0, 0])
     return _scalar_map(surface, q, Q, lambda P: ratio(P) * Q)
 
 
@@ -870,6 +912,8 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
 
     Raises
     ------
+    InputError
+        For a Q that is not one finite number.
     NotSquare, SingularMatrix
         As build_solution: unequal counts, or a singular Gamma or Q.
     """
@@ -877,7 +921,7 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     one = np.ones((1, 1))
     data = InterpolationDataSet(surface, 1, tuple((z, one) for z in zeros),
                                 tuple((p, one) for p in poles))
-    Q = complex(Q)
+    Q = complex(_base_value(Q, 1)[0, 0])
     T = build_solution(data, q, Q, line_kernel(surface, chi), line_kernel(surface, chi_tilde))
     return _scalar_map(surface, q, Q, lambda P: T.many(P)[:, 0, 0])
 

@@ -35,8 +35,10 @@ F; a single pair is the N = 1 case of the same code.
 An interpolant of absint reads its kernels only at pairs of a point with
 ends fixed at build time: end_plan freezes them once, on the torus as a
 theta.ThetaTable of the ends, and evaluate_channels reads the channels at
-a batch of points from it; the interpolant's Gamma is such a read at the
-node points of the other side.  kernel_grid, over every pair of two point
+a batch of points from it.  end_plan also keeps the channels at the node
+points of the other side, from which the interpolant builds Gamma: on the
+torus out of the walk that builds the table, elsewhere one
+evaluate_channels call.  kernel_grid, over every pair of two point
 sets, serves the block matrices built from an oracle.  Points are checked
 once, by surface.points, where they enter: the oracle call and
 kernel_grid; many and the pass take checked arrays.
@@ -183,6 +185,9 @@ class EndPlan:
     tilde and chi; rows is None.
     Elsewhere rows is _plan's (cols, ab, theta0) over the ends, for the
     pass of the oracles, and table is None.
+    at_nodes holds the tilde channels, (A, m r), at the A node points given
+    to end_plan: the columns evaluate_channels gives them, read on the
+    torus from the walk that builds the table.
     """
 
     ends: np.ndarray
@@ -191,29 +196,41 @@ class EndPlan:
     table: ThetaTable | None = None
     tilde: int = 0
     scale: np.ndarray | None = None
+    at_nodes: np.ndarray | None = None
 
 
 def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
-             point_first: bool) -> EndPlan:
+             point_first: bool, nodes) -> EndPlan:
     """The EndPlan of the channels tilde and chi over the checked point
-    array ends.
+    array ends, with the tilde channels at the checked node points nodes.
 
     On the torus a channel read at (p, e) is theta[a; b](e - p) over
     theta[a; b](0) E(e, p), with E(e, p) the odd theta at p - e over its
     derivative at 0; read at (e, p) it is theta[a; b](p - e) over
     theta[a; b](0) E(p, e).  theta[a; b](-z) = theta[-a; -b](z) turns every
-    theta into a row theta[+-a; +-b](e - p) of the table.
+    theta into a row theta[+-a; +-b](e - p) of the table.  Up to
+    theta.MAX_TABLE_IM the rows at the nodes come out of the table's own
+    walk (theta.theta_table with points), with no theta_table_rows read;
+    on the sphere and past MAX_TABLE_IM they are one evaluate_channels call
+    at the nodes.  A node on an end divides by a vanishing prime form there
+    and gets a non-finite channel, without a warning.
     """
-    m = len(ends)
+    m, r = len(ends), len(tilde.theta0)
     if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
         rows = _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))])
-        return EndPlan(ends, point_first, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_nodes = evaluate_channels(surface, EndPlan(ends, point_first, rows), nodes)
+        return EndPlan(ends, point_first, rows, at_nodes=at_nodes[:, :m * r])
     ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
     if not point_first:
         ab = -ab
-    table = theta_table(surface.period, ab[:, 0], ab[:, 1], ends)
-    return EndPlan(ends, point_first, None, table, len(tilde.theta0),
-                   odd_theta_deriv0(surface.tau) / np.concatenate([tilde.theta0, chi.theta0]))
+    table, at = theta_table(surface.period, ab[:, 0], ab[:, 1], ends, nodes)
+    scale = odd_theta_deriv0(surface.tau) / np.concatenate([tilde.theta0, chi.theta0])
+    # each tilde channel over its end's odd theta, as evaluate_channels has it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = at[:r] / at[-1] * scale[:r, None, None]
+    return EndPlan(ends, point_first, None, table, r, scale,
+                   ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
 
 
 def _compose(d: np.ndarray, frame, frame_inv) -> np.ndarray:

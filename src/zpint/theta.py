@@ -54,7 +54,10 @@ one exp for the factors of each point, one matmul with the coefficients
 and no lattice pass.  Ends and points are reduced by the lattice first,
 and the rows of one end share a factor at each point (see theta_table),
 which a ratio of two of them cancels; a torus interpolant reads its
-kernels, and its build reads Gamma, this way.
+kernels this way.  Its build asks theta_table for the rows at the node
+points too, which come out of the same walk as the coefficients, one
+product per characteristic and no theta_table_rows read, and reads Gamma
+from them.
 
 The genus-1 odd theta theta[1/2; 1/2] has a third route, its sine series
 (odd_theta_series), which gives it and its first three derivatives from
@@ -335,11 +338,12 @@ class ThetaPlan:
         return hi if low == high else bisect.bisect_right(table, low) + 1, hi
 
     def table_window(self) -> tuple:
-        """(window, ratios) of every genus-1 ThetaTable of this period
-        matrix, built on first use: the window n in [-R - 2, R + 2], R the
-        value radius at the log peak pi Im(tau), as a (W,) array, and
-        theta_table's shared ratios exp(2 quad s), s = 0, ..., R + 1, quad =
-        pi i tau + pi Im(tau) / 2, as a (R + 2, 1, 1) array.
+        """(window, ratios, point_ratios) of every genus-1 ThetaTable of this
+        period matrix, built on first use: the window n in [-R - 2, R + 2],
+        R the value radius at the log peak pi Im(tau), as a (W,) array, and
+        theta_table's shared ratios of the end coefficients, exp(2 quad s),
+        s = 0, ..., R + 1, quad = pi i tau + pi Im(tau) / 2, and of the point
+        factors, exp(-pi Im(tau) s), each as a (R + 2, 1, 1) array.
 
         Raises
         ------
@@ -354,8 +358,9 @@ class ThetaPlan:
                                     f"not {height:g}")
             steps = self.radius_range(np.array([math.pi * height]), False)[1] + 2
             quad = 1j * math.pi * complex(self.omega[0, 0]) + 0.5 * math.pi * height
-            self._table_window = (np.arange(-steps, steps + 1.0),
-                                  np.exp((2 * quad) * np.arange(steps))[:, None, None])
+            s = np.arange(steps)[:, None, None]
+            self._table_window = (np.arange(-steps, steps + 1.0), np.exp((2 * quad) * s),
+                                  np.exp(complex(-math.pi * height) * s))
         return self._table_window
 
     def odd_series(self) -> tuple:
@@ -638,7 +643,7 @@ class ThetaTable:
     shift: np.ndarray
 
 
-def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
+def theta_table(omega: PeriodMatrix, a, b, ends, points=None):
     """The frozen table of the genus-1 rows theta[a_i; b_i](e_j - p) at every
     end e_j of the (m,) complex array ends and every characteristic of the
     (D,) float arrays a and b.
@@ -660,10 +665,30 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     The coefficients of a row are walked outward from n = 0: each step
     multiplies by the row's first step up (or down) and a shared ratio
     exp(2 pi i tau s + pi Im(tau) s), so a row costs three complex exps
-    and every partial product is a coefficient.  Up to
-    MAX_TABLE_IM the first coefficient and the first steps are normal
-    doubles.  The window and the shared ratios depend on tau alone and are
-    kept by the plan (ThetaPlan.table_window).
+    and every partial product is a coefficient.  Up to MAX_TABLE_IM the
+    first coefficient is a normal double, within [exp(-3 pi Im(tau) / 4),
+    exp(3 pi Im(tau) / 8)], and so is each first step, at most
+    exp(pi Im(tau)), unless it underflows (possible past Im(tau) = 113):
+    then the terms it leads to are at most exp(pi Im(tau) - 708) of the
+    row's term at n = 0, below rounding.  The window and the shared ratios
+    depend on tau alone and are kept by the plan (ThetaPlan.table_window).
+
+    points, an (A,) complex array, asks for the rows at those points too,
+    as theta_table_rows reads them but in one product per characteristic:
+    each point is reduced to p^ = p - n tau as theta_table_rows reduces it,
+    and its factors are walked in the same walk as the coefficients, from
+    exp(-2 pi i a p^ - pi Im(tau) (a^2 + 1/2) / 2) at n = 0 (times the
+    multiplier exp(2 pi i n b) of its shift), by its first steps
+    exp(-+2 pi i p^ - pi Im(tau) (1 +- 2 a) / 2) and the shared ratios
+    exp(-pi Im(tau) s).  The first factor lies within [exp(-7 pi Im(tau) /
+    8), exp(pi Im(tau) / 4)] and the first steps below exp(pi Im(tau)), so
+    up to MAX_TABLE_IM they are normal doubles, or a step underflows with
+    the same bound on what it drops as a coefficient's.  Then theta_table
+    returns (table, rows), rows (D, A, m) the (A, W) @ (W, m) product of
+    the factors and the coefficients of each characteristic: a point's rows
+    carry the factor of theta_table_rows, common to the rows of one end, and
+    agree with its rows within rounding.  They are not checked for
+    finiteness; the interpolant's Gamma, built from them, is.
 
     Raises
     ------
@@ -673,7 +698,7 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     """
     if omega.genus != 1:
         raise ValueError("theta tables are genus-1 only")
-    window, ratios = omega.plan().table_window()
+    window, ratios, point_ratios = omega.plan().table_window()
     tau = omega.tau
     height = tau.imag
     half = 0.5 * math.pi * height
@@ -683,29 +708,50 @@ def theta_table(omega: PeriodMatrix, a, b, ends) -> ThetaTable:
     nu = np.rint(ends.imag / height)
     ends = ends - nu * tau
     lin = (2j * math.pi) * ends[:, None]
+    m, count = len(ends), 0 if points is None else len(points)
+    grid = (a[:, None] + window)[:, None]   # x over the window, (D, 1, W)
+    gauss = -half * (grid * grid + 0.5)
     # per (end, characteristic): the exponent of the coefficient at n = 0,
     # with the end's scale and the multiplier exp(-2 pi i nu b) of its
-    # shift, and those of the first steps up and down
-    first = np.empty((3, len(ends), len(b)), dtype=complex)
+    # shift, and those of the first steps up and down; then the same for
+    # the factors of each point
+    first = np.empty((3, m + count, len(b)), dtype=complex)
+    coef = first[:, :m]
     slope = quad * a + shift
-    np.add(slope + quad * (a + 1), lin, out=first[1])
-    np.add(slope, lin, out=first[0])
-    first[0] *= a
-    first[0] += ((0.25 * half - (math.pi / height) * ends.imag ** 2)[:, None]
-                 - nu[:, None] * shift)
-    np.subtract(2 * quad, first[1], out=first[2])
+    np.add(slope + quad * (a + 1), lin, out=coef[1])
+    np.add(slope, lin, out=coef[0])
+    coef[0] *= a
+    coef[0] += ((0.25 * half - (math.pi / height) * ends.imag ** 2)[:, None]
+                - nu[:, None] * shift)
+    np.subtract(2 * quad, coef[1], out=coef[2])
+    if count:
+        n = np.rint(points.imag / height)
+        lin = (2j * math.pi) * (points - n * tau)[:, None]
+        # the factors' Gaussian at n = -1, 0, 1, and its steps from n = 0
+        centre = len(window) // 2
+        near = gauss[:, 0, centre - 1:centre + 2].T
+        np.multiply(lin, a, out=first[0, m:])
+        np.subtract(n[:, None] * shift + near[1], first[0, m:], out=first[0, m:])
+        np.subtract(near[2] - near[1], lin, out=first[1, m:])
+        np.add(lin, near[0] - near[1], out=first[2, m:])
     np.exp(first, out=first)
-    # walk[s] holds the coefficients at n = s (up) and n = -s (down), each
-    # its inner neighbour times a step
-    walk = np.empty((len(ratios) + 1, 2, len(ends) * len(b)), dtype=complex)
+    # walk[s] holds the coefficients (and factors) at n = s (up) and n = -s
+    # (down), each its inner neighbour times a step
+    cols = m * len(b)
+    walk = np.empty((len(ratios) + 1, 2, first.shape[1] * len(b)), dtype=complex)
     walk[0] = first[0].reshape(-1)
-    np.multiply(first[1:].reshape(2, -1), ratios, out=walk[1:])
+    np.multiply(coef[1:].reshape(2, -1), ratios, out=walk[1:, :, :cols])
+    if count:
+        np.multiply(first[1:, m:].reshape(2, -1), point_ratios, out=walk[1:, :, cols:])
     for prev, cur in zip(walk, walk[1:]):
         np.multiply(cur, prev, out=cur)
-    coeffs = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(-1, len(ends), len(b))
-    grid = (a[:, None] + window)[:, None]   # x over the window, (D, 1, W)
-    return ThetaTable(tau, np.ascontiguousarray(coeffs.transpose(2, 0, 1)),
-                      (-2j * math.pi) * grid, -half * (grid * grid + 0.5), shift)
+    terms = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(len(window), -1, len(b))
+    coeffs = np.ascontiguousarray(terms[:, :m].transpose(2, 0, 1))
+    table = ThetaTable(tau, coeffs, (-2j * math.pi) * grid, gauss, shift)
+    if points is None:
+        return table
+    rows = terms[:, m:].transpose(2, 1, 0) @ coeffs
+    return table, rows
 
 
 def theta_table_rows(table: ThetaTable, P) -> np.ndarray:

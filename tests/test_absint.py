@@ -301,6 +301,28 @@ def test_interpolant_gamma_matches_build_gamma(rng):
                 assert np.array_equal(gamma.matrix[block], -data.couplings[(i, j)])
 
 
+def test_identity_frame_builds_the_frame_free_bits(rng):
+    """A kernel without a frame skips every product with I in the build
+    (Gamma and its base column over the channels, the fold in its block
+    layout); the same kernel conjugated by I takes the composed route.
+    Both build bit-identical Gamma, base column, T and T^-1 on the torus
+    and on the sphere, with coincident pairs."""
+    torus_case, *_, sphere_case = mixed_count_cases(rng)
+    for data, oracle, q in (torus_case, sphere_case):
+        framed = conjugated_kernel(oracle, np.eye(data.rank))
+        assert oracle.frame is None and framed.frame is not None
+        Q = np.eye(data.rank) + 0.3 * (rng.standard_normal((data.rank,) * 2)
+                                       + 1j * rng.standard_normal((data.rank,) * 2))
+        nodes = [node.point for node in (*data.zeros, *data.poles)]
+        P = [p for p in rng.uniform(-1, 1, 12) + 1j * rng.uniform(0.1, 0.9, 12)
+             if min(abs(p - x) for x in (*nodes, q)) > 0.05]
+        for build in (build_solution, build_inverse):
+            plain, conj = (build(data, q, Q, k, k) for k in (oracle, framed))
+            assert np.array_equal(plain.gamma.matrix, conj.gamma.matrix), build.__name__
+            assert np.array_equal(plain.gamma.at_base, conj.gamma.at_base), build.__name__
+            assert np.array_equal(plain.many(P), conj.many(P)), build.__name__
+
+
 def test_non_finite_gamma_entry_is_a_typed_error(rng, monkeypatch):
     """A kernel value that is not finite off the coincident blocks raises
     NonConvergent from both routes, not LinAlgError from the SVD."""
@@ -313,14 +335,14 @@ def test_non_finite_gamma_entry_is_a_typed_error(rng, monkeypatch):
                                     lambda P, Q: np.full((len(P), 3, 3), np.nan + 0j))
     with pytest.raises(NonConvergent):
         build_gamma(data, nan_kernel)
-    original = absint_module.evaluate_channels
+    original = absint_module.end_plan
 
-    def one_nan(surface, plan, P):
-        d = original(surface, plan, P)
-        d[2, -1 - data.rank] = np.nan   # zero 2 against the last pole vector
-        return d
+    def one_nan(*args):
+        plan = original(*args)
+        plan.at_nodes[2, -1] = np.nan   # zero 2 against the last pole vector
+        return plan
 
-    monkeypatch.setattr(absint_module, "evaluate_channels", one_nan)
+    monkeypatch.setattr(absint_module, "end_plan", one_nan)
     for build in (build_solution, build_inverse):
         with pytest.raises(ZpintError, match="non-finite"):
             build(data, q, np.eye(data.rank), oracle, oracle)
@@ -494,6 +516,17 @@ def test_scalar_partial_fraction_is_rank1_build_solution(scalar_setup, rng):
     assert np.array_equal(T_pf(P), T.many(P)[:, 0, 0])
     with pytest.raises(NotSquare):
         scalar_partial_fraction(surf, zeros, poles[:1], chi, chit, Q_POINT, Q)
+
+
+@pytest.mark.parametrize("builder", [scalar_multiplicative, scalar_partial_fraction])
+def test_scalar_builders_refuse_a_base_value_that_is_not_one_finite_number(builder, scalar_setup):
+    """Both scalar builders check Q as build_solution does: text, two
+    numbers, NaN and infinity raise InputError naming the base value."""
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    for bad in ("ab", [1, 2], np.nan, np.inf):
+        with pytest.raises(InputError, match="base value Q"):
+            builder(surf, zeros, poles, chi, chit, Q_POINT, bad)
+    assert builder(surf, zeros, poles, chi, chit, Q_POINT, 1.3 - 0.4j)(Q_POINT) == 1.3 - 0.4j
 
 
 def test_scalar_forms_take_point_sequences(scalar_setup, rng):

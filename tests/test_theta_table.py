@@ -64,6 +64,40 @@ def test_table_rows_match_direct_sums(height, real, data):
                 assert abs(mp.mpc(rows[i, j, k]) / factor - value) <= 1e-13 * size, (i, j, k)
 
 
+@settings(max_examples=24, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([0.8, 3.0, 40.0, 190.0]), st.floats(-0.5, 0.5), st.data())
+def test_walked_point_rows_match_direct_sums(height, real, data):
+    """The rows theta_table returns at points, from the walk of its
+    coefficients, over a reference row of their end match 40-digit direct
+    sums within max(1e-13, 10 pi Im(tau) eps) of the row's sum of term
+    moduli (the exponents round to about pi Im(tau) eps), for ends up to
+    two periods out and points up to one period out, one of them within
+    1e-3 of an end.  The table built with the points is, bit for bit, the
+    one built without them."""
+    tau = complex(real, height)
+    draw = data.draw
+    count = draw(st.integers(1, 3))
+    a = np.array([draw(st.floats(-1.5, 1.5)) for _ in range(count)] + [0.5])
+    b = np.array([draw(st.floats(-1.5, 1.5)) for _ in range(count)] + [0.5])
+    ends = np.array([draw(st.floats(-2, 2)) + draw(st.floats(-2, 2)) * tau for _ in range(2)])
+    points = [draw(st.floats(-1, 1)) + draw(st.floats(-1, 1)) * tau for _ in range(2)]
+    points.append(ends[draw(st.integers(0, 1))] + 1e-3 * np.exp(2j * np.pi * draw(unit)))
+    omega = period_from_tau(tau)
+    table, rows = theta_table(omega, a, b, ends, np.array(points))
+    alone = theta_table(omega, a, b, ends)
+    for name in ("coeffs", "slopes", "gauss", "shift"):
+        assert np.array_equal(getattr(table, name), getattr(alone, name)), name
+    assert rows.shape == (len(a), len(points), len(ends))
+    tol = max(1e-13, 10 * np.pi * height * EPS)
+    for i, p in enumerate(points):
+        for j, e in enumerate(ends):
+            exact = [direct_row(a[k], b[k], e - p, tau) for k in range(len(a))]
+            ref = max(range(len(a)), key=lambda k: abs(exact[k][0]) / exact[k][1])
+            factor = mp.mpc(rows[ref, i, j]) / exact[ref][0]
+            for k, (value, size) in enumerate(exact):
+                assert abs(mp.mpc(rows[k, i, j]) / factor - value) <= tol * size, (i, j, k)
+
+
 def lattice_multiplier(kernel, m, n):
     """The constant rho with K(p + m + n tau, q) = rho K(p, q): F diag(mu_k) F^-1
     with mu_k = (-exp(-2 pi i a_k))^m (-exp(2 pi i b_k))^n."""
@@ -210,11 +244,12 @@ def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
 
 @pytest.mark.parametrize("build", [build_solution, build_inverse])
 def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
-    """Up to MAX_TABLE_IM a torus build reads Gamma, its base column and
-    every later value from one theta table of its ends (T its pole ends,
-    T^-1 its zero ends), built by one theta_table call: once theta'(0) is
-    cached for the modulus, a second build calls neither theta_rows nor the
-    lattice sum."""
+    """Up to MAX_TABLE_IM a torus build reads every later value from one
+    theta table of its ends (T its pole ends, T^-1 its zero ends), built by
+    one theta_table call, and Gamma and its base column from the rows that
+    call walks at the node points of the other side: a build reads no
+    table rows (theta_table_rows), and once theta'(0) is cached for the
+    modulus, a second build calls neither theta_rows nor the lattice sum."""
     import zpint.kernels as kernels_module
     import zpint.theta as theta_module
 
@@ -225,6 +260,13 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
         return theta_module.theta_table(*args, **kwargs)
 
     monkeypatch.setattr(kernels_module, "theta_table", counted)
+    reads = []
+
+    def read(*args, **kwargs):
+        reads.append(args)
+        return theta_module.theta_table_rows(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_module, "theta_table_rows", read)
 
     surface = torus_surface(0.2 + 1.1j)
     chi, tilde = (direct_sum_kernel([line_kernel(surface, line_bundle(a, b)) for a, b in pair])
@@ -235,7 +277,7 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
         (PoleNode(0.45 + 0.12j, e[:1]), PoleNode(0.33 + 0.55j, e[1:])))
     Q = np.diag([1.2 - 0.1j, 0.8 + 0.4j])
     first = build(data, 0.52 + 0.18j, Q, chi, tilde)
-    assert len(tables) == 1
+    assert len(tables) == 1 and not reads
 
     def refused(*args, **kwargs):
         raise AssertionError("a lattice pass")
@@ -244,7 +286,8 @@ def test_repeated_torus_build_makes_no_lattice_pass(monkeypatch, build):
                          (theta_module, "_sums")):
         monkeypatch.setattr(module, name, refused)
     T = build(data, 0.52 + 0.18j, Q, chi, tilde)
-    assert len(tables) == 2
+    assert len(tables) == 2 and not reads
     P = [0.71 + 0.25j, 0.9 + 0.93j]
     assert np.array_equal(T.gamma.matrix, first.gamma.matrix)
     assert np.array_equal(T.many(P), first.many(P))
+    assert len(reads) == 2
