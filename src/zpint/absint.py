@@ -35,13 +35,13 @@ divide by the channels of K(chi).
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of T's kernel
 sum ([q, lambda_1, ...] for T^{-1}), and reads Gamma and its base column
-from the channels the plan keeps at the node points of the other side.
-On the torus those come out of the walk that builds the table, so a
-torus build makes one theta table, reads no table rows and makes no
-lattice pass.  A kernel without a frame (F = I) meets no product with I
-in the build: Gamma and its base column are contracted over its channels
-and the fold is written in its block layout, with the bits of the
-composed route.  T^{-1}'s Gamma is T's within rounding (bit for bit on
+from the channels end_plan returns with it at the node points of the
+other side.  On the torus those come out of the walk that builds the
+table, so a torus build makes one theta table, reads no table rows and
+makes no lattice pass.  A kernel without a frame (F = I) meets no
+product with I in the build: Gamma and its base column are contracted
+over its channels and the fold is written in its block layout, with the
+bits of the composed route.  T^{-1}'s Gamma is T's within rounding (bit for bit on
 the sphere).  build_gamma, one kernels.kernel_grid over the node points,
 is the reference route and the one for a kernel given by many alone.
 
@@ -350,10 +350,10 @@ def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
                     oracle_tilde.frame_inv).reshape(len(d), m, r, r)
 
 
-def _plan_gamma(data, plan, oracle_tilde, solution: bool) -> GammaMatrix:
-    """Gamma and at_base from the tilde channels of the interpolant's one
-    plan at the node points of the other side (plan.at_nodes, which on the
-    torus come out of the walk that builds the plan's table).
+def _plan_gamma(data, d, oracle_tilde, solution: bool) -> GammaMatrix:
+    """Gamma and at_base from the tilde channels d of the interpolant's one
+    plan at the node points of the other side, as end_plan returns them
+    (on the torus out of the walk that builds the plan's table).
 
     T's pole-end plan at the zero points holds K(chi~; lambda, mu) and
     K(chi~; lambda, q); T^{-1}'s zero-end plan at the pole points holds
@@ -369,14 +369,11 @@ def _plan_gamma(data, plan, oracle_tilde, solution: bool) -> GammaMatrix:
     rows, ends, r = data.zero_rows, data.pole_rows, data.rank
     if not solution:
         rows, ends = ends, rows
-    d = plan.at_nodes
-    if data.couplings:
-        d = d.copy()
-        for pair in data.couplings:   # the columns of the other node's ends, 1 + its rows
-            at, end = pair if solution else pair[::-1]
-            start, stop = ends.blocks[end]
-            d[at, (1 + start) * r:(1 + stop) * r] = 0.0
-    m = len(plan.ends)
+    for pair in data.couplings:   # the columns of the other node's ends, 1 + its rows
+        at, end = pair if solution else pair[::-1]
+        start, stop = ends.blocks[end]
+        d[at, (1 + start) * r:(1 + stop) * r] = 0.0
+    m = d.shape[1] // r
     if oracle_tilde.frame is None:   # K(chi~) is diagonal: contract over its channels
         kvals = d.reshape(len(d), m, r)[rows.node_of]
         spec, at_zeros, at_poles = "ak,abk,bk->ab", "ak,ak->ak", "bk,bk->bk"
@@ -430,12 +427,12 @@ class BundleMapEvaluator:
     with p reduced by the lattice and the channels' multipliers, instead of
     summing a lattice; past MAX_TABLE_IM, and on the sphere, the oracles'
     channel pass.  It is the only plan: the build reads Gamma and its base
-    column from the channels it keeps at the node points of the other side
-    (_plan_gamma), on the torus rows of the walk that builds the table, and
-    makes no lattice pass and no table read.  T^{-1}'s Gamma is T's within
-    rounding, bit for bit on the sphere and past MAX_TABLE_IM.  A frame
-    that is None (F = I) is no product: the fold of a frame-free chi~ is
-    written in its block layout.
+    column from the channels end_plan returns with it at the node points
+    of the other side (_plan_gamma), on the torus rows of the walk that
+    builds the table, and makes no lattice pass and no table read.
+    T^{-1}'s Gamma is T's within rounding, bit for bit on the sphere and
+    past MAX_TABLE_IM.  A frame that is None (F = I) is no product: the
+    fold of a frame-free chi~ is written in its block layout.
 
     A point costs its channel read, one matmul and one divide.  On the torus
     it also tests K(chi) for a pole of its inverse (a tiny channel against
@@ -458,10 +455,11 @@ class BundleMapEvaluator:
         self._at_q = Q if solution else np.linalg.inv(Q)
         rows, nodes = ((data.pole_rows, data.zero_rows) if solution
                        else (data.zero_rows, data.pole_rows))
-        self._plan = end_plan(data.surface, oracle_tilde.channels, oracle_chi.channels,
-                              np.concatenate([[q], rows.points[rows.node_of]]), solution,
-                              nodes.points)
-        self.gamma = gamma = _solvable(_plan_gamma(data, self._plan, oracle_tilde, solution))
+        self._plan, at_nodes = end_plan(data.surface, oracle_tilde.channels,
+                                        oracle_chi.channels,
+                                        np.concatenate([[q], rows.points[rows.node_of]]),
+                                        solution, nodes.points)
+        self.gamma = gamma = _solvable(_plan_gamma(data, at_nodes, oracle_tilde, solution))
         m, r = len(self._plan.ends), self.rank
         left, right = _weights(data, gamma, not solution)
         f_t, f_t_inv = oracle_tilde.frame, oracle_tilde.frame_inv

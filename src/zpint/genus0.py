@@ -15,7 +15,6 @@ solve the Sylvester system S c = 1 with S_ij = 1/(mu^j - lambda^i).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,23 +50,37 @@ class Genus0Problem:
     def __post_init__(self):
         if self.rank < 1:
             raise InputError("rank must be at least 1")
-        points, vectors, n = _node_arrays(self.zeros, self.poles, self.rank)
-        object.__setattr__(self, "zeros", tuple(zip(points[:n], vectors[:n])))
-        object.__setattr__(self, "poles", tuple(zip(points[n:], vectors[n:])))
-        # one distance test over all nodes; only where it finds a pair, or a
-        # point is not finite, are the sides read one by one, in the order
-        # of the checks (coincidences raises for a non-finite point)
-        pts = np.array(points, dtype=complex)
-        finite = cmath.isfinite(sum(points))   # a sum past the largest double reads the sides
-        hits = finite and _SPHERE.gap(pts[:, None] - pts) <= POINT_TOL
-        if not finite or np.count_nonzero(hits) != len(pts):   # the diagonal always hits
-            lams, mus = pts[:n], pts[n:]
-            for side, name in ((lams, "zero"), (mus, "pole")):
-                if any(i != j for i, j in _SPHERE.coincidences(side, side)):
-                    raise InputError(f"{name} points must be distinct")
-            if _SPHERE.coincidences(lams, mus):
-                raise InputError("zeros and poles must be disjoint")
+        try:
+            zeros = tuple(
+                (complex(z), np.asarray(x, dtype=complex).reshape(self.rank))
+                for z, x in self.zeros
+            )
+            poles = tuple(
+                (complex(m), np.asarray(u, dtype=complex).reshape(self.rank))
+                for m, u in self.poles
+            )
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"a node needs a point and a vector of length {self.rank}: "
+                             f"{exc}") from exc
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "poles", poles)
+        # one distance test over all nodes, read block by block in the order
+        # of the checks; points() names a non-finite point before its side
+        # is read, and a distance past the largest double is no coincidence
+        nodes, n = (*zeros, *poles), len(zeros)
+        pts = np.array([z for z, _ in nodes], dtype=complex)
+        _SPHERE.points(pts[:n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = _SPHERE.gap(pts[:, None] - pts) <= POINT_TOL
+        np.fill_diagonal(hits, False)
+        if np.count_nonzero(hits[:n, :n]):
+            raise InputError("zero points must be distinct")
+        _SPHERE.points(pts[n:])
+        if np.count_nonzero(hits[n:]):   # hits is symmetric: its pole rows hold both blocks left
+            raise InputError("pole points must be distinct" if hits[n:, n:].any()
+                             else "zeros and poles must be disjoint")
         # the squared norms, summed as np.linalg.norm sums them for an axis
+        vectors = np.array([v for _, v in nodes]).reshape(-1, self.rank)
         if not np.add.reduce((vectors.conj() * vectors).real, axis=1).all():
             raise InputError("interpolation vectors must be nonzero")
 
@@ -78,29 +91,6 @@ class Genus0Problem:
     @property
     def n_poles(self) -> int:
         return len(self.poles)
-
-
-def _node_arrays(zeros, poles, rank: int) -> tuple:
-    """The points (a list of complex) and the vectors (N, rank) of the zeros,
-    then the poles, and the number of zeros; InputError for the first node,
-    in order, without a point and a vector of length rank."""
-    message = f"a node needs a point and a vector of length {rank}: "
-    try:
-        zeros, poles = tuple(zeros), tuple(poles)
-    except TypeError as exc:
-        raise InputError(message + str(exc)) from exc
-    nodes = (*zeros, *poles)
-    try:   # the usual input, one vector of rank numbers per node, in one call
-        points = [complex(z) for z, _ in nodes]
-        vectors = np.asarray([x for _, x in nodes], dtype=complex).reshape(len(nodes), rank)
-        return points, vectors, len(zeros)
-    except (TypeError, ValueError):
-        pass
-    try:   # node by node, as each is read
-        nodes = [(complex(z), np.asarray(x, dtype=complex).reshape(rank)) for z, x in nodes]
-    except (TypeError, ValueError) as exc:
-        raise InputError(message + str(exc)) from exc
-    return [z for z, _ in nodes], np.array([v for _, v in nodes]).reshape(-1, rank), len(zeros)
 
 
 def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:

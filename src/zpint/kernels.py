@@ -35,9 +35,9 @@ F; a single pair is the N = 1 case of the same code.
 An interpolant of absint reads its kernels only at pairs of a point with
 ends fixed at build time: end_plan freezes them once, on the torus as a
 theta.ThetaTable of the ends, and evaluate_channels reads the channels at
-a batch of points from it.  end_plan also keeps the channels at the node
-points of the other side, from which the interpolant builds Gamma: on the
-torus out of the walk that builds the table, elsewhere one
+a batch of points from it.  end_plan also returns the channels at the
+node points of the other side, from which the interpolant builds Gamma:
+on the torus out of the walk that builds the table, elsewhere one
 evaluate_channels call.  kernel_grid, over every pair of two point
 sets, serves the block matrices built from an oracle.  Points are checked
 once, by surface.points, where they enter: the oracle call and
@@ -185,9 +185,6 @@ class EndPlan:
     tilde and chi; rows is None.
     Elsewhere rows is _plan's (cols, ab, theta0) over the ends, for the
     pass of the oracles, and table is None.
-    at_nodes holds the tilde channels, (A, m r), at the A node points given
-    to end_plan: the columns evaluate_channels gives them, read on the
-    torus from the walk that builds the table.
     """
 
     ends: np.ndarray
@@ -196,13 +193,13 @@ class EndPlan:
     table: ThetaTable | None = None
     tilde: int = 0
     scale: np.ndarray | None = None
-    at_nodes: np.ndarray | None = None
 
 
 def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
-             point_first: bool, nodes) -> EndPlan:
+             point_first: bool, nodes) -> tuple[EndPlan, np.ndarray]:
     """The EndPlan of the channels tilde and chi over the checked point
-    array ends, with the tilde channels at the checked node points nodes.
+    array ends, and the tilde channels at the A checked node points nodes,
+    (A, m r): the columns evaluate_channels gives them.
 
     On the torus a channel read at (p, e) is theta[a; b](e - p) over
     theta[a; b](0) E(e, p), with E(e, p) the odd theta at p - e over its
@@ -210,17 +207,17 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     theta[a; b](0) E(p, e).  theta[a; b](-z) = theta[-a; -b](z) turns every
     theta into a row theta[+-a; +-b](e - p) of the table.  Up to
     theta.MAX_TABLE_IM the rows at the nodes come out of the table's own
-    walk (theta.theta_table with points), with no theta_table_rows read;
+    walk (the rows theta.theta_table returns), with no theta_table_rows read;
     on the sphere and past MAX_TABLE_IM they are one evaluate_channels call
     at the nodes.  A node on an end divides by a vanishing prime form there
     and gets a non-finite channel, without a warning.
     """
     m, r = len(ends), len(tilde.theta0)
     if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
-        rows = _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))])
+        plan = EndPlan(ends, point_first,
+                       _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            at_nodes = evaluate_channels(surface, EndPlan(ends, point_first, rows), nodes)
-        return EndPlan(ends, point_first, rows, at_nodes=at_nodes[:, :m * r])
+            return plan, evaluate_channels(surface, plan, nodes)[:, :m * r]
     ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
     if not point_first:
         ab = -ab
@@ -229,8 +226,8 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     # each tilde channel over its end's odd theta, as evaluate_channels has it
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = at[:r] / at[-1] * scale[:r, None, None]
-    return EndPlan(ends, point_first, None, table, r, scale,
-                   ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
+    return (EndPlan(ends, point_first, None, table, r, scale),
+            ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
 
 
 def _compose(d: np.ndarray, frame, frame_inv) -> np.ndarray:

@@ -643,10 +643,11 @@ class ThetaTable:
     shift: np.ndarray
 
 
-def theta_table(omega: PeriodMatrix, a, b, ends, points=None):
+def theta_table(omega: PeriodMatrix, a, b, ends, points):
     """The frozen table of the genus-1 rows theta[a_i; b_i](e_j - p) at every
     end e_j of the (m,) complex array ends and every characteristic of the
-    (D,) float arrays a and b.
+    (D,) float arrays a and b, and the rows at every point of the (A,)
+    complex array points, as (table, rows); points may be empty.
 
     Each end e is reduced to e^ = e - nu tau with |Im e^| <= Im(tau)/2, and
     each a to [-1/2, 1/2) (exact: theta[a + k; b] = theta[a; b]).  A
@@ -673,22 +674,22 @@ def theta_table(omega: PeriodMatrix, a, b, ends, points=None):
     row's term at n = 0, below rounding.  The window and the shared ratios
     depend on tau alone and are kept by the plan (ThetaPlan.table_window).
 
-    points, an (A,) complex array, asks for the rows at those points too,
-    as theta_table_rows reads them but in one product per characteristic:
-    each point is reduced to p^ = p - n tau as theta_table_rows reduces it,
-    and its factors are walked in the same walk as the coefficients, from
+    The rows at points are those theta_table_rows reads, but in one product
+    per characteristic: each point is reduced to p^ = p - n tau as
+    theta_table_rows reduces it, and its factors are walked in the same
+    walk as the coefficients, from
     exp(-2 pi i a p^ - pi Im(tau) (a^2 + 1/2) / 2) at n = 0 (times the
     multiplier exp(2 pi i n b) of its shift), by its first steps
     exp(-+2 pi i p^ - pi Im(tau) (1 +- 2 a) / 2) and the shared ratios
     exp(-pi Im(tau) s).  The first factor lies within [exp(-7 pi Im(tau) /
     8), exp(pi Im(tau) / 4)] and the first steps below exp(pi Im(tau)), so
     up to MAX_TABLE_IM they are normal doubles, or a step underflows with
-    the same bound on what it drops as a coefficient's.  Then theta_table
-    returns (table, rows), rows (D, A, m) the (A, W) @ (W, m) product of
-    the factors and the coefficients of each characteristic: a point's rows
-    carry the factor of theta_table_rows, common to the rows of one end, and
-    agree with its rows within rounding.  They are not checked for
-    finiteness; the interpolant's Gamma, built from them, is.
+    the same bound on what it drops as a coefficient's.  rows (D, A, m) is
+    the (A, W) @ (W, m) product of the factors and the coefficients of each
+    characteristic: a point's rows carry the factor of theta_table_rows,
+    common to the rows of one end, and agree with its rows within rounding.
+    They are not checked for finiteness; the interpolant's Gamma, built
+    from them, is.
 
     Raises
     ------
@@ -708,14 +709,14 @@ def theta_table(omega: PeriodMatrix, a, b, ends, points=None):
     nu = np.rint(ends.imag / height)
     ends = ends - nu * tau
     lin = (2j * math.pi) * ends[:, None]
-    m, count = len(ends), 0 if points is None else len(points)
+    m = len(ends)
     grid = (a[:, None] + window)[:, None]   # x over the window, (D, 1, W)
     gauss = -half * (grid * grid + 0.5)
     # per (end, characteristic): the exponent of the coefficient at n = 0,
     # with the end's scale and the multiplier exp(-2 pi i nu b) of its
     # shift, and those of the first steps up and down; then the same for
     # the factors of each point
-    first = np.empty((3, m + count, len(b)), dtype=complex)
+    first = np.empty((3, m + len(points), len(b)), dtype=complex)
     coef = first[:, :m]
     slope = quad * a + shift
     np.add(slope + quad * (a + 1), lin, out=coef[1])
@@ -724,16 +725,15 @@ def theta_table(omega: PeriodMatrix, a, b, ends, points=None):
     coef[0] += ((0.25 * half - (math.pi / height) * ends.imag ** 2)[:, None]
                 - nu[:, None] * shift)
     np.subtract(2 * quad, coef[1], out=coef[2])
-    if count:
-        n = np.rint(points.imag / height)
-        lin = (2j * math.pi) * (points - n * tau)[:, None]
-        # the factors' Gaussian at n = -1, 0, 1, and its steps from n = 0
-        centre = len(window) // 2
-        near = gauss[:, 0, centre - 1:centre + 2].T
-        np.multiply(lin, a, out=first[0, m:])
-        np.subtract(n[:, None] * shift + near[1], first[0, m:], out=first[0, m:])
-        np.subtract(near[2] - near[1], lin, out=first[1, m:])
-        np.add(lin, near[0] - near[1], out=first[2, m:])
+    n = np.rint(points.imag / height)
+    lin = (2j * math.pi) * (points - n * tau)[:, None]
+    # the factors' Gaussian at n = -1, 0, 1, and its steps from n = 0
+    centre = len(window) // 2
+    near = gauss[:, 0, centre - 1:centre + 2].T
+    np.multiply(lin, a, out=first[0, m:])
+    np.subtract(n[:, None] * shift + near[1], first[0, m:], out=first[0, m:])
+    np.subtract(near[2] - near[1], lin, out=first[1, m:])
+    np.add(lin, near[0] - near[1], out=first[2, m:])
     np.exp(first, out=first)
     # walk[s] holds the coefficients (and factors) at n = s (up) and n = -s
     # (down), each its inner neighbour times a step
@@ -741,17 +741,13 @@ def theta_table(omega: PeriodMatrix, a, b, ends, points=None):
     walk = np.empty((len(ratios) + 1, 2, first.shape[1] * len(b)), dtype=complex)
     walk[0] = first[0].reshape(-1)
     np.multiply(coef[1:].reshape(2, -1), ratios, out=walk[1:, :, :cols])
-    if count:
-        np.multiply(first[1:, m:].reshape(2, -1), point_ratios, out=walk[1:, :, cols:])
+    np.multiply(first[1:, m:].reshape(2, -1), point_ratios, out=walk[1:, :, cols:])
     for prev, cur in zip(walk, walk[1:]):
         np.multiply(cur, prev, out=cur)
     terms = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(len(window), -1, len(b))
     coeffs = np.ascontiguousarray(terms[:, :m].transpose(2, 0, 1))
-    table = ThetaTable(tau, coeffs, (-2j * math.pi) * grid, gauss, shift)
-    if points is None:
-        return table
     rows = terms[:, m:].transpose(2, 1, 0) @ coeffs
-    return table, rows
+    return ThetaTable(tau, coeffs, (-2j * math.pi) * grid, gauss, shift), rows
 
 
 def theta_table_rows(table: ThetaTable, P) -> np.ndarray:

@@ -338,9 +338,9 @@ def test_non_finite_gamma_entry_is_a_typed_error(rng, monkeypatch):
     original = absint_module.end_plan
 
     def one_nan(*args):
-        plan = original(*args)
-        plan.at_nodes[2, -1] = np.nan   # zero 2 against the last pole vector
-        return plan
+        plan, at_nodes = original(*args)
+        at_nodes[2, -1] = np.nan   # zero 2 against the last pole vector
+        return plan, at_nodes
 
     monkeypatch.setattr(absint_module, "end_plan", one_nan)
     for build in (build_solution, build_inverse):

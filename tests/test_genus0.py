@@ -198,6 +198,32 @@ def test_problem_validation():
         sylvester_coefficients([1.0], [])
 
 
+@pytest.mark.parametrize("zeros, poles, message", [
+    ([np.nan, 2.0, 2.0], [np.inf], r"non-finite point \(nan"),
+    ([2.0, 2.0], [np.inf, 3.0], "zero points must be distinct"),
+    ([2.0], [np.inf, 3.0, 3.0], r"non-finite point \(inf"),
+    ([2.0], [3.0, 3.0, 2.0], "pole points must be distinct"),
+    ([2.0, 4.0], [3.0, 2.0], "zeros and poles must be disjoint"),
+    ([2.0, 4.0], [3.0], "vectors must be nonzero"),
+])
+def test_problem_validation_order(zeros, poles, message):
+    """The checks run in a fixed order: the zero points are finite and
+    distinct, then the pole points, then no zero is a pole, then every
+    vector has a nonzero norm.  The last zero of each case carries the
+    vector [1e-200], which only that last check refuses (it squares to 0,
+    as in np.linalg.norm)."""
+    with pytest.raises(InputError, match=message):
+        Genus0Problem(rank=1, zeros=[(z, [1.0]) for z in zeros[:-1]] + [(zeros[-1], [1e-200])],
+                      poles=[(m, [1.0]) for m in poles])
+
+
+def test_problem_far_apart_points_are_distinct():
+    """Finite points whose distance overflows are distinct, with no warning."""
+    problem = Genus0Problem(rank=1, zeros=((1e308, [1.0]), (1e308 + 1e300j, [1.0])),
+                            poles=((-1e308, [1.0]),))
+    assert problem.n_zeros == 2
+
+
 def test_solver_rejections():
     with pytest.raises(NotSquare):
         solve_genus0(Genus0Problem(

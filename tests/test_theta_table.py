@@ -54,7 +54,8 @@ def test_table_rows_match_direct_sums(height, real, data):
     ends = np.array([draw(st.floats(-2, 2)) + draw(st.floats(-2, 2)) * tau for _ in range(2)])
     points = [draw(st.floats(-1, 1)) + draw(st.floats(-1, 1)) * tau for _ in range(2)]
     points.append(ends[draw(st.integers(0, 1))] + 1e-3 * np.exp(2j * np.pi * draw(unit)))
-    rows = theta_table_rows(theta_table(period_from_tau(tau), a, b, ends), np.array(points))
+    table = theta_table(period_from_tau(tau), a, b, ends, np.empty(0, complex))[0]
+    rows = theta_table_rows(table, np.array(points))
     for i, p in enumerate(points):
         for j, e in enumerate(ends):
             exact = [direct_row(a[k], b[k], e - p, tau) for k in range(len(a))]
@@ -73,7 +74,7 @@ def test_walked_point_rows_match_direct_sums(height, real, data):
     moduli (the exponents round to about pi Im(tau) eps), for ends up to
     two periods out and points up to one period out, one of them within
     1e-3 of an end.  The table built with the points is, bit for bit, the
-    one built without them."""
+    one built with none, whose rows are empty."""
     tau = complex(real, height)
     draw = data.draw
     count = draw(st.integers(1, 3))
@@ -84,10 +85,11 @@ def test_walked_point_rows_match_direct_sums(height, real, data):
     points.append(ends[draw(st.integers(0, 1))] + 1e-3 * np.exp(2j * np.pi * draw(unit)))
     omega = period_from_tau(tau)
     table, rows = theta_table(omega, a, b, ends, np.array(points))
-    alone = theta_table(omega, a, b, ends)
+    alone, none = theta_table(omega, a, b, ends, np.empty(0, complex))
     for name in ("coeffs", "slopes", "gauss", "shift"):
         assert np.array_equal(getattr(table, name), getattr(alone, name)), name
     assert rows.shape == (len(a), len(points), len(ends))
+    assert none.shape == (len(a), 0, len(ends))
     tol = max(1e-13, 10 * np.pi * height * EPS)
     for i, p in enumerate(points):
         for j, e in enumerate(ends):
@@ -215,7 +217,7 @@ def test_table_refuses_im_tau_past_its_range():
     pass there)."""
     with pytest.raises(NonConvergent):
         theta_table(period_from_tau(1j * (MAX_TABLE_IM + 1)), np.zeros(1), np.zeros(1),
-                    np.zeros(1, dtype=complex))
+                    np.zeros(1, dtype=complex), np.zeros(1, dtype=complex))
 
 
 @pytest.mark.parametrize("chunk", [1, 64, 1 << 15])
@@ -233,7 +235,8 @@ def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
     for ends, chars, stride in ((4, 3, 1), (33, 5, 2)):
         table = theta_table(period_from_tau(tau), rng.uniform(-1, 1, chars),
                             rng.uniform(-1, 1, chars),
-                            rng.uniform(-2, 2, ends) + rng.uniform(-2, 2, ends) * tau)
+                            rng.uniform(-2, 2, ends) + rng.uniform(-2, 2, ends) * tau,
+                            np.empty(0, complex))[0]
         P = (rng.uniform(-3, 3, 40 * stride) + rng.uniform(-3, 3, 40 * stride) * tau)[::stride]
         batch = theta_table_rows(table, P)
         assert batch.shape == (40, ends, chars)
