@@ -20,12 +20,19 @@ vector rows, NodeRows per side, which Gamma and the interpolant weights
 read; conint.ConintDataSet shares the node type, the validation and the
 layout, at the width of its pencil.
 
-Both interpolants evaluate arrays of points (BundleMapEvaluator.many),
-and a call at one point is the N = 1 case.  Both kernels are in the normal
+There is one interpolant orientation.  Transposing T^{-1} through the
+kernel duality K(chi*; p, q)^T = -K(chi; q, p) gives the solution formula
+of the swapped problem: zeros and poles exchanged (u the null rows, x the
+pole rows), couplings -rho^T, both kernels dual and base value Q^-T, whose
+Gamma is -Gamma^T.  So build_inverse is build_solution's evaluator on the
+swapped problem, with its values transposed.
+
+The interpolant evaluates arrays of points (BundleMapEvaluator.many), and
+a call at one point is the N = 1 case.  Both kernels are in the normal
 form F diag(k_1, ..., k_r) F^-1 of kernels, so K(chi; p, q)^-1 is
 F diag(1/k) F^-1 and the kernel sum is linear in the channels of
 K(chi~); the weights, Q and both frames are folded at build time into
-one matrix.  The kernels are read only at pairs of p with ends fixed at
+one matrix.  The kernels are read only at pairs (p, e) with ends fixed at
 build time, so on the torus the build also freezes the Fourier
 coefficients of every theta row at the ends (kernels.end_plan, a
 theta.ThetaTable).  A batch of points then costs one finiteness check,
@@ -33,17 +40,16 @@ one distance test against the ends, one kernels.evaluate_channels call
 (on the torus one read of the table, no lattice pass), one matmul and one
 divide by the channels of K(chi).
 
-An interpolant has one plan, of the ends [q, mu_1, ...] of T's kernel
-sum ([q, lambda_1, ...] for T^{-1}), and reads Gamma and its base column
-from the channels end_plan returns with it at the node points of the
-other side.  On the torus those come out of the walk that builds the
-table, so a torus build makes one theta table, reads no table rows and
-makes no lattice pass.  A kernel without a frame (F = I) meets no
-product with I in the build: Gamma and its base column are contracted
-over its channels and the fold is written in its block layout, with the
-bits of the composed route.  T^{-1}'s Gamma is T's within rounding (bit for bit on
-the sphere).  build_gamma, one kernels.kernel_grid over the node points,
-is the reference route and the one for a kernel given by many alone.
+An interpolant has one plan, of the ends [q, mu_1, ...] of its kernel
+sum, and reads Gamma and its base column from the channels end_plan
+returns with it at the zero points.  On the torus those come out of the
+walk that builds the table, so a torus build makes one theta table, reads
+no table rows and makes no lattice pass.  A kernel without a frame
+(F = I) meets no product with I in the build: Gamma and its base column
+are contracted over its channels and the fold is written in its block
+layout, with the bits of the composed route.  build_gamma, one
+kernels.kernel_grid over the node points, is the reference route and the
+one for a kernel given by many alone.
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -292,11 +298,9 @@ class InterpolationDataSet(_NodeData):
 class GammaMatrix:
     """Block coupling matrix over the vector rows of the zeros and poles
     (data.zero_rows and pole_rows).  An interpolant's Gamma also holds, in
-    at_base, the kernel values at its base point q on the vector rows, read
-    with Gamma from the interpolant's one plan: K_x_lam(q) = [x_a K(chi~;
-    lambda_a, q)]_a, (A, r), or for an inverse, whose Gamma is T's within
-    rounding (bit for bit on the sphere), K_mu_u(q)^T = [K(chi~; q, mu_b)
-    u_b]_b, (B, r); build_gamma leaves it None."""
+    at_base, the kernel values K_x_lam(q) = [x_a K(chi~; lambda_a, q)]_a,
+    (A, r), at its base point q on the null rows, read with Gamma from the
+    interpolant's one plan; build_gamma leaves it None."""
 
     matrix: np.ndarray
     at_base: np.ndarray | None = None
@@ -350,42 +354,33 @@ def _end_kernels(d: np.ndarray, m: int, oracle_tilde) -> np.ndarray:
                     oracle_tilde.frame_inv).reshape(len(d), m, r, r)
 
 
-def _plan_gamma(data, d, oracle_tilde, solution: bool) -> GammaMatrix:
+def _plan_gamma(data, d, oracle_tilde) -> GammaMatrix:
     """Gamma and at_base from the tilde channels d of the interpolant's one
-    plan at the node points of the other side, as end_plan returns them
-    (on the torus out of the walk that builds the plan's table).
+    plan at the zero points, as end_plan returns them (on the torus out of
+    the walk that builds the plan's table): K(chi~; lambda, mu) and
+    K(chi~; lambda, q).
 
-    T's pole-end plan at the zero points holds K(chi~; lambda, mu) and
-    K(chi~; lambda, q); T^{-1}'s zero-end plan at the pole points holds
-    K(chi~; lambda, mu), transposed, and K(chi~; q, mu).  A coincident
-    (zero, pole) pair divides by a vanishing prime form: the channels of the
-    other node's end columns are left zero, as kernel_grid leaves them.
-    Without a frame, K(chi~) is diagonal, and Gamma and at_base are
+    A coincident (zero, pole) pair divides by a vanishing prime form: the
+    channels of the pole's end columns are left zero, as kernel_grid leaves
+    them.  Without a frame, K(chi~) is diagonal, and Gamma and at_base are
     contracted over the channels; the zero products this skips change no
     bit.  On the sphere and past theta.MAX_TABLE_IM every value has the
-    bits of build_gamma's; on the torus table route T^{-1}'s are T's within
-    rounding.
+    bits of build_gamma's.
     """
-    rows, ends, r = data.zero_rows, data.pole_rows, data.rank
-    if not solution:
-        rows, ends = ends, rows
-    for pair in data.couplings:   # the columns of the other node's ends, 1 + its rows
-        at, end = pair if solution else pair[::-1]
-        start, stop = ends.blocks[end]
+    zeros, poles, r = data.zero_rows, data.pole_rows, data.rank
+    for at, end in data.couplings:   # the columns of the pole's ends, 1 + its rows
+        start, stop = poles.blocks[end]
         d[at, (1 + start) * r:(1 + stop) * r] = 0.0
     m = d.shape[1] // r
     if oracle_tilde.frame is None:   # K(chi~) is diagonal: contract over its channels
-        kvals = d.reshape(len(d), m, r)[rows.node_of]
-        spec, at_zeros, at_poles = "ak,abk,bk->ab", "ak,ak->ak", "bk,bk->bk"
+        kvals = d.reshape(len(d), m, r)[zeros.node_of]
+        spec, at_base = "ak,abk,bk->ab", "ak,ak->ak"
     else:
-        kvals = _end_kernels(d, m, oracle_tilde)[rows.node_of]
-        spec, at_zeros, at_poles = "ak,abkl,bl->ab", "ak,akl->al", "bkl,bl->bk"
+        kvals = _end_kernels(d, m, oracle_tilde)[zeros.node_of]
+        spec, at_base = "ak,abkl,bl->ab", "ak,akl->al"
     grid, base = kvals[:, 1:], kvals[:, 0]
-    if solution:
-        return _assemble(data, -np.einsum(spec, rows.vectors, grid, ends.vectors),
-                         np.einsum(at_zeros, rows.vectors, base))
-    return _assemble(data, -np.einsum(spec, ends.vectors, grid.swapaxes(0, 1), rows.vectors),
-                     np.einsum(at_poles, base, rows.vectors))
+    return _assemble(data, -np.einsum(spec, zeros.vectors, grid, poles.vectors),
+                     np.einsum(at_base, zeros.vectors, base))
 
 
 def _solvable(gamma: GammaMatrix) -> GammaMatrix:
@@ -405,17 +400,14 @@ class BundleMapEvaluator:
 
     many(P) gives the values at a sequence of points, shape (N, r, r); a
     call T(p) is its N = 1 case, and a call on a sequence is many.  The
-    value at q is Q for a solution and Q^{-1} for an inverse.  T has poles
-    at the pole nodes (T^{-1} at the zero nodes), where many raises.
+    value at q is Q.  T has poles at the pole nodes, where many raises.
 
-    The kernel sum of a point p reads K(chi~) at the pairs of p with the
-    ends [q, the pole of each pole vector] (T^{-1}: [q, the zero of each
-    null vector]), with the weights V_0 = I and V_j = outer(left_j,
-    right_j) of _weights.  With K(chi~) = F~ diag(d_j) F~^-1 at end j and
-    K(chi) = F diag(c) F^-1,
+    The kernel sum of a point p reads K(chi~) at the pairs (p, e) with the
+    ends [q, the pole of each pole vector], with the weights V_0 = I and
+    V_j = outer(left_j, right_j) of _weights.  With K(chi~) = F~ diag(d_j)
+    F~^-1 at end j and K(chi) = F diag(c) F^-1,
 
-        T(p)      = F~ [sum_j diag(d_j) F~^-1 V_j Q F] diag(1/c) F^-1,
-        T^{-1}(p) = F diag(1/c) [sum_j F^-1 Q^-1 V_j F~ diag(d_j)] F~^-1,
+        T(p) = F~ [sum_j diag(d_j) F~^-1 V_j Q F] diag(1/c) F^-1,
 
     so everything but the channels d and c is folded at build time into
     one (m r, r r) matrix, and a point's values are its m r channels of
@@ -427,12 +419,11 @@ class BundleMapEvaluator:
     with p reduced by the lattice and the channels' multipliers, instead of
     summing a lattice; past MAX_TABLE_IM, and on the sphere, the oracles'
     channel pass.  It is the only plan: the build reads Gamma and its base
-    column from the channels end_plan returns with it at the node points
-    of the other side (_plan_gamma), on the torus rows of the walk that
-    builds the table, and makes no lattice pass and no table read.
-    T^{-1}'s Gamma is T's within rounding, bit for bit on the sphere and
-    past MAX_TABLE_IM.  A frame that is None (F = I) is no product: the
-    fold of a frame-free chi~ is written in its block layout.
+    column from the channels end_plan returns with it at the zero points
+    (_plan_gamma), on the torus rows of the walk that builds the table, and
+    makes no lattice pass and no table read.  A frame that is None (F = I)
+    is no product: the fold of a frame-free chi~ is written in its block
+    layout.
 
     A point costs its channel read, one matmul and one divide.  On the torus
     it also tests K(chi) for a pole of its inverse (a tiny channel against
@@ -444,44 +435,34 @@ class BundleMapEvaluator:
     well conditioned.
     """
 
-    def __init__(self, data, q, Q, oracle_chi, oracle_tilde, kind):
+    def __init__(self, data, q, Q, oracle_chi, oracle_tilde):
         self.data = data
         self.q = q
         self.Q = Q
         self.oracle_chi = oracle_chi
         self.oracle_tilde = oracle_tilde
-        self.kind = kind
-        solution = kind == "solution"
-        self._at_q = Q if solution else np.linalg.inv(Q)
-        rows, nodes = ((data.pole_rows, data.zero_rows) if solution
-                       else (data.zero_rows, data.pole_rows))
-        self._plan, at_nodes = end_plan(data.surface, oracle_tilde.channels,
+        poles = data.pole_rows
+        self._plan, at_zeros = end_plan(data.surface, oracle_tilde.channels,
                                         oracle_chi.channels,
-                                        np.concatenate([[q], rows.points[rows.node_of]]),
-                                        solution, nodes.points)
-        self.gamma = gamma = _solvable(_plan_gamma(data, at_nodes, oracle_tilde, solution))
+                                        np.concatenate([[q], poles.points[poles.node_of]]),
+                                        data.zero_rows.points)
+        self.gamma = gamma = _solvable(_plan_gamma(data, at_zeros, oracle_tilde))
         m, r = len(self._plan.ends), self.rank
-        left, right = _weights(data, gamma, not solution)
-        f_t, f_t_inv = oracle_tilde.frame, oracle_tilde.frame_inv
-        # a V_j b for a, b = F~^-1, Q F (T^{-1}: F^-1 Q^-1, F~), from the
-        # factors of V_j; a frame that is None (I) is no product
-        a, b = ((f_t_inv, _times(Q, oracle_chi.frame)) if solution
-                else (_times(oracle_chi.frame_inv, self._at_q), f_t))
+        left, right = _weights(data, gamma)
+        f_t = oracle_tilde.frame
+        # a V_j b for a, b = F~^-1, Q F, from the factors of V_j; a frame
+        # that is None (I) is no product
+        a, b = oracle_tilde.frame_inv, _times(Q, oracle_chi.frame)
         inner = np.concatenate([_times(a, b)[None],
                                 (left if a is None else left @ a.T)[:, :, None]
                                 * _times(right, b)[:, None, :]])
         if f_t is None:   # the fold's (j, k, a, l) block is delta_ak inner[j, k, l]
             fold = np.zeros((m, r, r, r), dtype=complex)
             k = np.arange(r)
-            if solution:
-                fold[:, k, k] = inner
-            else:   # (T^{-1}: delta_kl inner[j, a, k] at (j, k, a, l))
-                fold[:, k, :, k] = inner.transpose(2, 0, 1)
+            fold[:, k, k] = inner
         else:
-            fold = (np.einsum("ak,jkl->jkal", f_t, inner) if solution
-                    else np.einsum("jak,kb->jkab", inner, f_t_inv))
+            fold = np.einsum("ak,jkl->jkal", f_t, inner)
         self._fold = fold.reshape(m * r, r * r)
-        self._frame = oracle_chi.frame_inv if solution else oracle_chi.frame
 
     def many(self, P) -> np.ndarray:
         """Values at the points P, shape (N, r, r).
@@ -491,7 +472,7 @@ class BundleMapEvaluator:
         InputError
             If a point of P is not finite.
         PointOnExcludedSet
-            If a point of P is a pole node of T (a zero node of T^{-1}).
+            If a point of P is a pole node.
         SingularMatrix
             If a point of P is a pole of the inverse kernel factor (on the
             torus), or so far from q that 1/(p - q) rounds to 0 (on the
@@ -505,10 +486,10 @@ class BundleMapEvaluator:
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
             where = point(P[on_pole.argmax()])
-            raise PointOnExcludedSet(f"the {self.kind} has a pole at p = {where!r}")
+            raise PointOnExcludedSet(f"the interpolant has a pole at p = {where!r}")
         at_q = hits[:, 0]
         out = np.empty((len(P), self.rank, self.rank), dtype=complex)
-        out[at_q] = self._at_q
+        out[at_q] = self.Q
         if not at_q.all():
             off = ~at_q
             out[off] = self._values(P[off])
@@ -541,12 +522,17 @@ class BundleMapEvaluator:
         if singular is not None:
             where = point(P[int(singular.argmax())])
             raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
-        values = (d[:, None, :-r] @ self._fold).reshape(-1, r, r)
-        if self.kind == "solution":
-            values = values / chi[:, None, :]
-            return values if self._frame is None else values @ self._frame
-        values = values / chi[:, :, None]
-        return values if self._frame is None else self._frame @ values
+        values = (d[:, None, :-r] @ self._fold).reshape(-1, r, r) / chi[:, None, :]
+        frame = self.oracle_chi.frame_inv
+        return values if frame is None else values @ frame
+
+
+class _Transposed(BundleMapEvaluator):
+    """A BundleMapEvaluator whose values are transposed: build_inverse's
+    T^{-1}, the transpose of the swapped problem's solution."""
+
+    def many(self, P) -> np.ndarray:
+        return super().many(P).transpose(0, 2, 1)
 
 
 def _times(x, y):
@@ -565,10 +551,12 @@ def _base_value(Q, r: int) -> np.ndarray:
     return Q
 
 
-def _base(data, q, Q) -> tuple:
-    """q as a point and Q as an (r, r) array; InputError for a Q that is not
-    r^2 finite numbers, PointOnExcludedSet for q on a node, SingularMatrix
-    for a singular Q."""
+def _base(data, q, Q, oracle_chi, oracle_tilde) -> tuple:
+    """q as a point and Q as an (r, r) array; InputError for a kernel given
+    by many alone or a Q that is not r^2 finite numbers,
+    PointOnExcludedSet for q on a node, SingularMatrix for a singular Q."""
+    for oracle in (oracle_chi, oracle_tilde):
+        _channels_of(oracle, "an interpolant")
     q, Q = point(q), _base_value(Q, data.rank)
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
                                                     data.pole_rows.points]))):
@@ -579,7 +567,7 @@ def _base(data, q, Q) -> tuple:
     return q, Q
 
 
-def _weights(data, gamma, inverse: bool) -> tuple:
+def _weights(data, gamma) -> tuple:
     """The weights of an interpolant's kernel sum, one (r, r) matrix V_j per
     end of the plan: V_0 = I and V_j = outer(left_j, right_j) for the (vector
     count, r) factors (left, right) returned.
@@ -588,21 +576,22 @@ def _weights(data, gamma, inverse: bool) -> tuple:
     K_x_lam(p) = [x_a K(chi~; lambda_a, p)]_a over the null vectors, T(p)'s
     sum K(chi~; p, q) + K_mu_u(p) Gamma^-1 K_x_lam(q) is sum_j K(chi~; p,
     e_j) V_j over [q, mu_1, ..., mu_B], with V_b = outer(u_b, c_b) and c =
-    Gamma^-1 K_x_lam(q) (gamma.at_base).  T^{-1}(p)'s sum K(chi~; q, p) +
-    K_mu_u(q) Gamma^-1 K_x_lam(p) is its mirror, sum_j V_j K(chi~; e_j, p)
-    over [q, lambda_1, ..., lambda_A], with V_a = outer(c_a, x_a) and c =
-    (K_mu_u(q) Gamma^-1)^T (at_base is K_mu_u(q)^T).
+    Gamma^-1 K_x_lam(q) (gamma.at_base).
     """
-    if inverse:
-        return np.linalg.solve(gamma.matrix.T, gamma.at_base), data.zero_rows.vectors
     return data.pole_rows.vectors, np.linalg.solve(gamma.matrix, gamma.at_base)
 
 
-def _interpolant(data, q, Q, oracle_chi, oracle_tilde, kind) -> BundleMapEvaluator:
-    for oracle in (oracle_chi, oracle_tilde):
-        _channels_of(oracle, "an interpolant")
-    q, Q = _base(data, q, Q)
-    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde, kind)
+def _swapped(data: InterpolationDataSet) -> InterpolationDataSet:
+    """The swapped problem of data: zeros and poles exchanged, so that u are
+    the null rows and x the pole rows, with the couplings -rho^T at (j, i).
+    It is laid out from the validated data, with no second validation."""
+    swapped = object.__new__(type(data))
+    couplings = sorted(((j, i), -rho.T) for (i, j), rho in data.couplings.items())
+    for name, value in dict(surface=data.surface, rank=data.rank, zeros=data.poles,
+                            poles=data.zeros, zero_rows=data.pole_rows,
+                            pole_rows=data.zero_rows, couplings=dict(couplings)).items():
+        object.__setattr__(swapped, name, value)
+    return swapped
 
 
 def build_solution(data: InterpolationDataSet, q, Q,
@@ -612,7 +601,8 @@ def build_solution(data: InterpolationDataSet, q, Q,
 
     Raises InputError for a kernel given by many alone.
     """
-    return _interpolant(data, q, Q, oracle_chi, oracle_tilde, "solution")
+    q, Q = _base(data, q, Q, oracle_chi, oracle_tilde)
+    return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde)
 
 
 def build_inverse(data: InterpolationDataSet, q, Q,
@@ -621,14 +611,19 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     """Inverse interpolant: T^{-1} with value Q^{-1} at q.
 
     T^{-1}(p) = K(chi; q, p)^{-1} Q^{-1}
-                [K(chi~; q, p) + K_mu_u(q) Gamma^{-1} K_x_lam(p)];
+                [K(chi~; q, p) + K_mu_u(q) Gamma^{-1} K_x_lam(p)]
 
-    every kernel factor carries the (q, p) argument order, as dictated by
-    transposing the solution of the swapped zero/pole problem through the
-    kernel duality K(dual; p, q)^T = -K(chi; q, p).  Raises InputError for
-    a kernel given by many alone.
+    is, through the kernel duality K(chi*; p, q)^T = -K(chi; q, p), the
+    transpose of the solution of the swapped problem: zeros and poles
+    exchanged, couplings -rho^T, both kernels dual and base value Q^-T.
+    So this is build_solution's evaluator on that problem, with its values
+    transposed; its data, Q, kernels and Gamma (-Gamma^T) are the swapped
+    problem's.  Q is checked once, on the given data.  Raises as
+    build_solution.
     """
-    return _interpolant(data, q, Q, oracle_chi, oracle_tilde, "inverse")
+    q, Q = _base(data, q, Q, oracle_chi, oracle_tilde)
+    return _Transposed(_swapped(data), q, np.linalg.inv(Q).T, oracle_chi.dual(),
+                       oracle_tilde.dual())
 
 
 def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
@@ -678,7 +673,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     if not poles:
         return []
     q, Q = T.q, T.Q
-    left, right = _weights(data, T.gamma, False)
+    left, right = _weights(data, T.gamma)
     ref_point = lattice_reduce(q + 0.2718 + 0.3141j, data.surface.tau)
     P = data.surface.points([ref_point, *poles])
     d = evaluate_channels(data.surface, T._plan, P)

@@ -32,13 +32,14 @@ form from its sine series (theta.odd_theta_series), on the sphere one
 1/(p - q).  An oracle's many, and so the oracle called at one pair or
 at two sequences of N pairs, and kernel_grid, is the pass composed with
 F; a single pair is the N = 1 case of the same code.
-An interpolant of absint reads its kernels only at pairs of a point with
-ends fixed at build time: end_plan freezes them once, on the torus as a
-theta.ThetaTable of the ends, and evaluate_channels reads the channels at
-a batch of points from it.  end_plan also returns the channels at the
-node points of the other side, from which the interpolant builds Gamma:
-on the torus out of the walk that builds the table, elsewhere one
-evaluate_channels call.  kernel_grid, over every pair of two point
+An interpolant of absint reads its kernels only at pairs (p, e) of a
+point with ends fixed at build time: end_plan freezes them once, on the
+torus as a theta.ThetaTable of the ends, and evaluate_channels reads the
+channels at a batch of points from it.  end_plan also returns the
+channels at the zero points, from which the interpolant builds Gamma: on
+the torus out of the walk that builds the table, elsewhere one
+evaluate_channels call.  There is one orientation: absint builds T^-1 as
+the transposed solution of the swapped problem, on the dual kernels.  kernel_grid, over every pair of two point
 sets, serves the block matrices built from an oracle.  Points are checked
 once, by surface.points, where they enter: the oracle call and
 kernel_grid; many and the pass take checked arrays.
@@ -177,8 +178,8 @@ class EndPlan:
     """The channel rows of an interpolant over its fixed ends.
 
     Its channels are those of tilde at each of the m ends, end by end,
-    then those of chi at ends[0], read at the pairs (p, e) when
-    point_first, else (e, p).  On the torus up to theta.MAX_TABLE_IM, table
+    then those of chi at ends[0], read at the pairs (p, e).  On the torus
+    up to theta.MAX_TABLE_IM, table
     is the frozen theta.ThetaTable of the ends over the characteristics of
     tilde, of chi and of the odd theta, tilde the number of tilde
     channels, and scale theta'(0)/theta[a; b](0) per characteristic of
@@ -188,7 +189,6 @@ class EndPlan:
     """
 
     ends: np.ndarray
-    point_first: bool
     rows: tuple | None
     table: ThetaTable | None = None
     tilde: int = 0
@@ -196,16 +196,15 @@ class EndPlan:
 
 
 def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
-             point_first: bool, nodes) -> tuple[EndPlan, np.ndarray]:
+             nodes) -> tuple[EndPlan, np.ndarray]:
     """The EndPlan of the channels tilde and chi over the checked point
     array ends, and the tilde channels at the A checked node points nodes,
     (A, m r): the columns evaluate_channels gives them.
 
     On the torus a channel read at (p, e) is theta[a; b](e - p) over
     theta[a; b](0) E(e, p), with E(e, p) the odd theta at p - e over its
-    derivative at 0; read at (e, p) it is theta[a; b](p - e) over
-    theta[a; b](0) E(p, e).  theta[a; b](-z) = theta[-a; -b](z) turns every
-    theta into a row theta[+-a; +-b](e - p) of the table.  Up to
+    derivative at 0, so every theta is a row theta[a; b](e - p) of the
+    table (the odd one theta[-1/2; -1/2](e - p)).  Up to
     theta.MAX_TABLE_IM the rows at the nodes come out of the table's own
     walk (the rows theta.theta_table returns), with no theta_table_rows read;
     on the sphere and past MAX_TABLE_IM they are one evaluate_channels call
@@ -214,19 +213,16 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     """
     m, r = len(ends), len(tilde.theta0)
     if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
-        plan = EndPlan(ends, point_first,
-                       _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))]))
+        plan = EndPlan(ends, _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))]))
         with np.errstate(divide="ignore", invalid="ignore"):
             return plan, evaluate_channels(surface, plan, nodes)[:, :m * r]
     ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
-    if not point_first:
-        ab = -ab
     table, at = theta_table(surface.period, ab[:, 0], ab[:, 1], ends, nodes)
     scale = odd_theta_deriv0(surface.tau) / np.concatenate([tilde.theta0, chi.theta0])
     # each tilde channel over its end's odd theta, as evaluate_channels has it
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = at[:r] / at[-1] * scale[:r, None, None]
-    return (EndPlan(ends, point_first, None, table, r, scale),
+    return (EndPlan(ends, None, table, r, scale),
             ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
 
 
@@ -273,6 +269,10 @@ class CauchyKernelOracle:
     def dual(self) -> "CauchyKernelOracle":
         """Oracle of the dual bundle; satisfies K(dual; p, q)^T = -K(chi; q, p).
 
+        Its channels have the characteristics (-a, -b) and reuse the
+        kernel's theta[a; b](0), since theta is even, so it makes no
+        lattice pass; the frame is F^-T.
+
         Raises
         ------
         UnsupportedGenus
@@ -284,8 +284,9 @@ class CauchyKernelOracle:
                 return self  # in the global frame the one kernel is I/(p - q), self-dual
             raise UnsupportedGenus("the dual of a kernel given by many alone is known at genus 0")
         channels = self.channels
-        if self.surface.genus:
-            channels = _line_channels(self.surface, [b.dual() for b in channels.bundles])
+        if self.surface.genus:   # theta is even: theta[-a; -b](0) = theta[a; b](0)
+            channels = _Channels(tuple(b.dual() for b in channels.bundles), -channels.ab,
+                                 channels.theta0)
         frames = (None, None) if self.frame is None else (self.frame_inv.T, self.frame.T)
         return _normal_form(self.rank, self.surface, self.name, channels, *frames)
 
@@ -332,12 +333,12 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
         r = plan.tilde
         return np.concatenate([ratio[:, :, :r].reshape(len(P), len(plan.ends) * r),
                                ratio[:, 0, r:]], axis=1)
-    d = P[:, None] - plan.ends if plan.point_first else plan.ends - P[:, None]
+    d = P[:, None] - plan.ends
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
         return _channel_pass(surface, plan.rows, -d)
-    # the sphere: every channel is 1/(p - e) or 1/(e - p); take, not [:, cols],
-    # keeps each row contiguous, as a one-point pass has it, so that a matmul
-    # over rows gives the same bits
+    # the sphere: every channel is 1/(p - e); take, not [:, cols], keeps each
+    # row contiguous, as a one-point pass has it, so that a matmul over rows
+    # gives the same bits
     return (1.0 / d).take(plan.rows[0], axis=1)
 
 

@@ -133,9 +133,14 @@ class Surface:
         return self.distance(p, q) <= tol
 
     def coincidences(self, P, Q) -> list[tuple[int, int]]:
-        """Row-major list of the index pairs (i, j) with P[i] equal to Q[j]."""
+        """Row-major list of the index pairs (i, j) with P[i] equal to Q[j].
+
+        Finite points near +-1e308 may differ by more than the largest
+        double: that difference overflows to a distance that is no hit,
+        without a warning."""
         P, Q = self.points(P), self.points(Q)
-        hits = self.gap(P[:, None] - Q[None, :]) <= POINT_TOL
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = self.gap(P[:, None] - Q[None, :]) <= POINT_TOL
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(hits))]
 
 

@@ -41,9 +41,8 @@ theta_gradient are its N = 1 case, the last one summing the gradient in
 the same pass at the gradient radius.  Every point is summed with the
 same per-element arithmetic whatever batch it arrives in, so its value
 does not depend on its batch and equals the scalar theta_with_char value
-bit for bit.  Given a tuple of characteristics, theta_many sums one row
-set per characteristic, each of its own length and each row with its own
-(a, b), in the same pass.  Enumeration order is fixed; identical inputs
+bit for bit.  theta_rows is the same pass with the characteristic given
+row by row.  Enumeration order is fixed; identical inputs
 give bit-identical results on one platform.
 
 Rows theta[a; b](e - p) whose ends e are fixed have a second route at
@@ -577,28 +576,18 @@ def theta_with_char(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> compl
 def theta_many(chi, Z, omega: PeriodMatrix):
     """theta[a; b](Z[i] | Omega) for every row of Z, shape (N, g) -> (N,).
 
-    chi may also be a tuple of k characteristics; Z then holds one row set
-    per characteristic, each of its own length (k arrays (N_i, g) give the
-    k arrays (N_i,); one (k, N, g) array gives a (k, N) array), summed in
-    one lattice pass.  Points are grouped by truncation radius and summed
-    in chunks of at most CHUNK_ELEMENTS terms; entry j of row set i is
-    bit-identical to theta_with_char(chi[i], Z[i][j], omega).
+    Points are grouped by truncation radius and summed in chunks of at
+    most CHUNK_ELEMENTS terms; entry i is bit-identical to
+    theta_with_char(chi, Z[i], omega).
     """
     g = omega.genus
-    many = isinstance(chi, tuple)
-    chis = chi if many else (chi,)
-    if any(c.genus != g for c in chis):
+    if chi.genus != g:
         raise ValueError("characteristic genus does not match period matrix")
-    sets = [np.asarray(z, dtype=complex) for z in Z] if many else [np.asarray(Z, dtype=complex)]
-    if len(sets) != len(chis) or any(z.ndim != 2 or z.shape[1] != g for z in sets):
-        raise ValueError(f"expected {len(chis)} row set(s) of shape (N, {g})")
-    rows = np.concatenate(sets) if many else sets[0]
-    counts = [len(z) for z in sets]
-    ab = np.array([(c.a, c.b) for c in chis]).repeat(counts, axis=0)
-    values = theta_rows(omega, ab[:, 0], ab[:, 1], rows)
-    if not many or isinstance(Z, np.ndarray):
-        return values.reshape(np.shape(Z)[:-1])
-    return [values[end - n:end] for n, end in zip(counts, itertools.accumulate(counts))]
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[1] != g:
+        raise ValueError(f"expected rows of shape (N, {g})")
+    ab = np.array([(chi.a, chi.b)]).repeat(len(Z), axis=0)
+    return theta_rows(omega, ab[:, 0], ab[:, 1], Z)
 
 
 def theta_rows(omega: PeriodMatrix, a: np.ndarray, b: np.ndarray, rows: np.ndarray):

@@ -2,11 +2,13 @@
 
 Builds the problems of a perfbench interpolation workload
 (``perfbench/workloads.py``, imported, not changed) and hashes, per
-problem, the bytes of the solution's Gamma, of T at every sweep point and
-of T^-1 at every sweep point, each point evaluated alone as the benchmark
-does (NaN where it raises).  A build that raises a zpint error hashes its
-class name instead.  Prints one sha256 per seed and one over all of them;
-two commits that print the same lines build the same bits.
+problem, the bytes of the solution's Gamma and of T at every sweep point
+into one digest, and those of T^-1 at every sweep point into another,
+each point evaluated alone as the benchmark does (NaN where it raises).
+A build that raises a zpint error hashes its class name instead.  Prints
+the two sha256 per seed and over all seeds, so a change to one route
+shows apart from the other; two commits that print the same digest build
+the same bits on that route.
 
     python3 tests/interp_digest.py --workload interp_sphere \
         --seeds 0,41,7101 --problems 0-63
@@ -58,10 +60,11 @@ def seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a seed list: {text!r}") from None
 
 
-def hash_problem(digest, problem) -> None:
-    """Feed Gamma, T and T^-1 over the sweep of one problem to digest."""
+def hash_problem(solution, inverse, problem) -> None:
+    """Feed the solution's Gamma and T over the sweep of one problem to
+    solution, and T^-1 over the sweep to inverse."""
     args = (problem.data, problem.q, problem.Q, problem.oracle_chi, problem.oracle_tilde)
-    for build in (absint.build_solution, absint.build_inverse):
+    for build, digest in ((absint.build_solution, solution), (absint.build_inverse, inverse)):
         try:
             T = build(*args)
         except ZpintError as exc:
@@ -80,15 +83,17 @@ def main(argv=None) -> int:
                         help="problem indices, e.g. 0-63")
     args = parser.parse_args(argv)
     make = workloads.PROBLEMS[args.workload][0]
-    total = hashlib.sha256()
+    totals = hashlib.sha256(), hashlib.sha256()
     for seed in args.seeds:
-        digest = hashlib.sha256()
+        digests = hashlib.sha256(), hashlib.sha256()
         for index in args.problems:
-            hash_problem(digest, make(seed, index))
+            hash_problem(*digests, make(seed, index))
         print(f"{args.workload} seed {seed} problems {args.problems.start}-"
-              f"{args.problems.stop - 1}: {digest.hexdigest()}")
-        total.update(digest.digest())
-    print(f"all: {total.hexdigest()}")
+              f"{args.problems.stop - 1}: solution {digests[0].hexdigest()} "
+              f"inverse {digests[1].hexdigest()}")
+        for total, digest in zip(totals, digests):
+            total.update(digest.digest())
+    print(f"all: solution {totals[0].hexdigest()} inverse {totals[1].hexdigest()}")
     return 0
 
 

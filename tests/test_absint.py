@@ -191,61 +191,63 @@ def test_build_gamma_is_one_kernel_call(n, rng, monkeypatch):
     assert len(calls[0][0]) == n * n
 
 
-def reference_gamma(data, oracle, q, inverse):
+def reference_gamma(data, oracle, q):
     """Gamma by build_gamma's kernel_grid route, with at_base in loop form:
-    one vectors @ K product per node, K(chi~; lambda, q) for T and
-    K(chi~; q, mu) for T^-1."""
+    one vectors @ K(chi~; lambda, q) product per zero."""
     from zpint.absint import GammaMatrix
 
-    if inverse:
-        kp = oracle([q] * len(data.poles), [p.point for p in data.poles])
-        at_base = np.vstack([(k @ p.vectors.T).T for k, p in zip(kp, data.poles)])
-    else:
-        kz = oracle([z.point for z in data.zeros], [q] * len(data.zeros))
-        at_base = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
+    kz = oracle([z.point for z in data.zeros], [q] * len(data.zeros))
+    at_base = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
     return GammaMatrix(build_gamma(data, oracle).matrix, at_base)
 
 
+def dual_of(oracle):
+    """oracle.dual(), or for a kernel given by many alone, which has none
+    at genus 1, the kernel K(dual; p, q) = -K(q, p)^T of the duality."""
+    from zpint.kernels import CauchyKernelOracle
+
+    if oracle.channels is not None:
+        return oracle.dual()
+    return CauchyKernelOracle(oracle.rank, oracle.surface,
+                              lambda P, Q: -oracle.many(Q, P).transpose(0, 2, 1))
+
+
+def loop_weights(data, oracle, q, gamma):
+    """The weights of the kernel sum in loop form, one (r, r) matrix per end
+    [q, then one per pole vector]: I, then one outer product per vector."""
+    kz = oracle([z.point for z in data.zeros], [q] * len(data.zeros))
+    k_x_lam = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
+    coef = np.linalg.solve(gamma.matrix, k_x_lam)
+    u = np.vstack([node.vectors for node in data.poles])
+    return np.array([np.eye(data.rank), *(np.outer(u_b, c_b) for u_b, c_b in zip(u, coef))])
+
+
 def test_numerator_and_tail_weights_match_loop_form(rng):
-    """The weights of T's and T^-1's kernel sums, one (r, r) matrix per end
-    [q, then one per pole (zero) vector], agree with the loop form of one
-    outer product per vector within 10 cond(Gamma) eps.  T and T^-1 share
-    Gamma bit for bit on the sphere and past MAX_TABLE_IM; on the torus
-    below it they read Gamma from the tables of their own ends, and agree
-    within 20 eps max|Gamma|, twice build_gamma's bound of
-    test_interpolant_gamma_matches_build_gamma.  A kernel given by many
-    alone, which the interpolants refuse, takes Gamma from build_gamma."""
-    from zpint.absint import _weights
-    from zpint.theta import MAX_TABLE_IM
+    """The weights of T's kernel sum and of the swapped problem's, whose
+    solution is T^-1 transposed, agree with the loop form of one outer
+    product per vector, each with its own data, kernel and Gamma, within
+    10 cond(Gamma) eps.  The swapped problem's Gamma is -Gamma^T within
+    20 eps max|Gamma|.  A kernel given by many alone, which the
+    interpolants refuse, takes Gamma from build_gamma, and its swapped
+    problem the dual kernel of the duality."""
+    from zpint.absint import _swapped, _weights
 
     for data, oracle, q in [*mixed_count_cases(rng), large_im_tau_case()]:
         r = data.rank
-        x = np.vstack([node.vectors for node in data.zeros])
-        u = np.vstack([node.vectors for node in data.poles])
+        swapped, dual = _swapped(data), dual_of(oracle)
         if oracle.channels is None:
-            gamma, gamma_inverse = (reference_gamma(data, oracle, q, inverse)
-                                    for inverse in (False, True))
+            gamma = reference_gamma(data, oracle, q)
+            gamma_inverse = reference_gamma(swapped, dual, q)
         else:
             gamma, gamma_inverse = (build(data, q, np.eye(r), oracle, oracle).gamma
                                     for build in (build_solution, build_inverse))
-        if data.surface.genus and data.surface.tau.imag <= MAX_TABLE_IM and oracle.channels:
-            scale = 20 * np.finfo(float).eps * np.abs(gamma.matrix).max()
-            assert np.abs(gamma.matrix - gamma_inverse.matrix).max() <= scale
-        else:
-            assert np.array_equal(gamma.matrix, gamma_inverse.matrix)
+        scale = 20 * np.finfo(float).eps * np.abs(gamma.matrix).max()
+        assert np.abs(gamma.matrix.T + gamma_inverse.matrix).max() <= scale
         tol = 10 * gamma.condition() * np.finfo(float).eps
-        # the loop form: one vectors @ k product per node, one outer product per vector
-        kz = oracle([z.point for z in data.zeros], [q] * len(data.zeros))
-        k_x_lam = np.vstack([z.vectors @ k for k, z in zip(kz, data.zeros)])
-        coef = np.linalg.solve(gamma.matrix, k_x_lam)
-        numer = np.array([np.eye(r), *(np.outer(u_b, c_b) for u_b, c_b in zip(u, coef))])
-        kp = oracle([q] * len(data.poles), [p.point for p in data.poles])
-        k_mu_u = np.hstack([k @ p.vectors.T for k, p in zip(kp, data.poles)])
-        coef = np.linalg.solve(gamma.matrix.T, k_mu_u.T)
-        tail = np.array([np.eye(r), *(np.outer(c_a, x_a) for c_a, x_a in zip(coef, x))])
-        for (left, right), ref in ((_weights(data, gamma, False), numer),
-                                   (_weights(data, gamma_inverse, True), tail)):
+        for problem, kernel, g in ((data, oracle, gamma), (swapped, dual, gamma_inverse)):
+            left, right = _weights(problem, g)
             weight = np.concatenate([np.eye(r)[None], left[:, :, None] * right[:, None, :]])
+            ref = loop_weights(problem, kernel, q, g)
             assert weight.shape == ref.shape
             assert rel_residual(weight.reshape(-1, r), ref.reshape(-1, r)) <= tol
 
@@ -276,9 +278,11 @@ def test_interpolant_gamma_matches_build_gamma(rng):
     of its ends (past MAX_TABLE_IM, the channel pass) agree with the
     kernel_grid route of build_gamma: on the torus within 10 eps max|Gamma|
     entrywise, on the sphere bit for bit, with -rho exactly on the
-    coincident blocks.  Direct-sum and conjugated frames, genus-0 rank 3
-    (with and without a frame), and coincident pairs with couplings; no
-    RuntimeWarning (the test configuration makes them errors)."""
+    coincident blocks.  T^-1's are those of the swapped problem (its data,
+    laid out from the given data's rows, and the dual kernel).
+    Direct-sum and conjugated frames, genus-0 rank 3 (with and without a
+    frame), and coincident pairs with couplings; no RuntimeWarning (the
+    test configuration makes them errors)."""
     cases = [case for case in mixed_count_cases(rng) if case[1].channels is not None]
     sphere_data, trivial, sphere_q = cases[-1]
     frame = np.array([[1.0, 0.4 - 0.2j, 0.1], [0.1j, 0.9, 0.0], [0.2, -0.3j, 1.1]])
@@ -287,18 +291,23 @@ def test_interpolant_gamma_matches_build_gamma(rng):
     for data, oracle, q in cases:
         assert data.couplings
         sphere = data.surface.genus == 0
-        for build in (build_solution, build_inverse):
-            gamma = build(data, q, np.eye(data.rank), oracle, oracle).gamma
-            ref = reference_gamma(data, oracle, q, build is build_inverse)
+        T, Ti = (build(data, q, np.eye(data.rank), oracle, oracle)
+                 for build in (build_solution, build_inverse))
+        assert Ti.data.zero_rows is data.pole_rows and Ti.data.pole_rows is data.zero_rows
+        for F, kernel in ((T, oracle), (Ti, oracle.dual())):
+            name = "inverse" if F is Ti else "solution"
+            gamma, ref = F.gamma, reference_gamma(F.data, kernel, q)
             if sphere:
-                assert np.array_equal(gamma.matrix, ref.matrix), build.__name__
+                assert np.array_equal(gamma.matrix, ref.matrix), name
             else:
                 scale = 10 * eps * np.abs(ref.matrix).max()
-                assert np.abs(gamma.matrix - ref.matrix).max() <= scale, build.__name__
-            assert rel_residual(gamma.at_base, ref.at_base) <= 1e-14, build.__name__
-            for i, j in data.couplings:
-                block = (slice(*data.zero_rows.blocks[i]), slice(*data.pole_rows.blocks[j]))
-                assert np.array_equal(gamma.matrix[block], -data.couplings[(i, j)])
+                assert np.abs(gamma.matrix - ref.matrix).max() <= scale, name
+            assert rel_residual(gamma.at_base, ref.at_base) <= 1e-14, name
+            for (i, j), rho in F.data.couplings.items():
+                block = (slice(*F.data.zero_rows.blocks[i]), slice(*F.data.pole_rows.blocks[j]))
+                assert np.array_equal(gamma.matrix[block], -rho), name
+        for (i, j), rho in data.couplings.items():   # the swapped couplings are -rho^T
+            assert np.array_equal(Ti.data.couplings[(j, i)], -rho.T)
 
 
 def test_identity_frame_builds_the_frame_free_bits(rng):
@@ -983,26 +992,20 @@ def _rank2_data(surf, rng, zeros, poles):
         poles=tuple(PoleNode(p, rng.standard_normal((1, 2))) for p in poles))
 
 
-def two_call_value(kind, data, q, Q, oracle_chi, oracle_tilde, p):
-    """T(p) (kind "solution") or T^-1(p) by the two-call route: Gamma by
-    build_gamma, oracle_tilde called over the pairs of the kernel sum,
-    then oracle_chi at (p, q) or (q, p), then a solve with that kernel
-    value."""
+def two_call_value(data, q, Q, oracle_chi, oracle_tilde, p):
+    """T(p) by the two-call route: Gamma by build_gamma, oracle_tilde
+    called over the pairs of the kernel sum, then oracle_chi at (p, q),
+    then a solve with that kernel value."""
     from zpint.absint import _weights
 
     q, Q = point(q), np.asarray(Q, dtype=complex)
-    gamma = reference_gamma(data, oracle_tilde, q, kind != "solution")
-    nodes = data.poles if kind == "solution" else data.zeros
-    ends = [q, *(node.point for node in nodes for _ in range(node.count))]
-    left, right = _weights(data, gamma, kind != "solution")
+    gamma = reference_gamma(data, oracle_tilde, q)
+    ends = [q, *(node.point for node in data.poles for _ in range(node.count))]
+    left, right = _weights(data, gamma)
     weight = np.concatenate([np.eye(data.rank)[None], left[:, :, None] * right[:, None, :]])
-    if kind == "solution":
-        kvals = oracle_tilde([p] * len(ends), ends)
-        numer = (kvals @ weight).sum(axis=0)
-        return np.linalg.solve(oracle_chi(p, q).T, (numer @ Q).T).T
-    kvals = oracle_tilde(ends, [p] * len(ends))
-    tail = (weight @ kvals).sum(axis=0)
-    return np.linalg.solve(oracle_chi(q, p), np.linalg.inv(Q) @ tail)
+    kvals = oracle_tilde([p] * len(ends), ends)
+    numer = (kvals @ weight).sum(axis=0)
+    return np.linalg.solve(oracle_chi(p, q).T, (numer @ Q).T).T
 
 
 def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
@@ -1011,7 +1014,10 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     in normal form (direct sums with a conjugated part); off q each value
     agrees within 10 cond(Gamma) eps with the two-call route (a kernel batch
     for chi~, then one call of K(chi) and a solve), which the channel pass
-    replaces.  A kernel given by many alone is refused with InputError."""
+    replaces: for T^-1 the transposed two-call value of the swapped problem
+    (its data, the dual kernels and Q^-T).  A kernel given by many alone is
+    refused with InputError."""
+    from zpint.absint import _swapped
     from zpint.kernels import CauchyKernelOracle
 
     surf, zeros, poles, chi, chit, data = scalar_setup
@@ -1045,7 +1051,9 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     ]
     for case_data, q, Q, oracle_chi, oracle_tilde, P in cases:
         P = [P[0], q, *P[1:]]
-        for build, base in ((build_solution, Q), (build_inverse, np.linalg.inv(Q))):
+        Qinv = np.linalg.inv(Q)
+        swapped = (_swapped(case_data), q, Qinv.T, oracle_chi.dual(), oracle_tilde.dual())
+        for build, base in ((build_solution, Q), (build_inverse, Qinv)):
             T = build(case_data, q, Q, oracle_chi, oracle_tilde)
             tol = 10 * T.gamma.condition() * np.finfo(float).eps
             batch = T.many(P)
@@ -1054,7 +1062,8 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
             for i, p in enumerate(P):
                 assert np.array_equal(batch[i], T(p)), (build.__name__, p)
                 if i != 1:
-                    ref = two_call_value(T.kind, case_data, q, Q, oracle_chi, oracle_tilde, p)
+                    ref = (two_call_value(case_data, q, Q, oracle_chi, oracle_tilde, p)
+                           if build is build_solution else two_call_value(*swapped, p).T)
                     assert rel_residual(batch[i], ref) <= tol, (build.__name__, p)
 
 
@@ -1069,6 +1078,34 @@ def test_rank2_inverse_inverts_solution(rng):
     Ti = build_inverse(data, 40.0 + 3j, Q, k0, k0)
     P = [0.1, 1.5 - 2j, -3.0, 7.0j]
     assert np.abs(T.many(P) @ Ti.many(P) - np.eye(2)).max() < 1e-12
+
+
+def test_inverse_inverts_coupled_solution(rng):
+    """T^-1 on the rank-2 fixture with two coincident (zero, pole) pairs and
+    their couplings, and on the same problem in a conjugated frame G
+    (kernels G K G^-1, null rows x G^-1, pole rows u G^T, base value
+    G Q G^-1): T(p) T^-1(p) = I, T^-1(q) = Q^-1 bit for bit, and T^-1
+    raises PointOnExcludedSet at every zero of T."""
+    from zpint.verify import _triangular_fixture
+
+    surf, data, kc, kt, T, _ = _triangular_fixture(TAU, Q_POINT)
+    G = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    G_inv = np.linalg.inv(G)
+    conj = InterpolationDataSet(
+        surf, 2, tuple(ZeroNode(z.point, z.vectors @ G_inv) for z in data.zeros),
+        tuple(PoleNode(p.point, p.vectors @ G.T) for p in data.poles), data.couplings)
+    cases = [(data, T.Q, kc, kt),
+             (conj, G @ T.Q @ G_inv, conjugated_kernel(kc, G), conjugated_kernel(kt, G))]
+    nodes = [node.point for node in (*data.zeros, *data.poles)]
+    P = torus_points(rng, 12, avoid=nodes + [Q_POINT])
+    for case, Q, oracle_chi, oracle_tilde in cases:
+        T = build_solution(case, Q_POINT, Q, oracle_chi, oracle_tilde)
+        Ti = build_inverse(case, Q_POINT, Q, oracle_chi, oracle_tilde)
+        assert np.abs(T.many(P) @ Ti.many(P) - np.eye(2)).max() <= 1e-12
+        assert np.array_equal(Ti(Q_POINT), np.linalg.inv(Q))
+        for zero in case.zeros:
+            with pytest.raises(PointOnExcludedSet, match=re.escape(repr(zero.point))):
+                Ti(zero.point)
 
 
 def test_sphere_interpolant_is_finite_far_from_its_nodes(rng):
@@ -1156,6 +1193,33 @@ def test_torus_interpolant_call_makes_no_lattice_pass(scalar_setup, rng, monkeyp
             calls.clear()
             T(0.41 + 0.33j)
         assert calls == ["theta_table_rows"], build.__name__
+
+
+def test_torus_builds_make_no_lattice_pass(scalar_setup, rng, monkeypatch):
+    """build_solution and build_inverse with rank-2 direct-sum kernels on
+    the torus make no lattice pass (no theta._sums, theta_rows, theta_many
+    or scalar theta call): each walks the theta table of its ends, and the
+    dual kernels of T^-1 reuse theta[a; b](0)."""
+    import zpint.kernels
+    import zpint.surface
+    import zpint.theta
+
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    dsum_o = direct_sum_kernel([line_kernel(surf, chi),
+                                line_kernel(surf, line_bundle(0.67, 0.19))])
+    dsum_t = direct_sum_kernel([line_kernel(surf, chit),
+                                line_kernel(surf, line_bundle(0.58, 0.73))])
+    data = _rank2_data(surf, rng, zeros, poles)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a lattice pass")
+
+    for name in ("_sums", "theta_rows", "theta_many", "theta_with_char", "riemann_theta"):
+        for module in (zpint.theta, zpint.surface, zpint.kernels):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for build in (build_solution, build_inverse, build_inverse):
+        assert np.isfinite(build(data, Q_POINT, np.eye(2), dsum_o, dsum_t)(0.41 + 0.33j)).all()
 
 
 def _interpolant_cases(scalar_setup, rng):

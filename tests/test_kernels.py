@@ -95,6 +95,39 @@ def test_dual_of_a_kernel_given_by_many_alone(torus, bundle):
     assert np.abs(kd(p, q).T + k0(q, p)).max() < 1e-15
 
 
+def test_dual_reuses_theta_at_zero(torus, bundle, bundle2, monkeypatch):
+    """dual() of a torus kernel reads theta[a; b](0) from the kernel, since
+    theta is even, so it calls no theta sum; k.dual().dual() has k's
+    characteristics and theta(0) bit for bit."""
+    import zpint.kernels
+    import zpint.surface
+    import zpint.theta
+
+    k = conjugated_kernel(direct_sum_kernel([line_kernel(torus, bundle),
+                                             line_kernel(torus, bundle2)]),
+                          np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]]))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a theta sum")
+
+    with monkeypatch.context() as patch:
+        for name in ("_sums", "theta_rows", "theta_many", "theta_with_char", "riemann_theta"):
+            for module in (zpint.theta, zpint.surface, zpint.kernels):
+                if hasattr(module, name):
+                    patch.setattr(module, name, refused)
+        kd = k.dual()
+        kdd = kd.dual()
+    assert np.array_equal(kd.channels.ab, -k.channels.ab)
+    assert np.array_equal(kd.channels.theta0, k.channels.theta0)
+    assert np.array_equal(kdd.channels.ab, k.channels.ab)
+    assert np.array_equal(kdd.channels.theta0, k.channels.theta0)
+    assert np.array_equal(kdd.frame, k.frame) and np.array_equal(kdd.frame_inv, k.frame_inv)
+    for chi, dual in zip(k.channels.bundles, kd.channels.bundles):
+        assert np.array_equal(dual.a, -chi.a) and np.array_equal(dual.b, -chi.b)
+        assert dual.theta_at_zero(torus.period) == pytest.approx(
+            chi.theta_at_zero(torus.period), rel=1e-14)
+
+
 def test_degenerate_bundle_rejected(torus):
     with pytest.raises(DegenerateBundle):
         line_kernel(torus, line_bundle(0.5, 0.5))

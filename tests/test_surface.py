@@ -234,6 +234,18 @@ def test_degenerate_embedding_rejected(torus):
         build_embedding_functions(torus, 0.2 + 0.3j, 1.2 + 0.3j, 0.7 + 0.1j)
 
 
+def test_coincidences_of_points_near_the_largest_double():
+    """Finite points near +-1e308 whose difference overflows are distinct,
+    with no overflow RuntimeWarning (the test configuration makes it an
+    error), on the sphere and in an InterpolationDataSet on it."""
+    sphere = genus0_surface()
+    P = [1e308, 1e308 + 1e300j, -1e308]
+    assert sphere.coincidences(P, P) == [(0, 0), (1, 1), (2, 2)]
+    one = np.ones((1, 1))
+    data = InterpolationDataSet(sphere, 1, ((1e308, one),), ((-1e308, one),))
+    assert data.coincident_pairs() == []
+
+
 @pytest.mark.parametrize("kind", ["sphere", "torus"])
 def test_point_rules_of_each_kind(kind):
     family = {

@@ -335,35 +335,6 @@ def test_theta_many_rows_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
     batch = theta_many(chi, Z, pm)
     for i in range(len(Z)):
         assert batch[i] == theta_with_char(chi, Z[i], pm)
-    # a tuple of characteristics: one row set each, one lattice pass
-    chis = (chi, ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g)), chi)
-    Zs = np.stack([Z, Z[::-1], Z + 0.25])
-    stacked = theta_many(chis, Zs, pm)
-    assert stacked.shape == (3, len(Z))
-    for i, c in enumerate(chis):
-        for j in range(len(Z)):
-            assert stacked[i, j] == theta_with_char(c, Zs[i, j], pm)
-
-
-@pytest.mark.parametrize("chunk", [theta_module.CHUNK_ELEMENTS, 64])
-@pytest.mark.parametrize("g", [1, 2])
-def test_theta_many_ragged_row_sets_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
-    """Row sets of different lengths, one per characteristic, in one pass:
-    entry j of set i has the bits of theta_with_char(chi[i], Z[i][j])."""
-    monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
-    omega = np.array([[0.3 + 1.1j, 0.1 + 0.2j], [0.1 + 0.2j, -0.2 + 0.9j]])[:g, :g]
-    pm = PeriodMatrix(g, omega)
-    chis = tuple(ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g))
-                 for _ in range(3)) + (ThetaCharacteristic(np.full(g, 0.5), np.full(g, 0.5)),)
-    Zs = [rng.uniform(-1, 1, (n, g)) + 1j * rng.uniform(-4, 4, (n, g)) for n in (17, 0, 1, 30)]
-    out = theta_many(chis, Zs, pm)
-    assert [values.shape for values in out] == [(17,), (0,), (1,), (30,)]
-    for chi, Z, values in zip(chis, Zs, out):
-        for j in range(len(Z)):
-            assert values[j] == theta_with_char(chi, Z[j], pm)
-    for bad in (Zs[:3], Zs[:3] + [np.zeros((2, g + 1))], Zs[:3] + [np.zeros(2)]):
-        with pytest.raises(ValueError):
-            theta_many(chis, bad, pm)
 
 
 def test_theta_many_large_batch_peak_memory():
@@ -391,16 +362,13 @@ def test_theta_many_validation():
     pm = period_from_tau(1j)
     chi = ThetaCharacteristic([0.5], [0.5])
     assert theta_many(chi, np.zeros((0, 1)), pm).shape == (0,)
-    with pytest.raises(ValueError):
-        theta_many(chi, np.zeros(3), pm)
+    for bad in (np.zeros(3), np.zeros((2, 3, 1)), np.zeros((3, 2))):   # rows of shape (N, 1)
+        with pytest.raises(ValueError):
+            theta_many(chi, bad, pm)
     with pytest.raises(ValueError):
         theta_many(chi, np.array([[np.nan]]), pm)
     with pytest.raises(ValueError):
         theta_many(ThetaCharacteristic([0, 0], [0, 0]), np.zeros((2, 1)), pm)
-    assert theta_many((chi, chi), np.zeros((2, 0, 1)), pm).shape == (2, 0)
-    for bad in (np.zeros((3, 1)), np.zeros((3, 2, 1)), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError):
-            theta_many((chi, chi), bad, pm)
 
 
 # theta(0.3 + 150i | 300i) = 1 + exp(-0.6 pi i) to 40 digits: the centre term
