@@ -48,8 +48,7 @@ no table rows and makes no lattice pass.  A kernel without a frame
 (F = I) meets no product with I in the build: Gamma and its base column
 are contracted over its channels and the fold is written in its block
 layout, with the bits of the composed route.  build_gamma, one
-kernels.kernel_grid over the node points, is the reference route and the
-one for a kernel given by many alone.
+kernels.kernel_grid over the node points, is the reference route.
 
 For flat line bundles everything is explicit in theta functions; the
 multiplicative and partial-fraction forms of the scalar solution agree,
@@ -78,7 +77,6 @@ from .errors import (
 from .kernels import (
     CauchyKernelOracle,
     _block_form,
-    _channels_of,
     _compose,
     end_plan,
     evaluate_channels,
@@ -166,8 +164,14 @@ ZeroNode = PoleNode = InterpolationNode
 
 
 def coupling_table(couplings, zeros, poles, pairs) -> dict:
-    """Couplings given exactly at the coincident pairs, each as a (t_i, s_j) array."""
-    if set(map(tuple, couplings)) != set(pairs):
+    """Couplings given exactly at the coincident pairs, each as a (t_i, s_j)
+    array; InputError naming the first coincident pair without one."""
+    given = set(map(tuple, couplings))
+    for i, j in pairs:
+        if (i, j) not in given:
+            raise InputError(f"zero {i} and pole {j} coincide at {zeros[i].point!r} with no "
+                             "coupling: zeros and poles must be disjoint or coupled")
+    if given != set(pairs):
         raise InputError("couplings must be given exactly at coincident pairs")
     try:
         return {
@@ -226,18 +230,25 @@ class _NodeData:
     _lay_out(width) first in __post_init__.  Afterwards zeros and poles are
     tuples of InterpolationNode, zero_rows and pole_rows their NodeRows,
     and couplings maps exactly the coincident pairs (i, j), in row-major
-    order, to (t_i, s_j) arrays.
+    order, to (t_i, s_j) arrays.  genus0.Genus0Problem is the same layout
+    on the sphere with no couplings, so there a zero on a pole is refused.
     """
 
     zero_rows: NodeRows = field(init=False, repr=False)
     pole_rows: NodeRows = field(init=False, repr=False)
 
     def _lay_out(self, width: int) -> None:
-        """InputError for bad vectors (_node_rows), a repeated zero or pole
-        or couplings off the coincident pairs."""
-        zeros, poles = (tuple(node if isinstance(node, InterpolationNode)
-                              else InterpolationNode(*node) for node in nodes)
-                        for nodes in (self.zeros, self.poles))
+        """InputError, in this order, for a node that is not a point and its
+        vectors (each node as it is made, zeros first), bad vectors
+        (_node_rows, zeros first), a repeated zero, a repeated pole, a
+        coincident (zero, pole) pair without a coupling (coupling_table) or
+        couplings off the coincident pairs."""
+        try:
+            zeros, poles = (tuple(node if isinstance(node, InterpolationNode)
+                                  else InterpolationNode(*node) for node in nodes)
+                            for nodes in (self.zeros, self.poles))
+        except TypeError as exc:   # not a sequence of (point, vectors) pairs
+            raise InputError(f"a node is a point and its vectors: {exc}") from exc
         zero_rows, pole_rows = _node_rows(zeros, width), _node_rows(poles, width)
         # one coincidence test over all nodes: pairs within a side are
         # repeats, pairs across are the coincident (zero, pole) pairs
@@ -245,7 +256,7 @@ class _NodeData:
         hits = self.surface.coincidences(pts, pts)
         for i, j in hits:
             if i != j and (i < n) == (j < n):
-                raise InputError(f"{'zeros' if i < n else 'poles'} must be pairwise distinct")
+                raise InputError(f"{'zero' if i < n else 'pole'} points must be distinct")
         pairs = [(i, j - n) for i, j in hits if i < n <= j]
         laid_out = dict(zeros=zeros, poles=poles, zero_rows=zero_rows, pole_rows=pole_rows,
                         couplings=coupling_table(self.couplings, zeros, poles, pairs))
@@ -335,9 +346,8 @@ def build_gamma(data: InterpolationDataSet, oracle_tilde: CauchyKernelOracle) ->
     Entries are -x K(chi~; lambda^i, mu^j) u away from coincidences and
     -rho at them; squareness and conditioning are judged downstream.  The
     kernel values are one kernel_grid over the node points, expanded to the
-    vector rows.  This is the reference route, and the one for a kernel
-    given by many alone; an interpolant reads the same Gamma from the
-    theta table of its ends (_plan_gamma).
+    vector rows.  This is the reference route; an interpolant reads the
+    same Gamma from the theta table of its ends (_plan_gamma).
     """
     kvals = kernel_grid(oracle_tilde, data.zero_rows.points, data.pole_rows.points)
     kvals = kvals[np.ix_(data.zero_rows.node_of, data.pole_rows.node_of)]
@@ -551,12 +561,10 @@ def _base_value(Q, r: int) -> np.ndarray:
     return Q
 
 
-def _base(data, q, Q, oracle_chi, oracle_tilde) -> tuple:
-    """q as a point and Q as an (r, r) array; InputError for a kernel given
-    by many alone or a Q that is not r^2 finite numbers,
-    PointOnExcludedSet for q on a node, SingularMatrix for a singular Q."""
-    for oracle in (oracle_chi, oracle_tilde):
-        _channels_of(oracle, "an interpolant")
+def _base(data, q, Q) -> tuple:
+    """q as a point and Q as an (r, r) array; InputError for a Q that is
+    not r^2 finite numbers, PointOnExcludedSet for q on a node,
+    SingularMatrix for a singular Q."""
     q, Q = point(q), _base_value(Q, data.rank)
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
                                                     data.pole_rows.points]))):
@@ -582,9 +590,10 @@ def _weights(data, gamma) -> tuple:
 
 
 def _swapped(data: InterpolationDataSet) -> InterpolationDataSet:
-    """The swapped problem of data: zeros and poles exchanged, so that u are
-    the null rows and x the pole rows, with the couplings -rho^T at (j, i).
-    It is laid out from the validated data, with no second validation."""
+    """The swapped problem of data (an InterpolationDataSet or a
+    genus0.Genus0Problem): zeros and poles exchanged, so that u are the null
+    rows and x the pole rows, with the couplings -rho^T at (j, i).  It is
+    laid out from the validated data, with no second validation."""
     swapped = object.__new__(type(data))
     couplings = sorted(((j, i), -rho.T) for (i, j), rho in data.couplings.items())
     for name, value in dict(surface=data.surface, rank=data.rank, zeros=data.poles,
@@ -597,11 +606,8 @@ def _swapped(data: InterpolationDataSet) -> InterpolationDataSet:
 def build_solution(data: InterpolationDataSet, q, Q,
                    oracle_chi: CauchyKernelOracle,
                    oracle_tilde: CauchyKernelOracle) -> BundleMapEvaluator:
-    """Interpolant with value Q at q, in partial-fraction form.
-
-    Raises InputError for a kernel given by many alone.
-    """
-    q, Q = _base(data, q, Q, oracle_chi, oracle_tilde)
+    """Interpolant with value Q at q, in partial-fraction form."""
+    q, Q = _base(data, q, Q)
     return BundleMapEvaluator(data, q, Q, oracle_chi, oracle_tilde)
 
 
@@ -621,7 +627,7 @@ def build_inverse(data: InterpolationDataSet, q, Q,
     problem's.  Q is checked once, on the given data.  Raises as
     build_solution.
     """
-    q, Q = _base(data, q, Q, oracle_chi, oracle_tilde)
+    q, Q = _base(data, q, Q)
     return _Transposed(_swapped(data), q, np.linalg.inv(Q).T, oracle_chi.dual(),
                        oracle_tilde.dual())
 
@@ -632,21 +638,19 @@ def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
     A channel of the flat line bundle with Jacobian point z has 1/K
     blowing up where the numerator theta[a; b](phi(q) - phi(p)) vanishes,
     i.e. at p = q + z - (1 + tau)/2 mod the lattice (the odd half-period
-    shift is the genus-1 vector of Riemann constants).  The trivial genus-0
-    kernel contributes no poles, and a constant frame moves none.
+    shift is the genus-1 vector of Riemann constants), with z = Omega a + b
+    for the channel's characteristic (a, b).  The trivial genus-0 kernel
+    contributes no poles, and a constant frame moves none.
     """
     surface = oracle_chi.surface
     if surface.genus == 0:
         return []
-    if oracle_chi.channels is None:
-        raise PoleLocationFailure("pole location needs the kernel's channels")
-    tau = surface.tau
-    channels = oracle_chi.channels
+    period, tau = surface.period, surface.tau
     out = []
-    for bundle, theta0 in zip(channels.bundles, channels.theta0):
-        z = complex(bundle.jacobian_point(surface.period)[0])
+    for (a, b), theta0 in zip(oracle_chi.channels.ab, oracle_chi.channels.theta0):
+        z = complex((period.omega @ a + b)[0])
         p = lattice_reduce(q + z - (1.0 + tau) / 2.0, tau)
-        val = theta_with_char(bundle.characteristic, q - p, surface.period)
+        val = theta_with_char(ThetaCharacteristic(a, b), q - p, period)
         if abs(val) > 1e-8 * (abs(theta0) + 1.0):
             raise PoleLocationFailure(
                 f"theta numerator {abs(val):.3e} not small at predicted pole {p}"
@@ -664,9 +668,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     below about 1e-7 indicate consistent data for the given input bundle.
     The numerator of T, its kernel sum, is read at a reference point and at
     every pole from the pole-end plan of the solution T, in one
-    evaluate_channels call.  Raises as build_solution, and
-    PoleLocationFailure first for a K(chi) given by many alone on the
-    torus.
+    evaluate_channels call.  Raises as build_solution.
     """
     poles = _inverse_kernel_poles(oracle_chi, point(q))
     T = build_solution(data, q, Q, oracle_chi, oracle_tilde)
@@ -900,23 +902,23 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     data set with the vector [1] at every zero and pole, solved by
     build_solution with line_kernel(chi) and line_kernel(chi~), that is
     Gamma_ij = -K(chi~; lam^i, mu^j), the kernel-sum formula and the
-    inverse input kernel factor.  Rejects the same degenerate nodes as
-    scalar_multiplicative, and T likewise takes one point or a sequence.
+    inverse input kernel factor.  T likewise takes one point or a sequence.
 
     Raises
     ------
     InputError
-        For a Q that is not one finite number.
+        For nodes the data set refuses (a repeated zero or pole, a zero on
+        a pole) or a Q that is not one finite number.
+    PointOnExcludedSet
+        For q on a node.
     NotSquare, SingularMatrix
         As build_solution: unequal counts, or a singular Gamma or Q.
     """
-    zeros, poles = _scalar_nodes(surface, zeros, poles, q)
     one = np.ones((1, 1))
     data = InterpolationDataSet(surface, 1, tuple((z, one) for z in zeros),
                                 tuple((p, one) for p in poles))
-    Q = complex(_base_value(Q, 1)[0, 0])
     T = build_solution(data, q, Q, line_kernel(surface, chi), line_kernel(surface, chi_tilde))
-    return _scalar_map(surface, q, Q, lambda P: T.many(P)[:, 0, 0])
+    return _scalar_map(surface, T.q, complex(T.Q[0, 0]), lambda P: T.many(P)[:, 0, 0])
 
 
 def fay_residual(surface: Surface, z, p, q, lam, mu):

@@ -115,7 +115,7 @@ class NormalizedSections:
     oracle: CauchyKernelOracle
     embedding: EmbeddingPair
 
-    def _stack(self, p, right: bool) -> np.ndarray:
+    def _sections(self, p, right: bool) -> np.ndarray:
         surface, m, r = self.embedding.surface, self.embedding.m, self.oracle.rank
         P = surface.points(p)
         ps = np.repeat(np.atleast_1d(P), m)
@@ -129,11 +129,11 @@ class NormalizedSections:
 
     def right(self, p) -> np.ndarray:
         """u_cross(p), shape (M, r), or (N, M, r) over N points; poles exactly at the x^i."""
-        return self._stack(p, right=True)
+        return self._sections(p, right=True)
 
     def left(self, p) -> np.ndarray:
         """u_cross_left(p), shape (r, M), or (N, r, M) over N points."""
-        return self._stack(p, right=False)
+        return self._sections(p, right=False)
 
 
 def _require_same_surface(oracle, embedding):

@@ -8,6 +8,12 @@ unique interpolant with value I at infinity is
 
     T(z) = I + sum_j u_j c_j / (z - mu^j),    c = Gamma^{-1} [x_1; ...; x_n].
 
+The data is laid out and validated as an absint.InterpolationDataSet on
+the sphere with no couplings (absint._NodeData): the sums run over the
+vector rows, so a node may carry several independent vectors.  Only the
+arithmetic of the solve is this module's own, an independent route to
+absint's on the sphere.
+
 For scalar data the same map has the multiplicative form
 prod (z - lambda^i) / prod (z - mu^j), whose partial-fraction coefficients
 solve the Sylvester system S c = 1 with S_ij = 1/(mu^j - lambda^i).
@@ -15,13 +21,14 @@ solve the Sylvester system S c = 1 with S_ij = 1/(mu^j - lambda^i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .absint import _NodeData, _swapped
 from .errors import CountMismatch, InputError, NotSquare, SingularMatrix
 from .numutil import COND_LIMIT, svd_cond
-from .surface import POINT_TOL, genus0_surface
+from .surface import Surface, genus0_surface
 
 __all__ = [
     "Genus0Problem",
@@ -36,75 +43,45 @@ _SPHERE = genus0_surface()
 
 
 @dataclass(frozen=True, eq=False)
-class Genus0Problem:
-    """Zero/pole data for the simple disjoint case.
+class Genus0Problem(_NodeData):
+    """Zero/pole data for the disjoint case on the sphere.
 
-    zeros: sequence of (point, row vector of length r)
-    poles: sequence of (point, column vector of length r)
+    zeros: sequence of (point, row vectors of length r) or InterpolationNode
+    poles: sequence of (point, column vectors of length r) or InterpolationNode
+
+    They are laid out by _NodeData._lay_out(rank) with no couplings, and so
+    refused as a sphere InterpolationDataSet refuses them (InputError); a
+    zero on a pole is a coincident pair without a coupling.
     """
 
     rank: int
     zeros: tuple
     poles: tuple
+    surface: Surface = field(default=_SPHERE, init=False, repr=False)
+    couplings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise InputError("rank must be at least 1")
-        try:
-            zeros = tuple(
-                (complex(z), np.asarray(x, dtype=complex).reshape(self.rank))
-                for z, x in self.zeros
-            )
-            poles = tuple(
-                (complex(m), np.asarray(u, dtype=complex).reshape(self.rank))
-                for m, u in self.poles
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"a node needs a point and a vector of length {self.rank}: "
-                             f"{exc}") from exc
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "poles", poles)
-        # one distance test over all nodes, read block by block in the order
-        # of the checks; points() names a non-finite point before its side
-        # is read, and a distance past the largest double is no coincidence
-        nodes, n = (*zeros, *poles), len(zeros)
-        pts = np.array([z for z, _ in nodes], dtype=complex)
-        _SPHERE.points(pts[:n])
-        with np.errstate(over="ignore", invalid="ignore"):
-            hits = _SPHERE.gap(pts[:, None] - pts) <= POINT_TOL
-        np.fill_diagonal(hits, False)
-        if np.count_nonzero(hits[:n, :n]):
-            raise InputError("zero points must be distinct")
-        _SPHERE.points(pts[n:])
-        if np.count_nonzero(hits[n:]):   # hits is symmetric: its pole rows hold both blocks left
-            raise InputError("pole points must be distinct" if hits[n:, n:].any()
-                             else "zeros and poles must be disjoint")
-        # the squared norms, summed as np.linalg.norm sums them for an axis
-        vectors = np.array([v for _, v in nodes]).reshape(-1, self.rank)
-        if not np.add.reduce((vectors.conj() * vectors).real, axis=1).all():
-            raise InputError("interpolation vectors must be nonzero")
+        self._lay_out(self.rank)
 
     @property
     def n_zeros(self) -> int:
-        return len(self.zeros)
+        """The number of zero vectors, one per zero for simple data."""
+        return len(self.zero_rows.vectors)
 
     @property
     def n_poles(self) -> int:
-        return len(self.poles)
+        """The number of pole vectors, one per pole for simple data."""
+        return len(self.pole_rows.vectors)
 
 
 def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:
-    """Coupling matrix with entries x_i u_j / (mu^j - lambda^i)."""
-    lams, xs = _stack(problem.zeros, problem.rank)
-    mus, us = _stack(problem.poles, problem.rank)
-    return (xs @ us.T) / (mus - lams[:, None])
-
-
-def _stack(nodes, rank: int) -> tuple:
-    """The points (n,) and the vectors (n, rank) of a side's nodes."""
-    points = np.array([z for z, _ in nodes], dtype=complex)
-    vectors = np.array([v for _, v in nodes], dtype=complex).reshape(len(nodes), rank)
-    return points, vectors
+    """Coupling matrix with entries x_a u_b / (mu^b - lambda^a) over the
+    zero and pole vectors."""
+    zeros, poles = problem.zero_rows, problem.pole_rows
+    lams, mus = zeros.points[zeros.node_of], poles.points[poles.node_of]
+    return (zeros.vectors @ poles.vectors.T) / (mus - lams[:, None])
 
 
 class RationalMatrixFunction:
@@ -148,13 +125,7 @@ class RationalMatrixFunction:
         if self._inverse is None:
             if self._inverse_data is None:
                 raise InputError("no problem data attached; cannot invert")
-            problem = self._inverse_data
-            swapped = Genus0Problem(
-                rank=problem.rank,
-                zeros=tuple((mu, u) for mu, u in problem.poles),
-                poles=tuple((lam, x) for lam, x in problem.zeros),
-            )
-            inv_t = solve_genus0(swapped)
+            inv_t = solve_genus0(_swapped(self._inverse_data))
             inv = RationalMatrixFunction(
                 inv_t.rank,
                 inv_t.poles,
@@ -190,10 +161,11 @@ def solve_genus0(problem: Genus0Problem) -> RationalMatrixFunction:
     cond = svd_cond(gamma)
     if cond > COND_LIMIT:
         raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
-    coeffs = np.linalg.solve(gamma, _stack(problem.zeros, problem.rank)[1])   # rows c_j
-    poles, pole_vectors = _stack(problem.poles, problem.rank)
+    coeffs = np.linalg.solve(gamma, problem.zero_rows.vectors)   # rows c_b
+    poles = problem.pole_rows
     return RationalMatrixFunction(
-        problem.rank, poles, pole_vectors, coeffs, cond, _inverse_data=problem
+        problem.rank, poles.points[poles.node_of], poles.vectors, coeffs, cond,
+        _inverse_data=problem
     )
 
 

@@ -39,21 +39,17 @@ channels at a batch of points from it.  end_plan also returns the
 channels at the zero points, from which the interpolant builds Gamma: on
 the torus out of the walk that builds the table, elsewhere one
 evaluate_channels call.  There is one orientation: absint builds T^-1 as
-the transposed solution of the swapped problem, on the dual kernels.  kernel_grid, over every pair of two point
-sets, serves the block matrices built from an oracle.  Points are checked
-once, by surface.points, where they enter: the oracle call and
-kernel_grid; many and the pass take checked arrays.
-
-An oracle given by many alone has no channels.  It is evaluated by its
-many (the oracle call, kernel_grid, extract_laurent_coeffs,
-connection_duality_defect, collection_residual); direct_sum_kernel and
-conjugated_kernel reject it.
+the transposed solution of the swapped problem, on the dual kernels.
+kernel_grid, over every pair of two point sets, serves the block
+matrices built from an oracle.  Points are checked once, by
+surface.points, where they enter: the oracle call and kernel_grid; many
+and the pass take checked arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -110,31 +106,13 @@ __all__ = [
 class _Channels:
     """The r scalar channels of a kernel in normal form.
 
-    bundles[k] is the flat line bundle of channel k (None for the 1/(p - q)
-    channel at genus 0), ab[k] = (a_k, b_k) its characteristic, shape
-    (r, 2, g), and theta0[k] = theta[a_k; b_k](0), shape (r,).
+    ab[k] = (a_k, b_k) is the characteristic of the flat line bundle of
+    channel k, shape (r, 2, g) (g = 0 for the 1/(p - q) channels of the
+    sphere), and theta0[k] = theta[a_k; b_k](0), shape (r,).
     """
 
-    bundles: tuple
     ab: np.ndarray
     theta0: np.ndarray
-
-
-def _line_channels(surface: Surface, bundles) -> _Channels:
-    """The channels of flat line bundles; raises as line_kernel does."""
-    if surface.genus != 1 or any(b.characteristic.genus != 1 for b in bundles):
-        raise UnsupportedGenus("line kernels need the torus and a genus-1 bundle")
-    theta0 = np.array([b.theta_at_zero(surface.period) for b in bundles])
-    ab = np.array([[b.a, b.b] for b in bundles])
-    # the largest term of theta[a; b](0), exp(-pi Im(tau) a^2), a in [-1/2, 1/2)
-    a = ab[:, 0, 0] - np.floor(ab[:, 0, 0] + 0.5)
-    largest = np.exp(-np.pi * surface.period.tau.imag * a * a)
-    small = np.abs(theta0) <= 1e-10 * largest
-    if small.any():
-        k = int(np.argmax(small))
-        raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0[k]):.3e}, "
-                               f"at most 1e-10 of its largest term {largest[k]:.3e}")
-    return _Channels(tuple(bundles), ab, theta0)
 
 
 # the odd theta of E(e, p), at p - e, as a table row theta[-1/2; -1/2](e - p)
@@ -238,25 +216,38 @@ def _compose(d: np.ndarray, frame, frame_inv) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CauchyKernelOracle:
-    """Evaluator contract for an r-by-r Cauchy kernel in the global frame.
+    """Evaluator contract for an r-by-r Cauchy kernel in the global frame,
+    in the normal form F diag(channels) F^-1 (frame None for F = I).
 
     many maps two checked point arrays of one length N, as made by
-    surface.points, to the (N, r, r) values.  Calling the oracle with two
-    point sequences of length N gives many on them; with two points it
-    gives the (r, r) value of the N = 1 case.  A call checks its points
-    once (InputError for a non-finite one).
-    channels, frame and frame_inv hold the normal form F diag(channels)
-    F^-1 (frame None for F = I); channels is None for an oracle given by
-    many alone.
+    surface.points, to the (N, r, r) values: the channel pass composed
+    with F.  Calling the oracle with two point sequences of length N gives
+    many on them; with two points it gives the (r, r) value of the N = 1
+    case.  A call checks its points once (InputError for a non-finite one).
     """
 
-    rank: int
     surface: Surface
-    many: Callable
+    channels: _Channels
     name: str = ""
-    channels: _Channels | None = None
     frame: np.ndarray | None = None
     frame_inv: np.ndarray | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.channels.theta0)
+
+    @functools.cached_property
+    def _column_plan(self) -> tuple:
+        """The plan of the channels at one column, made on first use."""
+        return _plan([(self.channels, np.zeros(1, int))])
+
+    def many(self, P, Q) -> np.ndarray:
+        plan = self._column_plan
+        if not self.surface.genus:   # every channel is 1/(p - q); take keeps rows contiguous
+            d = (1.0 / (P - Q)).reshape(-1, 1).take(plan[0], axis=1)
+        else:   # on the torus the Abel-Jacobi map is the coordinate: v = Q - P
+            d = _channel_pass(self.surface, plan, (Q - P)[:, None])
+        return _compose(d, self.frame, self.frame_inv)
 
     def __call__(self, p, q) -> np.ndarray:
         single = not (_is_many(p) or _is_many(q))
@@ -271,48 +262,12 @@ class CauchyKernelOracle:
 
         Its channels have the characteristics (-a, -b) and reuse the
         kernel's theta[a; b](0), since theta is even, so it makes no
-        lattice pass; the frame is F^-T.
-
-        Raises
-        ------
-        UnsupportedGenus
-            For an oracle given by many alone at genus >= 1, whose bundle
-            is not known.
+        lattice pass and validates no characteristic; the frame is F^-T.
         """
-        if self.channels is None:
-            if self.surface.genus == 0:
-                return self  # in the global frame the one kernel is I/(p - q), self-dual
-            raise UnsupportedGenus("the dual of a kernel given by many alone is known at genus 0")
-        channels = self.channels
-        if self.surface.genus:   # theta is even: theta[-a; -b](0) = theta[a; b](0)
-            channels = _Channels(tuple(b.dual() for b in channels.bundles), -channels.ab,
-                                 channels.theta0)
         frames = (None, None) if self.frame is None else (self.frame_inv.T, self.frame.T)
-        return _normal_form(self.rank, self.surface, self.name, channels, *frames)
-
-
-def _normal_form(rank: int, surface: Surface, name: str, channels: _Channels,
-                 frame=None, frame_inv=None) -> CauchyKernelOracle:
-    """The oracle F diag(channels) F^-1; its many is the channel pass at one
-    column composed with F (the closure holds the plan and the frame, not
-    the oracle, so the oracle is freed when dropped)."""
-    plan = _plan([(channels, np.zeros(1, int))])
-
-    def many(P, Q):
-        if not surface.genus:   # every channel is 1/(p - q); take keeps rows contiguous
-            return _compose((1.0 / (P - Q)).reshape(-1, 1).take(plan[0], axis=1),
-                            frame, frame_inv)
-        # on the torus the Abel-Jacobi map is the coordinate: v = Q - P
-        return _compose(_channel_pass(surface, plan, (Q - P)[:, None]), frame, frame_inv)
-
-    return CauchyKernelOracle(rank, surface, many, name, channels, frame, frame_inv)
-
-
-def _channels_of(oracle: CauchyKernelOracle, what: str) -> _Channels:
-    """The oracle's channels; InputError for an oracle given by many alone."""
-    if oracle.channels is None:
-        raise InputError(f"{what} needs a kernel in normal form, not one given by many alone")
-    return oracle.channels
+        return CauchyKernelOracle(self.surface, _Channels(-self.channels.ab,
+                                                          self.channels.theta0),
+                                  self.name, *frames)
 
 
 def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
@@ -377,8 +332,8 @@ def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
     """Trivial rank-r kernel I_r / (p - q) on the sphere."""
     if r < 1:
         raise InputError("rank must be at least 1")
-    channels = _Channels((None,) * r, np.zeros((r, 2, 0)), np.ones(r, dtype=complex))
-    return _normal_form(r, surface or genus0_surface(), f"trivial({r})", channels)
+    channels = _Channels(np.zeros((r, 2, 0)), np.ones(r, dtype=complex))
+    return CauchyKernelOracle(surface or genus0_surface(), channels, f"trivial({r})")
 
 
 def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
@@ -394,7 +349,17 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
         then on (or at rounding distance from) the theta divisor, where the
         twisted bundle has a global section and no Cauchy kernel exists.
     """
-    return _normal_form(1, surface, "line", _line_channels(surface, [bundle]))
+    if surface.genus != 1 or bundle.characteristic.genus != 1:
+        raise UnsupportedGenus("line kernels need the torus and a genus-1 bundle")
+    theta0 = bundle.theta_at_zero(surface.period)
+    # the largest term of theta[a; b](0), exp(-pi Im(tau) a^2), a in [-1/2, 1/2)
+    a = bundle.a[0] - np.floor(bundle.a[0] + 0.5)
+    largest = np.exp(-np.pi * surface.period.tau.imag * a * a)
+    if abs(theta0) <= 1e-10 * largest:
+        raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}, "
+                               f"at most 1e-10 of its largest term {largest:.3e}")
+    channels = _Channels(np.array([[bundle.a, bundle.b]]), np.array([theta0]))
+    return CauchyKernelOracle(surface, channels, "line")
 
 
 def _block_diagonal(blocks) -> np.ndarray:
@@ -415,29 +380,25 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
 
     Raises
     ------
-    InputError
-        For a summand given by many alone.
     SurfaceMismatch
         For summands on different surfaces.
     """
     oracles = tuple(oracles)
     if not oracles:
         raise InputError("need at least one summand")
-    parts = [_channels_of(oracle, "a direct sum") for oracle in oracles]
     base = oracles[0].surface
     for oracle in oracles[1:]:
         if not base.same_as(oracle.surface):
             raise SurfaceMismatch("direct sum needs a common surface")
-    channels = _Channels(sum((part.bundles for part in parts), ()),
-                         np.concatenate([part.ab for part in parts]),
-                         np.concatenate([part.theta0 for part in parts]))
+    channels = _Channels(*(np.concatenate([getattr(o.channels, part) for o in oracles])
+                           for part in ("ab", "theta0")))
     frame = frame_inv = None
     if any(oracle.frame is not None for oracle in oracles):
         frame, frame_inv = (
             _block_diagonal([np.eye(o.rank) if o.frame is None else getattr(o, attr)
                              for o in oracles])
             for attr in ("frame", "frame_inv"))
-    return _normal_form(len(channels.theta0), base, "direct_sum", channels, frame, frame_inv)
+    return CauchyKernelOracle(base, channels, "direct_sum", frame, frame_inv)
 
 
 def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKernelOracle:
@@ -447,18 +408,12 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
     conjugated factor of automorphy; the defining property is preserved
     because the residue I_r is central.  The result has the frame
     frame F of the oracle's F.
-
-    Raises
-    ------
-    InputError
-        For an oracle given by many alone.
     """
-    channels = _channels_of(oracle, "a conjugation")
     frame = np.asarray(frame, dtype=complex)
     frame_inv = np.linalg.inv(frame)
     if oracle.frame is not None:
         frame, frame_inv = frame @ oracle.frame, oracle.frame_inv @ frame_inv
-    return _normal_form(oracle.rank, oracle.surface, "conjugated", channels, frame, frame_inv)
+    return CauchyKernelOracle(oracle.surface, oracle.channels, "conjugated", frame, frame_inv)
 
 
 @dataclass(frozen=True, eq=False)

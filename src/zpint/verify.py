@@ -278,10 +278,9 @@ def genus0_checks(problem, T, rng, samples=20, tol_scale=1.0):
     Ti = T.inverse()
     r = problem.rank
     scale = max(float(np.abs(T(3.7 + 1.1j)).max()), 1.0)
-    lams = np.array([lam for lam, _ in problem.zeros], dtype=complex)
-    mus = np.array([mu for mu, _ in problem.poles], dtype=complex)
-    xs = np.array([x for _, x in problem.zeros], dtype=complex).reshape(-1, 1, r)
-    us = np.array([u for _, u in problem.poles], dtype=complex).reshape(-1, r, 1)
+    zeros, poles = problem.zero_rows, problem.pole_rows
+    lams, mus = zeros.points[zeros.node_of], poles.points[poles.node_of]
+    xs, us = zeros.vectors.reshape(-1, 1, r), poles.vectors.reshape(-1, r, 1)
     worst_zero = np.abs(xs @ T.many(lams)).max(initial=0.0) / scale
     worst_pole = np.abs(Ti.many(mus) @ us).max(initial=0.0) / scale
     draws = rng.uniform(-4, 4, (samples, 2))
@@ -347,10 +346,14 @@ def _residue_defect(oracle, P0):
     return float(np.abs(residue - np.eye(oracle.rank)).max(initial=0.0))
 
 
+# the bundle of the line kernel of criteria 3, 6 and 7
+_K1_BUNDLE = line_bundle(0.21, 0.37)
+
+
 def _torus_kernels():
     """The torus of criteria 3, 6 and 7, a line kernel and its sum with a second."""
     surf = torus_surface(0.3 + 0.9j)
-    k1 = line_kernel(surf, line_bundle(0.21, 0.37))
+    k1 = line_kernel(surf, _K1_BUNDLE)
     return surf, k1, direct_sum_kernel([k1, line_kernel(surf, line_bundle(0.72, 0.11))])
 
 
@@ -373,8 +376,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
     # circle, A of k1 against its closed form
     P0 = sample_points(surf, rng, 10)
     dual_defects = [connection_duality_defect(oracle, P0) for oracle in (k1, ksum)]
-    gap = extract_laurent_coeffs(k1, P0).A[:, 0, 0] - line_connection_form(
-        surf, k1.channels.bundles[0])
+    gap = extract_laurent_coeffs(k1, P0).A[:, 0, 0] - line_connection_form(surf, _K1_BUNDLE)
     out.append(check("kernel.connection_duality", np.max(dual_defects), 1e-7 * tol_scale))
     # |gap| by hypot, the modulus of one complex number
     out.append(check("kernel.connection_closed_form", np.max(np.hypot(gap.real, gap.imag)),

@@ -35,6 +35,7 @@ from zpint.genus0 import Genus0Problem, solve_genus0
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
 from zpint.numutil import rel_residual
 from zpint.surface import (
+    FlatLineBundle,
     genus0_surface,
     lattice_reduce,
     line_bundle,
@@ -124,18 +125,15 @@ def mixed_count_data(surf, pts, rng):
 
 
 def mixed_count_cases(rng):
-    """(data, oracle, q) over direct-sum, conjugated, opaque (many only) and
-    genus-0 rank-3 kernels; q is a ninth point, off the nodes."""
-    from zpint.kernels import CauchyKernelOracle
-
+    """(data, oracle, q) over direct-sum, conjugated and genus-0 rank-3
+    kernels; q is a ninth point, off the nodes."""
     torus = torus_surface(TAU)
     bundles = [line_bundle(0.23, 0.41), line_bundle(0.62, 0.17), line_bundle(0.81, 0.55)]
     dsum = direct_sum_kernel([line_kernel(torus, b) for b in bundles])
     frame = np.array([[1.0, 0.4 - 0.2j, 0.1], [0.1j, 0.9, 0.0], [0.2, -0.3j, 1.1]])
     pts = torus_points(rng, 9)
     data = mixed_count_data(torus, pts, rng)
-    cases = [(data, dsum, pts[8]), (data, conjugated_kernel(dsum, frame), pts[8]),
-             (data, CauchyKernelOracle(3, torus, dsum.many), pts[8])]
+    cases = [(data, dsum, pts[8]), (data, conjugated_kernel(dsum, frame), pts[8])]
     sphere = genus0_surface()
     pts = [complex(v) for v in rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)]
     cases.append((mixed_count_data(sphere, pts, rng), genus0_kernel(3, sphere), pts[8]))
@@ -201,17 +199,6 @@ def reference_gamma(data, oracle, q):
     return GammaMatrix(build_gamma(data, oracle).matrix, at_base)
 
 
-def dual_of(oracle):
-    """oracle.dual(), or for a kernel given by many alone, which has none
-    at genus 1, the kernel K(dual; p, q) = -K(q, p)^T of the duality."""
-    from zpint.kernels import CauchyKernelOracle
-
-    if oracle.channels is not None:
-        return oracle.dual()
-    return CauchyKernelOracle(oracle.rank, oracle.surface,
-                              lambda P, Q: -oracle.many(Q, P).transpose(0, 2, 1))
-
-
 def loop_weights(data, oracle, q, gamma):
     """The weights of the kernel sum in loop form, one (r, r) matrix per end
     [q, then one per pole vector]: I, then one outer product per vector."""
@@ -227,20 +214,14 @@ def test_numerator_and_tail_weights_match_loop_form(rng):
     solution is T^-1 transposed, agree with the loop form of one outer
     product per vector, each with its own data, kernel and Gamma, within
     10 cond(Gamma) eps.  The swapped problem's Gamma is -Gamma^T within
-    20 eps max|Gamma|.  A kernel given by many alone, which the
-    interpolants refuse, takes Gamma from build_gamma, and its swapped
-    problem the dual kernel of the duality."""
+    20 eps max|Gamma|."""
     from zpint.absint import _swapped, _weights
 
     for data, oracle, q in [*mixed_count_cases(rng), large_im_tau_case()]:
         r = data.rank
-        swapped, dual = _swapped(data), dual_of(oracle)
-        if oracle.channels is None:
-            gamma = reference_gamma(data, oracle, q)
-            gamma_inverse = reference_gamma(swapped, dual, q)
-        else:
-            gamma, gamma_inverse = (build(data, q, np.eye(r), oracle, oracle).gamma
-                                    for build in (build_solution, build_inverse))
+        swapped, dual = _swapped(data), oracle.dual()
+        gamma, gamma_inverse = (build(data, q, np.eye(r), oracle, oracle).gamma
+                                for build in (build_solution, build_inverse))
         scale = 20 * np.finfo(float).eps * np.abs(gamma.matrix).max()
         assert np.abs(gamma.matrix.T + gamma_inverse.matrix).max() <= scale
         tol = 10 * gamma.condition() * np.finfo(float).eps
@@ -283,7 +264,7 @@ def test_interpolant_gamma_matches_build_gamma(rng):
     Direct-sum and conjugated frames, genus-0 rank 3 (with and without a
     frame), and coincident pairs with couplings; no RuntimeWarning (the
     test configuration makes them errors)."""
-    cases = [case for case in mixed_count_cases(rng) if case[1].channels is not None]
+    cases = mixed_count_cases(rng)
     sphere_data, trivial, sphere_q = cases[-1]
     frame = np.array([[1.0, 0.4 - 0.2j, 0.1], [0.1j, 0.9, 0.0], [0.2, -0.3j, 1.1]])
     cases += [(sphere_data, conjugated_kernel(trivial, frame), sphere_q), large_im_tau_case()]
@@ -339,9 +320,12 @@ def test_non_finite_gamma_entry_is_a_typed_error(rng, monkeypatch):
     from zpint.errors import NonConvergent, ZpintError
     from zpint.kernels import CauchyKernelOracle
 
+    class NanKernel(CauchyKernelOracle):
+        def many(self, P, Q):
+            return np.full((len(P), 3, 3), np.nan + 0j)
+
     data, oracle, q = mixed_count_cases(rng)[0]
-    nan_kernel = CauchyKernelOracle(3, data.surface,
-                                    lambda P, Q: np.full((len(P), 3, 3), np.nan + 0j))
+    nan_kernel = NanKernel(data.surface, oracle.channels)
     with pytest.raises(NonConvergent):
         build_gamma(data, nan_kernel)
     original = absint_module.end_plan
@@ -661,39 +645,6 @@ def test_residue_condition_trivial_kernel_has_no_poles():
     assert residue_condition_check(data, 1e6, np.array([[1.0]]), k, k) == []
 
 
-def test_pole_location_needs_line_bundle_blocks(scalar_setup):
-    from zpint.errors import PoleLocationFailure
-    from zpint.kernels import CauchyKernelOracle
-
-    surf, zeros, poles, chi, chit, data = scalar_setup
-    kt = line_kernel(surf, chit)
-    opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
-    with pytest.raises(PoleLocationFailure):
-        residue_condition_check(data, Q_POINT, np.array([[1.0]]), opaque, kt)
-
-
-def test_residue_condition_refuses_kernel_given_by_many_alone(scalar_setup):
-    """The numerators are read from the solution's plan, so a K(chi~) given
-    by many alone is refused as build_solution refuses it, on the torus and
-    on the sphere, where K(chi) has no poles to check."""
-    from zpint.kernels import CauchyKernelOracle
-
-    surf, zeros, poles, chi, chit, data = scalar_setup
-    ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
-    opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
-    with pytest.raises(InputError):
-        residue_condition_check(data, Q_POINT, np.array([[1.0]]), ko, opaque)
-    sphere = genus0_surface()
-    k = genus0_kernel(1, sphere)
-    zn, pn = scalar_nodes([2.0], [3.0])
-    sphere_data = InterpolationDataSet(surface=sphere, rank=1, zeros=zn, poles=pn)
-    opaque0 = CauchyKernelOracle(rank=1, surface=sphere, many=k.many)
-    for oracle_chi, oracle_tilde in ((opaque0, opaque0), (k, opaque0), (opaque0, k)):
-        with pytest.raises(InputError):
-            residue_condition_check(sphere_data, 1e6, np.array([[1.0]]), oracle_chi,
-                                    oracle_tilde)
-
-
 def test_fay_residual_needs_prime_form():
     from zpint.errors import UnsupportedGenus
 
@@ -962,8 +913,7 @@ def test_full_rank_agreement(rng):
 
 def test_full_rank_rank1_specializes(scalar_setup, rng):
     surf, data, ko, kt, lam, mu = full_rank_setup(r2=False)
-    chi_t = kt.channels.bundles[0]
-    chi = ko.channels.bundles[0]
+    chi_t, chi = (FlatLineBundle(*k.channels.ab[0]) for k in (kt, ko))
     Q = 1.4 + 0.2j
     T_mult, _ = full_rank_multiplicative(data, kt, Q_POINT, np.array([[Q]]))
     T_scalar = scalar_multiplicative(surf, [lam], [mu], chi, chi_t, Q_POINT, Q)
@@ -1015,10 +965,8 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     agrees within 10 cond(Gamma) eps with the two-call route (a kernel batch
     for chi~, then one call of K(chi) and a solve), which the channel pass
     replaces: for T^-1 the transposed two-call value of the swapped problem
-    (its data, the dual kernels and Q^-T).  A kernel given by many alone is
-    refused with InputError."""
+    (its data, the dual kernels and Q^-T)."""
     from zpint.absint import _swapped
-    from zpint.kernels import CauchyKernelOracle
 
     surf, zeros, poles, chi, chit, data = scalar_setup
     ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
@@ -1029,16 +977,11 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     sweep = torus_points(rng, 6, avoid=zeros + poles + [Q_POINT])
     sphere = genus0_surface()
     k0 = genus0_kernel(2, sphere)
-    opaque = CauchyKernelOracle(rank=1, surface=surf, many=kt.many)
     second_o = line_kernel(surf, line_bundle(0.67, 0.19))
     second_t = line_kernel(surf, line_bundle(0.58, 0.73))
-    # direct sums with a conjugated part and with a part given by many alone
+    # direct sums with a conjugated part
     conj_o = direct_sum_kernel([conjugated_kernel(ko, [[1.5 - 0.5j]]), second_o])
     conj_t = direct_sum_kernel([conjugated_kernel(kt, [[0.7j]]), second_t])
-    for build in (build_solution, build_inverse):
-        for oracle_chi, oracle_tilde in ((opaque, kt), (ko, opaque)):
-            with pytest.raises(InputError):
-                build(data, Q_POINT, np.array([[1.3 - 0.4j]]), oracle_chi, oracle_tilde)
     Q2 = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
     cases = [
         (rank2, Q_POINT, Q2, dsum_o, dsum_t, sweep),

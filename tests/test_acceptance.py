@@ -163,8 +163,8 @@ def test_random_genus0_problem_is_the_scalar_loop():
         assert (r, n) == (int(blocked.integers(1, 4)), int(blocked.integers(1, 9)))
         ref = scalar_loop(looped, r, n)
         problem = _random_genus0_problem(blocked, r, n)
-        for (z, x), (z_ref, x_ref) in zip(problem.zeros + problem.poles, ref, strict=True):
-            assert z == z_ref and np.array_equal(x, x_ref)
+        for node, (z_ref, x_ref) in zip(problem.zeros + problem.poles, ref, strict=True):
+            assert node.point == z_ref and np.array_equal(node.vectors, [x_ref])
     assert len(rejected) > 10
     assert blocked.uniform() == looped.uniform()
 

@@ -472,8 +472,8 @@ def _with_entry(value):
 
 
 BAD_NODES = {
-    "repeated-zero": (lambda d: {"zeros": (d.zeros[0], *d.zeros)}, "zeros must be pairwise"),
-    "repeated-pole": (lambda d: {"poles": (d.poles[0], *d.poles)}, "poles must be pairwise"),
+    "repeated-zero": (lambda d: {"zeros": (d.zeros[0], *d.zeros)}, "zero points must be distinct"),
+    "repeated-pole": (lambda d: {"poles": (d.poles[0], *d.poles)}, "pole points must be distinct"),
     "wrong-width": (_bad_vectors(lambda v: np.ones((1, v.shape[1] + 1))), "not \\(count"),
     "no-vectors": (_bad_vectors(lambda v: np.empty((0, v.shape[1]))), "not \\(count"),
     "3-d-vectors": (_bad_vectors(lambda v: v[None]), "not \\(count"),

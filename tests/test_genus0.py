@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from zpint.errors import CountMismatch, InputError, NotSquare, SingularMatrix
+from zpint.absint import InterpolationDataSet
+from zpint.errors import CountMismatch, InputError, NotSquare, SingularMatrix, ZpintError
 from zpint.genus0 import (
     Genus0Problem,
     build_gamma_genus0,
@@ -13,6 +14,7 @@ from zpint.genus0 import (
     solve_genus0,
     sylvester_coefficients,
 )
+from zpint.surface import genus0_surface
 
 
 def test_gamma_scalar_fixture():
@@ -103,10 +105,10 @@ def test_random_problems_conditions_and_inverse(rng):
         solved += 1
         Ti = T.inverse()
         scale = max(float(np.abs(T(3.3 + 1.7j)).max()), 1.0)
-        for lam, x in problem.zeros:
-            assert np.abs(x @ T(lam)).max() < 1e-10 * scale
-        for mu, u in problem.poles:
-            assert np.abs(Ti(mu) @ u).max() < 1e-10 * scale
+        for node in problem.zeros:
+            assert np.abs(node.vectors @ T(node.point)).max() < 1e-10 * scale
+        for node in problem.poles:
+            assert np.abs(Ti(node.point) @ node.vectors.T).max() < 1e-10 * scale
         for _ in range(10):
             z = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
             if min(abs(z - p) for p in pts) < 0.1:
@@ -198,23 +200,54 @@ def test_problem_validation():
         sylvester_coefficients([1.0], [])
 
 
+TINY = [1e-200]   # a nonzero vector whose norm squares to 0, as in np.linalg.norm
+
+
 @pytest.mark.parametrize("zeros, poles, message", [
-    ([np.nan, 2.0, 2.0], [np.inf], r"non-finite point \(nan"),
-    ([2.0, 2.0], [np.inf, 3.0], "zero points must be distinct"),
-    ([2.0], [np.inf, 3.0, 3.0], r"non-finite point \(inf"),
-    ([2.0], [3.0, 3.0, 2.0], "pole points must be distinct"),
-    ([2.0, 4.0], [3.0, 2.0], "zeros and poles must be disjoint"),
-    ([2.0, 4.0], [3.0], "vectors must be nonzero"),
+    ([(np.nan, TINY), (2.0, [1.0]), (2.0, [1.0])], [np.inf, 3.0, 3.0, 2.0],
+     r"non-finite point \(nan"),
+    ([(2.0, [1.0]), (2.0, [1.0])], [3.0, 3.0, 2.0], "zero points must be distinct"),
+    ([(2.0, [1.0]), (2.0, TINY)], [np.inf, 3.0, 3.0, 2.0], r"non-finite point \(inf"),
+    ([(2.0, [1.0])], [3.0, 3.0, 2.0], "pole points must be distinct"),
+    ([(2.0, [1.0]), (4.0, [1.0])], [3.0, 2.0], "zeros and poles must be disjoint"),
+    ([(2.0, [1.0]), (2.0, TINY)], [3.0, 3.0, 2.0], "vectors must be nonzero"),
 ])
 def test_problem_validation_order(zeros, poles, message):
-    """The checks run in a fixed order: the zero points are finite and
-    distinct, then the pole points, then no zero is a pole, then every
-    vector has a nonzero norm.  The last zero of each case carries the
-    vector [1e-200], which only that last check refuses (it squares to 0,
-    as in np.linalg.norm)."""
+    """The checks run in a fixed order, that of absint._NodeData._lay_out:
+    the zero points are finite, then the pole points, then every vector
+    has a nonzero norm, then the zeros are distinct, then the poles, then
+    no zero is a pole without a coupling.  Each case also breaks every
+    check after its own: TINY, the vector [1e-200], is refused only by the
+    vector check, so it rides along in the cases of the two checks before
+    it."""
     with pytest.raises(InputError, match=message):
-        Genus0Problem(rank=1, zeros=[(z, [1.0]) for z in zeros[:-1]] + [(zeros[-1], [1e-200])],
-                      poles=[(m, [1.0]) for m in poles])
+        Genus0Problem(rank=1, zeros=zeros, poles=[(m, [1.0]) for m in poles])
+
+
+@pytest.mark.parametrize("zeros, poles", [
+    ([(np.nan, [1.0])], [(3.0, [1.0])]),
+    ([(2.0, [1.0])], [(complex(0.0, np.inf), [1.0])]),
+    ([(2.0, [1.0]), (2.0, [1.0])], [(3.0, [1.0]), (4.0, [1.0])]),
+    ([(2.0, [1.0]), (5.0, [1.0])], [(3.0, [1.0]), (3.0, [1.0])]),
+    ([(2.0, [1.0])], [(2.0, [1.0])]),
+    ([(2.0, [0.0])], [(3.0, [1.0])]),
+    ([(2.0, [1e-200])], [(3.0, [1.0])]),
+    ([(2.0, [1.0])], [(3.0, [0.0])]),
+    ([(2.0,)], [(3.0, [1.0])]),
+], ids=["nan_point", "infinite_point", "repeated_zero", "repeated_pole", "zero_on_pole",
+        "zero_vector", "tiny_vector", "zero_pole_vector", "not_a_pair"])
+def test_one_validator_one_verdict(zeros, poles):
+    """Genus0Problem and a sphere InterpolationDataSet lay out their nodes
+    by one validator, so each bad node set gets one verdict from both: the
+    same error type and message."""
+    verdicts = []
+    for make in (lambda: Genus0Problem(1, zeros, poles),
+                 lambda: InterpolationDataSet(genus0_surface(), 1, zeros, poles)):
+        with pytest.raises(ZpintError) as raised:
+            make()
+        verdicts.append((type(raised.value), str(raised.value)))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] is InputError
 
 
 def test_problem_far_apart_points_are_distinct():

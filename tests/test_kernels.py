@@ -81,24 +81,11 @@ def test_line_kernel_duality(torus, bundle, rng):
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
-def test_dual_of_a_kernel_given_by_many_alone(torus, bundle):
-    """With no bundle, parts or inner kernel the dual bundle is unknown at
-    genus >= 1, so dual() raises; at genus 0 the one kernel in the global
-    frame is I/(p - q), which is self-dual."""
-    wrapped = CauchyKernelOracle(1, torus, line_kernel(torus, bundle).many)
-    with pytest.raises(UnsupportedGenus):
-        wrapped.dual()
-    k0 = CauchyKernelOracle(2, genus0_surface(), genus0_kernel(2).many)
-    kd = k0.dual()
-    assert kd is k0
-    p, q = 0.3 + 0.2j, -1.1 + 0.7j
-    assert np.abs(kd(p, q).T + k0(q, p)).max() < 1e-15
-
-
 def test_dual_reuses_theta_at_zero(torus, bundle, bundle2, monkeypatch):
     """dual() of a torus kernel reads theta[a; b](0) from the kernel, since
-    theta is even, so it calls no theta sum; k.dual().dual() has k's
-    characteristics and theta(0) bit for bit."""
+    theta is even, so it calls no theta sum and builds no FlatLineBundle;
+    k.dual().dual() has k's characteristics and theta(0) bit for bit.  The
+    dual of the trivial genus-0 kernel I/(p - q) has its values."""
     import zpint.kernels
     import zpint.surface
     import zpint.theta
@@ -115,6 +102,7 @@ def test_dual_reuses_theta_at_zero(torus, bundle, bundle2, monkeypatch):
             for module in (zpint.theta, zpint.surface, zpint.kernels):
                 if hasattr(module, name):
                     patch.setattr(module, name, refused)
+        patch.setattr(zpint.surface.FlatLineBundle, "__post_init__", refused)
         kd = k.dual()
         kdd = kd.dual()
     assert np.array_equal(kd.channels.ab, -k.channels.ab)
@@ -122,10 +110,11 @@ def test_dual_reuses_theta_at_zero(torus, bundle, bundle2, monkeypatch):
     assert np.array_equal(kdd.channels.ab, k.channels.ab)
     assert np.array_equal(kdd.channels.theta0, k.channels.theta0)
     assert np.array_equal(kdd.frame, k.frame) and np.array_equal(kdd.frame_inv, k.frame_inv)
-    for chi, dual in zip(k.channels.bundles, kd.channels.bundles):
-        assert np.array_equal(dual.a, -chi.a) and np.array_equal(dual.b, -chi.b)
-        assert dual.theta_at_zero(torus.period) == pytest.approx(
-            chi.theta_at_zero(torus.period), rel=1e-14)
+    for chi, theta0 in zip((bundle, bundle2), kd.channels.theta0):
+        assert chi.dual().theta_at_zero(torus.period) == pytest.approx(theta0, rel=1e-14)
+    k0 = genus0_kernel(2)
+    p, q = [0.3 + 0.2j, -1.1 + 0.7j], [-1.1 + 0.7j, 2.0j]
+    assert np.array_equal(k0.dual()(p, q), k0(p, q))
 
 
 def test_degenerate_bundle_rejected(torus):
@@ -208,12 +197,20 @@ def test_extraction_duality_and_closed_form(torus, bundle, rng, monkeypatch):
     assert not sums
 
 
+class _GivenValues(CauchyKernelOracle):
+    """A negative control: the channels of the trivial rank-1 kernel, with
+    many overridden by values(P, Q), (N,) values of a scalar kernel."""
+
+    def __init__(self, surface, values):
+        super().__init__(surface, genus0_kernel(1).channels, "given")
+        object.__setattr__(self, "values", values)
+
+    def many(self, P, Q):
+        return self.values(P, Q)[:, None, None]
+
+
 def test_extraction_unstable_on_double_pole(torus):
-    fake = CauchyKernelOracle(
-        rank=1,
-        surface=torus,
-        many=lambda P, Q: (1.0 / (P - Q) ** 2)[:, None, None],
-    )
+    fake = _GivenValues(torus, lambda P, Q: 1.0 / (P - Q) ** 2)
     with pytest.raises(ExtractionUnstable):
         extract_laurent_coeffs(fake, 0.3 + 0.4j)
 
@@ -249,8 +246,7 @@ def test_duality_defect_on_one_circle_reads_the_identity(torus, bundle, bundle2,
     for oracle, points in ((dsum, P), (conjugated_kernel(dsum, [[1.0, 0.3j], [0.2, 1.1]]), P),
                            (genus0_kernel(2), [0.3 + 0.1j, -1.2j, 2.0])):
         assert connection_duality_defect(oracle, points).max() <= 1e-12
-    skew = CauchyKernelOracle(rank=1, surface=genus0_surface(),
-                              many=lambda P, Q: ((1 + 0.1 * P) / (P - Q))[:, None, None])
+    skew = _GivenValues(genus0_surface(), lambda P, Q: (1 + 0.1 * P) / (P - Q))
     points = [0.3 + 0.1j, -1.2j, 2.0]
     assert np.abs(connection_duality_defect(skew, points) - 0.1).max() <= 1e-12
     assert np.abs(extract_laurent_coeffs(skew, points).duality_defect() - 0.1).max() <= 1e-9
@@ -354,17 +350,9 @@ def test_oracle_batch_matches_single_calls(torus, bundle, bundle2, rng):
     line = line_kernel(torus, bundle)
     dsum = direct_sum_kernel([line, line_kernel(torus, bundle2)])
     frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
-    opaque = CauchyKernelOracle(
-        rank=1, surface=torus, many=lambda P, Q: (1.0 / (P - Q))[:, None, None],
-    )
     P, Q = torus_pairs(12)
     cases = [(line, P, Q), (dsum, P, Q), (conjugated_kernel(dsum, frame), P, Q),
-             (opaque, P, Q), (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
-    # a kernel given by many alone has no normal form to sum or conjugate
-    with pytest.raises(InputError):
-        direct_sum_kernel([line, opaque])
-    with pytest.raises(InputError):
-        conjugated_kernel(opaque, [[2.0]])
+             (genus0_kernel(2), [0.3, 1.2 - 0.5j, -2.0j], [1.7, 0.1j, 0.4])]
     for oracle, P, Q in cases:
         batch = oracle(P, Q)
         assert batch.shape == (len(P), oracle.rank, oracle.rank)
