@@ -182,12 +182,12 @@ def _cmd_solve_genus0(args):
     rng = np.random.default_rng(args.seed)
     checks = verify.genus0_checks(problem, T, rng, args.samples, args.tol_scale)
     # T - I decays like (node scale)/z, so probe far out on the nodes' own scale
-    zeros, poles = problem.zero_rows.points, problem.pole_rows.points
-    far = 1e6 * max([1.0, *(abs(z) for z in (*zeros, *poles))])
+    lams, mus = problem.zero_rows.points, problem.pole_rows.points
+    far = 1e6 * max([1.0, *(abs(z) for z in (*lams, *mus))])
     checks.append(verify.check("genus0.identity_at_infinity",
                                float(np.abs(T(far) - np.eye(problem.rank)).max()), 1e-5))
     if problem.rank == 1:
-        checks.append(verify.genus0_product_check(zeros, poles, rng, args.samples,
+        checks.append(verify.genus0_product_check(lams, mus, rng, args.samples,
                                                   args.tol_scale))
     extras = {
         "input_sha256": _echo_hash(payload),
@@ -195,7 +195,7 @@ def _cmd_solve_genus0(args):
         "evaluations": [
             {"z": _enc(z), "value": [[_enc(v) for v in row] for row in T(z)]}
             for z in (10.0, 1 + 2j, -3 + 0.5j)
-            if all(abs(z - mu) > 1e-9 for mu in poles)
+            if all(abs(z - mu) > 1e-9 for mu in mus)
         ],
     }
     return checks, extras
