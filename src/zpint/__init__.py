@@ -44,7 +44,6 @@ from .genus0 import (
 )
 from .kernels import (
     CauchyKernelOracle,
-    ConnectionCoefficients,
     collection_residual,
     direct_sum_kernel,
     extract_laurent_coeffs,

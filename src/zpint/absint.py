@@ -550,22 +550,17 @@ def _times(x, y):
     return y if x is None else x if y is None else x @ y
 
 
-def _base_value(Q, r: int) -> np.ndarray:
-    """Q as an (r, r) array; InputError for a Q that is not r^2 finite numbers."""
+def _base(data, q, Q) -> tuple:
+    """q as a point and Q as an (r, r) array; InputError for a Q that is
+    not r^2 finite numbers, PointOnExcludedSet for q on a node,
+    SingularMatrix for a singular Q."""
+    q, r = point(q), data.rank
     try:
         Q = np.asarray(Q, dtype=complex).reshape(r, r)
     except (TypeError, ValueError) as exc:
         raise InputError(f"base value Q is not {r}x{r} numbers: {exc}") from exc
     if not np.isfinite(Q).all():
         raise InputError("base value Q must be finite")
-    return Q
-
-
-def _base(data, q, Q) -> tuple:
-    """q as a point and Q as an (r, r) array; InputError for a Q that is
-    not r^2 finite numbers, PointOnExcludedSet for q on a node,
-    SingularMatrix for a singular Q."""
-    q, Q = point(q), _base_value(Q, data.rank)
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
                                                     data.pole_rows.points]))):
         raise PointOnExcludedSet(f"base point {q!r} hits a node")
@@ -721,9 +716,9 @@ def _coupling_pairing(T, xs, us, xi_point, oracle_chi, oracle_tilde, q) -> np.nd
 
     modes = circle_modes(f_matrix, xi_point, 1e-3, orders=(-1, 0))
     res, const = modes[-1], modes[0]
-    conn = extract_laurent_coeffs(oracle_tilde, xi_point)
+    A = extract_laurent_coeffs(oracle_tilde, xi_point)
     w, *_ = np.linalg.lstsq(res, us.T, rcond=None)
-    return xs @ (conn.A @ res @ w + const @ w)
+    return xs @ (A @ res @ w + const @ w)
 
 
 def forward_couplings(T, surface: Surface, zeros, poles,
@@ -745,22 +740,20 @@ def forward_couplings(T, surface: Surface, zeros, poles,
     return out
 
 
-def verify_solution(T, data: InterpolationDataSet,
-                    oracle_chi: CauchyKernelOracle | None = None,
-                    oracle_tilde: CauchyKernelOracle | None = None,
-                    q=None) -> dict:
+def verify_solution(T, data: InterpolationDataSet) -> dict:
     """Report-only check of the three interpolation conditions.
 
     (i) the residue of T at each mu^j has column span matching the pole
     vectors; (ii) likewise for the transpose inverse at each lambda^i and
     the null vectors; (iii) coupled conditions at coincidences through the
-    output-bundle connection.  T is called once per circle, on the
-    sequence of its points, as in forward_couplings.  Returns a dict of
-    residual lists.
+    output-bundle connection, with the kernel oracles and base point of T
+    (a BundleMapEvaluator's oracle_chi, oracle_tilde and q).  T is called
+    once per circle, on the sequence of its points, as in
+    forward_couplings.  Returns a dict of residual lists; InputError for
+    data with coincidences and a T that holds no oracles and base point.
     """
-    oracle_chi = oracle_chi or getattr(T, "oracle_chi", None)
-    oracle_tilde = oracle_tilde or getattr(T, "oracle_tilde", None)
-    q = q if q is not None else getattr(T, "q", None)
+    oracle_chi, oracle_tilde, q = (getattr(T, name, None)
+                                   for name in ("oracle_chi", "oracle_tilde", "q"))
     radius = min(1e-2, 0.2 * _min_node_gap(data, extra=[q] if q is not None else ()))
     report = {"pole_span_gaps": [], "zero_span_gaps": [], "coupling_residuals": []}
 
@@ -811,17 +804,12 @@ def _necessity_defect(surface, zeros, poles, chi, chi_tilde):
     return lattice_distance((z_out - z_in) - w, surface.tau)
 
 
-def _scalar_nodes(surface, zeros, poles, q):
-    """Zeros and poles as points; rejects a repeated zero or pole, a zero on a
-    pole (InputError) and a base point on a node (PointOnExcludedSet)."""
-    zeros, poles = [point(z) for z in zeros], [point(p) for p in poles]
-    nodes = [*zeros, *poles]
-    for i, j in surface.coincidences(nodes, [*nodes, q]):
-        if j == len(nodes):
-            raise PointOnExcludedSet(f"base point {q!r} hits a node")
-        if i != j:
-            raise InputError(f"nodes {nodes[i]!r} and {nodes[j]!r} coincide")
-    return zeros, poles
+def _line_data(surface, zeros, poles) -> InterpolationDataSet:
+    """The rank-1 data set of a scalar problem: the vector [1] at every zero
+    and pole."""
+    one = np.ones((1, 1))
+    return InterpolationDataSet(surface, 1, tuple((z, one) for z in zeros),
+                                tuple((p, one) for p in poles))
 
 
 def _scalar_map(surface, q, Q, values):
@@ -850,21 +838,35 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
     T(p) = prod_i E(p, lam^i)/E(q, lam^i) / prod_j E(p, mu^j)/E(q, mu^j)
            * exp(-2 pi i a (phi(p) - phi(q))) * Q,
 
-    with a read off from Omega a + b = phi(zeros) - phi(poles).  Requires
-    the solvability condition: equal counts and bundle difference equal to
-    the divisor class mod the lattice (to 1e-9), and distinct nodes apart
-    from the base point.  T takes one point or a sequence of N points
-    (then an (N,) array).  Raises InputError for a Q that is not one finite
-    number, as build_solution checks it.
+    with a read off from Omega a + b = phi(zeros) - phi(poles).  The nodes
+    are laid out as scalar_partial_fraction lays them out, the rank-1 data
+    set, and q and Q are checked as build_solution checks them, so both
+    forms refuse malformed data with one verdict.  T takes one point or a
+    sequence of N points (then an (N,) array).
+
+    Raises
+    ------
+    InputError
+        For nodes the data set refuses (a non-finite point, a repeated zero
+        or pole, a zero on a pole) or a Q that is not one finite number.
+    PointOnExcludedSet
+        For q on a node.
+    SingularMatrix
+        For Q = 0.
+    NecessityViolated
+        For unequal counts, or a bundle difference off the divisor class by
+        more than 1e-9 mod the lattice.
     """
-    zeros, poles = _scalar_nodes(surface, zeros, poles, q)
+    data = _line_data(surface, zeros, poles)
+    q, Q = _base(data, q, Q)
+    zeros, poles = ([node.point for node in nodes] for nodes in (data.zeros, data.poles))
     if len(zeros) != len(poles):
         raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
     defect = _necessity_defect(surface, zeros, poles, chi, chi_tilde)
     if defect > 1e-9:
         raise NecessityViolated(f"divisor/bundle lattice defect {defect:.3e}")
     ratio = _prime_form_ratio(surface, zeros, poles, q)
-    Q = complex(_base_value(Q, 1)[0, 0])
+    Q = complex(Q[0, 0])
     return _scalar_map(surface, q, Q, lambda P: ratio(P) * Q)
 
 
@@ -907,17 +909,15 @@ def scalar_partial_fraction(surface: Surface, zeros, poles,
     Raises
     ------
     InputError
-        For nodes the data set refuses (a repeated zero or pole, a zero on
-        a pole) or a Q that is not one finite number.
+        For nodes the data set refuses (a non-finite point, a repeated zero
+        or pole, a zero on a pole) or a Q that is not one finite number.
     PointOnExcludedSet
         For q on a node.
     NotSquare, SingularMatrix
         As build_solution: unequal counts, or a singular Gamma or Q.
     """
-    one = np.ones((1, 1))
-    data = InterpolationDataSet(surface, 1, tuple((z, one) for z in zeros),
-                                tuple((p, one) for p in poles))
-    T = build_solution(data, q, Q, line_kernel(surface, chi), line_kernel(surface, chi_tilde))
+    T = build_solution(_line_data(surface, zeros, poles), q, Q, line_kernel(surface, chi),
+                       line_kernel(surface, chi_tilde))
     return _scalar_map(surface, T.q, complex(T.Q[0, 0]), lambda P: T.many(P)[:, 0, 0])
 
 
@@ -1001,10 +1001,22 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     Every node must carry the r standard basis vectors; then the solution
     is the scalar multiplicative interpolant of the underlying divisor
     times the matrix Q, and the coupling matrix is the block matrix
-    -[K(chi~; lam^i, mu^j)].
+    -[K(chi~; lam^i, mu^j)].  q and Q are checked as build_solution checks
+    them.
 
     Returns (evaluator, gamma_block).
+
+    Raises
+    ------
+    InputError
+        For a Q that is not r^2 finite numbers, or a node that does not
+        carry the standard basis vectors.
+    PointOnExcludedSet
+        For q on a node.
+    SingularMatrix
+        For a singular Q.
     """
+    q, Q = _base(data, q, Q)
     r = data.rank
     eye = np.eye(r)
     for node in (*data.zeros, *data.poles):
@@ -1015,10 +1027,9 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     poles = [p.point for p in data.poles]
     ratio = _prime_form_ratio(surface, zeros, poles, q)
     scalar = _scalar_map(surface, q, 1.0, ratio)
-    Qmat = np.asarray(Q, dtype=complex).reshape(r, r)
 
     def T(p):
-        return np.multiply.outer(scalar(p), Qmat)
+        return np.multiply.outer(scalar(p), Q)
 
     gamma = -_block_form(kernel_grid(oracle_tilde, zeros, poles))
     return T, gamma

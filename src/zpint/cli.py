@@ -266,8 +266,8 @@ def _cmd_detrep(args):
     if not args.export:
         return checks, {}
     surf = torus_surface(_parse_complex(args.tau))
-    emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
-    pencil = build_pencil(line_kernel(surf, line_bundle(0.21, 0.37)), emb)
+    emb = build_embedding_functions(surf, *verify.DETREP_EMBEDDING)
+    pencil = build_pencil(line_kernel(surf, verify._K1_BUNDLE), emb)
     with open(args.export, "w") as handle:
         handle.write(pencil.to_json() + "\n")
     return checks, {"exported_pencil": args.export}

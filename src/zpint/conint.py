@@ -161,12 +161,17 @@ def build_gamma0(data: ConintDataSet, xi) -> np.ndarray:
 
 @dataclass(eq=False)
 class ConintSolution:
-    """Updated pencil and the interpolating bundle-map evaluators."""
+    """Updated pencil and the interpolating bundle-map evaluators.
+
+    gamma0 is the concrete coupling matrix at DEFAULT_XI, gamma the updated
+    pencil's gamma, and xi_consistency the relative difference of gamma0
+    from the coupling matrix at SECOND_XI.  S and its left inverse are read
+    at DEFAULT_XI unless another direction is given.
+    """
 
     data: ConintDataSet
     gamma0: np.ndarray
     gamma: np.ndarray
-    xi: tuple
     xi_consistency: float
 
     def __post_init__(self):
@@ -177,7 +182,7 @@ class ConintSolution:
     def s_matrix(self, z, xi=None) -> np.ndarray:
         """Full matrix of S at affine z, (M, M), or at each row of an array of
         affine pairs (..., 2), (..., M, M); meaningful on ker U_gamma(z) only."""
-        xi = xi or self.xi
+        xi = xi or DEFAULT_XI
         data = self.data
         sig = _sigma_xi(data.pencil, xi)
         gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :],
@@ -189,7 +194,7 @@ class ConintSolution:
         """Right-multiplication matrix of S_left^{-1} at affine z, (M, M), or
         at each row of an array of affine pairs (..., 2), (..., M, M); the
         Gamma0^T system, which z does not enter, is solved once per call."""
-        xi = xi or self.xi
+        xi = xi or DEFAULT_XI
         data = self.data
         sig = _sigma_xi(data.pencil, xi)
         gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :],
@@ -217,14 +222,14 @@ class ConintSolution:
         return basis @ (np.swapaxes(basis.conj(), -1, -2) @ cols)
 
 
-def solve_conint(data: ConintDataSet, xi=None) -> ConintSolution:
+def solve_conint(data: ConintDataSet) -> ConintSolution:
     """Solve the concrete problem: updated gamma and bundle maps.
 
     Enforces the coincidence consistency psi (xi sigma) phi = 0 before
-    solving, at two independent directions; checks direction independence
-    of the coupling matrix.
+    solving, at the two directions DEFAULT_XI and SECOND_XI; the coupling
+    matrix is built at DEFAULT_XI, and its difference from the one at
+    SECOND_XI measures direction independence.
     """
-    xi = tuple(xi) if xi is not None else DEFAULT_XI
     pen = data.pencil
     for (i, j) in data.coincident_pairs():
         for probe in (DEFAULT_XI, SECOND_XI):
@@ -237,8 +242,8 @@ def solve_conint(data: ConintDataSet, xi=None) -> ConintSolution:
                 raise ZPViolated(
                     f"pairing {float(np.abs(val).max()):.3e} at coincidence {(i, j)}"
                 )
-    gamma0 = build_gamma0(data, xi)
-    alt = build_gamma0(data, SECOND_XI if xi == DEFAULT_XI else DEFAULT_XI)
+    gamma0 = build_gamma0(data, DEFAULT_XI)
+    alt = build_gamma0(data, SECOND_XI)
     if gamma0.size:
         consistency = float(np.abs(gamma0 - alt).max()) / (
             float(np.abs(gamma0).max()) + float(np.abs(alt).max()) + EPS_GUARD
@@ -259,7 +264,7 @@ def solve_conint(data: ConintDataSet, xi=None) -> ConintSolution:
                  + pen.sigma2 @ correction @ pen.sigma1)
     else:
         gamma = pen.gamma.copy()
-    return ConintSolution(data, gamma0, gamma, xi, consistency)
+    return ConintSolution(data, gamma0, gamma, consistency)
 
 
 def convert_absint_to_conint(data: InterpolationDataSet,
@@ -296,11 +301,11 @@ def convert_absint_to_conint(data: InterpolationDataSet,
 
 def check_gamma_equality(data: InterpolationDataSet,
                          oracle_tilde: CauchyKernelOracle,
-                         converted: ConintDataSet, xi=None) -> float:
-    """Max entrywise relative difference between the two coupling matrices."""
-    xi = tuple(xi) if xi is not None else DEFAULT_XI
+                         converted: ConintDataSet) -> float:
+    """Max entrywise relative difference between the two coupling matrices,
+    the concrete one at DEFAULT_XI."""
     gamma = build_gamma(data, oracle_tilde).matrix
-    gamma0 = build_gamma0(converted, xi)
+    gamma0 = build_gamma0(converted, DEFAULT_XI)
     if gamma.shape != gamma0.shape:
         raise NotSquare("coupling matrices have different shapes")
     if gamma.size == 0:
@@ -312,15 +317,15 @@ def check_gamma_equality(data: InterpolationDataSet,
 def check_intertwining(solution: ConintSolution, T,
                        oracle_chi: CauchyKernelOracle,
                        oracle_tilde: CauchyKernelOracle,
-                       embedding: EmbeddingPair, p, xi=None):
+                       embedding: EmbeddingPair, p):
     """Residual of S(z(p)) beta^{-1} u_cross_in(p) = u_cross_out(p) T(p).
 
     beta^{-1} stacks the boundary values T(x^i) blockwise; the left side
     applies the concrete map to the normalized input sections, the right
-    side maps the output sections through the abstract interpolant.  p is
-    one point (a float) or a sequence of N points (an array (N,)); T is
-    called once, on the pole points and the points together, and must
-    give the (N, r, r) values of a sequence.
+    side maps the output sections through the abstract interpolant, with S
+    at DEFAULT_XI.  p is one point (a float) or a sequence of N points (an
+    array (N,)); T is called once, on the pole points and the points
+    together, and must give the (N, r, r) values of a sequence.
     """
     P = embedding.surface.points(p)
     if embedding.is_pole(P):
@@ -334,7 +339,7 @@ def check_intertwining(solution: ConintSolution, T,
     beta_inv, at_p = values[:m], values[m:]
     u_in = normalized_sections(oracle_chi, embedding).right(P)
     lifted = (beta_inv @ u_in.reshape(len(P), m, r, r)).reshape(u_in.shape)
-    lhs = solution.apply(embedding.lambda_values(P), lifted, xi=xi)
+    lhs = solution.apply(embedding.lambda_values(P), lifted)
     rhs = normalized_sections(oracle_tilde, embedding).right(P) @ at_p
     res = rel_residual(lhs, rhs)
     return float(res[0]) if single else res
@@ -386,7 +391,7 @@ def check_condition_I3(solution: ConintSolution, embedding: EmbeddingPair,
     are its modes 0 and 1, and the value at the node is the mean,
     c0 H_0 + c1 H_-1.  lambda' and lambda'' come from one lambda_jet pass.
     """
-    xi = tuple(xi) if xi is not None else solution.xi
+    xi = tuple(xi) if xi is not None else DEFAULT_XI
     data = solution.data
     if pair not in set(data.coincident_pairs()):
         raise NoCoincidence(f"nodes {pair} do not coincide on the surface")

@@ -1,6 +1,6 @@
 """Determinantal representations of the image curve from a Cauchy kernel.
 
-Given embedding functions (lambda1, lambda2) with simple poles at
+Given embedding functions (lambda_1, lambda_2) with simple poles at
 x^1, ..., x^m and a rank-r Cauchy kernel, the matrices
 
     sigma1 = diag(c_i1 I_r),  sigma2 = diag(c_i2 I_r),

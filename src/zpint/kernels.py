@@ -8,8 +8,10 @@ p0 reads
 
     K(p, q) (t(p) - t(q)) = I + A_l t(p) + A t(q) + second order,
 
-and the linear coefficients satisfy A + A_l = 0; they define the dual flat
-connections  grad y = A y + dy  and  grad* x = A_l^T x + dx.
+and the linear coefficients satisfy A + A_l = 0: A_l = -A is the duality
+that the battery checks (connection_duality_defect).  A, which
+extract_laurent_coeffs reads, defines the flat connection grad y = A y + dy,
+and A_l its dual grad* x = A_l^T x + dx.
 
 On the torus pi_1 is abelian, so every kernel built here is a constant
 frame F (r x r, with F^-1 kept) times r scalar channels times F^-1:
@@ -86,7 +88,6 @@ from .theta import (
 
 __all__ = [
     "CauchyKernelOracle",
-    "ConnectionCoefficients",
     "EndPlan",
     "end_plan",
     "evaluate_channels",
@@ -228,7 +229,6 @@ class CauchyKernelOracle:
 
     surface: Surface
     channels: _Channels
-    name: str = ""
     frame: np.ndarray | None = None
     frame_inv: np.ndarray | None = None
 
@@ -267,7 +267,7 @@ class CauchyKernelOracle:
         frames = (None, None) if self.frame is None else (self.frame_inv.T, self.frame.T)
         return CauchyKernelOracle(self.surface, _Channels(-self.channels.ab,
                                                           self.channels.theta0),
-                                  self.name, *frames)
+                                  *frames)
 
 
 def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
@@ -333,7 +333,7 @@ def genus0_kernel(r: int, surface: Surface | None = None) -> CauchyKernelOracle:
     if r < 1:
         raise InputError("rank must be at least 1")
     channels = _Channels(np.zeros((r, 2, 0)), np.ones(r, dtype=complex))
-    return CauchyKernelOracle(surface or genus0_surface(), channels, f"trivial({r})")
+    return CauchyKernelOracle(surface or genus0_surface(), channels)
 
 
 def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
@@ -359,7 +359,7 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
         raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}, "
                                f"at most 1e-10 of its largest term {largest:.3e}")
     channels = _Channels(np.array([[bundle.a, bundle.b]]), np.array([theta0]))
-    return CauchyKernelOracle(surface, channels, "line")
+    return CauchyKernelOracle(surface, channels)
 
 
 def _block_diagonal(blocks) -> np.ndarray:
@@ -398,7 +398,7 @@ def direct_sum_kernel(oracles) -> CauchyKernelOracle:
             _block_diagonal([np.eye(o.rank) if o.frame is None else getattr(o, attr)
                              for o in oracles])
             for attr in ("frame", "frame_inv"))
-    return CauchyKernelOracle(base, channels, "direct_sum", frame, frame_inv)
+    return CauchyKernelOracle(base, channels, frame, frame_inv)
 
 
 def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKernelOracle:
@@ -413,56 +413,32 @@ def conjugated_kernel(oracle: CauchyKernelOracle, frame: np.ndarray) -> CauchyKe
     frame_inv = np.linalg.inv(frame)
     if oracle.frame is not None:
         frame, frame_inv = frame @ oracle.frame, oracle.frame_inv @ frame_inv
-    return CauchyKernelOracle(oracle.surface, oracle.channels, "conjugated", frame, frame_inv)
+    return CauchyKernelOracle(oracle.surface, oracle.channels, frame, frame_inv)
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectionCoefficients:
-    """Linear diagonal-expansion coefficients, frame-relative, at one point
-    (A and A_l of shape (r, r)) or at each of N points ((N, r, r)).
+def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> np.ndarray:
+    """The connection coefficient A at p0, (r, r), or at each point of a
+    sequence p0, (N, r, r), from a constant Laurent mode of the kernel.
 
-    A pairs with t(q), A_l with t(p); the duality of the induced
-    connections is the statement A + A_l = 0.
-    """
-
-    point: complex | np.ndarray
-    A: np.ndarray
-    A_ell: np.ndarray
-
-    def duality_defect(self):
-        """|A + A_l| (Frobenius): a float at one point, an (N,) array at N."""
-        out = np.linalg.norm(self.A + self.A_ell, axis=(-2, -1))
-        return float(out) if out.ndim == 0 else out
-
-
-def extract_laurent_coeffs(oracle: CauchyKernelOracle, p0) -> ConnectionCoefficients:
-    """Read A and A_l at p0, or at each point of a sequence p0, from the
-    constant Laurent modes of the kernel.
-
-    K(p0 + t, p0) = I/t + A_l + O(t) and K(p0, p0 + t) = -I/t - A + O(t),
-    so A_l is the constant mode of K(., p0) and A is minus that of
-    K(p0, .), each read by laurent_coeffs with one oracle call per circle
+    K(p0, p0 + t) = -I/t - A + O(t), so A is minus the constant mode of
+    K(p0, .), read by laurent_coeffs with one oracle call per circle
     radius over the circles of every point.  A point of a sequence has the
-    bits of its one-point call.
+    bits of its one-point call.  A_l = -A is the duality that
+    connection_duality_defect measures.
 
     Raises
     ------
     ExtractionUnstable
-        When either side shows more than a simple pole at a point
+        When K(p0, .) shows more than a simple pole at a point
         (HigherOrderPole, naming it).
     """
     P0 = oracle.surface.points(p0)
     r = oracle.rank
 
-    def column(t):   # t is (16, *P0.shape), row-major like P0 broadcast to it
-        return oracle(t.ravel(), np.broadcast_to(P0, t.shape).ravel()).reshape(*t.shape, r, r)
-
-    def row(t):
+    def row(t):   # t is (16, *P0.shape), row-major like P0 broadcast to it
         return oracle(np.broadcast_to(P0, t.shape).ravel(), t.ravel()).reshape(*t.shape, r, r)
 
-    a_ell = laurent_coeffs(column, P0)[1]
-    a = -laurent_coeffs(row, P0)[1]
-    return ConnectionCoefficients(P0, a, a_ell)
+    return -laurent_coeffs(row, P0)[1]
 
 
 def connection_duality_defect(oracle: CauchyKernelOracle, p0):
@@ -471,9 +447,9 @@ def connection_duality_defect(oracle: CauchyKernelOracle, p0):
 
     K(p0 + t, p0) - K(p0, p0 - t) = A_l + A + O(t): the poles I/t of the two
     terms cancel, so the difference's constant mode on one circle of radius
-    5e-3 is A + A_l.  ConnectionCoefficients.duality_defect adds the two
-    constant modes that extract_laurent_coeffs reads under a pole of size
-    1/t, and so carries their rounding; this reads the identity itself.
+    5e-3 is A + A_l.  Reading A and A_l apart would add two constant modes
+    read under a pole of size 1/t, and so carry their rounding; this reads
+    the identity itself.
     """
     P0 = oracle.surface.points(p0)
     r = oracle.rank

@@ -74,7 +74,6 @@ __all__ = [
     "lattice_distance",
     "point",
     "prime_form",
-    "odd_theta",
     "odd_theta_deriv0",
     "build_embedding_functions",
     "laurent_coeffs",
@@ -129,8 +128,8 @@ class Surface:
     def distance(self, p, q):
         return self.gap(self.points(p) - self.points(q))
 
-    def equal(self, p, q, tol: float = POINT_TOL):
-        return self.distance(p, q) <= tol
+    def equal(self, p, q):
+        return self.distance(p, q) <= POINT_TOL
 
     def coincidences(self, P, Q) -> list[tuple[int, int]]:
         """Row-major list of the index pairs (i, j) with P[i] equal to Q[j].
@@ -189,7 +188,7 @@ class Torus(Surface):
         N = 1 case of the array arithmetic, so E of a pair has the same
         bits alone and in an array."""
         v = np.atleast_1d(self.points(q) - self.points(p))
-        value = self.prime_form_from_odd_theta(odd_theta(v, self.period))
+        value = self.prime_form_from_odd_theta(odd_theta_series(self.period, v)[0])
         return value if _is_many(p) or _is_many(q) else complex(value[0])
 
     def prime_form_from_odd_theta(self, odd):
@@ -308,14 +307,6 @@ def _odd_deriv0(tau: complex) -> complex:
     return value
 
 
-def odd_theta(v, period: PeriodMatrix):
-    """theta[1/2; 1/2](v | tau), the odd genus-1 theta value by its sine
-    series (theta.odd_theta_series); elementwise for arrays."""
-    if isinstance(v, np.ndarray):
-        return odd_theta_series(period, v)[0]
-    return complex(odd_theta_series(period, np.array([v]))[0, 0])
-
-
 def odd_theta_deriv0(tau: complex) -> complex:
     """theta[1/2; 1/2]'(0 | tau); cached per modulus."""
     return _odd_deriv0(complex(tau))
@@ -397,7 +388,7 @@ def _log_theta_derivs(v, period: PeriodMatrix, order: int):
 class EmbeddingPair:
     """Two elliptic coordinate functions with simple poles at three points.
 
-    lambda1 = L(z - x1) - L(z - x2) and lambda2 = L(z - x1) - L(z - x3),
+    lambda_1 = L(z - x1) - L(z - x2) and lambda_2 = L(z - x1) - L(z - x3),
     where L = theta'/theta is the log-derivative of the odd theta
     function.  Together they embed the torus (birationally) onto a plane
     cubic.  residues holds c[i][k] = -Res_{x_i} lambda_k and consts holds
@@ -428,17 +419,11 @@ class EmbeddingPair:
         return [dL[..., :1] - dL[..., 1:] for dL in self._log_derivs(z, order)]
 
     def lambda_values(self, z) -> np.ndarray:
-        """(lambda1, lambda2) at z: shape (2,) at one point, (*z.shape, 2) at an array."""
+        """(lambda_1, lambda_2) at z: shape (2,) at one point, (*z.shape, 2) at an array."""
         return self.lambda_jet(z, 0)[0]
 
-    def lambda1(self, z):
-        return self.lambda_values(z)[..., 0]
-
-    def lambda2(self, z):
-        return self.lambda_values(z)[..., 1]
-
     def lambda_derivs(self, z, order: int = 1) -> np.ndarray:
-        """Derivative of order 1 or 2 of (lambda1, lambda2), shaped as lambda_values."""
+        """Derivative of order 1 or 2 of (lambda_1, lambda_2), shaped as lambda_values."""
         if order not in (1, 2):
             raise InputError("order must be 1 or 2")
         return self.lambda_jet(z, order)[order]

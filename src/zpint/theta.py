@@ -300,17 +300,15 @@ class ThetaPlan:
         quad = (y * y_sol).T
         return math.pi * sum(quad[1:], quad[0]), y_sol
 
-    def radii(self, log_peak: np.ndarray) -> np.ndarray:
-        """Value-path truncation radius per log_peak.
+    def _radii(self, log_peak: np.ndarray, gradient: bool) -> np.ndarray:
+        """Truncation radius per log_peak, of the value path or (gradient)
+        of the gradient path.
 
         Raises
         ------
         NonConvergent
             If some point needs more than MAX_LATTICE_RADIUS.
         """
-        return self._radii(log_peak, False)
-
-    def _radii(self, log_peak: np.ndarray, gradient: bool) -> np.ndarray:
         # radius r fits when -T(r) > excess
         excess = log_peak - math.log(TARGET_ABS_ERROR)
         table = self._table(float(excess.max()), gradient)

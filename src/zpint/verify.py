@@ -95,6 +95,8 @@ TAUS = (1j, 2j, 0.3 + 0.8j)
 
 # embedding pole points of the concrete-interpolation fixtures
 CONINT_EMBEDDING = (0.16 + 0.23j, 0.55 + 0.66j, 0.79 + 0.16j)
+# embedding pole points of the pole-collection and determinantal fixtures
+DETREP_EMBEDDING = (0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
 
 
 def check(name, residual, tolerance):
@@ -376,7 +378,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
     # circle, A of k1 against its closed form
     P0 = sample_points(surf, rng, 10)
     dual_defects = [connection_duality_defect(oracle, P0) for oracle in (k1, ksum)]
-    gap = extract_laurent_coeffs(k1, P0).A[:, 0, 0] - line_connection_form(surf, _K1_BUNDLE)
+    gap = extract_laurent_coeffs(k1, P0)[:, 0, 0] - line_connection_form(surf, _K1_BUNDLE)
     out.append(check("kernel.connection_duality", np.max(dual_defects), 1e-7 * tol_scale))
     # |gap| by hypot, the modulus of one complex number
     out.append(check("kernel.connection_closed_form", np.max(np.hypot(gap.real, gap.imag)),
@@ -394,7 +396,7 @@ def checks_kernel(seed=3, tol_scale=1.0):
     # pole collection: 50 draws (xi, p, q), every seventh from the fourth
     # with q = p; the even draws go to k1 and the odd ones to ksum, one call
     # per oracle
-    emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
+    emb = build_embedding_functions(surf, *DETREP_EMBEDDING)
     avoid = list(emb.pole_points)
     xis = [(1.0, 0.0), (0.0, 1.0)]
     while len(xis) < 50:
@@ -542,7 +544,7 @@ def checks_detrep(seed=7, tol_scale=1.0):
     rng = np.random.default_rng(seed)
     out = []
     surf, k1, ksum = _torus_kernels()
-    emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
+    emb = build_embedding_functions(surf, *DETREP_EMBEDDING)
     avoid = list(emb.pole_points)
 
     pencils = {oracle: build_pencil(oracle, emb) for oracle in (k1, ksum)}
@@ -796,8 +798,7 @@ def checks_negative(seed=9, tol_scale=1.0):
     conv2 = convert_absint_to_conint(data2, kt2, emb)
     sol2 = solve_conint(conv2)
     tampered = replace(conv2, couplings={k: v + 0.01 for k, v in conv2.couplings.items()})
-    sol_tampered = ConintSolution(tampered, sol2.gamma0, sol2.gamma,
-                                  sol2.xi, sol2.xi_consistency)
+    sol_tampered = ConintSolution(tampered, sol2.gamma0, sol2.gamma, sol2.xi_consistency)
     res = check_condition_I3(sol_tampered, emb, (0, 1))
     out.append(check("negative.tampered_coupling",
                      1.0 / (float(res.max()) + 1e-300), 1e3 / tol_scale))

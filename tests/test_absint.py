@@ -30,6 +30,7 @@ from zpint.errors import (
     NotSquare,
     PointOnExcludedSet,
     SingularMatrix,
+    ZpintError,
 )
 from zpint.genus0 import Genus0Problem, solve_genus0
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
@@ -141,7 +142,7 @@ def mixed_count_cases(rng):
 
 
 def test_build_gamma_matches_pairwise_loop_mixed_counts(rng):
-    for data, oracle, _ in mixed_count_cases(rng):
+    for case, (data, oracle, _) in enumerate(mixed_count_cases(rng)):
         gamma = build_gamma(data, oracle)
         rows = np.cumsum([0] + [z.count for z in data.zeros])
         cols = np.cumsum([0] + [p.count for p in data.poles])
@@ -154,10 +155,10 @@ def test_build_gamma_matches_pairwise_loop_mixed_counts(rng):
                     block = -(z.vectors @ oracle(z.point, p.point) @ p.vectors.T)
                 ref[rows[i]:rows[i + 1], cols[j]:cols[j + 1]] = block
         assert len(data.couplings) == 2
-        assert rel_residual(gamma.matrix, ref) <= 1e-14, oracle.name
+        assert rel_residual(gamma.matrix, ref) <= 1e-14, case
         for i, j in data.couplings:   # the coincident blocks are -rho exactly
             block = np.s_[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
-            assert np.array_equal(gamma.matrix[block], ref[block]), oracle.name
+            assert np.array_equal(gamma.matrix[block], ref[block]), case
         assert data.zero_rows.blocks == tuple(zip(rows[:-1].tolist(), rows[1:].tolist()))
         assert data.pole_rows.blocks == tuple(zip(cols[:-1].tolist(), cols[1:].tolist()))
         for nodes, layout in ((data.zeros, data.zero_rows), (data.poles, data.pole_rows)):
@@ -520,6 +521,49 @@ def test_scalar_builders_refuse_a_base_value_that_is_not_one_finite_number(build
         with pytest.raises(InputError, match="base value Q"):
             builder(surf, zeros, poles, chi, chit, Q_POINT, bad)
     assert builder(surf, zeros, poles, chi, chit, Q_POINT, 1.3 - 0.4j)(Q_POINT) == 1.3 - 0.4j
+
+
+def _verdict(build):
+    """(type, message) of the ZpintError that build() raises."""
+    with pytest.raises(ZpintError) as raised:
+        build()
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("repeated zero", InputError),
+    ("repeated pole", InputError),
+    ("zero on a pole", InputError),
+    ("q on a node", PointOnExcludedSet),
+    ("non-finite point", InputError),
+    ("Q text", InputError),
+    ("Q zero", SingularMatrix),
+])
+def test_closed_forms_and_build_solution_give_one_verdict(case, error, scalar_setup):
+    """The multiplicative and partial-fraction forms lay out their nodes as
+    the rank-1 data set and check q and Q as build_solution does, so each
+    bad input gets one verdict from all three: the same type and message."""
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    q, Q = Q_POINT, 1.3 - 0.4j
+    if case == "repeated zero":
+        zeros = [zeros[0], zeros[0]]
+    elif case == "repeated pole":
+        poles = [poles[0], poles[0]]
+    elif case == "zero on a pole":
+        poles = [zeros[1] + 1 + TAU, poles[1]]
+    elif case == "q on a node":
+        q = poles[1]
+    elif case == "non-finite point":
+        zeros = [zeros[0], complex(np.nan, 0.0)]
+    else:
+        Q = "ab" if case == "Q text" else 0.0
+    ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
+    verdicts = {_verdict(lambda: form(surf, zeros, poles, chi, chit, q, Q))
+                for form in (scalar_multiplicative, scalar_partial_fraction)}
+    verdicts.add(_verdict(lambda: build_solution(
+        InterpolationDataSet(surf, 1, *scalar_nodes(zeros, poles)), q, Q, ko, kt)))
+    assert len(verdicts) == 1, verdicts
+    assert verdicts.pop()[0] is error
 
 
 def test_scalar_forms_take_point_sequences(scalar_setup, rng):
@@ -931,6 +975,19 @@ def test_full_rank_rejects_partial_data():
     )
     with pytest.raises(InputError, match="standard basis vectors"):
         full_rank_multiplicative(bad, kt, Q_POINT, np.eye(2))
+
+
+def test_full_rank_checks_base_as_build_solution():
+    """full_rank_multiplicative checks q and Q as build_solution does: q on
+    the zero (where T would be NaN everywhere), Q as text or two numbers,
+    and a singular Q (where T would be 0) get the same type and message."""
+    surf, data, ko, kt, lam, mu = full_rank_setup()
+    cases = [(lam, np.eye(2), PointOnExcludedSet), (Q_POINT, "ab", InputError),
+             (Q_POINT, [1, 2], InputError), (Q_POINT, [[1, 2], [2, 4]], SingularMatrix)]
+    for q, Q, error in cases:
+        verdict = _verdict(lambda: full_rank_multiplicative(data, kt, q, Q))
+        assert verdict == _verdict(lambda: build_solution(data, q, Q, ko, kt))
+        assert verdict[0] is error
 
 
 # --- array evaluation ---

@@ -331,7 +331,7 @@ def test_condition_i3_perturbation_sensitivity(triangular_case):
     tampered_data = replace(converted,
                             couplings={k: v + 0.01 for k, v in converted.couplings.items()})
     tampered = ConintSolution(tampered_data, solution.gamma0, solution.gamma,
-                              solution.xi, solution.xi_consistency)
+                              solution.xi_consistency)
     res = check_condition_I3(tampered, emb, (0, 1))
     rho = converted.couplings[(0, 1)]
     expected = 0.01 / (2 * abs(rho[0, 0]) + 1.01)
@@ -353,7 +353,7 @@ def test_stacked_s_left_inverse_matches_points_and_tamper_still_fails(triangular
         assert np.abs(stacked - one).max() <= 1e-14 * max(1.0, np.abs(one).max())
     tampered = ConintSolution(
         replace(converted, couplings={k: v + 0.01 for k, v in converted.couplings.items()}),
-        solution.gamma0, solution.gamma, solution.xi, solution.xi_consistency)
+        solution.gamma0, solution.gamma, solution.xi_consistency)
     assert not check("conint.coupling_round_trip",
                      check_condition_I3(tampered, emb, (0, 1)).max(), 1e-5)["passed"]
 

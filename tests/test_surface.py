@@ -129,16 +129,21 @@ def test_laurent_coeffs_at_centres_names_the_double_pole():
         laurent_coeffs(f, [0.0, complex("nan")])
 
 
+def _component(embedding, k):
+    """lambda_{k + 1} of the embedding pair, as a function of z."""
+    return lambda z: embedding.lambda_values(z)[..., k]
+
+
 def test_embedding_residue_table(torus, embedding):
     # lambda_1 = L(z - x1) - L(z - x2): residues +1 at x1, -1 at x2, none at x3
     x1, x2, _ = embedding.pole_points
-    res, _ = laurent_coeffs(embedding.lambda1, x1)
+    res, _ = laurent_coeffs(_component(embedding, 0), x1)
     assert abs(res - 1.0) < 1e-8          # equals -c[0][0]
     assert abs(res - (-embedding.residues[0, 0])) < 1e-8
-    res2, _ = laurent_coeffs(embedding.lambda1, x2)
+    res2, _ = laurent_coeffs(_component(embedding, 0), x2)
     assert abs(res2 - (-embedding.residues[1, 0])) < 1e-8
     # independent contour oracle for the same residue
-    ref = oracles.circle_residue(embedding.lambda1, x1)
+    ref = oracles.circle_residue(_component(embedding, 0), x1)
     assert abs(ref - 1.0) < 1e-8
 
 
@@ -149,7 +154,7 @@ def test_embedding_residue_columns_sum_to_zero(embedding):
 
 def test_embedding_functions_are_elliptic(embedding):
     z = 0.11 + 0.52j
-    for fn in (embedding.lambda1, embedding.lambda2):
+    for fn in (_component(embedding, 0), _component(embedding, 1)):
         assert abs(fn(z + 1) - fn(z)) < 1e-10
         assert abs(fn(z + TAU) - fn(z)) < 1e-10
 
@@ -157,15 +162,15 @@ def test_embedding_functions_are_elliptic(embedding):
 def test_embedding_constant_terms(torus, embedding):
     # lambda_k(p) = -c/t - d + O(t) near each pole
     x1 = embedding.pole_points[0]
-    _, const = laurent_coeffs(embedding.lambda1, x1)
+    _, const = laurent_coeffs(_component(embedding, 0), x1)
     assert abs(-const - embedding.consts[0, 0]) < 1e-8
 
 
 def test_embedding_derivs_match_oracle(embedding):
     z = 0.27 + 0.33j
     d1, d2 = embedding.lambda_derivs(z, order=1)
-    ref1 = oracles.central_difference(embedding.lambda1, z)
-    ref2 = oracles.central_difference(embedding.lambda2, z)
+    ref1 = oracles.central_difference(_component(embedding, 0), z)
+    ref2 = oracles.central_difference(_component(embedding, 1), z)
     assert abs(d1 - ref1) < 1e-8 * (1 + abs(ref1))
     assert abs(d2 - ref2) < 1e-8 * (1 + abs(ref2))
 
@@ -205,7 +210,6 @@ def test_lambda_array_rows_match_scalar_calls(embedding):
         for z, row in zip(grid[0], values[0]):
             one = fn(z)
             assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
-    assert embedding.lambda1(grid).shape == (1, 5)
 
 
 def test_circle_modes_calls_f_once_on_array_center():

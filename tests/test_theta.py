@@ -300,7 +300,7 @@ def test_plan_radius_equals_radius_search(g, lam, monkeypatch):
         ref = [_log_tail_bound(plan.lam_min, 0.0, g, r, None) for r in range(1, cap + 1)]
         assert np.allclose(-plan._table(-math.inf, False), ref, rtol=1e-14, atol=1e-14)
         for log_peak in np.linspace(0.0, 150.0, 76):
-            ours = _outcome(lambda: int(plan.radii(np.array([log_peak]))[0]))
+            ours = _outcome(lambda: int(plan._radii(np.array([log_peak]), False)[0]))
             ref = _outcome(lambda: _radius_search(plan.lam_min, float(log_peak), g, None))
             assert ours == ref, (target, cap, log_peak)
 
@@ -331,7 +331,7 @@ def test_theta_many_rows_bit_identical_to_scalar(g, chunk, rng, monkeypatch):
     chi = ThetaCharacteristic(rng.uniform(-1, 1, g), rng.uniform(-1, 1, g))
     Z = rng.uniform(-1, 1, (40, g)) + 1j * rng.uniform(-4, 4, (40, g))
     plan = pm.plan()
-    assert len(set(plan.radii(plan.peaks(Z)[0]).tolist())) >= 3
+    assert len(set(plan._radii(plan.peaks(Z)[0], False).tolist())) >= 3
     batch = theta_many(chi, Z, pm)
     for i in range(len(Z)):
         assert batch[i] == theta_with_char(chi, Z[i], pm)
@@ -441,7 +441,7 @@ def test_theta_rows_and_gradient_match_oracle(problem):
     pm = PeriodMatrix(g, omega)
     plan = pm.plan()
     log_peak, y_sol = plan.peaks(z[None])
-    value_radius = int(plan.radii(log_peak)[0])
+    value_radius = int(plan._radii(log_peak, False)[0])
     grad_radius = int(plan._radii(log_peak + math.log1p(np.abs(y_sol).max()), True)[0])
     ulp = 64 * np.finfo(float).eps
     value = theta_module.theta_rows(pm, a[None], b[None], z[None])[0]
