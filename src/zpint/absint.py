@@ -35,10 +35,12 @@ K(chi~); the weights, Q and both frames are folded at build time into
 one matrix.  The kernels are read only at pairs (p, e) with ends fixed at
 build time, so on the torus the build also freezes the Fourier
 coefficients of every theta row at the ends (kernels.end_plan, a
-theta.ThetaTable).  A batch of points then costs one finiteness check,
-one distance test against the ends, one kernels.evaluate_channels call
-(on the torus one read of the table, no lattice pass), one matmul and one
-divide by the channels of K(chi).
+theta.ThetaTable).  A batch of points then costs one finiteness check
+(one point: surface.point, then the batch body at an array of one), one
+distance test against the ends (Surface.apart, on the torus an exact
+prefilter on the lattice offsets before the full distance), one
+kernels.evaluate_channels call (on the torus one read of the table, no
+lattice pass), one matmul and one divide by the channels of K(chi).
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of its kernel
 sum, and reads Gamma and its base column from the channels end_plan
@@ -435,17 +437,25 @@ class BundleMapEvaluator:
     is no product: the fold of a frame-free chi~ is written in its block
     layout.
 
-    A point costs its channel read, one matmul and one divide.  On the torus
-    it also tests K(chi) for a pole of its inverse (a tiny channel against
-    the channels' scale).  On the sphere every channel is 1/(p - q), which
-    vanishes at no p != q, so no such test runs there; only a channel that
-    rounds to 0, at |p - q| near the largest double, is refused.
+    A point costs one check (surface.point for a call at one point, which
+    enters many's body _at directly), one distance test against the ends
+    (Surface.apart), its channel read, one matmul and one divide.  On the
+    torus it also tests K(chi) for a pole of its inverse (a tiny channel
+    against the channels' scale), over the batch's extremes first and row
+    by row only when those do not clear it.  On the sphere every channel
+    is 1/(p - q), which vanishes at no p != q, so no such test runs there;
+    only a channel that rounds to 0, at |p - q| near the largest double,
+    is refused.
 
-    Raises NotSquare or SingularMatrix for a Gamma that is not square and
-    well conditioned.
+    Raises InputError for a kernel whose rank is not the data's, and
+    NotSquare or SingularMatrix for a Gamma that is not square and well
+    conditioned.
     """
 
     def __init__(self, data, q, Q, oracle_chi, oracle_tilde):
+        if oracle_chi.rank != data.rank or oracle_tilde.rank != data.rank:
+            raise InputError(f"kernels of rank {oracle_chi.rank} and {oracle_tilde.rank} "
+                             f"for data of rank {data.rank}")
         self.data = data
         self.q = q
         self.Q = Q
@@ -488,11 +498,23 @@ class BundleMapEvaluator:
             torus), or so far from q that 1/(p - q) rounds to 0 (on the
             sphere).
         """
-        P = self.data.surface.points(P)
-        dist = self.data.surface.gap(self._plan.ends - P[:, None])
-        if not dist.size or dist.min() > POINT_TOL:
+        return self._at(self.data.surface.points(P))
+
+    def __call__(self, p) -> np.ndarray:
+        return self.many(p) if _is_many(p) else self._at(np.array([point(p)]))[0]
+
+    @property
+    def rank(self) -> int:
+        return self.Q.shape[0]
+
+    def _at(self, P) -> np.ndarray:
+        """many at the checked point array P: one distance test against
+        the ends (Surface.apart), then the values."""
+        surface = self.data.surface
+        d = self._plan.ends - P[:, None]
+        if surface.apart(d):
             return self._values(P)
-        hits = dist <= POINT_TOL
+        hits = surface.gap(d) <= POINT_TOL
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
             where = point(P[on_pole.argmax()])
@@ -505,13 +527,6 @@ class BundleMapEvaluator:
             out[off] = self._values(P[off])
         return out
 
-    def __call__(self, p) -> np.ndarray:
-        return self.many(p) if _is_many(p) else self.many([p])[0]
-
-    @property
-    def rank(self) -> int:
-        return self.Q.shape[0]
-
     def _values(self, P):
         r = self.rank
         d = evaluate_channels(self.data.surface, self._plan, P)
@@ -520,10 +535,13 @@ class BundleMapEvaluator:
         if self.data.surface.genus:
             # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and
             # is O(1) or larger elsewhere, so a tiny channel against a unit
-            # scale flags a point at (or next to) such a pole
+            # scale flags a point at (or next to) such a pole; the global
+            # extremes clear every row at once, and the row-wise flags are
+            # built only when they do not
             size = np.abs(chi)
-            flags = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
-            singular = flags if flags.any() else None
+            if size.size and not size.min() > 1e-10 * max(1.0, size.max()):
+                flags = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
+                singular = flags if flags.any() else None
         elif np.count_nonzero(chi) < chi.size:   # a fraction of chi.all()'s cost
             # on the sphere every channel is 1/(p - q), which vanishes nowhere
             # (many has answered p at q); it rounds to 0 only at |p - q| near
@@ -541,8 +559,8 @@ class _Transposed(BundleMapEvaluator):
     """A BundleMapEvaluator whose values are transposed: build_inverse's
     T^{-1}, the transpose of the swapped problem's solution."""
 
-    def many(self, P) -> np.ndarray:
-        return super().many(P).transpose(0, 2, 1)
+    def _at(self, P) -> np.ndarray:
+        return super()._at(P).transpose(0, 2, 1)
 
 
 def _times(x, y):
@@ -1002,7 +1020,9 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     is the scalar multiplicative interpolant of the underlying divisor
     times the matrix Q, and the coupling matrix is the block matrix
     -[K(chi~; lam^i, mu^j)].  q and Q are checked as build_solution checks
-    them.
+    them.  Of scalar_multiplicative's necessity check only the counts are
+    tested here: the lattice-defect half needs the input bundle chi, which
+    this function does not take.
 
     Returns (evaluator, gamma_block).
 
@@ -1015,6 +1035,8 @@ def full_rank_multiplicative(data: InterpolationDataSet,
         For q on a node.
     SingularMatrix
         For a singular Q.
+    NecessityViolated
+        For unequal zero and pole counts.
     """
     q, Q = _base(data, q, Q)
     r = data.rank
@@ -1025,6 +1047,8 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     surface = data.surface
     zeros = [z.point for z in data.zeros]
     poles = [p.point for p in data.poles]
+    if len(zeros) != len(poles):
+        raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
     ratio = _prime_form_ratio(surface, zeros, poles, q)
     scalar = _scalar_map(surface, q, 1.0, ratio)
 

@@ -182,7 +182,7 @@ class ConintSolution:
     def s_matrix(self, z, xi=None) -> np.ndarray:
         """Full matrix of S at affine z, (M, M), or at each row of an array of
         affine pairs (..., 2), (..., M, M); meaningful on ker U_gamma(z) only."""
-        xi = xi or DEFAULT_XI
+        xi = DEFAULT_XI if xi is None else tuple(xi)
         data = self.data
         sig = _sigma_xi(data.pencil, xi)
         gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :],
@@ -194,7 +194,7 @@ class ConintSolution:
         """Right-multiplication matrix of S_left^{-1} at affine z, (M, M), or
         at each row of an array of affine pairs (..., 2), (..., M, M); the
         Gamma0^T system, which z does not enter, is solved once per call."""
-        xi = xi or DEFAULT_XI
+        xi = DEFAULT_XI if xi is None else tuple(xi)
         data = self.data
         sig = _sigma_xi(data.pencil, xi)
         gap = _xi_gap(xi, np.asarray(z, dtype=complex)[..., None, :],

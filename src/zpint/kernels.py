@@ -160,9 +160,10 @@ class EndPlan:
     then those of chi at ends[0], read at the pairs (p, e).  On the torus
     up to theta.MAX_TABLE_IM, table
     is the frozen theta.ThetaTable of the ends over the characteristics of
-    tilde, of chi and of the odd theta, tilde the number of tilde
-    channels, and scale theta'(0)/theta[a; b](0) per characteristic of
-    tilde and chi; rows is None.
+    tilde, of chi and of the odd theta, tilde the number r of tilde
+    channels (chi has as many), and scale theta'(0)/theta[a; b](0) per
+    channel of the (m + 1, r) layout: tilde's at each end, then chi's;
+    rows is None.
     Elsewhere rows is _plan's (cols, ab, theta0) over the ends, for the
     pass of the oracles, and table is None.
     """
@@ -201,7 +202,9 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     # each tilde channel over its end's odd theta, as evaluate_channels has it
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = at[:r] / at[-1] * scale[:r, None, None]
-    return (EndPlan(ends, None, table, r, scale),
+    layout = np.empty((m + 1, r), dtype=complex)
+    layout[:m], layout[m] = scale[:r], scale[r:]
+    return (EndPlan(ends, None, table, r, layout),
             ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
 
 
@@ -283,11 +286,14 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
     """
     if plan.table is not None:
         rows = theta_table_rows(plan.table, P)
-        # each channel over its end's odd theta, times theta'(0)/theta[a; b](0)
-        ratio = rows[:, :, :-1] / rows[:, :, -1:] * plan.scale
-        r = plan.tilde
-        return np.concatenate([ratio[:, :, :r].reshape(len(P), len(plan.ends) * r),
-                               ratio[:, 0, r:]], axis=1)
+        # each channel over its end's odd theta, times theta'(0)/theta[a; b](0),
+        # written in place into the (N, m + 1, r) layout of the (N, L) result
+        m, r = len(plan.ends), plan.tilde
+        out = np.empty((len(P), m + 1, r), dtype=complex)
+        np.divide(rows[:, :, :r], rows[:, :, -1:], out=out[:, :m])
+        np.divide(rows[:, 0, r:-1], rows[:, 0, -1:], out=out[:, m])
+        np.multiply(out, plan.scale, out=out)
+        return out.reshape(len(P), (m + 1) * r)
     d = P[:, None] - plan.ends
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
         return _channel_pass(surface, plan.rows, -d)

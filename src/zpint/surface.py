@@ -107,6 +107,16 @@ class Surface:
     E(p[i], q[i]) for two sequences).  Every public method
     takes one point or a sequence of points and checks them once, by
     points; a sequence gives an array, and distance broadcasts like numpy.
+
+    apart(d) is the verdict gap(d).min() > POINT_TOL over an array of
+    differences d (True for an empty d): no difference spans a distance
+    at which its points are equal.  On the sphere it is that expression.
+    The torus first runs an exact prefilter: its gap is
+    hypot(x, db Im(tau)), with db the B-cycle offset of d from the
+    nearest lattice row, and a hypot that is faithfully rounded is never
+    below |y| (the exact value is not, and |y| is a double).  So once
+    min |db| Im(tau) > POINT_TOL, with db made as lattice_distance makes
+    it, every gap is, and the full gap runs only when that bound fails.
     """
 
     period: PeriodMatrix
@@ -130,6 +140,11 @@ class Surface:
 
     def equal(self, p, q):
         return self.distance(p, q) <= POINT_TOL
+
+    def apart(self, d) -> bool:
+        """Whether every coordinate difference of the array d spans a gap
+        above POINT_TOL."""
+        return not d.size or bool(self.gap(d).min() > POINT_TOL)
 
     def coincidences(self, P, Q) -> list[tuple[int, int]]:
         """Row-major list of the index pairs (i, j) with P[i] equal to Q[j].
@@ -174,6 +189,16 @@ class Torus(Surface):
 
     def gap(self, d):
         return lattice_distance(d, self.tau)
+
+    def apart(self, d) -> bool:
+        """Surface.apart, with the prefilter min |db| Im(tau) > POINT_TOL
+        (a lower bound of every gap) before the full gap."""
+        if d.size:
+            tau = self.tau
+            beta = d.imag / tau.imag   # db as lattice_distance makes it
+            if np.abs(beta - np.rint(beta)).min() * tau.imag > POINT_TOL:
+                return True
+        return super().apart(d)
 
     def same_as(self, other) -> bool:
         return isinstance(other, Torus) and abs(self.tau - other.tau) <= POINT_TOL

@@ -36,6 +36,7 @@ from zpint.genus0 import Genus0Problem, solve_genus0
 from zpint.kernels import conjugated_kernel, direct_sum_kernel, genus0_kernel, line_kernel
 from zpint.numutil import rel_residual
 from zpint.surface import (
+    POINT_TOL,
     FlatLineBundle,
     genus0_surface,
     lattice_reduce,
@@ -977,6 +978,18 @@ def test_full_rank_rejects_partial_data():
         full_rank_multiplicative(bad, kt, Q_POINT, np.eye(2))
 
 
+def test_full_rank_refuses_unequal_counts():
+    """One zero and two poles have no multiplicative solution: T(p + tau)
+    would not be T(p) times a unit multiplier.  full_rank_multiplicative
+    raises NecessityViolated, as scalar_multiplicative does."""
+    surf, data, ko, kt, lam, mu = full_rank_setup()
+    eye = np.eye(2)
+    uneven = InterpolationDataSet(surf, 2, (ZeroNode(lam, eye),),
+                                  (PoleNode(mu, eye), PoleNode(0.83 + 0.11j, eye)))
+    with pytest.raises(NecessityViolated, match="1 zeros vs 2 poles"):
+        full_rank_multiplicative(uneven, kt, Q_POINT, eye)
+
+
 def test_full_rank_checks_base_as_build_solution():
     """full_rank_multiplicative checks q and Q as build_solution does: q on
     the zero (where T would be NaN everywhere), Q as text or two numbers,
@@ -1267,31 +1280,60 @@ def test_interpolant_rejects_non_finite_points(scalar_setup, rng):
 
 
 def test_interpolant_raises_at_its_poles(scalar_setup, rng):
-    """T at a pole node and T^-1 at a zero node (or a lattice translate)
-    raise PointOnExcludedSet naming the point, alone and inside a batch, on the
-    torus and on the sphere; T at a zero node is a finite value."""
+    """T at a pole node and T^-1 at a zero node raise PointOnExcludedSet
+    naming the point, alone and inside a batch, on three tori and on the
+    sphere: at the node, at its lattice translates by 1 and tau, and
+    0.5 POINT_TOL from it along 1, i and tau/|tau|.  2 POINT_TOL from any
+    node along those directions, and at the other side's nodes, T is a
+    finite value, alone and in a batch; at q + 0.5 POINT_TOL it is Q
+    exactly.  Text and non-finite points raise InputError."""
     surf, zeros, poles, chi, chit, _ = scalar_setup
-    dsum_o = direct_sum_kernel([line_kernel(surf, chi),
-                                line_kernel(surf, line_bundle(0.67, 0.19))])
-    dsum_t = direct_sum_kernel([line_kernel(surf, chit),
-                                line_kernel(surf, line_bundle(0.58, 0.73))])
     sphere = genus0_surface()
     k0 = genus0_kernel(2, sphere)
     sphere_zeros, sphere_poles = [2.0, -1.0j], [3.0 + 1j, 0.5]
-    cases = [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t, zeros, poles,
-              0.41 + 0.33j, 1.0),
-             (_rank2_data(sphere, rng, sphere_zeros, sphere_poles), 40.0 + 3j, k0, k0,
-              sphere_zeros, sphere_poles, 0.1 - 0.7j, 0.0)]
-    for data, q, ko, kt, zs, ps, away, period in cases:
+    cases = [(_rank2_data(sphere, rng, sphere_zeros, sphere_poles), 40.0 + 3j, k0, k0,
+              sphere_zeros, sphere_poles, 0.1 - 0.7j, (), (1.0, 1.0j))]
+    for tau in (TAU, -0.5 + 0.9j, 0.2 + 40j):
+        torus = torus_surface(tau)
+        dsum_o = direct_sum_kernel([line_kernel(torus, chi),
+                                    line_kernel(torus, line_bundle(0.67, 0.19))])
+        dsum_t = direct_sum_kernel([line_kernel(torus, chit),
+                                    line_kernel(torus, line_bundle(0.58, 0.73))])
+        cases.append((_rank2_data(torus, rng, zeros, poles), Q_POINT, dsum_o, dsum_t, zeros,
+                      poles, 0.41 + 0.33j, (1.0, tau), (1.0, 1.0j, tau / abs(tau))))
+    for data, q, ko, kt, zs, ps, away, periods, directions in cases:
         for build, on, off in ((build_solution, ps, zs), (build_inverse, zs, ps)):
             T = build(data, q, np.eye(2), ko, kt)
-            for node in on:
-                for p in (node, node + period):
-                    with pytest.raises(PointOnExcludedSet, match=re.escape(repr(point(p)))):
-                        T(p)
-                    with pytest.raises(PointOnExcludedSet, match=re.escape(repr(point(p)))):
-                        T.many([away, q, p])
-            assert np.isfinite(T.many([away, q, *off])).all()
+            excluded = [node + w for node in on for w in (0.0, *periods)]
+            excluded += [node + 0.5 * POINT_TOL * u for node in on for u in directions]
+            for p in excluded:
+                with pytest.raises(PointOnExcludedSet, match=re.escape(repr(point(p)))):
+                    T(p)
+                with pytest.raises(PointOnExcludedSet, match=re.escape(repr(point(p)))):
+                    T.many([away, q, p])
+            at_q = q + 0.5 * POINT_TOL
+            finite = [away, at_q, *off]
+            finite += [node + 2 * POINT_TOL * u for node in (*on, *off) for u in directions]
+            batch = T.many(finite)
+            assert np.isfinite(batch).all()
+            assert all(np.array_equal(T(p), value) for p, value in zip(finite, batch))
+            assert np.array_equal(T(at_q), np.eye(2))
+            for bad in ("ab", np.nan, np.inf):
+                with pytest.raises(InputError):
+                    T(bad)
+
+
+def test_build_refuses_kernels_of_another_rank(scalar_setup, rng):
+    """A rank-1 kernel for rank-2 data, as K(chi) or as K(chi~), is refused
+    by build_solution and build_inverse with InputError."""
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    data = _rank2_data(surf, rng, zeros, poles)
+    one = line_kernel(surf, chi)
+    two = direct_sum_kernel([one, line_kernel(surf, line_bundle(0.67, 0.19))])
+    for build in (build_solution, build_inverse):
+        for ko, kt in ((one, two), (two, one), (one, one)):
+            with pytest.raises(InputError, match="kernels of rank"):
+                build(data, Q_POINT, np.eye(2), ko, kt)
 
 
 NUMPY_MA_PROBE = """

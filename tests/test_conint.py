@@ -270,6 +270,19 @@ def test_s_restriction_and_xi_independence(scalar_case, rng):
         assert num / den < 1e-7
 
 
+def test_array_direction_reads_as_its_tuple(scalar_case, rng):
+    """A direction given as a numpy array gives S, its left inverse and
+    apply with the bits of the same direction as a tuple."""
+    *_, emb, pencil_t, converted = scalar_case
+    solution = solve_conint(converted)
+    z = emb.lambda_values(torus_points(rng, 3, avoid=list(emb.pole_points)))
+    v = np.ones((len(z), pencil_t.size, 1))
+    for xi in (DEFAULT_XI, SECOND_XI):
+        for read in (solution.s_matrix, solution.s_left_inv_matrix):
+            assert np.array_equal(read(z, np.array(xi)), read(z, xi))
+        assert np.array_equal(solution.apply(z, v, xi=np.array(xi)), solution.apply(z, v, xi=xi))
+
+
 def test_intertwining(scalar_case, triangular_case, rng):
     for case in (scalar_case, triangular_case):
         surf, data, ko, kt, T, emb, pencil_t, converted = case
