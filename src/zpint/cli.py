@@ -46,7 +46,6 @@ from .absint import (
     scalar_multiplicative,
     scalar_partial_fraction,
 )
-from .detrep import build_pencil
 from .errors import InputError, ZpintError
 from .genus0 import Genus0Problem, solve_genus0
 from .kernels import direct_sum_kernel, line_kernel
@@ -262,12 +261,12 @@ def _cmd_criterion(args):
 
 
 def _cmd_detrep(args):
-    checks = verify.checks_detrep(seed=args.seed, tol_scale=args.tol_scale)
+    """Criterion 7; --export writes the rank-1 pencil those checks read."""
+    fixture = verify.detrep_fixture()
+    checks = verify.checks_detrep(args.seed, args.tol_scale, fixture)
     if not args.export:
         return checks, {}
-    surf = torus_surface(_parse_complex(args.tau))
-    emb = build_embedding_functions(surf, *verify.DETREP_EMBEDDING)
-    pencil = build_pencil(line_kernel(surf, verify._K1_BUNDLE), emb)
+    pencil, _ = fixture[2].values()   # k1's, then ksum's
     with open(args.export, "w") as handle:
         handle.write(pencil.to_json() + "\n")
     return checks, {"exported_pencil": args.export}
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("kernel-check", _cmd_criterion, "kernel invariants sweep",
             criterion=verify.checks_kernel)
     p = command("detrep", _cmd_detrep, "determinantal representation sweep")
-    p.add_argument("--tau", default="0.3+0.9i")
     p.add_argument("--export", default=None, help="write the pencil JSON here")
     p = command("conint", _cmd_conint, "concrete interpolation round trip")
     p.add_argument("problem", nargs="?", default=None,

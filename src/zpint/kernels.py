@@ -72,7 +72,6 @@ from .surface import (
     _is_many,
     genus0_surface,
     laurent_coeffs,
-    odd_theta_deriv0,
 )
 from .theta import (
     MAX_TABLE_IM,
@@ -198,7 +197,7 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
             return plan, evaluate_channels(surface, plan, nodes)[:, :m * r]
     ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
     table, at = theta_table(surface.period, ab[:, 0], ab[:, 1], ends, nodes)
-    scale = odd_theta_deriv0(surface.tau) / np.concatenate([tilde.theta0, chi.theta0])
+    scale = surface.odd_deriv0 / np.concatenate([tilde.theta0, chi.theta0])
     # each tilde channel over its end's odd theta, as evaluate_channels has it
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = at[:r] / at[-1] * scale[:r, None, None]
@@ -360,7 +359,7 @@ def line_kernel(surface: Surface, bundle: FlatLineBundle) -> CauchyKernelOracle:
     theta0 = bundle.theta_at_zero(surface.period)
     # the largest term of theta[a; b](0), exp(-pi Im(tau) a^2), a in [-1/2, 1/2)
     a = bundle.a[0] - np.floor(bundle.a[0] + 0.5)
-    largest = np.exp(-np.pi * surface.period.tau.imag * a * a)
+    largest = np.exp(-np.pi * surface.tau.imag * a * a)
     if abs(theta0) <= 1e-10 * largest:
         raise DegenerateBundle(f"|theta[a;b](0)| = {abs(theta0):.3e}, "
                                f"at most 1e-10 of its largest term {largest:.3e}")

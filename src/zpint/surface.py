@@ -74,7 +74,6 @@ __all__ = [
     "lattice_distance",
     "point",
     "prime_form",
-    "odd_theta_deriv0",
     "build_embedding_functions",
     "laurent_coeffs",
 ]
@@ -181,7 +180,36 @@ class Sphere(Surface):
 
 @dataclass(frozen=True, eq=False)
 class Torus(Surface):
-    """C / (Z + tau Z); the Abel-Jacobi map is the identity on coordinates."""
+    """C / (Z + tau Z); the Abel-Jacobi map is the identity on coordinates.
+
+    The torus owns its modulus.  Each constant of tau is made once, on
+    this surface's own period matrix, and read from it:
+
+    * odd_deriv0: theta[1/2; 1/2]'(0), the denominator of every prime form;
+    * period.plan(): the theta plan, with its table window and odd series;
+    * kernels.end_plan's switch to a lattice pass at Im(tau) > MAX_TABLE_IM;
+    * a channel's theta[a; b](0), summed on period when line_kernel builds it.
+
+    For a change of modulus tau' = (a tau + b) / (c tau + d) at the surface
+    (ROADMAP item 11), the reads of tau fall in two groups:
+
+    * must see tau': Surface.tau and period; gap, apart, same_as and
+      odd_deriv0 here; _log_theta_derivs and the sample grid of
+      build_embedding_functions; end_plan's switch and line_kernel's
+      largest term (kernels); _inverse_kernel_poles, the reference point of
+      residue_condition_check, divisor_characteristic and _necessity_defect
+      (absint); theta_table, _table_rows and odd_theta_series (theta).  The
+      cli and verify draw points in the caller's coordinate
+      (cli._torus_point, verify.sample_points, _trisecant_draws and the
+      lattice_reduce calls of checks_detrep and _triangular_fixture): they
+      keep the tau given, which item 11 must keep beside tau'.
+    * outputs of nonzero weight, each times a power of (c tau + d) that
+      item 11 must test: odd_deriv0 (3/2), prime_form (-1), kernel values
+      and evaluate_channels rows in the sqrt(dz) frame (1), connection
+      coefficients (1), and lambda and its derivatives, with the Laurent
+      data of EmbeddingPair (lambda is affine in (c tau + d); its k-th
+      derivative gains (c tau + d)^(k + 1)).
+    """
 
     def __post_init__(self):
         if self.genus != 1:
@@ -218,7 +246,20 @@ class Torus(Surface):
 
     def prime_form_from_odd_theta(self, odd):
         """E(p, q) from odd = theta[1/2; 1/2](q - p), a value or an array."""
-        return odd / odd_theta_deriv0(self.tau)
+        return odd / self.odd_deriv0
+
+    @functools.cached_property
+    def odd_deriv0(self) -> complex:
+        """theta[1/2; 1/2]'(0 | tau) = -2 pi sum (-1)^n (2n + 1) q^((n + 1/2)^2),
+        the sine series' first derivative at 0, on this surface's plan.
+
+        Raises NonConvergent when it underflows to 0 (or the series does
+        not converge)."""
+        value = complex(odd_theta_series(self.period, np.zeros(1), 1)[1, 0])
+        if value == 0.0:
+            # |theta_1'(0)| ~ 2 pi exp(-pi Im(tau) / 4) leaves double range
+            raise NonConvergent(f"theta[1/2; 1/2]'(0) underflows to 0 at tau = {self.tau}")
+        return value
 
 
 def genus0_surface() -> Sphere:
@@ -319,22 +360,6 @@ def line_bundle(a, b) -> FlatLineBundle:
 # --- Abel-Jacobi map and prime form ---
 
 ODD_CHAR = ThetaCharacteristic(np.array([0.5]), np.array([0.5]))
-
-
-@functools.lru_cache(maxsize=256)
-def _odd_deriv0(tau: complex) -> complex:
-    """theta[1/2; 1/2]'(0 | tau) = -2 pi sum (-1)^n (2n + 1) q^((n + 1/2)^2),
-    the sine series' first derivative at 0."""
-    value = complex(odd_theta_series(period_from_tau(tau), np.zeros(1), 1)[1, 0])
-    if value == 0.0:
-        # |theta_1'(0)| ~ 2 pi exp(-pi Im(tau) / 4) leaves double range
-        raise NonConvergent(f"theta[1/2; 1/2]'(0) underflows to 0 at tau = {tau}")
-    return value
-
-
-def odd_theta_deriv0(tau: complex) -> complex:
-    """theta[1/2; 1/2]'(0 | tau); cached per modulus."""
-    return _odd_deriv0(complex(tau))
 
 
 def prime_form(surface: Surface, p, q):

@@ -197,9 +197,9 @@ def checks_theta(seed=1, tol_scale=1.0):
     def rel_gap(lhs, rhs):
         return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs))
 
+    periods = [period_from_tau(tau) for tau in TAUS]   # one matrix per modulus
     gaps = []
-    for tau in TAUS:   # one theta_many per tau over the shifted and plain points
-        pm = period_from_tau(tau)
+    for tau, pm in zip(TAUS, periods):   # one theta_many per tau, shifted and plain points
         draws = []
         for _ in range(40):
             z = rng.uniform(-1, 1) + 1j * rng.uniform(-0.8, 0.8) * abs(tau.imag)
@@ -221,7 +221,7 @@ def checks_theta(seed=1, tol_scale=1.0):
     out.append(check("theta.quasi_periodicity", np.max(np.concatenate(gaps)),
                      1e-10 * tol_scale))
 
-    val = riemann_theta(0.0, period_from_tau(1j))
+    val = riemann_theta(0.0, periods[TAUS.index(1j)])
     out.append(check("theta.value_at_i", abs(val - THETA_AT_I), 1e-9 * tol_scale))
 
     def fd_gaps(chi, lam, pm):
@@ -236,7 +236,7 @@ def checks_theta(seed=1, tol_scale=1.0):
     gaps = []
     h = 1e-5
     for _ in range(10):
-        pm = period_from_tau(TAUS[int(rng.integers(0, 3))])
+        pm = periods[int(rng.integers(0, 3))]
         chi = ThetaCharacteristic(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
         gaps.append(fd_gaps(chi, rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5), pm))
     for _ in range(5):
@@ -469,8 +469,7 @@ def line_equivalence_check(surf, zeros, poles, chi, chit, q, Q, rng,
 def checks_scalar_equivalence(seed=5, tol_scale=1.0):
     rng = np.random.default_rng(seed)
     draws = []
-    tau = 0.25 + 1.1j
-    surf = torus_surface(tau)
+    surf = torus_surface(0.25 + 1.1j)
     for n in (1, 2, 3):
         chi = line_bundle(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         zeros = sample_points(surf, rng, n).tolist()
@@ -490,7 +489,7 @@ def checks_scalar_equivalence(seed=5, tol_scale=1.0):
     q = 0.52 + 0.18j
     Q = 0.9 + 0.7j
     t_mult = scalar_multiplicative(surf, [lam], [mu], chi, chit, q, Q)
-    pm = period_from_tau(tau)
+    pm = surf.period
     z_chi = complex(chi.jacobian_point(pm)[0])
     a_exp = float(a1[0])
     P = sample_points(surf, rng, 50, avoid=[lam, mu, q])
@@ -540,14 +539,21 @@ def checks_matrix_fay(seed=6, tol_scale=1.0):
 
 # --- criterion 7: determinantal representations ---
 
-def checks_detrep(seed=7, tol_scale=1.0):
-    rng = np.random.default_rng(seed)
-    out = []
+def detrep_fixture():
+    """(surface, embedding, pencils) of criterion 7: the pencils of the
+    kernels k1 and ksum of _torus_kernels, keyed by kernel in that order."""
     surf, k1, ksum = _torus_kernels()
     emb = build_embedding_functions(surf, *DETREP_EMBEDDING)
-    avoid = list(emb.pole_points)
+    return surf, emb, {oracle: build_pencil(oracle, emb) for oracle in (k1, ksum)}
 
-    pencils = {oracle: build_pencil(oracle, emb) for oracle in (k1, ksum)}
+
+def checks_detrep(seed=7, tol_scale=1.0, fixture=None):
+    """Criterion 7 on fixture, detrep_fixture() (built here when None)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    surf, emb, pencils = fixture or detrep_fixture()
+    _, ksum = pencils
+    avoid = list(emb.pole_points)
     residuals = []
     for oracle, pencil in pencils.items():
         xis = [DEFAULT_XI, SECOND_XI,
@@ -614,8 +620,7 @@ def _off_curve_height(pencil, z1, rng) -> complex:
 
 # --- criterion 8: concrete interpolation ---
 
-def _scalar_fixture(tau, q):
-    surf = torus_surface(tau)
+def _scalar_fixture(surf, q):
     zeros = [0.13 + 0.27j, 0.61 + 0.43j]
     poles = [0.37 + 0.71j, 0.83 + 0.11j]
     chi = line_bundle(0.23, 0.41)
@@ -640,9 +645,8 @@ def _shift_poles(data):
     )
 
 
-def _triangular_fixture(tau, q):
+def _triangular_fixture(surf, q):
     """Rank-2 upper-triangular map with two coincident zero/pole pairs."""
-    surf = torus_surface(tau)
     xi_c, mu_star, lam_star, mu_g = (0.23 + 0.41j, 0.61 + 0.13j,
                                      0.47 + 0.77j, 0.71 + 0.91j)
     chi1, chi2 = line_bundle(0.23, 0.41), line_bundle(0.67, 0.19)
@@ -665,7 +669,7 @@ def _triangular_fixture(tau, q):
     oracle_tilde = direct_sum_kernel([line_kernel(surf, chit1), line_kernel(surf, chit2)])
     e1 = np.array([[1.0, 0.0]])
     e2 = np.array([[0.0, 1.0]])
-    mu_g_red = lattice_reduce(mu_g, tau)
+    mu_g_red = lattice_reduce(mu_g, surf.tau)
     zeros = (ZeroNode(xi_c, e1), ZeroNode(lam_star, e2), ZeroNode(mu_g_red, e2))
     poles = (PoleNode(mu_star, e1), PoleNode(xi_c, e2), PoleNode(mu_g_red, e1))
     rho = forward_couplings(t_known, surf, zeros, poles, oracle_chi, oracle_tilde, q)
@@ -721,10 +725,10 @@ def conint_checks(data, oracle_chi, oracle_tilde, T, emb, q, rng,
 
 def checks_conint(seed=8, tol_scale=1.0):
     rng = np.random.default_rng(seed)
-    tau = 0.25 + 1.1j
+    surf = torus_surface(0.25 + 1.1j)
     q = 0.52 + 0.18j
-    fixtures = (_scalar_fixture(tau, q), _triangular_fixture(tau, q)[:5])
-    emb = build_embedding_functions(fixtures[0][0], *CONINT_EMBEDDING)
+    fixtures = (_scalar_fixture(surf, q), _triangular_fixture(surf, q)[:5])
+    emb = build_embedding_functions(surf, *CONINT_EMBEDDING)
     out = []
     for _, data, oracle_chi, oracle_tilde, T in fixtures:
         checks, _ = conint_checks(data, oracle_chi, oracle_tilde, T, emb, q, rng,
@@ -761,7 +765,7 @@ def checks_negative(seed=9, tol_scale=1.0):
                        match="^coupling matrix condition"))
 
     q = 0.52 + 0.18j
-    surf, data, oracle_chi, oracle_tilde, _ = _scalar_fixture(0.3 + 0.9j, q)
+    surf, data, oracle_chi, oracle_tilde, _ = _scalar_fixture(torus_surface(0.3 + 0.9j), q)
 
     def absint_nonsquare():
         short = InterpolationDataSet(surface=surf, rank=1, zeros=data.zeros[:1],
@@ -780,8 +784,7 @@ def checks_negative(seed=9, tol_scale=1.0):
     # perturbed data behind T: intertwining against the honest S must light up.
     # (Perturbing the base value alone cannot: the boundary normalization
     # diag(T(x^i)) absorbs any valid solution of the same data.)
-    tau2 = 0.25 + 1.1j
-    surf2, data, kchi, ktil, T = _scalar_fixture(tau2, q)
+    surf2, data, kchi, ktil, T = _scalar_fixture(torus_surface(0.25 + 1.1j), q)
     emb = build_embedding_functions(surf2, *CONINT_EMBEDDING)
     converted = convert_absint_to_conint(data, ktil, emb)
     solution = solve_conint(converted)
@@ -794,7 +797,7 @@ def checks_negative(seed=9, tol_scale=1.0):
                      1.0 / (worst_bad + 1e-300), 1e3 / tol_scale))
 
     # tampered couplings checked against an honest solution
-    _, data2, kc2, kt2, t2, _ = _triangular_fixture(tau2, q)
+    _, data2, kc2, kt2, t2, _ = _triangular_fixture(surf2, q)
     conv2 = convert_absint_to_conint(data2, kt2, emb)
     sol2 = solve_conint(conv2)
     tampered = replace(conv2, couplings={k: v + 0.01 for k, v in conv2.couplings.items()})

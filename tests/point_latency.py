@@ -5,8 +5,11 @@ For each of the benchmark's interpolation workloads (``interp_torus`` and
 worker process builds problems 0-9 of seed 41, times ``build_solution``
 (``workloads.solve``) and then T(p) one sweep point at a time through
 ``workloads.evaluate_sweep``, as the benchmark's ``items_per_s`` does, for
-ROUNDS rounds each.  It reports the median build time and the median
-per-point latency of the process.
+ROUNDS rounds each.  It reports the median per-point latency of the
+process and two medians of the build time: the cold build, round 0, the
+first build on a fresh problem's surface, which computes that surface's
+constants of tau (theta'(0), the theta plan's tables); and the warm
+build, rounds 1 to ROUNDS - 1, which reads them.
 
 The harness runs PAIRS pairs of worker processes, one for this checkout
 and one for the checkout given by ``--against``, alternating which side
@@ -50,17 +53,18 @@ def worker(root: str) -> dict:
     out = {}
     for name in WORKLOADS:
         make = workloads.PROBLEMS[name][0]
-        builds, points, errors = [], [], 0
+        cold, warm, points, errors = [], [], [], 0
         for index in PROBLEMS:
             problem = make(SEED, index)
-            for _ in range(ROUNDS):
+            for round_ in range(ROUNDS):
                 start = clock()
                 T = workloads.solve(problem)
-                builds.append(clock() - start)
+                (warm if round_ else cold).append(clock() - start)
                 _, latencies, failed = workloads.evaluate_sweep(T, problem.sweep)
                 points += latencies
                 errors += failed
-        out[name] = {"build_us": 1e6 * statistics.median(builds),
+        out[name] = {"build_cold_us": 1e6 * statistics.median(cold),
+                     "build_warm_us": 1e6 * statistics.median(warm),
                      "point_us": 1e6 * statistics.median(points), "errors": errors}
     return out
 
@@ -104,12 +108,12 @@ def main(argv=None) -> int:
     print(f"{args.pairs} pairs; this {sides['this']}, against {sides['against']}; "
           "median [quartiles] of the process medians, in us")
     for name in WORKLOADS:
-        for metric in ("point_us", "build_us"):
+        for metric in ("point_us", "build_cold_us", "build_warm_us"):
             this, other = ([run[name][metric] for run in runs[side]] for side in sides)
             wins = sum(a < b for a, b in zip(this, other))
             ratio = statistics.median(other) / statistics.median(this)
             errors = [sum(run[name]["errors"] for run in runs[side]) for side in sides]
-            print(f"{name:13s} {metric:8s} this {spread(this)}  against {spread(other)}  "
+            print(f"{name:13s} {metric:13s} this {spread(this)}  against {spread(other)}  "
                   f"ratio {ratio:.3f}  this won {wins}/{args.pairs}  "
                   f"errors {errors[0]} / {errors[1]}")
     return 0

@@ -1101,7 +1101,7 @@ def test_inverse_inverts_coupled_solution(rng):
     raises PointOnExcludedSet at every zero of T."""
     from zpint.verify import _triangular_fixture
 
-    surf, data, kc, kt, T, _ = _triangular_fixture(TAU, Q_POINT)
+    surf, data, kc, kt, T, _ = _triangular_fixture(torus_surface(TAU), Q_POINT)
     G = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
     G_inv = np.linalg.inv(G)
     conj = InterpolationDataSet(

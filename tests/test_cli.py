@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zpint
+from zpint import verify
 from zpint.cli import run_command
 
 GENUS0_PROBLEM = {
@@ -355,16 +356,29 @@ def test_theta_omega_file_genus2(tmp_path):
 
 
 def test_detrep_export(tmp_path):
+    """detrep --export writes the rank-1 pencil of the checks' own surface
+    and kernel: bit for bit build_pencil(k1, emb) on the criterion's torus."""
     out = tmp_path / "pencil.json"
     code = run_command(["detrep", "--export", str(out), "--out",
                         str(tmp_path / "r.json")])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["M"] == 3
-    from zpint.detrep import PencilRep
+    from zpint.detrep import PencilRep, build_pencil
+    from zpint.surface import build_embedding_functions
 
     pencil = PencilRep.from_json(out.read_text())
     assert pencil.size == 3
+    surf, k1, _ = verify._torus_kernels()
+    expected = build_pencil(k1, build_embedding_functions(surf, *verify.DETREP_EMBEDDING))
+    for name in ("sigma1", "sigma2", "gamma"):
+        assert getattr(pencil, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def test_detrep_takes_no_tau(tmp_path):
+    """The detrep checks and their pencil are those of one fixed torus:
+    --tau is no option of detrep."""
+    assert run_command(["detrep", "--tau", "1i", "--out", str(tmp_path / "r.json")]) == 2
 
 
 # --- fuzz: mutated problem files exit 0, 1 or 2, never with a traceback ---

@@ -13,16 +13,18 @@ import oracles
 import zpint.kernels as kernels_module
 import zpint.surface as surface_module
 import zpint.theta as theta_module
+from zpint.absint import InterpolationDataSet, build_solution, divisor_characteristic
 from zpint.errors import NonConvergent
+from zpint.kernels import line_kernel
 from zpint.surface import (
     ODD_CHAR,
     _log_theta_derivs,
     build_embedding_functions,
-    odd_theta_deriv0,
+    line_bundle,
     prime_form,
     torus_surface,
 )
-from zpint.theta import odd_theta_series, period_from_tau, theta_with_char
+from zpint.theta import PeriodMatrix, odd_theta_series, period_from_tau, theta_with_char
 from zpint.verify import TAUS
 
 EPS = np.finfo(float).eps
@@ -91,7 +93,7 @@ def test_deriv0_matches_product_formula(re, im):
     8 eps relative."""
     tau = complex(re, im)
     ref = complex(oracles.odd_theta_deriv0_product(tau))
-    assert abs(odd_theta_deriv0(tau) - ref) <= 8 * EPS * abs(ref)
+    assert abs(torus_surface(tau).odd_deriv0 - ref) <= 8 * EPS * abs(ref)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -165,7 +167,6 @@ def test_odd_theta_reads_make_no_lattice_pass(monkeypatch, rng):
     series: no theta._sums, theta_rows, theta_many, theta_with_char or
     theta_gradient call."""
     surf = torus_surface(0.17 + 1.05j)
-    surface_module._odd_deriv0.cache_clear()
 
     def refused(*args, **kwargs):
         raise AssertionError("a lattice pass")
@@ -174,7 +175,7 @@ def test_odd_theta_reads_make_no_lattice_pass(monkeypatch, rng):
         for module in (theta_module, surface_module, kernels_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
-    assert odd_theta_deriv0(surf.tau) != 0
+    assert surf.odd_deriv0 != 0
     emb = build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
     z = rng.uniform(0, 1, 5) + 1j * rng.uniform(0, 1, 5)
     assert np.isfinite(emb.lambda_values(z)).all()
@@ -182,6 +183,46 @@ def test_odd_theta_reads_make_no_lattice_pass(monkeypatch, rng):
     assert len(emb.lambda_jet(z[0], 2)) == 3
     assert np.isfinite(prime_form(surf, z, z[::-1] + 0.3)).all()
     assert prime_form(surf, 0.1, 0.4 + 0.2j) != 0
+
+
+def test_a_torus_builds_no_second_period_matrix(monkeypatch, rng):
+    """theta'(0) is summed once, on the surface's own plan: a build, a
+    sweep, the prime form and the embedding functions on an existing torus
+    construct no PeriodMatrix (counted at PeriodMatrix.__post_init__)."""
+    surf = torus_surface(0.17 + 1.05j)   # its theta'(0) is not read yet
+    builds = []
+    post_init = PeriodMatrix.__post_init__
+
+    def counted(self):
+        builds.append(self.genus)
+        post_init(self)
+
+    monkeypatch.setattr(PeriodMatrix, "__post_init__", counted)
+    zeros, poles = [0.13 + 0.27j, 0.61 + 0.43j], [0.37 + 0.71j, 0.83 + 0.11j]
+    chi = line_bundle(0.23, 0.41)
+    a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
+    one = np.ones((1, 1))
+    data = InterpolationDataSet(surf, 1, tuple((z, one) for z in zeros),
+                                tuple((p, one) for p in poles))
+    T = build_solution(data, 0.52 + 0.18j, one, line_kernel(surf, chi),
+                       line_kernel(surf, line_bundle(chi.a + a_w, chi.b + b_w)))
+    z = rng.uniform(0, 1, 5) + 1j * rng.uniform(0, 1, 5)
+    assert all(np.isfinite(T(p)).all() for p in z)
+    assert np.isfinite(prime_form(surf, z, z[::-1] + 0.3)).all()
+    build_embedding_functions(surf, 0.13 + 0.21j, 0.52 + 0.64j, 0.77 + 0.18j)
+    assert builds == []
+    torus_surface(0.5j)   # the counter sees a build
+    assert builds == [1]
+
+
+def test_odd_deriv0_underflow_is_refused():
+    """|theta'(0)| ~ 2 pi exp(-pi Im(tau) / 4) is 0 in doubles at tau =
+    1000i: theta'(0) and every prime form raise, with no division by 0."""
+    surf = torus_surface(1000j)
+    with pytest.raises(NonConvergent, match="underflows to 0"):
+        surf.odd_deriv0
+    with pytest.raises(NonConvergent, match="underflows to 0"):
+        prime_form(surf, 0.1, 0.3 + 0.2j)
 
 
 def test_lambda_jet_rows_equal_single_order_calls(embedding, rng):
