@@ -87,8 +87,8 @@ from .kernels import (
     line_kernel,
 )
 from .numutil import (
-    COND_LIMIT,
     EPS_GUARD,
+    checked_cond,
     circle_modes,
     principal_angle_gap,
     rel_residual,
@@ -318,10 +318,6 @@ class GammaMatrix:
     matrix: np.ndarray
     at_base: np.ndarray | None = None
 
-    @property
-    def is_square(self) -> bool:
-        return self.matrix.shape[0] == self.matrix.shape[1]
-
     def condition(self) -> float:
         return svd_cond(self.matrix)
 
@@ -395,18 +391,6 @@ def _plan_gamma(data, d, oracle_tilde) -> GammaMatrix:
                      np.einsum(at_base, zeros.vectors, base))
 
 
-def _solvable(gamma: GammaMatrix) -> GammaMatrix:
-    """gamma, checked to be square and well conditioned."""
-    if not gamma.is_square:
-        raise NotSquare(
-            f"coupling matrix is {gamma.matrix.shape[0]}x{gamma.matrix.shape[1]}"
-        )
-    cond = gamma.condition()
-    if cond > COND_LIMIT:
-        raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
-    return gamma
-
-
 class BundleMapEvaluator:
     """Bundle map with a fixed base value T(q) = Q, over arrays of points.
 
@@ -416,8 +400,8 @@ class BundleMapEvaluator:
 
     The kernel sum of a point p reads K(chi~) at the pairs (p, e) with the
     ends [q, the pole of each pole vector], with the weights V_0 = I and
-    V_j = outer(left_j, right_j) of _weights.  With K(chi~) = F~ diag(d_j)
-    F~^-1 at end j and K(chi) = F diag(c) F^-1,
+    V_j = outer(left_j, right_j) of _weights (kept in weights).  With
+    K(chi~) = F~ diag(d_j) F~^-1 at end j and K(chi) = F diag(c) F^-1,
 
         T(p) = F~ [sum_j diag(d_j) F~^-1 V_j Q F] diag(1/c) F^-1,
 
@@ -466,9 +450,10 @@ class BundleMapEvaluator:
                                         oracle_chi.channels,
                                         np.concatenate([[q], poles.points[poles.node_of]]),
                                         data.zero_rows.points)
-        self.gamma = gamma = _solvable(_plan_gamma(data, at_zeros, oracle_tilde))
+        self.gamma = gamma = _plan_gamma(data, at_zeros, oracle_tilde)
+        checked_cond(gamma.matrix, "coupling matrix")
         m, r = len(self._plan.ends), self.rank
-        left, right = _weights(data, gamma)
+        self.weights = left, right = _weights(data, gamma)
         f_t = oracle_tilde.frame
         # a V_j b for a, b = F~^-1, Q F, from the factors of V_j; a frame
         # that is None (I) is no product
@@ -582,9 +567,7 @@ def _base(data, q, Q) -> tuple:
     if np.any(data.surface.equal(q, np.concatenate([data.zero_rows.points,
                                                     data.pole_rows.points]))):
         raise PointOnExcludedSet(f"base point {q!r} hits a node")
-    cond = svd_cond(Q)
-    if cond > COND_LIMIT:
-        raise SingularMatrix("base value Q is numerically singular", cond)
+    checked_cond(Q, "base value Q")
     return q, Q
 
 
@@ -688,7 +671,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     if not poles:
         return []
     q, Q = T.q, T.Q
-    left, right = _weights(data, T.gamma)
+    left, right = T.weights
     ref_point = lattice_reduce(q + 0.2718 + 0.3141j, data.surface.tau)
     P = data.surface.points([ref_point, *poles])
     d = evaluate_channels(data.surface, T._plan, P)
@@ -871,15 +854,17 @@ def scalar_multiplicative(surface: Surface, zeros, poles,
         For q on a node.
     SingularMatrix
         For Q = 0.
+    NotSquare
+        For unequal zero and pole counts ("n zeros vs m poles").
     NecessityViolated
-        For unequal counts, or a bundle difference off the divisor class by
-        more than 1e-9 mod the lattice.
+        For a bundle difference off the divisor class by more than 1e-9 mod
+        the lattice.
     """
     data = _line_data(surface, zeros, poles)
     q, Q = _base(data, q, Q)
     zeros, poles = ([node.point for node in nodes] for nodes in (data.zeros, data.poles))
     if len(zeros) != len(poles):
-        raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
+        raise NotSquare(f"{len(zeros)} zeros vs {len(poles)} poles")
     defect = _necessity_defect(surface, zeros, poles, chi, chi_tilde)
     if defect > 1e-9:
         raise NecessityViolated(f"divisor/bundle lattice defect {defect:.3e}")
@@ -1020,9 +1005,9 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     is the scalar multiplicative interpolant of the underlying divisor
     times the matrix Q, and the coupling matrix is the block matrix
     -[K(chi~; lam^i, mu^j)].  q and Q are checked as build_solution checks
-    them.  Of scalar_multiplicative's necessity check only the counts are
-    tested here: the lattice-defect half needs the input bundle chi, which
-    this function does not take.
+    them.  Its counts are tested as scalar_multiplicative tests them; the
+    lattice-defect check is not made here, as it needs the input bundle
+    chi, which this function does not take.
 
     Returns (evaluator, gamma_block).
 
@@ -1035,8 +1020,8 @@ def full_rank_multiplicative(data: InterpolationDataSet,
         For q on a node.
     SingularMatrix
         For a singular Q.
-    NecessityViolated
-        For unequal zero and pole counts.
+    NotSquare
+        For unequal zero and pole counts ("n zeros vs m poles").
     """
     q, Q = _base(data, q, Q)
     r = data.rank
@@ -1048,7 +1033,7 @@ def full_rank_multiplicative(data: InterpolationDataSet,
     zeros = [z.point for z in data.zeros]
     poles = [p.point for p in data.poles]
     if len(zeros) != len(poles):
-        raise NecessityViolated(f"{len(zeros)} zeros vs {len(poles)} poles")
+        raise NotSquare(f"{len(zeros)} zeros vs {len(poles)} poles")
     ratio = _prime_form_ratio(surface, zeros, poles, q)
     scalar = _scalar_map(surface, q, 1.0, ratio)
 

@@ -49,12 +49,11 @@ from .errors import (
     NoCoincidence,
     NotSquare,
     PointOnExcludedSet,
-    SingularMatrix,
     XiDenominatorZero,
     ZPViolated,
 )
 from .kernels import CauchyKernelOracle
-from .numutil import COND_LIMIT, EPS_GUARD, circle_modes, rel_residual, svd_cond
+from .numutil import EPS_GUARD, checked_cond, circle_modes, rel_residual
 from .surface import EmbeddingPair, Surface
 
 __all__ = [
@@ -244,26 +243,15 @@ def solve_conint(data: ConintDataSet) -> ConintSolution:
                 )
     gamma0 = build_gamma0(data, DEFAULT_XI)
     alt = build_gamma0(data, SECOND_XI)
-    if gamma0.size:
-        consistency = float(np.abs(gamma0 - alt).max()) / (
-            float(np.abs(gamma0).max()) + float(np.abs(alt).max()) + EPS_GUARD
-        )
-    else:
-        consistency = 0.0
-    if gamma0.shape[0] != gamma0.shape[1]:
-        raise NotSquare(f"concrete coupling matrix is {gamma0.shape}")
-    if gamma0.size:
-        cond = svd_cond(gamma0)
-        if cond > COND_LIMIT:
-            raise SingularMatrix(f"concrete coupling matrix condition {cond:.3e}", cond)
-    if gamma0.size:
-        mid = np.linalg.solve(gamma0, data.zero_rows.vectors)
-        correction = data.pole_rows.vectors.T @ mid
-        gamma = (pen.gamma
-                 - pen.sigma1 @ correction @ pen.sigma2
-                 + pen.sigma2 @ correction @ pen.sigma1)
-    else:
-        gamma = pen.gamma.copy()
+    consistency = float(np.abs(gamma0 - alt).max(initial=0.0)) / (
+        float(np.abs(gamma0).max(initial=0.0)) + float(np.abs(alt).max(initial=0.0)) + EPS_GUARD
+    )
+    checked_cond(gamma0, "concrete coupling matrix")
+    mid = np.linalg.solve(gamma0, data.zero_rows.vectors)
+    correction = data.pole_rows.vectors.T @ mid
+    gamma = (pen.gamma
+             - pen.sigma1 @ correction @ pen.sigma2
+             + pen.sigma2 @ correction @ pen.sigma1)
     return ConintSolution(data, gamma0, gamma, consistency)
 
 

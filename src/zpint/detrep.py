@@ -28,9 +28,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InputError, PointOnExcludedSet, SingularMatrix, SurfaceMismatch
+from .errors import InputError, PointOnExcludedSet, SurfaceMismatch
 from .kernels import CauchyKernelOracle, _block_form, kernel_grid
-from .numutil import COND_LIMIT, numerical_kernel_dim, rel_residual, svd_cond
+from .numutil import checked_cond, numerical_kernel_dim, rel_residual, svd_cond
 from .surface import EmbeddingPair
 
 __all__ = [
@@ -246,9 +246,8 @@ def adjust_gamma_by_map(pencil: PencilRep, boundary_values) -> PencilRep:
     values = np.array([np.asarray(v, dtype=complex).reshape(r, r) for v in boundary_values])
     if len(values) != m:
         raise InputError("need one boundary value per pole point")
-    cond = max((svd_cond(v) for v in values), default=1.0)
-    if cond > COND_LIMIT:
-        raise SingularMatrix("boundary value numerically singular", cond)
+    for i, v in enumerate(values, 1):
+        checked_cond(v, f"boundary value T(x^{i})")
     blocks = pencil.gamma.reshape(m, r, m, r).transpose(0, 2, 1, 3)
     conjugated = values[:, None] @ blocks @ np.linalg.inv(values)[None, :]
     return PencilRep(pencil.size, r, pencil.sigma1, pencil.sigma2, _block_form(conjugated))

@@ -20,7 +20,6 @@ __all__ = [
     "HigherOrderPole",
     "NotSquare",
     "SingularMatrix",
-    "CountMismatch",
     "DegenerateBundle",
     "SurfaceMismatch",
     "PointOnExcludedSet",
@@ -46,8 +45,9 @@ class SingularMatrix(ZpintError):
     coupling matrix Gamma or Gamma0, a Sylvester matrix, a base or boundary
     value, or a kernel value at a point.
 
-    condition is the condition estimate that failed, where one was
-    computed, and None otherwise.
+    For a matrix, numutil.checked_cond raises it with the message
+    "<matrix> condition <c>" and condition = c, its svd_cond above
+    COND_LIMIT; for a kernel value at a point, condition is None.
     """
 
     def __init__(self, message: str, condition: float | None = None):
@@ -92,11 +92,9 @@ class HigherOrderPole(ExtractionUnstable):
 # --- interpolation ---
 
 class NotSquare(ZpintError):
-    """Coupling matrix is not square; zero and pole counts differ."""
-
-
-class CountMismatch(ZpintError):
-    """Zero and pole counts differ in a scalar product form."""
+    """Zero and pole counts differ, on every route: "<matrix> is AxB" from
+    numutil.checked_cond where a coupling or Sylvester matrix is formed,
+    "n zeros vs m poles" where none is (the multiplicative forms)."""
 
 
 class DegenerateBundle(ZpintError):

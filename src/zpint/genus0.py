@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .absint import _NodeData, _swapped
-from .errors import CountMismatch, InputError, NotSquare, SingularMatrix
-from .numutil import COND_LIMIT, svd_cond
-from .surface import Surface, genus0_surface
+from .errors import InputError, NotSquare, PointOnExcludedSet
+from .numutil import checked_cond
+from .surface import POINT_TOL, Surface, genus0_surface, point
 
 __all__ = [
     "Genus0Problem",
@@ -85,7 +85,17 @@ def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:
 
 
 class RationalMatrixFunction:
-    """I + sum_j u_j c_j / (z - mu^j): identity at infinity, poles at mu^j."""
+    """I + sum_j u_j c_j / (z - mu^j): identity at infinity, poles at mu^j.
+
+    T(z) and many(Z) check points as the sphere's BundleMapEvaluator does.
+
+    Raises
+    ------
+    InputError
+        For a point that is not a finite number (NaN, infinity, text, None).
+    PointOnExcludedSet
+        For a point within POINT_TOL of a pole mu^j.
+    """
 
     def __init__(self, rank, poles, pole_vectors, coefficients, gamma_cond,
                  _inverse_data=None):
@@ -99,20 +109,27 @@ class RationalMatrixFunction:
 
     def many(self, Z) -> np.ndarray:
         """Values at the points Z, shape (N, r, r); a call T(z) is the N = 1 case."""
-        Z = np.asarray(Z, dtype=complex).reshape(-1)
+        return self._at(np.asarray(_SPHERE.points(Z)).reshape(-1))
+
+    def __call__(self, z) -> np.ndarray:
+        return self._at(np.array([point(z)]))[0]
+
+    def _at(self, Z) -> np.ndarray:
+        """many at the checked point array Z."""
+        d = Z - self.poles[:, None]
+        if not _SPHERE.apart(d):
+            where = point(Z[(_SPHERE.gap(d) <= POINT_TOL).any(axis=0).argmax()])
+            raise PointOnExcludedSet(f"the interpolant has a pole at z = {where!r}")
         eye = np.eye(self.rank, dtype=complex)
         # the pole terms u_j c_j / (z - mu^j), shape (n, N, r, r), added to I
         # one by one in pole order at every N by the last running sum (a sum
         # over the axis may pair them up when N r r is 1)
         terms = ((self.pole_vectors[:, None, :, None] * self.coefficients[:, None, None, :])
-                 / (Z - self.poles[:, None])[:, :, None, None])
+                 / d[:, :, None, None])
         if not len(terms):
             return np.repeat(eye[None], len(Z), axis=0)
         terms[0] += eye
         return terms.cumsum(axis=0)[-1]
-
-    def __call__(self, z) -> np.ndarray:
-        return self.many([complex(z)])[0]
 
     def inverse(self) -> "RationalMatrixFunction":
         """Analytic inverse, built by solving the swapped-transpose problem.
@@ -143,24 +160,13 @@ def solve_genus0(problem: Genus0Problem) -> RationalMatrixFunction:
     Raises
     ------
     NotSquare
-        If zero and pole counts differ.
+        If zero and pole vector counts differ ("coupling matrix is AxB").
     SingularMatrix
-        If the coupling matrix has condition number above 1e12.
+        If the coupling matrix has condition number above COND_LIMIT
+        ("coupling matrix condition <c>").
     """
-    if problem.n_zeros != problem.n_poles:
-        raise NotSquare(
-            f"{problem.n_zeros} zeros vs {problem.n_poles} poles"
-        )
-    n = problem.n_zeros
-    if n == 0:
-        return RationalMatrixFunction(
-            problem.rank, np.zeros(0), np.zeros((0, problem.rank)),
-            np.zeros((0, problem.rank)), 1.0, _inverse_data=problem,
-        )
     gamma = build_gamma_genus0(problem)
-    cond = svd_cond(gamma)
-    if cond > COND_LIMIT:
-        raise SingularMatrix(f"coupling matrix condition {cond:.3e}", cond)
+    cond = checked_cond(gamma, "coupling matrix")
     coeffs = np.linalg.solve(gamma, problem.zero_rows.vectors)   # rows c_b
     poles = problem.pole_rows
     return RationalMatrixFunction(
@@ -173,12 +179,12 @@ def scalar_product_form(zeros, poles):
     """Evaluator of prod (z - lambda^i) / prod (z - mu^j), at one point (a
     complex) or elementwise over an array.
 
-    Raises CountMismatch when the divisor is unbalanced.
+    Raises NotSquare ("n zeros vs m poles") when the divisor is unbalanced.
     """
     lams = [complex(z) for z in zeros]
     mus = [complex(m) for m in poles]
     if len(lams) != len(mus):
-        raise CountMismatch(f"{len(lams)} zeros vs {len(mus)} poles")
+        raise NotSquare(f"{len(lams)} zeros vs {len(mus)} poles")
 
     def T(z):
         z = np.asarray(z, dtype=complex)
@@ -193,20 +199,15 @@ def scalar_product_form(zeros, poles):
 def sylvester_coefficients(zeros, poles) -> np.ndarray:
     """Partial-fraction coefficients c with sum c_j/(z - mu^j) = product form - 1.
 
-    Solves S c = (1, ..., 1) with S_ij = 1/(mu^j - lambda^i).
+    Solves S c = (1, ..., 1) with S_ij = 1/(mu^j - lambda^i), checked by
+    checked_cond as "Sylvester matrix" (NotSquare for unequal counts).
     """
     lams = [complex(z) for z in zeros]
     mus = [complex(m) for m in poles]
-    if len(lams) != len(mus):
-        raise CountMismatch(f"{len(lams)} zeros vs {len(mus)} poles")
-    n = len(lams)
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    s_mat = np.array([[1.0 / (mu - lam) for mu in mus] for lam in lams])
-    cond = svd_cond(s_mat)
-    if cond > COND_LIMIT:
-        raise SingularMatrix(f"Sylvester matrix condition {cond:.3e}", cond)
-    return np.linalg.solve(s_mat, np.ones(n, dtype=complex))
+    s_mat = np.array([[1.0 / (mu - lam) for mu in mus] for lam in lams],
+                     dtype=complex).reshape(len(lams), len(mus))
+    checked_cond(s_mat, "Sylvester matrix")
+    return np.linalg.solve(s_mat, np.ones(len(lams), dtype=complex))
 
 
 def det_winding_number(T, radius: float) -> float:

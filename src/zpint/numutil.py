@@ -1,11 +1,13 @@
-"""Shared numerical helpers: contour mode extraction, rank decisions.
+"""Shared numerical helpers: contour mode extraction, rank and solvability
+decisions.
 
 Every derivative and Laurent coefficient that zpint reads from values of
 a kernel or an interpolant comes from `circle_modes`: the trapezoid rule on a circle around the point, which
 converges geometrically for analytic integrands (Trefethen & Weideman,
 SIAM Rev. 56, 2014) and gives derivatives of analytic functions without
-a difference step (Fornberg, ACM TOMS 7, 1981).  Everything here is plain
-dense numpy on desk-scale matrices.
+a difference step (Fornberg, ACM TOMS 7, 1981).  Every matrix zpint
+solves or inverts passes `checked_cond` first, its one test of shape and
+condition.  Everything here is plain dense numpy on desk-scale matrices.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from functools import partial
 
 import numpy as np
 
+from .errors import NotSquare, SingularMatrix
+
 __all__ = [
     "COND_LIMIT",
+    "checked_cond",
     "circle_modes",
     "rel_residual",
     "svd_cond",
@@ -86,6 +91,19 @@ def svd_cond(mat) -> float:
     if s[-1] == 0.0:
         return np.inf
     return float(s[0] / s[-1])
+
+
+def checked_cond(matrix, what: str) -> float:
+    """svd_cond of a matrix about to be solved or inverted (0 x 0 gives 1):
+    NotSquare "<what> is AxB" if it is not square, SingularMatrix "<what>
+    condition <c>" (c attached) if c is above COND_LIMIT."""
+    rows, cols = np.shape(matrix)
+    if rows != cols:
+        raise NotSquare(f"{what} is {rows}x{cols}")
+    cond = svd_cond(matrix)
+    if cond > COND_LIMIT:
+        raise SingularMatrix(f"{what} condition {cond:.3e}", cond)
+    return cond
 
 
 def numerical_kernel_dim(mat):

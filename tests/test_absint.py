@@ -484,7 +484,7 @@ def test_scalar_necessity_violation(scalar_setup):
     wrong = line_bundle(chit.a + 0.1, chit.b)
     with pytest.raises(NecessityViolated):
         scalar_multiplicative(surf, zeros, poles, chi, wrong, Q_POINT, 1.0)
-    with pytest.raises(NecessityViolated):
+    with pytest.raises(NotSquare):
         scalar_multiplicative(surf, zeros, poles[:1], chi, chit, Q_POINT, 1.0)
 
 
@@ -981,12 +981,12 @@ def test_full_rank_rejects_partial_data():
 def test_full_rank_refuses_unequal_counts():
     """One zero and two poles have no multiplicative solution: T(p + tau)
     would not be T(p) times a unit multiplier.  full_rank_multiplicative
-    raises NecessityViolated, as scalar_multiplicative does."""
+    raises NotSquare, as scalar_multiplicative does."""
     surf, data, ko, kt, lam, mu = full_rank_setup()
     eye = np.eye(2)
     uneven = InterpolationDataSet(surf, 2, (ZeroNode(lam, eye),),
                                   (PoleNode(mu, eye), PoleNode(0.83 + 0.11j, eye)))
-    with pytest.raises(NecessityViolated, match="1 zeros vs 2 poles"):
+    with pytest.raises(NotSquare, match="1 zeros vs 2 poles"):
         full_rank_multiplicative(uneven, kt, Q_POINT, eye)
 
 

@@ -207,6 +207,17 @@ def test_solve_line_without_room_for_samples_exits_2(tmp_path, capsys):
     assert error["error"] == "input" and "avoided set" in error["message"]
 
 
+UNEQUAL_COUNTS = Path(__file__).parent / "data" / "unequal_counts_line.json"
+
+
+def test_solve_line_with_unequal_counts_is_not_square(tmp_path, capsys):
+    """One zero against two poles: both scalar forms refuse it as NotSquare."""
+    code = run_command(["solve-line", str(UNEQUAL_COUNTS), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "NotSquare", "message": "1 zeros vs 2 poles", "warnings": []}
+
+
 def test_fay_check(tmp_path):
     code, report = run_json(
         ["fay-check", "--tau", "0+1i", "--samples", "30", "--seed", "7"],
@@ -269,6 +280,16 @@ def test_conint_problem_file(tmp_path):
     assert checks["conint.gamma_equality"]["residual"] < 1e-8
     assert checks["conint.intertwining"]["residual"] < 1e-7
     assert "gamma" in report
+
+
+def test_conint_singular_base_value_names_its_condition(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({**ABSINT_PROBLEM, "base_value": [[[0.0, 0.0]]]}))
+    code = run_command(["conint", str(problem), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "SingularMatrix"
+    assert error["message"] == "base value Q condition inf"
 
 
 @pytest.mark.parametrize("command, payload", [
