@@ -22,7 +22,10 @@ carries the warnings the command raised as a "warnings" list, and none
 is printed beside it.  It exits 0 when all checks pass, 1 on a check
 failure and 2 on bad input.  Complex numbers are written as [re, im]
 pairs in files and accepted as "a+bi" or "a+bj" strings on the command
-line.  Sweeps are seeded and reproducible.
+line.  Sweeps are seeded and reproducible.  A command takes only the options
+it reads (exit 2 on any other): all but `theta` take --seed, and the four that
+size a sweep of their own take --samples; a report's "seed" or "samples" is
+null where its command lacks the option.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def _cmd_solve_genus0(args):
     lams, mus = problem.zero_rows.points, problem.pole_rows.points
     far = 1e6 * max([1.0, *(abs(z) for z in (*lams, *mus))])
     checks.append(verify.check("genus0.identity_at_infinity",
-                               float(np.abs(T(far) - np.eye(problem.rank)).max()), 1e-5))
+                               np.abs(T(far) - np.eye(problem.rank)), 1e-5))
     if problem.rank == 1:
         checks.append(verify.genus0_product_check(lams, mus, rng, args.samples,
                                                   args.tol_scale))
@@ -250,9 +253,8 @@ def _cmd_solve_line(args):
 def _cmd_fay_check(args):
     surf = torus_surface(_parse_complex(args.tau))
     rng = np.random.default_rng(args.seed)
-    checks = [verify.fay_sweep_check(surf, rng, args.samples, args.tol_scale),
-              verify.fay_degenerate_check(surf, rng, args.samples, args.tol_scale)]
-    return checks, {}
+    return [verify.fay_sweep_check(surf, rng, args.samples, args.tol_scale),
+            verify.fay_degenerate_check(surf, rng, args.samples, args.tol_scale)], {}
 
 
 def _cmd_criterion(args):
@@ -352,17 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help_text, **defaults):
+    def command(name, fn, help_text, seed=True, samples=None, **defaults):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for sweeps")
-        p.add_argument("--samples", type=_count, default=50, help="sweep sample count")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed for sweeps")
+        if samples:
+            p.add_argument("--samples", type=_count, default=50, help=samples)
         p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
                        help="multiply every tolerance by this factor")
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.set_defaults(fn=fn, **defaults)
         return p
 
-    p = command("theta", _cmd_theta, "evaluate theta functions")
+    p = command("theta", _cmd_theta, "evaluate theta functions", seed=False)
     p.add_argument("--tau", "--omega", dest="tau", default="1i",
                    help="genus-1 modulus, e.g. 0.3+0.8i")
     p.add_argument("--omega-file", default=None, help="JSON with genus and omega")
@@ -370,11 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", default=None, help="characteristics 'a1,..:b1,..'")
     p.add_argument("--grad", action="store_true", help="also return the gradient")
 
-    p = command("solve-genus0", _cmd_solve_genus0, "rational matrix interpolation")
+    sweep = "sweep sample count"
+    p = command("solve-genus0", _cmd_solve_genus0, "rational matrix interpolation", samples=sweep)
     p.add_argument("problem", help="problem JSON path")
-    p = command("solve-line", _cmd_solve_line, "scalar torus interpolation, both forms")
+    p = command("solve-line", _cmd_solve_line, "scalar torus interpolation, both forms",
+                samples=sweep)
     p.add_argument("problem", help="problem JSON path")
-    p = command("fay-check", _cmd_fay_check, "randomized trisecant-identity sweep")
+    p = command("fay-check", _cmd_fay_check, "randomized trisecant-identity sweep", samples=sweep)
     p.add_argument("--tau", default="0.3+0.9i")
     command("matrix-fay", _cmd_criterion, "single zero/pole matrix identity sweep",
             criterion=verify.checks_matrix_fay)
@@ -382,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
             criterion=verify.checks_kernel)
     p = command("detrep", _cmd_detrep, "determinantal representation sweep")
     p.add_argument("--export", default=None, help="write the pencil JSON here")
-    p = command("conint", _cmd_conint, "concrete interpolation round trip")
+    p = command("conint", _cmd_conint, "concrete interpolation round trip",
+                samples="sweep sample count of a problem file (the fixture run ignores it)")
     p.add_argument("problem", nargs="?", default=None,
                    help="optional interpolation problem JSON; fixtures otherwise")
     command("verify-all", _cmd_verify_all, "full acceptance battery")
@@ -414,8 +421,8 @@ def run_command(argv) -> int:
     report = {
         "command": args.command,
         "schema_version": 1,
-        "seed": args.seed,
-        "samples": args.samples,
+        "seed": getattr(args, "seed", None),
+        "samples": getattr(args, "samples", None),
         "tol_scale": args.tol_scale,
         "checks": checks,
         **extras,

@@ -53,7 +53,7 @@ from .errors import (
     ZPViolated,
 )
 from .kernels import CauchyKernelOracle
-from .numutil import EPS_GUARD, checked_cond, circle_modes, rel_residual
+from .numutil import EPS_GUARD, checked_cond, circle_modes, rel_gap, rel_residual
 from .surface import EmbeddingPair, Surface
 
 __all__ = [
@@ -257,8 +257,7 @@ def solve_conint(data: ConintDataSet) -> ConintSolution:
 
 def convert_absint_to_conint(data: InterpolationDataSet,
                              oracle_tilde: CauchyKernelOracle,
-                             embedding: EmbeddingPair,
-                             pencil_tilde: PencilRep | None = None) -> ConintDataSet:
+                             embedding: EmbeddingPair) -> ConintDataSet:
     """Concrete data from abstract data through the normalized sections.
 
     phi_jb = u_cross(mu^j) u_jb and psi_ia = x_ia u_cross_left(lambda^i),
@@ -269,7 +268,7 @@ def convert_absint_to_conint(data: InterpolationDataSet,
     for node in (*data.zeros, *data.poles):
         if embedding.is_pole(node.point):
             raise PointOnExcludedSet(f"node {node.point!r} sits on an embedding pole")
-    pencil_tilde = pencil_tilde or build_pencil(oracle_tilde, embedding)
+    pencil = build_pencil(oracle_tilde, embedding)
     sections = normalized_sections(oracle_tilde, embedding)
     zs, ps = [zn.point for zn in data.zeros], [pn.point for pn in data.poles]
     zeros = tuple(InterpolationNode(zn.point, zn.vectors @ left)
@@ -278,7 +277,7 @@ def convert_absint_to_conint(data: InterpolationDataSet,
                   for pn, right in zip(data.poles, sections.right(ps)))
     return ConintDataSet(
         surface=data.surface,
-        pencil=pencil_tilde,
+        pencil=pencil,
         zeros=zeros,
         poles=poles,
         zero_affine=embedding.lambda_values(zs),
@@ -296,10 +295,7 @@ def check_gamma_equality(data: InterpolationDataSet,
     gamma0 = build_gamma0(converted, DEFAULT_XI)
     if gamma.shape != gamma0.shape:
         raise NotSquare("coupling matrices have different shapes")
-    if gamma.size == 0:
-        return 0.0
-    denom = np.abs(gamma) + np.abs(gamma0) + EPS_GUARD
-    return float((np.abs(gamma - gamma0) / denom).max())
+    return float(rel_gap(gamma, gamma0).max(initial=0.0))
 
 
 def check_intertwining(solution: ConintSolution, T,

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import InputError, PointOnExcludedSet, SurfaceMismatch
 from .kernels import CauchyKernelOracle, _block_form, kernel_grid
-from .numutil import checked_cond, numerical_kernel_dim, rel_residual, svd_cond
+from .numutil import checked_cond, null_ratio, numerical_kernel_dim, rel_residual, svd_cond
 from .surface import EmbeddingPair
 
 __all__ = [
@@ -191,9 +190,8 @@ def check_kernel_identities(pencil: PencilRep, sections: NormalizedSections,
     u = sections.right(P)                  # (N, M, r)
     ul = sections.left(P)                  # (N, r, M)
     upen = pencil.pencil(lam[:, 0], lam[:, 1])
-    norm = partial(np.linalg.norm, axis=(-2, -1))
-    res1 = norm(upen @ u) / (norm(upen) * norm(u) + 1e-300)
-    res2 = norm(ul @ upen) / (norm(ul) * norm(upen) + 1e-300)
+    res1 = null_ratio(upen, u)
+    res2 = null_ratio(ul, upen)
     xis = np.asarray(xi, dtype=complex)
     dirs = xis.reshape(-1, 2)              # (K, 2)
     d = embedding.lambda_derivs(P, order=1)

@@ -1,5 +1,5 @@
-"""Shared numerical helpers: contour mode extraction, rank and solvability
-decisions.
+"""Shared numerical helpers: contour mode extraction, residual measures,
+rank and solvability decisions.
 
 Every derivative and Laurent coefficient that zpint reads from values of
 a kernel or an interpolant comes from `circle_modes`: the trapezoid rule on a circle around the point, which
@@ -8,6 +8,13 @@ SIAM Rev. 56, 2014) and gives derivatives of analytic functions without
 a difference step (Fornberg, ACM TOMS 7, 1981).  Every matrix zpint
 solves or inverts passes `checked_cond` first, its one test of shape and
 condition.  Everything here is plain dense numpy on desk-scale matrices.
+
+Two sides of an identity are compared by `rel_gap` (entrywise), `rel_residual`
+(Frobenius) or `null_ratio` (a product that should vanish); `EPS_GUARD`, their
+one guard, moves no denominator above about 1e-284.  `absint.fay_residual`
+keeps its own scale, its three terms (the identity has three sides), and
+`check_condition_I3` and `verify_solution` compare a coupling with its size
+plus 1, so that a coupling near 0 is judged absolutely, not by its roundoff.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ __all__ = [
     "COND_LIMIT",
     "checked_cond",
     "circle_modes",
+    "null_ratio",
+    "rel_gap",
     "rel_residual",
     "svd_cond",
     "numerical_kernel_dim",
@@ -78,6 +87,18 @@ def rel_residual(lhs, rhs):
     norm = partial(np.linalg.norm, axis=(-2, -1))
     out = norm(lhs - rhs) / (norm(lhs) + norm(rhs) + EPS_GUARD)
     return float(out) if out.ndim == 0 else out
+
+
+def rel_gap(lhs, rhs):
+    """Entrywise |lhs - rhs| / (|lhs| + |rhs| + guard): 0 where both are 0."""
+    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + EPS_GUARD)
+
+
+def null_ratio(left, right):
+    """Frobenius |left right| / (|left| |right| + guard) of two matrices, or
+    of each pair of two stacks (..., m, k) and (..., k, n)."""
+    norm = partial(np.linalg.norm, axis=(-2, -1))
+    return norm(left @ right) / (norm(left) * norm(right) + EPS_GUARD)
 
 
 def svd_cond(mat) -> float:

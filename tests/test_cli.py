@@ -258,6 +258,34 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert run_command(["solve-genus0", str(undecodable)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--samples", "5"],
+    ["theta", "--seed", "1"],
+    ["matrix-fay", "--samples", "5"],
+    ["kernel-check", "--samples", "5"],
+    ["detrep", "--samples", "5"],
+    ["verify-all", "--samples", "5"],
+])
+def test_a_command_refuses_an_option_it_does_not_read(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_command([*argv, "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_has_null_seed_and_samples_where_the_command_lacks_them(tmp_path):
+    code, report = run_json(["theta", "--z", "0.1"], tmp_path / "r.json")
+    assert code == 0
+    assert report["seed"] is None and report["samples"] is None
+    assert report["schema_version"] == 1
+    code, report = run_json(["matrix-fay", "--seed", "4"], tmp_path / "r.json")
+    assert code == 0
+    assert report["seed"] == 4 and report["samples"] is None
+    code, report = run_json(["fay-check", "--samples", "3"], tmp_path / "r.json")
+    assert code == 0
+    assert report["seed"] == 0 and report["samples"] == 3
+
+
 def test_exit_code_1_on_check_failure(tmp_path):
     # shrinking every tolerance by 1e-16 makes honest residuals fail
     code = run_command(["fay-check", "--samples", "5", "--seed", "1",

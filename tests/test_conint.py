@@ -72,9 +72,8 @@ def scalar_case():
     from zpint.surface import build_embedding_functions
 
     emb = build_embedding_functions(surf, *EMB_POINTS)
-    pencil_t = build_pencil(kt, emb)
-    converted = convert_absint_to_conint(data, kt, emb, pencil_t)
-    return surf, data, ko, kt, T, emb, pencil_t, converted
+    converted = convert_absint_to_conint(data, kt, emb)
+    return surf, data, ko, kt, T, emb, converted.pencil, converted
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +110,8 @@ def triangular_case():
     from zpint.surface import build_embedding_functions
 
     emb = build_embedding_functions(surf, *EMB_POINTS)
-    pencil_t = build_pencil(kt, emb)
-    converted = convert_absint_to_conint(data, kt, emb, pencil_t)
-    return surf, data, ko, kt, T, emb, pencil_t, converted
+    converted = convert_absint_to_conint(data, kt, emb)
+    return surf, data, ko, kt, T, emb, converted.pencil, converted
 
 
 def test_converted_vectors_live_in_kernels(scalar_case):
@@ -229,7 +227,7 @@ def test_gamma0_and_adjustment_match_pair_formulas(triangular_case):
 def test_empty_data_gives_identity(scalar_case):
     surf, data, ko, kt, T, emb, pencil_t, converted = scalar_case
     empty_abs = InterpolationDataSet(surface=surf, rank=1, zeros=(), poles=())
-    empty = convert_absint_to_conint(empty_abs, kt, emb, pencil_t)
+    empty = convert_absint_to_conint(empty_abs, kt, emb)
     assert empty.zero_rows.vectors.shape == empty.pole_rows.vectors.shape == (0, pencil_t.size)
     solution = solve_conint(empty)
     assert np.array_equal(solution.gamma, pencil_t.gamma)
@@ -430,7 +428,7 @@ def test_pole_collision_rejected(scalar_case):
         poles=(PoleNode(0.83 + 0.11j, np.array([[1.0]])),),
     )
     with pytest.raises(PointOnExcludedSet, match="sits on an embedding pole"):
-        convert_absint_to_conint(clash, kt, emb, pencil_t)
+        convert_absint_to_conint(clash, kt, emb)
 
 
 def test_collection_consequences(scalar_case):
