@@ -28,19 +28,20 @@ Gamma is -Gamma^T.  So build_inverse is build_solution's evaluator on the
 swapped problem, with its values transposed.
 
 The interpolant evaluates arrays of points (BundleMapEvaluator.many), and
-a call at one point is the N = 1 case.  Both kernels are in the normal
+a call at one point is the one-point case of the same layers, with no
+batch axis and the bits of its batch row.  Both kernels are in the normal
 form F diag(k_1, ..., k_r) F^-1 of kernels, so K(chi; p, q)^-1 is
 F diag(1/k) F^-1 and the kernel sum is linear in the channels of
 K(chi~); the weights, Q and both frames are folded at build time into
 one matrix.  The kernels are read only at pairs (p, e) with ends fixed at
 build time, so on the torus the build also freezes the Fourier
 coefficients of every theta row at the ends (kernels.end_plan, a
-theta.ThetaTable).  A batch of points then costs one finiteness check
-(one point: surface.point, then the batch body at an array of one), one
-distance test against the ends (Surface.apart, on the torus an exact
-prefilter on the lattice offsets before the full distance), one
-kernels.evaluate_channels call (on the torus one read of the table, no
-lattice pass), one matmul and one divide by the channels of K(chi).
+theta.ThetaTable).  A batch of points, or one point, then costs one
+finiteness check (surface.points, or surface.point), one distance test
+against the ends (Surface.apart, on the torus an exact prefilter on the
+lattice offsets before the full distance), one kernels.evaluate_channels
+call (on the torus one read of the table, no lattice pass), one matmul
+and one divide by the channels of K(chi).
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of its kernel
 sum, and reads Gamma and its base column from the channels end_plan
@@ -395,8 +396,9 @@ class BundleMapEvaluator:
     """Bundle map with a fixed base value T(q) = Q, over arrays of points.
 
     many(P) gives the values at a sequence of points, shape (N, r, r); a
-    call T(p) is its N = 1 case, and a call on a sequence is many.  The
-    value at q is Q.  T has poles at the pole nodes, where many raises.
+    call T(p) gives the (r, r) value at one point, and a call on a
+    sequence is many.  The value at q is Q.  T has poles at the pole
+    nodes, where T and many raise.
 
     The kernel sum of a point p reads K(chi~) at the pairs (p, e) with the
     ends [q, the pole of each pole vector], with the weights V_0 = I and
@@ -421,15 +423,26 @@ class BundleMapEvaluator:
     is no product: the fold of a frame-free chi~ is written in its block
     layout.
 
-    A point costs one check (surface.point for a call at one point, which
-    enters many's body _at directly), one distance test against the ends
-    (Surface.apart), its channel read, one matmul and one divide.  On the
-    torus it also tests K(chi) for a pole of its inverse (a tiny channel
-    against the channels' scale), over the batch's extremes first and row
-    by row only when those do not clear it.  On the sphere every channel
-    is 1/(p - q), which vanishes at no p != q, so no such test runs there;
-    only a channel that rounds to 0, at |p - q| near the largest double,
-    is refused.
+    A call at one point is the one-point case of the same layers, with no
+    batch axis: p is checked once (surface.point), tested against the ends
+    (Surface.apart on ends - p), and its (L,) channels are read by
+    evaluate_channels, which reduces p by the lattice once, in Python
+    scalars (theta_table_rows); _values tests and folds them with no
+    leading axis.  A point the distance test does not clear (q, or a pole)
+    enters the rest of many's checked body (_near) as an array of one,
+    which answers q with Q and refuses a pole.  The one-point case runs the arithmetic of
+    a batch row on the same numbers, and numpy runs stacked matmuls slice
+    by slice, so T.many(P)[i] equals T(P[i]) bit for bit and every point
+    raises the same error, with the same message, alone and in a batch.
+
+    A point costs one check, one distance test against the ends, its
+    channel read, one matmul and one divide.  On the torus it also tests
+    K(chi) for a pole of its inverse (a tiny channel against the channels'
+    scale): at one point over its r channels as Python floats, in a batch
+    over the batch's extremes first and row by row only when those do not
+    clear it.  On the sphere every channel is 1/(p - q), which vanishes at
+    no p != q, so no such test runs there; only a channel that rounds to 0,
+    at |p - q| near the largest double, is refused.
 
     Raises InputError for a kernel whose rank is not the data's, and
     NotSquare or SingularMatrix for a Gamma that is not square and well
@@ -486,7 +499,13 @@ class BundleMapEvaluator:
         return self._at(self.data.surface.points(P))
 
     def __call__(self, p) -> np.ndarray:
-        return self.many(p) if _is_many(p) else self._at(np.array([point(p)]))[0]
+        if _is_many(p):
+            return self.many(p)
+        p = point(p)
+        d = self._plan.ends - p
+        if self.data.surface.apart(d):
+            return self._orient(self._values(p))
+        return self._near(np.array([p]), d[None])[0]
 
     @property
     def rank(self) -> int:
@@ -495,11 +514,16 @@ class BundleMapEvaluator:
     def _at(self, P) -> np.ndarray:
         """many at the checked point array P: one distance test against
         the ends (Surface.apart), then the values."""
-        surface = self.data.surface
         d = self._plan.ends - P[:, None]
-        if surface.apart(d):
-            return self._values(P)
-        hits = surface.gap(d) <= POINT_TOL
+        if self.data.surface.apart(d):
+            return self._orient(self._values(P))
+        return self._near(P, d)
+
+    def _near(self, P, d) -> np.ndarray:
+        """many at the checked point array P whose (N, m) differences d from
+        the ends Surface.apart did not clear: Q at q, PointOnExcludedSet at
+        a pole, the values elsewhere."""
+        hits = self.data.surface.gap(d) <= POINT_TOL
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
             where = point(P[on_pole.argmax()])
@@ -510,12 +534,14 @@ class BundleMapEvaluator:
         if not at_q.all():
             off = ~at_q
             out[off] = self._values(P[off])
-        return out
+        return self._orient(out)
 
     def _values(self, P):
+        """The values at the checked point array P clear of the ends, or at
+        one such point, a complex P, with no batch axis: the same bits."""
         r = self.rank
         d = evaluate_channels(self.data.surface, self._plan, P)
-        chi = d[:, -r:]
+        chi = d[..., -r:]
         singular = None
         if self.data.surface.genus:
             # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and
@@ -524,28 +550,37 @@ class BundleMapEvaluator:
             # extremes clear every row at once, and the row-wise flags are
             # built only when they do not
             size = np.abs(chi)
-            if size.size and not size.min() > 1e-10 * max(1.0, size.max()):
+            if chi.ndim == 1:   # one point: its r sizes as Python floats, the
+                size = size.tolist()   # same test at a fraction of two reductions
+                if not min(size) > 1e-10 * max(1.0, max(size)):
+                    singular = True
+            elif size.size and not size.min() > 1e-10 * max(1.0, size.max()):
                 flags = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
                 singular = flags if flags.any() else None
         elif np.count_nonzero(chi) < chi.size:   # a fraction of chi.all()'s cost
             # on the sphere every channel is 1/(p - q), which vanishes nowhere
             # (many has answered p at q); it rounds to 0 only at |p - q| near
             # the largest double, where the value would be 0 / 0
-            singular = ~chi.all(axis=1)
+            singular = ~chi.all(axis=-1)
         if singular is not None:
-            where = point(P[int(singular.argmax())])
+            where = point(np.reshape(P, -1)[int(np.argmax(singular))])
             raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
-        values = (d[:, None, :-r] @ self._fold).reshape(-1, r, r) / chi[:, None, :]
+        values = ((d[..., None, :-r] @ self._fold).reshape(*chi.shape[:-1], r, r)
+                  / chi[..., None, :])
         frame = self.oracle_chi.frame_inv
         return values if frame is None else values @ frame
+
+    def _orient(self, values):
+        """values (..., r, r) as this interpolant gives them: as they are."""
+        return values
 
 
 class _Transposed(BundleMapEvaluator):
     """A BundleMapEvaluator whose values are transposed: build_inverse's
     T^{-1}, the transpose of the swapped problem's solution."""
 
-    def _at(self, P) -> np.ndarray:
-        return super()._at(P).transpose(0, 2, 1)
+    def _orient(self, values):
+        return values.swapaxes(-1, -2)
 
 
 def _times(x, y):

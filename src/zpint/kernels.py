@@ -37,7 +37,9 @@ F; a single pair is the N = 1 case of the same code.
 An interpolant of absint reads its kernels only at pairs (p, e) of a
 point with ends fixed at build time: end_plan freezes them once, on the
 torus as a theta.ThetaTable of the ends, and evaluate_channels reads the
-channels at a batch of points from it.  end_plan also returns the
+channels at a batch of points from it, or at one point with no batch
+axis (an interpolant's call at one point), with the bits of that point's
+row in any batch.  end_plan also returns the
 channels at the zero points, from which the interpolant builds Gamma: on
 the torus out of the walk that builds the table, elsewhere one
 evaluate_channels call.  There is one orientation: absint builds T^-1 as
@@ -274,32 +276,36 @@ class CauchyKernelOracle:
 
 def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
     """(N, L) channel values of an interpolant's plan at every point of the
-    checked point array P, over the plan's fixed ends.
+    checked point array P, over the plan's fixed ends; at one checked
+    point, a complex P, its (L,) values, with no batch axis.  A point's
+    values are the same bits alone and in any batch.
 
     On the torus the rows are read from the plan's frozen table by
-    theta.theta_table_rows; the rows of one end share a factor, which the
-    divide by the odd theta (the prime form) cancels.  A module function,
-    not a method, so that perfbench's span tracer, which wraps public
-    functions, counts an interpolant's kernel work under kernels and its
-    theta work under theta.
+    theta.theta_table_rows, (N, m, D) or one point's (m, D); the rows of
+    one end share a factor, which the divide by the odd theta (the prime
+    form) cancels.  A module function, not a method, so that perfbench's
+    span tracer, which wraps public functions, counts an interpolant's
+    kernel work under kernels and its theta work under theta.
     """
     if plan.table is not None:
         rows = theta_table_rows(plan.table, P)
         # each channel over its end's odd theta, times theta'(0)/theta[a; b](0),
-        # written in place into the (N, m + 1, r) layout of the (N, L) result
+        # written in place into the (..., m + 1, r) layout of the (..., L) result
         m, r = len(plan.ends), plan.tilde
-        out = np.empty((len(P), m + 1, r), dtype=complex)
-        np.divide(rows[:, :, :r], rows[:, :, -1:], out=out[:, :m])
-        np.divide(rows[:, 0, r:-1], rows[:, 0, -1:], out=out[:, m])
+        lead = rows.shape[:-2]
+        out = np.empty((*lead, m + 1, r), dtype=complex)
+        np.divide(rows[..., :r], rows[..., -1:], out=out[..., :m, :])
+        np.divide(rows[..., 0, r:-1], rows[..., 0, -1:], out=out[..., m, :])
         np.multiply(out, plan.scale, out=out)
-        return out.reshape(len(P), (m + 1) * r)
-    d = P[:, None] - plan.ends
+        return out.reshape(*lead, (m + 1) * r)
+    d = np.subtract.outer(P, plan.ends)
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
-        return _channel_pass(surface, plan.rows, -d)
+        values = _channel_pass(surface, plan.rows, -d.reshape(-1, len(plan.ends)))
+        return values.reshape(*d.shape[:-1], -1)
     # the sphere: every channel is 1/(p - e); take, not [:, cols], keeps each
     # row contiguous, as a one-point pass has it, so that a matmul over rows
     # gives the same bits
-    return (1.0 / d).take(plan.rows[0], axis=1)
+    return (1.0 / d).take(plan.rows[0], axis=-1)
 
 
 def kernel_grid(oracle: CauchyKernelOracle, P, Q) -> np.ndarray:

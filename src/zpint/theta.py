@@ -738,25 +738,39 @@ def theta_table(omega: PeriodMatrix, a, b, ends, points):
 
 
 def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
-    """The table's rows at every point of P, shape (N,) -> (N, m, D).
+    """The table's rows at every point of P, shape (N,) -> (N, m, D); at one
+    point, a complex P, its (m, D) rows, with no batch axis.
 
     Row (j, i) at p is theta[a_i; b_i](e_j - p) times a nonzero factor
     common to the rows of e_j at p (the end's scale, and the factor
     exp(-pi i N^2 tau - 2 pi i N w) of theta(w + N tau) = ... theta(w)),
     which cancels in the ratio of two rows of one end.  p is reduced to
-    p^ = p - n tau with |Im p^| <= Im(tau)/2; its factors are one exp, made
-    as (N, D, 1, W), and its rows are one (1, W) @ (W, m) matmul with the
-    coefficients per characteristic.  numpy runs a stacked matmul slice by
-    slice, so a point's rows do not depend on its batch or on the layout of
-    P.  Points are read a chunk at a time, so that no working array holds
-    more than CHUNK_ELEMENTS terms.
+    p^ = p - n tau with n = rint(Im p / Im tau), so |Im p^| <= Im(tau)/2;
+    its factors are one exp, made as (N, D, 1, W), and its rows are one
+    (1, W) @ (W, m) matmul with the coefficients per characteristic.
+    numpy runs a stacked matmul slice by slice, so a point's rows do not
+    depend on its batch or on the layout of P.  One point is the same
+    arithmetic with no leading axis, its n and p^ made in Python scalars
+    (round ties to even, as rint), so its rows equal its row of any batch
+    bit for bit.  Points are read a chunk at a time, so that no working
+    array holds more than CHUNK_ELEMENTS terms.
+
+    p^ carries an absolute error of about eps |p| (the rounding of p and
+    of n tau), and the phases of its factors are 2 pi x Re p^ over the
+    window's x, so a point far out keeps few digits of its rows, and past
+    |p| of about 1e16 none: such a point (p = 1e200, say) gets finite rows
+    that are not its rows, and nothing is raised.  Refusing it is the
+    caller's part.
 
     Raises
     ------
     NonConvergent
-        If a row is not finite (a point so far out that its reduction
-        loses every digit).
+        If a row is not finite: the point is not finite, or its reduction
+        or a factor overflows (Im p / Im tau, or Re p times the window's
+        2 pi x, past the largest double).
     """
+    if isinstance(P, complex):
+        return _table_rows(table, P)
     P = np.asarray(P, dtype=complex).reshape(-1)
     step = max(1, CHUNK_ELEMENTS // table.coeffs.size)
     if len(P) <= step:
@@ -764,18 +778,23 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
     return np.concatenate([_table_rows(table, P[at:at + step]) for at in range(0, len(P), step)])
 
 
-def _table_rows(table: ThetaTable, P: np.ndarray) -> np.ndarray:
-    """theta_table_rows at one chunk of points."""
+def _table_rows(table: ThetaTable, P) -> np.ndarray:
+    """theta_table_rows at one chunk of points, or at one point P."""
     tau = table.tau
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = np.rint(P.imag / tau.imag)
-        p = P - shift * tau
-        factors = np.exp(table.slopes * p[:, None, None, None]
-                         + (table.gauss + (shift[:, None] * table.shift)[..., None, None]))
-        rows = (factors @ table.coeffs)[:, :, 0]
+        if isinstance(P, complex):   # one point, in Python scalars
+            shift = P.imag / tau.imag
+            if math.isfinite(shift):   # else p^ is not finite, nor are its rows
+                shift = float(round(shift))   # rint's value: ties go to even
+            p = P - shift * tau
+        else:
+            shift = np.rint(P.imag / tau.imag)[:, None]
+            p = (P[:, None] - shift * tau)[..., None, None]
+        factors = np.exp(table.slopes * p + (table.gauss + (shift * table.shift)[..., None, None]))
+        rows = (factors @ table.coeffs)[..., 0, :]
     if not np.isfinite(rows).all():
         raise NonConvergent("theta table row is not finite")
-    return rows.transpose(0, 2, 1)
+    return rows.swapaxes(-1, -2)
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:

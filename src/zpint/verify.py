@@ -381,7 +381,8 @@ def checks_kernel(seed=3, tol_scale=1.0):
         P, Q = _point_chain(surf, rng, [False, True] * 10).reshape(10, 2).T.copy()
         forward = oracle(Q, P)
         defect = np.abs(oracle.dual()(P, Q).transpose(0, 2, 1) + forward)
-        dual_defects.append(defect.max(axis=(1, 2)) / np.abs(forward).max(axis=(1, 2)))
+        dual_defects.append(defect.max(axis=(1, 2))
+                            / (np.abs(forward).max(axis=(1, 2)) + EPS_GUARD))
     out.append(check("kernel.duality", dual_defects, 1e-10 * tol_scale))
 
     # pole collection: 50 draws (xi, p, q), every seventh from the fourth

@@ -4,12 +4,15 @@ For each of the benchmark's interpolation workloads (``interp_torus`` and
 ``interp_sphere`` of ``perfbench/workloads.py``, imported, not changed) a
 worker process builds problems 0-9 of seed 41, times ``build_solution``
 (``workloads.solve``) and then T(p) one sweep point at a time through
-``workloads.evaluate_sweep``, as the benchmark's ``items_per_s`` does, for
-ROUNDS rounds each.  It reports the median per-point latency of the
-process and two medians of the build time: the cold build, round 0, the
-first build on a fresh problem's surface, which computes that surface's
-constants of tau (theta'(0), the theta plan's tables); and the warm
-build, rounds 1 to ROUNDS - 1, which reads them.
+``workloads.evaluate_sweep``, as the benchmark's ``items_per_s`` does, and
+then the whole sweep in one ``T.many`` call, the batched route, for ROUNDS
+rounds each.  It reports the median per-point latency of the process
+(point_us), the median time of one ``T.many`` over a sweep (sweep_us), so
+that a change that speeds the one-point route at the batched route's cost
+shows next to it, and two medians of the build time: the cold build,
+round 0, the first build on a fresh problem's surface, which computes that
+surface's constants of tau (theta'(0), the theta plan's tables); and the
+warm build, rounds 1 to ROUNDS - 1, which reads them.
 
 The harness runs PAIRS pairs of worker processes, one for this checkout
 and one for the checkout given by ``--against``, alternating which side
@@ -18,7 +21,7 @@ checkout's ``src`` and ``perfbench`` ahead of an installed zpint.  It
 prints, per side, the median and quartiles of the process medians, the
 ratio of the medians (against / this, above 1 when this checkout is
 faster) and the number of pairs this checkout won, plus the count of
-points that raised.  It asserts nothing about speed.
+points and of sweeps that raised.  It asserts nothing about speed.
 
     python3 tests/point_latency.py --against ../parent --pairs 10
 
@@ -48,12 +51,13 @@ def worker(root: str) -> dict:
     """Time the builds and the one-point calls on root's own code."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
+    from zpint.errors import ZpintError
 
     clock = time.perf_counter
     out = {}
     for name in WORKLOADS:
         make = workloads.PROBLEMS[name][0]
-        cold, warm, points, errors = [], [], [], 0
+        cold, warm, points, sweeps, errors = [], [], [], [], 0
         for index in PROBLEMS:
             problem = make(SEED, index)
             for round_ in range(ROUNDS):
@@ -63,9 +67,16 @@ def worker(root: str) -> dict:
                 _, latencies, failed = workloads.evaluate_sweep(T, problem.sweep)
                 points += latencies
                 errors += failed
+                start = clock()
+                try:
+                    T.many(problem.sweep)
+                except ZpintError:
+                    errors += 1
+                sweeps.append(clock() - start)
         out[name] = {"build_cold_us": 1e6 * statistics.median(cold),
                      "build_warm_us": 1e6 * statistics.median(warm),
-                     "point_us": 1e6 * statistics.median(points), "errors": errors}
+                     "point_us": 1e6 * statistics.median(points),
+                     "sweep_us": 1e6 * statistics.median(sweeps), "errors": errors}
     return out
 
 
@@ -108,7 +119,7 @@ def main(argv=None) -> int:
     print(f"{args.pairs} pairs; this {sides['this']}, against {sides['against']}; "
           "median [quartiles] of the process medians, in us")
     for name in WORKLOADS:
-        for metric in ("point_us", "build_cold_us", "build_warm_us"):
+        for metric in ("point_us", "sweep_us", "build_cold_us", "build_warm_us"):
             this, other = ([run[name][metric] for run in runs[side]] for side in sides)
             wins = sum(a < b for a, b in zip(this, other))
             ratio = statistics.median(other) / statistics.median(this)

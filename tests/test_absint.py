@@ -2,6 +2,7 @@
 residue conditions, scalar forms, the trisecant identities."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from zpint.surface import (
     point,
     torus_surface,
 )
+from zpint.theta import MAX_TABLE_IM
 
 TAU = 0.3 + 0.9j
 Q_POINT = 0.52 + 0.18j
@@ -1030,12 +1032,17 @@ def two_call_value(data, q, Q, oracle_chi, oracle_tilde, p):
 
 def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     """T.many and T^-1.many agree with scalar calls bit for bit, give the
-    base value in the row at q, and work on every kind of surface and kernel
-    in normal form (direct sums with a conjugated part); off q each value
-    agrees within 10 cond(Gamma) eps with the two-call route (a kernel batch
-    for chi~, then one call of K(chi) and a solve), which the channel pass
-    replaces: for T^-1 the transposed two-call value of the swapped problem
-    (its data, the dual kernels and Q^-T)."""
+    base value in the row at q, and work on every kind of surface, plan and
+    kernel in normal form (direct sums with a conjugated part; the table
+    plan, the channel pass past MAX_TABLE_IM and the sphere's); off q each
+    value agrees within 10 cond(Gamma) eps with the two-call route (a kernel
+    batch for chi~, then one call of K(chi) and a solve), which the channel
+    pass replaces: for T^-1 the transposed two-call value of the swapped
+    problem (its data, the dual kernels and Q^-T).  On the torus the points
+    include two lattice-shifted copies of the first (p + 3 - 2 tau and
+    p - 1 + tau, reduced by n != 0) and a point in the prefilter band of
+    the end q (the same Im) that the full gap clears; every point of the
+    Im(tau) = 300 case is in that band of every end."""
     from zpint.absint import _swapped
 
     surf, zeros, poles, chi, chit, data = scalar_setup
@@ -1062,8 +1069,24 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
          [0.1, 1.5 - 2j, -3.0, 7.0j]),
         (data, Q_POINT, np.array([[1.3 - 0.4j]]), ko, kt, sweep),
     ]
+    tall, tall_kernel, tall_q = large_im_tau_case()
+    cases.append((tall, tall_q, Q2, tall_kernel, tall_kernel,
+                  [x + 0.45 * tall.surface.tau for x in (0.125, 0.275, 0.425)]))
     for case_data, q, Q, oracle_chi, oracle_tilde, P in cases:
         P = [P[0], q, *P[1:]]
+        compared = len(P)
+        if case_data.surface.genus:
+            # the two routes round a lattice-shifted coordinate apart, at eps
+            # |p|, and the multipliers of its theta rows carry that past 10
+            # cond(Gamma) eps (3.1 times it at p + 3 - 2 tau), so the shifted
+            # points are compared bit for bit only; at Im(tau) = 300 a B-cycle
+            # shift leaves the double range of the channel pass (NonConvergent
+            # on both entries), so that case shifts along the A cycle
+            tau = case_data.surface.tau
+            P += [q + 0.125]
+            compared = len(P)
+            shifts = (3 - 2 * tau, -1 + tau) if tau.imag <= MAX_TABLE_IM else (3, -1)
+            P += [P[0] + shift for shift in shifts]
         Qinv = np.linalg.inv(Q)
         swapped = (_swapped(case_data), q, Qinv.T, oracle_chi.dual(), oracle_tilde.dual())
         for build, base in ((build_solution, Q), (build_inverse, Qinv)):
@@ -1074,7 +1097,7 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
             assert np.array_equal(batch[1], base)
             for i, p in enumerate(P):
                 assert np.array_equal(batch[i], T(p)), (build.__name__, p)
-                if i != 1:
+                if i != 1 and i < compared:
                     ref = (two_call_value(case_data, q, Q, oracle_chi, oracle_tilde, p)
                            if build is build_solution else two_call_value(*swapped, p).T)
                     assert rel_residual(batch[i], ref) <= tol, (build.__name__, p)
@@ -1156,6 +1179,42 @@ def test_sphere_interpolant_is_finite_far_from_its_nodes(rng):
                     with pytest.warns(RuntimeWarning, match="overflow"), \
                             pytest.raises(SingularMatrix, match=re.escape(repr(point(beyond)))):
                         call(beyond)
+
+
+def _outcome(read):
+    """("value", the bits of read()) or (type, message) of what it raises,
+    with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "value", read().tobytes()
+        except Exception as exc:   # noqa: BLE001 -- the outcome itself is compared
+            return type(exc), str(exc)
+
+
+def test_torus_far_points_keep_their_outcome(scalar_setup, rng):
+    """A torus point far out, where the lattice reduction of p or the phase
+    of its factors loses its digits, has one outcome alone and in a batch:
+    T(p) and T.many([q, p]) raise the same exception with the same message,
+    or give the same bits, for T and T^-1, with every warning an error.
+    None is a Python OverflowError or ValueError of the one-point
+    reduction.  The Im(tau) = 300 case (the channel pass) joins with a
+    B-cycle shift of a sweep point, which that pass refuses."""
+    surf, zeros, poles, chi, chit, _ = scalar_setup
+    dsum_o = direct_sum_kernel([line_kernel(surf, chi), line_kernel(surf, line_bundle(0.67, 0.19))])
+    dsum_t = direct_sum_kernel([line_kernel(surf, chit),
+                                line_kernel(surf, line_bundle(0.58, 0.73))])
+    tall, tall_kernel, tall_q = large_im_tau_case()
+    far = [1e17 + 1e17j, 3e15j, 1e200, 1e308 + 1e308j]
+    cases = [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t, far),
+             (tall, tall_q, tall_kernel, tall_kernel, [*far, 0.2 + 1.45 * tall.surface.tau])]
+    for data, q, oracle_chi, oracle_tilde, points in cases:
+        for build in (build_solution, build_inverse):
+            T = build(data, q, np.eye(2), oracle_chi, oracle_tilde)
+            for p in points:
+                alone = _outcome(lambda: T(p))
+                assert alone == _outcome(lambda: T.many([q, p])[1]), (build.__name__, p)
+                assert alone[0] not in (OverflowError, ValueError), (build.__name__, p)
 
 
 def test_many_raises_at_inverse_kernel_pole(scalar_setup):
