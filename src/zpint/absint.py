@@ -37,11 +37,12 @@ one matrix.  The kernels are read only at pairs (p, e) with ends fixed at
 build time, so on the torus the build also freezes the Fourier
 coefficients of every theta row at the ends (kernels.end_plan, a
 theta.ThetaTable).  A batch of points, or one point, then costs one
-finiteness check (surface.points, or surface.point), one distance test
-against the ends (Surface.apart, on the torus an exact prefilter on the
-lattice offsets before the full distance), one kernels.evaluate_channels
-call (on the torus one read of the table, no lattice pass), one matmul
-and one divide by the channels of K(chi).
+finiteness check (surface.points, or surface.point), one array of the
+differences p - e from the ends, one distance test on it (Surface.apart,
+on the torus an exact prefilter on the lattice offsets before the full
+distance), one kernels.evaluate_channels call on the points and the same
+differences (on the torus one read of the table, no lattice pass), one
+matmul and one divide by the channels of K(chi).
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of its kernel
 sum, and reads Gamma and its base column from the channels end_plan
@@ -130,6 +131,12 @@ __all__ = [
     "matrix_fay_residual",
     "full_rank_multiplicative",
 ]
+
+# A point coordinate up to 2^1021 gives, against ends within it, differences
+# p - e, gaps (hypot) and channels 1 / (p - e) (numpy's scaled complex divide)
+# that do not overflow; past it an interpolant evaluates under ignored
+# overflow and invalid flags, so that the point meets its typed checks alone
+_EDGE = 2.0 ** 1021
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,24 +432,33 @@ class BundleMapEvaluator:
 
     A call at one point is the one-point case of the same layers, with no
     batch axis: p is checked once (surface.point), tested against the ends
-    (Surface.apart on ends - p), and its (L,) channels are read by
-    evaluate_channels, which reduces p by the lattice once, in Python
-    scalars (theta_table_rows); _values tests and folds them with no
-    leading axis.  A point the distance test does not clear (q, or a pole)
-    enters the rest of many's checked body (_near) as an array of one,
-    which answers q with Q and refuses a pole.  The one-point case runs the arithmetic of
-    a batch row on the same numbers, and numpy runs stacked matmuls slice
-    by slice, so T.many(P)[i] equals T(P[i]) bit for bit and every point
-    raises the same error, with the same message, alone and in a batch.
+    (Surface.apart on d = p - ends), and its (L,) channels are read by
+    evaluate_channels from p and the same d, which on the torus reduces p
+    by the lattice once, in Python scalars (theta_table_rows); _values
+    tests and folds them with no leading axis.  A point the distance test
+    does not clear (q, or a pole) enters the rest of many's checked body
+    (_near) as an array of one, which answers q with Q and refuses a
+    pole.  The one-point case runs the arithmetic of a batch row on the
+    same numbers, and numpy runs stacked matmuls slice by slice, so
+    T.many(P)[i] equals T(P[i]) bit for bit and every point raises the
+    same error, with the same message, alone and in a batch.
 
-    A point costs one check, one distance test against the ends, its
-    channel read, one matmul and one divide.  On the torus it also tests
-    K(chi) for a pole of its inverse (a tiny channel against the channels'
-    scale): at one point over its r channels as Python floats, in a batch
-    over the batch's extremes first and row by row only when those do not
-    clear it.  On the sphere every channel is 1/(p - q), which vanishes at
-    no p != q, so no such test runs there; only a channel that rounds to 0,
-    at |p - q| near the largest double, is refused.
+    A point costs one check, one array d = p - e of its differences from
+    the ends, in that orientation (the one of genus0 and kernel_grid),
+    the distance test on d, its channel read, one matmul and one divide.
+    The differences are formed once: the distance test reads d, whose
+    gap is symmetric in d, and evaluate_channels reads it too (on the
+    sphere its channels are 1.0 / d, past MAX_TABLE_IM the channel pass
+    reads -d; the table reads p).  A point with a coordinate past _EDGE
+    (2^1021) is the one-point case of many, which evaluates it with
+    numpy's overflow and invalid flags ignored; below it no flag is
+    touched.  On the torus a point also tests K(chi) for a pole of its
+    inverse (a tiny channel against the channels' scale): at one point
+    over its r channels as Python floats, in a batch over the batch's
+    extremes first and row by row only when those do not clear it.  On
+    the sphere every channel is 1/(p - q), which vanishes at no p != q,
+    so no such test runs there; only a channel that rounds to 0, at
+    |p - q| near the largest double, is refused.
 
     Raises InputError for a kernel whose rank is not the data's, and
     NotSquare or SingularMatrix for a Gamma that is not square and well
@@ -485,6 +501,10 @@ class BundleMapEvaluator:
     def many(self, P) -> np.ndarray:
         """Values at the points P, shape (N, r, r).
 
+        A batch with a coordinate past _EDGE is evaluated with numpy's
+        overflow and invalid flags ignored, so that the typed error below
+        is all it raises there.
+
         Raises
         ------
         InputError
@@ -496,15 +516,21 @@ class BundleMapEvaluator:
             torus), or so far from q that 1/(p - q) rounds to 0 (on the
             sphere).
         """
-        return self._at(self.data.surface.points(P))
+        P = self.data.surface.points(P)
+        if P.size and max(np.abs(P.real).max(), np.abs(P.imag).max()) > _EDGE:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._at(P)
+        return self._at(P)
 
     def __call__(self, p) -> np.ndarray:
         if _is_many(p):
             return self.many(p)
         p = point(p)
-        d = self._plan.ends - p
+        if abs(p.real) > _EDGE or abs(p.imag) > _EDGE:
+            return self.many([p])[0]
+        d = p - self._plan.ends
         if self.data.surface.apart(d):
-            return self._orient(self._values(p))
+            return self._orient(self._values(p, d))
         return self._near(np.array([p]), d[None])[0]
 
     @property
@@ -514,15 +540,15 @@ class BundleMapEvaluator:
     def _at(self, P) -> np.ndarray:
         """many at the checked point array P: one distance test against
         the ends (Surface.apart), then the values."""
-        d = self._plan.ends - P[:, None]
+        d = P[:, None] - self._plan.ends
         if self.data.surface.apart(d):
-            return self._orient(self._values(P))
+            return self._orient(self._values(P, d))
         return self._near(P, d)
 
     def _near(self, P, d) -> np.ndarray:
-        """many at the checked point array P whose (N, m) differences d from
-        the ends Surface.apart did not clear: Q at q, PointOnExcludedSet at
-        a pole, the values elsewhere."""
+        """many at the checked point array P whose (N, m) differences d =
+        p - e from the ends Surface.apart did not clear: Q at q,
+        PointOnExcludedSet at a pole, the values elsewhere."""
         hits = self.data.surface.gap(d) <= POINT_TOL
         on_pole = hits[:, 1:].any(axis=1)
         if on_pole.any():
@@ -533,15 +559,17 @@ class BundleMapEvaluator:
         out[at_q] = self.Q
         if not at_q.all():
             off = ~at_q
-            out[off] = self._values(P[off])
+            out[off] = self._values(P[off], d[off])
         return self._orient(out)
 
-    def _values(self, P):
+    def _values(self, P, d):
         """The values at the checked point array P clear of the ends, or at
-        one such point, a complex P, with no batch axis: the same bits."""
+        one such point, a complex P, with no batch axis: the same bits.  d
+        is their differences p - e from the ends, as evaluate_channels
+        reads them."""
         r = self.rank
-        d = evaluate_channels(self.data.surface, self._plan, P)
-        chi = d[..., -r:]
+        channels = evaluate_channels(self.data.surface, self._plan, P, d)
+        chi = channels[..., -r:]
         singular = None
         if self.data.surface.genus:
             # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and
@@ -565,7 +593,7 @@ class BundleMapEvaluator:
         if singular is not None:
             where = point(np.reshape(P, -1)[int(np.argmax(singular))])
             raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
-        values = ((d[..., None, :-r] @ self._fold).reshape(*chi.shape[:-1], r, r)
+        values = ((channels[..., None, :-r] @ self._fold).reshape(*chi.shape[:-1], r, r)
                   / chi[..., None, :])
         frame = self.oracle_chi.frame_inv
         return values if frame is None else values @ frame
@@ -709,7 +737,7 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
     left, right = T.weights
     ref_point = lattice_reduce(q + 0.2718 + 0.3141j, data.surface.tau)
     P = data.surface.points([ref_point, *poles])
-    d = evaluate_channels(data.surface, T._plan, P)
+    d = evaluate_channels(data.surface, T._plan, P, P[:, None] - T._plan.ends)
     kvals = _end_kernels(d, len(T._plan.ends), oracle_tilde)
     # the kernel sum of T(p), also where K(chi; p, q) is singular
     numerators = kvals[:, 0] + np.einsum("nbkl,bl,bm->nkm", kvals[:, 1:], left, right)

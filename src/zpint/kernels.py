@@ -39,7 +39,14 @@ point with ends fixed at build time: end_plan freezes them once, on the
 torus as a theta.ThetaTable of the ends, and evaluate_channels reads the
 channels at a batch of points from it, or at one point with no batch
 axis (an interpolant's call at one point), with the bits of that point's
-row in any batch.  end_plan also returns the
+row in any batch.  The caller forms the differences d = p - e of its
+points from the ends once, in that orientation (the one of genus0 and
+kernel_grid), and reads them itself (the interpolant's distance test);
+evaluate_channels takes them beside the points: the sphere's channels
+are 1.0 / d, the channel pass past MAX_TABLE_IM reads -d, and the table
+reads the points.  The orientation is part of the bits: -1.0 / (e - p)
+would flip the sign of a zero part where p shares a coordinate with an
+end.  end_plan also returns the
 channels at the zero points, from which the interpolant builds Gamma: on
 the torus out of the walk that builds the table, elsewhere one
 evaluate_channels call.  There is one orientation: absint builds T^-1 as
@@ -196,7 +203,8 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
         plan = EndPlan(ends, _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return plan, evaluate_channels(surface, plan, nodes)[:, :m * r]
+            return plan, evaluate_channels(surface, plan, nodes,
+                                           nodes[:, None] - ends)[:, :m * r]
     ab = np.concatenate([tilde.ab[:, :, 0], chi.ab[:, :, 0], _ODD_ROW])
     table, at = theta_table(surface.period, ab[:, 0], ab[:, 1], ends, nodes)
     scale = surface.odd_deriv0 / np.concatenate([tilde.theta0, chi.theta0])
@@ -274,18 +282,25 @@ class CauchyKernelOracle:
                                   *frames)
 
 
-def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
+def evaluate_channels(surface: Surface, plan: EndPlan, P, d) -> np.ndarray:
     """(N, L) channel values of an interpolant's plan at every point of the
     checked point array P, over the plan's fixed ends; at one checked
     point, a complex P, its (L,) values, with no batch axis.  A point's
     values are the same bits alone and in any batch.
 
-    On the torus the rows are read from the plan's frozen table by
-    theta.theta_table_rows, (N, m, D) or one point's (m, D); the rows of
-    one end share a factor, which the divide by the odd theta (the prime
-    form) cancels.  A module function, not a method, so that perfbench's
-    span tracer, which wraps public functions, counts an interpolant's
-    kernel work under kernels and its theta work under theta.
+    d holds the differences p - e of each point from each end, (N, m), or
+    one point's (m,), in that orientation: P[:, None] - plan.ends, or
+    p - plan.ends.  The caller forms them once and reads them too (an
+    interpolant's distance test).  On the torus up to theta.MAX_TABLE_IM
+    the rows are read from the plan's frozen table by
+    theta.theta_table_rows at P, (N, m, D) or one point's (m, D), and d
+    is not read; the rows of one end share a factor, which the divide by
+    the odd theta (the prime form) cancels.  Past MAX_TABLE_IM the
+    oracles' channel pass reads -d, the differences e - p; on the sphere
+    every channel is 1.0 / d.  A module function, not a method, so that
+    perfbench's span tracer, which wraps public functions, counts an
+    interpolant's kernel work under kernels and its theta work under
+    theta.
     """
     if plan.table is not None:
         rows = theta_table_rows(plan.table, P)
@@ -298,7 +313,6 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P) -> np.ndarray:
         np.divide(rows[..., 0, r:-1], rows[..., 0, -1:], out=out[..., m, :])
         np.multiply(out, plan.scale, out=out)
         return out.reshape(*lead, (m + 1) * r)
-    d = np.subtract.outer(P, plan.ends)
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
         values = _channel_pass(surface, plan.rows, -d.reshape(-1, len(plan.ends)))
         return values.reshape(*d.shape[:-1], -1)

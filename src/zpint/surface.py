@@ -109,7 +109,11 @@ class Surface:
 
     apart(d) is the verdict gap(d).min() > POINT_TOL over an array of
     differences d (True for an empty d): no difference spans a distance
-    at which its points are equal.  On the sphere it is that expression.
+    at which its points are equal.  An interpolant passes d = p - e, its
+    points' differences from its ends, the array its channel read takes
+    too; every gap is symmetric in d (gap(-d) == gap(d), bit for bit), so
+    the verdict does not depend on the orientation.  On the sphere it is
+    that expression.
     The torus first runs an exact prefilter: its gap is
     hypot(x, db Im(tau)), with db the B-cycle offset of d from the
     nearest lattice row, and a hypot that is faithfully rounded is never
@@ -141,8 +145,9 @@ class Surface:
         return self.distance(p, q) <= POINT_TOL
 
     def apart(self, d) -> bool:
-        """Whether every coordinate difference of the array d spans a gap
-        above POINT_TOL."""
+        """Whether every coordinate difference of the array d, such as the
+        differences p - e of points from ends, spans a gap above POINT_TOL;
+        the gap is symmetric in d."""
         return not d.size or bool(self.gap(d).min() > POINT_TOL)
 
     def coincidences(self, P, Q) -> list[tuple[int, int]]:
@@ -219,8 +224,11 @@ class Torus(Surface):
         return lattice_distance(d, self.tau)
 
     def apart(self, d) -> bool:
-        """Surface.apart, with the prefilter min |db| Im(tau) > POINT_TOL
-        (a lower bound of every gap) before the full gap."""
+        """Surface.apart on d = p - e, with the prefilter
+        min |db| Im(tau) > POINT_TOL (a lower bound of every gap) before
+        the full gap.  Both are symmetric in d: db and the lattice offsets
+        change sign with d, and np.rint rounds half to even, an odd
+        function."""
         if d.size:
             tau = self.tau
             beta = d.imag / tau.imag   # db as lattice_distance makes it

@@ -3,10 +3,10 @@
 For each of the benchmark's interpolation workloads (``interp_torus`` and
 ``interp_sphere`` of ``perfbench/workloads.py``, imported, not changed) a
 worker process builds problems 0-9 of seed 41, times ``build_solution``
-(``workloads.solve``) and then T(p) one sweep point at a time through
-``workloads.evaluate_sweep``, as the benchmark's ``items_per_s`` does, and
-then the whole sweep in one ``T.many`` call, the batched route, for ROUNDS
-rounds each.  It reports the median per-point latency of the process
+(``workloads.solve``) and then T(p) one sweep point at a time, one
+``perf_counter`` span per call, as the benchmark's ``items_per_s`` does,
+and then the whole sweep in one ``T.many`` call, the batched route, for
+ROUNDS rounds each.  It reports the median per-point latency of the process
 (point_us), the median time of one ``T.many`` over a sweep (sweep_us), so
 that a change that speeds the one-point route at the batched route's cost
 shows next to it, and two medians of the build time: the cold build,
@@ -21,7 +21,8 @@ checkout's ``src`` and ``perfbench`` ahead of an installed zpint.  It
 prints, per side, the median and quartiles of the process medians, the
 ratio of the medians (against / this, above 1 when this checkout is
 faster) and the number of pairs this checkout won, plus the count of
-points and of sweeps that raised.  It asserts nothing about speed.
+points and of sweeps that raised a zpint error.  It asserts nothing about
+speed; it exits 1 when a point or a sweep raised on either side.
 
     python3 tests/point_latency.py --against ../parent --pairs 10
 
@@ -64,9 +65,13 @@ def worker(root: str) -> dict:
                 start = clock()
                 T = workloads.solve(problem)
                 (warm if round_ else cold).append(clock() - start)
-                _, latencies, failed = workloads.evaluate_sweep(T, problem.sweep)
-                points += latencies
-                errors += failed
+                for p in problem.sweep:
+                    start = clock()
+                    try:
+                        T(p)
+                    except ZpintError:
+                        errors += 1
+                    points.append(clock() - start)
                 start = clock()
                 try:
                     T.many(problem.sweep)
@@ -118,6 +123,8 @@ def main(argv=None) -> int:
             runs[side].append(run_side(sides[side]))
     print(f"{args.pairs} pairs; this {sides['this']}, against {sides['against']}; "
           "median [quartiles] of the process medians, in us")
+    raised = sum(run[name]["errors"] for side in sides for run in runs[side]
+                 for name in WORKLOADS)
     for name in WORKLOADS:
         for metric in ("point_us", "sweep_us", "build_cold_us", "build_warm_us"):
             this, other = ([run[name][metric] for run in runs[side]] for side in sides)
@@ -127,7 +134,9 @@ def main(argv=None) -> int:
             print(f"{name:13s} {metric:13s} this {spread(this)}  against {spread(other)}  "
                   f"ratio {ratio:.3f}  this won {wins}/{args.pairs}  "
                   f"errors {errors[0]} / {errors[1]}")
-    return 0
+    if raised:
+        print(f"{raised} points or sweeps raised a zpint error", file=sys.stderr)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":

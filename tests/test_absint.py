@@ -1151,7 +1151,8 @@ def test_sphere_interpolant_is_finite_far_from_its_nodes(rng):
     the classical T0(p) T0(q)^-1 Q and T(p) T^-1(p) of I, and a batch that
     mixes near, far and q points has the bits of the one-point calls.  Only
     where 1/(p - q) rounds to 0 (|p - q| near the largest double, where the
-    value would be 0 / 0) does a point raise SingularMatrix."""
+    value would be 0 / 0) does a point raise SingularMatrix, alone and in a
+    batch, with no numpy warning."""
     sphere = genus0_surface()
     data = _rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5])
     q, Q = 40.0 + 3j, np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
@@ -1175,10 +1176,12 @@ def test_sphere_interpolant_is_finite_far_from_its_nodes(rng):
             assert all(np.array_equal(batch[i], F(p)) for i, p in enumerate(mixed))
             for beyond in (1e308 + 1e308j, 1.7e308 - 1.7e308j):
                 for call in (F, lambda p: F.many([far[2], q, p])):
-                    # numpy warns of the overflow, then the point is refused
-                    with pytest.warns(RuntimeWarning, match="overflow"), \
-                            pytest.raises(SingularMatrix, match=re.escape(repr(point(beyond)))):
-                        call(beyond)
+                    # the point is refused with the typed error alone
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(SingularMatrix,
+                                           match=re.escape(repr(point(beyond)))):
+                            call(beyond)
 
 
 def _outcome(read):
@@ -1190,6 +1193,38 @@ def _outcome(read):
             return "value", read().tobytes()
         except Exception as exc:   # noqa: BLE001 -- the outcome itself is compared
             return type(exc), str(exc)
+
+
+def test_points_on_an_end_coordinate_keep_their_bits(rng):
+    """At points that share the real or the imaginary part of an end, where
+    a difference p - e has a zero part, T(P[i]) has the bits of
+    T.many(P)[i], for T and T^-1, with every warning an error: on a sphere
+    problem (whose points also carry -0.0 parts against ends with +0.0
+    ones, so that p - e has zeros of both signs) and on
+    large_im_tau_case's torus, past MAX_TABLE_IM."""
+    sphere = genus0_surface()
+    tall, tall_kernel, tall_q = large_im_tau_case()
+    cases = [(_rank2_data(sphere, rng, [2.0, -1.0j], [3.0 + 1j, 0.5]), genus0_kernel(2, sphere),
+              -1.5 + 0.0j), (tall, tall_kernel, tall_q)]
+    for data, oracle, q in cases:
+        for build in (build_solution, build_inverse):
+            T = build(data, q, np.eye(2), oracle, oracle)
+            ends = T._plan.ends
+            shapes = [lambda e, s: (e.real, e.imag + s), lambda e, s: (e.real + s, e.imag)]
+            if not data.surface.genus:
+                shapes += [lambda e, s: (-0.0, e.imag + s), lambda e, s: (e.real + s, -0.0)]
+            P = np.array([complex(*shape(e, s)) for e in ends for s in (0.0625, -0.0, -0.09375)
+                          for shape in shapes])
+            P = P[data.surface.gap(P[:, None] - ends).min(axis=1) > 0.03]
+            d = P[:, None] - ends
+            assert (d.real == 0).any() and (d.imag == 0).any(), build.__name__
+            if not data.surface.genus:
+                assert np.signbit(d.real[d.real == 0]).any() or np.signbit(d.imag[d.imag == 0]).any()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = T.many(P)
+                for p, row in zip(P, batch):
+                    assert T(p).tobytes() == row.tobytes(), (build.__name__, p)
 
 
 def test_torus_far_points_keep_their_outcome(scalar_setup, rng):

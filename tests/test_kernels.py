@@ -20,6 +20,8 @@ from zpint.kernels import (
     conjugated_kernel,
     connection_duality_defect,
     direct_sum_kernel,
+    end_plan,
+    evaluate_channels,
     extract_laurent_coeffs,
     genus0_kernel,
     kernel_grid,
@@ -353,6 +355,29 @@ def test_oracle_batch_matches_single_calls(torus, bundle, bundle2, rng):
         for short in (Q[:-1], Q[0]):
             with pytest.raises(InputError, match="differ in length"):
                 oracle(P, short)
+
+
+def test_sphere_channels_are_one_over_the_given_differences():
+    """On the sphere evaluate_channels reads the differences d = p - e that
+    its caller formed: its channels are 1.0 / d laid out by the plan's
+    columns, bit for bit, for a batch and for each point alone, at points
+    that share the real or the imaginary part of an end, so that d has
+    zero parts of both signs."""
+    sphere = genus0_surface()
+    channels = genus0_kernel(2, sphere).channels
+    ends = np.array([0.0 + 1.5j, -1.25 + 0.0j, 0.5 - 0.75j])
+    plan, _ = end_plan(sphere, channels, channels, ends, np.array([2.0 + 2.0j]))
+    P = np.array([complex(x, y) for e in ends for s in (0.5, -0.0)
+                  for x, y in ((e.real, e.imag + s), (e.real + s, e.imag),
+                               (-0.0, e.imag + s), (e.real + s, -0.0))])
+    P = P[np.abs(P[:, None] - ends).min(axis=1) > 0.1]
+    d = P[:, None] - ends
+    assert np.signbit(d.real[d.real == 0]).any() and not np.signbit(d.real[d.real == 0]).all()
+    expected = (1.0 / d)[:, plan.rows[0]]
+    assert evaluate_channels(sphere, plan, P, d).tobytes() == expected.tobytes()
+    for p, row in zip(P, expected):
+        p = complex(p)
+        assert evaluate_channels(sphere, plan, p, p - ends).tobytes() == row.tobytes(), p
 
 
 def test_single_pair_rejects_non_finite_point(torus, bundle):

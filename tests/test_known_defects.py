@@ -91,12 +91,13 @@ def test_build_refuses_data_with_no_solution():
                        line_kernel(surf, moved))
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="ROADMAP item 15")
 @pytest.mark.parametrize("p", [1e308 + 1e308j, 1.7e308 - 1.7e308j])
 def test_sphere_edge_refused_without_warnings(p):
-    """A sphere interpolant at points near the largest double emits numpy's
-    overflow warnings (divide in evaluate_channels, hypot in Sphere.gap)
-    before its typed SingularMatrix."""
+    """A sphere interpolant refuses points near the largest double with a
+    typed error and no numpy warning (ROADMAP item 15's sphere-edge
+    bullet, mended): such a point is evaluated with the overflow of its
+    gap (hypot in Sphere.gap) and of 1 / (p - e) (evaluate_channels)
+    ignored, and refused by the check of the channels of K(chi)."""
     sphere = genus0_surface()
     kernel = genus0_kernel(1, sphere)
     one = np.ones((1, 1))
