@@ -37,12 +37,14 @@ one matrix.  The kernels are read only at pairs (p, e) with ends fixed at
 build time, so on the torus the build also freezes the Fourier
 coefficients of every theta row at the ends (kernels.end_plan, a
 theta.ThetaTable).  A batch of points, or one point, then costs one
-finiteness check (surface.points, or surface.point), one array of the
-differences p - e from the ends, one distance test on it (Surface.apart,
-on the torus an exact prefilter on the lattice offsets before the full
-distance), one kernels.evaluate_channels call on the points and the same
-differences (on the torus one read of the table, no lattice pass), one
-matmul and one divide by the channels of K(chi).
+finiteness check (surface.points, or surface.point), one distance test
+against the ends (on the torus the plan's lower bound from the sorted
+lattice offsets of the ends, EndPlan.clears; where it does not clear, and
+on the sphere, Surface.apart on the differences p - e), one
+kernels.evaluate_channels call on the points (on the torus one read of
+the table, no lattice pass; the differences, where the test formed them,
+for the sphere's channels), one matmul and one divide by the channels of
+K(chi).
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of its kernel
 sum, and reads Gamma and its base column from the channels end_plan
@@ -432,33 +434,39 @@ class BundleMapEvaluator:
 
     A call at one point is the one-point case of the same layers, with no
     batch axis: p is checked once (surface.point), tested against the ends
-    (Surface.apart on d = p - ends), and its (L,) channels are read by
-    evaluate_channels from p and the same d, which on the torus reduces p
-    by the lattice once, in Python scalars (theta_table_rows); _values
-    tests and folds them with no leading axis.  A point the distance test
-    does not clear (q, or a pole) enters the rest of many's checked body
-    (_near) as an array of one, which answers q with Q and refuses a
-    pole.  The one-point case runs the arithmetic of a batch row on the
-    same numbers, and numpy runs stacked matmuls slice by slice, so
-    T.many(P)[i] equals T(P[i]) bit for bit and every point raises the
-    same error, with the same message, alone and in a batch.
+    (EndPlan.clears, then Surface.apart on d = p - ends where that does
+    not clear), and its (L,) channels are read by evaluate_channels, which
+    on the torus reduces p by the lattice once, in Python scalars
+    (theta_table_rows); _values tests and folds them with no leading axis.
+    A point the distance test does not clear (q, or a pole) enters the
+    rest of many's checked body (_near) as an array of one, which answers
+    q with Q and refuses a pole.  The one-point case runs the arithmetic
+    of a batch row on the same numbers, and numpy runs stacked matmuls
+    slice by slice, so T.many(P)[i] equals T(P[i]) bit for bit and every
+    point raises the same error, with the same message, alone and in a
+    batch.
 
-    A point costs one check, one array d = p - e of its differences from
-    the ends, in that orientation (the one of genus0 and kernel_grid),
-    the distance test on d, its channel read, one matmul and one divide.
-    The differences are formed once: the distance test reads d, whose
-    gap is symmetric in d, and evaluate_channels reads it too (on the
-    sphere its channels are 1.0 / d, past MAX_TABLE_IM the channel pass
-    reads -d; the table reads p).  A point with a coordinate past _EDGE
-    (2^1021) is the one-point case of many, which evaluates it with
-    numpy's overflow and invalid flags ignored; below it no flag is
-    touched.  On the torus a point also tests K(chi) for a pole of its
-    inverse (a tiny channel against the channels' scale): at one point
-    over its r channels as Python floats, in a batch over the batch's
-    extremes first and row by row only when those do not clear it.  On
-    the sphere every channel is 1/(p - q), which vanishes at no p != q,
-    so no such test runs there; only a channel that rounds to 0, at
-    |p - q| near the largest double, is refused.
+    A point costs one check, the distance test, its channel read, one
+    matmul and one divide.  On the torus the distance test is the plan's
+    bound: one bisect of Im p / Im(tau) mod 1 among the ends' sorted
+    offsets, less a rounding slack (EndPlan.clears), which clears a
+    point only where every gap does; up to MAX_TABLE_IM the channels are
+    then read from the table at p, and no difference p - e is formed.
+    Only where the bound does not clear, and always on the sphere, is
+    d = p - e formed, in that orientation (the one of genus0 and
+    kernel_grid), once: Surface.apart reads it, whose gap is symmetric in
+    d, and evaluate_channels reads it too (on the sphere its channels are
+    1.0 / d, past MAX_TABLE_IM the channel pass reads -d; it forms d
+    itself for a point the bound cleared there).  A point with a
+    coordinate past _EDGE (2^1021) is the one-point case of many, which
+    evaluates it with numpy's overflow and invalid flags ignored; below it
+    no flag is touched.  On the torus a point also tests K(chi) for a
+    pole of its inverse (a tiny channel against the channels' scale): at
+    one point over its r channels as Python floats, in a batch over the
+    batch's extremes first and row by row only when those do not clear
+    it.  On the sphere every channel is 1/(p - q), which vanishes at no
+    p != q, so no such test runs there; only a channel that rounds to 0,
+    at |p - q| near the largest double, is refused.
 
     Raises InputError for a kernel whose rank is not the data's, and
     NotSquare or SingularMatrix for a Gamma that is not square and well
@@ -528,6 +536,8 @@ class BundleMapEvaluator:
         p = point(p)
         if abs(p.real) > _EDGE or abs(p.imag) > _EDGE:
             return self.many([p])[0]
+        if self._plan.clears(p):
+            return self._orient(self._values(p))
         d = p - self._plan.ends
         if self.data.surface.apart(d):
             return self._orient(self._values(p, d))
@@ -539,7 +549,9 @@ class BundleMapEvaluator:
 
     def _at(self, P) -> np.ndarray:
         """many at the checked point array P: one distance test against
-        the ends (Surface.apart), then the values."""
+        the ends (the plan's bound, then Surface.apart), then the values."""
+        if self._plan.clears(P):
+            return self._orient(self._values(P))
         d = P[:, None] - self._plan.ends
         if self.data.surface.apart(d):
             return self._orient(self._values(P, d))
@@ -562,11 +574,11 @@ class BundleMapEvaluator:
             out[off] = self._values(P[off], d[off])
         return self._orient(out)
 
-    def _values(self, P, d):
+    def _values(self, P, d=None):
         """The values at the checked point array P clear of the ends, or at
         one such point, a complex P, with no batch axis: the same bits.  d
-        is their differences p - e from the ends, as evaluate_channels
-        reads them."""
+        is their differences p - e from the ends where the distance test
+        formed them, as evaluate_channels reads them, or None."""
         r = self.rank
         channels = evaluate_channels(self.data.surface, self._plan, P, d)
         chi = channels[..., -r:]

@@ -70,11 +70,6 @@ class Genus0Problem(_NodeData):
         """The number of zero vectors, one per zero for simple data."""
         return len(self.zero_rows.vectors)
 
-    @property
-    def n_poles(self) -> int:
-        """The number of pole vectors, one per pole for simple data."""
-        return len(self.pole_rows.vectors)
-
 
 def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:
     """Coupling matrix with entries x_a u_b / (mu^b - lambda^a) over the

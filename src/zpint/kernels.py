@@ -39,14 +39,17 @@ point with ends fixed at build time: end_plan freezes them once, on the
 torus as a theta.ThetaTable of the ends, and evaluate_channels reads the
 channels at a batch of points from it, or at one point with no batch
 axis (an interpolant's call at one point), with the bits of that point's
-row in any batch.  The caller forms the differences d = p - e of its
-points from the ends once, in that orientation (the one of genus0 and
-kernel_grid), and reads them itself (the interpolant's distance test);
-evaluate_channels takes them beside the points: the sphere's channels
-are 1.0 / d, the channel pass past MAX_TABLE_IM reads -d, and the table
-reads the points.  The orientation is part of the bits: -1.0 / (e - p)
-would flip the sign of a zero part where p shares a coordinate with an
-end.  end_plan also returns the
+row in any batch.  On the torus the plan also keeps the ends' sorted
+lattice offsets, from which EndPlan.clears bounds a point's distance to
+every end with no difference formed.  Where that does not clear, and on
+the sphere, the caller forms the differences d = p - e of its points
+from the ends once, in that orientation (the one of genus0 and
+kernel_grid), and reads them itself (the interpolant's Surface.apart);
+evaluate_channels takes them beside the points, or forms them where it
+reads them: the sphere's channels are 1.0 / d, the channel pass past
+MAX_TABLE_IM reads -d, and the table reads the points.  The orientation
+is part of the bits: -1.0 / (e - p) would flip the sign of a zero part
+where p shares a coordinate with an end.  end_plan also returns the
 channels at the zero points, from which the interpolant builds Gamma: on
 the torus out of the walk that builds the table, elsewhere one
 evaluate_channels call.  There is one orientation: absint builds T^-1 as
@@ -59,6 +62,7 @@ and the pass take checked arrays.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -128,20 +132,22 @@ class _Channels:
 _ODD_ROW = -np.stack([ODD_CHAR.a, ODD_CHAR.b]).T
 
 
-def _plan(entries) -> tuple:
-    """The rows of a channel pass over units of point pairs (columns).
+def _columns(entries) -> np.ndarray:
+    """The column of each entry of a channel pass over units of point pairs:
+    entries holds (channels, columns) pieces, every channel at each of the
+    columns, column by column."""
+    return np.concatenate([np.repeat(at, len(ch.theta0)) for ch, at in entries])
 
-    entries holds (channels, columns) pieces: every channel at each of the
-    columns, column by column; entry l of the plan is one channel read at
-    column cols[l].  Returns (cols, ab, theta0): the characteristic of
-    each theta row, and theta0 as a (1, L) row.
-    """
-    cols = np.concatenate([np.repeat(at, len(ch.theta0)) for ch, at in entries])
+
+def _plan(entries) -> tuple:
+    """The rows of a channel pass over the entries of _columns: (cols, ab,
+    theta0), entry l being one channel read at column cols[l], with the
+    characteristic of each theta row and theta0 as a (1, L) row."""
     ab = np.concatenate([np.tile(ch.ab, (len(at), 1, 1)) for ch, at in entries])
     # (1, L), not (L,): numpy's complex product of a (1,) and a (1, 1)
     # array can differ in the last bit from the scalar-times-array one
     theta0 = np.concatenate([np.tile(ch.theta0, len(at)) for ch, at in entries])[None]
-    return cols, ab, theta0
+    return _columns(entries), ab, theta0
 
 
 def _channel_pass(surface: Surface, plan, v) -> np.ndarray:
@@ -160,20 +166,41 @@ def _channel_pass(surface: Surface, plan, v) -> np.ndarray:
     return values / (theta0 * e[:, cols])
 
 
+# The end test's slack on the lattice offsets beta, per unit of
+# |beta_p| + max |beta_e| + 2: see EndPlan.clears
+_SLACK = 4 * float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_order(m: int, r: int) -> np.ndarray:
+    """EndPlan.order for m ends and r channels: tilde's channel k at end j
+    is quotient k m + j of the flattened (2 r, m) quotients, chi's channel
+    k (r + k) m."""
+    order = np.concatenate([(np.arange(m)[:, None] + m * np.arange(r)).reshape(-1),
+                            m * np.arange(r, 2 * r)])
+    order.flags.writeable = False
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class EndPlan:
-    """The channel rows of an interpolant over its fixed ends.
+    """The channel rows of an interpolant over its fixed ends, and its end
+    test.
 
     Its channels are those of tilde at each of the m ends, end by end,
     then those of chi at ends[0], read at the pairs (p, e).  On the torus
-    up to theta.MAX_TABLE_IM, table
-    is the frozen theta.ThetaTable of the ends over the characteristics of
-    tilde, of chi and of the odd theta, tilde the number r of tilde
-    channels (chi has as many), and scale theta'(0)/theta[a; b](0) per
-    channel of the (m + 1, r) layout: tilde's at each end, then chi's;
-    rows is None.
-    Elsewhere rows is _plan's (cols, ab, theta0) over the ends, for the
-    pass of the oracles, and table is None.
+    up to theta.MAX_TABLE_IM, table is the frozen theta.ThetaTable of the
+    ends over the characteristics of tilde, of chi and of the odd theta,
+    tilde the number r of tilde channels (chi has as many), and scale
+    theta'(0)/theta[a; b](0) per channel of the (m + 1, r) layout: tilde's
+    at each end, then chi's; order takes that layout, flattened, from one
+    point's (2 r, m) ratios of the table's rows to its odd row, flattened;
+    rows is None.  Past MAX_TABLE_IM rows is _plan's (cols, ab, theta0)
+    over the ends, for the pass of the oracles, and table is None; on the
+    sphere rows is (cols,) alone, the column index evaluate_channels
+    reads.  height is Im(tau) on the torus, from which the plan sorts the
+    ends' B-cycle offsets for clears on its first test (a build that
+    reads no point pays nothing for them), and None on the sphere.
     """
 
     ends: np.ndarray
@@ -181,6 +208,60 @@ class EndPlan:
     table: ThetaTable | None = None
     tilde: int = 0
     scale: np.ndarray | None = None
+    order: np.ndarray | None = None
+    height: float | None = None
+
+    @functools.cached_property
+    def _offsets(self) -> tuple:
+        """(reach, fractions, around) of clears, then fractions and around
+        as arrays for a batch, made on the first test: the ends' B-cycle
+        offsets beta = Im e / Im(tau), reduced mod 1 and sorted, with their
+        wrapped neighbours [fractions[-1] - 1, *fractions, fractions[0] + 1],
+        and reach = max |beta|."""
+        beta = (self.ends.imag / self.height).tolist()
+        fractions = sorted([b % 1.0 for b in beta])
+        around = [fractions[-1] - 1.0, *fractions, fractions[0] + 1.0]
+        array = np.array(around)
+        return max(max(beta), -min(beta)), fractions, around, array[1:-1], array
+
+    def clears(self, P) -> bool:
+        """Whether a lower bound of the lattice distance clears every end
+        by POINT_TOL at the checked point P (a complex) or at every point
+        of the checked array P, so that Surface.apart on the differences
+        p - e is True without forming them.  False means undecided, and
+        always on the sphere.
+
+        The bound is the distance of beta_p = Im p / Im(tau) mod 1 to the
+        nearest sorted fraction of the ends (one bisect in Python floats at
+        one point, np.searchsorted in a batch), less a slack of
+        4 eps (|beta_p| + max |beta_e| + 2) (in a batch, with the batch's
+        largest |beta_p|), times Im(tau).  Surface.gap reads
+        hypot(x, db Im(tau)), a faithfully rounded hypot is never below
+        |db Im(tau)|, and db, made from the rounded p - e, differs from the
+        fraction distance by at most about eps (3 + 1.6 (|beta_p| +
+        |beta_e|)): the roundings of p - e, of the three quotients, of the
+        two reductions mod 1 and of the wrapped difference.  The slack
+        covers them twice, so a point this bound clears is one every gap
+        clears.
+        """
+        if self.height is None:
+            return False
+        reach, fractions, around, fraction_array, around_array = self._offsets
+        if isinstance(P, complex):
+            beta = P.imag / self.height
+            frac = beta % 1.0
+            at = bisect.bisect_right(fractions, frac)
+            gap = min(frac - around[at], around[at + 1] - frac)
+            return (gap - _SLACK * (abs(beta) + reach + 2.0)) * self.height > POINT_TOL
+        if not P.size:
+            return True
+        beta = P.imag / self.height
+        frac = beta - np.floor(beta)
+        at = fraction_array.searchsorted(frac, side="right")
+        gap = np.minimum(frac - around_array[at], around_array[at + 1] - frac).min()
+        # the slack of the batch's largest |beta| serves every point
+        slack = _SLACK * (float(np.abs(beta).max()) + reach + 2.0)
+        return (float(gap) - slack) * self.height > POINT_TOL
 
 
 def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
@@ -200,8 +281,11 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     and gets a non-finite channel, without a warning.
     """
     m, r = len(ends), len(tilde.theta0)
-    if not surface.genus or surface.tau.imag > MAX_TABLE_IM:
-        plan = EndPlan(ends, _plan([(tilde, np.arange(m)), (chi, np.zeros(1, int))]))
+    height = surface.tau.imag if surface.genus else None
+    if height is None or height > MAX_TABLE_IM:
+        entries = [(tilde, np.arange(m)), (chi, np.zeros(1, int))]
+        plan = (EndPlan(ends, (_columns(entries),)) if height is None else
+                EndPlan(ends, _plan(entries), height=height))
         with np.errstate(divide="ignore", invalid="ignore"):
             return plan, evaluate_channels(surface, plan, nodes,
                                            nodes[:, None] - ends)[:, :m * r]
@@ -213,7 +297,7 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
         ratio = at[:r] / at[-1] * scale[:r, None, None]
     layout = np.empty((m + 1, r), dtype=complex)
     layout[:m], layout[m] = scale[:r], scale[r:]
-    return (EndPlan(ends, None, table, r, layout),
+    return (EndPlan(ends, None, table, r, layout, _layout_order(m, r), height),
             ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
 
 
@@ -282,7 +366,7 @@ class CauchyKernelOracle:
                                   *frames)
 
 
-def evaluate_channels(surface: Surface, plan: EndPlan, P, d) -> np.ndarray:
+def evaluate_channels(surface: Surface, plan: EndPlan, P, d=None) -> np.ndarray:
     """(N, L) channel values of an interpolant's plan at every point of the
     checked point array P, over the plan's fixed ends; at one checked
     point, a complex P, its (L,) values, with no batch axis.  A point's
@@ -290,22 +374,29 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P, d) -> np.ndarray:
 
     d holds the differences p - e of each point from each end, (N, m), or
     one point's (m,), in that orientation: P[:, None] - plan.ends, or
-    p - plan.ends.  The caller forms them once and reads them too (an
-    interpolant's distance test).  On the torus up to theta.MAX_TABLE_IM
-    the rows are read from the plan's frozen table by
-    theta.theta_table_rows at P, (N, m, D) or one point's (m, D), and d
-    is not read; the rows of one end share a factor, which the divide by
-    the odd theta (the prime form) cancels.  Past MAX_TABLE_IM the
-    oracles' channel pass reads -d, the differences e - p; on the sphere
-    every channel is 1.0 / d.  A module function, not a method, so that
-    perfbench's span tracer, which wraps public functions, counts an
-    interpolant's kernel work under kernels and its theta work under
-    theta.
+    p - plan.ends, when the caller has formed them for its distance test
+    (Surface.apart); None forms them here where they are read.  On the
+    torus up to theta.MAX_TABLE_IM the rows are read from the plan's
+    frozen table by theta.theta_table_rows at P, (N, m, D) or one point's
+    (D, m), and d is not read; the rows of one end share a factor, which
+    the divide by the odd theta (the prime form) cancels.  One point's
+    (D, m) rows are divided by their odd row in one (2 r, m) quotient, and
+    its channels taken from it in the (m + 1, r) layout by plan.order (the
+    chi quotients at the ends past ends[0] are formed and not read).  Past
+    MAX_TABLE_IM the oracles' channel pass reads -d, the differences
+    e - p; on the sphere every channel is 1.0 / d.  A module function, not
+    a method, so that perfbench's span tracer, which wraps public
+    functions, counts an interpolant's kernel work under kernels and its
+    theta work under theta.
     """
     if plan.table is not None:
         rows = theta_table_rows(plan.table, P)
-        # each channel over its end's odd theta, times theta'(0)/theta[a; b](0),
-        # written in place into the (..., m + 1, r) layout of the (..., L) result
+        # each channel over its end's odd theta, times theta'(0)/theta[a; b](0)
+        if isinstance(P, complex):   # rows (D, m)
+            out = (rows[:-1] / rows[-1]).take(plan.order)
+            out *= plan.scale.reshape(-1)
+            return out
+        # written in place into the (N, m + 1, r) layout of the (N, L) result
         m, r = len(plan.ends), plan.tilde
         lead = rows.shape[:-2]
         out = np.empty((*lead, m + 1, r), dtype=complex)
@@ -313,6 +404,8 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P, d) -> np.ndarray:
         np.divide(rows[..., 0, r:-1], rows[..., 0, -1:], out=out[..., m, :])
         np.multiply(out, plan.scale, out=out)
         return out.reshape(*lead, (m + 1) * r)
+    if d is None:
+        d = P - plan.ends if isinstance(P, complex) else P[:, None] - plan.ends
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
         values = _channel_pass(surface, plan.rows, -d.reshape(-1, len(plan.ends)))
         return values.reshape(*d.shape[:-1], -1)

@@ -111,15 +111,10 @@ class Surface:
     differences d (True for an empty d): no difference spans a distance
     at which its points are equal.  An interpolant passes d = p - e, its
     points' differences from its ends, the array its channel read takes
-    too; every gap is symmetric in d (gap(-d) == gap(d), bit for bit), so
-    the verdict does not depend on the orientation.  On the sphere it is
-    that expression.
-    The torus first runs an exact prefilter: its gap is
-    hypot(x, db Im(tau)), with db the B-cycle offset of d from the
-    nearest lattice row, and a hypot that is faithfully rounded is never
-    below |y| (the exact value is not, and |y| is a double).  So once
-    min |db| Im(tau) > POINT_TOL, with db made as lattice_distance makes
-    it, every gap is, and the full gap runs only when that bound fails.
+    too, where its plan's bound on the torus (kernels.EndPlan.clears) has
+    not already cleared them; every gap is symmetric in d
+    (gap(-d) == gap(d), bit for bit), so the verdict does not depend on
+    the orientation.
     """
 
     period: PeriodMatrix
@@ -198,13 +193,14 @@ class Torus(Surface):
     For a change of modulus tau' = (a tau + b) / (c tau + d) at the surface
     (ROADMAP item 11), the reads of tau fall in two groups:
 
-    * must see tau': Surface.tau and period; gap, apart, same_as and
+    * must see tau': Surface.tau and period; gap, same_as and
       odd_deriv0 here; _log_theta_derivs and the sample grid of
-      build_embedding_functions; end_plan's switch and line_kernel's
-      largest term (kernels); _inverse_kernel_poles, the reference point of
-      residue_condition_check, divisor_characteristic and _necessity_defect
-      (absint); theta_table, _table_rows and odd_theta_series (theta).  The
-      cli and verify draw points in the caller's coordinate
+      build_embedding_functions; end_plan's switch, EndPlan.height and
+      line_kernel's largest term (kernels); _inverse_kernel_poles, the
+      reference point of residue_condition_check, divisor_characteristic
+      and _necessity_defect (absint); theta_table, its reach, _point_rows,
+      _table_rows and odd_theta_series (theta).  The cli and verify draw
+      points in the caller's coordinate
       (cli._torus_point, verify.sample_points, _trisecant_draws and the
       lattice_reduce calls of checks_detrep and _triangular_fixture): they
       keep the tau given, which item 11 must keep beside tau'.
@@ -222,19 +218,6 @@ class Torus(Surface):
 
     def gap(self, d):
         return lattice_distance(d, self.tau)
-
-    def apart(self, d) -> bool:
-        """Surface.apart on d = p - e, with the prefilter
-        min |db| Im(tau) > POINT_TOL (a lower bound of every gap) before
-        the full gap.  Both are symmetric in d: db and the lattice offsets
-        change sign with d, and np.rint rounds half to even, an odd
-        function."""
-        if d.size:
-            tau = self.tau
-            beta = d.imag / tau.imag   # db as lattice_distance makes it
-            if np.abs(beta - np.rint(beta)).min() * tau.imag > POINT_TOL:
-                return True
-        return super().apart(d)
 
     def same_as(self, other) -> bool:
         return isinstance(other, Torus) and abs(self.tau - other.tau) <= POINT_TOL

@@ -619,8 +619,10 @@ class ThetaTable:
     coeffs (D, W, m) holds, per characteristic, the coefficients of every
     end down the window, so that the rows of a point are one (1, W) @ (W, m)
     product per characteristic; the exponent of the point factor is
-    slopes * p + gauss (D, 1, W), plus shift (D,) times the lattice shift n
-    of p.
+    slopes * p + gauss (D, 1, W; negative reals, held as complex so that
+    no read casts them), plus shift (D,) times the lattice shift n of p.
+    reach is the bound on |Re p| and |Im p| below which a one-point read
+    touches no numpy error flag (see theta_table_rows).
     """
 
     tau: complex
@@ -628,6 +630,7 @@ class ThetaTable:
     slopes: np.ndarray
     gauss: np.ndarray
     shift: np.ndarray
+    reach: float
 
 
 def theta_table(omega: PeriodMatrix, a, b, ends, points):
@@ -734,12 +737,18 @@ def theta_table(omega: PeriodMatrix, a, b, ends, points):
     terms = np.concatenate([walk[:0:-1, 1], walk[:, 0]]).reshape(len(window), -1, len(b))
     coeffs = np.ascontiguousarray(terms[:, :m].transpose(2, 0, 1))
     rows = terms[:, m:].transpose(2, 1, 0) @ coeffs
-    return ThetaTable(tau, coeffs, (-2j * math.pi) * grid, gauss, shift), rows
+    # theta_table_rows states the bound; past 2^900 the shifts n shift and
+    # the phases 2 pi x Re(p^) could overflow below it, so no point is in reach
+    reach = 2.0 ** 48 * height
+    if abs(tau) + 2 * math.pi * max(map(abs, b.tolist())) >= 2.0 ** 900:
+        reach = 0.0
+    return (ThetaTable(tau, coeffs, (-2j * math.pi) * grid, gauss.astype(complex), shift, reach),
+            rows)
 
 
 def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
     """The table's rows at every point of P, shape (N,) -> (N, m, D); at one
-    point, a complex P, its (m, D) rows, with no batch axis.
+    point, a complex P, its rows as (D, m), with no batch axis.
 
     Row (j, i) at p is theta[a_i; b_i](e_j - p) times a nonzero factor
     common to the rows of e_j at p (the end's scale, and the factor
@@ -751,9 +760,23 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
     numpy runs a stacked matmul slice by slice, so a point's rows do not
     depend on its batch or on the layout of P.  One point is the same
     arithmetic with no leading axis, its n and p^ made in Python scalars
-    (round ties to even, as rint), so its rows equal its row of any batch
-    bit for bit.  Points are read a chunk at a time, so that no working
-    array holds more than CHUNK_ELEMENTS terms.
+    (round ties to even, as rint) and its exponent offset at n = 0 the
+    table's gauss as it stands; its (D, m) rows, the layout of the matmul, are
+    the transpose of its row of any batch, bit for bit.  Points are read a
+    chunk at a time, so that no working array holds more than
+    CHUNK_ELEMENTS terms.
+
+    A batch is read with numpy's overflow and invalid flags ignored, and so
+    is one point with |Re p| or |Im p| above the table's reach,
+    2^48 Im(tau) (0 for a table whose |tau| or 2 pi |b| reaches 2^900).
+    Below it no flag can be raised: |n| <= 2^48 + 1, so the rounding of
+    n tau and of Im p - n Im(tau) moves Im p^ by at most Im(tau)/8 from its
+    band, and every factor's exponent has a real part below
+    17 pi Im(tau) / 32 (its largest at |Im p^| = 5 Im(tau) / 8); with the
+    coefficients' exp(3 pi Im(tau) / 8) no product passes
+    exp(29 pi Im(tau) / 32), within double range up to MAX_TABLE_IM.  The
+    phases 2 pi x Re p^ and n times the shifts 2 pi i b stay below 2^1000
+    there, and the reduction runs on Python floats, which never warn.
 
     p^ carries an absolute error of about eps |p| (the rounding of p and
     of n tau), and the phases of its factors are 2 pi x Re p^ over the
@@ -770,31 +793,43 @@ def theta_table_rows(table: ThetaTable, P) -> np.ndarray:
         2 pi x, past the largest double).
     """
     if isinstance(P, complex):
-        return _table_rows(table, P)
-    P = np.asarray(P, dtype=complex).reshape(-1)
-    step = max(1, CHUNK_ELEMENTS // table.coeffs.size)
-    if len(P) <= step:
-        return _table_rows(table, P)
-    return np.concatenate([_table_rows(table, P[at:at + step]) for at in range(0, len(P), step)])
-
-
-def _table_rows(table: ThetaTable, P) -> np.ndarray:
-    """theta_table_rows at one chunk of points, or at one point P."""
-    tau = table.tau
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(P, complex):   # one point, in Python scalars
-            shift = P.imag / tau.imag
-            if math.isfinite(shift):   # else p^ is not finite, nor are its rows
-                shift = float(round(shift))   # rint's value: ties go to even
-            p = P - shift * tau
+        if abs(P.real) <= table.reach and abs(P.imag) <= table.reach:
+            rows = _point_rows(table, P)
         else:
-            shift = np.rint(P.imag / tau.imag)[:, None]
-            p = (P[:, None] - shift * tau)[..., None, None]
-        factors = np.exp(table.slopes * p + (table.gauss + (shift * table.shift)[..., None, None]))
-        rows = (factors @ table.coeffs)[..., 0, :]
-    if not np.isfinite(rows).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = _point_rows(table, P)
+    else:
+        P = np.asarray(P, dtype=complex).reshape(-1)
+        step = max(1, CHUNK_ELEMENTS // table.coeffs.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (_table_rows(table, P) if len(P) <= step else
+                    np.concatenate([_table_rows(table, P[at:at + step])
+                                    for at in range(0, len(P), step)]))
+    if np.count_nonzero(np.isfinite(rows)) < rows.size:
         raise NonConvergent("theta table row is not finite")
-    return rows.swapaxes(-1, -2)
+    return rows
+
+
+def _point_rows(table: ThetaTable, p: complex) -> np.ndarray:
+    """theta_table_rows' (D, m) rows at one point, unchecked."""
+    tau = table.tau
+    n = p.imag / tau.imag
+    if math.isfinite(n):   # else p^ is not finite, nor are its rows
+        n = float(round(n))   # rint's value: ties go to even
+    exponent = table.slopes * (p - n * tau)
+    # at n = 0 the offset is gauss: adding 0 shift (finite) to its negative
+    # real parts and +0 imaginary ones changes no bit
+    exponent += table.gauss if n == 0.0 else table.gauss + (n * table.shift)[:, None, None]
+    return (np.exp(exponent, out=exponent) @ table.coeffs)[:, 0]
+
+
+def _table_rows(table: ThetaTable, P: np.ndarray) -> np.ndarray:
+    """theta_table_rows' (N, m, D) rows at one chunk of points, unchecked."""
+    tau = table.tau
+    shift = np.rint(P.imag / tau.imag)[:, None]
+    p = (P[:, None] - shift * tau)[..., None, None]
+    factors = np.exp(table.slopes * p + (table.gauss + (shift * table.shift)[..., None, None]))
+    return (factors @ table.coeffs)[..., 0, :].swapaxes(-1, -2)
 
 
 def theta_gradient(chi: ThetaCharacteristic, lam, omega: PeriodMatrix) -> np.ndarray:

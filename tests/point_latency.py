@@ -7,12 +7,15 @@ worker process builds problems 0-9 of seed 41, times ``build_solution``
 ``perf_counter`` span per call, as the benchmark's ``items_per_s`` does,
 and then the whole sweep in one ``T.many`` call, the batched route, for
 ROUNDS rounds each.  It reports the median per-point latency of the process
-(point_us), the median time of one ``T.many`` over a sweep (sweep_us), so
-that a change that speeds the one-point route at the batched route's cost
-shows next to it, and two medians of the build time: the cold build,
-round 0, the first build on a fresh problem's surface, which computes that
-surface's constants of tau (theta'(0), the theta plan's tables); and the
-warm build, rounds 1 to ROUNDS - 1, which reads them.
+(point_us) and its 99th percentile (point_p99_us: the latency that 1% of
+the process's points exceed, 50 of its 5,000, so that a slow route taken
+by a few points shows), the median time of one ``T.many`` over a sweep
+(sweep_us), so that a change that speeds the one-point route at the
+batched route's cost shows next to it, and two medians of the build time:
+the cold build, round 0, the first build on a fresh problem's surface,
+which computes that surface's constants of tau (theta'(0), the theta
+plan's tables); and the warm build, rounds 1 to ROUNDS - 1, which reads
+them.
 
 The harness runs PAIRS pairs of worker processes, one for this checkout
 and one for the checkout given by ``--against``, alternating which side
@@ -81,6 +84,7 @@ def worker(root: str) -> dict:
         out[name] = {"build_cold_us": 1e6 * statistics.median(cold),
                      "build_warm_us": 1e6 * statistics.median(warm),
                      "point_us": 1e6 * statistics.median(points),
+                     "point_p99_us": 1e6 * sorted(points)[len(points) - len(points) // 100 - 1],
                      "sweep_us": 1e6 * statistics.median(sweeps), "errors": errors}
     return out
 
@@ -126,7 +130,8 @@ def main(argv=None) -> int:
     raised = sum(run[name]["errors"] for side in sides for run in runs[side]
                  for name in WORKLOADS)
     for name in WORKLOADS:
-        for metric in ("point_us", "sweep_us", "build_cold_us", "build_warm_us"):
+        for metric in ("point_us", "point_p99_us", "sweep_us", "build_cold_us",
+                       "build_warm_us"):
             this, other = ([run[name][metric] for run in runs[side]] for side in sides)
             wins = sum(a < b for a, b in zip(this, other))
             ratio = statistics.median(other) / statistics.median(this)

@@ -258,6 +258,22 @@ def large_im_tau_case():
     return data, kernel, pts[5]
 
 
+def small_im_tau_case():
+    """(data, oracle_chi, oracle_tilde, q) of scalar_setup's rank-1 problem
+    moved to tau = 0.2 + 0.15i, the nodes and q at the same fractions of
+    the periods: a wide table window (23 lattice terms) and a reach of
+    2^48 Im(tau), about 4.2e13."""
+    tau = 0.2 + 0.15j
+    surf = torus_surface(tau)
+    zeros = [0.13 + 0.27 * tau, 0.41 + 0.62 * tau]
+    poles = [0.61 + 0.43 * tau, 0.84 + 0.11 * tau]
+    chi = line_bundle(0.23, 0.41)
+    a_w, b_w, _ = divisor_characteristic(surf, zeros, poles)
+    data = InterpolationDataSet(surf, 1, *scalar_nodes(zeros, poles))
+    return (data, line_kernel(surf, chi), line_kernel(surf, line_bundle(chi.a + a_w, chi.b + b_w)),
+            0.52 + 0.18 * tau)
+
+
 def test_interpolant_gamma_matches_build_gamma(rng):
     """The Gamma and base column an interpolant reads from the theta table
     of its ends (past MAX_TABLE_IM, the channel pass) agree with the
@@ -1040,9 +1056,13 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     pass replaces: for T^-1 the transposed two-call value of the swapped
     problem (its data, the dual kernels and Q^-T).  On the torus the points
     include two lattice-shifted copies of the first (p + 3 - 2 tau and
-    p - 1 + tau, reduced by n != 0) and a point in the prefilter band of
-    the end q (the same Im) that the full gap clears; every point of the
-    Im(tau) = 300 case is in that band of every end."""
+    p - 1 + tau, reduced by n != 0), and two points that the plan's end
+    test leaves to the full gap, which clears them: one in the band of
+    the end q (the same Im) and one 2e-15 off it, inside the test's
+    slack; every point of the Im(tau) = 300 case is in that band of every
+    end.  Up to MAX_TABLE_IM a point at Im p / Im(tau) = 1/2 exactly, a
+    tie of the reduction's rounding, joins them, and a case at
+    tau = 0.2 + 0.15i has a small Im(tau)."""
     from zpint.absint import _swapped
 
     surf, zeros, poles, chi, chit, data = scalar_setup
@@ -1072,6 +1092,9 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
     tall, tall_kernel, tall_q = large_im_tau_case()
     cases.append((tall, tall_q, Q2, tall_kernel, tall_kernel,
                   [x + 0.45 * tall.surface.tau for x in (0.125, 0.275, 0.425)]))
+    low, low_chi, low_tilde, low_q = small_im_tau_case()
+    cases.append((low, low_q, np.array([[0.8 + 0.3j]]), low_chi, low_tilde,
+                  [x + y * low.surface.tau for x, y in ((0.3, 0.8), (0.7, 0.3), (0.9, 0.95))]))
     for case_data, q, Q, oracle_chi, oracle_tilde, P in cases:
         P = [P[0], q, *P[1:]]
         compared = len(P)
@@ -1083,7 +1106,10 @@ def test_many_rows_bit_identical_to_calls(scalar_setup, rng):
             # shift leaves the double range of the channel pass (NonConvergent
             # on both entries), so that case shifts along the A cycle
             tau = case_data.surface.tau
-            P += [q + 0.125]
+            P += [q + 0.125, q + 0.125 + 2e-15j]
+            if tau.imag <= MAX_TABLE_IM:
+                P += [0.3 + 0.5 * tau]
+                assert P[-1].imag / tau.imag == 0.5
             compared = len(P)
             shifts = (3 - 2 * tau, -1 + tau) if tau.imag <= MAX_TABLE_IM else (3, -1)
             P += [P[0] + shift for shift in shifts]
@@ -1230,25 +1256,43 @@ def test_points_on_an_end_coordinate_keep_their_bits(rng):
 def test_torus_far_points_keep_their_outcome(scalar_setup, rng):
     """A torus point far out, where the lattice reduction of p or the phase
     of its factors loses its digits, has one outcome alone and in a batch:
-    T(p) and T.many([q, p]) raise the same exception with the same message,
-    or give the same bits, for T and T^-1, with every warning an error.
+    T(p), T.many([q, p]) and T.many([p]) raise the same exception with the
+    same message, or give the same bits, for T and T^-1, with every
+    warning an error.
     None is a Python OverflowError or ValueError of the one-point
-    reduction.  The Im(tau) = 300 case (the channel pass) joins with a
-    B-cycle shift of a sweep point, which that pass refuses."""
+    reduction.  The points include 1e307, whose table read overflows
+    (NonConvergent, with numpy's flags ignored past the table's reach),
+    the reach itself and the next doubles past it, on each axis, and
+    q + 24577 tau, a lattice copy of the end q whose offsets Im p / Im(tau)
+    and Im q / Im(tau), rounded apart, differ by 2.6e-12 / Im(tau) mod 1:
+    the plan's end test must leave it to the full gap, which finds q
+    (in the batch [q, p] the end q itself sends every point there).  The
+    Im(tau) = 300 case (the channel pass) joins with a B-cycle shift of a
+    sweep point, which that pass refuses, and the tau = 0.2 + 0.15i case
+    with its smaller reach."""
     surf, zeros, poles, chi, chit, _ = scalar_setup
     dsum_o = direct_sum_kernel([line_kernel(surf, chi), line_kernel(surf, line_bundle(0.67, 0.19))])
     dsum_t = direct_sum_kernel([line_kernel(surf, chit),
                                 line_kernel(surf, line_bundle(0.58, 0.73))])
     tall, tall_kernel, tall_q = large_im_tau_case()
-    far = [1e17 + 1e17j, 3e15j, 1e200, 1e308 + 1e308j]
-    cases = [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t, far),
-             (tall, tall_q, tall_kernel, tall_kernel, [*far, 0.2 + 1.45 * tall.surface.tau])]
+    low, low_chi, low_tilde, low_q = small_im_tau_case()
+    far = [1e17 + 1e17j, 3e15j, 1e200, 1e307, 1e308 + 1e308j]
+    cases = [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t,
+              [*far, Q_POINT + 24577 * TAU]),
+             (tall, tall_q, tall_kernel, tall_kernel, [*far, 0.2 + 1.45 * tall.surface.tau]),
+             (low, low_q, low_chi, low_tilde, far)]
     for data, q, oracle_chi, oracle_tilde, points in cases:
         for build in (build_solution, build_inverse):
-            T = build(data, q, np.eye(2), oracle_chi, oracle_tilde)
-            for p in points:
+            T = build(data, q, np.eye(data.rank), oracle_chi, oracle_tilde)
+            edge = []
+            if T._plan.table is not None:
+                reach = T._plan.table.reach
+                beyond = np.nextafter(reach, np.inf)
+                edge = [reach, beyond, 1j * reach, 1j * beyond, reach * (1 + 1j)]
+            for p in [*points, *edge]:
                 alone = _outcome(lambda: T(p))
                 assert alone == _outcome(lambda: T.many([q, p])[1]), (build.__name__, p)
+                assert alone == _outcome(lambda: T.many([p])[0]), (build.__name__, p)
                 assert alone[0] not in (OverflowError, ValueError), (build.__name__, p)
 
 

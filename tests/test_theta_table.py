@@ -228,9 +228,9 @@ def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
     bits of its one-point read: a point's rows do not depend on its batch,
     nor on the layout of P (stride 2 reads a non-contiguous view), and a
     point given as a complex, reduced in Python scalars with no batch axis,
-    has them too (the points reach 3 periods out, lattice shifts n from -3
-    to 3).  33 ends and 5 characteristics are the table of an interp_torus
-    benchmark solution."""
+    has them too, as its (D, m) transpose (the points reach 3 periods out,
+    lattice shifts n from -3 to 3).  33 ends and 5 characteristics are the
+    table of an interp_torus benchmark solution."""
     import zpint.theta as theta_module
 
     monkeypatch.setattr(theta_module, "CHUNK_ELEMENTS", chunk)
@@ -247,16 +247,16 @@ def test_table_rows_bit_identical_across_chunks(chunk, monkeypatch):
         for i in range(40):
             assert np.array_equal(batch[i], theta_table_rows(table, P[i:i + 1])[0])
             assert np.array_equal(batch[i], theta_table_rows(table, P[i:i + 2])[0])
-            assert np.array_equal(batch[i], theta_table_rows(table, complex(P[i])))
+            assert np.array_equal(batch[i], theta_table_rows(table, complex(P[i])).T)
 
 
 def test_far_table_rows_keep_their_outcome():
     """A point far out has one outcome alone and in a batch, with every
-    warning an error: its rows with the same bits (finite, though a point
-    this far keeps no digit of its reduction or of its phase), or
-    NonConvergent where a row is not finite (the reduction or a factor
-    overflows, or the point is not finite); never a Python OverflowError or
-    ValueError from rounding Im p / Im tau."""
+    warning an error: its rows with the same bits, in the (D, m) layout of
+    one point (finite, though a point this far keeps no digit of its
+    reduction or of its phase), or NonConvergent where a row is not finite
+    (the reduction or a factor overflows, or the point is not finite);
+    never a Python OverflowError or ValueError from rounding Im p / Im tau."""
     rng = np.random.default_rng(11)
     tau = 0.3 + 0.9j
     table = theta_table(period_from_tau(tau), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
@@ -274,8 +274,8 @@ def test_far_table_rows_keep_their_outcome():
     outcomes = {}
     for p in (1e17 + 1e17j, 3e15j, 1e200, 1e308 + 1e308j, 1e308, -1.7e308j,
               complex(np.inf, 0.0), complex(np.nan, 1.0)):
-        outcomes[p] = outcome(lambda: theta_table_rows(table, p))
-        assert outcomes[p] == outcome(lambda: theta_table_rows(table, [p])[0]), p
+        outcomes[p] = outcome(lambda: theta_table_rows(table, complex(p)))
+        assert outcomes[p] == outcome(lambda: theta_table_rows(table, [p])[0].T), p
     refused = {p for p, seen in outcomes.items() if isinstance(seen, str)}
     assert 1e200 not in refused and {1e308, complex(np.inf, 0.0)} <= refused
 
