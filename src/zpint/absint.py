@@ -38,13 +38,22 @@ build time, so on the torus the build also freezes the Fourier
 coefficients of every theta row at the ends (kernels.end_plan, a
 theta.ThetaTable).  A batch of points, or one point, then costs one
 finiteness check (surface.points, or surface.point), one distance test
-against the ends (on the torus the plan's lower bound from the sorted
-lattice offsets of the ends, EndPlan.clears; where it does not clear, and
-on the sphere, Surface.apart on the differences p - e), one
-kernels.evaluate_channels call on the points (on the torus one read of
-the table, no lattice pass; the differences, where the test formed them,
-for the sphere's channels), one matmul and one divide by the channels of
-K(chi).
+against the plan's excluded points, and one kernels.evaluate_channels
+call on the points (on the torus one read of the table, no lattice pass;
+the differences, where the test formed them, for the sphere's channels),
+one matmul and one divide by the channels of K(chi).
+
+That distance test is the one decision of where T may be evaluated.  The
+excluded points are the ends and, on the torus, the r zeros of
+K(chi; ., q) in closed form, where K(chi; p, q)^-1 has its poles
+(kernels.EndPlan.zeros; T^-1 reads those of its dual channels).  On the
+torus the plan's lower bound from their sorted lattice offsets
+(EndPlan.clears) decides most points; where it does not clear, and on
+the sphere, Surface.apart on the differences p - e does.  A point within
+POINT_TOL of q gets Q, of a pole PointOnExcludedSet, of a zero of
+K(chi; ., q) SingularMatrix.  After it only a channel of K(chi) that
+rounded to 0 is refused (SingularMatrix): an underflow on the torus, and
+on the sphere |p - q| near the largest double.
 
 An interpolant has one plan, of the ends [q, mu_1, ...] of its kernel
 sum, and reads Gamma and its base column from the channels end_plan
@@ -77,7 +86,6 @@ from .errors import (
     NonConvergent,
     NotSquare,
     PointOnExcludedSet,
-    PoleLocationFailure,
     SingularMatrix,
 )
 from .kernels import (
@@ -109,7 +117,7 @@ from .surface import (
     point,
     prime_form,
 )
-from .theta import ThetaCharacteristic, theta_many, theta_with_char
+from .theta import ThetaCharacteristic, theta_many
 
 __all__ = [
     "InterpolationNode",
@@ -137,7 +145,10 @@ __all__ = [
 # A point coordinate up to 2^1021 gives, against ends within it, differences
 # p - e, gaps (hypot) and channels 1 / (p - e) (numpy's scaled complex divide)
 # that do not overflow; past it an interpolant evaluates under ignored
-# overflow and invalid flags, so that the point meets its typed checks alone
+# overflow and invalid flags, so that the point meets its typed checks alone.
+# On the torus the edge is scaled by min(1, Im tau) / (1 + |Re tau|), so that
+# the lattice offsets Im d / Im(tau) and their products with Re tau stay in
+# range too (BundleMapEvaluator._edge)
 _EDGE = 2.0 ** 1021
 
 
@@ -407,7 +418,8 @@ class BundleMapEvaluator:
     many(P) gives the values at a sequence of points, shape (N, r, r); a
     call T(p) gives the (r, r) value at one point, and a call on a
     sequence is many.  The value at q is Q.  T has poles at the pole
-    nodes, where T and many raise.
+    nodes, and its inverse factor K(chi; p, q)^-1 at the r zeros of
+    K(chi; ., q) on the torus, where T and many raise.
 
     The kernel sum of a point p reads K(chi~) at the pairs (p, e) with the
     ends [q, the pole of each pole vector], with the weights V_0 = I and
@@ -433,14 +445,16 @@ class BundleMapEvaluator:
     layout.
 
     A call at one point is the one-point case of the same layers, with no
-    batch axis: p is checked once (surface.point), tested against the ends
-    (EndPlan.clears, then Surface.apart on d = p - ends where that does
-    not clear), and its (L,) channels are read by evaluate_channels, which
-    on the torus reduces p by the lattice once, in Python scalars
-    (theta_table_rows); _values tests and folds them with no leading axis.
-    A point the distance test does not clear (q, or a pole) enters the
-    rest of many's checked body (_near) as an array of one, which answers
-    q with Q and refuses a pole.  The one-point case runs the arithmetic
+    batch axis: p is checked once (surface.point), tested against the
+    plan's excluded points (EndPlan.clears, then Surface.apart on
+    d = p - excluded where that does not clear), and its (L,) channels are
+    read by evaluate_channels, which on the torus reduces p by the lattice
+    once, in Python scalars (theta_table_rows); _values tests and folds
+    them with no leading axis.  A point the distance test does not clear
+    (q, a pole, or a zero of K(chi; ., q)) enters the rest of many's
+    checked body (_near) as an array of one, which answers q with Q,
+    refuses a pole with PointOnExcludedSet and a zero with
+    SingularMatrix.  The one-point case runs the arithmetic
     of a batch row on the same numbers, and numpy runs stacked matmuls
     slice by slice, so T.many(P)[i] equals T(P[i]) bit for bit and every
     point raises the same error, with the same message, alone and in a
@@ -448,25 +462,27 @@ class BundleMapEvaluator:
 
     A point costs one check, the distance test, its channel read, one
     matmul and one divide.  On the torus the distance test is the plan's
-    bound: one bisect of Im p / Im(tau) mod 1 among the ends' sorted
-    offsets, less a rounding slack (EndPlan.clears), which clears a
-    point only where every gap does; up to MAX_TABLE_IM the channels are
-    then read from the table at p, and no difference p - e is formed.
-    Only where the bound does not clear, and always on the sphere, is
-    d = p - e formed, in that orientation (the one of genus0 and
-    kernel_grid), once: Surface.apart reads it, whose gap is symmetric in
-    d, and evaluate_channels reads it too (on the sphere its channels are
-    1.0 / d, past MAX_TABLE_IM the channel pass reads -d; it forms d
-    itself for a point the bound cleared there).  A point with a
-    coordinate past _EDGE (2^1021) is the one-point case of many, which
-    evaluates it with numpy's overflow and invalid flags ignored; below it
-    no flag is touched.  On the torus a point also tests K(chi) for a
-    pole of its inverse (a tiny channel against the channels' scale): at
-    one point over its r channels as Python floats, in a batch over the
-    batch's extremes first and row by row only when those do not clear
-    it.  On the sphere every channel is 1/(p - q), which vanishes at no
-    p != q, so no such test runs there; only a channel that rounds to 0,
-    at |p - q| near the largest double, is refused.
+    bound: one bisect of Im p / Im(tau) mod 1 among the
+    excluded points' sorted offsets, less a rounding slack
+    (EndPlan.clears), which clears a point only where every gap does; up
+    to MAX_TABLE_IM the channels are then read from the table at p, and
+    no difference p - e is formed.  Only where the bound does not clear,
+    and always on the sphere, is d = p - e formed, in that orientation
+    (the one of genus0 and kernel_grid), once: Surface.apart reads it,
+    whose gap is symmetric in d, and evaluate_channels reads its ends'
+    columns too (on the sphere its channels are 1.0 / d, past
+    MAX_TABLE_IM the channel pass reads -d; it forms d itself for a point
+    the bound cleared there).  A point with a coordinate past _edge is the
+    one-point case of many, which evaluates it with numpy's overflow and
+    invalid flags ignored; below it no flag is touched.  _edge is _EDGE
+    (2^1021) on the sphere and _EDGE min(1, Im tau) / (1 + |Re tau|) on
+    the torus, where below it the lattice offsets Im d / Im(tau) of the
+    distance test, and their products with Re tau, cannot overflow.  Past
+    the distance test one channel test remains, the same on both
+    surfaces: a channel of K(chi) that rounded to 0 is refused.  On the
+    torus that is an underflow (past MAX_TABLE_IM, or at a far point); on
+    the sphere every channel is 1/(p - q), which vanishes at no p != q,
+    and rounds to 0 only at |p - q| near the largest double.
 
     Raises InputError for a kernel whose rank is not the data's, and
     NotSquare or SingularMatrix for a Gamma that is not square and well
@@ -490,6 +506,10 @@ class BundleMapEvaluator:
         self.gamma = gamma = _plan_gamma(data, at_zeros, oracle_tilde)
         checked_cond(gamma.matrix, "coupling matrix")
         m, r = len(self._plan.ends), self.rank
+        self._edge = _EDGE
+        if data.surface.genus:
+            tau = data.surface.tau
+            self._edge *= min(1.0, tau.imag) / (1.0 + abs(tau.real))
         self.weights = left, right = _weights(data, gamma)
         f_t = oracle_tilde.frame
         # a V_j b for a, b = F~^-1, Q F, from the factors of V_j; a frame
@@ -509,7 +529,7 @@ class BundleMapEvaluator:
     def many(self, P) -> np.ndarray:
         """Values at the points P, shape (N, r, r).
 
-        A batch with a coordinate past _EDGE is evaluated with numpy's
+        A batch with a coordinate past _edge is evaluated with numpy's
         overflow and invalid flags ignored, so that the typed error below
         is all it raises there.
 
@@ -520,12 +540,13 @@ class BundleMapEvaluator:
         PointOnExcludedSet
             If a point of P is a pole node.
         SingularMatrix
-            If a point of P is a pole of the inverse kernel factor (on the
-            torus), or so far from q that 1/(p - q) rounds to 0 (on the
-            sphere).
+            If a point of P is within POINT_TOL of a zero of K(chi; ., q),
+            a pole of the inverse kernel factor (on the torus), or a
+            channel of K(chi) at it rounds to 0: an underflow on the
+            torus, |p - q| near the largest double on the sphere.
         """
         P = self.data.surface.points(P)
-        if P.size and max(np.abs(P.real).max(), np.abs(P.imag).max()) > _EDGE:
+        if P.size and max(np.abs(P.real).max(), np.abs(P.imag).max()) > self._edge:
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._at(P)
         return self._at(P)
@@ -534,11 +555,11 @@ class BundleMapEvaluator:
         if _is_many(p):
             return self.many(p)
         p = point(p)
-        if abs(p.real) > _EDGE or abs(p.imag) > _EDGE:
+        if abs(p.real) > self._edge or abs(p.imag) > self._edge:
             return self.many([p])[0]
         if self._plan.clears(p):
             return self._orient(self._values(p))
-        d = p - self._plan.ends
+        d = p - self._plan.excluded
         if self.data.surface.apart(d):
             return self._orient(self._values(p, d))
         return self._near(np.array([p]), d[None])[0]
@@ -549,23 +570,29 @@ class BundleMapEvaluator:
 
     def _at(self, P) -> np.ndarray:
         """many at the checked point array P: one distance test against
-        the ends (the plan's bound, then Surface.apart), then the values."""
+        the excluded points (the plan's bound, then Surface.apart), then
+        the values."""
         if self._plan.clears(P):
             return self._orient(self._values(P))
-        d = P[:, None] - self._plan.ends
+        d = P[:, None] - self._plan.excluded
         if self.data.surface.apart(d):
             return self._orient(self._values(P, d))
         return self._near(P, d)
 
     def _near(self, P, d) -> np.ndarray:
-        """many at the checked point array P whose (N, m) differences d =
-        p - e from the ends Surface.apart did not clear: Q at q,
-        PointOnExcludedSet at a pole, the values elsewhere."""
+        """many at the checked point array P whose differences d = p - e
+        from the excluded points Surface.apart did not clear: Q at q,
+        PointOnExcludedSet at a pole, SingularMatrix at a zero of
+        K(chi; ., q), the values elsewhere."""
         hits = self.data.surface.gap(d) <= POINT_TOL
-        on_pole = hits[:, 1:].any(axis=1)
+        m = len(self._plan.ends)
+        on_pole = hits[:, 1:m].any(axis=1)
         if on_pole.any():
             where = point(P[on_pole.argmax()])
             raise PointOnExcludedSet(f"the interpolant has a pole at p = {where!r}")
+        on_zero = hits[:, m:].any(axis=1)
+        if on_zero.any():
+            _refuse(P, on_zero)
         at_q = hits[:, 0]
         out = np.empty((len(P), self.rank, self.rank), dtype=complex)
         out[at_q] = self.Q
@@ -575,36 +602,20 @@ class BundleMapEvaluator:
         return self._orient(out)
 
     def _values(self, P, d=None):
-        """The values at the checked point array P clear of the ends, or at
-        one such point, a complex P, with no batch axis: the same bits.  d
-        is their differences p - e from the ends where the distance test
-        formed them, as evaluate_channels reads them, or None."""
+        """The values at the checked point array P clear of the excluded
+        points, or at one such point, a complex P, with no batch axis: the
+        same bits.  d is their differences p - e from the excluded points
+        where the distance test formed them, as evaluate_channels reads
+        them, or None."""
         r = self.rank
         channels = evaluate_channels(self.data.surface, self._plan, P, d)
         chi = channels[..., -r:]
-        singular = None
-        if self.data.surface.genus:
-            # K(chi) = F diag(c) F^-1 vanishes where its inverse has poles and
-            # is O(1) or larger elsewhere, so a tiny channel against a unit
-            # scale flags a point at (or next to) such a pole; the global
-            # extremes clear every row at once, and the row-wise flags are
-            # built only when they do not
-            size = np.abs(chi)
-            if chi.ndim == 1:   # one point: its r sizes as Python floats, the
-                size = size.tolist()   # same test at a fraction of two reductions
-                if not min(size) > 1e-10 * max(1.0, max(size)):
-                    singular = True
-            elif size.size and not size.min() > 1e-10 * max(1.0, size.max()):
-                flags = size.min(axis=1) <= 1e-10 * np.maximum(1.0, size.max(axis=1))
-                singular = flags if flags.any() else None
-        elif np.count_nonzero(chi) < chi.size:   # a fraction of chi.all()'s cost
-            # on the sphere every channel is 1/(p - q), which vanishes nowhere
-            # (many has answered p at q); it rounds to 0 only at |p - q| near
-            # the largest double, where the value would be 0 / 0
-            singular = ~chi.all(axis=-1)
-        if singular is not None:
-            where = point(np.reshape(P, -1)[int(np.argmax(singular))])
-            raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
+        if np.count_nonzero(chi) < chi.size:   # a fraction of chi.all()'s cost
+            # the distance test has refused the zeros of K(chi; ., q), so a
+            # channel reads 0 only where it rounded there: an underflow on the
+            # torus, or on the sphere 1/(p - q) at |p - q| near the largest
+            # double, where the value would be 0 / 0
+            _refuse(P, ~chi.all(axis=-1))
         values = ((channels[..., None, :-r] @ self._fold).reshape(*chi.shape[:-1], r, r)
                   / chi[..., None, :])
         frame = self.oracle_chi.frame_inv
@@ -613,6 +624,13 @@ class BundleMapEvaluator:
     def _orient(self, values):
         """values (..., r, r) as this interpolant gives them: as they are."""
         return values
+
+
+def _refuse(P, singular):
+    """SingularMatrix naming the first point of P (an array, or one complex)
+    that the flags singular mark."""
+    where = point(np.reshape(P, -1)[int(np.argmax(singular))])
+    raise SingularMatrix(f"kernel value numerically singular at p = {where!r}")
 
 
 class _Transposed(BundleMapEvaluator):
@@ -703,33 +721,6 @@ def build_inverse(data: InterpolationDataSet, q, Q,
                        oracle_tilde.dual())
 
 
-def _inverse_kernel_poles(oracle_chi: CauchyKernelOracle, q):
-    """Closed-form pole locations of K(chi; . , q)^{-1} for torus kernels.
-
-    A channel of the flat line bundle with Jacobian point z has 1/K
-    blowing up where the numerator theta[a; b](phi(q) - phi(p)) vanishes,
-    i.e. at p = q + z - (1 + tau)/2 mod the lattice (the odd half-period
-    shift is the genus-1 vector of Riemann constants), with z = Omega a + b
-    for the channel's characteristic (a, b).  The trivial genus-0 kernel
-    contributes no poles, and a constant frame moves none.
-    """
-    surface = oracle_chi.surface
-    if surface.genus == 0:
-        return []
-    period, tau = surface.period, surface.tau
-    out = []
-    for (a, b), theta0 in zip(oracle_chi.channels.ab, oracle_chi.channels.theta0):
-        z = complex((period.omega @ a + b)[0])
-        p = lattice_reduce(q + z - (1.0 + tau) / 2.0, tau)
-        val = theta_with_char(ThetaCharacteristic(a, b), q - p, period)
-        if abs(val) > 1e-8 * (abs(theta0) + 1.0):
-            raise PoleLocationFailure(
-                f"theta numerator {abs(val):.3e} not small at predicted pole {p}"
-            )
-        out.append(p)
-    return out
-
-
 def residue_condition_check(data: InterpolationDataSet, q, Q,
                             oracle_chi: CauchyKernelOracle,
                             oracle_tilde: CauchyKernelOracle):
@@ -737,12 +728,13 @@ def residue_condition_check(data: InterpolationDataSet, q, Q,
 
     Returns a list of (pole point, relative residual); residuals at or
     below about 1e-7 indicate consistent data for the given input bundle.
-    The numerator of T, its kernel sum, is read at a reference point and at
-    every pole from the pole-end plan of the solution T, in one
+    The poles are the zeros of K(chi; ., q) that the plan of the solution T
+    keeps (none on the sphere), and the numerator of T, its kernel sum, is
+    read at a reference point and at every pole from that plan, in one
     evaluate_channels call.  Raises as build_solution.
     """
-    poles = _inverse_kernel_poles(oracle_chi, point(q))
     T = build_solution(data, q, Q, oracle_chi, oracle_tilde)
+    poles = list(T._plan.zeros)
     if not poles:
         return []
     q, Q = T.q, T.Q

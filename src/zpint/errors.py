@@ -23,7 +23,6 @@ __all__ = [
     "DegenerateBundle",
     "SurfaceMismatch",
     "PointOnExcludedSet",
-    "PoleLocationFailure",
     "NecessityViolated",
     "DegenerateDenominator",
     "XiDenominatorZero",
@@ -103,10 +102,6 @@ class DegenerateBundle(ZpintError):
 
 class SurfaceMismatch(ZpintError):
     """Operands live on different surfaces."""
-
-
-class PoleLocationFailure(ZpintError):
-    """Closed-form pole location of the inverse kernel failed to verify."""
 
 
 class NecessityViolated(ZpintError):

@@ -65,11 +65,6 @@ class Genus0Problem(_NodeData):
             raise InputError("rank must be at least 1")
         self._lay_out(self.rank)
 
-    @property
-    def n_zeros(self) -> int:
-        """The number of zero vectors, one per zero for simple data."""
-        return len(self.zero_rows.vectors)
-
 
 def build_gamma_genus0(problem: Genus0Problem) -> np.ndarray:
     """Coupling matrix with entries x_a u_b / (mu^b - lambda^a) over the

@@ -39,11 +39,14 @@ point with ends fixed at build time: end_plan freezes them once, on the
 torus as a theta.ThetaTable of the ends, and evaluate_channels reads the
 channels at a batch of points from it, or at one point with no batch
 axis (an interpolant's call at one point), with the bits of that point's
-row in any batch.  On the torus the plan also keeps the ends' sorted
-lattice offsets, from which EndPlan.clears bounds a point's distance to
-every end with no difference formed.  Where that does not clear, and on
-the sphere, the caller forms the differences d = p - e of its points
-from the ends once, in that orientation (the one of genus0 and
+row in any batch.  The plan also keeps where the interpolant may not be
+evaluated: its ends and, on the torus, the r zeros of K(chi; ., q) in
+closed form, where K(chi)^-1 has its poles; together they are its
+excluded points.  On the torus it keeps their sorted lattice offsets,
+from which EndPlan.clears bounds a point's distance to every excluded
+point with no difference formed.  Where that does not clear, and on the
+sphere, the caller forms the differences d = p - e of its points from
+the excluded points once, in that orientation (the one of genus0 and
 kernel_grid), and reads them itself (the interpolant's Surface.apart);
 evaluate_channels takes them beside the points, or forms them where it
 reads them: the sphere's channels are 1.0 / d, the channel pass past
@@ -85,6 +88,7 @@ from .surface import (
     _is_many,
     genus0_surface,
     laurent_coeffs,
+    lattice_reduce,
 )
 from .theta import (
     MAX_TABLE_IM,
@@ -184,26 +188,32 @@ def _layout_order(m: int, r: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EndPlan:
-    """The channel rows of an interpolant over its fixed ends, and its end
-    test.
+    """The channel rows of an interpolant over its fixed ends, and the one
+    test of where it may be evaluated.
 
     Its channels are those of tilde at each of the m ends, end by end,
-    then those of chi at ends[0], read at the pairs (p, e).  On the torus
-    up to theta.MAX_TABLE_IM, table is the frozen theta.ThetaTable of the
-    ends over the characteristics of tilde, of chi and of the odd theta,
-    tilde the number r of tilde channels (chi has as many), and scale
-    theta'(0)/theta[a; b](0) per channel of the (m + 1, r) layout: tilde's
-    at each end, then chi's; order takes that layout, flattened, from one
-    point's (2 r, m) ratios of the table's rows to its odd row, flattened;
-    rows is None.  Past MAX_TABLE_IM rows is _plan's (cols, ab, theta0)
-    over the ends, for the pass of the oracles, and table is None; on the
-    sphere rows is (cols,) alone, the column index evaluate_channels
+    then those of chi at ends[0], read at the pairs (p, e).  zeros holds
+    the r zeros of K(chi; ., ends[0]) on the torus (_kernel_zeros), where
+    the interpolant's inverse factor K(chi; p, q)^-1 has its poles, and is
+    empty on the sphere, where 1/(p - q) vanishes nowhere; excluded is the
+    ends followed by the zeros, the points Surface.apart tests.  On the
+    torus up to theta.MAX_TABLE_IM, table is the frozen theta.ThetaTable of
+    the ends over the characteristics of tilde, of chi and of the odd
+    theta, tilde the number r of tilde channels (chi has as many), and
+    scale theta'(0)/theta[a; b](0) per channel of the (m + 1, r) layout:
+    tilde's at each end, then chi's; order takes that layout, flattened,
+    from one point's (2 r, m) ratios of the table's rows to its odd row,
+    flattened; rows is None.  Past MAX_TABLE_IM rows is _plan's (cols, ab,
+    theta0) over the ends, for the pass of the oracles, and table is None;
+    on the sphere rows is (cols,) alone, the column index evaluate_channels
     reads.  height is Im(tau) on the torus, from which the plan sorts the
-    ends' B-cycle offsets for clears on its first test (a build that
-    reads no point pays nothing for them), and None on the sphere.
+    B-cycle offsets of the excluded points for clears on its first test (a
+    build that reads no point pays nothing for them), and None on the
+    sphere.
     """
 
     ends: np.ndarray
+    zeros: np.ndarray
     rows: tuple | None
     table: ThetaTable | None = None
     tilde: int = 0
@@ -212,30 +222,36 @@ class EndPlan:
     height: float | None = None
 
     @functools.cached_property
+    def excluded(self) -> np.ndarray:
+        """The ends, then the zeros: every point a gap of POINT_TOL excludes."""
+        return np.concatenate([self.ends, self.zeros])
+
+    @functools.cached_property
     def _offsets(self) -> tuple:
         """(reach, fractions, around) of clears, then fractions and around
-        as arrays for a batch, made on the first test: the ends' B-cycle
-        offsets beta = Im e / Im(tau), reduced mod 1 and sorted, with their
-        wrapped neighbours [fractions[-1] - 1, *fractions, fractions[0] + 1],
-        and reach = max |beta|."""
-        beta = (self.ends.imag / self.height).tolist()
+        as arrays for a batch, made on the first test: the excluded points'
+        B-cycle offsets beta = Im e / Im(tau), reduced mod 1 and sorted,
+        with their wrapped neighbours [fractions[-1] - 1, *fractions,
+        fractions[0] + 1], and reach = max |beta|."""
+        beta = (self.excluded.imag / self.height).tolist()
         fractions = sorted([b % 1.0 for b in beta])
         around = [fractions[-1] - 1.0, *fractions, fractions[0] + 1.0]
         array = np.array(around)
         return max(max(beta), -min(beta)), fractions, around, array[1:-1], array
 
     def clears(self, P) -> bool:
-        """Whether a lower bound of the lattice distance clears every end
-        by POINT_TOL at the checked point P (a complex) or at every point
-        of the checked array P, so that Surface.apart on the differences
-        p - e is True without forming them.  False means undecided, and
-        always on the sphere.
+        """Whether a lower bound of the lattice distance clears every
+        excluded point (each end and each zero) by POINT_TOL at the checked
+        point P (a complex) or at every point of the checked array P, so
+        that Surface.apart on the differences p - e from excluded is True
+        without forming them.  False means undecided, and always on the
+        sphere.
 
         The bound is the distance of beta_p = Im p / Im(tau) mod 1 to the
-        nearest sorted fraction of the ends (one bisect in Python floats at
-        one point, np.searchsorted in a batch), less a slack of
-        4 eps (|beta_p| + max |beta_e| + 2) (in a batch, with the batch's
-        largest |beta_p|), times Im(tau).  Surface.gap reads
+        nearest sorted fraction of the excluded points e (one bisect in
+        Python floats at one point, np.searchsorted in a batch), less a
+        slack of 4 eps (|beta_p| + max |beta_e| + 2) (in a batch, with the
+        batch's largest |beta_p|), times Im(tau).  Surface.gap reads
         hypot(x, db Im(tau)), a faithfully rounded hypot is never below
         |db Im(tau)|, and db, made from the rounded p - e, differs from the
         fraction distance by at most about eps (3 + 1.6 (|beta_p| +
@@ -264,11 +280,31 @@ class EndPlan:
         return (float(gap) - slack) * self.height > POINT_TOL
 
 
+def _kernel_zeros(surface: Surface, chi: _Channels, q: complex) -> np.ndarray:
+    """The r zeros of K(chi; ., q), one per channel, in closed form, with no
+    theta call; empty on the sphere.
+
+    The channel [a; b] reads theta[a; b](q - p) = (a nonzero factor) times
+    theta(q - p + z) with z = Omega a + b, and theta vanishes only at the
+    odd half-period (1 + tau)/2 (the genus-1 vector of Riemann constants),
+    so the zero is p = q + z - (1 + tau)/2, reduced to the parallelogram.
+    A constant frame moves none.  The dual channels (-a, -b) give the
+    zeros of K(chi; q, .), where T^-1's factor is singular.
+    """
+    if not surface.genus:
+        return np.empty(0, dtype=complex)
+    tau = surface.tau
+    # z = Omega a + b = tau a + b at genus 1
+    return np.array([lattice_reduce(q + (tau * a + b) - (1.0 + tau) / 2.0, tau)
+                     for (a,), (b,) in chi.ab.tolist()])
+
+
 def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
              nodes) -> tuple[EndPlan, np.ndarray]:
     """The EndPlan of the channels tilde and chi over the checked point
-    array ends, and the tilde channels at the A checked node points nodes,
-    (A, m r): the columns evaluate_channels gives them.
+    array ends, with the zeros of K(chi; ., ends[0]), and the tilde
+    channels at the A checked node points nodes, (A, m r): the columns
+    evaluate_channels gives them.
 
     On the torus a channel read at (p, e) is theta[a; b](e - p) over
     theta[a; b](0) E(e, p), with E(e, p) the odd theta at p - e over its
@@ -282,10 +318,11 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
     """
     m, r = len(ends), len(tilde.theta0)
     height = surface.tau.imag if surface.genus else None
+    zeros = _kernel_zeros(surface, chi, complex(ends[0]))
     if height is None or height > MAX_TABLE_IM:
         entries = [(tilde, np.arange(m)), (chi, np.zeros(1, int))]
-        plan = (EndPlan(ends, (_columns(entries),)) if height is None else
-                EndPlan(ends, _plan(entries), height=height))
+        plan = (EndPlan(ends, zeros, (_columns(entries),)) if height is None else
+                EndPlan(ends, zeros, _plan(entries), height=height))
         with np.errstate(divide="ignore", invalid="ignore"):
             return plan, evaluate_channels(surface, plan, nodes,
                                            nodes[:, None] - ends)[:, :m * r]
@@ -297,7 +334,7 @@ def end_plan(surface: Surface, tilde: _Channels, chi: _Channels, ends,
         ratio = at[:r] / at[-1] * scale[:r, None, None]
     layout = np.empty((m + 1, r), dtype=complex)
     layout[:m], layout[m] = scale[:r], scale[r:]
-    return (EndPlan(ends, None, table, r, layout, _layout_order(m, r), height),
+    return (EndPlan(ends, zeros, None, table, r, layout, _layout_order(m, r), height),
             ratio.transpose(1, 2, 0).reshape(len(nodes), m * r))
 
 
@@ -372,10 +409,12 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P, d=None) -> np.ndarray:
     point, a complex P, its (L,) values, with no batch axis.  A point's
     values are the same bits alone and in any batch.
 
-    d holds the differences p - e of each point from each end, (N, m), or
-    one point's (m,), in that orientation: P[:, None] - plan.ends, or
-    p - plan.ends, when the caller has formed them for its distance test
-    (Surface.apart); None forms them here where they are read.  On the
+    d holds the differences p - e of each point from the plan's excluded
+    points or from its ends alone, whose columns come first, (N, m + r) or
+    (N, m), or one point's without the leading axis, in that orientation:
+    P[:, None] - plan.excluded, or p - plan.excluded, when the caller has
+    formed them for its distance test (Surface.apart); only the ends'
+    columns are read, and None forms them here where they are.  On the
     torus up to theta.MAX_TABLE_IM the rows are read from the plan's
     frozen table by theta.theta_table_rows at P, (N, m, D) or one point's
     (D, m), and d is not read; the rows of one end share a factor, which
@@ -407,11 +446,12 @@ def evaluate_channels(surface: Surface, plan: EndPlan, P, d=None) -> np.ndarray:
     if d is None:
         d = P - plan.ends if isinstance(P, complex) else P[:, None] - plan.ends
     if surface.genus:   # beyond MAX_TABLE_IM: the oracles' channel pass
-        values = _channel_pass(surface, plan.rows, -d.reshape(-1, len(plan.ends)))
+        m = len(plan.ends)
+        values = _channel_pass(surface, plan.rows, -d[..., :m].reshape(-1, m))
         return values.reshape(*d.shape[:-1], -1)
-    # the sphere: every channel is 1/(p - e); take, not [:, cols], keeps each
-    # row contiguous, as a one-point pass has it, so that a matmul over rows
-    # gives the same bits
+    # the sphere (no zeros, so d is over the ends): every channel is
+    # 1/(p - e); take, not [:, cols], keeps each row contiguous, as a
+    # one-point pass has it, so that a matmul over rows gives the same bits
     return (1.0 / d).take(plan.rows[0], axis=-1)
 
 

@@ -110,7 +110,8 @@ class Surface:
     apart(d) is the verdict gap(d).min() > POINT_TOL over an array of
     differences d (True for an empty d): no difference spans a distance
     at which its points are equal.  An interpolant passes d = p - e, its
-    points' differences from its ends, the array its channel read takes
+    points' differences from its excluded points (its ends, and on the
+    torus the zeros of K(chi; ., q)), the array its channel read takes
     too, where its plan's bound on the torus (kernels.EndPlan.clears) has
     not already cleared them; every gap is symmetric in d
     (gap(-d) == gap(d), bit for bit), so the verdict does not depend on
@@ -195,10 +196,11 @@ class Torus(Surface):
 
     * must see tau': Surface.tau and period; gap, same_as and
       odd_deriv0 here; _log_theta_derivs and the sample grid of
-      build_embedding_functions; end_plan's switch, EndPlan.height and
-      line_kernel's largest term (kernels); _inverse_kernel_poles, the
-      reference point of residue_condition_check, divisor_characteristic
-      and _necessity_defect (absint); theta_table, its reach, _point_rows,
+      build_embedding_functions; end_plan's switch, EndPlan.height,
+      _kernel_zeros (the zeros of K(chi; ., q) an EndPlan keeps) and
+      line_kernel's largest term (kernels); the reference point of
+      residue_condition_check, BundleMapEvaluator's edge,
+      divisor_characteristic and _necessity_defect (absint); theta_table, its reach, _point_rows,
       _table_rows and odd_theta_series (theta).  The cli and verify draw
       points in the caller's coordinate
       (cli._torus_point, verify.sample_points, _trisecant_draws and the

@@ -258,12 +258,11 @@ def large_im_tau_case():
     return data, kernel, pts[5]
 
 
-def small_im_tau_case():
+def small_im_tau_case(tau=0.2 + 0.15j):
     """(data, oracle_chi, oracle_tilde, q) of scalar_setup's rank-1 problem
     moved to tau = 0.2 + 0.15i, the nodes and q at the same fractions of
     the periods: a wide table window (23 lattice terms) and a reach of
-    2^48 Im(tau), about 4.2e13."""
-    tau = 0.2 + 0.15j
+    2^48 Im(tau), about 4.2e13; or moved to another tau."""
     surf = torus_surface(tau)
     zeros = [0.13 + 0.27 * tau, 0.41 + 0.62 * tau]
     poles = [0.61 + 0.43 * tau, 0.84 + 0.11 * tau]
@@ -1260,7 +1259,8 @@ def test_torus_far_points_keep_their_outcome(scalar_setup, rng):
     same message, or give the same bits, for T and T^-1, with every
     warning an error.
     None is a Python OverflowError or ValueError of the one-point
-    reduction.  The points include 1e307, whose table read overflows
+    reduction, or a numpy RuntimeWarning.  The points include 1e307,
+    whose table read overflows
     (NonConvergent, with numpy's flags ignored past the table's reach),
     the reach itself and the next doubles past it, on each axis, and
     q + 24577 tau, a lattice copy of the end q whose offsets Im p / Im(tau)
@@ -1269,18 +1269,23 @@ def test_torus_far_points_keep_their_outcome(scalar_setup, rng):
     (in the batch [q, p] the end q itself sends every point there).  The
     Im(tau) = 300 case (the channel pass) joins with a B-cycle shift of a
     sweep point, which that pass refuses, and the tau = 0.2 + 0.15i case
-    with its smaller reach."""
+    with its smaller reach.  At tau = 0.2 + 0.08i the points 2e307i and
+    2e307 + 2e307i lie below 2^1021 but their offsets Im p / Im(tau)
+    overflow: they lie past the torus edge, so the distance test runs
+    with numpy's flags ignored, and no overflow warning is emitted."""
     surf, zeros, poles, chi, chit, _ = scalar_setup
     dsum_o = direct_sum_kernel([line_kernel(surf, chi), line_kernel(surf, line_bundle(0.67, 0.19))])
     dsum_t = direct_sum_kernel([line_kernel(surf, chit),
                                 line_kernel(surf, line_bundle(0.58, 0.73))])
     tall, tall_kernel, tall_q = large_im_tau_case()
     low, low_chi, low_tilde, low_q = small_im_tau_case()
+    lower, lower_chi, lower_tilde, lower_q = small_im_tau_case(0.2 + 0.08j)
     far = [1e17 + 1e17j, 3e15j, 1e200, 1e307, 1e308 + 1e308j]
     cases = [(_rank2_data(surf, rng, zeros, poles), Q_POINT, dsum_o, dsum_t,
               [*far, Q_POINT + 24577 * TAU]),
              (tall, tall_q, tall_kernel, tall_kernel, [*far, 0.2 + 1.45 * tall.surface.tau]),
-             (low, low_q, low_chi, low_tilde, far)]
+             (low, low_q, low_chi, low_tilde, far),
+             (lower, lower_q, lower_chi, lower_tilde, [*far, 2e307j, 2e307 + 2e307j])]
     for data, q, oracle_chi, oracle_tilde, points in cases:
         for build in (build_solution, build_inverse):
             T = build(data, q, np.eye(data.rank), oracle_chi, oracle_tilde)
@@ -1293,22 +1298,48 @@ def test_torus_far_points_keep_their_outcome(scalar_setup, rng):
                 alone = _outcome(lambda: T(p))
                 assert alone == _outcome(lambda: T.many([q, p])[1]), (build.__name__, p)
                 assert alone == _outcome(lambda: T.many([p])[0]), (build.__name__, p)
-                assert alone[0] not in (OverflowError, ValueError), (build.__name__, p)
+                assert alone[0] not in (OverflowError, ValueError, RuntimeWarning), \
+                    (build.__name__, p, alone)
 
 
-def test_many_raises_at_inverse_kernel_pole(scalar_setup):
+def test_many_raises_at_inverse_kernel_pole(scalar_setup, rng):
+    """T and T^-1 refuse the zeros of their K(chi) factor (K(chi; ., q) for
+    T, K(chi; q, .) for T^-1, by its dual channels), which their plans keep
+    in closed form: at a zero, at a lattice copy of it and half POINT_TOL
+    off it, SingularMatrix "kernel value numerically singular" naming the
+    point, alone and in a batch with q (the plan's bound leaves it to the
+    full gap) and without.  Twice POINT_TOL off, the point clears the
+    distance test, and T answers from the formula: a finite value with the
+    same bits alone and in a batch.  Rank-1 line kernels, and a rank-2
+    direct sum under a frame, whose two zeros are both refused."""
     surf, zeros, poles, chi, chit, data = scalar_setup
     ko, kt = line_kernel(surf, chi), line_kernel(surf, chit)
     z_chi = complex(chi.jacobian_point(surf.period)[0])
     shift = z_chi - (1 + TAU) / 2
-    for build, pole in ((build_solution, lattice_reduce(Q_POINT + shift, TAU)),
-                        (build_inverse, lattice_reduce(Q_POINT - shift, TAU))):
-        T = build(data, Q_POINT, np.array([[1.0]]), ko, kt)
-        with pytest.raises(SingularMatrix):
-            T(pole)
-        with pytest.raises(SingularMatrix) as raised:
-            T.many([0.41 + 0.33j, Q_POINT, pole])
-        assert str(raised.value).endswith(f"p = {point(pole)!r}")
+    frame = np.array([[1.0, 0.4 - 0.2j], [0.1j, 0.9]])
+    dsum_o = conjugated_kernel(direct_sum_kernel([ko, line_kernel(surf, line_bundle(0.67, 0.19))]),
+                               frame)
+    dsum_t = direct_sum_kernel([kt, line_kernel(surf, line_bundle(0.58, 0.73))])
+    cases = [(data, ko, kt), (_rank2_data(surf, rng, zeros, poles), dsum_o, dsum_t)]
+    for case_data, oracle_chi, oracle_tilde in cases:
+        for build, sign in ((build_solution, 1), (build_inverse, -1)):
+            T = build(case_data, Q_POINT, np.eye(case_data.rank), oracle_chi, oracle_tilde)
+            assert len(T._plan.zeros) == case_data.rank
+            # the closed form of the first channel, by hand
+            assert abs(T._plan.zeros[0] - lattice_reduce(Q_POINT + sign * shift, TAU)) <= 1e-15
+            for p0 in T._plan.zeros:
+                for p in (p0, p0 + 1 - 2 * TAU, p0 + 0.5e-12j, p0 - 0.3e-12 + 0.4e-12j):
+                    p = point(p)
+                    for call in (T, lambda p: T.many([0.41 + 0.33j, Q_POINT, p]),
+                                 lambda p: T.many([0.41 + 0.33j, p])):
+                        with pytest.raises(SingularMatrix) as raised:
+                            call(p)
+                        assert str(raised.value) == f"kernel value numerically singular at p = {p!r}"
+                for p in (p0 + 2e-12, p0 - 1.2e-12 - 1.6e-12j):
+                    value = T(p)
+                    assert np.isfinite(value).all()
+                    assert T.many([0.41 + 0.33j, Q_POINT, p])[2].tobytes() == value.tobytes()
+                    assert T.many([p])[0].tobytes() == value.tobytes()
 
 
 def test_torus_interpolant_call_makes_no_lattice_pass(scalar_setup, rng, monkeypatch):

@@ -17,21 +17,10 @@ import zpint
 from zpint import verify
 from zpint.cli import run_command
 
-GENUS0_PROBLEM = {
-    "rank": 1,
-    "zeros": [{"point": [2.0, 0.0], "x": [[1.0, 0.0]]}],
-    "poles": [{"point": [3.0, 0.0], "u": [[1.0, 0.0]]}],
-}
-
-LINE_PROBLEM = {
-    "tau": [0.3, 0.9],
-    "chi": {"a": [0.23], "b": [0.41]},
-    "chi_tilde": "auto",
-    "zeros": [[0.13, 0.27], [0.61, 0.43]],
-    "poles": [[0.37, 0.71], [0.83, 0.11]],
-    "base_point": [0.52, 0.18],
-    "base_value": [1.3, -0.4],
-}
+DATA = Path(__file__).parent / "data"
+# the solvable problems that CI's smoke run also solves with the installed script
+GENUS0_PROBLEM = json.loads((DATA / "genus0_problem.json").read_text())
+LINE_PROBLEM = json.loads((DATA / "line_problem.json").read_text())
 
 
 def run_json(argv, path):
@@ -195,7 +184,7 @@ def test_solve_line_keeps_the_base_point_as_given(shift, tmp_path):
 
 # 17 zeros and 17 poles on the torus of tau = 0.1i whose 0.05-discs cover
 # it: no sample point exists, an input error rather than a traceback
-DENSE_NODES = Path(__file__).parent / "data" / "dense_nodes_line.json"
+DENSE_NODES = DATA / "dense_nodes_line.json"
 
 
 def test_solve_line_without_room_for_samples_exits_2(tmp_path, capsys):
@@ -207,7 +196,7 @@ def test_solve_line_without_room_for_samples_exits_2(tmp_path, capsys):
     assert error["error"] == "input" and "avoided set" in error["message"]
 
 
-UNEQUAL_COUNTS = Path(__file__).parent / "data" / "unequal_counts_line.json"
+UNEQUAL_COUNTS = DATA / "unequal_counts_line.json"
 
 
 def test_solve_line_with_unequal_counts_is_not_square(tmp_path, capsys):
@@ -296,7 +285,7 @@ def test_exit_code_1_on_check_failure(tmp_path):
 
 # rank 1 on tau = 0.3 + 0.9i, chi_tilde - chi matching the divisor class
 # of the two zeros and two poles
-CONINT_PROBLEM = Path(__file__).parent / "data" / "conint_problem.json"
+CONINT_PROBLEM = DATA / "conint_problem.json"
 ABSINT_PROBLEM = json.loads(CONINT_PROBLEM.read_text())
 
 

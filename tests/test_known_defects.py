@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 import oracles
+from test_theta_table import large_im_tau_problem
 from zpint.absint import (
     InterpolationDataSet,
+    build_inverse,
     build_solution,
     divisor_characteristic,
     scalar_multiplicative,
@@ -117,8 +119,10 @@ def test_removable_points_answered():
     """On item 17's consistent problem K(chi; ., q) vanishes at
     p0 = 0.703 + 0.819i, where T is finite.  T(p0 + eps (0.6 + 0.8i))
     against scalar_multiplicative reads a relative error of 1.1e-12 at
-    eps = 1e-3, 6.4e-10 at 1e-6, 2.9e-6 at 1e-10 and 6.5e-5 at 1e-11, with
-    no error raised, and raises SingularMatrix at 1e-12 and at 0."""
+    eps = 1e-3, 6.4e-10 at 1e-6, 9.7e-8 at 1e-8, 2.9e-6 at 1e-10 and
+    6.5e-5 at 1e-11, with no error raised, and raises SingularMatrix at
+    1e-12 and at 0, where the plan's distance test finds p within
+    POINT_TOL of p0, one of the zeros it keeps."""
     surf, data, chi, tilde, q, one = _item17_problem()
     T = build_solution(data, q, one, line_kernel(surf, chi), line_kernel(surf, tilde))
     product = scalar_multiplicative(surf, [z.point for z in data.zeros],
@@ -134,6 +138,33 @@ def test_removable_points_answered():
         if isinstance(error, str) or error > 1e-12:
             off[eps] = error
     assert not off, off
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
+def test_inverse_at_large_im_tau_has_digits():
+    """At tau = 300i T^-1's kernel sum cancels at 28 of the 60 sweep points
+    of test_interpolant_at_large_im_tau_matches_channel_pass: against an
+    80-digit evaluation of the same formula it is off by 1e-6 to 1e25,
+    relative, with no error and no warning.  T^-1 should refuse such a point
+    or answer it within 1e-6."""
+    tau, ab_chi, ab_tilde = 300j, (0.02, 0.37), (-0.02, 0.61)
+    chi, tilde, lam, mu, q, data, Q, sweep = large_im_tau_problem(tau, ab_chi[0])
+    T_inv = build_inverse(data, q, Q, chi, tilde)
+    with oracles.mp.workdps(80):
+        omega = [[tau]]
+        deriv0 = oracles.odd_theta_deriv0_product(tau)
+
+        def kernel(ab, p, base):
+            """K([a; b]; p, base) = theta[a; b](base - p) / theta[a; b](0) E(base, p)."""
+            def theta(a, b, z):
+                return oracles.theta_char_direct([a], [b], [z], omega, radius=4)
+            return theta(*ab, base - p) * deriv0 / (theta(*ab, 0) * theta(0.5, 0.5, p - base))
+
+        coef = kernel(ab_tilde, q, mu) / -kernel(ab_tilde, lam, mu)
+        for p in sweep:
+            exact = complex((kernel(ab_tilde, q, p) + coef * kernel(ab_tilde, lam, p))
+                            / complex(Q[0, 0]) / kernel(ab_chi, q, p))
+            _typed_or_within(lambda: complex(T_inv(p)[0, 0]), exact, 1e-6)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 25")

@@ -173,13 +173,10 @@ def test_interpolant_on_table_far_nodes_and_multiplier_law(case, data):
             assert rel_residual(moved, law) <= 1e-11, (kind, m, n)
 
 
-@pytest.mark.parametrize("tau, a", [(0.2 + 40j, 0.23), (300j, 0.02)])
-def test_interpolant_at_large_im_tau_matches_channel_pass(tau, a):
-    """At Im(tau) = 40 (table) and 300 (past theta.MAX_TABLE_IM, the channel
-    pass), T and T^-1 match the formula over the channel pass wherever that
-    is finite, and raise its typed error where it is not: NonConvergent
-    where a kernel value overflows, SingularMatrix where K(chi) is below
-    1e-10; no RuntimeWarning (the test configuration makes them errors)."""
+def large_im_tau_problem(tau, a):
+    """A rank-1 torus problem at a large Im(tau): (chi kernel, chi~ kernel,
+    lam, mu, q, data set, Q, sweep of 60 points over the parallelogram),
+    with chi = [a; 0.37] and chi~ = [-a; 0.61]."""
     surface = torus_surface(tau)
     rng = np.random.default_rng(11)
     chi = line_kernel(surface, line_bundle(a, 0.37))
@@ -191,26 +188,51 @@ def test_interpolant_at_large_im_tau_matches_channel_pass(tau, a):
     dataset = InterpolationDataSet(surface, 1, (ZeroNode(lam, one),), (PoleNode(mu, one),))
     Q = np.array([[1.3 - 0.4j]])
     sweep = [x + y * tau for x, y in rng.uniform(0, 1, (60, 2))]
-    outcomes = set()
-    for build, kind in ((build_solution, "solution"), (build_inverse, "inverse")):
+    return chi, tilde, lam, mu, q, dataset, Q, sweep
+
+
+# the sweep points where the reference's scale is finite, as measured:
+# (T, T^-1) per tau, all 60 at Im(tau) = 40
+COMPARED = {0.2 + 40j: (60, 60), 300j: (41, 44)}
+
+
+@pytest.mark.parametrize("tau, a", [(0.2 + 40j, 0.23), (300j, 0.02)])
+def test_interpolant_at_large_im_tau_matches_channel_pass(tau, a):
+    """At Im(tau) = 40 (table) and 300 (past theta.MAX_TABLE_IM, the channel
+    pass), T and T^-1 give a finite value at every sweep point where the
+    formula over the channel pass is finite, with no RuntimeWarning (the
+    test configuration makes them errors), and match it within the test's
+    tolerance wherever the formula's scale is finite too, also where
+    K(chi) is far below 1 (the channels' scale is not O(1) there: K(chi)
+    reads 1e-200 to 1e-150 at Im(tau) = 300).  At Im(tau) = 300 the scale of
+    the formula's terms leaves the double range at about a third of the
+    points; there only the value's finiteness is asserted, and the count of
+    compared points may not fall below the one measured.  The tolerance
+    is relative to that scale, not to the value: where the terms cancel it
+    holds no relative digit (T^-1 at Im(tau) = 300 is off by 1e-6 to 1e25,
+    relative, at 28 of the 60 points against an 80-digit evaluation of the
+    formula, and the double reference by as much; ROADMAP item 15, register
+    row test_inverse_at_large_im_tau_has_digits)."""
+    chi, tilde, lam, mu, q, dataset, Q, sweep = large_im_tau_problem(tau, a)
+    one = np.ones((1, 1))
+    for build, kind, count in zip((build_solution, build_inverse), ("solution", "inverse"),
+                                  COMPARED[tau]):
         T = build(dataset, q, Q, chi, tilde)
+        compared = 0
         for p in sweep:
-            try:
-                kmat = chi(p, q) if kind == "solution" else chi(q, p)
-                if abs(kmat[0, 0]) <= 1e-10:
-                    raise SingularMatrix("K(chi) below 1e-10")
+            with np.errstate(over="ignore", invalid="ignore"):
                 expected, scale = reference(kind, chi, tilde, [(lam, one[0])], [(mu, one[0])],
                                             q, Q, p)
-            except (NonConvergent, SingularMatrix) as exc:
-                with pytest.raises(type(exc)):
-                    T(p)
-                outcomes.add(type(exc).__name__)
+            assert np.isfinite(expected).all(), (kind, p)
+            value = T(p)
+            assert np.isfinite(value).all(), (kind, p)
+            if not 0.0 < scale < np.inf:
                 continue
             # both sides round exponents up to pi Im(tau) in their theta sums
             tol = 10 * np.pi * tau.imag * EPS * scale
-            assert np.linalg.norm(T(p) - expected) <= tol, (kind, p)
-            outcomes.add("value")
-    assert "value" in outcomes
+            assert np.linalg.norm(value - expected) <= tol, (kind, p)
+            compared += 1
+        assert compared >= count, (kind, compared)
 
 
 def test_table_refuses_im_tau_past_its_range():
